@@ -1,23 +1,20 @@
-// Mux fabric benchmark (ISSUE 9): the PR 8 concurrency sweep (1/4/16/64
-// clients) rerun over the sink→reader data plane, with the connection mux
-// on and off. Each client is one full streaming-transfer pipeline (SQL scan
-// → sink UDF → reader ingest), so every client opens real data channels;
-// the GROUP BY serving bench never touches the data plane.
+// Mux fabric benchmark: the serving concurrency sweep (1/4/16/64 clients)
+// rerun over the sink→reader data plane. Each client is one full
+// streaming-transfer pipeline (SQL scan → sink UDF → reader ingest), so
+// every client opens real data channels; the GROUP BY serving bench never
+// touches the data plane.
 //
-// The interesting property is socket economy without a latency tax: with
-// SQLINK_MUX on, 64 concurrent pipelines share at most
-// SQLINK_MUX_CONNS_PER_PEER pooled sockets per sink peer (the in-process
-// cluster exposes one shared sink listener, i.e. one peer), while the
-// unmuxed path dials one socket per split per pipeline (~64×splits). Tail
-// latency must not regress: per-channel credit windows stop one slow
-// channel from head-of-line-blocking its socket-mates.
+// The interesting property is socket economy: 64 concurrent pipelines
+// share at most MuxConnsPerPeer() pooled sockets per sink peer (the
+// in-process cluster exposes one shared sink listener, i.e. one peer),
+// while per-channel credit windows stop one slow channel from
+// head-of-line-blocking its socket-mates.
 //
 // `bench_mux [rows]` prints the table; with SQLINK_BENCH_JSON set, one
-// JSON line per (mode, concurrency) cell is emitted. `--smoke` shrinks the
-// workload for CI; `--check` exits non-zero when any transfer fails, when
-// mux mode opens more than 2×SQLINK_MUX_CONNS_PER_PEER×peers sockets at 64
-// clients, or when mux p99 at 64 clients regresses past the unmuxed
-// baseline (with headroom for scheduler noise).
+// JSON line per concurrency level is emitted. `--smoke` shrinks the
+// workload for CI; `--check` exits non-zero when any transfer fails or
+// when more than 2×MuxConnsPerPeer()×peers data sockets are dialed at 64
+// clients.
 
 #include <algorithm>
 #include <atomic>
@@ -27,7 +24,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/runtime_flags.h"
 #include "common/stopwatch.h"
 #include "net/conn_pool.h"
 #include "stream/streaming_transfer.h"
@@ -61,11 +57,9 @@ struct LevelResult {
 
 /// Runs `concurrency` streaming-transfer pipelines at once (one per client
 /// thread) and measures per-pipeline latency plus the data-socket count.
-LevelResult RunLevel(SqlEngine* engine, int concurrency, int64_t rows,
-                     bool mux_on) {
-  SetMuxEnabledForTest(mux_on ? 1 : 0);
-  // Drop pooled connections from the previous cell, then zero the metrics,
-  // so `stream.reader.data_dials` counts exactly this cell's sockets.
+LevelResult RunLevel(SqlEngine* engine, int concurrency, int64_t rows) {
+  // Drop pooled connections from the previous level, then zero the metrics,
+  // so `stream.reader.data_dials` counts exactly this level's sockets.
   MuxConnPool::Global().ResetForTest();
   MetricsRegistry::Global().Reset();
 
@@ -143,7 +137,7 @@ int main(int argc, char** argv) {
   }
 
   // All in-process sinks register with the one process-wide MuxSinkServer
-  // listener, so mux mode sees a single peer endpoint. (A real deployment
+  // listener, so readers see a single peer endpoint. (A real deployment
   // has one peer per worker host; the per-peer cap is what the formula
   // checks either way.)
   const int peers = 1;
@@ -153,78 +147,61 @@ int main(int argc, char** argv) {
   std::printf("=== mux fabric: concurrent pipelines vs sockets + tail ===\n");
   std::printf("rows per transfer: %lld, conns per peer: %d, peers: %d\n\n",
               static_cast<long long>(rows), MuxConnsPerPeer(), peers);
-  std::printf("%5s %12s %10s %10s %10s %9s %9s %9s\n", "mux", "concurrency",
-              "qps", "p50(ms)", "p99(ms)", "sockets", "coalesced", "stalls");
+  std::printf("%12s %10s %10s %10s %9s %9s %9s\n", "concurrency", "qps",
+              "p50(ms)", "p99(ms)", "sockets", "coalesced", "stalls");
 
-  double mux_p99_at_64 = 0;
-  double unmux_p99_at_64 = 0;
-  int64_t mux_sockets_at_64 = 0;
+  // One untimed transfer first: starting the sink listener and registering
+  // the sink UDF are process set-up, not per-pipeline latency.
+  if (!StreamingTransfer::Run(engine.get(), "SELECT * FROM points", {}).ok()) {
+    std::fprintf(stderr, "warm-up transfer failed\n");
+    return 1;
+  }
+
+  int64_t sockets_at_64 = 0;
   int total_failures = 0;
   for (int concurrency : {1, 4, 16, 64}) {
-    for (bool mux_on : {false, true}) {
-      LevelResult level = RunLevel(engine.get(), concurrency, rows, mux_on);
-      total_failures += level.failures;
-      if (level.failures > 0) {
-        std::fprintf(stderr, "mux=%s concurrency=%d: %d failures (first: %s)\n",
-                     mux_on ? "on" : "off", concurrency, level.failures,
-                     level.first_failure.c_str());
-      }
-      if (concurrency == 64) {
-        (mux_on ? mux_p99_at_64 : unmux_p99_at_64) = level.Percentile(0.99);
-        if (mux_on) mux_sockets_at_64 = level.sockets;
-      }
-      std::printf("%5s %12d %10.1f %10.2f %10.2f %9lld %9lld %9lld\n",
-                  mux_on ? "on" : "off", concurrency, level.qps(),
-                  level.Percentile(0.50), level.Percentile(0.99),
-                  static_cast<long long>(level.sockets),
-                  static_cast<long long>(level.coalesced_frames),
-                  static_cast<long long>(level.window_stalls));
-      sqlink::bench::BenchJsonLine("mux_transfer")
-          .Param("rows", rows)
-          .Param("mux", mux_on)
-          .Param("concurrency", static_cast<int64_t>(concurrency))
-          .Param("qps", level.qps())
-          .Param("p50_ms", level.Percentile(0.50))
-          .Param("p99_ms", level.Percentile(0.99))
-          .Param("sockets", level.sockets)
-          .Param("coalesced_frames", level.coalesced_frames)
-          .Param("window_stalls", level.window_stalls)
-          .Param("failures", static_cast<int64_t>(level.failures))
-          .Param("smoke", smoke)
-          .Emit(level.wall_s * 1000.0);
+    LevelResult level = RunLevel(engine.get(), concurrency, rows);
+    total_failures += level.failures;
+    if (level.failures > 0) {
+      std::fprintf(stderr, "concurrency=%d: %d failures (first: %s)\n",
+                   concurrency, level.failures, level.first_failure.c_str());
     }
+    if (concurrency == 64) sockets_at_64 = level.sockets;
+    std::printf("%12d %10.1f %10.2f %10.2f %9lld %9lld %9lld\n", concurrency,
+                level.qps(), level.Percentile(0.50), level.Percentile(0.99),
+                static_cast<long long>(level.sockets),
+                static_cast<long long>(level.coalesced_frames),
+                static_cast<long long>(level.window_stalls));
+    sqlink::bench::BenchJsonLine("mux_transfer")
+        .Param("rows", rows)
+        .Param("concurrency", static_cast<int64_t>(concurrency))
+        .Param("qps", level.qps())
+        .Param("p50_ms", level.Percentile(0.50))
+        .Param("p99_ms", level.Percentile(0.99))
+        .Param("sockets", level.sockets)
+        .Param("coalesced_frames", level.coalesced_frames)
+        .Param("window_stalls", level.window_stalls)
+        .Param("failures", static_cast<int64_t>(level.failures))
+        .Param("smoke", smoke)
+        .Emit(level.wall_s * 1000.0);
   }
-  SetMuxEnabledForTest(-1);
   MuxConnPool::Global().ResetForTest();
 
-  std::printf("\nsockets at 64 clients: %lld muxed (cap %lld), "
-              "p99 %0.2fms muxed vs %0.2fms unmuxed\n",
-              static_cast<long long>(mux_sockets_at_64),
-              static_cast<long long>(socket_cap), mux_p99_at_64,
-              unmux_p99_at_64);
+  std::printf("\nsockets at 64 clients: %lld (cap %lld)\n",
+              static_cast<long long>(sockets_at_64),
+              static_cast<long long>(socket_cap));
 
   if (check) {
     if (total_failures > 0) {
       std::fprintf(stderr, "--check: %d failed transfers\n", total_failures);
       return 1;
     }
-    if (mux_sockets_at_64 > socket_cap) {
+    if (sockets_at_64 > socket_cap) {
       std::fprintf(stderr,
-                   "--check: mux mode dialed %lld data sockets at 64 "
-                   "clients, cap is 2 x %d conns/peer x %d peers = %lld\n",
-                   static_cast<long long>(mux_sockets_at_64),
-                   MuxConnsPerPeer(), peers,
-                   static_cast<long long>(socket_cap));
-      return 1;
-    }
-    // "No worse than unmuxed" with headroom: the suite runs on shared CI
-    // machines, so a hard <= would flake on scheduler noise alone.
-    const double p99_cap = unmux_p99_at_64 * 1.25 + 50.0;
-    if (mux_p99_at_64 > p99_cap) {
-      std::fprintf(stderr,
-                   "--check: mux p99 at 64 clients is %.2fms, unmuxed is "
-                   "%.2fms (allowed %.2fms)\n",
-                   mux_p99_at_64, unmux_p99_at_64, p99_cap);
+                   "--check: dialed %lld data sockets at 64 clients, cap is "
+                   "2 x %d conns/peer x %d peers = %lld\n",
+                   static_cast<long long>(sockets_at_64), MuxConnsPerPeer(),
+                   peers, static_cast<long long>(socket_cap));
       return 1;
     }
   }

@@ -43,13 +43,6 @@ echo "==> [${BUILD_DIR}] row-path suite (SQLINK_COLUMNAR=off)"
 (cd "${BUILD_DIR}" &&
  SQLINK_COLUMNAR=off ctest -L 'unit|chaos' --output-on-failure -j "${JOBS}")
 
-# The multiplexed transfer fabric (SQLINK_MUX, default on) must be a pure
-# transport optimization: the whole suite reruns with the legacy
-# one-socket-per-transfer path forced.
-echo "==> [${BUILD_DIR}] legacy-transport suite (SQLINK_MUX=off)"
-(cd "${BUILD_DIR}" &&
- SQLINK_MUX=off ctest -L 'unit|chaos' --output-on-failure -j "${JOBS}")
-
 # Likewise the vectorized SQL engine (SQLINK_VECTORIZED_SQL, default on):
 # the unit suite reruns with the row-at-a-time operators forced, so both
 # engine modes stay green against the same goldens and differential checks.
@@ -57,42 +50,43 @@ echo "==> [${BUILD_DIR}] row-engine suite (SQLINK_VECTORIZED_SQL=off)"
 (cd "${BUILD_DIR}" &&
  SQLINK_VECTORIZED_SQL=off ctest -L unit --output-on-failure -j "${JOBS}")
 
-# Bench smoke: the default build is Release, so the row-vs-columnar micro
-# benches run here directly. --check fails the stage if the columnar path
-# is ever slower than the row path; the JSON series lands in BENCH_pr4.json.
+# Bench smokes write their JSON series under ${BUILD_DIR}/, leaving the
+# committed BENCH_pr*.json results as recorded.
+#
+# Row vs columnar: the default build is Release, so the micro benches run
+# here directly. --check fails the stage if the columnar path is ever
+# slower than the row path.
 echo "==> [${BUILD_DIR}] bench smoke (row vs columnar)"
 cmake --build "${BUILD_DIR}" -j "${JOBS}" --target bench_transform bench_ingest
-BENCH_JSON="$(pwd)/BENCH_pr4.json"
+BENCH_JSON="${BUILD_DIR}/bench_columnar.json"
 rm -f "${BENCH_JSON}"
 SQLINK_BENCH_JSON="${BENCH_JSON}" "${BUILD_DIR}/bench/bench_transform" 1000000 --check
 SQLINK_BENCH_JSON="${BENCH_JSON}" "${BUILD_DIR}/bench/bench_ingest" 400000 --check
 
 # SQL engine smoke: the vectorized executor must be >= 2x faster than the
-# row engine on a join+filter+DISTINCT query; series lands in BENCH_pr6.json.
+# row engine on a join+filter+DISTINCT query.
 echo "==> [${BUILD_DIR}] bench smoke (row vs vectorized SQL)"
 cmake --build "${BUILD_DIR}" -j "${JOBS}" --target bench_sql
-SQL_BENCH_JSON="$(pwd)/BENCH_pr6.json"
+SQL_BENCH_JSON="${BUILD_DIR}/bench_sql.json"
 rm -f "${SQL_BENCH_JSON}"
 SQLINK_BENCH_JSON="${SQL_BENCH_JSON}" "${BUILD_DIR}/bench/bench_sql" --smoke 300000 --check
 
 # Serving smoke: the admission-gated query server must hold goodput as
 # client concurrency climbs past the admitted window — --check fails if
 # qps at 16 clients drops below 90% of the single-client baseline or any
-# query fails. Series lands in BENCH_pr8.json.
+# query fails.
 echo "==> [${BUILD_DIR}] bench smoke (concurrent serving goodput)"
 cmake --build "${BUILD_DIR}" -j "${JOBS}" --target bench_serving
-SERVING_BENCH_JSON="$(pwd)/BENCH_pr8.json"
+SERVING_BENCH_JSON="${BUILD_DIR}/bench_serving.json"
 rm -f "${SERVING_BENCH_JSON}"
 SQLINK_BENCH_JSON="${SERVING_BENCH_JSON}" "${BUILD_DIR}/bench/bench_serving" --smoke --check
 
-# Mux fabric smoke: 1/4/16/64 concurrent streaming pipelines with the
-# shared connection pool on and off — --check fails if mux mode dials more
-# than 2 x SQLINK_MUX_CONNS_PER_PEER x peers data sockets at 64 clients,
-# if p99 regresses past the unmuxed baseline, or if any transfer fails.
-# Series lands in BENCH_pr9.json.
-echo "==> [${BUILD_DIR}] bench smoke (mux fabric sockets + tail latency)"
+# Mux fabric smoke: 1/4/16/64 concurrent streaming pipelines over the
+# shared connection pool — --check fails if more than 2 x conns-per-peer x
+# peers data sockets are dialed at 64 clients, or if any transfer fails.
+echo "==> [${BUILD_DIR}] bench smoke (mux fabric sockets)"
 cmake --build "${BUILD_DIR}" -j "${JOBS}" --target bench_mux
-MUX_BENCH_JSON="$(pwd)/BENCH_pr9.json"
+MUX_BENCH_JSON="${BUILD_DIR}/bench_mux.json"
 rm -f "${MUX_BENCH_JSON}"
 SQLINK_BENCH_JSON="${MUX_BENCH_JSON}" "${BUILD_DIR}/bench/bench_mux" --smoke --check
 
@@ -193,7 +187,6 @@ serving_smoke() {
 }
 serving_smoke "" "vectorized engine"
 serving_smoke "SQLINK_VECTORIZED_SQL=off" "row engine"
-serving_smoke "SQLINK_MUX=off" "legacy transport"
 
 if [[ "${SQLINK_SANITIZE}" != "none" ]]; then
   SAN_DIR="${BUILD_DIR}-${SQLINK_SANITIZE}"

@@ -47,59 +47,4 @@ void SetVectorizedSqlEnabledForTest(int enabled) {
                                   std::memory_order_relaxed);
 }
 
-namespace {
-
-std::atomic<int> g_mux_override{-1};
-std::atomic<int> g_mux_conns_override{0};
-std::atomic<int64_t> g_mux_window_override{0};
-
-int64_t Int64FromEnv(const char* name, int64_t fallback, int64_t min_value) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(value, &end, 10);
-  if (end == value || parsed < min_value) return fallback;
-  return static_cast<int64_t>(parsed);
-}
-
-}  // namespace
-
-bool MuxEnabled() {
-  const int forced = g_mux_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced != 0;
-  static const bool from_env = OnOffFromEnv("SQLINK_MUX");
-  return from_env;
-}
-
-void SetMuxEnabledForTest(int enabled) {
-  g_mux_override.store(enabled < 0 ? -1 : (enabled != 0 ? 1 : 0),
-                       std::memory_order_relaxed);
-}
-
-int MuxConnsPerPeer() {
-  const int forced = g_mux_conns_override.load(std::memory_order_relaxed);
-  if (forced > 0) return forced;
-  static const int from_env = static_cast<int>(
-      Int64FromEnv("SQLINK_MUX_CONNS_PER_PEER", /*fallback=*/4,
-                   /*min_value=*/1));
-  return from_env;
-}
-
-void SetMuxConnsPerPeerForTest(int conns) {
-  g_mux_conns_override.store(conns, std::memory_order_relaxed);
-}
-
-int64_t MuxChannelWindowBytes() {
-  const int64_t forced = g_mux_window_override.load(std::memory_order_relaxed);
-  if (forced > 0) return forced;
-  static const int64_t from_env =
-      Int64FromEnv("SQLINK_MUX_CHANNEL_WINDOW_BYTES",
-                   /*fallback=*/int64_t{4} << 20, /*min_value=*/1);
-  return from_env;
-}
-
-void SetMuxChannelWindowBytesForTest(int64_t bytes) {
-  g_mux_window_override.store(bytes, std::memory_order_relaxed);
-}
-
 }  // namespace sqlink

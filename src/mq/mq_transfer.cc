@@ -252,10 +252,12 @@ class MqRecordReader final : public ml::RecordReader {
 }  // namespace
 
 Status RegisterMqSinkUdf(SqlEngine* engine, MessageBrokerPtr broker) {
-  if (engine->table_udfs()->Contains("mq_stream_sink")) return Status::OK();
-  return engine->table_udfs()->Register(
+  Status registered = engine->table_udfs()->Register(
       "mq_stream_sink",
       [broker] { return std::make_shared<MqSinkUdf>(broker); });
+  // Concurrent transfers race to register first; losing the race is fine.
+  if (registered.IsAlreadyExists()) return Status::OK();
+  return registered;
 }
 
 MqInputFormat::MqInputFormat(MessageBrokerPtr broker, std::string topic,

@@ -1,15 +1,17 @@
 #include "net/conn_pool.h"
 
+#include <atomic>
 #include <thread>
 #include <utility>
 
 #include "common/metrics.h"
-#include "common/runtime_flags.h"
 #include "common/status_macros.h"
 
 namespace sqlink {
 
 namespace {
+
+std::atomic<int> g_conns_per_peer_override{0};
 
 /// Fibonacci hash spreads consecutive split ids across the slots.
 size_t AffinitySlot(uint64_t affinity, size_t slots) {
@@ -24,6 +26,15 @@ Counter* DialCounter() {
 
 }  // namespace
 
+int MuxConnsPerPeer() {
+  const int forced = g_conns_per_peer_override.load(std::memory_order_relaxed);
+  return forced > 0 ? forced : kMuxConnsPerPeer;
+}
+
+void SetMuxConnsPerPeerForTest(int conns) {
+  g_conns_per_peer_override.store(conns, std::memory_order_relaxed);
+}
+
 // --- MuxConnPool ------------------------------------------------------------
 
 MuxConnPool& MuxConnPool::Global() {
@@ -31,17 +42,16 @@ MuxConnPool& MuxConnPool::Global() {
   return *pool;
 }
 
-Result<FrameChannelPtr> MuxConnPool::OpenChannel(const std::string& host,
-                                                 int port, uint64_t sink_key,
-                                                 uint64_t affinity,
-                                                 const HelloMessage& hello) {
+Result<std::shared_ptr<MuxChannel>> MuxConnPool::OpenChannel(
+    const std::string& host, int port, uint64_t sink_key, uint64_t affinity,
+    const HelloMessage& hello) {
   const std::string key = host + ":" + std::to_string(port);
   const size_t slots = static_cast<size_t>(MuxConnsPerPeer());
   const size_t slot = AffinitySlot(affinity, slots);
 
   OpenChannelMessage msg;
   msg.sink_key = sink_key;
-  msg.window_bytes = static_cast<uint64_t>(MuxChannelWindowBytes());
+  msg.window_bytes = static_cast<uint64_t>(kMuxChannelWindowBytes);
   msg.hello = hello;
 
   // One retry with a fresh dial: the pooled connection may be stale (sink
@@ -133,7 +143,8 @@ void MuxSinkServer::AcceptLoop() {
     }
     auto conn = MuxConn::Spawn(
         std::move(*accepted),
-        [this](FrameChannelPtr channel, const OpenChannelMessage& msg) {
+        [this](std::shared_ptr<MuxChannel> channel,
+               const OpenChannelMessage& msg) {
           Dispatch(std::move(channel), msg);
         });
     std::lock_guard<std::mutex> lock(mu_);
@@ -150,7 +161,7 @@ void MuxSinkServer::AcceptLoop() {
   }
 }
 
-void MuxSinkServer::Dispatch(FrameChannelPtr channel,
+void MuxSinkServer::Dispatch(std::shared_ptr<MuxChannel> channel,
                              const OpenChannelMessage& msg) {
   ChannelHandler handler;
   {

@@ -15,6 +15,20 @@
 
 namespace sqlink {
 
+/// Shared data connections per sink peer.
+inline constexpr int kMuxConnsPerPeer = 4;
+
+/// Initial and replenished per-channel credit, in bytes, that a reader
+/// grants a sink's data frames. A channel that exhausts its window parks
+/// alone; socket-mates keep flowing.
+inline constexpr int64_t kMuxChannelWindowBytes = int64_t{4} << 20;
+
+/// Pool slots per peer: kMuxConnsPerPeer unless a test forced another size.
+int MuxConnsPerPeer();
+
+/// Test hook: > 0 = forced pool size, <= 0 = back to kMuxConnsPerPeer.
+void SetMuxConnsPerPeerForTest(int conns);
+
 /// Reader-side pool of shared mux connections, at most MuxConnsPerPeer()
 /// per sink endpoint. Channels land on a connection by hash of their
 /// affinity key (the split id), so a reconnecting reader re-multiplexes
@@ -29,9 +43,10 @@ class MuxConnPool {
   /// host:port, dialing a shared connection lazily if the affinity slot is
   /// empty or its connection has died. The embedded HELLO opens the stream;
   /// the sink answers on the channel (kResume first).
-  Result<FrameChannelPtr> OpenChannel(const std::string& host, int port,
-                                      uint64_t sink_key, uint64_t affinity,
-                                      const HelloMessage& hello);
+  Result<std::shared_ptr<MuxChannel>> OpenChannel(const std::string& host,
+                                                  int port, uint64_t sink_key,
+                                                  uint64_t affinity,
+                                                  const HelloMessage& hello);
 
   /// Drops every pooled connection (tests that restart sinks on new ports).
   void ResetForTest();
@@ -49,14 +64,12 @@ class MuxConnPool {
 /// mux connections for every sink partition in the process. Each partition
 /// registers an open-channel handler and advertises the returned sink_key
 /// (via coordinator registration) so readers can route kOpenChannel frames
-/// to it. A per-transfer ephemeral listener would defeat the socket bound —
-/// the whole point is that all partitions share the pool's connections.
+/// to it: all partitions share the pool's connections.
 class MuxSinkServer {
  public:
   /// Called on a connection's demux thread for each kOpenChannel routed to
   /// this sink_key. Must not block (hand the channel to a queue).
-  using ChannelHandler =
-      std::function<void(FrameChannelPtr, const OpenChannelMessage&)>;
+  using ChannelHandler = MuxConn::OpenHandler;
 
   static MuxSinkServer& Global();
 
@@ -74,7 +87,8 @@ class MuxSinkServer {
   MuxSinkServer() = default;
 
   void AcceptLoop();
-  void Dispatch(FrameChannelPtr channel, const OpenChannelMessage& msg);
+  void Dispatch(std::shared_ptr<MuxChannel> channel,
+                const OpenChannelMessage& msg);
 
   std::mutex mu_;
   TcpListener listener_;

@@ -26,6 +26,7 @@ struct MuxMetrics {
   Counter* slow_channels;
   Counter* frames_sent;
   Counter* bytes_sent;
+  Histogram* send_micros;
 
   static const MuxMetrics& Get() {
     static const MuxMetrics metrics = [] {
@@ -36,9 +37,10 @@ struct MuxMetrics {
           registry.GetCounter("net.mux.coalesced_frames"),
           registry.GetCounter("net.mux.window_stalls"),
           registry.GetCounter("net.mux.slow_channels"),
-          // Shared with the direct path: a frame is a frame either way.
+          // Shared with SendFrame: a frame is a frame on any socket.
           registry.GetCounter("stream.wire.frames_sent"),
-          registry.GetCounter("stream.wire.bytes_sent")};
+          registry.GetCounter("stream.wire.bytes_sent"),
+          registry.GetHistogram("stream.wire.send_frame_micros")};
     }();
     return metrics;
   }
@@ -64,62 +66,6 @@ Status ChannelClosedByPeer(const Status& close_status) {
 
 }  // namespace
 
-// --- SocketFrameChannel -----------------------------------------------------
-
-SocketFrameChannel::SocketFrameChannel(TcpSocket socket)
-    : socket_(std::make_shared<TcpSocket>(std::move(socket))) {}
-
-SocketFrameChannel::SocketFrameChannel(std::shared_ptr<TcpSocket> socket)
-    : socket_(std::move(socket)) {}
-
-Status SocketFrameChannel::Send(FrameType type, std::string_view payload,
-                                uint64_t seq) {
-  return SendFrame(socket_.get(), type, payload, seq);
-}
-
-Result<bool> SocketFrameChannel::ExtractBuffered(Frame* frame) {
-  return ExtractFrame(&buffer_, frame);
-}
-
-Status SocketFrameChannel::Recv(Frame* frame) {
-  if (buffer_.empty() && !peer_closed_) {
-    return RecvFrameInto(socket_.get(), frame, &scratch_);
-  }
-  for (;;) {
-    ASSIGN_OR_RETURN(bool extracted, ExtractBuffered(frame));
-    if (extracted) return Status::OK();
-    if (peer_closed_) {
-      return Status::NetworkError(buffer_.empty() ? "closed"
-                                                  : "closed mid-message");
-    }
-    // Block for at least one byte, then drain whatever else arrived.
-    RETURN_IF_ERROR(socket_->RecvExactly(1, &scratch_));
-    buffer_.append(scratch_);
-    (void)socket_->TryRecv(64 << 10, &buffer_, &peer_closed_);
-  }
-}
-
-Result<bool> SocketFrameChannel::TryRecv(Frame* frame, bool* closed) {
-  if (!peer_closed_) {
-    RETURN_IF_ERROR(
-        socket_->TryRecv(64 << 10, &buffer_, &peer_closed_).status());
-  }
-  ASSIGN_OR_RETURN(bool extracted, ExtractBuffered(frame));
-  if (extracted) return true;
-  if (peer_closed_) {
-    if (!buffer_.empty()) {
-      return Status::NetworkError("closed mid-message");
-    }
-    *closed = true;
-  }
-  return false;
-}
-
-void SocketFrameChannel::Shutdown(const Status& status) {
-  (void)status;
-  socket_->ShutdownBoth();
-}
-
 // --- MuxChannel -------------------------------------------------------------
 
 MuxChannel::MuxChannel(std::shared_ptr<MuxConn> conn, uint32_t id,
@@ -132,8 +78,8 @@ MuxChannel::~MuxChannel() { CloseInternal(Status::OK(), /*notify_peer=*/true); }
 
 Status MuxChannel::Send(FrameType type, std::string_view payload,
                         uint64_t seq) {
-  // Same fault surface as the direct path: chaos tests arm these points and
-  // must keep biting with the mux on.
+  // Frame-level fault surface of the data plane: an error spec fails this
+  // send, a close spec truncates the frame and kills the shared connection.
   FailpointOutcome outcome = SQLINK_FAILPOINT("stream.wire.send_frame");
   if (outcome == FailpointOutcome::kNone && IsDataFrame(type)) {
     outcome = SQLINK_FAILPOINT("stream.wire.send_data");
@@ -304,7 +250,8 @@ MuxConn::~MuxConn() {
   socket_.Close();
 }
 
-Result<FrameChannelPtr> MuxConn::OpenChannel(const OpenChannelMessage& msg) {
+Result<std::shared_ptr<MuxChannel>> MuxConn::OpenChannel(
+    const OpenChannelMessage& msg) {
   std::shared_ptr<MuxChannel> channel;
   uint32_t id = 0;
   {
@@ -322,7 +269,7 @@ Result<FrameChannelPtr> MuxConn::OpenChannel(const OpenChannelMessage& msg) {
     channel->Fail(sent);
     return sent;
   }
-  return FrameChannelPtr(channel);
+  return channel;
 }
 
 void MuxConn::Shutdown(const Status& status) {
@@ -401,9 +348,11 @@ Status MuxConn::EnqueueWrite(FrameType outer, uint32_t channel, uint64_t seq,
       }
     }
     if (!iov.empty()) {
+      Stopwatch timer;
       status = socket_.SendAllIov(iov.data(), iov.size());
       if (status.ok()) {
         const MuxMetrics& metrics = MuxMetrics::Get();
+        metrics.send_micros->Record(timer.ElapsedMicros());
         if (cut > 1) metrics.coalesced_frames->Add(static_cast<int64_t>(cut));
         metrics.frames_sent->Add(static_cast<int64_t>(cut));
         metrics.bytes_sent->Add(static_cast<int64_t>(wire_bytes));

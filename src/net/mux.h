@@ -19,82 +19,41 @@
 
 namespace sqlink {
 
-/// One logical sink→reader transfer stream, independent of how it reaches
-/// the peer: a dedicated socket (SQLINK_MUX=off) or a channel multiplexed
-/// onto a shared connection. The sink's sender and the reader speak the
-/// same §6 frame protocol (kResume/kSchema/kDictPage/kData/kColData/kEnd +
-/// kDataAck/kAck) through this interface, so replay, dedupe, and resume are
-/// transport-agnostic.
+class MuxConn;
+
+/// One logical sink→reader transfer stream, multiplexed onto a shared
+/// connection. The sink's sender and the reader speak the §6 frame protocol
+/// (kResume/kSchema/kDictPage/kData/kColData/kEnd + kDataAck/kAck) through
+/// it: frames travel wrapped in kChannelData with a one-byte inner-type
+/// prefix, and data frames additionally consume per-channel credit
+/// (kChannelWindow replenishes it), so one slow reader parks only its own
+/// channel, never its socket-mates.
 ///
 /// Threading: Send and Recv/TryRecv each have one caller at a time (they
 /// may be different threads); Shutdown may race both.
-class FrameChannel {
+class MuxChannel final {
  public:
-  virtual ~FrameChannel() = default;
+  MuxChannel(std::shared_ptr<MuxConn> conn, uint32_t id, int64_t credit);
+  ~MuxChannel();
 
   /// Sends one frame. `seq` = 0 for frames outside the replay protocol.
   /// Stamps the calling thread's current trace span.
-  virtual Status Send(FrameType type, std::string_view payload,
-                      uint64_t seq) = 0;
+  Status Send(FrameType type, std::string_view payload, uint64_t seq);
 
   /// Blocks for the next frame. A peer that closed the channel (or a dead
   /// transport) surfaces as a non-OK status.
-  virtual Status Recv(Frame* frame) = 0;
+  Status Recv(Frame* frame);
 
   /// Non-blocking receive: true = a frame was produced, false = nothing
   /// pending right now. `*closed` is set when the peer has closed cleanly
   /// and every buffered frame has been drained (no more will arrive). A
   /// broken transport is an error only once buffered frames are exhausted.
-  virtual Result<bool> TryRecv(Frame* frame, bool* closed) = 0;
+  Result<bool> TryRecv(Frame* frame, bool* closed);
 
-  /// Closes this channel only — never a shared socket — waking any thread
+  /// Closes this channel only — never the shared socket — waking any thread
   /// parked in Send (flow-control credit) or Recv, and telling the peer
   /// best-effort why. Safe to call from any thread, more than once.
-  virtual void Shutdown(const Status& status) = 0;
-};
-
-using FrameChannelPtr = std::shared_ptr<FrameChannel>;
-
-/// Legacy transport: one dedicated TCP socket per transfer stream. Wraps
-/// either an owned socket (reader side) or a shared accepted socket (sink
-/// side). Receive buffers bytes fetched out-of-band so non-blocking ack
-/// drains and blocking receives interleave on one connection.
-class SocketFrameChannel final : public FrameChannel {
- public:
-  explicit SocketFrameChannel(TcpSocket socket);
-  explicit SocketFrameChannel(std::shared_ptr<TcpSocket> socket);
-
-  Status Send(FrameType type, std::string_view payload, uint64_t seq) override;
-  Status Recv(Frame* frame) override;
-  Result<bool> TryRecv(Frame* frame, bool* closed) override;
-  void Shutdown(const Status& status) override;
-
- private:
-  /// Parses one complete frame out of `buffer_`; false = need more bytes.
-  Result<bool> ExtractBuffered(Frame* frame);
-
-  std::shared_ptr<TcpSocket> socket_;
-  std::string buffer_;     ///< Bytes received but not yet parsed.
-  std::string scratch_;    ///< Header scratch for the blocking fast path.
-  bool peer_closed_ = false;
-};
-
-class MuxConn;
-
-/// One multiplexed channel on a shared connection. Frames travel wrapped in
-/// kChannelData with a one-byte inner-type prefix; data frames additionally
-/// consume per-channel credit (kChannelWindow replenishes it), so one slow
-/// reader parks only its own channel, never its socket-mates.
-class MuxChannel final : public FrameChannel,
-                         public std::enable_shared_from_this<MuxChannel> {
- public:
-  MuxChannel(std::shared_ptr<MuxConn> conn, uint32_t id, int64_t credit);
-  ~MuxChannel() override;
-
-  Status Send(FrameType type, std::string_view payload, uint64_t seq) override;
-  Status Recv(Frame* frame) override;
-  Result<bool> TryRecv(Frame* frame, bool* closed) override;
-  void Shutdown(const Status& status) override;
+  void Shutdown(const Status& status);
 
   uint32_t id() const { return id_; }
 
@@ -131,12 +90,12 @@ class MuxChannel final : public FrameChannel,
 /// write-side coalescer: concurrent senders enqueue frames and the first
 /// becomes the flusher, batching everything queued — across channels — into
 /// one scatter-gather sendmsg (net.mux.coalesced_frames counts batched
-/// frames).
+/// frames; stream.wire.send_frame_micros times each send).
 class MuxConn : public std::enable_shared_from_this<MuxConn> {
  public:
   /// Invoked on the demux thread for every kOpenChannel (server side).
-  using OpenHandler =
-      std::function<void(FrameChannelPtr, const OpenChannelMessage&)>;
+  using OpenHandler = std::function<void(std::shared_ptr<MuxChannel>,
+                                         const OpenChannelMessage&)>;
 
   /// Wraps `socket` and starts the demux thread. `on_open` = nullptr for
   /// the client (reader) side, which opens channels itself.
@@ -147,7 +106,8 @@ class MuxConn : public std::enable_shared_from_this<MuxConn> {
   /// Client side: allocates a channel id, registers the channel, and sends
   /// kOpenChannel. The sink's first frame on the channel answers the
   /// embedded HELLO (kResume), or kCloseChannel rejects it.
-  Result<FrameChannelPtr> OpenChannel(const OpenChannelMessage& msg);
+  Result<std::shared_ptr<MuxChannel>> OpenChannel(
+      const OpenChannelMessage& msg);
 
   /// Kills the connection: every channel and queued write fails with
   /// `status`, and the socket is shut down (waking the demux thread).

@@ -39,8 +39,8 @@ struct QueryRecord {
   std::atomic<int64_t> transfer_rows{0};
   std::atomic<int64_t> transfer_bytes{0};
   std::atomic<int64_t> transfer_spilled_frames{0};
-  /// Logical sink→reader channels the transfer served (mux mode: these
-  /// share pooled sockets — compare with net.mux.conns in /metrics).
+  /// Logical sink→reader channels the transfer served (these share pooled
+  /// sockets — compare with net.mux.conns in /metrics).
   std::atomic<int64_t> transfer_channels{0};
 
   // Completion fields (guarded by the registry mutex until finished).

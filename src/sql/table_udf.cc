@@ -36,9 +36,4 @@ Result<TableUdfPtr> TableUdfRegistry::Create(const std::string& name) const {
   return it->second();
 }
 
-bool TableUdfRegistry::Contains(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return factories_.count(ToLowerAscii(name)) > 0;
-}
-
 }  // namespace sqlink

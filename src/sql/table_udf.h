@@ -87,9 +87,10 @@ using TableUdfFactory = std::function<TableUdfPtr()>;
 /// from their own threads (StreamingTransfer::Run), racing with lookups.
 class TableUdfRegistry {
  public:
+  /// AlreadyExists when `name` is taken; lazy registrars that race each
+  /// other treat that as success.
   Status Register(const std::string& name, TableUdfFactory factory);
   Result<TableUdfPtr> Create(const std::string& name) const;
-  bool Contains(const std::string& name) const;
 
  private:
   mutable std::mutex mu_;

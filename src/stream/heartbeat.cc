@@ -5,7 +5,6 @@
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "common/runtime_flags.h"
 #include "common/status_macros.h"
 
 namespace sqlink {
@@ -68,18 +67,19 @@ std::shared_ptr<HeartbeatBus::Conn> HeartbeatBus::Acquire(
 }
 
 HeartbeatSender::HeartbeatSender(Options options)
-    : options_(std::move(options)) {}
-
-HeartbeatSender::~HeartbeatSender() { Stop(HeartbeatMessage::kAlive); }
-
-void HeartbeatSender::Start() {
-  if (!enabled() || thread_.joinable()) return;
-  if (MuxEnabled()) {
+    : options_(std::move(options)) {
+  if (enabled()) {
     // Share one control connection with every other lease aimed at this
     // coordinator instead of holding a socket per lease.
     bus_ = HeartbeatBus::Global().Acquire(options_.coordinator_host,
                                           options_.coordinator_port);
   }
+}
+
+HeartbeatSender::~HeartbeatSender() { Stop(HeartbeatMessage::kAlive); }
+
+void HeartbeatSender::Start() {
+  if (!enabled() || thread_.joinable()) return;
   thread_ = std::thread([this] { Loop(); });
 }
 
@@ -105,38 +105,14 @@ Status HeartbeatSender::BeatOnce(uint8_t bye) {
   beat.epoch = options_.epoch;
   beat.applied_seq = applied_seq_.load(std::memory_order_relaxed);
   beat.bye = bye;
-  Frame reply;
-  if (bus_ != nullptr) {
-    ASSIGN_OR_RETURN(reply, bus_->Exchange(beat));
-  } else {
-    if (!control_.valid()) {
-      ASSIGN_OR_RETURN(
-          control_,
-          TcpConnect(options_.coordinator_host, options_.coordinator_port));
-    }
-    Status sent = SendFrame(&control_, FrameType::kHeartbeat, beat.Encode());
-    if (!sent.ok()) {
-      control_.Close();
-      return sent;
-    }
-    auto received = RecvFrame(&control_);
-    if (!received.ok()) {
-      control_.Close();
-      return received.status();
-    }
-    reply = std::move(*received);
-  }
+  ASSIGN_OR_RETURN(Frame reply, bus_->Exchange(beat));
   if (reply.type == FrameType::kError) {
     // Fenced or aborted: a typed, permanent loss — not a transport blip.
     MarkRevoked(DecodeStatusPayload(reply.payload));
     return Status::OK();
   }
   if (reply.type != FrameType::kAck) {
-    if (bus_ != nullptr) {
-      bus_->Invalidate();
-    } else {
-      control_.Close();
-    }
+    bus_->Invalidate();
     return Status::NetworkError("unexpected heartbeat reply");
   }
   return Status::OK();
@@ -192,7 +168,6 @@ void HeartbeatSender::Stop(uint8_t bye) {
       LOG_WARNING() << "heartbeat bye failed (lease will expire): " << status;
     }
   }
-  control_.Close();
   bus_.reset();  // Last lease on the peer drops the shared connection.
 }
 

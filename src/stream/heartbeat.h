@@ -18,11 +18,11 @@
 namespace sqlink {
 
 /// Process-wide registry of shared heartbeat connections, one per
-/// coordinator endpoint (mux mode). Senders acquire a refcounted handle in
-/// Start() and drop it after the farewell beat; the last drop closes the
-/// socket. Only the *connection* is shared — every lease keeps its own beat
-/// thread and self-fencing clock, so one frozen sender cannot stall its
-/// socket-mates' liveness.
+/// coordinator endpoint. Senders acquire a refcounted handle when built and
+/// drop it after the farewell beat; the last drop closes the socket. Only
+/// the *connection* is shared — every lease keeps its own beat thread and
+/// self-fencing clock, so one frozen sender cannot stall its socket-mates'
+/// liveness.
 class HeartbeatBus {
  public:
   /// One shared coordinator connection. Exchange() runs the whole
@@ -64,8 +64,9 @@ class HeartbeatBus {
 };
 
 /// The participant half of the coordinator's lease protocol: a background
-/// thread that renews a sink's or reader's lease every interval on a
-/// persistent control connection, and watches the replies for revocation.
+/// thread that renews a sink's or reader's lease every interval on the
+/// coordinator's shared HeartbeatBus connection, and watches the replies
+/// for revocation.
 ///
 /// A lease is lost three ways, all surfaced through revoked()/status():
 ///  - the coordinator fenced this holder (a newer epoch owns the split);
@@ -121,7 +122,7 @@ class HeartbeatSender {
 
  private:
   void Loop();
-  /// One beat on the persistent control connection (re-dialed on error).
+  /// One beat on the shared connection (re-dialed on error).
   Status BeatOnce(uint8_t bye);
   void MarkRevoked(Status status);
 
@@ -133,9 +134,7 @@ class HeartbeatSender {
   std::condition_variable cv_;
   bool stop_ = false;
   Status status_;
-  TcpSocket control_;  ///< Owned by the beat thread (and final-bye sender).
-  /// Mux mode: the peer's shared connection (control_ stays closed).
-  std::shared_ptr<HeartbeatBus::Conn> bus_;
+  std::shared_ptr<HeartbeatBus::Conn> bus_;  ///< Null when disabled.
   std::thread thread_;
 };
 

@@ -231,20 +231,13 @@ class StreamRecordReader final : public ml::RecordReader {
     // reassignment) lets the sink decide from its cumulative ack.
     hello.resume_seq =
         ever_connected_ ? static_cast<int64_t>(last_applied_seq_) : -1;
-    if (MuxEnabled() && sink_key != 0) {
-      // The HELLO rides inside kOpenChannel on a pooled shared connection;
-      // the sink's partition handler answers on the channel (kResume first).
-      ASSIGN_OR_RETURN(
-          channel_, MuxConnPool::Global().OpenChannel(
-                        host, port, sink_key,
-                        /*affinity=*/static_cast<uint64_t>(split_.split_id),
-                        hello));
-    } else {
-      ASSIGN_OR_RETURN(TcpSocket socket, TcpConnect(host, port));
-      MetricsRegistry::Global().Increment("stream.reader.data_dials");
-      channel_ = std::make_shared<SocketFrameChannel>(std::move(socket));
-      RETURN_IF_ERROR(channel_->Send(FrameType::kHello, hello.Encode(), 0));
-    }
+    // The HELLO rides inside kOpenChannel on a pooled shared connection;
+    // the sink's partition handler answers on the channel (kResume first).
+    ASSIGN_OR_RETURN(
+        channel_, MuxConnPool::Global().OpenChannel(
+                      host, port, sink_key,
+                      /*affinity=*/static_cast<uint64_t>(split_.split_id),
+                      hello));
 
     Frame resume_frame;
     RETURN_IF_ERROR(channel_->Recv(&resume_frame));
@@ -506,9 +499,9 @@ class StreamRecordReader final : public ml::RecordReader {
     stream_span_.reset();
   }
 
-  /// Drops the transport. A non-OK status shuts the channel down abortively
-  /// (mux mode: kCloseChannel tells the sink why, the shared socket is
-  /// untouched); releasing a healthy channel closes it cleanly.
+  /// Drops the channel. A non-OK status shuts it down abortively
+  /// (kCloseChannel tells the sink why; the shared socket is untouched);
+  /// releasing a healthy channel closes it cleanly.
   void CloseChannel(const Status& status) {
     if (channel_ == nullptr) return;
     if (!status.ok()) channel_->Shutdown(status);
@@ -550,8 +543,7 @@ class StreamRecordReader final : public ml::RecordReader {
   std::optional<TraceSpan> stream_span_;
   std::unique_ptr<HeartbeatSender> heartbeat_;
 
-  FrameChannelPtr channel_;        // Transport: pooled mux channel or a
-                                   // dedicated socket (SQLINK_MUX=off).
+  std::shared_ptr<MuxChannel> channel_;  // On a pooled mux connection.
   bool connected_ = false;
   bool ever_connected_ = false;
   bool done_ = false;

@@ -128,12 +128,10 @@ Result<uint64_t> FrameRowCount(const std::string& frame) {
 /// The reader-to-sink half of one data channel: cumulative kDataAck frames
 /// and the final kAck arrive interleaved with (and independent of) the
 /// outbound data stream, so the sender drains them non-blockingly between
-/// sends and blocks only when waiting for the finale. Transport-agnostic:
-/// the channel buffers out-of-band bytes (legacy socket) or inbox frames
-/// (mux) behind the same TryRecv/Recv interface.
+/// sends and blocks only when waiting for the finale.
 class AckChannel {
  public:
-  explicit AckChannel(FrameChannel* channel) : channel_(channel) {}
+  explicit AckChannel(MuxChannel* channel) : channel_(channel) {}
 
   /// Applies every cumulative ack currently readable without blocking.
   /// A kError frame surfaces as its decoded typed status. A clean peer
@@ -187,7 +185,7 @@ class AckChannel {
     }
   }
 
-  FrameChannel* channel_;
+  MuxChannel* channel_;
   Frame frame_;  ///< Scratch reused across drains.
 };
 
@@ -288,74 +286,81 @@ Status SqlStreamSinkUdf::RunTransfer(const TableUdfContext& context,
   partition_span.AddAttribute("worker", context.worker_id);
   const TraceContext partition_ctx = partition_span.context();
 
-  // --- Step 1: open the data port and register with the coordinator. ---
+  // --- Step 1: register with the coordinator. ---
   //
-  // Mux mode: every partition in the process shares ONE listener (the
-  // MuxSinkServer) and readers multiplex channels over the pooled
-  // connections to it; the registration advertises the routing key.
-  // Legacy mode keeps the per-transfer ephemeral listener.
+  // Every partition in the process shares ONE listener (the MuxSinkServer)
+  // and readers multiplex channels over the pooled connections to it; the
+  // registration advertises this partition's routing key.
   struct Inbound {
-    FrameChannelPtr channel;
+    std::shared_ptr<MuxChannel> channel;
     int64_t resume_seq = -1;  ///< From HELLO: -1 = "sink decides".
     int split_id = -1;        ///< From HELLO: the split this channel serves.
   };
   /// State shared with the MuxSinkServer handler, which can fire on a
   /// connection's demux thread even as this transfer tears down — so it
   /// owns the inboxes jointly and checks `closed` under the lock.
-  struct MuxRouterState {
+  struct RouterState {
     std::mutex mu;
     bool closed = false;
     int k = 0;  ///< 0 until registration tells us the fan-in.
     std::vector<std::shared_ptr<BlockingQueue<Inbound>>> inboxes;
-    /// Channels that opened before registration told us `k`. The legacy
-    /// listener's accept backlog parks early dialers for free; the mux
-    /// handler must do it explicitly, or a reader racing the registration
-    /// ack gets a hard reject it may not retry.
-    std::vector<std::pair<FrameChannelPtr, OpenChannelMessage>> pending;
+    /// Channels that opened before registration told us `k`, parked here
+    /// so a reader racing the registration ack is not rejected outright
+    /// (it may not retry).
+    std::vector<std::pair<std::shared_ptr<MuxChannel>, OpenChannelMessage>>
+        pending;
   };
 
-  const bool mux = MuxEnabled();
-  TcpListener listener;
-  std::shared_ptr<MuxRouterState> mux_state;
-  uint64_t sink_key = 0;
-  int data_port = 0;
-  if (mux) {
-    ASSIGN_OR_RETURN(data_port, MuxSinkServer::Global().EnsureStarted());
-    mux_state = std::make_shared<MuxRouterState>();
-    sink_key = MuxSinkServer::Global().Register(
-        [mux_state](FrameChannelPtr channel, const OpenChannelMessage& msg) {
-          // Demux-thread context: route without blocking.
-          std::shared_ptr<BlockingQueue<Inbound>> inbox;
-          {
-            std::lock_guard<std::mutex> lock(mux_state->mu);
-            if (!mux_state->closed && mux_state->k == 0) {
-              // Registration has not told us the fan-in yet: park the
-              // channel; setting `k` drains the backlog into the inboxes.
-              mux_state->pending.emplace_back(std::move(channel), msg);
-              return;
-            }
-            if (!mux_state->closed && mux_state->k > 0) {
-              const int slot = msg.hello.split_id % mux_state->k;
-              if (slot >= 0) {
-                inbox = mux_state->inboxes[static_cast<size_t>(slot)];
-              }
-            }
-          }
-          if (inbox == nullptr) {
-            channel->Shutdown(Status::Unavailable("sink not serving"));
+  ASSIGN_OR_RETURN(const int data_port,
+                   MuxSinkServer::Global().EnsureStarted());
+  auto router = std::make_shared<RouterState>();
+  const uint64_t sink_key = MuxSinkServer::Global().Register(
+      [router](std::shared_ptr<MuxChannel> channel,
+               const OpenChannelMessage& msg) {
+        // Demux-thread context: route without blocking.
+        std::shared_ptr<BlockingQueue<Inbound>> inbox;
+        {
+          std::lock_guard<std::mutex> lock(router->mu);
+          if (!router->closed && router->k == 0) {
+            // Registration has not told us the fan-in yet: park the
+            // channel; setting `k` drains the backlog into the inboxes.
+            router->pending.emplace_back(std::move(channel), msg);
             return;
           }
-          // A full or closed inbox drops the rejected Inbound, whose channel
-          // destructor closes the channel — the reader backs off and
-          // retries. The shared socket is untouched either way.
-          (void)inbox->TryPush(Inbound{std::move(channel),
-                                       msg.hello.resume_seq,
-                                       msg.hello.split_id});
-        });
-  } else {
-    ASSIGN_OR_RETURN(listener, TcpListener::Listen(0));
-    data_port = listener.port();
-  }
+          if (!router->closed && router->k > 0) {
+            const int slot = msg.hello.split_id % router->k;
+            if (slot >= 0) {
+              inbox = router->inboxes[static_cast<size_t>(slot)];
+            }
+          }
+        }
+        if (inbox == nullptr) {
+          channel->Shutdown(Status::Unavailable("sink not serving"));
+          return;
+        }
+        // A full or closed inbox drops the rejected Inbound, whose channel
+        // destructor closes the channel — the reader backs off and
+        // retries. The shared socket is untouched either way.
+        (void)inbox->TryPush(Inbound{std::move(channel), msg.hello.resume_seq,
+                                     msg.hello.split_id});
+      });
+  // Always unwind the routing on exit: stop taking channels, reject the
+  // parked ones, and wake senders waiting on an inbox.
+  struct RouterGuard {
+    std::shared_ptr<RouterState> router;
+    uint64_t sink_key;
+    ~RouterGuard() {
+      MuxSinkServer::Global().Unregister(sink_key);
+      std::lock_guard<std::mutex> lock(router->mu);
+      router->closed = true;
+      for (auto& [channel, msg] : router->pending) {
+        channel->Shutdown(Status::Unavailable("sink not serving"));
+      }
+      router->pending.clear();
+      for (auto& inbox : router->inboxes) inbox->Close();
+    }
+  } router_guard{router, sink_key};
+
   const std::string my_host =
       context.cluster != nullptr ? context.cluster->HostName(context.worker_id)
                                  : "localhost";
@@ -399,76 +404,28 @@ Status SqlStreamSinkUdf::RunTransfer(const TableUdfContext& context,
     k = *splits_per_worker;
   }
 
-  // --- Step 7: route incoming data connections to their slot by HELLO
-  // split id (slot = split_id mod k within this worker's group).
-  // Reconnects and §6 replacement readers arrive the same way. Mux mode
-  // routes in the MuxSinkServer handler registered above; legacy mode runs
-  // a per-transfer accept/router thread. ---
+  // --- Step 7: route incoming data channels to their slot by HELLO split
+  // id (slot = split_id mod k within this worker's group). Reconnects and
+  // §6 replacement readers arrive the same way, through the handler
+  // registered above. ---
   std::vector<std::shared_ptr<BlockingQueue<Inbound>>> inboxes;
   for (int j = 0; j < k; ++j) {
     inboxes.push_back(std::make_shared<BlockingQueue<Inbound>>(4));
   }
-  if (mux) {
-    std::lock_guard<std::mutex> lock(mux_state->mu);
-    mux_state->k = k;
-    mux_state->inboxes = inboxes;
+  {
+    std::lock_guard<std::mutex> lock(router->mu);
+    router->k = k;
+    router->inboxes = inboxes;
     // Drain channels that beat the registration ack here. A full inbox
     // drops the parked Inbound just as the live-route path would.
-    for (auto& [channel, msg] : mux_state->pending) {
+    for (auto& [channel, msg] : router->pending) {
       const int slot = msg.hello.split_id % k;
       (void)inboxes[static_cast<size_t>(slot)]->TryPush(
           Inbound{std::move(channel), msg.hello.resume_seq,
                   msg.hello.split_id});
     }
-    mux_state->pending.clear();
+    router->pending.clear();
   }
-  std::atomic<bool> router_stop{false};
-  std::thread router;
-  if (!mux) {
-    router = std::thread([&] {
-      while (!router_stop.load()) {
-        auto socket = listener.Accept();
-        if (!socket.ok()) return;  // Listener closed.
-        auto shared = std::make_shared<TcpSocket>(std::move(*socket));
-        auto hello_frame = RecvFrame(shared.get());
-        if (!hello_frame.ok() || hello_frame->type != FrameType::kHello) {
-          continue;
-        }
-        auto hello = HelloMessage::Decode(hello_frame->payload);
-        if (!hello.ok()) continue;
-        const int slot = hello->split_id % k;
-        if (slot < 0 || slot >= k) continue;
-        inboxes[static_cast<size_t>(slot)]->Push(
-            Inbound{std::make_shared<SocketFrameChannel>(std::move(shared)),
-                    hello->resume_seq, hello->split_id});
-      }
-    });
-  }
-  // Always unwind the router on exit.
-  struct RouterGuard {
-    TcpListener* listener;
-    std::atomic<bool>* stop;
-    std::thread* router;
-    std::vector<std::shared_ptr<BlockingQueue<Inbound>>>* inboxes;
-    std::shared_ptr<MuxRouterState> mux_state;
-    uint64_t sink_key;
-    ~RouterGuard() {
-      if (mux_state != nullptr) {
-        MuxSinkServer::Global().Unregister(sink_key);
-        std::lock_guard<std::mutex> lock(mux_state->mu);
-        mux_state->closed = true;
-        for (auto& [channel, msg] : mux_state->pending) {
-          channel->Shutdown(Status::Unavailable("sink not serving"));
-        }
-        mux_state->pending.clear();
-      }
-      stop->store(true);
-      listener->Close();
-      if (router->joinable()) router->join();
-      for (auto& inbox : *inboxes) inbox->Close();
-    }
-  } router_guard{&listener, &router_stop, &router,
-                 &inboxes,  mux_state,    sink_key};
 
   // Waits for a data connection on `inbox`, pacing the poll with a backoff
   // policy so the total wait across reconnect attempts is deadline-capped
@@ -552,8 +509,8 @@ Status SqlStreamSinkUdf::RunTransfer(const TableUdfContext& context,
   // channel rides on (other queries keep flowing).
   struct ActiveChannels {
     std::mutex mu;
-    std::vector<FrameChannelPtr> by_target;
-    void Set(size_t j, FrameChannelPtr channel) {
+    std::vector<std::shared_ptr<MuxChannel>> by_target;
+    void Set(size_t j, std::shared_ptr<MuxChannel> channel) {
       std::lock_guard<std::mutex> lock(mu);
       by_target[j] = std::move(channel);
     }
@@ -656,7 +613,7 @@ Status SqlStreamSinkUdf::RunTransfer(const TableUdfContext& context,
       // replay the unacked suffix, then stream live frames until the input
       // is exhausted and the reader's final ack lands.
       auto serve = [&](const Inbound& conn) -> Status {
-        FrameChannel* channel = conn.channel.get();
+        MuxChannel* channel = conn.channel.get();
         if (conn.split_id >= 0) served_split = conn.split_id;
         AckChannel acks(channel);
         channels_served.fetch_add(1, std::memory_order_relaxed);
@@ -956,7 +913,6 @@ Status SqlStreamSinkUdf::RunTransfer(const TableUdfContext& context,
 }
 
 Status RegisterStreamSinkUdf(SqlEngine* engine) {
-  if (engine->table_udfs()->Contains("sql_stream_sink")) return Status::OK();
   Status registered = engine->table_udfs()->Register(
       "sql_stream_sink", [] { return std::make_shared<SqlStreamSinkUdf>(); });
   // Concurrent transfers race to register first; losing the race is fine.

@@ -41,46 +41,19 @@ struct WireMetrics {
 
 }  // namespace
 
-namespace {
-
-Status SendFrameImpl(TcpSocket* socket, FrameType type,
-                     std::string_view payload, uint64_t seq,
-                     const TraceContext& trace);
-
-}  // namespace
-
 Status SendFrame(TcpSocket* socket, FrameType type, std::string_view payload) {
-  return SendFrameImpl(socket, type, payload, /*seq=*/0,
-                       Tracer::CurrentContext());
+  return SendFrame(socket, type, payload, Tracer::CurrentContext());
 }
 
 Status SendFrame(TcpSocket* socket, FrameType type, std::string_view payload,
                  const TraceContext& trace) {
-  return SendFrameImpl(socket, type, payload, /*seq=*/0, trace);
-}
-
-Status SendFrame(TcpSocket* socket, FrameType type, std::string_view payload,
-                 uint64_t seq) {
-  return SendFrameImpl(socket, type, payload, seq, Tracer::CurrentContext());
-}
-
-namespace {
-
-Status SendFrameImpl(TcpSocket* socket, FrameType type,
-                     std::string_view payload, uint64_t seq,
-                     const TraceContext& trace) {
-  // Header on the stack + scatter-gather send: the steady-state data path
-  // never concatenates header and payload into a heap buffer.
+  // Header on the stack + scatter-gather send: no concatenation of header
+  // and payload into a heap buffer.
   char header[kFrameHeaderBytes];
-  EncodeFrameHeader(header, type, static_cast<uint32_t>(payload.size()), seq,
-                    /*channel=*/0, trace);
+  EncodeFrameHeader(header, type, static_cast<uint32_t>(payload.size()),
+                    /*seq=*/0, /*channel=*/0, trace);
   const std::string_view header_view(header, kFrameHeaderBytes);
-  FailpointOutcome outcome = SQLINK_FAILPOINT("stream.wire.send_frame");
-  if (outcome == FailpointOutcome::kNone &&
-      (type == FrameType::kData || type == FrameType::kColData)) {
-    outcome = SQLINK_FAILPOINT("stream.wire.send_data");
-  }
-  switch (outcome) {
+  switch (SQLINK_FAILPOINT("stream.wire.send_frame")) {
     case FailpointOutcome::kNone:
       break;
     case FailpointOutcome::kError:
@@ -110,8 +83,6 @@ Status SendFrameImpl(TcpSocket* socket, FrameType type,
   }
   return status;
 }
-
-}  // namespace
 
 void EncodeFrameHeader(char* out, FrameType type, uint32_t payload_len,
                        uint64_t seq, uint32_t channel,
@@ -182,13 +153,6 @@ Result<bool> ExtractFrame(std::string_view buffer, size_t* cursor,
   frame->payload.assign(rest.data() + kFrameHeaderBytes, length);
   *cursor += kFrameHeaderBytes + length;
   return true;
-}
-
-Result<bool> ExtractFrame(std::string* buffer, Frame* frame) {
-  size_t cursor = 0;
-  ASSIGN_OR_RETURN(bool extracted, ExtractFrame(*buffer, &cursor, frame));
-  if (extracted) buffer->erase(0, cursor);
-  return extracted;
 }
 
 std::string FrameBufferPool::Acquire() {

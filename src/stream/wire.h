@@ -25,7 +25,6 @@ enum class FrameType : uint8_t {
   kData = 2,    ///< A batch of encoded rows.
   kEnd = 3,     ///< Sender finished; payload = total row count (varint).
   kError = 4,   ///< Sender failed; payload = message.
-  kHello = 5,   ///< Receiver's opening frame: split id + restart flag.
 
   // Control plane (coordinator).
   kRegisterSql = 10,
@@ -60,8 +59,8 @@ enum class FrameType : uint8_t {
   kQueryResult = 28,  ///< Server → client; payload = schema + rows.
   kCancelQuery = 29,  ///< Client → server: cancel the in-flight query.
 
-  // Mux plane (SQLINK_MUX=on, src/net): many logical transfer channels share
-  // one sink→reader socket. On a mux socket these are the ONLY frame types;
+  // Mux plane (src/net): many logical transfer channels share one
+  // sink→reader socket. On a mux socket these are the ONLY frame types;
   // data-plane frames (kResume/kSchema/kDictPage/kData/kColData/kEnd/kError/
   // kDataAck/kAck) travel wrapped inside kChannelData with a one-byte inner
   // type prefix, so the per-channel seq/ack + dictionary machinery is
@@ -86,8 +85,7 @@ struct Frame {
   /// Per-channel monotonic sequence number (kData/kEnd frames and kDataAck
   /// cumulative acks); zero on frames that don't take part in replay.
   uint64_t seq = 0;
-  /// Logical mux channel id; zero on un-multiplexed sockets and on
-  /// connection-scoped frames (kOpenChannel replies ride channel 0 too).
+  /// Logical mux channel id; zero on control and serving sockets.
   uint32_t channel = 0;
   /// Trace context propagated in the frame header (invalid when the sender
   /// was not tracing). Receivers parent their handler spans here so one
@@ -98,15 +96,14 @@ struct Frame {
 /// Wire format: fixed32 payload length, one type byte, fixed64 trace id,
 /// fixed64 span id, fixed64 sequence number, fixed32 channel id, payload
 /// bytes. The trace fields are zero when tracing is off; SendFrame stamps
-/// the calling thread's current span automatically and sends channel 0.
+/// the calling thread's current span automatically and sends seq 0 on
+/// channel 0. It carries control and serving frames; data frames travel
+/// over mux channels (src/net/mux.h).
 Status SendFrame(TcpSocket* socket, FrameType type, std::string_view payload);
 /// As above with an explicit trace context (senders relaying a span owned by
 /// another thread).
 Status SendFrame(TcpSocket* socket, FrameType type, std::string_view payload,
                  const TraceContext& trace);
-/// As above with an explicit sequence number (data frames and acks).
-Status SendFrame(TcpSocket* socket, FrameType type, std::string_view payload,
-                 uint64_t seq);
 Result<Frame> RecvFrame(TcpSocket* socket);
 
 /// Allocation-free variant for receive loops: decodes the header into
@@ -125,17 +122,12 @@ void EncodeFrameHeader(char* out, FrameType type, uint32_t payload_len,
                        uint64_t seq, uint32_t channel,
                        const TraceContext& trace);
 
-/// Extracts one complete frame from the front of `*buffer` (bytes gathered
-/// out-of-band, e.g. with TcpSocket::TryRecv). Returns true and erases the
-/// consumed prefix when a full frame was buffered; false when more bytes are
-/// needed. Used by data senders draining cumulative acks between frames
-/// without blocking the send path.
-Result<bool> ExtractFrame(std::string* buffer, Frame* frame);
-
-/// Cursor variant: parses one frame starting at `*cursor` within `buffer`
-/// and advances the cursor past it, without erasing the consumed prefix —
-/// callers drain every buffered frame, then compact once. The payload is
-/// assigned into `frame->payload` reusing its capacity.
+/// Parses one complete frame starting at `*cursor` within `buffer` (bytes
+/// gathered out-of-band, e.g. with TcpSocket::TryRecv) and advances the
+/// cursor past it, without erasing the consumed prefix — callers drain every
+/// buffered frame, then compact once. Returns false when more bytes are
+/// needed. The payload is assigned into `frame->payload` reusing its
+/// capacity.
 Result<bool> ExtractFrame(std::string_view buffer, size_t* cursor,
                           Frame* frame);
 
@@ -239,9 +231,8 @@ struct RegisterSqlMessage {
   std::string command;
   std::vector<std::string> args;
   SchemaPtr schema;
-  /// Mux mode: routing key of this partition's inbox on the process-wide
-  /// MuxSinkServer (host/port then name the shared listener). Zero = legacy
-  /// direct dial, one ephemeral listener per transfer.
+  /// Routing key of this partition's inbox on the process-wide
+  /// MuxSinkServer (host/port name the shared listener).
   uint64_t sink_key = 0;
 
   std::string Encode() const;
@@ -258,8 +249,7 @@ struct StreamSplitInfo {
   /// coordinator on every reassignment so a revoked ("zombie") reader is
   /// fenced off by its stale epoch.
   int64_t epoch = 1;
-  /// Sink routing key for mux channels (see RegisterSqlMessage::sink_key);
-  /// zero = dial the sink directly and speak the one-socket protocol.
+  /// Sink routing key for mux channels (see RegisterSqlMessage::sink_key).
   uint64_t sink_key = 0;
 };
 
@@ -286,14 +276,14 @@ struct MatchMessage {
   int port = 0;
   /// Mux routing key of the matched sink partition's worker (see
   /// RegisterSqlMessage::sink_key); a restarted worker re-registers under a
-  /// fresh key, so re-matches must carry the current one. Zero = legacy.
+  /// fresh key, so re-matches must carry the current one.
   uint64_t sink_key = 0;
 
   std::string Encode() const;
   static Result<MatchMessage> Decode(std::string_view payload);
 };
 
-/// Data-plane opening frame from the ML worker.
+/// The ML worker's opening of a data stream, embedded in kOpenChannel.
 struct HelloMessage {
   int split_id = 0;
   bool restart = false;  ///< §6 recovery: replay from the retained log.

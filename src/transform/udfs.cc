@@ -264,10 +264,13 @@ Status CodeApplyUdf::ProcessRows(RowIterator* input, RowSink* output) const {
 
 Status RegisterTransformUdfs(SqlEngine* engine) {
   TableUdfRegistry* registry = engine->table_udfs();
+  // Concurrent transformers race to register first; losing the race is
+  // fine.
   auto register_once = [registry](const std::string& name,
                                   TableUdfFactory factory) -> Status {
-    if (registry->Contains(name)) return Status::OK();
-    return registry->Register(name, std::move(factory));
+    Status registered = registry->Register(name, std::move(factory));
+    if (registered.IsAlreadyExists()) return Status::OK();
+    return registered;
   };
   RETURN_IF_ERROR(register_once("recode_local_distinct", [] {
     return std::make_shared<RecodeLocalDistinctUdf>();

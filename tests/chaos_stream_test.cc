@@ -82,9 +82,6 @@ class ChaosStreamTest : public ::testing::Test {
   /// socket at once, and each affected reader must recover via §6 replay —
   /// exactly once, no spill leaks, in the requested wire mode.
   void ExpectMuxConnKillRecovery(int columnar) {
-    if (!MuxEnabled()) {
-      GTEST_SKIP() << "SQLINK_MUX=off: no shared connection to kill";
-    }
     SetColumnarEnabledForTest(columnar);
     SetMuxConnsPerPeerForTest(1);  // Force channels to share sockets.
     MuxConnPool::Global().ResetForTest();

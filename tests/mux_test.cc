@@ -3,7 +3,8 @@
 // flow control (a starved channel parks alone), close/failure semantics
 // (channel close never touches the shared socket; connection death fails
 // every channel), the reader-side connection pool bound, sink-key routing
-// on the process-wide sink server, and the shared heartbeat bus.
+// on the process-wide sink server, the writer's send-latency histogram, and
+// the shared heartbeat bus.
 
 #include <gtest/gtest.h>
 
@@ -31,17 +32,18 @@ namespace {
 struct OpenedChannels {
   std::mutex mu;
   std::condition_variable cv;
-  std::vector<FrameChannelPtr> channels;
+  std::vector<std::shared_ptr<MuxChannel>> channels;
   std::vector<OpenChannelMessage> opens;
 
-  void Add(FrameChannelPtr channel, const OpenChannelMessage& msg) {
+  void Add(std::shared_ptr<MuxChannel> channel,
+           const OpenChannelMessage& msg) {
     std::lock_guard<std::mutex> lock(mu);
     channels.push_back(std::move(channel));
     opens.push_back(msg);
     cv.notify_all();
   }
 
-  FrameChannelPtr Wait(size_t index) {
+  std::shared_ptr<MuxChannel> Wait(size_t index) {
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return channels.size() > index; });
     return channels[index];
@@ -65,7 +67,8 @@ struct MuxPair {
     auto opened = pair.opened;
     pair.server = MuxConn::Spawn(
         std::move(*accepted),
-        [opened](FrameChannelPtr channel, const OpenChannelMessage& msg) {
+        [opened](std::shared_ptr<MuxChannel> channel,
+                 const OpenChannelMessage& msg) {
           opened->Add(std::move(channel), msg);
         });
     pair.client = MuxConn::Spawn(std::move(*dialed), /*on_open=*/nullptr);
@@ -91,7 +94,7 @@ TEST(MuxTest, InterleavedChannelsKeepPerChannelFifoOrder) {
   constexpr int kChannels = 3;
   constexpr int kFrames = 20;
 
-  std::vector<FrameChannelPtr> senders;
+  std::vector<std::shared_ptr<MuxChannel>> senders;
   for (int c = 0; c < kChannels; ++c) {
     auto channel = pair.client->OpenChannel(OpenMsg(1 << 20));
     ASSERT_TRUE(channel.ok()) << channel.status();
@@ -117,7 +120,8 @@ TEST(MuxTest, InterleavedChannelsKeepPerChannelFifoOrder) {
   for (auto& t : threads) t.join();
 
   for (int c = 0; c < kChannels; ++c) {
-    FrameChannelPtr receiver = pair.opened->Wait(static_cast<size_t>(c));
+    std::shared_ptr<MuxChannel> receiver =
+        pair.opened->Wait(static_cast<size_t>(c));
     // Channel c's open message carried the embedded HELLO.
     EXPECT_EQ(pair.opened->opens[static_cast<size_t>(c)].hello.split_id, 1);
     // Identify which client channel this is by its first frame's payload.
@@ -135,6 +139,30 @@ TEST(MuxTest, InterleavedChannelsKeepPerChannelFifoOrder) {
   }
 }
 
+TEST(MuxTest, WriterRecordsSendFrameMicros) {
+  // The mux carries every data frame, so its coalescing writer must feed
+  // the same send-latency histogram as SendFrame does for control frames.
+  Histogram* send_micros =
+      MetricsRegistry::Global().GetHistogram("stream.wire.send_frame_micros");
+  MuxPair pair = MuxPair::Make();
+  auto channel = pair.client->OpenChannel(OpenMsg(1 << 20));
+  ASSERT_TRUE(channel.ok()) << channel.status();
+  std::shared_ptr<MuxChannel> receiver = pair.opened->Wait(0);
+
+  const int64_t before = send_micros->count();
+  Frame frame;
+  for (int i = 0; i < 5; ++i) {
+    // Each Send returns once its frame is on the wire, so one sender's
+    // frames never share a writev: five sends, at least five records.
+    ASSERT_TRUE((*channel)
+                    ->Send(FrameType::kData, "rows",
+                           static_cast<uint64_t>(i + 1))
+                    .ok());
+    ASSERT_TRUE(receiver->Recv(&frame).ok());
+  }
+  EXPECT_GE(send_micros->count() - before, 5);
+}
+
 TEST(MuxTest, WindowExhaustionParksOnlyTheStarvedChannel) {
   MetricsRegistry& metrics = MetricsRegistry::Global();
   const int64_t stalls_before = metrics.Get("net.mux.window_stalls");
@@ -149,8 +177,8 @@ TEST(MuxTest, WindowExhaustionParksOnlyTheStarvedChannel) {
   // while A is parked.
   auto flowing = pair.client->OpenChannel(OpenMsg(64));
   ASSERT_TRUE(flowing.ok());
-  FrameChannelPtr starved_rx = pair.opened->Wait(0);
-  FrameChannelPtr flowing_rx = pair.opened->Wait(1);
+  std::shared_ptr<MuxChannel> starved_rx = pair.opened->Wait(0);
+  std::shared_ptr<MuxChannel> flowing_rx = pair.opened->Wait(1);
 
   std::atomic<int> starved_sent{0};
   std::thread starved_sender([&] {
@@ -162,6 +190,14 @@ TEST(MuxTest, WindowExhaustionParksOnlyTheStarvedChannel) {
       starved_sent.fetch_add(1);
     }
   });
+  // The sender counts its stall just before parking. Wait for it so B's
+  // round trips below provably run while A is stuck, however late the
+  // scheduler starts A's thread.
+  for (int i = 0;
+       i < 5000 && metrics.Get("net.mux.window_stalls") == stalls_before;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   // B makes 20 full round trips on the shared connection while A is stuck.
   Frame frame;
@@ -192,7 +228,7 @@ TEST(MuxTest, ShutdownWakesAParkedSenderWithoutTouchingTheSocket) {
   ASSERT_TRUE(starved.ok());
   auto healthy = pair.client->OpenChannel(OpenMsg(1 << 20));
   ASSERT_TRUE(healthy.ok());
-  FrameChannelPtr healthy_rx = pair.opened->Wait(1);
+  std::shared_ptr<MuxChannel> healthy_rx = pair.opened->Wait(1);
 
   const std::string payload(32, 'x');
   ASSERT_TRUE((*starved)->Send(FrameType::kData, payload, 1).ok());
@@ -226,7 +262,7 @@ TEST(MuxTest, RemoteCloseSurfacesStatusToPeerSendAndRecv) {
   MuxPair pair = MuxPair::Make();
   auto channel = pair.client->OpenChannel(OpenMsg(1 << 20));
   ASSERT_TRUE(channel.ok());
-  FrameChannelPtr server_side = pair.opened->Wait(0);
+  std::shared_ptr<MuxChannel> server_side = pair.opened->Wait(0);
 
   server_side->Shutdown(Status::Unavailable("sink not serving"));
   // The close races the open in the demux pipeline; both Send and Recv must
@@ -264,7 +300,8 @@ TEST(MuxTest, SinkServerRoutesBySinkKeyAndRejectsUnknownKeys) {
   ASSERT_TRUE(port.ok()) << port.status();
   auto opened = std::make_shared<OpenedChannels>();
   const uint64_t key = MuxSinkServer::Global().Register(
-      [opened](FrameChannelPtr channel, const OpenChannelMessage& msg) {
+      [opened](std::shared_ptr<MuxChannel> channel,
+               const OpenChannelMessage& msg) {
         opened->Add(std::move(channel), msg);
       });
   ASSERT_NE(key, 0u);
@@ -274,7 +311,7 @@ TEST(MuxTest, SinkServerRoutesBySinkKeyAndRejectsUnknownKeys) {
   auto routed = MuxConnPool::Global().OpenChannel("localhost", *port, key,
                                                   /*affinity=*/3, hello);
   ASSERT_TRUE(routed.ok()) << routed.status();
-  FrameChannelPtr sink_side = opened->Wait(0);
+  std::shared_ptr<MuxChannel> sink_side = opened->Wait(0);
   EXPECT_EQ(opened->opens[0].hello.split_id, 3);
   ASSERT_TRUE(sink_side->Send(FrameType::kResume, "", 0).ok());
   Frame frame;
@@ -304,13 +341,14 @@ TEST(MuxTest, PoolCapsSharedConnectionsPerPeer) {
   ASSERT_TRUE(port.ok()) << port.status();
   auto opened = std::make_shared<OpenedChannels>();
   const uint64_t key = MuxSinkServer::Global().Register(
-      [opened](FrameChannelPtr channel, const OpenChannelMessage& msg) {
+      [opened](std::shared_ptr<MuxChannel> channel,
+               const OpenChannelMessage& msg) {
         opened->Add(std::move(channel), msg);
       });
 
   MetricsRegistry& metrics = MetricsRegistry::Global();
   const int64_t dials_before = metrics.Get("stream.reader.data_dials");
-  std::vector<FrameChannelPtr> channels;
+  std::vector<std::shared_ptr<MuxChannel>> channels;
   for (uint64_t affinity = 0; affinity < 16; ++affinity) {
     HelloMessage hello;
     hello.split_id = static_cast<int>(affinity);
