@@ -188,6 +188,18 @@ serving_smoke() {
 serving_smoke "" "vectorized engine"
 serving_smoke "SQLINK_VECTORIZED_SQL=off" "row engine"
 
+# End-to-end benchmark smoke: each BENCHMARK.json workload builds from this
+# tree (e2ebench/ is its own CMake project over src/) and runs briefly with
+# its per-op reference checks and post-run leak checks. Any non-zero exit
+# fails the stage: 1 = a wrong result or a leak, 2 = a failed build or
+# setup. Correctness only; there is no timing gate.
+echo "==> [${BUILD_DIR}] e2ebench correctness smoke"
+for workload in fig3_stream fig4_cached serve_agg; do
+  echo "    e2ebench ${workload}"
+  CARGO_TARGET_DIR="${BUILD_DIR}/e2ebench" python3 e2ebench/run.py \
+    --workload "${workload}" --seed 2015 --seconds 3 --trace 0
+done
+
 if [[ "${SQLINK_SANITIZE}" != "none" ]]; then
   SAN_DIR="${BUILD_DIR}-${SQLINK_SANITIZE}"
   echo "==> stage 3: sanitizer pass (-fsanitize=${SQLINK_SANITIZE})"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -481,30 +482,62 @@ class UdfBatchPartitionIterator final : public BatchIterator {
   bool done_ = false;
 };
 
-/// Hash-based duplicate elimination over batches: unique rows accumulate in
-/// a ColumnBatch keyed by content hash, without boxing. Used by both phases
-/// of the vectorized DISTINCT.
-struct BatchDedup {
-  explicit BatchDedup(SchemaPtr schema) : acc(std::move(schema)) {}
+/// Hash table of distinct batch rows: each distinct row is stored once,
+/// unboxed, in keys() and numbered densely in first-seen order. Open
+/// addressing over group indices, probed by content hash. Both phases of
+/// the vectorized DISTINCT dedup through it, and the vectorized aggregate
+/// maps every input row to its group's state slots through it.
+class BatchGroupTable {
+ public:
+  explicit BatchGroupTable(SchemaPtr schema) : keys_(std::move(schema)) {}
 
-  ColumnBatch acc;                   ///< Unique rows seen so far.
-  std::vector<uint64_t> row_hashes;  ///< Hash per acc row (shuffle split).
-  std::unordered_map<uint64_t, std::vector<int32_t>> buckets;
-
-  Status Insert(const ColumnBatch& src, size_t row) {
+  /// The group index of row `row` of `src` (the table's schema), adding the
+  /// row as a new group when no equal row is stored yet.
+  Result<size_t> FindOrInsert(const ColumnBatch& src, size_t row) {
+    if (2 * (size() + 1) > slots_.size()) Grow();
     const uint64_t h = BatchRowHash(src, row);
-    std::vector<int32_t>& bucket = buckets[h];
-    for (const int32_t idx : bucket) {
-      if (BatchRowsEqual(acc, static_cast<size_t>(idx), src, row)) {
-        return Status::OK();
+    for (size_t i = SlotOf(h);; i = (i + 1) & (slots_.size() - 1)) {
+      const int32_t group = slots_[i];
+      if (group < 0) {
+        const int32_t index = static_cast<int32_t>(row);
+        RETURN_IF_ERROR(keys_.AppendGather(src, &index, 1));
+        slots_[i] = static_cast<int32_t>(hashes_.size());
+        hashes_.push_back(h);
+        return hashes_.size() - 1;
       }
+      const size_t g = static_cast<size_t>(group);
+      if (hashes_[g] == h && BatchRowsEqual(keys_, g, src, row)) return g;
     }
-    const int32_t index = static_cast<int32_t>(row);
-    RETURN_IF_ERROR(acc.AppendGather(src, &index, 1));
-    bucket.push_back(static_cast<int32_t>(acc.num_rows()) - 1);
-    row_hashes.push_back(h);
-    return Status::OK();
   }
+
+  size_t size() const { return hashes_.size(); }
+  /// The distinct rows, group index = row index.
+  const ColumnBatch& keys() const { return keys_; }
+  /// BatchRowHash of group `group` (routes it in the shuffle).
+  uint64_t hash(size_t group) const { return hashes_[group]; }
+
+ private:
+  /// Fibonacci hashing: the top bits of h * 2^64/phi pick the home slot, so
+  /// near-identity cell hashes (small ints) still spread.
+  size_t SlotOf(uint64_t h) const {
+    return static_cast<size_t>((h * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
+  void Grow() {
+    const size_t capacity = std::max<size_t>(16, 2 * slots_.size());
+    shift_ = 64 - std::countr_zero(capacity);
+    slots_.assign(capacity, -1);
+    for (size_t g = 0; g < hashes_.size(); ++g) {
+      size_t i = SlotOf(hashes_[g]);
+      while (slots_[i] >= 0) i = (i + 1) & (capacity - 1);
+      slots_[i] = static_cast<int32_t>(g);
+    }
+  }
+
+  ColumnBatch keys_;
+  std::vector<uint64_t> hashes_;  ///< Per group.
+  std::vector<int32_t> slots_;    ///< Group index or -1; power-of-2 size.
+  int shift_ = 64;
 };
 
 // ---------------------------------------------------------------------------
@@ -641,8 +674,9 @@ Result<PartitionedRows> Executor::Execute(const PlanPtr& plan) {
   if (result.ok()) {
     const int64_t produced = static_cast<int64_t>(result->TotalRows());
     actuals->AddRows(produced);
-    if (plan->kind == PlanKind::kDistinct) {
-      // The dedup set peaks at exactly the unique-row count.
+    if (plan->kind == PlanKind::kDistinct ||
+        plan->kind == PlanKind::kAggregate) {
+      // The dedup set / group table peaks at the unique-row (group) count.
       actuals->AddBuildRows(produced);
       actuals->MaxPeakBytes(ApproxRowsBytes(plan->output_schema, produced));
     }
@@ -986,11 +1020,7 @@ Result<PartitionedRows> Executor::ExecutePipeline(const PlanPtr& plan) {
       ColumnBatch batch;
       Row row;
       for (;;) {
-        // `sql.exec.batch` paces the pipeline (delay actions) so tests can
-        // hold a query in-flight deterministically; shares the cancellation
-        // poll cadence.
-        (void)SQLINK_FAILPOINT("sql.exec.batch");
-        RETURN_IF_ERROR(CheckCancelled());
+        RETURN_IF_ERROR(PollBatch());
         ASSIGN_OR_RETURN(bool has, it->Next(&batch));
         if (!has) break;
         for (size_t r = 0; r < batch.num_rows(); ++r) {
@@ -1009,8 +1039,7 @@ Result<PartitionedRows> Executor::ExecutePipeline(const PlanPtr& plan) {
       for (;;) {
         if (++since_check >= 1024) {  // Row mode: poll every ~1k rows.
           since_check = 0;
-          (void)SQLINK_FAILPOINT("sql.exec.batch");
-          RETURN_IF_ERROR(CheckCancelled());
+          RETURN_IF_ERROR(PollBatch());
         }
         ASSIGN_OR_RETURN(bool has, it->Next(&row));
         if (!has) break;
@@ -1074,75 +1103,97 @@ Result<PartitionedRows> Executor::ExecuteDistinct(const PlanPtr& plan) {
   return output;
 }
 
-Result<PartitionedRows> Executor::ExecuteDistinctVectorized(
-    const PlanPtr& plan) {
-  // Same two-phase shape as ExecuteDistinct, but the child runs as a batch
-  // pipeline and dedup works on unboxed ColumnBatch rows: local dedup per
-  // worker, shuffle unique rows by content hash, final dedup per target.
-  const PlanPtr& child = plan->children[0];
-  const size_t n = static_cast<size_t>(num_workers_);
+Status Executor::PollBatch() const {
+  // `sql.exec.batch` paces the worker loops (delay actions) so tests can
+  // hold a query in-flight deterministically.
+  (void)SQLINK_FAILPOINT("sql.exec.batch");
+  return CheckCancelled();
+}
 
+Status Executor::DrainBatches(
+    const PlanPtr& child,
+    const std::function<Status(int, const ColumnBatch&)>& consume,
+    const std::function<Status(int)>& finish) {
   PipelineState state;
   Status run_status = Prepare(child, &state);
-
-  // shards[worker][target]: locally-unique rows routed to `target`.
-  std::vector<std::vector<ColumnBatch>> shards(n);
   if (run_status.ok()) {
     run_status = ParallelWorkers(num_workers_, [&](int worker) -> Status {
       ASSIGN_OR_RETURN(BatchIteratorPtr it,
                        BuildBatchPipeline(child, worker, &state));
-      BatchDedup dedup(plan->output_schema);
       ColumnBatch batch;
       for (;;) {
+        RETURN_IF_ERROR(PollBatch());
         ASSIGN_OR_RETURN(bool has, it->Next(&batch));
         if (!has) break;
-        for (size_t r = 0; r < batch.num_rows(); ++r) {
-          RETURN_IF_ERROR(dedup.Insert(batch, r));
-        }
+        RETURN_IF_ERROR(consume(worker, batch));
       }
-      // Split this worker's unique rows by hash into per-target gathers.
-      std::vector<std::vector<int32_t>> routed(n);
-      for (size_t r = 0; r < dedup.acc.num_rows(); ++r) {
-        routed[dedup.row_hashes[r] % n].push_back(static_cast<int32_t>(r));
-      }
-      std::vector<ColumnBatch>& out = shards[static_cast<size_t>(worker)];
-      for (size_t t = 0; t < n; ++t) {
-        ColumnBatch shard(plan->output_schema);
-        if (!routed[t].empty()) {
-          RETURN_IF_ERROR(shard.AppendGather(dedup.acc, routed[t].data(),
-                                             routed[t].size()));
-        }
-        out.push_back(std::move(shard));
-      }
-      return Status::OK();
+      return finish(worker);
     });
   }
   for (const TableUdfPtr& udf : state.udfs_to_finish) {
     const Status finish_status = udf->Finish();
     if (run_status.ok() && !finish_status.ok()) run_status = finish_status;
   }
-  RETURN_IF_ERROR(run_status);
+  return run_status;
+}
+
+Result<PartitionedRows> Executor::ExecuteDistinctVectorized(
+    const PlanPtr& plan) {
+  // Same two-phase shape as ExecuteDistinct, but the child runs as a batch
+  // pipeline and dedup works on unboxed ColumnBatch rows: local dedup per
+  // worker, shuffle unique rows by content hash, final dedup per target.
+  const size_t n = static_cast<size_t>(num_workers_);
+  std::vector<BatchGroupTable> local(n, BatchGroupTable(plan->output_schema));
+  // shards[worker][target]: locally-unique rows routed to `target`.
+  std::vector<std::vector<ColumnBatch>> shards(n);
+  RETURN_IF_ERROR(DrainBatches(
+      plan->children[0],
+      [&](int worker, const ColumnBatch& batch) -> Status {
+        BatchGroupTable& unique = local[static_cast<size_t>(worker)];
+        for (size_t r = 0; r < batch.num_rows(); ++r) {
+          RETURN_IF_ERROR(unique.FindOrInsert(batch, r).status());
+        }
+        return Status::OK();
+      },
+      [&](int worker) -> Status {
+        // Split this worker's unique rows by hash into per-target gathers.
+        const BatchGroupTable& unique = local[static_cast<size_t>(worker)];
+        std::vector<std::vector<int32_t>> routed(n);
+        for (size_t g = 0; g < unique.size(); ++g) {
+          routed[unique.hash(g) % n].push_back(static_cast<int32_t>(g));
+        }
+        std::vector<ColumnBatch>& out = shards[static_cast<size_t>(worker)];
+        for (size_t t = 0; t < n; ++t) {
+          ColumnBatch shard(plan->output_schema);
+          if (!routed[t].empty()) {
+            RETURN_IF_ERROR(shard.AppendGather(
+                unique.keys(), routed[t].data(), routed[t].size()));
+          }
+          out.push_back(std::move(shard));
+        }
+        return Status::OK();
+      }));
 
   PartitionedRows output;
   output.schema = plan->output_schema;
   output.partitions.resize(n);
   std::vector<Status> target_status(n);
   ParallelFor(n, [&](size_t t) {
-    BatchDedup dedup(plan->output_schema);
+    BatchGroupTable unique(plan->output_schema);
     for (size_t w = 0; w < n; ++w) {
       const ColumnBatch& shard = shards[w][t];
       for (size_t r = 0; r < shard.num_rows(); ++r) {
-        const Status s = dedup.Insert(shard, r);
+        const Status s = unique.FindOrInsert(shard, r).status();
         if (!s.ok()) {
           target_status[t] = s;
           return;
         }
       }
     }
-    output.partitions[t].reserve(dedup.acc.num_rows());
+    output.partitions[t].reserve(unique.size());
     Row row;
-    for (size_t r = 0; r < dedup.acc.num_rows(); ++r) {
-      dedup.acc.EmitRow(r, &row);
+    for (size_t g = 0; g < unique.size(); ++g) {
+      unique.keys().EmitRow(g, &row);
       output.partitions[t].push_back(row);
     }
   });
@@ -1267,13 +1318,10 @@ struct AggState {
   Value extreme;  // MIN/MAX running value.
 };
 
-Status UpdateState(const AggregateSpec& spec, const Row& input,
-                   AggState* state) {
-  if (spec.func == AggFunc::kCountStar) {
-    ++state->count;
-    return Status::OK();
-  }
-  ASSIGN_OR_RETURN(Value v, spec.argument->Evaluate(input));
+/// Folds one argument value into a transition state (phase 1 of both
+/// engines; COUNT(*) never gets here).
+Status UpdateStateWithValue(const AggregateSpec& spec, const Value& v,
+                            AggState* state) {
   if (v.is_null()) return Status::OK();  // Aggregates skip NULLs.
   switch (spec.func) {
     case AggFunc::kCount:
@@ -1300,6 +1348,72 @@ Status UpdateState(const AggregateSpec& spec, const Row& input,
       break;
     case AggFunc::kCountStar:
       break;
+  }
+  return Status::OK();
+}
+
+Status UpdateState(const AggregateSpec& spec, const Row& input,
+                   AggState* state) {
+  if (spec.func == AggFunc::kCountStar) {
+    ++state->count;
+    return Status::OK();
+  }
+  ASSIGN_OR_RETURN(Value v, spec.argument->Evaluate(input));
+  return UpdateStateWithValue(spec, v, state);
+}
+
+/// Batch transition of one aggregate: folds row r of `arg` (its evaluated
+/// argument; unused for COUNT(*)) into states[groups[r] * stride + slot],
+/// in row order. The typed COUNT and SUM/AVG loops do exactly the
+/// arithmetic UpdateStateWithValue does per value, so each group's sums
+/// are bit-identical to the row engine's; MIN/MAX and any other argument
+/// type box each value through it.
+Status UpdateStatesBatch(const AggregateSpec& spec, const Column& arg,
+                         const std::vector<size_t>& groups, size_t stride,
+                         size_t slot, AggState* states) {
+  const size_t n = groups.size();
+  const auto state = [&](size_t r) -> AggState& {
+    return states[groups[r] * stride + slot];
+  };
+  // Counts every non-NULL row of `arg` and adds it with add(state, row).
+  const auto fold = [&](auto add) {
+    for (size_t r = 0; r < n; ++r) {
+      if (arg.IsNull(r)) continue;
+      AggState& s = state(r);
+      ++s.count;
+      add(s, r);
+    }
+    return Status::OK();
+  };
+  switch (spec.func) {
+    case AggFunc::kCountStar:
+      for (size_t r = 0; r < n; ++r) ++state(r).count;
+      return Status::OK();
+    case AggFunc::kCount:
+      return fold([](AggState&, size_t) {});
+    case AggFunc::kSum:
+    case AggFunc::kAvg:
+      if (arg.type == DataType::kInt64 &&
+          spec.output_type == DataType::kInt64) {
+        return fold([&](AggState& s, size_t r) { s.int_sum += arg.ints[r]; });
+      }
+      if (arg.type == DataType::kInt64) {
+        return fold([&](AggState& s, size_t r) {
+          s.double_sum += static_cast<double>(arg.ints[r]);
+        });
+      }
+      if (arg.type == DataType::kDouble) {
+        return fold(
+            [&](AggState& s, size_t r) { s.double_sum += arg.doubles[r]; });
+      }
+      break;
+    case AggFunc::kMin:
+    case AggFunc::kMax:
+      break;
+  }
+  for (size_t r = 0; r < n; ++r) {
+    RETURN_IF_ERROR(
+        UpdateStateWithValue(spec, ColumnValueAt(arg, r), &state(r)));
   }
   return Status::OK();
 }
@@ -1359,9 +1473,10 @@ Value FinalizeState(const AggregateSpec& spec, const AggState& state) {
 
 /// Partial-state row layout: group keys, then per aggregate
 /// (count, int_sum, double_sum, extreme).
-Row EncodePartial(const Row& key, const std::vector<AggState>& states) {
+Row EncodePartial(const Row& key, const AggState* states, size_t num_aggs) {
   Row row = key;
-  for (const AggState& s : states) {
+  for (size_t a = 0; a < num_aggs; ++a) {
+    const AggState& s = states[a];
     row.push_back(Value::Int64(s.count));
     row.push_back(Value::Int64(s.int_sum));
     row.push_back(Value::Double(s.double_sum));
@@ -1385,14 +1500,13 @@ void DecodePartial(const Row& row, size_t num_keys, size_t num_aggs, Row* key,
 
 }  // namespace
 
-Result<PartitionedRows> Executor::ExecuteAggregate(const PlanPtr& plan) {
+Result<std::vector<std::vector<Row>>> Executor::AggregatePartials(
+    const PlanPtr& plan) {
   ASSIGN_OR_RETURN(PartitionedRows input, Execute(plan->children[0]));
   const size_t num_keys = plan->group_by.size();
   const size_t num_aggs = plan->aggregates.size();
-
-  // Phase 1: per-worker partial aggregation.
   std::vector<std::vector<Row>> partials(input.partitions.size());
-  Status status = ParallelWorkers(
+  RETURN_IF_ERROR(ParallelWorkers(
       static_cast<int>(input.partitions.size()), [&](int p) -> Status {
         std::map<Row, std::vector<AggState>, RowLess> groups;
         for (const Row& row : input.partitions[static_cast<size_t>(p)]) {
@@ -1411,11 +1525,83 @@ Result<PartitionedRows> Executor::ExecuteAggregate(const PlanPtr& plan) {
         }
         for (const auto& [key, states] : groups) {
           partials[static_cast<size_t>(p)].push_back(
-              EncodePartial(key, states));
+              EncodePartial(key, states.data(), num_aggs));
         }
         return Status::OK();
-      });
-  RETURN_IF_ERROR(status);
+      }));
+  return partials;
+}
+
+Result<std::vector<std::vector<Row>>> Executor::AggregatePartialsVectorized(
+    const PlanPtr& plan) {
+  const size_t num_keys = plan->group_by.size();
+  const size_t num_aggs = plan->aggregates.size();
+  const std::vector<Field>& fields = plan->output_schema->fields();
+  const SchemaPtr key_schema = Schema::Make(std::vector<Field>(
+      fields.begin(), fields.begin() + static_cast<std::ptrdiff_t>(num_keys)));
+
+  // Per worker: a group table over the evaluated key columns and a flat
+  // group-major state vector (num_aggs slots per group).
+  struct WorkerGroups {
+    explicit WorkerGroups(const SchemaPtr& schema) : table(schema) {}
+    BatchGroupTable table;
+    std::vector<AggState> states;
+    ColumnBatch keys;
+    Column arg;
+    std::vector<size_t> row_groups;
+  };
+  std::vector<WorkerGroups> workers(static_cast<size_t>(num_workers_),
+                                    WorkerGroups(key_schema));
+  std::vector<std::vector<Row>> partials(static_cast<size_t>(num_workers_));
+  RETURN_IF_ERROR(DrainBatches(
+      plan->children[0],
+      [&](int worker, const ColumnBatch& batch) -> Status {
+        WorkerGroups& w = workers[static_cast<size_t>(worker)];
+        const size_t n = batch.num_rows();
+        w.keys.Reset(key_schema);
+        for (size_t k = 0; k < num_keys; ++k) {
+          RETURN_IF_ERROR(
+              plan->group_by[k]->EvaluateBatch(batch, &w.keys.column(k)));
+        }
+        w.keys.SetRowCountForDecode(n);
+        w.row_groups.resize(n);
+        for (size_t r = 0; r < n; ++r) {
+          ASSIGN_OR_RETURN(w.row_groups[r], w.table.FindOrInsert(w.keys, r));
+        }
+        w.states.resize(w.table.size() * num_aggs);
+        for (size_t a = 0; a < num_aggs; ++a) {
+          const AggregateSpec& spec = plan->aggregates[a];
+          if (spec.argument != nullptr) {
+            RETURN_IF_ERROR(spec.argument->EvaluateBatch(batch, &w.arg));
+          }
+          RETURN_IF_ERROR(UpdateStatesBatch(spec, w.arg, w.row_groups,
+                                            num_aggs, a, w.states.data()));
+        }
+        return Status::OK();
+      },
+      [&](int worker) -> Status {
+        const WorkerGroups& w = workers[static_cast<size_t>(worker)];
+        std::vector<Row>& out = partials[static_cast<size_t>(worker)];
+        out.reserve(w.table.size());
+        Row key;
+        for (size_t g = 0; g < w.table.size(); ++g) {
+          w.table.keys().EmitRow(g, &key);
+          out.push_back(
+              EncodePartial(key, w.states.data() + g * num_aggs, num_aggs));
+        }
+        return Status::OK();
+      }));
+  return partials;
+}
+
+Result<PartitionedRows> Executor::ExecuteAggregate(const PlanPtr& plan) {
+  const size_t num_keys = plan->group_by.size();
+  const size_t num_aggs = plan->aggregates.size();
+
+  // Phase 1, the only engine-specific step: per-worker partial states.
+  ASSIGN_OR_RETURN(std::vector<std::vector<Row>> partials,
+                   vectorized_ ? AggregatePartialsVectorized(plan)
+                               : AggregatePartials(plan));
 
   // Phase 2: shuffle partials by group key and merge.
   std::vector<int> key_columns;
@@ -1436,7 +1622,7 @@ Result<PartitionedRows> Executor::ExecuteAggregate(const PlanPtr& plan) {
   PartitionedRows output;
   output.schema = plan->output_schema;
   output.partitions.resize(static_cast<size_t>(num_workers_));
-  status = ParallelWorkers(num_workers_, [&](int w) -> Status {
+  Status status = ParallelWorkers(num_workers_, [&](int w) -> Status {
     std::map<Row, std::vector<AggState>, RowLess> groups;
     Row key;
     std::vector<AggState> states;

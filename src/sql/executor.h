@@ -1,6 +1,7 @@
 #ifndef SQLINK_SQL_EXECUTOR_H_
 #define SQLINK_SQL_EXECUTOR_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -47,12 +48,14 @@ struct PartitionedRows {
 /// streaming-transfer UDF overlaps with the upstream query work exactly as
 /// the paper's insql+stream pipeline does.
 ///
-/// Two engine modes share the planner and all blocking operators. The row
-/// mode chains RowIterator operators; the vectorized mode (default, gated
-/// by SQLINK_VECTORIZED_SQL) chains BatchIterator operators over
-/// ColumnBatch with selection-vector filters and gather-based joins, and
-/// feeds batch-capable table UDFs columns directly. Both must produce
-/// identical results — tests/sql_differential_test.cc holds them to it.
+/// Two engine modes share the planner, Sort, Limit and the aggregate's
+/// shuffle-and-merge phase. The row mode chains RowIterator operators; the
+/// vectorized mode (default, gated by SQLINK_VECTORIZED_SQL) chains
+/// BatchIterator operators over ColumnBatch with selection-vector filters
+/// and gather-based joins, feeds batch-capable table UDFs columns directly,
+/// and runs DISTINCT and the aggregate's per-worker phase on batches. Both
+/// must produce identical results — tests/sql_differential_test.cc holds
+/// them to it.
 class Executor {
  public:
   /// Engine mode follows the SQLINK_VECTORIZED_SQL runtime flag.
@@ -101,6 +104,13 @@ class Executor {
   Result<PartitionedRows> ExecuteDistinct(const PlanPtr& plan);
   Result<PartitionedRows> ExecuteDistinctVectorized(const PlanPtr& plan);
   Result<PartitionedRows> ExecuteAggregate(const PlanPtr& plan);
+  /// Aggregate phase 1: each worker's groups as partial-state rows, one
+  /// slice per worker. The row engine groups the materialized child rows;
+  /// the vectorized engine folds the child's batches into per-worker group
+  /// tables without boxing them. Phase 2 is shared.
+  Result<std::vector<std::vector<Row>>> AggregatePartials(const PlanPtr& plan);
+  Result<std::vector<std::vector<Row>>> AggregatePartialsVectorized(
+      const PlanPtr& plan);
   Result<PartitionedRows> ExecuteSort(const PlanPtr& plan);
   Result<PartitionedRows> ExecuteLimit(const PlanPtr& plan);
 
@@ -108,6 +118,15 @@ class Executor {
   /// worker's slices, merge equal-key runs. Chosen by the planner's cost
   /// model when the build side would blow the hash-build memory budget.
   Result<PartitionedRows> ExecuteMergeJoin(const PlanPtr& plan);
+
+  /// Vectorized input of a blocking operator: prepares `child`, then every
+  /// worker pulls its batch pipeline to the end, handing each batch to
+  /// consume(worker, batch) and then calling finish(worker). Polls between
+  /// batches; the child's UDF epilogues run either way.
+  Status DrainBatches(
+      const PlanPtr& child,
+      const std::function<Status(int, const ColumnBatch&)>& consume,
+      const std::function<Status(int)>& finish);
 
   Status Prepare(const PlanPtr& plan, PipelineState* state);
   Result<RowIteratorPtr> BuildPipeline(const PlanPtr& plan, int worker,
@@ -138,6 +157,9 @@ class Executor {
   Status CheckCancelled() const {
     return cancellation_ == nullptr ? Status::OK() : cancellation_->Check();
   }
+  /// The poll every worker loop runs between batches (row mode: every ~1k
+  /// rows): fires the `sql.exec.batch` failpoint, then CheckCancelled().
+  Status PollBatch() const;
 };
 
 }  // namespace sqlink

@@ -73,6 +73,31 @@ DataType AggOutputType(AggFunc func, DataType arg_type) {
   return DataType::kDouble;
 }
 
+/// Output rows of an aggregate over `input_rows` input rows: one without
+/// GROUP BY; when every key is a plain column with catalog stats, the
+/// product of the keys' NDVs (a nullable key adds the NULL group), capped
+/// at the input; otherwise the input/10 guess.
+double EstimateGroupCount(const std::vector<ExprPtr>& keys,
+                          const NameScope& scope,
+                          const std::vector<ColumnStats>& stats,
+                          double input_rows) {
+  if (keys.empty()) return 1.0;
+  const double guess = std::max(1.0, input_rows / 10.0);
+  double groups = 1.0;
+  for (const ExprPtr& key : keys) {
+    if (key->kind != ExprKind::kColumnRef) return guess;
+    auto column = scope.Resolve(key->qualifier, key->column);
+    if (!column.ok()) return guess;
+    const size_t index = static_cast<size_t>(column->index);
+    if (index >= stats.size() || stats[index].distinct_values < 1) {
+      return guess;
+    }
+    groups *= stats[index].distinct_values +
+              (stats[index].null_fraction > 0 ? 1.0 : 0.0);
+  }
+  return std::max(1.0, std::min(input_rows, groups));
+}
+
 }  // namespace
 
 Planner::Planner(const Catalog* catalog, const ScalarFunctionRegistry* scalars,
@@ -553,7 +578,8 @@ Result<PlanPtr> Planner::PlanSelect(const SelectStmt& stmt) {
       out_fields.push_back(Field{spec.output_name, spec.output_type});
     }
     agg->output_schema = Schema::Make(std::move(out_fields));
-    agg->estimated_rows = std::max(1.0, plan->estimated_rows / 10.0);
+    agg->estimated_rows = EstimateGroupCount(
+        stmt.group_by, input.scope, input.column_stats, plan->estimated_rows);
     plan = agg;
 
     if (stmt.having != nullptr) {

@@ -510,24 +510,47 @@ TEST_F(QueryServerTest, AdmissionRejectionIsTypedOverTheWire) {
   EXPECT_TRUE(response.status().IsOverloaded()) << response.status();
 }
 
+/// Submits `sql`, sends a cancel frame 30 ms in and returns the query's
+/// outcome. ~20 ms per executor batch keeps the query in flight long enough
+/// for the cancel frame to land mid-query. The admission slot must be free
+/// by the time the result arrives.
+Status CancelInFlight(QueryServer* server, const std::string& sql) {
+  ScopedFailpoint pace("sql.exec.batch", "delay(20)");
+  if (!pace.status().ok()) return pace.status();
+  auto client = QueryClient::Connect("127.0.0.1", server->port());
+  if (!client.ok()) return client.status();
+  if (Status s = client->Submit(sql); !s.ok()) return s;
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  if (Status s = client->Cancel(); !s.ok()) return s;
+  auto response = client->Await();
+  EXPECT_EQ(server->admission()->active(), 0) << sql;
+  return response.ok() ? Status::OK() : response.status();
+}
+
 TEST_F(QueryServerTest, ClientCancelFrameCancelsInFlightQuery) {
   auto server = StartServer();
   ASSERT_NE(server, nullptr);
-  // ~20 ms per executor batch keeps the scan in flight long enough for the
-  // cancel frame to land mid-query.
-  ScopedFailpoint pace("sql.exec.batch", "delay(20)");
-  ASSERT_TRUE(pace.status().ok());
-  auto client = QueryClient::Connect("127.0.0.1", server->port());
-  ASSERT_TRUE(client.ok());
-  ASSERT_TRUE(client->Submit("SELECT id FROM points").ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  ASSERT_TRUE(client->Cancel().ok());
-  auto response = client->Await();
-  ASSERT_FALSE(response.ok());
-  EXPECT_TRUE(response.status().IsCancelled()) << response.status();
-  EXPECT_NE(response.status().ToString().find("cancelled by client"),
-            std::string::npos);
-  EXPECT_EQ(server->admission()->active(), 0);
+  const Status status = CancelInFlight(server.get(), "SELECT id FROM points");
+  EXPECT_TRUE(status.IsCancelled()) << status;
+  EXPECT_NE(status.ToString().find("cancelled by client"), std::string::npos);
+}
+
+// Blocking operators poll between input batches too: a cancelled DISTINCT
+// or GROUP BY stops mid-input instead of running to the end.
+TEST_F(QueryServerTest, ClientCancelStopsInFlightDistinct) {
+  auto server = StartServer();
+  ASSERT_NE(server, nullptr);
+  const Status status =
+      CancelInFlight(server.get(), "SELECT DISTINCT id FROM points");
+  EXPECT_TRUE(status.IsCancelled()) << status;
+}
+
+TEST_F(QueryServerTest, ClientCancelStopsInFlightGroupBy) {
+  auto server = StartServer();
+  ASSERT_NE(server, nullptr);
+  const Status status = CancelInFlight(
+      server.get(), "SELECT id, COUNT(*) FROM points GROUP BY id");
+  EXPECT_TRUE(status.IsCancelled()) << status;
 }
 
 TEST_F(QueryServerTest, CancelFailpointCancelsQuery) {

@@ -175,9 +175,68 @@ std::string GenProjection(Random& rng, const std::string& prefix) {
   }
 }
 
+/// An aggregate query over `table`: global (one row even over e0) or
+/// grouped by one or two int/string/bool keys (sometimes with no aggregate
+/// at all), optionally joined with dims, filtered, and with a HAVING over
+/// COUNT(*).
+std::string GenAggregateQuery(Random& rng, const std::string& table) {
+  const bool join = rng.Bernoulli(0.25);
+  const std::string e = join ? "e." : "";
+  std::vector<std::string> keys;
+  if (!rng.Bernoulli(0.25)) {
+    static const char* const kKeys[] = {"k", "s", "flag"};
+    const size_t first = rng.Uniform(3);
+    keys.push_back(e + kKeys[first]);
+    if (rng.Bernoulli(0.4)) keys.push_back(e + kKeys[(first + 1) % 3]);
+    if (join && rng.Bernoulli(0.5)) keys.push_back("d.label");
+  }
+  std::vector<std::string> aggs = {"COUNT(*)"};
+  const size_t extra = 1 + rng.Uniform(3);
+  for (size_t i = 0; i < extra; ++i) {
+    switch (rng.Uniform(7)) {
+      case 0:
+        aggs.push_back("COUNT(" + e +
+                       kEventColumns[rng.Uniform(4)].name + ")");
+        break;
+      case 1:
+        aggs.push_back("SUM(" + e + (rng.Bernoulli(0.5) ? "v)" : "k)"));
+        break;
+      case 2:
+        aggs.push_back("AVG(" + e + (rng.Bernoulli(0.5) ? "v)" : "k)"));
+        break;
+      case 3:
+        aggs.push_back(std::string(rng.Bernoulli(0.5) ? "MIN(" : "MAX(") +
+                       e + "s)");
+        break;
+      case 4:
+        aggs.push_back(std::string(rng.Bernoulli(0.5) ? "MIN(" : "MAX(") +
+                       e + (rng.Bernoulli(0.5) ? "v)" : "k)"));
+        break;
+      case 5:
+        aggs.push_back("SUM(" + e + "v * " +
+                       std::to_string(rng.UniformInt(1, 3)) + ")");
+        break;
+      default:
+        aggs.push_back("MAX(" + e + "v)");
+        break;
+    }
+  }
+  if (!keys.empty() && rng.Bernoulli(0.1)) aggs.clear();
+  std::vector<std::string> items = keys;
+  items.insert(items.end(), aggs.begin(), aggs.end());
+  std::string sql = "SELECT " + JoinStrings(items, ", ") + " FROM " + table;
+  if (join) sql += " e JOIN dims d ON e.k = d.k";
+  if (rng.Bernoulli(0.5)) sql += " WHERE " + GenPredicate(rng, e, 1);
+  if (!keys.empty()) sql += " GROUP BY " + JoinStrings(keys, ", ");
+  if (!aggs.empty() && rng.Bernoulli(0.3)) {
+    sql += " HAVING COUNT(*) > " + std::to_string(rng.UniformInt(0, 40));
+  }
+  return sql;
+}
+
 std::string GenQuery(Random& rng) {
   const std::string table = kEventTables[rng.Uniform(5)];
-  switch (rng.Uniform(10)) {
+  switch (rng.Uniform(12)) {
     case 0:
     case 1:
     case 2: {  // Single-table filter + projection.
@@ -214,14 +273,8 @@ std::string GenQuery(Random& rng) {
       return "SELECT a.k, b.v FROM " + table + " a, " + table +
              " b WHERE a.k = b.k AND " + GenPredicate(rng, "a.", 1);
     }
-    default: {  // Aggregation.
-      std::string sql = "SELECT k, COUNT(*), ";
-      sql += rng.Bernoulli(0.5) ? "SUM(v)" : "MAX(v)";
-      sql += " FROM " + table;
-      if (rng.Bernoulli(0.5)) sql += " WHERE " + GenPredicate(rng, "", 1);
-      sql += " GROUP BY k";
-      return sql;
-    }
+    default:  // Aggregation.
+      return GenAggregateQuery(rng, table);
   }
 }
 

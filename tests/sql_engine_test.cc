@@ -684,5 +684,32 @@ TEST_F(CorpusGoldenTest, ExplainPlansMatchCommittedGoldens) {
   }
 }
 
+/// Aggregate cardinality estimates come from the group keys' catalog NDVs
+/// (one row without GROUP BY), so EXPLAIN ANALYZE's root q-error stays small
+/// for a few-group GROUP BY that the input/10 guess would miss by far.
+TEST_F(CorpusGoldenTest, ExplainAnalyzeGroupByRootQErrorIsSmall) {
+  const char* const queries[] = {
+      "SELECT flag, COUNT(*), SUM(v) FROM e1025 GROUP BY flag",
+      "SELECT s, flag, COUNT(*) FROM e1024 GROUP BY s, flag",
+      "SELECT COUNT(*), SUM(v) FROM e1025",
+  };
+  for (int vectorized : {0, 1}) {
+    SetVectorizedSqlEnabledForTest(vectorized);
+    for (const char* query : queries) {
+      SCOPED_TRACE(std::string(vectorized ? "vectorized: " : "row: ") +
+                   query);
+      auto analyzed = engine_->ExecuteSql(std::string("EXPLAIN ANALYZE ") +
+                                          query);
+      ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+      const std::string root = (*analyzed)->partition(0)[0][0].string_value();
+      EXPECT_NE(root.find("Aggregate"), std::string::npos) << root;
+      const size_t q = root.find("q=");
+      ASSERT_NE(q, std::string::npos) << root;
+      EXPECT_LE(std::stod(root.substr(q + 2)), 4.0) << root;
+    }
+  }
+  SetVectorizedSqlEnabledForTest(-1);
+}
+
 }  // namespace
 }  // namespace sqlink
