@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/runtime_flags.h"
 
 using namespace sqlink;
 using sqlink::bench::BenchEnv;
@@ -69,12 +68,9 @@ int main(int argc, char** argv) {
                 t.ml_input_seconds, t.total_seconds);
     results.push_back(
         {std::string(ConnectApproachToString(approach)), t});
-    // Recorded per approach so SQLINK_COLUMNAR=on/off sweeps are
-    // distinguishable in the JSON series.
     sqlink::bench::BenchJsonLine("figure3")
         .Param("approach", results.back().name)
         .Param("rows", rows)
-        .Param("columnar", ColumnarEnabled())
         .Param("ml_input_s", t.ml_input_seconds)
         .Emit(t.total_seconds * 1000.0);
   }

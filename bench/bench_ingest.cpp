@@ -5,175 +5,28 @@
 //
 // Series printed: rows, transformed bytes, DFS ingest seconds (read into
 // the in-memory dataset), streamed ingest seconds (sink+transfer measured
-// from an already-materialized table so the SQL work is identical).
+// from an already-materialized table so the SQL work is identical). Exits 1
+// when the two ingests return different row counts.
 //
-// A second mode (--check, also run standalone) isolates the receive side of
-// the transfer: the same frames decoded row-wise (RowCodec + boxed Values +
-// Dataset::FromRows) versus columnar (kColData decode + ColumnBatch append +
-// Dataset::FromColumns). With SQLINK_BENCH_JSON set it emits one JSON line
-// per mode; --check exits non-zero when columnar fails to beat rows.
+//   bench_ingest [max_rows]   # sweeps max_rows/8, /4, /2, max_rows
 
-#include <cstring>
+#include <cstdlib>
 
 #include "bench_util.h"
-#include "common/random.h"
 #include "common/stopwatch.h"
 #include "ml/text_input_format.h"
 #include "pipeline/table_io.h"
 #include "stream/streaming_transfer.h"
-#include "stream/wire.h"
-#include "table/column_batch.h"
-#include "table/row_codec.h"
 
 using namespace sqlink;
 using sqlink::bench::BenchEnv;
 
-namespace {
-
-constexpr int kPartitions = 4;
-constexpr size_t kFrameRows = 4096;
-
-/// Frame-decode → feature-matrix comparison over identical payload bytes.
-int RunDecodeToDataset(int64_t num_rows, bool check) {
-  auto schema = Schema::Make({{"label", DataType::kInt64},
-                              {"f1", DataType::kDouble},
-                              {"f2", DataType::kDouble},
-                              {"f3", DataType::kDouble},
-                              {"f4", DataType::kDouble},
-                              {"f5", DataType::kDouble},
-                              {"f6", DataType::kDouble}});
-  Random rng(29);
-  // Pre-encode both wire representations of the same rows, split into
-  // kPartitions channels of kFrameRows-row frames — the shape the reader
-  // sees off the socket. Decode + materialization is what's timed.
-  std::vector<std::vector<std::string>> row_frames(kPartitions);
-  std::vector<std::vector<std::string>> col_frames(kPartitions);
-  for (int p = 0; p < kPartitions; ++p) {
-    ColumnarChannelEncoder encoder(schema);
-    const int64_t part_rows = num_rows / kPartitions;
-    for (int64_t start = 0; start < part_rows;
-         start += static_cast<int64_t>(kFrameRows)) {
-      const size_t n = static_cast<size_t>(
-          std::min<int64_t>(static_cast<int64_t>(kFrameRows),
-                            part_rows - start));
-      std::vector<Row> rows;
-      rows.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        Row row;
-        row.push_back(Value::Int64(rng.UniformInt(0, 1)));
-        for (int f = 0; f < 6; ++f) {
-          row.push_back(Value::Double(rng.NextDouble()));
-        }
-        rows.push_back(std::move(row));
-      }
-      row_frames[p].push_back(RowCodec::EncodeRows(rows));
-      auto batch = ColumnBatch::FromRows(schema, rows);
-      if (!batch.ok()) return 1;
-      std::string payload;
-      if (!encoder.EncodeBatch(*batch, &payload).ok()) return 1;
-      col_frames[p].push_back(std::move(payload));
-    }
-  }
-
-  // Row path: decode every frame into boxed Rows, then gather features.
-  double row_ms = 1e18;
-  size_t row_points = 0;
-  for (int rep = 0; rep < 3; ++rep) {
-    Stopwatch watch;
-    ml::RowDataset dataset;
-    dataset.schema = schema;
-    dataset.partitions.resize(kPartitions);
-    for (int p = 0; p < kPartitions; ++p) {
-      for (const std::string& payload : row_frames[p]) {
-        auto rows = RowCodec::DecodeRows(payload);
-        if (!rows.ok()) return 1;
-        auto& partition = dataset.partitions[static_cast<size_t>(p)];
-        partition.reserve(partition.size() + rows->size());
-        for (Row& row : *rows) partition.push_back(std::move(row));
-      }
-    }
-    auto points = ml::Dataset::FromRowsAutoFeatures(dataset, "label");
-    if (!points.ok()) return 1;
-    row_points = points->TotalPoints();
-    row_ms = std::min(row_ms, watch.ElapsedSeconds() * 1000.0);
-  }
-
-  // Columnar path: decode kColData payloads straight into ColumnBatches.
-  double col_ms = 1e18;
-  size_t col_points = 0;
-  for (int rep = 0; rep < 3; ++rep) {
-    Stopwatch watch;
-    ml::ColumnDataset dataset;
-    dataset.schema = schema;
-    dataset.partitions.resize(kPartitions);
-    for (int p = 0; p < kPartitions; ++p) {
-      dataset.partitions[static_cast<size_t>(p)].Reset(schema);
-      ColumnarChannelDecoder decoder;
-      ColumnBatch scratch;
-      for (const std::string& payload : col_frames[p]) {
-        if (!decoder.DecodeBatch(payload, schema, &scratch).ok()) return 1;
-        if (!dataset.partitions[static_cast<size_t>(p)]
-                 .AppendBatch(scratch)
-                 .ok()) {
-          return 1;
-        }
-      }
-    }
-    auto points = ml::Dataset::FromColumnsAutoFeatures(dataset, "label");
-    if (!points.ok()) return 1;
-    col_points = points->TotalPoints();
-    col_ms = std::min(col_ms, watch.ElapsedSeconds() * 1000.0);
-  }
-  if (row_points != col_points) {
-    std::fprintf(stderr, "point count mismatch\n");
-    return 1;
-  }
-
-  const auto total = static_cast<double>(row_points);
-  const double row_rate = total / row_ms * 1000.0;
-  const double col_rate = total / col_ms * 1000.0;
-  const double speedup = row_ms / col_ms;
-  std::printf("=== Frame decode -> feature matrix ===\n");
-  std::printf("rows: %zu, partitions: %d, frame rows: %zu\n\n", row_points,
-              kPartitions, kFrameRows);
-  std::printf("%-10s %12s %16s\n", "mode", "wall(ms)", "rows/sec");
-  std::printf("%-10s %12.3f %16.0f\n", "row", row_ms, row_rate);
-  std::printf("%-10s %12.3f %16.0f\n", "columnar", col_ms, col_rate);
-  std::printf("\ncolumnar speedup: %.2fx\n\n", speedup);
-
-  sqlink::bench::BenchJsonLine("ingest.decode_to_dataset")
-      .Param("mode", "row")
-      .Param("rows", static_cast<int64_t>(row_points))
-      .Param("rows_per_sec", row_rate)
-      .Emit(row_ms);
-  sqlink::bench::BenchJsonLine("ingest.decode_to_dataset")
-      .Param("mode", "columnar")
-      .Param("rows", static_cast<int64_t>(col_points))
-      .Param("rows_per_sec", col_rate)
-      .Param("speedup", speedup)
-      .Emit(col_ms);
-
-  if (check && speedup < 1.0) {
-    std::fprintf(stderr, "CHECK FAILED: columnar slower than row path\n");
+int main(int argc, char** argv) {
+  const int64_t max_rows = argc > 1 ? std::atoll(argv[1]) : 400000;
+  if (argc > 2 || max_rows < 8) {
+    std::fprintf(stderr, "usage: bench_ingest [max_rows >= 8]\n");
     return 2;
   }
-  return 0;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  bool check = false;
-  int64_t max_rows = 400000;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else {
-      max_rows = std::atoll(argv[i]);
-    }
-  }
-  const int decode_rc = RunDecodeToDataset(max_rows, check);
-  if (decode_rc != 0 || check) return decode_rc;
 
   std::printf("=== ML ingest: DFS files vs parallel streaming ===\n\n");
   std::printf("%12s %14s %16s %18s\n", "rows", "bytes", "dfs_ingest(s)",

@@ -60,6 +60,17 @@ Result<int64_t> Decoder::GetVarint64Signed() {
   return static_cast<int64_t>((z >> 1) ^ (~(z & 1) + 1));
 }
 
+Result<uint64_t> Decoder::GetCount(size_t min_element_bytes) {
+  auto count = GetVarint64();
+  if (!count.ok()) return count.status();
+  if (*count > remaining() / min_element_bytes) {
+    return Status::DataLoss("count " + std::to_string(*count) +
+                            " exceeds the " + std::to_string(remaining()) +
+                            " bytes left");
+  }
+  return count;
+}
+
 Result<std::string_view> Decoder::GetLengthPrefixed() {
   auto length = GetVarint64();
   if (!length.ok()) return length.status();

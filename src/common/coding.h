@@ -71,16 +71,10 @@ class Decoder {
   Result<int64_t> GetVarint64Signed();
   Result<std::string_view> GetLengthPrefixed();
 
-  /// The next `n` raw bytes as a view into the underlying buffer (columnar
-  /// value blobs); errors on truncated input.
-  Result<std::string_view> GetRaw(size_t n) {
-    if (remaining() < n) {
-      return Status::DataLoss("truncated raw bytes");
-    }
-    const std::string_view out = data_.substr(pos_, n);
-    pos_ += n;
-    return out;
-  }
+  /// Reads an element count the peer sent. A count the rest of the buffer
+  /// cannot hold, at `min_element_bytes` per element, is DataLoss, so a
+  /// decoder may size an allocation from the result.
+  Result<uint64_t> GetCount(size_t min_element_bytes);
 
   bool AtEnd() const { return pos_ >= data_.size(); }
   size_t remaining() const { return data_.size() - pos_; }

@@ -282,11 +282,11 @@ FailpointOutcome FailpointRegistry::Evaluate(std::string_view name) {
       }
     }
   }
-  MetricsRegistry::Global().Increment("failpoint." + std::string(name) +
-                                      ".hits");
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  metrics.GetCounter("failpoint." + std::string(name) + ".hits")->Increment();
   if (fired) {
-    MetricsRegistry::Global().Increment("failpoint." + std::string(name) +
-                                        ".fired");
+    metrics.GetCounter("failpoint." + std::string(name) + ".fired")
+        ->Increment();
   }
   if (delay_ms > 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));

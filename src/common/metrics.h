@@ -132,11 +132,10 @@ class Histogram {
 /// (e.g. `stream.wire.frames_sent`, `stream.spill.write_micros`); see
 /// DESIGN.md §7.
 ///
-/// Hot paths should acquire a typed handle once (`GetCounter` etc. — the
-/// returned pointer stays valid and keeps its identity for the registry's
-/// lifetime, across Reset()) and then update it lock-free. The string-keyed
-/// Add/Increment/Get API is a compatibility shim that pays one mutex-guarded
-/// map lookup per call.
+/// Writers acquire a typed handle (`GetCounter` etc. — the returned pointer
+/// stays valid and keeps its identity for the registry's lifetime, across
+/// Reset()) and update it lock-free; hot paths resolve it once. `Get` reads
+/// a counter by name at one mutex-guarded map lookup per call.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -149,11 +148,6 @@ class MetricsRegistry {
   Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
 
-  // --- Legacy string API (thin shim over GetCounter) -----------------------
-  void Add(const std::string& name, int64_t delta) {
-    GetCounter(name)->Add(delta);
-  }
-  void Increment(const std::string& name) { Add(name, 1); }
   /// Current value of counter `name`; 0 when absent.
   int64_t Get(const std::string& name) const;
 

@@ -9,7 +9,6 @@ namespace sqlink {
 namespace {
 
 /// -1 = no override (use the environment); 0/1 = forced by a test.
-std::atomic<int> g_columnar_override{-1};
 std::atomic<int> g_vectorized_sql_override{-1};
 
 bool OnOffFromEnv(const char* name) {
@@ -19,21 +18,7 @@ bool OnOffFromEnv(const char* name) {
   return !(v == "off" || v == "0" || v == "false" || v == "no");
 }
 
-bool ColumnarFromEnv() { return OnOffFromEnv("SQLINK_COLUMNAR"); }
-
 }  // namespace
-
-bool ColumnarEnabled() {
-  const int forced = g_columnar_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced != 0;
-  static const bool from_env = ColumnarFromEnv();
-  return from_env;
-}
-
-void SetColumnarEnabledForTest(int enabled) {
-  g_columnar_override.store(enabled < 0 ? -1 : (enabled != 0 ? 1 : 0),
-                            std::memory_order_relaxed);
-}
 
 bool VectorizedSqlEnabled() {
   const int forced = g_vectorized_sql_override.load(std::memory_order_relaxed);

@@ -3,19 +3,6 @@
 
 namespace sqlink {
 
-/// Whether the columnar hot path is enabled (SQLINK_COLUMNAR=on|off,
-/// default on). Gates the sink's columnar frame encoding, the vectorized
-/// transform kernels, and the columnar ML ingest; the row path stays as the
-/// fallback and the two are wire-interoperable per channel (a sink picks one
-/// encoding per query, readers understand both).
-///
-/// The environment is read once; tests flip the mode in-process with
-/// SetColumnarEnabledForTest.
-bool ColumnarEnabled();
-
-/// Test hook: 1 = force on, 0 = force off, -1 = back to the environment.
-void SetColumnarEnabledForTest(int enabled);
-
 /// Whether the SQL engine runs the vectorized batch operators
 /// (SQLINK_VECTORIZED_SQL=on|off, default on). Gates the executor's
 /// ColumnBatch pipelines (scan/filter/project/hash join/DISTINCT); the

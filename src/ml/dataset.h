@@ -7,7 +7,6 @@
 
 #include "common/result.h"
 #include "ml/vector_ops.h"
-#include "table/column_batch.h"
 #include "table/schema.h"
 #include "table/value.h"
 
@@ -35,20 +34,6 @@ struct RowDataset {
   }
 };
 
-/// Columnar counterpart of RowDataset: one ColumnBatch per ML worker, as
-/// produced by the columnar ingest path (no boxed Value rows anywhere
-/// between the wire and feature extraction).
-struct ColumnDataset {
-  SchemaPtr schema;
-  std::vector<ColumnBatch> partitions;
-
-  size_t TotalRows() const {
-    size_t total = 0;
-    for (const ColumnBatch& p : partitions) total += p.num_rows();
-    return total;
-  }
-};
-
 /// LabeledPoints partitioned across ML workers; what the training
 /// algorithms consume.
 class Dataset {
@@ -67,16 +52,6 @@ class Dataset {
   /// Uses every column except `label_column` as a feature, in schema order.
   static Result<Dataset> FromRowsAutoFeatures(const RowDataset& rows,
                                               const std::string& label_column);
-
-  /// Columnar ingest: gathers features straight from the typed column
-  /// vectors — no Value boxing per cell. Same semantics as FromRows (NULLs
-  /// and non-numeric labels become 0; STRING features are rejected).
-  static Result<Dataset> FromColumns(
-      const ColumnDataset& columns, const std::string& label_column,
-      const std::vector<std::string>& feature_columns);
-
-  static Result<Dataset> FromColumnsAutoFeatures(
-      const ColumnDataset& columns, const std::string& label_column);
 
   const std::vector<std::vector<LabeledPoint>>& partitions() const {
     return partitions_;

@@ -9,7 +9,6 @@
 #include "cluster/cluster.h"
 #include "common/metrics.h"
 #include "common/result.h"
-#include "table/column_batch.h"
 #include "table/schema.h"
 #include "table/value.h"
 
@@ -60,19 +59,6 @@ class RecordReader {
 
   /// Fills `*out` and returns true, or false at end of split.
   virtual Result<bool> Next(Row* out) = 0;
-
-  /// Whether NextBatch delivers data more cheaply than row-at-a-time Next —
-  /// true for readers whose transport is already columnar.
-  virtual bool SupportsBatches() const { return false; }
-
-  /// Fills `*out` with the next columnar batch and returns true, or false
-  /// at end of split. Rows delivered through either interface count the
-  /// same toward resume_row_count bookkeeping; a split must be consumed
-  /// through one interface, not a mix.
-  virtual Result<bool> NextBatch(ColumnBatch* out) {
-    (void)out;
-    return Status::Unimplemented("reader does not support columnar batches");
-  }
 };
 
 /// A split handed back by the coordinator after its original reader died.

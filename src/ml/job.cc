@@ -12,26 +12,6 @@ namespace sqlink::ml {
 
 namespace {
 
-size_t PartitionRows(const std::vector<Row>& partition) {
-  return partition.size();
-}
-size_t PartitionRows(const ColumnBatch& partition) {
-  return partition.num_rows();
-}
-
-/// Resume-point reconciliation shared by both partition shapes: the
-/// partition holds `have` rows, the reader negotiated `resume_rows`.
-/// Returns an error when acknowledged rows never reached the buffer.
-Status CheckResume(int index, size_t have, uint64_t resume_rows) {
-  if (have >= resume_rows) return Status::OK();
-  // Rows were acknowledged but never reached this buffer — replay cannot
-  // reproduce them.
-  return Status::DataLoss(
-      "split " + std::to_string(index) + " resumes at row " +
-      std::to_string(resume_rows) + " but only " + std::to_string(have) +
-      " rows were applied");
-}
-
 /// Consumes one split into `partition`, truncating it first to the reader's
 /// negotiated resume point (rows an earlier incarnation already applied and
 /// the transport will not re-deliver).
@@ -42,7 +22,14 @@ Status ReadSplit(InputFormat* format, const JobContext& context,
                    format->CreateReader(context, split, index));
   RETURN_IF_ERROR(reader->Open());
   const uint64_t resume_rows = reader->resume_row_count();
-  RETURN_IF_ERROR(CheckResume(index, partition->size(), resume_rows));
+  if (partition->size() < resume_rows) {
+    // Rows were acknowledged but never reached this buffer — replay cannot
+    // reproduce them.
+    return Status::DataLoss(
+        "split " + std::to_string(index) + " resumes at row " +
+        std::to_string(resume_rows) + " but only " +
+        std::to_string(partition->size()) + " rows were applied");
+  }
   if (partition->size() > resume_rows) {
     // The dead reader got further than its last ack; the suffix will be
     // replayed, so drop it to keep apply exactly-once.
@@ -57,45 +44,12 @@ Status ReadSplit(InputFormat* format, const JobContext& context,
   return Status::OK();
 }
 
-/// Columnar ReadSplit: whole decoded frames are appended when the reader
-/// supports batch delivery; otherwise rows are appended one at a time into
-/// the same typed vectors.
-Status ReadSplitColumns(InputFormat* format, const JobContext& context,
-                        const InputSplit& split, int index,
-                        ColumnBatch* partition) {
-  if (partition->schema() == nullptr) partition->Reset(format->schema());
-  ASSIGN_OR_RETURN(std::unique_ptr<RecordReader> reader,
-                   format->CreateReader(context, split, index));
-  RETURN_IF_ERROR(reader->Open());
-  const uint64_t resume_rows = reader->resume_row_count();
-  RETURN_IF_ERROR(CheckResume(index, partition->num_rows(), resume_rows));
-  partition->Truncate(resume_rows);
-  if (reader->SupportsBatches()) {
-    ColumnBatch batch;
-    for (;;) {
-      ASSIGN_OR_RETURN(bool has, reader->NextBatch(&batch));
-      if (!has) break;
-      RETURN_IF_ERROR(partition->AppendBatch(batch));
-    }
-  } else {
-    Row row;
-    for (;;) {
-      ASSIGN_OR_RETURN(bool has, reader->Next(&row));
-      if (!has) break;
-      RETURN_IF_ERROR(partition->AppendRow(row));
-    }
-  }
-  return Status::OK();
-}
+}  // namespace
 
-/// The ingest phase shared by both partition shapes: GetSplits → parallel
-/// read → §6 reassignment → stats. `read_split` consumes one split into one
-/// partition, honoring the reader's resume point.
-template <typename Partition, typename ReadFn>
-Result<IngestStats> RunIngestPhases(InputFormat* format,
-                                    const JobContext& context,
-                                    std::vector<Partition>* partitions,
-                                    ReadFn read_split) {
+Result<IngestResult> MlJobRunner::Ingest(InputFormat* format) {
+  const JobContext& context = context_;
+  IngestResult result;
+  std::vector<std::vector<Row>>& partitions = result.dataset.partitions;
   TraceSpan ingest_span("ml.ingest");
   const TraceContext ingest_ctx = ingest_span.context();
   ASSIGN_OR_RETURN(std::vector<InputSplitPtr> splits,
@@ -105,9 +59,9 @@ Result<IngestStats> RunIngestPhases(InputFormat* format,
   }
   const size_t m = splits.size();
 
-  IngestStats stats;
+  IngestStats& stats = result.stats;
   stats.num_splits = static_cast<int>(m);
-  partitions->resize(m);
+  partitions.resize(m);
 
   // Worker i consumes split i. With a cluster, count how many workers run
   // local to their data (a worker's node is its split's first preferred
@@ -135,11 +89,11 @@ Result<IngestStats> RunIngestPhases(InputFormat* format,
     TraceSpan split_span("ml.ingest.split", ingest_ctx);
     split_span.AddAttribute("split", static_cast<int64_t>(i));
     Stopwatch timer;
-    statuses[i] = read_split(format, context, *splits[i], static_cast<int>(i),
-                             &(*partitions)[i]);
+    statuses[i] = ReadSplit(format, context, *splits[i], static_cast<int>(i),
+                            &partitions[i]);
     if (!statuses[i].ok()) split_span.SetError();
     split_span.AddAttribute(
-        "rows", static_cast<int64_t>(PartitionRows((*partitions)[i])));
+        "rows", static_cast<int64_t>(partitions[i].size()));
     if (split_micros != nullptr) split_micros->Record(timer.ElapsedMicros());
   });
 
@@ -188,13 +142,14 @@ Result<IngestStats> RunIngestPhases(InputFormat* format,
       TraceSpan recover_span("recover_split", ingest_ctx);
       recover_span.AddAttribute("split", static_cast<int64_t>(idx));
       const bool was_failed = !statuses[idx].ok();
-      statuses[idx] = read_split(format, context, *acquired->split,
-                                 static_cast<int>(idx), &(*partitions)[idx]);
+      statuses[idx] = ReadSplit(format, context, *acquired->split,
+                                static_cast<int>(idx), &partitions[idx]);
       if (statuses[idx].ok()) {
         if (was_failed) --failed;
         ++stats.recovered_splits;
         if (context.metrics != nullptr) {
-          context.metrics->Increment("ml.ingest.recovered_splits");
+          context.metrics->GetCounter("ml.ingest.recovered_splits")
+              ->Increment();
         }
       } else {
         recover_span.SetError();
@@ -207,35 +162,16 @@ Result<IngestStats> RunIngestPhases(InputFormat* format,
   for (const Status& status : statuses) {
     RETURN_IF_ERROR(status);
   }
-  for (const Partition& partition : *partitions) {
-    stats.rows += PartitionRows(partition);
+  for (const std::vector<Row>& partition : partitions) {
+    stats.rows += partition.size();
   }
   if (context.metrics != nullptr) {
-    context.metrics->Add("ml.ingest.rows", static_cast<int64_t>(stats.rows));
-    context.metrics->Add("ml.ingest.splits",
-                         static_cast<int64_t>(stats.num_splits));
-    context.metrics->Add("ml.ingest.local_splits", stats.local_splits);
+    context.metrics->GetCounter("ml.ingest.rows")
+        ->Add(static_cast<int64_t>(stats.rows));
+    context.metrics->GetCounter("ml.ingest.splits")->Add(stats.num_splits);
+    context.metrics->GetCounter("ml.ingest.local_splits")
+        ->Add(stats.local_splits);
   }
-  return stats;
-}
-
-}  // namespace
-
-Result<IngestResult> MlJobRunner::Ingest(InputFormat* format) {
-  IngestResult result;
-  ASSIGN_OR_RETURN(result.stats,
-                   RunIngestPhases(format, context_,
-                                   &result.dataset.partitions, ReadSplit));
-  result.dataset.schema = format->schema();
-  return result;
-}
-
-Result<ColumnIngestResult> MlJobRunner::IngestColumns(InputFormat* format) {
-  ColumnIngestResult result;
-  ASSIGN_OR_RETURN(
-      result.stats,
-      RunIngestPhases(format, context_, &result.dataset.partitions,
-                      ReadSplitColumns));
   result.dataset.schema = format->schema();
   return result;
 }

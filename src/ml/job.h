@@ -26,11 +26,6 @@ struct IngestResult {
   IngestStats stats;
 };
 
-struct ColumnIngestResult {
-  ColumnDataset dataset;
-  IngestStats stats;
-};
-
 /// The ML job runtime: the Spark/Hadoop analogue that launches one worker
 /// per InputSplit, places workers on the split's preferred node when
 /// possible (best-effort locality, as the paper's coordinator arranges),
@@ -42,12 +37,6 @@ class MlJobRunner {
 
   /// Runs the ingestion phase: GetSplits → parallel read → RowDataset.
   Result<IngestResult> Ingest(InputFormat* format);
-
-  /// Columnar ingestion: the same split/recovery protocol, but each
-  /// partition accumulates as a ColumnBatch — readers that support batch
-  /// delivery (SupportsBatches) feed it whole frames with no per-row Value
-  /// boxing; others fall back to row appends.
-  Result<ColumnIngestResult> IngestColumns(InputFormat* format);
 
   const JobContext& context() const { return context_; }
 

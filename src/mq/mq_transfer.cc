@@ -3,7 +3,6 @@
 #include <atomic>
 #include <thread>
 
-#include "common/coding.h"
 #include "common/failpoint.h"
 #include "common/status_macros.h"
 #include "common/trace.h"
@@ -16,42 +15,6 @@ namespace {
 
 constexpr int kPollTimeoutMs = 100;
 constexpr int kMaxIdlePolls = 600;  // 60 s of broker silence -> error.
-
-/// Encodes a batch of rows as one broker message:
-/// varint row count + concatenated encoded rows (same as a kData frame).
-class MessageBatcher {
- public:
-  void Add(const Row& row) {
-    ++count_;
-    RowCodec::Encode(row, &body_);
-  }
-  bool empty() const { return count_ == 0; }
-  size_t bytes() const { return body_.size(); }
-  std::string Flush() {
-    std::string payload;
-    PutVarint64(&payload, count_);
-    payload += body_;
-    count_ = 0;
-    body_.clear();
-    return payload;
-  }
-
- private:
-  uint64_t count_ = 0;
-  std::string body_;
-};
-
-Result<std::vector<Row>> DecodeMessage(const std::string& payload) {
-  Decoder decoder(payload);
-  ASSIGN_OR_RETURN(uint64_t count, decoder.GetVarint64());
-  std::vector<Row> rows;
-  rows.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    ASSIGN_OR_RETURN(Row row, RowCodec::Decode(&decoder));
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
 
 /// The publishing side: each SQL worker appends its partition's rows
 /// round-robin to its k topic partitions, then seals them.
@@ -97,11 +60,13 @@ class MqSinkUdf final : public TableUdf {
     const int first_partition = context.worker_id * k_;
     TraceSpan span("mq.sink.partition");
     span.AddAttribute("worker", context.worker_id);
-    std::vector<MessageBatcher> batchers(static_cast<size_t>(k_));
+    // One broker message = one row-batch payload, as on the stream.
+    std::vector<RowBatchEncoder> batchers(static_cast<size_t>(k_));
     int64_t rows = 0;
     int64_t messages = 0;
     auto flush = [&](int j) -> Status {
-      std::string payload = batchers[static_cast<size_t>(j)].Flush();
+      std::string payload;
+      batchers[static_cast<size_t>(j)].Flush(&payload);
       ++messages;
       return broker_->Produce(topic_, first_partition + j, std::move(payload))
           .status();
@@ -112,7 +77,7 @@ class MqSinkUdf final : public TableUdf {
     for (;;) {
       ASSIGN_OR_RETURN(bool has, input->Next(&row));
       if (!has) break;
-      MessageBatcher& batch = batchers[static_cast<size_t>(next)];
+      RowBatchEncoder& batch = batchers[static_cast<size_t>(next)];
       batch.Add(row);
       ++rows;
       if (batch.bytes() >= batch_bytes_) {
@@ -208,7 +173,7 @@ class MqRecordReader final : public ml::RecordReader {
           reread_counter_->fetch_add(1);
         }
         ASSIGN_OR_RETURN(std::vector<Row> rows,
-                         DecodeMessage(message.payload));
+                         RowCodec::DecodeRows(message.payload));
         for (Row& row : rows) pending_.push_back(std::move(row));
         offset_ = message.offset + 1;
       }

@@ -55,10 +55,6 @@ int64_t SlowChannelThresholdMs() {
   return std::strtoll(env, nullptr, 10);
 }
 
-bool IsDataFrame(FrameType type) {
-  return type == FrameType::kData || type == FrameType::kColData;
-}
-
 Status ChannelClosedByPeer(const Status& close_status) {
   if (!close_status.ok()) return close_status;
   return Status::NetworkError("closed");
@@ -81,7 +77,7 @@ Status MuxChannel::Send(FrameType type, std::string_view payload,
   // Frame-level fault surface of the data plane: an error spec fails this
   // send, a close spec truncates the frame and kills the shared connection.
   FailpointOutcome outcome = SQLINK_FAILPOINT("stream.wire.send_frame");
-  if (outcome == FailpointOutcome::kNone && IsDataFrame(type)) {
+  if (outcome == FailpointOutcome::kNone && type == FrameType::kData) {
     outcome = SQLINK_FAILPOINT("stream.wire.send_data");
   }
   if (outcome == FailpointOutcome::kError) {
@@ -89,7 +85,7 @@ Status MuxChannel::Send(FrameType type, std::string_view payload,
   }
   const bool truncate = outcome == FailpointOutcome::kClose;
 
-  if (IsDataFrame(type) && !truncate) {
+  if (type == FrameType::kData && !truncate) {
     std::unique_lock<std::mutex> lock(mu_);
     if (credit_ <= 0 && state_.ok() && !remote_closed_) {
       MuxMetrics::Get().window_stalls->Increment();
@@ -126,7 +122,7 @@ Status MuxChannel::Recv(Frame* frame) {
     }
     *frame = std::move(inbox_.front());
     inbox_.pop_front();
-    if (IsDataFrame(frame->type)) {
+    if (frame->type == FrameType::kData) {
       grant = static_cast<int64_t>(frame->payload.size());
     }
   }
@@ -152,7 +148,7 @@ Result<bool> MuxChannel::TryRecv(Frame* frame, bool* closed) {
     }
     *frame = std::move(inbox_.front());
     inbox_.pop_front();
-    if (IsDataFrame(frame->type)) {
+    if (frame->type == FrameType::kData) {
       grant = static_cast<int64_t>(frame->payload.size());
     }
   }

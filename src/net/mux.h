@@ -23,9 +23,9 @@ class MuxConn;
 
 /// One logical sink→reader transfer stream, multiplexed onto a shared
 /// connection. The sink's sender and the reader speak the §6 frame protocol
-/// (kResume/kSchema/kDictPage/kData/kColData/kEnd + kDataAck/kAck) through
-/// it: frames travel wrapped in kChannelData with a one-byte inner-type
-/// prefix, and data frames additionally consume per-channel credit
+/// (kResume/kSchema/kData/kEnd + kDataAck/kAck) through it: frames travel
+/// wrapped in kChannelData with a one-byte inner-type prefix, and kData
+/// frames additionally consume per-channel credit
 /// (kChannelWindow replenishes it), so one slow reader parks only its own
 /// channel, never its socket-mates.
 ///

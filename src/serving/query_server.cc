@@ -74,8 +74,7 @@ Result<SubmitQueryMessage> SubmitQueryMessage::Decode(
 std::string QueryResultMessage::Encode() const {
   std::string out;
   EncodeSchema(*schema, &out);
-  PutVarint64(&out, rows.size());
-  for (const Row& row : rows) RowCodec::Encode(row, &out);
+  RowCodec::EncodeRows(rows, &out);
   PutVarint64Signed(&out, elapsed_micros);
   return out;
 }
@@ -85,12 +84,7 @@ Result<QueryResultMessage> QueryResultMessage::Decode(
   Decoder decoder(payload);
   QueryResultMessage message;
   ASSIGN_OR_RETURN(message.schema, DecodeSchema(&decoder));
-  ASSIGN_OR_RETURN(uint64_t n, decoder.GetVarint64());
-  message.rows.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    ASSIGN_OR_RETURN(Row row, RowCodec::Decode(&decoder));
-    message.rows.push_back(std::move(row));
-  }
+  RETURN_IF_ERROR(RowCodec::DecodeRows(&decoder, &message.rows));
   ASSIGN_OR_RETURN(message.elapsed_micros, decoder.GetVarint64Signed());
   return message;
 }

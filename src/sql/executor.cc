@@ -424,10 +424,9 @@ class VectorizedHashJoinIterator final : public BatchIterator {
   std::vector<int32_t> sel_;
 };
 
-/// Batch-mode UDF pump: the pump thread hands the UDF a columnar input via
-/// ProcessPartitionBatches (batch-capable UDFs consume it directly; others
-/// fall back to the row adapter inside the default implementation), and the
-/// emitted rows are re-batched for the downstream vectorized pipeline.
+/// Batch-mode UDF pump: the pump thread feeds the UDF its columnar input
+/// through the row adapter, and the emitted rows are re-batched for the
+/// downstream vectorized pipeline.
 class UdfBatchPartitionIterator final : public BatchIterator {
  public:
   UdfBatchPartitionIterator(TableUdfPtr udf, TableUdfContext context,
@@ -439,8 +438,13 @@ class UdfBatchPartitionIterator final : public BatchIterator {
         queue_(kUdfQueueCapacity) {
     pump_ = std::thread([this] {
       RowQueueSink sink(&queue_);
-      const Status status =
-          udf_->ProcessPartitionBatches(context_, input_.get(), &sink);
+      Status status;
+      if (input_ == nullptr) {
+        status = udf_->ProcessPartition(context_, nullptr, &sink);
+      } else {
+        BatchToRowIterator rows(input_.get());
+        status = udf_->ProcessPartition(context_, &rows, &sink);
+      }
       {
         std::lock_guard<std::mutex> lock(mu_);
         if (!status.ok() && !status.IsCancelled()) pump_status_ = status;

@@ -6,16 +6,6 @@
 
 namespace sqlink {
 
-Status TableUdf::ProcessPartitionBatches(const TableUdfContext& context,
-                                         BatchIterator* input,
-                                         RowSink* output) {
-  if (input == nullptr) {
-    return ProcessPartition(context, nullptr, output);
-  }
-  BatchToRowIterator rows(input);
-  return ProcessPartition(context, &rows, output);
-}
-
 Status TableUdfRegistry::Register(const std::string& name,
                                   TableUdfFactory factory) {
   const std::string key = ToLowerAscii(name);

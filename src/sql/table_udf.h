@@ -13,7 +13,6 @@
 #include "common/cancellation.h"
 #include "common/metrics.h"
 #include "common/result.h"
-#include "sql/batch_iterator.h"
 #include "sql/row_iterator.h"
 #include "table/schema.h"
 #include "table/value.h"
@@ -64,15 +63,6 @@ class TableUdf {
   /// Processes one worker's partition. `input` is null for source UDFs.
   virtual Status ProcessPartition(const TableUdfContext& context,
                                   RowIterator* input, RowSink* output) = 0;
-
-  /// Batch-input variant, called by the vectorized executor: `input` is a
-  /// columnar pipeline (null for source UDFs). The default adapts batches
-  /// to rows and delegates to ProcessPartition; UDFs that can consume
-  /// ColumnBatch directly (the streaming sink) override to skip the
-  /// row detour entirely.
-  virtual Status ProcessPartitionBatches(const TableUdfContext& context,
-                                         BatchIterator* input,
-                                         RowSink* output);
 
   /// Runs once after all workers returned (success or failure).
   virtual Status Finish() { return Status::OK(); }

@@ -166,7 +166,7 @@ void StreamCoordinator::AbortLocked(Status status) {
   aborted_ = true;
   abort_status_ = status.ok() ? Status::Aborted("query aborted") : status;
   LOG_ERROR() << "coordinator aborting query: " << abort_status_;
-  MetricsRegistry::Global().Increment("coordinator.aborts");
+  MetricsRegistry::Global().GetCounter("coordinator.aborts")->Increment();
   // Wake barrier waiters so GetSplits/matchmaking surface the abort instead
   // of timing out.
   splits_ready_cv_.notify_all();
@@ -235,19 +235,23 @@ void StreamCoordinator::HandleConnection(TcpSocket* socket) {
     switch (frame->type) {
       case FrameType::kRegisterSql:
         status = HandleRegisterSql(socket, *frame);
-        MetricsRegistry::Global().Increment("coordinator.register_sql.count");
+        MetricsRegistry::Global().GetCounter("coordinator.register_sql.count")
+            ->Increment();
         break;
       case FrameType::kGetSplits:
         status = HandleGetSplits(socket);
-        MetricsRegistry::Global().Increment("coordinator.get_splits.count");
+        MetricsRegistry::Global().GetCounter("coordinator.get_splits.count")
+            ->Increment();
         break;
       case FrameType::kRegisterMl:
         status = HandleRegisterMl(socket, *frame, /*is_failure=*/false);
-        MetricsRegistry::Global().Increment("coordinator.match.count");
+        MetricsRegistry::Global().GetCounter("coordinator.match.count")
+            ->Increment();
         break;
       case FrameType::kReportFailure:
         status = HandleRegisterMl(socket, *frame, /*is_failure=*/true);
-        MetricsRegistry::Global().Increment("coordinator.rematch.count");
+        MetricsRegistry::Global().GetCounter("coordinator.rematch.count")
+            ->Increment();
         break;
       case FrameType::kHeartbeat:
         status = HandleHeartbeat(socket, *frame);

@@ -9,14 +9,12 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/retry_policy.h"
-#include "common/runtime_flags.h"
 #include "common/status_macros.h"
 #include "common/trace.h"
 #include "net/conn_pool.h"
 #include "net/mux.h"
 #include "stream/heartbeat.h"
 #include "stream/socket.h"
-#include "table/column_batch.h"
 #include "table/row_codec.h"
 
 namespace sqlink {
@@ -134,41 +132,6 @@ class StreamRecordReader final : public ml::RecordReader {
     }
   }
 
-  /// Whole-batch delivery is worthwhile only when the sink streams columnar
-  /// frames (same process-wide knob on both sides); with row frames the
-  /// conversion would just move the boxing cost around.
-  bool SupportsBatches() const override { return ColumnarEnabled(); }
-
-  Result<bool> NextBatch(ColumnBatch* out) override {
-    for (;;) {
-      if (done_) return false;
-      if (heartbeat_ != nullptr && heartbeat_->revoked()) {
-        CloseChannel(heartbeat_->status());
-        connected_ = false;
-        return heartbeat_->status();
-      }
-      if (!connected_) {
-        RETURN_IF_ERROR(Open());
-        continue;
-      }
-      auto batch = NextBatchFromConnection(out);
-      if (batch.ok()) {
-        if (!*batch) {
-          done_ = true;
-          CloseStreamSpan(/*error=*/false);
-          return false;
-        }
-        delivered_ += out->num_rows();
-        if (rows_delivered_ != nullptr) {
-          rows_delivered_->Add(static_cast<int64_t>(out->num_rows()));
-        }
-        RETURN_IF_ERROR(ProbeDeliveryFailpoints());
-        return true;
-      }
-      RETURN_IF_ERROR(HandleFailure(batch.status()));
-    }
-  }
-
  private:
   /// Fault injection after a delivery. "row": drop the connection and
   /// recover locally. "kill": the reader dies mid-split — no local recovery;
@@ -221,7 +184,9 @@ class StreamRecordReader final : public ml::RecordReader {
       // A restarted sink re-registers under a fresh mux routing key; the
       // re-match carries the current one.
       sink_key = match.sink_key;
-      if (metrics_ != nullptr) metrics_->Increment("stream.reconnects");
+      if (metrics_ != nullptr) {
+        metrics_->GetCounter("stream.reconnects")->Increment();
+      }
     }
     HelloMessage hello;
     hello.split_id = split_.split_id;
@@ -270,7 +235,6 @@ class StreamRecordReader final : public ml::RecordReader {
     }
     Decoder schema_decoder(schema_frame.payload);
     ASSIGN_OR_RETURN(schema_, DecodeSchema(&schema_decoder));
-    if (!col_batch_.has_value()) col_batch_.emplace(schema_);
     // The per-connection span parents to the *sender's* span carried in the
     // schema frame header: the SQL worker's trace continues on the ML side.
     CloseStreamSpan(/*error=*/false);
@@ -290,9 +254,6 @@ class StreamRecordReader final : public ml::RecordReader {
       skip_rows_ = batch_index_;
     }
     batch_.clear();
-    col_batch_->Clear();
-    staged_size_ = 0;
-    staged_columnar_ = false;
     batch_index_ = 0;
     batch_pending_ = false;
     pending_ack_ = false;
@@ -314,39 +275,8 @@ class StreamRecordReader final : public ml::RecordReader {
   /// Next row from the live connection; false at clean end-of-stream.
   Result<bool> NextFromConnection(Row* out) {
     for (;;) {
-      if (batch_index_ < staged_size_) {
-        if (staged_columnar_) {
-          col_batch_->EmitRow(batch_index_++, out);
-        } else {
-          *out = std::move(batch_[batch_index_++]);
-        }
-        return true;
-      }
-      ASSIGN_OR_RETURN(bool live, AdvanceToStagedFrame());
-      if (!live) return false;
-    }
-  }
-
-  /// The undelivered remainder of the staged frame as one columnar batch;
-  /// false at clean end-of-stream. The common case — a whole columnar frame
-  /// not yet touched — moves the decoded batch out without copying.
-  Result<bool> NextBatchFromConnection(ColumnBatch* out) {
-    for (;;) {
-      if (batch_index_ < staged_size_) {
-        if (staged_columnar_ && batch_index_ == 0) {
-          *out = std::move(*col_batch_);
-          col_batch_->Reset(schema_);
-        } else if (staged_columnar_) {
-          *out = col_batch_->Slice(batch_index_);
-        } else {
-          ColumnBatch converted(schema_);
-          converted.Reserve(staged_size_ - batch_index_);
-          for (size_t r = batch_index_; r < staged_size_; ++r) {
-            RETURN_IF_ERROR(converted.AppendRow(batch_[r]));
-          }
-          *out = std::move(converted);
-        }
-        batch_index_ = staged_size_;
+      if (batch_index_ < batch_.size()) {
+        *out = std::move(batch_[batch_index_++]);
         return true;
       }
       ASSIGN_OR_RETURN(bool live, AdvanceToStagedFrame());
@@ -364,7 +294,7 @@ class StreamRecordReader final : public ml::RecordReader {
       // instead would make a reconnect resume past rows that were decoded
       // but never delivered.
       last_applied_seq_ = batch_seq_;
-      applied_rows_ += staged_size_;
+      applied_rows_ += batch_.size();
       batch_pending_ = false;
       pending_ack_ = true;
     }
@@ -372,8 +302,7 @@ class StreamRecordReader final : public ml::RecordReader {
     for (;;) {
       RETURN_IF_ERROR(channel_->Recv(&frame_));
       switch (frame_.type) {
-        case FrameType::kData:
-        case FrameType::kColData: {
+        case FrameType::kData: {
           if (SQLINK_FAILPOINT("stream.reader.frame") !=
               FailpointOutcome::kNone) {
             return Status::NetworkError("failpoint: injected frame error");
@@ -392,29 +321,14 @@ class StreamRecordReader final : public ml::RecordReader {
                 std::to_string(last_applied_seq_ + 1) + ", got " +
                 std::to_string(frame_.seq));
           }
-          if (frame_.type == FrameType::kData) {
-            Decoder decoder(frame_.payload);
-            ASSIGN_OR_RETURN(uint64_t count, decoder.GetVarint64());
-            batch_.clear();
-            batch_.reserve(count);
-            for (uint64_t i = 0; i < count; ++i) {
-              ASSIGN_OR_RETURN(Row row, RowCodec::Decode(&decoder));
-              batch_.push_back(std::move(row));
-            }
-            staged_size_ = batch_.size();
-            staged_columnar_ = false;
-          } else {
-            RETURN_IF_ERROR(col_decoder_.DecodeBatch(frame_.payload, schema_,
-                                                     &*col_batch_));
-            staged_size_ = col_batch_->num_rows();
-            staged_columnar_ = true;
-          }
+          Decoder decoder(frame_.payload);
+          RETURN_IF_ERROR(RowCodec::DecodeRows(&decoder, &batch_));
           batch_index_ = 0;
           if (frame_.seq == skip_seq_ && skip_rows_ > 0) {
             // Replay of the frame that was in flight when the previous
             // connection dropped: its first skip_rows_ rows already reached
             // the partition, so deliver only the tail.
-            batch_index_ = std::min<size_t>(skip_rows_, staged_size_);
+            batch_index_ = std::min<size_t>(skip_rows_, batch_.size());
           }
           skip_seq_ = 0;
           skip_rows_ = 0;
@@ -429,12 +343,6 @@ class StreamRecordReader final : public ml::RecordReader {
           }
           return true;
         }
-        case FrameType::kDictPage:
-          // Carries no sequence number: a (re)connect preamble that brings
-          // this channel's dictionaries up to the sink's current state so
-          // replayed delta frames resolve.
-          RETURN_IF_ERROR(col_decoder_.ApplySnapshot(frame_.payload, schema_));
-          continue;
         case FrameType::kEnd: {
           if (frame_.seq != last_applied_seq_) {
             return Status::NetworkError(
@@ -549,12 +457,7 @@ class StreamRecordReader final : public ml::RecordReader {
   bool done_ = false;
   SchemaPtr schema_;               // Decoded from the kSchema frame.
   Frame frame_;                    // Receive scratch reused across frames.
-  ColumnarChannelDecoder col_decoder_;
-  std::optional<ColumnBatch> col_batch_;  // Staged kColData frame (Connect
-                                          // creates it with the schema).
   std::vector<Row> batch_;         // Staged kData frame.
-  bool staged_columnar_ = false;   // Which staging buffer holds the frame.
-  size_t staged_size_ = 0;         // Rows in the staged frame.
   size_t batch_index_ = 0;         // Next staged row to deliver.
   uint64_t batch_seq_ = 0;         // Frame the staged rows decoded from.
   bool batch_pending_ = false;     // Staged but not fully delivered.

@@ -15,7 +15,6 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/retry_policy.h"
-#include "common/runtime_flags.h"
 #include "common/status_macros.h"
 #include "common/trace.h"
 #include "net/conn_pool.h"
@@ -25,101 +24,13 @@
 #include "stream/replay_window.h"
 #include "stream/spill_queue.h"
 #include "stream/wire.h"
-#include "table/column_batch.h"
 #include "table/row_codec.h"
 
 namespace sqlink {
 
 namespace {
 
-/// Accumulates rows and renders data-frame payloads. Both encodings lead
-/// with a varint row count, so FrameRowCount and the replay window treat
-/// them uniformly.
-class FrameBatcher {
- public:
-  virtual ~FrameBatcher() = default;
-  virtual Status Add(const Row& row) = 0;
-  /// Appends the selected rows of a ColumnBatch. The default boxes each row
-  /// through Add; encodings that are columnar on the wire override it to
-  /// gather columns directly.
-  virtual Status AddRows(const ColumnBatch& batch, const int32_t* rows,
-                         size_t n) {
-    Row row;
-    for (size_t i = 0; i < n; ++i) {
-      batch.EmitRow(static_cast<size_t>(rows[i]), &row);
-      RETURN_IF_ERROR(Add(row));
-    }
-    return Status::OK();
-  }
-  virtual bool empty() const = 0;
-  /// Approximate payload bytes accumulated (flush threshold).
-  virtual size_t bytes() const = 0;
-  /// Renders and resets. The returned buffer comes from the frame pool.
-  virtual Result<std::string> Flush() = 0;
-};
-
-/// Row encoding (kData): varint row count + concatenated RowCodec rows.
-class RowFrameBatcher final : public FrameBatcher {
- public:
-  explicit RowFrameBatcher(FrameBufferPool* pool) : pool_(pool) {}
-
-  Status Add(const Row& row) override {
-    ++count_;
-    RowCodec::Encode(row, &body_);
-    return Status::OK();
-  }
-
-  bool empty() const override { return count_ == 0; }
-  size_t bytes() const override { return body_.size(); }
-
-  Result<std::string> Flush() override {
-    std::string payload = pool_->Acquire();
-    PutVarint64(&payload, count_);
-    payload += body_;
-    count_ = 0;
-    body_.clear();
-    return payload;
-  }
-
- private:
-  FrameBufferPool* pool_;
-  uint64_t count_ = 0;
-  std::string body_;
-};
-
-/// Columnar encoding (kColData): rows accumulate in typed vectors and are
-/// rendered column-contiguously by the channel encoder on flush.
-class ColumnarFrameBatcher final : public FrameBatcher {
- public:
-  ColumnarFrameBatcher(SchemaPtr schema, ColumnarChannelEncoder* encoder,
-                       FrameBufferPool* pool)
-      : batch_(std::move(schema)), encoder_(encoder), pool_(pool) {}
-
-  Status Add(const Row& row) override { return batch_.AppendRow(row); }
-
-  Status AddRows(const ColumnBatch& batch, const int32_t* rows,
-                 size_t n) override {
-    return batch_.AppendGather(batch, rows, n);
-  }
-
-  bool empty() const override { return batch_.empty(); }
-  size_t bytes() const override { return batch_.ByteSize(); }
-
-  Result<std::string> Flush() override {
-    std::string payload = pool_->Acquire();
-    RETURN_IF_ERROR(encoder_->EncodeBatch(batch_, &payload));
-    batch_.Clear();
-    return payload;
-  }
-
- private:
-  ColumnBatch batch_;
-  ColumnarChannelEncoder* encoder_;
-  FrameBufferPool* pool_;
-};
-
-/// Row count of a data frame payload (its leading varint — shared by the
-/// row and columnar encodings).
+/// Row count of a data frame payload (its leading varint).
 Result<uint64_t> FrameRowCount(const std::string& frame) {
   Decoder decoder(frame);
   return decoder.GetVarint64();
@@ -264,21 +175,6 @@ Result<SchemaPtr> SqlStreamSinkUdf::Bind(const SchemaPtr& input_schema,
 Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
                                           RowIterator* input,
                                           RowSink* output) {
-  return RunTransfer(context, input, /*batches=*/nullptr, output);
-}
-
-Status SqlStreamSinkUdf::ProcessPartitionBatches(const TableUdfContext& context,
-                                                 BatchIterator* input,
-                                                 RowSink* output) {
-  if (input == nullptr) {
-    return Status::InvalidArgument("sql_stream_sink needs an input relation");
-  }
-  return RunTransfer(context, /*rows=*/nullptr, input, output);
-}
-
-Status SqlStreamSinkUdf::RunTransfer(const TableUdfContext& context,
-                                     RowIterator* input,
-                                     BatchIterator* batches, RowSink* output) {
   // Per-partition root of the SQL side of the trace. Every frame this
   // worker sends (registration, schema, data) carries a descendant of this
   // span, so the coordinator and the ML reader join the same trace.
@@ -465,22 +361,7 @@ Status SqlStreamSinkUdf::RunTransfer(const TableUdfContext& context,
   int64_t bytes_sent = 0;
   int64_t spilled_frames = 0;
 
-  // Columnar mode is fixed for the transfer's lifetime: every data frame on
-  // a channel uses one encoding, so live and replayed frames always agree.
-  const bool columnar = ColumnarEnabled();
-  const FrameType data_frame_type =
-      columnar ? FrameType::kColData : FrameType::kData;
   FrameBufferPool* const frame_pool = FrameBufferPool::Global();
-  // One dictionary set per target channel, shared by the producer-side
-  // batcher (which appends entries while encoding deltas) and the sender
-  // (which snapshots it into a kDictPage on every (re)connect).
-  std::vector<std::unique_ptr<ColumnarChannelEncoder>> encoders;
-  if (columnar) {
-    for (int j = 0; j < k; ++j) {
-      encoders.push_back(
-          std::make_unique<ColumnarChannelEncoder>(input_schema_));
-    }
-  }
 
   // --- Step 8: round-robin rows into per-target send buffers while sender
   // threads drain them onto the sockets. Each sender retains sent frames in
@@ -644,21 +525,11 @@ Status SqlStreamSinkUdf::RunTransfer(const TableUdfContext& context,
         EncodeSchema(*input_schema_, &schema_payload);
         RETURN_IF_ERROR(channel->Send(FrameType::kSchema, schema_payload, 0));
 
-        if (columnar) {
-          // Full dictionary snapshot on every (re)connect: replayed delta
-          // frames then only re-append entries the reader already has,
-          // which the decoder skips, so replay stays idempotent.
-          RETURN_IF_ERROR(
-              channel->Send(FrameType::kDictPage,
-                            encoders[static_cast<size_t>(j)]->SnapshotDicts(),
-                            0));
-        }
-
         RETURN_IF_ERROR(window.Replay(
             resume, [&](uint64_t seq, uint64_t rows, const std::string& frame)
                         -> Status {
               (void)rows;
-              RETURN_IF_ERROR(channel->Send(data_frame_type, frame, seq));
+              RETURN_IF_ERROR(channel->Send(FrameType::kData, frame, seq));
               replayed_counter->Increment();
               return Status::OK();
             }));
@@ -679,7 +550,7 @@ Status SqlStreamSinkUdf::RunTransfer(const TableUdfContext& context,
           std::string retained = frame_pool->Acquire();
           retained.assign(*frame);
           RETURN_IF_ERROR(window.Append(seq, rows, std::move(retained)));
-          RETURN_IF_ERROR(channel->Send(data_frame_type, *frame, seq));
+          RETURN_IF_ERROR(channel->Send(FrameType::kData, *frame, seq));
           frame_pool->Release(std::move(*frame));
         }
 
@@ -741,104 +612,36 @@ Status SqlStreamSinkUdf::RunTransfer(const TableUdfContext& context,
     });
   }
 
-  std::vector<std::unique_ptr<FrameBatcher>> batchers;
-  for (int j = 0; j < k; ++j) {
-    if (columnar) {
-      batchers.push_back(std::make_unique<ColumnarFrameBatcher>(
-          input_schema_, encoders[static_cast<size_t>(j)].get(), frame_pool));
-    } else {
-      batchers.push_back(std::make_unique<RowFrameBatcher>(frame_pool));
-    }
-  }
-  Status produce_status;
-  size_t next_target = 0;
-  // Flushes target j's accumulated frame when it crossed the buffer size.
-  auto maybe_flush = [&](size_t j) -> Status {
-    FrameBatcher& batch = *batchers[j];
-    if (batch.bytes() < options_.send_buffer_bytes) return Status::OK();
-    ASSIGN_OR_RETURN(std::string frame, batch.Flush());
+  // Rows go round-robin, one at a time, into per-target row batches; a
+  // batch becomes a frame once it crosses the send buffer size.
+  std::vector<RowBatchEncoder> batchers(static_cast<size_t>(k));
+  auto flush = [&](size_t j) -> Status {
+    std::string frame = frame_pool->Acquire();
+    batchers[j].Flush(&frame);
     bytes_sent += static_cast<int64_t>(frame.size());
     return queues[j]->Push(std::move(frame));
   };
-  if (batches != nullptr) {
-    // Batch path: per-row round-robin routing identical to the row path,
-    // but each target receives its slice of the batch as one gather — in
-    // columnar wire mode no row is ever boxed.
-    ColumnBatch batch;
-    std::vector<std::vector<int32_t>> target_sel(static_cast<size_t>(k));
-    // Feeds one target's slice in threshold-sized chunks so frame sizes
-    // stay near send_buffer_bytes, exactly like the per-row flush check —
-    // spill/backpressure behavior must not depend on the engine mode.
-    auto add_slice = [&](size_t j, const ColumnBatch& src,
-                         const std::vector<int32_t>& sel) -> Status {
-      const double avg_row_bytes =
-          src.num_rows() > 0
-              ? std::max(1.0, static_cast<double>(src.ByteSize()) /
-                                  static_cast<double>(src.num_rows()))
-              : 1.0;
-      size_t off = 0;
-      while (off < sel.size()) {
-        FrameBatcher& batcher = *batchers[j];
-        const size_t room = options_.send_buffer_bytes > batcher.bytes()
-                                ? options_.send_buffer_bytes - batcher.bytes()
-                                : 0;
-        size_t take = std::max<size_t>(
-            1, static_cast<size_t>(static_cast<double>(room) / avg_row_bytes));
-        take = std::min(take, sel.size() - off);
-        RETURN_IF_ERROR(batcher.AddRows(src, sel.data() + off, take));
-        rows_sent += static_cast<int64_t>(take);
-        RETURN_IF_ERROR(maybe_flush(j));
-        off += take;
-      }
-      return Status::OK();
-    };
-    for (;;) {
-      auto has = batches->Next(&batch);
-      if (!has.ok()) {
-        produce_status = has.status();
-        break;
-      }
-      if (!*has) break;
-      for (auto& sel : target_sel) sel.clear();
-      for (size_t r = 0; r < batch.num_rows(); ++r) {
-        target_sel[next_target].push_back(static_cast<int32_t>(r));
-        next_target = (next_target + 1) % static_cast<size_t>(k);
-      }
-      for (size_t j = 0; j < target_sel.size() && produce_status.ok(); ++j) {
-        if (target_sel[j].empty()) continue;
-        produce_status = add_slice(j, batch, target_sel[j]);
-      }
+  Status produce_status;
+  size_t next_target = 0;
+  Row row;
+  for (;;) {
+    auto has = input->Next(&row);
+    if (!has.ok()) {
+      produce_status = has.status();
+      break;
+    }
+    if (!*has) break;
+    RowBatchEncoder& batch = batchers[next_target];
+    batch.Add(row);
+    ++rows_sent;
+    if (batch.bytes() >= options_.send_buffer_bytes) {
+      produce_status = flush(next_target);
       if (!produce_status.ok()) break;
     }
-  } else {
-    Row row;
-    for (;;) {
-      auto has = input->Next(&row);
-      if (!has.ok()) {
-        produce_status = has.status();
-        break;
-      }
-      if (!*has) break;
-      produce_status = batchers[next_target]->Add(row);
-      if (!produce_status.ok()) break;
-      ++rows_sent;
-      produce_status = maybe_flush(next_target);
-      if (!produce_status.ok()) break;
-      next_target = (next_target + 1) % static_cast<size_t>(k);
-    }
+    next_target = (next_target + 1) % static_cast<size_t>(k);
   }
-  if (produce_status.ok()) {
-    for (size_t j = 0; j < batchers.size(); ++j) {
-      if (batchers[j]->empty()) continue;
-      Result<std::string> frame = batchers[j]->Flush();
-      if (!frame.ok()) {
-        produce_status = frame.status();
-        break;
-      }
-      bytes_sent += static_cast<int64_t>(frame->size());
-      produce_status = queues[j]->Push(std::move(*frame));
-      if (!produce_status.ok()) break;
-    }
+  for (size_t j = 0; j < batchers.size() && produce_status.ok(); ++j) {
+    if (!batchers[j].empty()) produce_status = flush(j);
   }
   for (auto& queue : queues) {
     if (produce_status.ok()) {

@@ -60,21 +60,11 @@ class SqlStreamSinkUdf final : public TableUdf {
                          const std::vector<Value>& args) override;
   Status ProcessPartition(const TableUdfContext& context, RowIterator* input,
                           RowSink* output) override;
-  /// Vectorized-engine entry: consumes ColumnBatches directly — in columnar
-  /// wire mode rows are gathered column-wise into frame batches without
-  /// ever being boxed. Row routing is identical to ProcessPartition.
-  Status ProcessPartitionBatches(const TableUdfContext& context,
-                                 BatchIterator* input,
-                                 RowSink* output) override;
 
   /// Schema of the per-worker summary row.
   static SchemaPtr SummarySchema();
 
  private:
-  /// Shared transfer body; exactly one of `rows`/`batches` is non-null.
-  Status RunTransfer(const TableUdfContext& context, RowIterator* rows,
-                     BatchIterator* batches, RowSink* output);
-
   std::string coordinator_host_;
   int coordinator_port_ = 0;
   std::string command_;

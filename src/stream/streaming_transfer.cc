@@ -25,15 +25,9 @@ std::string StreamingTransfer::BuildSinkSql(const std::string& query_sql,
          std::to_string(sink.replay_window_bytes) + "))";
 }
 
-namespace {
-
-/// The transfer flow is identical for row and columnar materialization;
-/// only the ingest call and the result's dataset shape differ.
-template <typename TransferResultT, typename IngestResultT, typename IngestFn>
-Result<TransferResultT> RunTransfer(SqlEngine* engine,
-                                    const std::string& query_sql,
-                                    const StreamTransferOptions& options,
-                                    IngestFn ingest) {
+Result<StreamTransferResult> StreamingTransfer::Run(
+    SqlEngine* engine, const std::string& query_sql,
+    const StreamTransferOptions& options) {
   RETURN_IF_ERROR(RegisterStreamSinkUdf(engine));
 
   // Root span of the whole transfer. Installing it as the ambient context
@@ -47,8 +41,8 @@ Result<TransferResultT> RunTransfer(SqlEngine* engine,
   // The coordinator launches the ML ingestion when all SQL workers have
   // registered (paper step 2). The launcher runs on the coordinator's
   // launcher thread and fulfills the promise.
-  std::promise<Result<IngestResultT>> ml_promise;
-  std::future<Result<IngestResultT>> ml_future = ml_promise.get_future();
+  std::promise<Result<ml::IngestResult>> ml_promise;
+  std::future<Result<ml::IngestResult>> ml_future = ml_promise.get_future();
 
   StreamCoordinator::Options coordinator_options;
   coordinator_options.splits_per_worker = options.splits_per_worker;
@@ -63,9 +57,8 @@ Result<TransferResultT> RunTransfer(SqlEngine* engine,
                              // so capture a pointer to a stable location.
   auto port_holder = std::make_shared<int>(0);
   coordinator_options.ml_launcher =
-      [engine, port_holder, reader_options = options.reader, &ml_promise,
-       ingest](const std::string& command,
-               const std::vector<std::string>& args) {
+      [engine, port_holder, reader_options = options.reader, &ml_promise](
+          const std::string& command, const std::vector<std::string>& args) {
         (void)command;
         (void)args;
         ml::JobContext context;
@@ -73,7 +66,7 @@ Result<TransferResultT> RunTransfer(SqlEngine* engine,
         context.metrics = engine->metrics();
         SqlStreamInputFormat format("localhost", *port_holder, reader_options);
         ml::MlJobRunner runner(context);
-        ml_promise.set_value(ingest(&runner, &format));
+        ml_promise.set_value(runner.Ingest(&format));
       };
 
   ASSIGN_OR_RETURN(std::unique_ptr<StreamCoordinator> coordinator,
@@ -81,7 +74,7 @@ Result<TransferResultT> RunTransfer(SqlEngine* engine,
   *port_holder = coordinator->port();
   coordinator_port = coordinator->port();
 
-  const std::string sink_sql = StreamingTransfer::BuildSinkSql(
+  const std::string sink_sql = BuildSinkSql(
       query_sql, coordinator->host(), coordinator_port, options.command,
       options.sink);
 
@@ -101,7 +94,7 @@ Result<TransferResultT> RunTransfer(SqlEngine* engine,
     options.query.cancellation->RemoveCallback(cancel_id);
   }
 
-  Result<TransferResultT> outcome = [&]() -> Result<TransferResultT> {
+  Result<StreamTransferResult> outcome = [&]() -> Result<StreamTransferResult> {
     if (!sql_result.ok()) {
       // If the failure happened before every worker registered, the ML job
       // was never launched and the future will never be fulfilled.
@@ -112,8 +105,8 @@ Result<TransferResultT> RunTransfer(SqlEngine* engine,
       (void)ml_future.get();
       return sql_result.status();
     }
-    ASSIGN_OR_RETURN(IngestResultT ingested, ml_future.get());
-    TransferResultT result;
+    ASSIGN_OR_RETURN(ml::IngestResult ingested, ml_future.get());
+    StreamTransferResult result;
     result.dataset = std::move(ingested.dataset);
     result.stats = ingested.stats;
     for (const Row& row : (*sql_result)->GatherRows()) {
@@ -126,28 +119,6 @@ Result<TransferResultT> RunTransfer(SqlEngine* engine,
 
   coordinator->Stop();
   return outcome;
-}
-
-}  // namespace
-
-Result<StreamTransferResult> StreamingTransfer::Run(
-    SqlEngine* engine, const std::string& query_sql,
-    const StreamTransferOptions& options) {
-  return RunTransfer<StreamTransferResult, ml::IngestResult>(
-      engine, query_sql, options,
-      [](ml::MlJobRunner* runner, ml::InputFormat* format) {
-        return runner->Ingest(format);
-      });
-}
-
-Result<ColumnTransferResult> StreamingTransfer::RunToColumns(
-    SqlEngine* engine, const std::string& query_sql,
-    const StreamTransferOptions& options) {
-  return RunTransfer<ColumnTransferResult, ml::ColumnIngestResult>(
-      engine, query_sql, options,
-      [](ml::MlJobRunner* runner, ml::InputFormat* format) {
-        return runner->IngestColumns(format);
-      });
 }
 
 }  // namespace sqlink

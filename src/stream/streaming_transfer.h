@@ -37,16 +37,6 @@ struct StreamTransferResult {
   int64_t spilled_frames = 0;
 };
 
-/// Outcome of a columnar end-to-end transfer: partitions land as
-/// ColumnBatches, ready for Dataset::FromColumns.
-struct ColumnTransferResult {
-  ml::ColumnDataset dataset;
-  ml::IngestStats stats;
-  int64_t rows_sent = 0;
-  int64_t bytes_sent = 0;
-  int64_t spilled_frames = 0;
-};
-
 /// Runs the complete §3 flow for one query: starts a coordinator, executes
 /// the query wrapped in the sql_stream_sink UDF on the SQL engine, lets the
 /// coordinator launch an ML ingestion job that reads through
@@ -68,13 +58,6 @@ class StreamingTransfer {
   static Result<StreamTransferResult> Run(SqlEngine* engine,
                                           const std::string& query_sql,
                                           const StreamTransferOptions& options = {});
-
-  /// Same flow, but the ML job ingests columnar: with SQLINK_COLUMNAR on,
-  /// decoded kColData frames append straight into per-partition
-  /// ColumnBatches with no intermediate Row materialization.
-  static Result<ColumnTransferResult> RunToColumns(
-      SqlEngine* engine, const std::string& query_sql,
-      const StreamTransferOptions& options = {});
 };
 
 }  // namespace sqlink

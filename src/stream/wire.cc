@@ -1,7 +1,5 @@
 #include "stream/wire.h"
 
-#include <cstring>
-
 #include "common/failpoint.h"
 #include "common/metrics.h"
 #include "common/status_macros.h"
@@ -182,216 +180,6 @@ FrameBufferPool* FrameBufferPool::Global() {
   return pool;
 }
 
-// --- Columnar channel encode/decode -----------------------------------------
-
-namespace {
-
-// Bounds-checked null probe (columns written by kernels may size null_words
-// short when no nulls exist).
-inline bool ColumnIsNull(const Column& col, size_t row) {
-  const size_t word = row >> 6;
-  return word < col.null_words.size() &&
-         ((col.null_words[word] >> (row & 63)) & 1) != 0;
-}
-
-}  // namespace
-
-ColumnarChannelEncoder::ColumnarChannelEncoder(SchemaPtr schema)
-    : schema_(std::move(schema)),
-      dicts_(schema_ != nullptr ? static_cast<size_t>(schema_->num_fields())
-                                : 0) {}
-
-Status ColumnarChannelEncoder::EncodeBatch(const ColumnBatch& batch,
-                                           std::string* payload) {
-  if (batch.num_columns() != dicts_.size()) {
-    return Status::InvalidArgument(
-        "columnar batch width does not match channel schema");
-  }
-  payload->clear();
-  const size_t rows = batch.num_rows();
-  PutVarint64(payload, rows);
-  const size_t null_bytes = (rows + 7) / 8;
-  std::vector<int32_t> remap;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; i < batch.num_columns(); ++i) {
-    const Column& col = batch.column(i);
-    bool has_nulls = false;
-    for (const uint64_t word : col.null_words) {
-      if (word != 0) {
-        has_nulls = true;
-        break;
-      }
-    }
-    payload->push_back(has_nulls ? 1 : 0);
-    if (has_nulls) {
-      for (size_t b = 0; b < null_bytes; ++b) {
-        const size_t word = b >> 3;
-        const uint64_t bits =
-            word < col.null_words.size() ? col.null_words[word] : 0;
-        payload->push_back(
-            static_cast<char>((bits >> ((b & 7) * 8)) & 0xFF));
-      }
-    }
-    switch (col.type) {
-      case DataType::kBool:
-        payload->append(reinterpret_cast<const char*>(col.bools.data()),
-                        rows);
-        break;
-      case DataType::kInt64:
-        payload->append(reinterpret_cast<const char*>(col.ints.data()),
-                        rows * 8);
-        break;
-      case DataType::kDouble:
-        payload->append(reinterpret_cast<const char*>(col.doubles.data()),
-                        rows * 8);
-        break;
-      case DataType::kString: {
-        // Register the batch's dictionary entries with the channel
-        // dictionary; new entries ride in this frame as a delta.
-        StringDict& channel = dicts_[i];
-        const int32_t before = channel.size();
-        remap.assign(static_cast<size_t>(col.dict.size()), 0);
-        for (int32_t id = 0; id < col.dict.size(); ++id) {
-          remap[static_cast<size_t>(id)] = channel.GetOrAdd(col.dict[id]);
-        }
-        PutVarint64(payload, static_cast<uint64_t>(before));
-        PutVarint64(payload, static_cast<uint64_t>(channel.size() - before));
-        for (int32_t id = before; id < channel.size(); ++id) {
-          PutLengthPrefixed(payload, channel[id]);
-        }
-        const size_t base = payload->size();
-        payload->resize(base + rows * 4);
-        char* out = payload->data() + base;
-        for (size_t r = 0; r < rows; ++r) {
-          int32_t code = 0;
-          if (!ColumnIsNull(col, r)) {
-            code = remap[static_cast<size_t>(col.codes[r])];
-          }
-          std::memcpy(out + r * 4, &code, 4);
-        }
-        break;
-      }
-    }
-  }
-  return Status::OK();
-}
-
-std::string ColumnarChannelEncoder::SnapshotDicts() const {
-  std::string out;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; i < dicts_.size(); ++i) {
-    if (schema_->field(static_cast<int>(i)).type != DataType::kString) {
-      continue;
-    }
-    const StringDict& dict = dicts_[i];
-    PutVarint64(&out, static_cast<uint64_t>(dict.size()));
-    for (int32_t id = 0; id < dict.size(); ++id) {
-      PutLengthPrefixed(&out, dict[id]);
-    }
-  }
-  return out;
-}
-
-Status ColumnarChannelDecoder::ApplySnapshot(std::string_view payload,
-                                             const SchemaPtr& schema) {
-  if (schema == nullptr) {
-    return Status::FailedPrecondition("dictionary page before schema");
-  }
-  dicts_.resize(static_cast<size_t>(schema->num_fields()));
-  Decoder decoder(payload);
-  for (int i = 0; i < schema->num_fields(); ++i) {
-    if (schema->field(i).type != DataType::kString) continue;
-    ASSIGN_OR_RETURN(uint64_t count, decoder.GetVarint64());
-    StringDict& dict = dicts_[static_cast<size_t>(i)];
-    for (uint64_t k = 0; k < count; ++k) {
-      ASSIGN_OR_RETURN(std::string_view entry, decoder.GetLengthPrefixed());
-      // Entries are append-only and ordered, so overlap with what this
-      // channel already decoded is idempotent.
-      if (k < static_cast<uint64_t>(dict.size())) continue;
-      dict.GetOrAdd(entry);
-    }
-  }
-  return Status::OK();
-}
-
-Status ColumnarChannelDecoder::DecodeBatch(std::string_view payload,
-                                           const SchemaPtr& schema,
-                                           ColumnBatch* out) {
-  if (schema == nullptr) {
-    return Status::FailedPrecondition("columnar frame before schema");
-  }
-  dicts_.resize(static_cast<size_t>(schema->num_fields()));
-  out->Reset(schema);
-  Decoder decoder(payload);
-  ASSIGN_OR_RETURN(uint64_t rows64, decoder.GetVarint64());
-  if (rows64 > (uint64_t{1} << 30)) {
-    return Status::DataLoss("implausible columnar row count");
-  }
-  const size_t rows = static_cast<size_t>(rows64);
-  const size_t null_bytes = (rows + 7) / 8;
-  const size_t null_word_count = (rows + 63) / 64;
-  for (size_t i = 0; i < out->num_columns(); ++i) {
-    Column& col = out->column(i);
-    ASSIGN_OR_RETURN(uint8_t has_nulls, decoder.GetByte());
-    col.null_words.assign(null_word_count, 0);
-    if (has_nulls != 0) {
-      ASSIGN_OR_RETURN(std::string_view bits, decoder.GetRaw(null_bytes));
-      for (size_t b = 0; b < null_bytes; ++b) {
-        col.null_words[b >> 3] |=
-            static_cast<uint64_t>(static_cast<uint8_t>(bits[b]))
-            << ((b & 7) * 8);
-      }
-    }
-    switch (col.type) {
-      case DataType::kBool: {
-        ASSIGN_OR_RETURN(std::string_view raw, decoder.GetRaw(rows));
-        col.bools.resize(rows);
-        std::memcpy(col.bools.data(), raw.data(), rows);
-        break;
-      }
-      case DataType::kInt64: {
-        ASSIGN_OR_RETURN(std::string_view raw, decoder.GetRaw(rows * 8));
-        col.ints.resize(rows);
-        std::memcpy(col.ints.data(), raw.data(), rows * 8);
-        break;
-      }
-      case DataType::kDouble: {
-        ASSIGN_OR_RETURN(std::string_view raw, decoder.GetRaw(rows * 8));
-        col.doubles.resize(rows);
-        std::memcpy(col.doubles.data(), raw.data(), rows * 8);
-        break;
-      }
-      case DataType::kString: {
-        ASSIGN_OR_RETURN(uint64_t first, decoder.GetVarint64());
-        ASSIGN_OR_RETURN(uint64_t count, decoder.GetVarint64());
-        StringDict& channel = dicts_[i];
-        if (first > static_cast<uint64_t>(channel.size())) {
-          return Status::DataLoss("columnar dictionary delta gap");
-        }
-        for (uint64_t k = 0; k < count; ++k) {
-          ASSIGN_OR_RETURN(std::string_view entry,
-                           decoder.GetLengthPrefixed());
-          if (first + k < static_cast<uint64_t>(channel.size())) continue;
-          channel.GetOrAdd(entry);
-        }
-        ASSIGN_OR_RETURN(std::string_view raw, decoder.GetRaw(rows * 4));
-        col.codes.resize(rows);
-        std::memcpy(col.codes.data(), raw.data(), rows * 4);
-        for (size_t r = 0; r < rows; ++r) {
-          if (!ColumnIsNull(col, r) &&
-              (col.codes[r] < 0 || col.codes[r] >= channel.size())) {
-            return Status::DataLoss("string code outside channel dictionary");
-          }
-        }
-        col.dict = channel;
-        break;
-      }
-    }
-  }
-  out->SetRowCountForDecode(rows);
-  return Status::OK();
-}
-
 namespace {
 /// Marker byte so a typed-status payload is distinguishable from the legacy
 /// free-text error payloads still emitted by older call sites.
@@ -434,7 +222,8 @@ void EncodeSchema(const Schema& schema, std::string* out) {
 }
 
 Result<SchemaPtr> DecodeSchema(Decoder* decoder) {
-  ASSIGN_OR_RETURN(uint64_t count, decoder->GetVarint64());
+  // A field is at least an empty name's length byte plus its type byte.
+  ASSIGN_OR_RETURN(uint64_t count, decoder->GetCount(/*min_element_bytes=*/2));
   std::vector<Field> fields;
   fields.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {

@@ -8,10 +8,8 @@
 
 #include "common/coding.h"
 #include "common/result.h"
-#include "common/string_dict.h"
 #include "common/trace.h"
 #include "stream/socket.h"
-#include "table/column_batch.h"
 #include "table/schema.h"
 
 namespace sqlink {
@@ -22,7 +20,7 @@ namespace sqlink {
 enum class FrameType : uint8_t {
   // Data plane.
   kSchema = 1,  ///< First frame on a data socket: the row schema.
-  kData = 2,    ///< A batch of encoded rows.
+  kData = 2,    ///< A row-batch payload (table/row_codec.h).
   kEnd = 3,     ///< Sender finished; payload = total row count (varint).
   kError = 4,   ///< Sender failed; payload = message.
 
@@ -45,12 +43,8 @@ enum class FrameType : uint8_t {
   kResume = 23,         ///< Sink → reader: replay start point after HELLO.
   kAbortQuery = 24,     ///< Broadcast abort; payload = encoded Status.
 
-  // Columnar data plane (SQLINK_COLUMNAR=on). kColData replaces kData with
-  // column-contiguous buffers + per-channel dictionary deltas; kDictPage
-  // re-seeds the channel dictionaries after (re)connect so replayed deltas
-  // tile onto a consistent base.
-  kColData = 25,   ///< Columnar batch; leading varint is the row count.
-  kDictPage = 26,  ///< Per-channel string-dictionary snapshot.
+  // 25 and 26 are retired: a peer built while they were in use may still
+  // send them, so they must never be reused.
 
   // Serving plane (src/serving): client ↔ query server. One query per
   // connection; an overloaded server answers kSubmitQuery with kError
@@ -61,10 +55,9 @@ enum class FrameType : uint8_t {
 
   // Mux plane (src/net): many logical transfer channels share one
   // sink→reader socket. On a mux socket these are the ONLY frame types;
-  // data-plane frames (kResume/kSchema/kDictPage/kData/kColData/kEnd/kError/
-  // kDataAck/kAck) travel wrapped inside kChannelData with a one-byte inner
-  // type prefix, so the per-channel seq/ack + dictionary machinery is
-  // untouched by multiplexing.
+  // data-plane frames (kResume/kSchema/kData/kEnd/kError/kDataAck/kAck)
+  // travel wrapped inside kChannelData with a one-byte inner type prefix, so
+  // the per-channel seq/ack machinery is untouched by multiplexing.
   kOpenChannel = 30,    ///< Reader → sink: payload = OpenChannelMessage.
   kChannelData = 31,    ///< Wrapped inner frame; payload = [inner type][...].
   kCloseChannel = 32,   ///< Either side: channel torn down (socket stays up).
@@ -152,59 +145,6 @@ class FrameBufferPool {
 
   std::mutex mu_;
   std::vector<std::string> buffers_;
-};
-
-// --- Columnar frame encoding (kColData / kDictPage) -------------------------
-//
-// kColData payload: varint row count, then per column in schema order:
-//   has_nulls byte; when set, ceil(rows/8) LSB-first packed null bits;
-//   kBool   -> rows raw 0/1 bytes
-//   kInt64  -> rows x 8 raw little-endian bytes (straight memcpy)
-//   kDouble -> rows x 8 raw little-endian bytes
-//   kString -> varint first_new_id, varint new_count, the new dictionary
-//              entries length-prefixed (a delta against the channel
-//              dictionary), then rows x 4 raw int32 codes. Null rows carry
-//              code 0; the decoder consults the bitmap first.
-//
-// kDictPage payload: per STRING column in schema order, varint entry count
-// followed by the length-prefixed entries — a full snapshot of the channel
-// dictionaries, sent once after kSchema on every (re)connect. Replayed
-// kColData deltas then tile onto the snapshot: the decoder appends only
-// entries past its current size, so overlap is idempotent.
-
-/// Per-channel encoder state: the string dictionaries shared by every frame
-/// on one sink→reader connection. Thread-safe (the producer encodes batches
-/// while the sender thread snapshots dictionaries on reconnect).
-class ColumnarChannelEncoder {
- public:
-  explicit ColumnarChannelEncoder(SchemaPtr schema);
-
-  /// Appends `batch` (matching the channel schema) to `*payload` (cleared
-  /// first), registering new dictionary entries as deltas.
-  Status EncodeBatch(const ColumnBatch& batch, std::string* payload);
-
-  /// Full dictionary snapshot for a kDictPage frame.
-  std::string SnapshotDicts() const;
-
- private:
-  SchemaPtr schema_;
-  mutable std::mutex mu_;
-  std::vector<StringDict> dicts_;  ///< Per column; empty for non-STRING.
-};
-
-/// Per-channel decoder state: accumulates dictionary entries from snapshots
-/// and deltas. Single-reader; not thread-safe.
-class ColumnarChannelDecoder {
- public:
-  /// Applies a kDictPage snapshot (append-only past current entries).
-  Status ApplySnapshot(std::string_view payload, const SchemaPtr& schema);
-
-  /// Decodes a kColData payload into `*out` (reset to `schema`).
-  Status DecodeBatch(std::string_view payload, const SchemaPtr& schema,
-                     ColumnBatch* out);
-
- private:
-  std::vector<StringDict> dicts_;
 };
 
 /// Typed-Status payload for kError / kAbortQuery frames: the code survives

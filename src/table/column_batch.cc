@@ -191,93 +191,6 @@ Status ColumnBatch::AppendGather(const ColumnBatch& src, const int32_t* rows,
   return Status::OK();
 }
 
-Status ColumnBatch::AppendBatch(const ColumnBatch& other) {
-  if (columns_.size() != other.columns_.size()) {
-    return Status::InvalidArgument("batch width mismatch in AppendBatch");
-  }
-  const size_t base = num_rows_;
-  const size_t added = other.num_rows_;
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    Column& dst = columns_[i];
-    const Column& src = other.columns_[i];
-    if (dst.type != src.type) {
-      return Status::InvalidArgument("column type mismatch in AppendBatch");
-    }
-    for (size_t r = 0; r < added; ++r) {
-      dst.AppendNullBit(base + r, src.IsNull(r));
-    }
-    switch (dst.type) {
-      case DataType::kBool:
-        dst.bools.insert(dst.bools.end(), src.bools.begin(), src.bools.end());
-        break;
-      case DataType::kInt64:
-        dst.ints.insert(dst.ints.end(), src.ints.begin(), src.ints.end());
-        break;
-      case DataType::kDouble:
-        dst.doubles.insert(dst.doubles.end(), src.doubles.begin(),
-                           src.doubles.end());
-        break;
-      case DataType::kString: {
-        // Translate per dictionary entry once, then gather per row.
-        std::vector<int32_t> remap(static_cast<size_t>(src.dict.size()));
-        for (int32_t id = 0; id < src.dict.size(); ++id) {
-          remap[static_cast<size_t>(id)] = dst.dict.GetOrAdd(src.dict[id]);
-        }
-        dst.codes.reserve(dst.codes.size() + added);
-        for (size_t r = 0; r < added; ++r) {
-          const int32_t code = src.codes[r];
-          dst.codes.push_back(
-              !src.IsNull(r) && static_cast<size_t>(code) < remap.size()
-                  ? remap[static_cast<size_t>(code)]
-                  : 0);
-        }
-        break;
-      }
-    }
-  }
-  num_rows_ += added;
-  return Status::OK();
-}
-
-void ColumnBatch::Truncate(size_t rows) {
-  if (rows >= num_rows_) return;
-  const size_t words = (rows + 63) / 64;
-  for (Column& col : columns_) {
-    if (col.null_words.size() > words) col.null_words.resize(words);
-    // Clear bits past the new row count so future appends reuse clean words.
-    if (!col.null_words.empty() && (rows & 63) != 0) {
-      col.null_words.back() &= (uint64_t{1} << (rows & 63)) - 1;
-    }
-    switch (col.type) {
-      case DataType::kBool:
-        col.bools.resize(rows);
-        break;
-      case DataType::kInt64:
-        col.ints.resize(rows);
-        break;
-      case DataType::kDouble:
-        col.doubles.resize(rows);
-        break;
-      case DataType::kString:
-        col.codes.resize(rows);
-        break;
-    }
-  }
-  num_rows_ = rows;
-}
-
-void ColumnBatch::Clear() {
-  for (Column& col : columns_) {
-    col.null_words.clear();
-    col.bools.clear();
-    col.ints.clear();
-    col.doubles.clear();
-    col.codes.clear();
-    col.dict.Clear();
-  }
-  num_rows_ = 0;
-}
-
 Value ColumnBatch::ValueAt(size_t row, size_t col) const {
   return ColumnValueAt(columns_[col], row);
 }
@@ -288,51 +201,6 @@ void ColumnBatch::EmitRow(size_t row, Row* out) const {
   for (size_t i = 0; i < columns_.size(); ++i) {
     out->push_back(ValueAt(row, i));
   }
-}
-
-ColumnBatch ColumnBatch::Slice(size_t begin) const {
-  ColumnBatch out(schema_);
-  if (begin >= num_rows_) return out;
-  const size_t rows = num_rows_ - begin;
-  out.Reserve(rows);
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    Column& dst = out.columns_[i];
-    const Column& src = columns_[i];
-    for (size_t r = 0; r < rows; ++r) {
-      dst.AppendNullBit(r, src.IsNull(begin + r));
-    }
-    switch (src.type) {
-      case DataType::kBool:
-        dst.bools.assign(src.bools.begin() + static_cast<long>(begin),
-                         src.bools.end());
-        break;
-      case DataType::kInt64:
-        dst.ints.assign(src.ints.begin() + static_cast<long>(begin),
-                        src.ints.end());
-        break;
-      case DataType::kDouble:
-        dst.doubles.assign(src.doubles.begin() + static_cast<long>(begin),
-                           src.doubles.end());
-        break;
-      case DataType::kString:
-        dst.dict = src.dict;
-        dst.codes.assign(src.codes.begin() + static_cast<long>(begin),
-                         src.codes.end());
-        break;
-    }
-  }
-  out.num_rows_ = rows;
-  return out;
-}
-
-size_t ColumnBatch::ByteSize() const {
-  size_t total = 0;
-  for (const Column& col : columns_) {
-    total += col.null_words.size() * 8 + col.bools.size() +
-             col.ints.size() * 8 + col.doubles.size() * 8 +
-             col.codes.size() * 4 + col.dict.heap_bytes();
-  }
-  return total;
 }
 
 Result<ColumnBatch> ColumnBatch::FromRows(SchemaPtr schema,

@@ -62,9 +62,8 @@ void AppendColumnGather(Column* dst, size_t dst_rows, const Column& src,
                         const int32_t* rows, size_t n);
 
 /// Columnar counterpart of RecordBatch: typed per-column vectors instead of
-/// boxed Value rows. This is the unit the vectorized transform kernels, the
-/// columnar wire encoding, and the columnar ML ingest operate on; converters
-/// to/from RecordBatch bridge the row-oriented engine surfaces.
+/// boxed Value rows. This is the unit the vectorized SQL operators work on;
+/// converters to/from RecordBatch bridge the row-oriented surfaces.
 class ColumnBatch {
  public:
   ColumnBatch() = default;
@@ -87,25 +86,14 @@ class ColumnBatch {
   /// a double column); NULL is accepted anywhere.
   Status AppendRow(const Row& row);
 
-  /// Appends every row of `other` (same schema), remapping string codes
-  /// into this batch's dictionaries.
-  Status AppendBatch(const ColumnBatch& other);
-
   /// Gather-appends the `n` rows of `src` selected by `rows` (src indices,
   /// duplicates and arbitrary order allowed). Column types must match;
-  /// string codes remap as in AppendBatch. The workhorse of the vectorized
-  /// filter and join operators and of the sink's round-robin split.
+  /// string codes remap into this batch's dictionaries. The workhorse of the
+  /// vectorized filter and join operators.
   Status AppendGather(const ColumnBatch& src, const int32_t* rows, size_t n);
 
-  /// Drops rows past `rows` (resume truncation). Dictionaries may retain
-  /// entries only the dropped rows referenced; that is harmless.
-  void Truncate(size_t rows);
-
-  /// Drops all rows and dictionary entries, keeping schema and capacity.
-  void Clear();
-
-  /// Sets the row count directly after filling column vectors in place (wire
-  /// decoding); the caller guarantees every column holds `rows` values.
+  /// Sets the row count directly after filling column vectors in place; the
+  /// caller guarantees every column holds `rows` values.
   void SetRowCountForDecode(size_t rows) { num_rows_ = rows; }
 
   /// The value at (row, col), boxed.
@@ -113,14 +101,6 @@ class ColumnBatch {
 
   /// Materializes row `row` into `*out` (cleared first).
   void EmitRow(size_t row, Row* out) const;
-
-  /// Rows [begin, num_rows()) as a new batch (same schema; dictionaries
-  /// copied). `begin` past the end yields an empty batch.
-  ColumnBatch Slice(size_t begin) const;
-
-  /// Rough in-memory footprint of the value buffers — the batcher's flush
-  /// threshold proxy.
-  size_t ByteSize() const;
 
   static Result<ColumnBatch> FromRows(SchemaPtr schema,
                                       const std::vector<Row>& rows);

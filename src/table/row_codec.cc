@@ -32,7 +32,7 @@ void RowCodec::Encode(const Row& row, std::string* out) {
 }
 
 Result<Row> RowCodec::Decode(Decoder* decoder) {
-  auto count = decoder->GetVarint64();
+  auto count = decoder->GetCount(/*min_element_bytes=*/1);  // A NULL tag.
   if (!count.ok()) return count.status();
   Row row;
   row.reserve(*count);
@@ -74,6 +74,11 @@ Result<Row> RowCodec::Decode(Decoder* decoder) {
   return row;
 }
 
+void RowCodec::EncodeRows(const std::vector<Row>& rows, std::string* out) {
+  PutVarint64(out, rows.size());
+  for (const Row& row : rows) Encode(row, out);
+}
+
 std::string RowCodec::EncodeRows(const std::vector<Row>& rows) {
   std::string out;
   // Pre-size with tag + ~8 payload bytes per value (strings excluded): the
@@ -81,23 +86,37 @@ std::string RowCodec::EncodeRows(const std::vector<Row>& rows) {
   size_t estimate = 10;
   for (const Row& row : rows) estimate += 2 + row.size() * 9;
   out.reserve(estimate);
-  PutVarint64(&out, rows.size());
-  for (const Row& row : rows) Encode(row, &out);
+  EncodeRows(rows, &out);
   return out;
+}
+
+Status RowCodec::DecodeRows(Decoder* decoder, std::vector<Row>* rows) {
+  rows->clear();
+  // An empty row encodes as one byte (its zero field count).
+  auto count = decoder->GetCount(/*min_element_bytes=*/1);
+  if (!count.ok()) return count.status();
+  rows->reserve(*count);
+  for (uint64_t i = 0; i < *count; ++i) {
+    auto row = Decode(decoder);
+    if (!row.ok()) return row.status();
+    rows->push_back(std::move(*row));
+  }
+  return Status::OK();
 }
 
 Result<std::vector<Row>> RowCodec::DecodeRows(std::string_view data) {
   Decoder decoder(data);
-  auto count = decoder.GetVarint64();
-  if (!count.ok()) return count.status();
   std::vector<Row> rows;
-  rows.reserve(*count);
-  for (uint64_t i = 0; i < *count; ++i) {
-    auto row = Decode(&decoder);
-    if (!row.ok()) return row.status();
-    rows.push_back(std::move(*row));
-  }
+  Status status = DecodeRows(&decoder, &rows);
+  if (!status.ok()) return status;
   return rows;
+}
+
+void RowBatchEncoder::Flush(std::string* out) {
+  PutVarint64(out, rows_);
+  out->append(body_);
+  rows_ = 0;
+  body_.clear();
 }
 
 }  // namespace sqlink

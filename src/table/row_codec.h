@@ -3,6 +3,7 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/coding.h"
 #include "common/result.h"
@@ -11,10 +12,14 @@
 
 namespace sqlink {
 
-/// Compact binary row encoding used by the streaming wire format and spill
-/// files. Each value is a 1-byte tag (0 = NULL, otherwise DataType+1)
-/// followed by the payload: bool as 1 byte, int64 as signed varint, double
-/// as fixed 8 bytes, string length-prefixed.
+/// Compact binary row encoding used by the streaming wire format, the
+/// message broker and query results. Each value is a 1-byte tag (0 = NULL,
+/// otherwise DataType+1) followed by the payload: bool as 1 byte, int64 as
+/// signed varint, double as fixed 8 bytes, string length-prefixed.
+///
+/// A row-batch payload is a varint row count followed by that many encoded
+/// rows: the stream's kData frame, one broker message, and the row section
+/// of a query result. RowBatchEncoder builds one; DecodeRows reads one.
 class RowCodec {
  public:
   /// Appends one encoded row (field count + values) to the buffer.
@@ -23,9 +28,36 @@ class RowCodec {
   /// Decodes one row from the cursor.
   static Result<Row> Decode(Decoder* decoder);
 
-  /// Convenience round-trip helpers for whole batches.
+  /// Appends `rows` as one row-batch payload.
+  static void EncodeRows(const std::vector<Row>& rows, std::string* out);
   static std::string EncodeRows(const std::vector<Row>& rows);
+
+  /// Decodes one row-batch payload at the cursor into `*rows`, which is
+  /// cleared first (its capacity is reused). The row count is bounded by
+  /// the bytes left, so a hostile count cannot size the allocation.
+  static Status DecodeRows(Decoder* decoder, std::vector<Row>* rows);
+  /// Decodes a buffer holding exactly one row-batch payload.
   static Result<std::vector<Row>> DecodeRows(std::string_view data);
+};
+
+/// Accumulates rows into one row-batch payload when the row count is not
+/// known up front (the sink's frames, the broker's messages).
+class RowBatchEncoder {
+ public:
+  void Add(const Row& row) {
+    ++rows_;
+    RowCodec::Encode(row, &body_);
+  }
+  bool empty() const { return rows_ == 0; }
+  /// Encoded row bytes so far (the flush threshold).
+  size_t bytes() const { return body_.size(); }
+
+  /// Appends the payload to `*out` and resets for the next batch.
+  void Flush(std::string* out);
+
+ private:
+  uint64_t rows_ = 0;
+  std::string body_;
 };
 
 }  // namespace sqlink

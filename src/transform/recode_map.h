@@ -20,9 +20,8 @@ namespace sqlink {
 /// canonicalized to lower case; values are case-sensitive.
 ///
 /// Internally each column is a contiguous open-addressing dictionary
-/// (StringDict heap + dense ids), so the hot-path value→code lookup the
-/// batch kernels issue per distinct value is O(1) with no tree walk and no
-/// string allocation.
+/// (StringDict heap + dense ids), so a value→code lookup is O(1) with no
+/// tree walk and no string allocation.
 class RecodeMap {
  public:
   /// One column's dictionary: labels stored contiguously in insertion
@@ -107,13 +106,12 @@ class RecodeMap {
 
   std::vector<std::string> Columns() const;
 
-  /// The dictionary of `column` (name canonicalized to lower case), or null
-  /// when absent — the handle the vectorized kernels hold across a batch.
-  const ColumnDict* FindColumn(std::string_view column) const;
-
   bool operator==(const RecodeMap& other) const;
 
  private:
+  /// The dictionary of `column` (name canonicalized to lower case), or null
+  /// when absent.
+  const ColumnDict* FindColumn(std::string_view column) const;
   ColumnDict* GetOrAddColumn(const std::string& lower_name);
 
   StringDict name_index_;  ///< lower-case column name → index into dicts_.

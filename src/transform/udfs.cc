@@ -1,11 +1,8 @@
 #include "transform/udfs.h"
 
-#include "common/runtime_flags.h"
 #include "common/status_macros.h"
 #include "common/string_dict.h"
 #include "common/string_util.h"
-#include "table/column_batch.h"
-#include "transform/kernels.h"
 
 namespace sqlink {
 
@@ -171,60 +168,6 @@ Result<SchemaPtr> CodeApplyUdf::Bind(const SchemaPtr& input_schema,
 Status CodeApplyUdf::ProcessPartition(const TableUdfContext& context,
                                       RowIterator* input, RowSink* output) {
   (void)context;
-  return ColumnarEnabled() ? ProcessColumnar(input, output)
-                           : ProcessRows(input, output);
-}
-
-Status CodeApplyUdf::ProcessColumnar(RowIterator* input,
-                                     RowSink* output) const {
-  constexpr size_t kChunkRows = 1024;
-  const DataType generated_type = scheme_ == CodingScheme::kOrthogonal
-                                      ? DataType::kDouble
-                                      : DataType::kInt64;
-  ColumnBatch batch(input_schema_);
-  std::vector<std::vector<Column>> generated(coded_.size());
-  Row row;
-  bool done = false;
-  while (!done) {
-    batch.Clear();
-    batch.Reserve(kChunkRows);
-    while (batch.num_rows() < kChunkRows) {
-      ASSIGN_OR_RETURN(bool has, input->Next(&row));
-      if (!has) {
-        done = true;
-        break;
-      }
-      RETURN_IF_ERROR(batch.AppendRow(row));
-    }
-    if (batch.empty()) break;
-    for (size_t c = 0; c < coded_.size(); ++c) {
-      const BoundColumn& bound = coded_[c];
-      RETURN_IF_ERROR(ApplyCodingKernel(
-          batch.column(static_cast<size_t>(bound.input_index)),
-          batch.num_rows(), bound.cardinality, bound.matrix, generated_type,
-          &generated[c]));
-    }
-    for (size_t r = 0; r < batch.num_rows(); ++r) {
-      Row out;
-      for (size_t i = 0; i < dispatch_.size(); ++i) {
-        const int coded_index = dispatch_[i];
-        if (coded_index < 0) {
-          out.push_back(batch.ValueAt(r, i));
-          continue;
-        }
-        for (const Column& g : generated[static_cast<size_t>(coded_index)]) {
-          out.push_back(generated_type == DataType::kDouble
-                            ? Value::Double(g.doubles[r])
-                            : Value::Int64(g.ints[r]));
-        }
-      }
-      RETURN_IF_ERROR(output->Push(std::move(out)));
-    }
-  }
-  return Status::OK();
-}
-
-Status CodeApplyUdf::ProcessRows(RowIterator* input, RowSink* output) const {
   const DataType generated_type = scheme_ == CodingScheme::kOrthogonal
                                       ? DataType::kDouble
                                       : DataType::kInt64;

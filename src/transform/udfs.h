@@ -73,12 +73,6 @@ class CodeApplyUdf final : public TableUdf {
     std::vector<std::vector<double>> matrix;  // Level -> generated values.
   };
 
-  /// Chunked vectorized path (SQLINK_COLUMNAR=on): stages input rows into a
-  /// ColumnBatch and expands coded columns with ApplyCodingKernel.
-  Status ProcessColumnar(RowIterator* input, RowSink* output) const;
-  /// Row-at-a-time fallback (SQLINK_COLUMNAR=off).
-  Status ProcessRows(RowIterator* input, RowSink* output) const;
-
   CodingScheme scheme_;
   SchemaPtr input_schema_;
   // Per input column: -1 = copy through, else index into coded_.

@@ -19,7 +19,6 @@
 #include "common/fs_util.h"
 #include "common/metrics.h"
 #include "common/random.h"
-#include "common/runtime_flags.h"
 #include "common/stopwatch.h"
 #include "net/conn_pool.h"
 #include "sql/engine.h"
@@ -74,30 +73,6 @@ class ChaosStreamTest : public ::testing::Test {
       }
     }
     EXPECT_EQ(ids.size(), 1000u);
-  }
-
-  /// Kills one shared mux connection mid-transfer. With one pooled socket
-  /// per peer and two splits per worker, the transfer's eight concurrent
-  /// channels ride shared connections; the kill fails every channel on its
-  /// socket at once, and each affected reader must recover via §6 replay —
-  /// exactly once, no spill leaks, in the requested wire mode.
-  void ExpectMuxConnKillRecovery(int columnar) {
-    SetColumnarEnabledForTest(columnar);
-    SetMuxConnsPerPeerForTest(1);  // Force channels to share sockets.
-    MuxConnPool::Global().ResetForTest();
-    StreamTransferOptions options;
-    options.splits_per_worker = 2;  // 8 channels over 4 shared connections.
-    options.sink.resilient = true;  // Retained log enables the §6 replay.
-    options.sink.send_buffer_bytes = 256;
-    options.reader.recovery_enabled = true;
-    ScopedFailpoint fault("net.mux.recv", "after(40):close(1)");
-    ASSERT_TRUE(fault.status().ok()) << fault.status();
-    ExpectCompleteTransfer(options);
-    EXPECT_EQ(fault.fires(), 1);
-    EXPECT_EQ(CountSpillFiles(temp_->path()), 0);
-    SetMuxConnsPerPeerForTest(0);
-    SetColumnarEnabledForTest(-1);
-    MuxConnPool::Global().ResetForTest();
   }
 
   std::unique_ptr<ScopedTempDir> temp_;
@@ -259,12 +234,26 @@ TEST_F(ChaosStreamTest, ExhaustedReassignmentAbortsWithTypedStatus) {
   EXPECT_EQ(CountSpillFiles(temp_->path()), 0);
 }
 
-TEST_F(ChaosStreamTest, MuxConnKilledMidTransferRecoversRowMode) {
-  ExpectMuxConnKillRecovery(/*columnar=*/0);
-}
-
-TEST_F(ChaosStreamTest, MuxConnKilledMidTransferRecoversColumnarMode) {
-  ExpectMuxConnKillRecovery(/*columnar=*/1);
+TEST_F(ChaosStreamTest, MuxConnKilledMidTransferRecovers) {
+  // Kills one shared mux connection mid-transfer. With one pooled socket
+  // per peer and two splits per worker, the transfer's eight concurrent
+  // channels ride shared connections; the kill fails every channel on its
+  // socket at once, and each affected reader must recover via §6 replay —
+  // exactly once, no spill leaks.
+  SetMuxConnsPerPeerForTest(1);  // Force channels to share sockets.
+  MuxConnPool::Global().ResetForTest();
+  StreamTransferOptions options;
+  options.splits_per_worker = 2;  // 8 channels over 4 shared connections.
+  options.sink.resilient = true;  // Retained log enables the §6 replay.
+  options.sink.send_buffer_bytes = 256;
+  options.reader.recovery_enabled = true;
+  ScopedFailpoint fault("net.mux.recv", "after(40):close(1)");
+  ASSERT_TRUE(fault.status().ok()) << fault.status();
+  ExpectCompleteTransfer(options);
+  EXPECT_EQ(fault.fires(), 1);
+  EXPECT_EQ(CountSpillFiles(temp_->path()), 0);
+  SetMuxConnsPerPeerForTest(0);
+  MuxConnPool::Global().ResetForTest();
 }
 
 TEST_F(ChaosStreamTest, SlowConsumerDelayCompletes) {

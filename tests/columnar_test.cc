@@ -1,28 +1,16 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <limits>
-#include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.h"
-#include "common/fs_util.h"
+#include "common/coding.h"
 #include "common/metrics.h"
-#include "common/random.h"
-#include "common/runtime_flags.h"
-#include "ml/dataset.h"
-#include "sql/engine.h"
-#include "stream/streaming_transfer.h"
 #include "stream/wire.h"
 #include "table/column_batch.h"
 #include "table/record_batch.h"
 #include "table/row_codec.h"
-#include "transform/coding.h"
-#include "transform/kernels.h"
-#include "transform/recode_map.h"
 
 namespace sqlink {
 namespace {
@@ -118,52 +106,6 @@ TEST(ColumnBatchTest, HighCardinalityDictionaryRoundTrips) {
   EXPECT_TRUE(SameRows(batch->ToRows(), rows));
 }
 
-TEST(ColumnBatchTest, AppendBatchRemapsDictionaryCodes) {
-  auto schema = Schema::Make({{"name", DataType::kString}});
-  auto first = ColumnBatch::FromRows(
-      schema, {{Value::String("a")}, {Value::String("b")}});
-  auto second = ColumnBatch::FromRows(
-      schema, {{Value::String("b")}, {Value::String("c")}, {Value::Null()}});
-  ASSERT_TRUE(first.ok() && second.ok());
-  ASSERT_TRUE(first->AppendBatch(*second).ok());
-  const std::vector<Row> got = first->ToRows();
-  ASSERT_EQ(got.size(), 5u);
-  EXPECT_EQ(got[2][0], Value::String("b"));
-  EXPECT_EQ(got[3][0], Value::String("c"));
-  EXPECT_TRUE(got[4][0].is_null());
-  // "b" was remapped onto the existing entry, not duplicated.
-  EXPECT_EQ(first->column(0).dict.size(), 3);
-}
-
-TEST(ColumnBatchTest, TruncateClearsTrailingNullBits) {
-  auto schema = Schema::Make({{"v", DataType::kInt64}});
-  ColumnBatch batch(schema);
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(batch.AppendRow({Value::Null()}).ok());
-  }
-  batch.Truncate(3);
-  EXPECT_EQ(batch.num_rows(), 3u);
-  for (int i = 0; i < 7; ++i) {
-    ASSERT_TRUE(batch.AppendRow({Value::Int64(i)}).ok());
-  }
-  const std::vector<Row> got = batch.ToRows();
-  for (int i = 0; i < 3; ++i) EXPECT_TRUE(got[static_cast<size_t>(i)][0].is_null());
-  for (int i = 3; i < 10; ++i) {
-    EXPECT_EQ(got[static_cast<size_t>(i)][0], Value::Int64(i - 3));
-  }
-}
-
-TEST(ColumnBatchTest, SliceCopiesTail) {
-  auto batch = ColumnBatch::FromRows(EdgeSchema(), EdgeRows());
-  ASSERT_TRUE(batch.ok());
-  ColumnBatch tail = batch->Slice(4);
-  EXPECT_EQ(tail.num_rows(), 2u);
-  const std::vector<Row> all = EdgeRows();
-  const std::vector<Row> expected(all.begin() + 4, all.end());
-  EXPECT_TRUE(SameRows(tail.ToRows(), expected));
-  EXPECT_TRUE(batch->Slice(99).empty());
-}
-
 TEST(ColumnBatchTest, AppendRowRejectsMismatches) {
   auto schema = Schema::Make({{"v", DataType::kInt64}});
   ColumnBatch batch(schema);
@@ -172,152 +114,85 @@ TEST(ColumnBatchTest, AppendRowRejectsMismatches) {
       batch.AppendRow({Value::Int64(1), Value::Int64(2)}).IsInvalidArgument());
 }
 
-// --- Columnar wire encoding --------------------------------------------------
+// --- Row-batch wire payload ---------------------------------------------------
 
-TEST(ColumnarWireTest, EncodeDecodeRoundTripsEdgeValues) {
-  auto schema = EdgeSchema();
-  auto batch = ColumnBatch::FromRows(schema, EdgeRows());
-  ASSERT_TRUE(batch.ok());
-
-  ColumnarChannelEncoder encoder(schema);
+TEST(RowBatchWireTest, EncodeDecodeRoundTripsEdgeValues) {
+  // The sink boxes rows out of the executor's batches and encodes them one
+  // at a time; the reader decodes a whole payload into its staging vector.
+  auto batch = ColumnBatch::FromRows(EdgeSchema(), EdgeRows());
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  RowBatchEncoder encoder;
+  for (const Row& row : batch->ToRows()) encoder.Add(row);
   std::string payload;
-  ASSERT_TRUE(encoder.EncodeBatch(*batch, &payload).ok());
+  encoder.Flush(&payload);
 
-  ColumnarChannelDecoder decoder;
-  ColumnBatch decoded;
-  ASSERT_TRUE(decoder.DecodeBatch(payload, schema, &decoded).ok());
-  EXPECT_TRUE(SameRows(decoded.ToRows(), EdgeRows()));
+  Decoder decoder(payload);
+  std::vector<Row> staged;
+  ASSERT_TRUE(RowCodec::DecodeRows(&decoder, &staged).ok());
+  EXPECT_TRUE(SameRows(staged, EdgeRows()));
+  EXPECT_EQ(decoder.remaining(), 0u);
 }
 
-TEST(ColumnarWireTest, DictionaryDeltasAccumulateAcrossFrames) {
-  auto schema = Schema::Make({{"name", DataType::kString}});
-  ColumnarChannelEncoder encoder(schema);
-
-  auto first = ColumnBatch::FromRows(
-      schema, {{Value::String("a")}, {Value::String("b")}});
-  auto second = ColumnBatch::FromRows(
-      schema, {{Value::String("b")}, {Value::String("c")}});
-  ASSERT_TRUE(first.ok() && second.ok());
-
-  std::string payload1;
-  std::string payload2;
-  ASSERT_TRUE(encoder.EncodeBatch(*first, &payload1).ok());
-  ASSERT_TRUE(encoder.EncodeBatch(*second, &payload2).ok());
-  // The second frame's delta carries only "c"; it rides on the channel dict.
-  EXPECT_LT(payload2.size(), payload1.size() + 2);
-
-  ColumnarChannelDecoder decoder;
-  ColumnBatch out;
-  ASSERT_TRUE(decoder.DecodeBatch(payload1, schema, &out).ok());
-  EXPECT_TRUE(SameRows(out.ToRows(), first->ToRows()));
-  ASSERT_TRUE(decoder.DecodeBatch(payload2, schema, &out).ok());
-  EXPECT_TRUE(SameRows(out.ToRows(), second->ToRows()));
-}
-
-TEST(ColumnarWireTest, SnapshotMakesReplayedDeltasIdempotent) {
-  auto schema = Schema::Make({{"name", DataType::kString}});
-  ColumnarChannelEncoder encoder(schema);
-  auto first = ColumnBatch::FromRows(
-      schema, {{Value::String("a")}, {Value::String("b")}});
-  auto second = ColumnBatch::FromRows(
-      schema, {{Value::String("c")}, {Value::String("a")}});
-  ASSERT_TRUE(first.ok() && second.ok());
-  std::string payload1;
-  std::string payload2;
-  ASSERT_TRUE(encoder.EncodeBatch(*first, &payload1).ok());
-  ASSERT_TRUE(encoder.EncodeBatch(*second, &payload2).ok());
-
-  // A replacement reader reconnects: it gets the full snapshot, then the
-  // sink replays BOTH frames. Their deltas overlap the snapshot entirely;
-  // decode must treat the overlap as a no-op.
-  ColumnarChannelDecoder fresh;
-  ASSERT_TRUE(fresh.ApplySnapshot(encoder.SnapshotDicts(), schema).ok());
-  ColumnBatch out;
-  ASSERT_TRUE(fresh.DecodeBatch(payload1, schema, &out).ok());
-  EXPECT_TRUE(SameRows(out.ToRows(), first->ToRows()));
-  ASSERT_TRUE(fresh.DecodeBatch(payload2, schema, &out).ok());
-  EXPECT_TRUE(SameRows(out.ToRows(), second->ToRows()));
-  // Replaying the same frame twice (duplicate delivery) is also harmless.
-  ASSERT_TRUE(fresh.DecodeBatch(payload2, schema, &out).ok());
-  EXPECT_TRUE(SameRows(out.ToRows(), second->ToRows()));
-}
-
-TEST(ColumnarWireTest, DecodeErrorPaths) {
-  auto schema = Schema::Make({{"name", DataType::kString}});
-  ColumnarChannelDecoder decoder;
-  ColumnBatch out;
-  // No schema yet (reader got data before kSchema).
-  EXPECT_TRUE(
-      decoder.DecodeBatch("", nullptr, &out).IsFailedPrecondition());
-  EXPECT_TRUE(decoder.ApplySnapshot("", nullptr).IsFailedPrecondition());
-
-  // A delta that skips ahead of the channel dictionary (frame loss) is data
-  // loss, not silent misdecoding.
-  ColumnarChannelEncoder encoder(schema);
-  auto first = ColumnBatch::FromRows(schema, {{Value::String("a")}});
-  auto second = ColumnBatch::FromRows(schema, {{Value::String("b")}});
-  ASSERT_TRUE(first.ok() && second.ok());
-  std::string payload1;
-  std::string payload2;
-  ASSERT_TRUE(encoder.EncodeBatch(*first, &payload1).ok());
-  ASSERT_TRUE(encoder.EncodeBatch(*second, &payload2).ok());
-  EXPECT_TRUE(decoder.DecodeBatch(payload2, schema, &out).IsDataLoss());
-}
-
-TEST(ColumnarWireTest, RowAndColumnarEncodingsDecodeIdentically) {
-  // Property: any row batch decodes to the same values whether it crossed
-  // the wire as a kData payload (RowCodec) or a kColData payload.
-  auto schema = Schema::Make({{"flag", DataType::kBool},
-                              {"count", DataType::kInt64},
-                              {"ratio", DataType::kDouble},
-                              {"name", DataType::kString}});
-  Random rng(117);
-  ColumnarChannelEncoder encoder(schema);
-  ColumnarChannelDecoder decoder;
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<Row> rows;
-    const size_t n = 1 + rng.NextUint64() % 200;
-    for (size_t i = 0; i < n; ++i) {
-      Row row;
-      row.push_back(rng.NextUint64() % 8 == 0
-                        ? Value::Null()
-                        : Value::Bool(rng.NextUint64() % 2 == 0));
-      row.push_back(rng.NextUint64() % 8 == 0
-                        ? Value::Null()
-                        : Value::Int64(static_cast<int64_t>(rng.NextUint64())));
-      const uint64_t pick = rng.NextUint64() % 16;
-      if (pick == 0) {
-        row.push_back(Value::Null());
-      } else if (pick == 1) {
-        row.push_back(
-            Value::Double(std::numeric_limits<double>::quiet_NaN()));
-      } else if (pick == 2) {
-        row.push_back(Value::Double(std::numeric_limits<double>::infinity()));
-      } else {
-        row.push_back(Value::Double(rng.NextDouble() * 1e6 - 5e5));
-      }
-      row.push_back(rng.NextUint64() % 8 == 0
-                        ? Value::Null()
-                        : Value::String("s" + std::to_string(rng.NextUint64() %
-                                                             64)));
-      rows.push_back(std::move(row));
+TEST(RowBatchWireTest, FramesDecodeWithoutChannelState) {
+  // Each payload is self-contained: the replay window can resend any suffix
+  // of frames to a replacement reader with no preamble, and a duplicate
+  // delivery decodes to the same rows again.
+  const std::vector<Row> rows = EdgeRows();
+  RowBatchEncoder encoder;
+  std::vector<std::string> frames;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    encoder.Add(rows[r]);
+    if (r % 2 == 1) {
+      frames.emplace_back();
+      encoder.Flush(&frames.back());
     }
+  }
+  ASSERT_EQ(frames.size(), 3u);
 
-    const std::string row_payload = RowCodec::EncodeRows(rows);
-    auto via_rows = RowCodec::DecodeRows(row_payload);
-    ASSERT_TRUE(via_rows.ok()) << via_rows.status();
-
-    auto batch = ColumnBatch::FromRows(schema, rows);
-    ASSERT_TRUE(batch.ok()) << batch.status();
-    std::string col_payload;
-    ASSERT_TRUE(encoder.EncodeBatch(*batch, &col_payload).ok());
-    ColumnBatch decoded;
-    ASSERT_TRUE(decoder.DecodeBatch(col_payload, schema, &decoded).ok());
-
-    EXPECT_TRUE(SameRows(*via_rows, rows));
-    EXPECT_TRUE(SameRows(decoded.ToRows(), rows)) << "trial " << trial;
+  std::vector<Row> staged;  // Reused across frames, as in the reader.
+  for (size_t f : {size_t{2}, size_t{0}, size_t{1}, size_t{1}}) {
+    Decoder decoder(frames[f]);
+    ASSERT_TRUE(RowCodec::DecodeRows(&decoder, &staged).ok()) << "frame " << f;
+    const std::vector<Row> expected(rows.begin() + 2 * f,
+                                    rows.begin() + 2 * f + 2);
+    EXPECT_TRUE(SameRows(staged, expected)) << "frame " << f;
   }
 }
+
+TEST(RowBatchWireTest, DecodeErrorPaths) {
+  std::vector<Row> staged;
+
+  // A value tag no encoder writes.
+  std::string bad_tag;
+  PutVarint64(&bad_tag, 1);  // One row...
+  PutVarint64(&bad_tag, 1);  // ...of one value...
+  bad_tag.push_back('\x09');  // ...tagged past kString.
+  Decoder bad_tag_decoder(bad_tag);
+  EXPECT_TRUE(
+      RowCodec::DecodeRows(&bad_tag_decoder, &staged).IsDataLoss());
+
+  // A row count the remaining bytes could back, but whose rows never come.
+  std::string short_batch;
+  PutVarint64(&short_batch, 4);
+  RowCodec::Encode({Value::Int64(1), Value::Int64(2)}, &short_batch);
+  Decoder short_decoder(short_batch);
+  EXPECT_TRUE(RowCodec::DecodeRows(&short_decoder, &staged).IsDataLoss());
+
+  // A string whose length prefix runs past the payload end.
+  std::string long_string;
+  PutVarint64(&long_string, 1);
+  RowCodec::Encode({Value::String("abcdef")}, &long_string);
+  long_string.resize(long_string.size() - 2);
+  Decoder long_decoder(long_string);
+  EXPECT_TRUE(RowCodec::DecodeRows(&long_decoder, &staged).IsDataLoss());
+
+  // A varint that never terminates.
+  const std::string endless(12, '\xff');
+  Decoder endless_decoder(endless);
+  EXPECT_TRUE(RowCodec::DecodeRows(&endless_decoder, &staged).IsDataLoss());
+}
+
+// --- Frame buffer pool ------------------------------------------------------
 
 TEST(FrameBufferPoolTest, ReusesBuffersAndCountsHitsAndMisses) {
   MetricsRegistry& metrics = MetricsRegistry::Global();
@@ -339,229 +214,6 @@ TEST(FrameBufferPoolTest, ReusesBuffersAndCountsHitsAndMisses) {
   EXPECT_TRUE(reused.empty());  // Cleared, capacity kept.
   EXPECT_GE(reused.capacity(), 4096u);
   EXPECT_EQ(reused.data(), data);
-}
-
-// --- Vectorized transform kernels -------------------------------------------
-
-TEST(KernelTest, RecodeKernelMatchesMapLookups) {
-  RecodeMap map;
-  ASSERT_TRUE(map.Add("city", "nyc", 1).ok());
-  ASSERT_TRUE(map.Add("city", "sfo", 2).ok());
-  ASSERT_TRUE(map.Add("city", "ber", 3).ok());
-
-  auto schema = Schema::Make({{"city", DataType::kString}});
-  std::vector<Row> rows = {{Value::String("sfo")}, {Value::String("nyc")},
-                           {Value::Null()},        {Value::String("ber")},
-                           {Value::String("sfo")}};
-  auto batch = ColumnBatch::FromRows(schema, rows);
-  ASSERT_TRUE(batch.ok());
-
-  const RecodeMap::ColumnDict* dict = map.FindColumn("city");
-  ASSERT_NE(dict, nullptr);
-  Column out;
-  ASSERT_TRUE(RecodeColumnKernel(batch->column(0), batch->num_rows(), "city",
-                                 *dict, &out)
-                  .ok());
-  EXPECT_EQ(out.ints, (std::vector<int64_t>{2, 1, 0, 3, 2}));
-  EXPECT_TRUE(out.IsNull(2));
-  EXPECT_FALSE(out.IsNull(0));
-  // Per-row lookup latency landed in the histogram.
-  EXPECT_GT(MetricsRegistry::Global()
-                .GetHistogram("transform.recode_lookup_ns")
-                ->count(),
-            0);
-
-  // A value outside the map is the row path's NotFound, not a bad code.
-  auto bad = ColumnBatch::FromRows(schema, {{Value::String("lax")}});
-  ASSERT_TRUE(bad.ok());
-  EXPECT_TRUE(
-      RecodeColumnKernel(bad->column(0), 1, "city", *dict, &out).IsNotFound());
-}
-
-TEST(KernelTest, CodingKernelProducesContrastColumns) {
-  auto matrix = CodingMatrix(CodingScheme::kDummy, 3);
-  ASSERT_TRUE(matrix.ok());
-
-  auto schema = Schema::Make({{"code", DataType::kInt64}});
-  auto batch = ColumnBatch::FromRows(
-      schema, {{Value::Int64(1)}, {Value::Int64(3)}, {Value::Int64(2)}});
-  ASSERT_TRUE(batch.ok());
-
-  std::vector<Column> out;
-  ASSERT_TRUE(ApplyCodingKernel(batch->column(0), batch->num_rows(), 3,
-                                *matrix, DataType::kInt64, &out)
-                  .ok());
-  ASSERT_EQ(out.size(), matrix->front().size());
-  for (size_t j = 0; j < out.size(); ++j) {
-    for (size_t r = 0; r < 3; ++r) {
-      const auto level = static_cast<size_t>(batch->column(0).ints[r]);
-      EXPECT_EQ(out[j].ints[r], static_cast<int64_t>((*matrix)[level - 1][j]))
-          << "row " << r << " col " << j;
-    }
-  }
-
-  // A level outside [1, cardinality] is OutOfRange, matching the row path.
-  auto bad = ColumnBatch::FromRows(schema, {{Value::Int64(4)}});
-  ASSERT_TRUE(bad.ok());
-  EXPECT_TRUE(ApplyCodingKernel(bad->column(0), 1, 3, *matrix,
-                                DataType::kInt64, &out)
-                  .IsOutOfRange());
-}
-
-// --- Columnar feature extraction --------------------------------------------
-
-TEST(DatasetTest, FromColumnsMatchesFromRows) {
-  auto schema = Schema::Make({{"label", DataType::kInt64},
-                              {"f1", DataType::kDouble},
-                              {"f2", DataType::kBool},
-                              {"f3", DataType::kInt64}});
-  Random rng(9);
-  ml::RowDataset rows;
-  rows.schema = schema;
-  ml::ColumnDataset columns;
-  columns.schema = schema;
-  for (int p = 0; p < 3; ++p) {
-    std::vector<Row> partition;
-    for (int i = 0; i < 50; ++i) {
-      partition.push_back({Value::Int64(i % 2),
-                           rng.NextUint64() % 10 == 0
-                               ? Value::Null()
-                               : Value::Double(rng.NextDouble()),
-                           Value::Bool(rng.NextUint64() % 2 == 0),
-                           Value::Int64(static_cast<int64_t>(
-                               rng.NextUint64() % 1000))});
-    }
-    auto batch = ColumnBatch::FromRows(schema, partition);
-    ASSERT_TRUE(batch.ok());
-    columns.partitions.push_back(std::move(*batch));
-    rows.partitions.push_back(std::move(partition));
-  }
-
-  auto from_rows = ml::Dataset::FromRowsAutoFeatures(rows, "label");
-  auto from_columns = ml::Dataset::FromColumnsAutoFeatures(columns, "label");
-  ASSERT_TRUE(from_rows.ok()) << from_rows.status();
-  ASSERT_TRUE(from_columns.ok()) << from_columns.status();
-  EXPECT_EQ(from_rows->dimension(), from_columns->dimension());
-  EXPECT_EQ(from_rows->partitions(), from_columns->partitions());
-}
-
-TEST(DatasetTest, FromColumnsRejectsCategoricalFeatures) {
-  auto schema = Schema::Make(
-      {{"label", DataType::kInt64}, {"city", DataType::kString}});
-  ml::ColumnDataset columns;
-  columns.schema = schema;
-  auto batch = ColumnBatch::FromRows(
-      schema, {{Value::Int64(1), Value::String("nyc")}});
-  ASSERT_TRUE(batch.ok());
-  columns.partitions.push_back(std::move(*batch));
-  auto dataset = ml::Dataset::FromColumnsAutoFeatures(columns, "label");
-  EXPECT_TRUE(dataset.status().IsInvalidArgument());
-}
-
-// --- End-to-end transfer under both modes -----------------------------------
-
-class ColumnarTransferTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    temp_ = std::make_unique<ScopedTempDir>("columnar_test");
-    auto cluster = Cluster::Make(4, temp_->path());
-    ASSERT_TRUE(cluster.ok());
-    engine_ = SqlEngine::Make(*cluster);
-
-    auto schema = Schema::Make({{"id", DataType::kInt64},
-                                {"feature", DataType::kDouble},
-                                {"label", DataType::kInt64}});
-    auto table = engine_->MakeTable("points", schema);
-    Random rng(31);
-    for (int64_t i = 0; i < 1000; ++i) {
-      table->AppendRow(
-          static_cast<size_t>(i) % 4,
-          Row{Value::Int64(i), Value::Double(rng.NextDouble()),
-              Value::Int64(i % 2)});
-    }
-    ASSERT_TRUE(engine_->catalog()->RegisterTable(table).ok());
-  }
-
-  void TearDown() override { SetColumnarEnabledForTest(-1); }
-
-  void ExpectAllIds(const ml::ColumnDataset& dataset) {
-    std::set<int64_t> ids;
-    for (const ColumnBatch& partition : dataset.partitions) {
-      for (size_t r = 0; r < partition.num_rows(); ++r) {
-        EXPECT_TRUE(ids.insert(partition.ValueAt(r, 0).int64_value()).second);
-      }
-    }
-    EXPECT_EQ(ids.size(), 1000u);
-  }
-
-  std::unique_ptr<ScopedTempDir> temp_;
-  SqlEnginePtr engine_;
-};
-
-TEST_F(ColumnarTransferTest, ColumnarTransferDeliversEveryRowOnce) {
-  SetColumnarEnabledForTest(1);
-  Counter* pooled =
-      MetricsRegistry::Global().GetCounter("stream.wire.frames_pooled");
-  const int64_t pooled_before = pooled->value();
-  auto result =
-      StreamingTransfer::RunToColumns(engine_.get(), "SELECT * FROM points");
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->dataset.TotalRows(), 1000u);
-  EXPECT_EQ(result->rows_sent, 1000);
-  EXPECT_EQ(result->stats.num_splits, 4);
-  EXPECT_EQ(result->dataset.schema->ToString(),
-            "id:INT64, feature:DOUBLE, label:INT64");
-  ExpectAllIds(result->dataset);
-  // The steady-state sender recycled frame buffers through the pool.
-  EXPECT_GT(pooled->value(), pooled_before);
-}
-
-TEST_F(ColumnarTransferTest, RowModeTransferStillDeliversColumns) {
-  // SQLINK_COLUMNAR=off: the wire carries kData row frames and the reader
-  // falls back to per-row appends, but the columnar dataset shape holds.
-  SetColumnarEnabledForTest(0);
-  auto result =
-      StreamingTransfer::RunToColumns(engine_.get(), "SELECT * FROM points");
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->dataset.TotalRows(), 1000u);
-  ExpectAllIds(result->dataset);
-}
-
-TEST_F(ColumnarTransferTest, RowIngestOverColumnarWireMatches) {
-  // The classic row-Dataset entry point must keep working when the wire is
-  // columnar: frames decode into batches, rows are emitted on demand.
-  SetColumnarEnabledForTest(1);
-  auto result =
-      StreamingTransfer::Run(engine_.get(), "SELECT * FROM points");
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->dataset.TotalRows(), 1000u);
-  std::set<int64_t> ids;
-  for (const auto& partition : result->dataset.partitions) {
-    for (const Row& row : partition) {
-      EXPECT_TRUE(ids.insert(row[0].int64_value()).second);
-    }
-  }
-  EXPECT_EQ(ids.size(), 1000u);
-}
-
-TEST_F(ColumnarTransferTest, BothModesFeedIdenticalTrainingData) {
-  SetColumnarEnabledForTest(1);
-  auto columnar =
-      StreamingTransfer::RunToColumns(engine_.get(), "SELECT * FROM points");
-  ASSERT_TRUE(columnar.ok()) << columnar.status();
-  SetColumnarEnabledForTest(0);
-  auto row = StreamingTransfer::Run(engine_.get(), "SELECT * FROM points");
-  ASSERT_TRUE(row.ok()) << row.status();
-
-  auto from_columns =
-      ml::Dataset::FromColumnsAutoFeatures(columnar->dataset, "label");
-  auto from_rows = ml::Dataset::FromRowsAutoFeatures(row->dataset, "label");
-  ASSERT_TRUE(from_columns.ok()) << from_columns.status();
-  ASSERT_TRUE(from_rows.ok()) << from_rows.status();
-
-  // Partition order is deterministic (split i = partition i), so the two
-  // ingests must agree point for point.
-  EXPECT_EQ(from_columns->partitions(), from_rows->partitions());
 }
 
 }  // namespace

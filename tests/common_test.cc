@@ -181,11 +181,27 @@ TEST(CodingTest, LengthPrefixedRoundTrip) {
 TEST(CodingTest, TruncatedInputErrors) {
   std::string buf;
   PutLengthPrefixed(&buf, "hello");
-  Decoder dec(buf.substr(0, 3));
+  const std::string truncated = buf.substr(0, 3);
+  Decoder dec(truncated);
   EXPECT_TRUE(dec.GetLengthPrefixed().status().IsDataLoss());
   Decoder dec2("");
   EXPECT_TRUE(dec2.GetVarint64().status().IsDataLoss());
   EXPECT_TRUE(dec2.GetFixed64().status().IsDataLoss());
+}
+
+TEST(CodingTest, GetCountIsBoundedByTheBytesLeft) {
+  std::string buf;
+  PutVarint64(&buf, 3);
+  buf.append(6, '\0');
+  Decoder fits(buf);
+  EXPECT_EQ(*fits.GetCount(/*min_element_bytes=*/2), 3u);
+  Decoder too_big(buf);
+  EXPECT_TRUE(too_big.GetCount(/*min_element_bytes=*/3).status().IsDataLoss());
+
+  std::string huge;
+  PutVarint64(&huge, uint64_t{1} << 40);
+  Decoder hostile(huge);
+  EXPECT_TRUE(hostile.GetCount(/*min_element_bytes=*/1).status().IsDataLoss());
 }
 
 TEST(CodingTest, FixedAndDouble) {

@@ -36,9 +36,9 @@ TEST(ClusterTest, HostNameRoundTrip) {
 
 TEST(MetricsTest, CountersAccumulateAndReset) {
   MetricsRegistry metrics;
-  metrics.Increment("a");
-  metrics.Add("a", 4);
-  metrics.Add("b", -2);
+  metrics.GetCounter("a")->Increment();
+  metrics.GetCounter("a")->Add(4);
+  metrics.GetCounter("b")->Add(-2);
   EXPECT_EQ(metrics.Get("a"), 5);
   EXPECT_EQ(metrics.Get("b"), -2);
   EXPECT_EQ(metrics.Get("missing"), 0);

@@ -183,19 +183,6 @@ TEST(MetricsRegistryTest, SameNameSameHandle) {
             static_cast<void*>(registry.GetGauge("x")));
 }
 
-TEST(MetricsRegistryTest, LegacyStringShim) {
-  MetricsRegistry registry;
-  registry.Increment("legacy.a");
-  registry.Add("legacy.b", 41);
-  registry.Add("legacy.b", 1);
-  EXPECT_EQ(registry.Get("legacy.a"), 1);
-  EXPECT_EQ(registry.Get("legacy.b"), 42);
-  EXPECT_EQ(registry.Get("legacy.absent"), 0);
-  const auto snapshot = registry.Snapshot();
-  EXPECT_EQ(snapshot.at("legacy.a"), 1);
-  EXPECT_EQ(snapshot.at("legacy.b"), 42);
-}
-
 TEST(MetricsRegistryTest, SnapshotIncludesGauges) {
   MetricsRegistry registry;
   registry.GetGauge("depth")->Set(3);

@@ -294,6 +294,45 @@ TEST(DatasetTest, AutoFeaturesExcludeLabel) {
   EXPECT_EQ(data->Gather()[0].features, (DenseVector{1.0, 2.0}));
 }
 
+TEST(DatasetTest, AutoFeaturesRejectCategoricalColumn) {
+  // Auto-selection takes every non-label column; a STRING one is refused,
+  // not silently dropped from the feature vector.
+  RowDataset rows;
+  rows.schema = Schema::Make({{"label", DataType::kInt64},
+                              {"amount", DataType::kDouble},
+                              {"city", DataType::kString}});
+  rows.partitions.resize(1);
+  rows.partitions[0].push_back(
+      Row{Value::Int64(1), Value::Double(2.5), Value::String("nyc")});
+  auto status = Dataset::FromRowsAutoFeatures(rows, "label").status();
+  EXPECT_TRUE(status.IsInvalidArgument()) << status;
+  EXPECT_NE(status.message().find("city"), std::string::npos);
+}
+
+TEST(DatasetTest, NullAndBoolValuesBecomeNumbers) {
+  RowDataset rows;
+  rows.schema = Schema::Make({{"label", DataType::kInt64},
+                              {"ratio", DataType::kDouble},
+                              {"flag", DataType::kBool}});
+  rows.partitions.resize(2);
+  rows.partitions[0].push_back(
+      Row{Value::Int64(1), Value::Null(), Value::Bool(true)});
+  rows.partitions[1].push_back(
+      Row{Value::Null(), Value::Double(-0.5), Value::Bool(false)});
+  rows.partitions[1].push_back(
+      Row{Value::Int64(0), Value::Double(4.0), Value::Null()});
+  auto data = Dataset::FromRowsAutoFeatures(rows, "label");
+  ASSERT_TRUE(data.ok()) << data.status();
+  ASSERT_EQ(data->num_partitions(), 2u);
+  const auto all = data->Gather();
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_DOUBLE_EQ(all[0].label, 1.0);
+  EXPECT_EQ(all[0].features, (DenseVector{0.0, 1.0}));
+  EXPECT_DOUBLE_EQ(all[1].label, 0.0);
+  EXPECT_EQ(all[1].features, (DenseVector{-0.5, 0.0}));
+  EXPECT_EQ(all[2].features, (DenseVector{4.0, 0.0}));
+}
+
 TEST(ScalerTest, StandardizesToZeroMeanUnitVariance) {
   Random rng(13);
   std::vector<std::vector<LabeledPoint>> parts(3);

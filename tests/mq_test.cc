@@ -12,6 +12,7 @@
 #include "mq/broker.h"
 #include "mq/mq_transfer.h"
 #include "sql/engine.h"
+#include "table/row_codec.h"
 
 namespace sqlink {
 namespace {
@@ -124,6 +125,36 @@ TEST(BrokerTest, ConcurrentProducersConsumer) {
   }
   for (auto& producer : producers) producer.join();
   EXPECT_EQ(consumed, 4u * kPerPartition);
+}
+
+// --- Consumer decoding ---
+
+TEST(MqInputFormatTest, HugeMessageRowCountIsDataLoss) {
+  // A message whose row count (2^40) no payload could back, behind a valid
+  // one: the consumer fails with DataLoss instead of sizing an allocation
+  // from the count.
+  auto broker = std::make_shared<MessageBroker>();
+  ASSERT_TRUE(broker->CreateTopic("t", {1, 0}).ok());
+  ASSERT_TRUE(
+      broker->Produce("t", 0, RowCodec::EncodeRows({Row{Value::Int64(7)}}))
+          .ok());
+  std::string hostile;
+  PutVarint64(&hostile, uint64_t{1} << 40);
+  ASSERT_TRUE(broker->Produce("t", 0, hostile).ok());
+  ASSERT_TRUE(broker->SealPartition("t", 0).ok());
+
+  MqInputFormat format(broker, "t", Schema::Make({{"id", DataType::kInt64}}),
+                       MqTransferOptions{});
+  ml::JobContext context;
+  auto splits = format.GetSplits(context);
+  ASSERT_TRUE(splits.ok()) << splits.status();
+  ASSERT_EQ(splits->size(), 1u);
+  auto reader = format.CreateReader(context, *splits->front(), 0);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  Row row;
+  Result<bool> next = true;
+  while (next.ok() && *next) next = (*reader)->Next(&row);
+  EXPECT_TRUE(next.status().IsDataLoss()) << next.status();
 }
 
 // --- Broker-mediated transfer ---

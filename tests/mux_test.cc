@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/runtime_flags.h"
 #include "net/conn_pool.h"
 #include "net/mux.h"
 #include "stream/heartbeat.h"

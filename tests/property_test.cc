@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -18,11 +21,13 @@
 #include "common/runtime_flags.h"
 #include "ml/sgd.h"
 #include "rewriter/predicate_logic.h"
+#include "serving/query_server.h"
 #include "sql/batch_kernels.h"
 #include "sql/engine.h"
 #include "sql/parser.h"
 #include "stream/replay_window.h"
 #include "stream/spill_queue.h"
+#include "stream/wire.h"
 #include "table/csv.h"
 #include "table/row_codec.h"
 #include "transform/coding.h"
@@ -76,6 +81,54 @@ Row RandomRow(Random* rng, const Schema& schema) {
   return row;
 }
 
+/// RandomValue plus the extremes a binary codec must carry bit-exactly:
+/// full-range int64 and NaN, ±infinity, -0.0 and the double limits.
+Value RandomWireValue(Random* rng, DataType type) {
+  if (type == DataType::kInt64 && rng->Bernoulli(0.3)) {
+    switch (rng->Uniform(3)) {
+      case 0:
+        return Value::Int64(std::numeric_limits<int64_t>::min());
+      case 1:
+        return Value::Int64(std::numeric_limits<int64_t>::max());
+      default:
+        return Value::Int64(static_cast<int64_t>(rng->NextUint64()));
+    }
+  }
+  if (type == DataType::kDouble && rng->Bernoulli(0.3)) {
+    static const double kExtremes[] = {
+        std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        -0.0,
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::denorm_min()};
+    return Value::Double(kExtremes[rng->Uniform(std::size(kExtremes))]);
+  }
+  return RandomValue(rng, type);
+}
+
+/// Value equality with doubles compared by bit pattern, so NaN equals
+/// itself and -0.0 differs from 0.0.
+bool BitIdentical(const Value& a, const Value& b) {
+  if (a.is_double() && b.is_double()) {
+    const double x = a.double_value();
+    const double y = b.double_value();
+    return std::memcmp(&x, &y, sizeof(double)) == 0;
+  }
+  return a == b;
+}
+
+bool BitIdentical(const std::vector<Row>& a, const std::vector<Row>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t r = 0; r < a.size(); ++r) {
+    if (a[r].size() != b[r].size()) return false;
+    for (size_t c = 0; c < a[r].size(); ++c) {
+      if (!BitIdentical(a[r][c], b[r][c])) return false;
+    }
+  }
+  return true;
+}
+
 // ---------------------------------------------------------------------------
 // CSV and binary codec round trips over adversarial random rows.
 
@@ -99,11 +152,19 @@ TEST_P(CodecRoundTripTest, RowCodecRoundTripsRandomRows) {
   Random rng(GetParam() * 31 + 7);
   for (int trial = 0; trial < 50; ++trial) {
     SchemaPtr schema = RandomSchema(&rng);
-    std::vector<Row> rows;
-    for (int i = 0; i < 20; ++i) rows.push_back(RandomRow(&rng, *schema));
+    // One all-NULL row puts a NULL in every column.
+    std::vector<Row> rows{
+        Row(static_cast<size_t>(schema->num_fields()), Value::Null())};
+    for (int i = 0; i < 20; ++i) {
+      Row row;
+      for (const Field& field : schema->fields()) {
+        row.push_back(RandomWireValue(&rng, field.type));
+      }
+      rows.push_back(std::move(row));
+    }
     auto decoded = RowCodec::DecodeRows(RowCodec::EncodeRows(rows));
     ASSERT_TRUE(decoded.ok()) << decoded.status();
-    EXPECT_EQ(*decoded, rows);
+    EXPECT_TRUE(BitIdentical(*decoded, rows)) << "trial " << trial;
   }
 }
 
@@ -122,6 +183,167 @@ TEST_P(CodecRoundTripTest, RowCodecRejectsEveryTruncation) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecRoundTripTest,
                          ::testing::Values(1, 2, 3, 4, 5, 11, 42, 1234));
+
+// ---------------------------------------------------------------------------
+// Seeded mutation of every wire message: a decoder fed corrupted bytes from
+// a peer must return, never abort, and never size an allocation from a
+// count the remaining bytes cannot back.
+
+/// One mutation of `valid`: flipped bytes, a truncation, appended garbage,
+/// or a varint in [2^40, 2^63) written over the bytes at a random offset.
+std::string Mutate(const std::string& valid, Random* rng) {
+  std::string out = valid;
+  switch (rng->Uniform(4)) {
+    case 0: {
+      const uint64_t flips = 1 + rng->Uniform(4);
+      for (uint64_t i = 0; i < flips && !out.empty(); ++i) {
+        out[rng->Uniform(out.size())] ^=
+            static_cast<char>(1 + rng->Uniform(255));
+      }
+      break;
+    }
+    case 1:
+      out.resize(rng->Uniform(out.size() + 1));
+      break;
+    case 2: {
+      const uint64_t extra = 1 + rng->Uniform(16);
+      for (uint64_t i = 0; i < extra; ++i) {
+        out.push_back(static_cast<char>(rng->Uniform(256)));
+      }
+      break;
+    }
+    default: {
+      constexpr uint64_t kLow = uint64_t{1} << 40;
+      constexpr uint64_t kHigh = uint64_t{1} << 63;
+      std::string varint;
+      PutVarint64(&varint, kLow + rng->Uniform(kHigh - kLow));
+      const size_t at = rng->Uniform(out.size() + 1);
+      out.replace(at, std::min(varint.size(), out.size() - at), varint);
+      break;
+    }
+  }
+  return out;
+}
+
+/// A valid encoding of one message type and the decoder that reads it; a
+/// decode that does not return the original message is a non-OK Status.
+struct WireMessageCase {
+  const char* name;
+  std::string valid;
+  std::function<Status(std::string_view)> decode;
+};
+
+std::vector<WireMessageCase> WireMessageCases() {
+  const SchemaPtr schema = Schema::Make({{"flag", DataType::kBool},
+                                         {"n", DataType::kInt64},
+                                         {"x", DataType::kDouble},
+                                         {"s", DataType::kString}});
+  const std::vector<Row> rows{
+      Row{Value::Bool(true), Value::Int64(-3), Value::Double(2.5),
+          Value::String("abc")},
+      Row{Value::Null(), Value::Int64(1), Value::Null(), Value::String("")},
+      Row{Value::Bool(false), Value::Null(), Value::Double(-0.0),
+          Value::Null()}};
+  StreamSplitInfo split{3, 1, "node1", 7000, 2, 99};
+  std::vector<WireMessageCase> cases;
+  auto add = [&cases](const char* name, std::string valid,
+                      std::function<Status(std::string_view)> decode) {
+    cases.push_back({name, std::move(valid), std::move(decode)});
+  };
+
+  add("row batch", RowCodec::EncodeRows(rows), [](std::string_view bytes) {
+    return RowCodec::DecodeRows(bytes).status();
+  });
+  std::string schema_bytes;
+  EncodeSchema(*schema, &schema_bytes);
+  add("schema", schema_bytes, [](std::string_view bytes) {
+    Decoder decoder(bytes);
+    return DecodeSchema(&decoder).status();
+  });
+  RegisterSqlMessage reg;
+  reg.worker_id = 1;
+  reg.num_workers = 4;
+  reg.host = "node1";
+  reg.port = 7000;
+  reg.command = "svm";
+  reg.args = {"--iterations", "10"};
+  reg.schema = schema;
+  reg.sink_key = 99;
+  add("RegisterSqlMessage", reg.Encode(), [](std::string_view bytes) {
+    return RegisterSqlMessage::Decode(bytes).status();
+  });
+  SplitsMessage splits;
+  splits.schema = schema;
+  splits.splits = {split, split};
+  add("SplitsMessage", splits.Encode(), [](std::string_view bytes) {
+    return SplitsMessage::Decode(bytes).status();
+  });
+  OpenChannelMessage open;
+  open.sink_key = 99;
+  open.window_bytes = 1 << 20;
+  open.hello = HelloMessage{3, true, 17};
+  add("OpenChannelMessage", open.Encode(), [](std::string_view bytes) {
+    return OpenChannelMessage::Decode(bytes).status();
+  });
+  add("HelloMessage", open.hello.Encode(), [](std::string_view bytes) {
+    return HelloMessage::Decode(bytes).status();
+  });
+  add("ResumeMessage", ResumeMessage{12, 3400}.Encode(),
+      [](std::string_view bytes) {
+        return ResumeMessage::Decode(bytes).status();
+      });
+  HeartbeatMessage beat;
+  beat.role = HeartbeatMessage::kReader;
+  beat.id = 3;
+  beat.epoch = 2;
+  beat.applied_seq = 41;
+  add("HeartbeatMessage", beat.Encode(), [](std::string_view bytes) {
+    return HeartbeatMessage::Decode(bytes).status();
+  });
+  add("SplitGrantMessage", SplitGrantMessage{true, split}.Encode(),
+      [](std::string_view bytes) {
+        return SplitGrantMessage::Decode(bytes).status();
+      });
+  add("CompleteSplitMessage", CompleteSplitMessage{3, 2, 1000}.Encode(),
+      [](std::string_view bytes) {
+        return CompleteSplitMessage::Decode(bytes).status();
+      });
+  add("SubmitQueryMessage",
+      SubmitQueryMessage{"tenant", "SELECT COUNT(*) FROM t", 500}.Encode(),
+      [](std::string_view bytes) {
+        return SubmitQueryMessage::Decode(bytes).status();
+      });
+  QueryResultMessage result;
+  result.schema = schema;
+  result.rows = rows;
+  result.elapsed_micros = 1234;
+  add("QueryResultMessage", result.Encode(), [](std::string_view bytes) {
+    return QueryResultMessage::Decode(bytes).status();
+  });
+  // Status payloads never fail to decode: a damaged one degrades to a
+  // NetworkError carrying the raw bytes.
+  add("EncodeStatus", EncodeStatus(Status::Aborted("lease revoked")),
+      [](std::string_view bytes) {
+        return DecodeStatusPayload(bytes).IsAborted()
+                   ? Status::OK()
+                   : Status::DataLoss("status payload did not round-trip");
+      });
+  return cases;
+}
+
+TEST(WireMutationTest, EveryDecoderSurvivesSeededMutations) {
+  constexpr int kMutationsPerMessage = 4000;
+  for (const WireMessageCase& c : WireMessageCases()) {
+    ASSERT_TRUE(c.decode(c.valid).ok()) << c.name;
+    Random rng(2015);
+    int rejected = 0;
+    for (int i = 0; i < kMutationsPerMessage; ++i) {
+      if (!c.decode(Mutate(c.valid, &rng)).ok()) ++rejected;
+    }
+    // The mutations reach the error paths, not just harmless bytes.
+    EXPECT_GT(rejected, kMutationsPerMessage / 10) << c.name;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Coding matrices across cardinalities.

@@ -30,9 +30,22 @@
 #include "sql/query_registry.h"
 #include "stream/spill_queue.h"
 #include "stream/socket.h"
+#include "stream/wire.h"
 
 namespace sqlink {
 namespace {
+
+// ---------------------------------------------------------------------------
+// Query result decoding
+
+TEST(QueryResultMessageTest, HugeRowCountIsDataLoss) {
+  QueryResultMessage result;
+  result.schema = Schema::Make({{"n", DataType::kInt64}});
+  std::string payload;
+  EncodeSchema(*result.schema, &payload);
+  PutVarint64(&payload, uint64_t{1} << 40);
+  EXPECT_TRUE(QueryResultMessage::Decode(payload).status().IsDataLoss());
+}
 
 // ---------------------------------------------------------------------------
 // ByteBudget

@@ -1,21 +1,32 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <cstring>
 #include <filesystem>
+#include <limits>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <thread>
 
 #include "cluster/cluster.h"
+#include "common/coding.h"
 #include "common/failpoint.h"
 #include "common/fs_util.h"
 #include "common/metrics.h"
 #include "common/random.h"
 #include "common/trace.h"
+#include "ml/dataset.h"
+#include "net/conn_pool.h"
 #include "sql/engine.h"
 #include "stream/coordinator.h"
 #include "stream/replay_window.h"
 #include "stream/socket.h"
 #include "stream/spill_queue.h"
+#include "stream/sql_stream_input_format.h"
 #include "stream/streaming_transfer.h"
 #include "stream/wire.h"
 
@@ -101,6 +112,21 @@ TEST(WireTest, SchemaSerializationRoundTrip) {
   auto decoded = DecodeSchema(&decoder);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(**decoded, schema);
+}
+
+TEST(WireTest, HugeSchemaFieldCountIsDataLoss) {
+  std::string payload;
+  PutVarint64(&payload, uint64_t{1} << 40);
+  Decoder decoder(payload);
+  EXPECT_TRUE(DecodeSchema(&decoder).status().IsDataLoss());
+
+  // The same count inside a coordinator registration from a TCP peer.
+  RegisterSqlMessage reg;
+  reg.schema = Schema::Make({});
+  std::string registration = reg.Encode();
+  registration.resize(registration.size() - 2);  // Field count + sink key.
+  PutVarint64(&registration, uint64_t{1} << 40);
+  EXPECT_TRUE(RegisterSqlMessage::Decode(registration).status().IsDataLoss());
 }
 
 TEST(WireTest, ControlMessagesRoundTrip) {
@@ -415,12 +441,124 @@ TEST_F(StreamingTransferTest, MultipleSplitsPerWorker) {
 }
 
 TEST_F(StreamingTransferTest, TinyBufferForcesManyFrames) {
+  Counter* pooled =
+      MetricsRegistry::Global().GetCounter("stream.wire.frames_pooled");
+  const int64_t pooled_before = pooled->value();
   StreamTransferOptions options;
   options.sink.send_buffer_bytes = 64;
   auto result =
       StreamingTransfer::Run(engine_.get(), "SELECT * FROM points", options);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->dataset.TotalRows(), 1000u);
+  // The steady-state sender recycled frame buffers through the pool.
+  EXPECT_GT(pooled->value(), pooled_before);
+}
+
+TEST_F(StreamingTransferTest, StreamedTrainingDataMatchesLocalQuery) {
+  auto streamed =
+      StreamingTransfer::Run(engine_.get(), "SELECT * FROM points");
+  ASSERT_TRUE(streamed.ok()) << streamed.status();
+  auto local = engine_->ExecuteSql("SELECT * FROM points");
+  ASSERT_TRUE(local.ok()) << local.status();
+  ml::RowDataset rows;
+  rows.schema = (*local)->schema();
+  for (size_t p = 0; p < (*local)->num_partitions(); ++p) {
+    rows.partitions.push_back((*local)->partition(p));
+  }
+
+  auto from_stream =
+      ml::Dataset::FromRowsAutoFeatures(streamed->dataset, "label");
+  auto from_local = ml::Dataset::FromRowsAutoFeatures(rows, "label");
+  ASSERT_TRUE(from_stream.ok()) << from_stream.status();
+  ASSERT_TRUE(from_local.ok()) << from_local.status();
+  // Split i drains SQL worker i's partition in scan order (k=1), so the
+  // streamed training data agrees with the local result point for point.
+  EXPECT_EQ(from_stream->partitions(), from_local->partitions());
+}
+
+TEST_F(StreamingTransferTest, EdgeValuesCrossTheStreamBitExact) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<Row> edges = {
+      {Value::Int64(std::numeric_limits<int64_t>::min()),
+       Value::Double(std::numeric_limits<double>::quiet_NaN()),
+       Value::Bool(true), Value::String("")},
+      {Value::Int64(std::numeric_limits<int64_t>::max()), Value::Double(kInf),
+       Value::Bool(false), Value::String(std::string("nul\0byte", 8))},
+      {Value::Int64(-1), Value::Double(-kInf), Value::Null(),
+       Value::String(std::string(5000, 'x'))},
+      {Value::Null(), Value::Double(-0.0), Value::Bool(true), Value::Null()},
+      {Value::Int64(0), Value::Double(std::numeric_limits<double>::denorm_min()),
+       Value::Null(), Value::String("repeated")},
+      {Value::Int64(1), Value::Null(), Value::Bool(false),
+       Value::String("repeated")}};
+  auto table = engine_->MakeTable(
+      "edges", Schema::Make({{"id", DataType::kInt64},
+                             {"n", DataType::kInt64},
+                             {"x", DataType::kDouble},
+                             {"flag", DataType::kBool},
+                             {"s", DataType::kString}}));
+  for (size_t i = 0; i < edges.size(); ++i) {
+    Row row{Value::Int64(static_cast<int64_t>(i))};
+    row.insert(row.end(), edges[i].begin(), edges[i].end());
+    table->AppendRow(i % 4, std::move(row));
+  }
+  ASSERT_TRUE(engine_->catalog()->RegisterTable(table).ok());
+
+  auto result = StreamingTransfer::Run(engine_.get(), "SELECT * FROM edges");
+  ASSERT_TRUE(result.ok()) << result.status();
+  std::vector<Row> got;
+  for (const auto& partition : result->dataset.partitions) {
+    got.insert(got.end(), partition.begin(), partition.end());
+  }
+  ASSERT_EQ(got.size(), edges.size());
+  std::sort(got.begin(), got.end(), [](const Row& a, const Row& b) {
+    return a[0].int64_value() < b[0].int64_value();
+  });
+  for (size_t i = 0; i < edges.size(); ++i) {
+    ASSERT_EQ(got[i].size(), 1 + edges[i].size());
+    for (size_t c = 0; c < edges[i].size(); ++c) {
+      const Value& want = edges[i][c];
+      const Value& have = got[i][1 + c];
+      if (want.is_double() && have.is_double()) {
+        // Bit pattern: NaN equals itself, -0.0 differs from 0.0.
+        const double w = want.double_value();
+        const double h = have.double_value();
+        EXPECT_EQ(std::memcmp(&w, &h, sizeof(double)), 0)
+            << "row " << i << " column " << c;
+      } else {
+        EXPECT_EQ(have, want) << "row " << i << " column " << c;
+      }
+    }
+  }
+}
+
+TEST_F(StreamingTransferTest, IngestAndCoordinatorCountersTrackTheTransfer) {
+  // The engine records into the process-wide registry, which earlier
+  // transfers in this process have already bumped: compare deltas.
+  MetricsRegistry& metrics = *engine_->metrics();
+  MetricsRegistry& global = MetricsRegistry::Global();
+  const std::map<std::string, int64_t> before = metrics.Snapshot();
+  const int64_t registrations = global.Get("coordinator.register_sql.count");
+  const int64_t split_requests = global.Get("coordinator.get_splits.count");
+  auto result =
+      StreamingTransfer::Run(engine_.get(), "SELECT * FROM points");
+  ASSERT_TRUE(result.ok()) << result.status();
+
+  auto delta = [&](const std::string& name) {
+    auto it = before.find(name);
+    return metrics.Get(name) - (it == before.end() ? 0 : it->second);
+  };
+  EXPECT_EQ(delta("ml.ingest.rows"), 1000);
+  EXPECT_EQ(delta("ml.ingest.splits"), 4);
+  EXPECT_EQ(delta("ml.ingest.local_splits"), result->stats.local_splits);
+  // One registration per SQL worker, one split request per ML job.
+  EXPECT_EQ(global.Get("coordinator.register_sql.count") - registrations, 4);
+  EXPECT_EQ(global.Get("coordinator.get_splits.count") - split_requests, 1);
+  // The ops endpoint exposes them under their sanitized names.
+  EXPECT_NE(metrics.ToPrometheusText().find(
+                "\nsqlink_ml_ingest_rows " +
+                std::to_string(metrics.Get("ml.ingest.rows")) + "\n"),
+            std::string::npos);
 }
 
 TEST_F(StreamingTransferTest, ResilientModeDeliversSameData) {
@@ -576,6 +714,80 @@ TEST_F(StreamingTransferTest, OneTraceCoversSinkCoordinatorReaderAndIngest) {
     EXPECT_EQ(span.parent_span_id, ingest->span_id);
   }
   EXPECT_EQ(split_spans, 4);  // One per split (k=1, n=4).
+}
+
+// --- Reader against a hostile sink ---
+
+TEST(StreamReaderTest, HugeFrameRowCountIsDataLoss) {
+  // A fake sink answers the reader's channel with a valid handshake, then a
+  // kData frame whose row count (2^40) no payload could back. The reader
+  // must fail the split with DataLoss before sizing its staging vector.
+  auto port = MuxSinkServer::Global().EnsureStarted();
+  ASSERT_TRUE(port.ok()) << port.status();
+  struct Opened {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::shared_ptr<MuxChannel> channel;
+  };
+  auto opened = std::make_shared<Opened>();
+  const uint64_t key = MuxSinkServer::Global().Register(
+      [opened](std::shared_ptr<MuxChannel> channel,
+               const OpenChannelMessage& msg) {
+        (void)msg;
+        std::lock_guard<std::mutex> lock(opened->mu);
+        opened->channel = std::move(channel);
+        opened->cv.notify_all();
+      });
+  StreamSplitInfo info;
+  info.host = "localhost";
+  info.port = *port;
+  info.sink_key = key;
+  StreamReaderOptions options;
+  options.heartbeat_ms = 0;
+  // Recovery is off, so the reader never dials the (absent) coordinator.
+  SqlStreamInputFormat format("localhost", /*coordinator_port=*/1, options);
+  auto reader =
+      format.CreateReader(ml::JobContext{}, StreamSplit(info), /*worker_id=*/0);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+
+  std::thread sink([opened] {
+    std::shared_ptr<MuxChannel> channel;
+    {
+      std::unique_lock<std::mutex> lock(opened->mu);
+      if (!opened->cv.wait_for(lock, std::chrono::seconds(10),
+                               [&] { return opened->channel != nullptr; })) {
+        return;
+      }
+      channel = opened->channel;
+    }
+    std::string schema;
+    EncodeSchema(*Schema::Make({{"id", DataType::kInt64}}), &schema);
+    std::string hostile;
+    PutVarint64(&hostile, uint64_t{1} << 40);
+    EXPECT_TRUE(
+        channel->Send(FrameType::kResume, ResumeMessage{}.Encode(), 0).ok());
+    EXPECT_TRUE(channel->Send(FrameType::kSchema, schema, 0).ok());
+    EXPECT_TRUE(channel->Send(FrameType::kData, hostile, 1).ok());
+  });
+
+  const Status opened_status = (*reader)->Open();
+  EXPECT_TRUE(opened_status.ok()) << opened_status;
+  if (opened_status.ok()) {
+    Row row;
+    const Status status = (*reader)->Next(&row).status();
+    EXPECT_TRUE(status.IsDataLoss()) << status;
+  }
+  sink.join();
+
+  reader->reset();
+  {
+    std::lock_guard<std::mutex> lock(opened->mu);
+    if (opened->channel != nullptr) {
+      opened->channel->Shutdown(Status::Cancelled("test done"));
+    }
+  }
+  MuxSinkServer::Global().Unregister(key);
+  MuxConnPool::Global().ResetForTest();
 }
 
 // --- Coordinator-level behaviours ---

@@ -170,6 +170,47 @@ TEST(RowCodecTest, TruncationDetected) {
   EXPECT_TRUE(decoded.status().IsDataLoss());
 }
 
+// A 6-byte payload holding the varint 2^40: a count no following bytes
+// could back. Decoders must reject it before sizing any allocation.
+std::string HugeCountPayload() {
+  std::string payload;
+  PutVarint64(&payload, uint64_t{1} << 40);
+  return payload;
+}
+
+TEST(RowCodecTest, HugeValueCountIsDataLoss) {
+  const std::string payload = HugeCountPayload();
+  Decoder decoder(payload);
+  EXPECT_TRUE(RowCodec::Decode(&decoder).status().IsDataLoss());
+}
+
+TEST(RowCodecTest, HugeRowCountIsDataLoss) {
+  EXPECT_TRUE(RowCodec::DecodeRows(HugeCountPayload()).status().IsDataLoss());
+}
+
+TEST(RowCodecTest, RowBatchEncoderMatchesEncodeRows) {
+  const std::vector<Row> rows{Row{Value::Int64(7), Value::Null()}, Row{},
+                              Row{Value::String("x"), Value::Double(0.5)}};
+  RowBatchEncoder encoder;
+  EXPECT_TRUE(encoder.empty());
+  for (const Row& row : rows) encoder.Add(row);
+  EXPECT_FALSE(encoder.empty());
+  std::string payload = "prefix";
+  encoder.Flush(&payload);
+  EXPECT_EQ(payload, "prefix" + RowCodec::EncodeRows(rows));
+  EXPECT_TRUE(encoder.empty());
+  EXPECT_EQ(encoder.bytes(), 0u);
+
+  // The cursor decoder replaces the vector's contents and stops at the
+  // payload end, leaving whatever follows for the caller.
+  payload.push_back('\x7f');
+  Decoder decoder(std::string_view(payload).substr(6));
+  std::vector<Row> decoded{Row{Value::Bool(true)}};
+  ASSERT_TRUE(RowCodec::DecodeRows(&decoder, &decoded).ok());
+  EXPECT_EQ(decoded, rows);
+  EXPECT_EQ(decoder.remaining(), 1u);
+}
+
 TEST(RowCodecTest, HashRowKeySelectsColumns) {
   Row a{Value::Int64(1), Value::String("x"), Value::Int64(2)};
   Row b{Value::Int64(9), Value::String("x"), Value::Int64(2)};

@@ -3,6 +3,9 @@
 #include <cmath>
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "common/fs_util.h"
@@ -195,6 +198,19 @@ class TransformUdfTest : public ::testing::Test {
     ASSERT_TRUE(engine_->catalog()->RegisterTable(table).ok());
   }
 
+  /// Registers `name(id INT64, lvl INT64)` with row i = (i, levels[i]),
+  /// spread over the partitions.
+  void AddLevels(const std::string& name, const std::vector<Value>& levels) {
+    auto table = engine_->MakeTable(
+        name, Schema::Make({{"id", DataType::kInt64},
+                            {"lvl", DataType::kInt64}}));
+    for (size_t i = 0; i < levels.size(); ++i) {
+      table->AppendRow(i % 4, Row{Value::Int64(static_cast<int64_t>(i)),
+                                  levels[i]});
+    }
+    ASSERT_TRUE(engine_->catalog()->RegisterTable(table).ok());
+  }
+
   std::unique_ptr<ScopedTempDir> temp_;
   SqlEnginePtr engine_;
 };
@@ -350,6 +366,71 @@ TEST_F(TransformUdfTest, DummyCodeOutOfRangeValueErrors) {
                         "'age:2'))")
                     .status();
   EXPECT_TRUE(status.IsOutOfRange()) << status;  // Ages exceed cardinality 2.
+}
+
+TEST_F(TransformUdfTest, CodedColumnsMatchCodingMatrixForEveryLevel) {
+  // Row i carries level i + 1; each scheme's UDF must replace it with row
+  // i of that scheme's coding matrix and pass the id through.
+  constexpr int kLevels = 4;
+  std::vector<Value> levels;
+  for (int64_t level = 1; level <= kLevels; ++level) {
+    levels.push_back(Value::Int64(level));
+  }
+  AddLevels("levels", levels);
+  const std::pair<const char*, CodingScheme> schemes[] = {
+      {"dummy_code", CodingScheme::kDummy},
+      {"effect_code", CodingScheme::kEffect},
+      {"orthogonal_code", CodingScheme::kOrthogonal}};
+  for (const auto& [udf, scheme] : schemes) {
+    auto matrix = CodingMatrix(scheme, kLevels);
+    ASSERT_TRUE(matrix.ok()) << matrix.status();
+    auto result = engine_->ExecuteSql(
+        "SELECT * FROM TABLE(" + std::string(udf) +
+        "((SELECT id, lvl FROM levels), 'lvl:4'))");
+    ASSERT_TRUE(result.ok()) << udf << ": " << result.status();
+    ASSERT_EQ((*result)->TotalRows(), static_cast<size_t>(kLevels)) << udf;
+    for (const Row& row : (*result)->GatherRows()) {
+      const int64_t id = row[0].int64_value();
+      const std::vector<double>& expected =
+          (*matrix)[static_cast<size_t>(id)];
+      ASSERT_EQ(row.size(), 1 + expected.size()) << udf;
+      for (size_t j = 0; j < expected.size(); ++j) {
+        const Value& got = row[1 + j];
+        if (scheme == CodingScheme::kOrthogonal) {
+          EXPECT_DOUBLE_EQ(got.double_value(), expected[j])
+              << udf << " level " << id + 1 << " column " << j;
+        } else {
+          EXPECT_EQ(got.int64_value(), static_cast<int64_t>(expected[j]))
+              << udf << " level " << id + 1 << " column " << j;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(TransformUdfTest, CodedLevelBelowOneIsOutOfRange) {
+  // Recode values start at 1; a 0 reaching the coding UDF is out of range
+  // just as a value above the cardinality is.
+  AddLevels("levels", {Value::Int64(1), Value::Int64(0), Value::Int64(2)});
+  auto status = engine_
+                    ->ExecuteSql(
+                        "SELECT * FROM TABLE(effect_code((SELECT lvl FROM "
+                        "levels), 'lvl:3'))")
+                    .status();
+  EXPECT_TRUE(status.IsOutOfRange()) << status;
+}
+
+TEST_F(TransformUdfTest, CodedNullLevelRejected) {
+  // A NULL category has no recode value (the recoding join drops it), so a
+  // NULL in a coded column is a malformed input, not a level.
+  AddLevels("levels", {Value::Int64(1), Value::Null(), Value::Int64(2)});
+  auto status = engine_
+                    ->ExecuteSql(
+                        "SELECT * FROM TABLE(dummy_code((SELECT lvl FROM "
+                        "levels), 'lvl:2'))")
+                    .status();
+  EXPECT_TRUE(status.IsInvalidArgument()) << status;
+  EXPECT_NE(status.message().find("non-integer"), std::string::npos);
 }
 
 TEST_F(TransformUdfTest, DummyCodeRequiresIntColumn) {
