@@ -1,24 +1,14 @@
 // SQL-engine microbenchmarks: per-operator throughput of the substrate the
 // In-SQL transformations run on (google-benchmark). The engine fixture is
 // built once and shared across benchmarks.
-//
-// `bench_sql --smoke [rows] [--check]` instead runs the row-vs-vectorized
-// engine comparison on a join+filter+DISTINCT query (the ISSUE 6 acceptance
-// workload): both modes are timed best-of-three, one JSON line per mode is
-// emitted via SQLINK_BENCH_JSON, and --check exits non-zero when the
-// vectorized engine is not at least 2x faster than the row engine.
 
 #include <benchmark/benchmark.h>
 
-#include <cstring>
 #include <memory>
 #include <string>
 
 #include "bench_util.h"
-#include "common/runtime_flags.h"
-#include "common/stopwatch.h"
 #include "sql/engine.h"
-#include "sql/query_registry.h"
 
 namespace sqlink {
 namespace {
@@ -91,115 +81,7 @@ void BM_RecodeLocalDistinctUdf(benchmark::State& state) {
 }
 BENCHMARK(BM_RecodeLocalDistinctUdf)->Unit(benchmark::kMillisecond);
 
-// ---------------------------------------------------------------------------
-// Smoke mode.
-
-constexpr char kSmokeQuery[] =
-    "SELECT DISTINCT U.age, U.gender, C.year, C.abandoned "
-    "FROM carts C JOIN users U ON C.userid = U.userid "
-    "WHERE C.amount > 50 AND U.country = 'USA'";
-
-/// Best-of-three wall milliseconds for the smoke query under the current
-/// engine mode; also reports the result cardinality for cross-checking.
-double TimeSmoke(SqlEngine* engine, size_t* result_rows) {
-  double best_ms = 1e18;
-  for (int rep = 0; rep < 3; ++rep) {
-    Stopwatch watch;
-    auto result = engine->ExecuteSql(kSmokeQuery);
-    const double ms = watch.ElapsedSeconds() * 1000.0;
-    if (!result.ok()) {
-      std::fprintf(stderr, "smoke query: %s\n",
-                   result.status().ToString().c_str());
-      std::exit(1);
-    }
-    *result_rows = (*result)->TotalRows();
-    best_ms = std::min(best_ms, ms);
-  }
-  return best_ms;
-}
-
-int RunSmoke(int64_t num_carts, bool check) {
-  auto env = BenchEnv::Make(num_carts);
-  std::printf("=== SQL engine: row vs vectorized (join+filter+DISTINCT) ===\n");
-  std::printf("rows: %lld\nquery: %s\n\n", static_cast<long long>(num_carts),
-              kSmokeQuery);
-  std::printf("%-12s %12s %10s\n", "mode", "wall(ms)", "result");
-
-  // Per-operator stats tree (rows/batches/time/q-error per plan node) of
-  // the mode's most recent run, as recorded by the tracked query path.
-  auto last_stats_json = [] {
-    auto finished = QueryRegistry::Global().Finished();
-    if (finished.empty() || finished[0]->stats == nullptr) {
-      return std::string("null");
-    }
-    std::string out;
-    finished[0]->stats->AppendJson(&out);
-    return out;
-  };
-
-  size_t row_rows = 0;
-  size_t vec_rows = 0;
-  SetVectorizedSqlEnabledForTest(0);
-  const double row_ms = TimeSmoke(env->engine.get(), &row_rows);
-  const std::string row_stats = last_stats_json();
-  SetVectorizedSqlEnabledForTest(1);
-  const double vec_ms = TimeSmoke(env->engine.get(), &vec_rows);
-  const std::string vec_stats = last_stats_json();
-  SetVectorizedSqlEnabledForTest(-1);
-
-  std::printf("%-12s %12.3f %10zu\n", "row", row_ms, row_rows);
-  std::printf("%-12s %12.3f %10zu\n", "vectorized", vec_ms, vec_rows);
-  if (row_rows != vec_rows) {
-    std::fprintf(stderr, "result mismatch: row %zu vs vectorized %zu rows\n",
-                 row_rows, vec_rows);
-    return 1;
-  }
-  const double speedup = row_ms / vec_ms;
-  std::printf("\nvectorized speedup: %.2fx\n", speedup);
-
-  sqlink::bench::BenchJsonLine("sql.vectorized_smoke")
-      .Param("mode", "row")
-      .Param("rows", num_carts)
-      .Param("result_rows", static_cast<int64_t>(row_rows))
-      .JsonParam("operator_stats", row_stats)
-      .Emit(row_ms);
-  sqlink::bench::BenchJsonLine("sql.vectorized_smoke")
-      .Param("mode", "vectorized")
-      .Param("rows", num_carts)
-      .Param("result_rows", static_cast<int64_t>(vec_rows))
-      .Param("speedup", speedup)
-      .JsonParam("operator_stats", vec_stats)
-      .Emit(vec_ms);
-
-  if (check && speedup < 2.0) {
-    std::fprintf(stderr, "--check: vectorized speedup %.2fx < 2.0x\n",
-                 speedup);
-    return 1;
-  }
-  return 0;
-}
-
 }  // namespace
 }  // namespace sqlink
 
-int main(int argc, char** argv) {
-  bool smoke = false;
-  bool check = false;
-  int64_t num_carts = 300000;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (argv[i][0] != '-') {
-      num_carts = std::atoll(argv[i]);
-    }
-  }
-  if (smoke) return sqlink::RunSmoke(num_carts, check);
-
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -37,14 +37,6 @@ cmake -B "${BUILD_DIR}" -S .
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 run_suites "${BUILD_DIR}"
 
-# The vectorized SQL engine (SQLINK_VECTORIZED_SQL, default on) must be a
-# pure optimization: the unit suite reruns with the row-at-a-time operators
-# forced, so both engine modes stay green against the same goldens and
-# differential checks.
-echo "==> [${BUILD_DIR}] row-engine suite (SQLINK_VECTORIZED_SQL=off)"
-(cd "${BUILD_DIR}" &&
- SQLINK_VECTORIZED_SQL=off ctest -L unit --output-on-failure -j "${JOBS}")
-
 # Bench smokes write their JSON series under ${BUILD_DIR}/, leaving the
 # committed BENCH_pr*.json results as recorded.
 #
@@ -53,14 +45,6 @@ echo "==> [${BUILD_DIR}] row-engine suite (SQLINK_VECTORIZED_SQL=off)"
 echo "==> [${BUILD_DIR}] bench smoke (DFS vs streamed ingest)"
 cmake --build "${BUILD_DIR}" -j "${JOBS}" --target bench_ingest
 "${BUILD_DIR}/bench/bench_ingest" 40000
-
-# SQL engine smoke: the vectorized executor must be >= 2x faster than the
-# row engine on a join+filter+DISTINCT query.
-echo "==> [${BUILD_DIR}] bench smoke (row vs vectorized SQL)"
-cmake --build "${BUILD_DIR}" -j "${JOBS}" --target bench_sql
-SQL_BENCH_JSON="${BUILD_DIR}/bench_sql.json"
-rm -f "${SQL_BENCH_JSON}"
-SQLINK_BENCH_JSON="${SQL_BENCH_JSON}" "${BUILD_DIR}/bench/bench_sql" --smoke 300000 --check
 
 # Serving smoke: the admission-gated query server must hold goodput as
 # client concurrency climbs past the admitted window — --check fails if
@@ -124,17 +108,16 @@ echo "    ops endpoint smoke passed (port ${OPS_PORT})"
 
 # Serving concurrency smoke: one long-lived `sql_shell --serve` process,
 # eight parallel `sql_shell --connect` clients each running a real query
-# over the wire. Every client must print the exact COUNT(*), in both
-# engine modes (vectorized and row-at-a-time), proving the server stays
-# correct under concurrent admission. The server stops cleanly on "quit".
+# over the wire. Every client must print the exact COUNT(*), proving the
+# server stays correct under concurrent admission. The server stops
+# cleanly on "quit".
 serving_smoke() {
-  local mode_env="$1" mode_name="$2"
-  echo "==> [${BUILD_DIR}] serving concurrency smoke (${mode_name})"
+  echo "==> [${BUILD_DIR}] serving concurrency smoke"
   local serve_log fifo port
   serve_log="$(mktemp)"
   fifo="$(mktemp -u)"
   mkfifo "${fifo}"
-  env ${mode_env} SQLINK_MAX_CONCURRENT_QUERIES=4 \
+  SQLINK_MAX_CONCURRENT_QUERIES=4 \
     "${BUILD_DIR}/examples/sql_shell" --serve 0 2000 \
     < "${fifo}" > "${serve_log}" 2>&1 &
   local serve_pid=$!
@@ -172,12 +155,11 @@ serving_smoke() {
   wait "${serve_pid}" || failed=1
   rm -f "${serve_log}" "${fifo}"
   if [[ "${failed}" -ne 0 ]]; then
-    echo "serving concurrency smoke (${mode_name}) FAILED"; exit 1
+    echo "serving concurrency smoke FAILED"; exit 1
   fi
-  echo "    serving concurrency smoke passed (${mode_name}, port ${port})"
+  echo "    serving concurrency smoke passed (port ${port})"
 }
-serving_smoke "" "vectorized engine"
-serving_smoke "SQLINK_VECTORIZED_SQL=off" "row engine"
+serving_smoke
 
 # End-to-end benchmark smoke: each BENCHMARK.json workload builds from this
 # tree (e2ebench/ is its own CMake project over src/) and runs briefly with

@@ -118,14 +118,12 @@ void QueryServer::Stop() {
   listener_.Close();
   admission_.Close();
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> workers;
+  std::unordered_map<std::thread::id, std::thread> workers;
   {
     std::lock_guard<std::mutex> lock(workers_mu_);
     workers.swap(workers_);
   }
-  for (std::thread& worker : workers) {
-    if (worker.joinable()) worker.join();
-  }
+  for (auto& [id, worker] : workers) worker.join();
 }
 
 void QueryServer::AcceptLoop() {
@@ -135,8 +133,21 @@ void QueryServer::AcceptLoop() {
     auto shared = std::make_shared<TcpSocket>(std::move(*socket));
     std::lock_guard<std::mutex> lock(workers_mu_);
     if (stopping_.load(std::memory_order_acquire)) return;
-    workers_.emplace_back(
-        [this, shared = std::move(shared)] { HandleConnection(shared); });
+    for (const std::thread::id& id : finished_) {
+      auto it = workers_.find(id);
+      it->second.join();
+      workers_.erase(it);
+    }
+    finished_.clear();
+    // The thread cannot report itself finished before it is registered:
+    // reporting takes workers_mu_, held here until the emplace.
+    std::thread worker([this, shared = std::move(shared)] {
+      HandleConnection(shared);
+      std::lock_guard<std::mutex> finished_lock(workers_mu_);
+      finished_.push_back(std::this_thread::get_id());
+    });
+    const std::thread::id id = worker.get_id();
+    workers_.emplace(id, std::move(worker));
   }
 }
 

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -87,7 +88,11 @@ class QueryServer {
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
   std::mutex workers_mu_;
-  std::vector<std::thread> workers_;
+  /// Connection threads not yet joined, by id. Each thread adds its id to
+  /// finished_ as it returns; the accept loop joins those before it starts
+  /// the next connection, so only live connections hold a thread stack.
+  std::unordered_map<std::thread::id, std::thread> workers_;
+  std::vector<std::thread::id> finished_;
 };
 
 /// Minimal client for the query server: one query per connection.

@@ -31,19 +31,4 @@ Result<bool> BatchToRowIterator::Next(Row* row) {
   return true;
 }
 
-Result<bool> RowToBatchIterator::Next(ColumnBatch* out) {
-  if (done_) return false;
-  out->Reset(schema_);
-  Row row;
-  while (out->num_rows() < kSqlBatchRows) {
-    ASSIGN_OR_RETURN(bool has, child_->Next(&row));
-    if (!has) {
-      done_ = true;
-      break;
-    }
-    RETURN_IF_ERROR(out->AppendRow(row));
-  }
-  return out->num_rows() > 0;
-}
-
 }  // namespace sqlink

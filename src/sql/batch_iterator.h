@@ -17,9 +17,9 @@ namespace sqlink {
 /// (sizes 0, 1, kSqlBatchRows-1, kSqlBatchRows, kSqlBatchRows+1).
 inline constexpr size_t kSqlBatchRows = 1024;
 
-/// Pull-based columnar operator interface, the vectorized counterpart of
-/// RowIterator: Next fills `*out` (contents replaced) with the next batch
-/// and returns false at end of stream. Emitted batches are non-empty.
+/// Pull-based columnar operator interface of the SQL executor: Next fills
+/// `*out` (contents replaced) with the next batch and returns false at end
+/// of stream. Emitted batches are non-empty.
 class BatchIterator {
  public:
   virtual ~BatchIterator() = default;
@@ -59,20 +59,6 @@ class BatchToRowIterator final : public RowIterator {
   BatchIterator* child_;  // Borrowed.
   ColumnBatch batch_;
   size_t pos_ = 0;
-  bool done_ = false;
-};
-
-/// Adapts a row stream to the batch interface (re-batches table-UDF output
-/// back into the vectorized pipeline).
-class RowToBatchIterator final : public BatchIterator {
- public:
-  RowToBatchIterator(RowIteratorPtr child, SchemaPtr schema)
-      : child_(std::move(child)), schema_(std::move(schema)) {}
-  Result<bool> Next(ColumnBatch* out) override;
-
- private:
-  RowIteratorPtr child_;
-  SchemaPtr schema_;
   bool done_ = false;
 };
 

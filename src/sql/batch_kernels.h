@@ -11,7 +11,7 @@ namespace sqlink {
 /// Builds a selection vector from an evaluated predicate column: the indices
 /// of rows whose value is boolean TRUE, in row order. SQL filter semantics —
 /// NULL and FALSE drop the row; a non-bool predicate column selects nothing
-/// (the row engine's IsTruthy treats non-bool values as false).
+/// (as IsTruthy treats non-bool values as false).
 void FilterToSelection(const Column& pred, size_t num_rows,
                        std::vector<int32_t>* sel);
 

@@ -165,8 +165,7 @@ Result<TablePtr> SqlEngine::RunTracked(const PlanPtr& plan,
   Executor executor(num_workers_, cluster_, metrics_);
   TraceSpan span("sql.query");
   QueryRecordPtr record = QueryRegistry::Global().Begin(
-      sql, executor.vectorized() ? "vectorized" : "row", stats,
-      span.context().trace_id, options.tenant);
+      sql, stats, span.context().trace_id, options.tenant);
   // RAII: any exit path that skips the explicit Finish below (an early
   // return added later, an abandoned analyze) still retires the record so
   // /queries never reports phantom active queries.

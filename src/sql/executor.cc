@@ -11,7 +11,6 @@
 #include "common/blocking_queue.h"
 #include "common/failpoint.h"
 #include "common/logging.h"
-#include "common/runtime_flags.h"
 #include "common/status_macros.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
@@ -33,6 +32,22 @@ Status ParallelWorkers(int n, const std::function<Status(int)>& fn) {
     RETURN_IF_ERROR(status);
   }
   return Status::OK();
+}
+
+/// Runs the Finish() epilogue of a pipeline's table UDFs. It runs whether or
+/// not the pipeline succeeded, so resources are released; its error surfaces
+/// only when `run_status` is OK. With `tolerate_cancelled`, a Cancelled
+/// epilogue (a UDF cut short by LIMIT) is not an error.
+Status FinishUdfs(const std::vector<TableUdfPtr>& udfs, Status run_status,
+                  bool tolerate_cancelled) {
+  for (const TableUdfPtr& udf : udfs) {
+    const Status finish_status = udf->Finish();
+    if (run_status.ok() && !finish_status.ok() &&
+        !(tolerate_cancelled && finish_status.IsCancelled())) {
+      run_status = finish_status;
+    }
+  }
+  return run_status;
 }
 
 /// Lexicographic row ordering (NULL-first per Value::operator<).
@@ -78,16 +93,8 @@ class JoinHashTable {
     }
   }
 
-  /// Invokes fn(build_row) for every build row matching the probe key.
-  template <typename Fn>
-  void Probe(const Row& probe, const std::vector<int>& probe_keys,
-             Fn&& fn) const {
-    ProbeIndices(probe, probe_keys,
-                 [this, &fn](size_t index) { fn(rows_[index]); });
-  }
-
-  /// Index-returning probe for the vectorized join, which gathers matched
-  /// build rows out of a pre-built ColumnBatch instead of boxing them.
+  /// Invokes fn(index) for every build row matching the probe key; the
+  /// join gathers matched rows out of a pre-built ColumnBatch by index.
   template <typename Fn>
   void ProbeIndices(const Row& probe, const std::vector<int>& probe_keys,
                     Fn&& fn) const {
@@ -110,94 +117,6 @@ class JoinHashTable {
   std::unordered_map<size_t, std::vector<size_t>> buckets_;
 };
 
-class FilterIterator final : public RowIterator {
- public:
-  FilterIterator(RowIteratorPtr child, BoundExprPtr predicate)
-      : child_(std::move(child)), predicate_(std::move(predicate)) {}
-
-  Result<bool> Next(Row* out) override {
-    for (;;) {
-      ASSIGN_OR_RETURN(bool has, child_->Next(out));
-      if (!has) return false;
-      ASSIGN_OR_RETURN(Value keep, predicate_->Evaluate(*out));
-      if (IsTruthy(keep)) return true;
-    }
-  }
-
- private:
-  RowIteratorPtr child_;
-  BoundExprPtr predicate_;
-};
-
-class ProjectIterator final : public RowIterator {
- public:
-  ProjectIterator(RowIteratorPtr child, const std::vector<BoundExprPtr>* exprs)
-      : child_(std::move(child)), exprs_(exprs) {}
-
-  Result<bool> Next(Row* out) override {
-    Row input;
-    ASSIGN_OR_RETURN(bool has, child_->Next(&input));
-    if (!has) return false;
-    out->clear();
-    out->reserve(exprs_->size());
-    for (const BoundExprPtr& expr : *exprs_) {
-      ASSIGN_OR_RETURN(Value v, expr->Evaluate(input));
-      out->push_back(std::move(v));
-    }
-    return true;
-  }
-
- private:
-  RowIteratorPtr child_;
-  const std::vector<BoundExprPtr>* exprs_;
-};
-
-/// Probe-side pipelined hash join. Emits probe ++ build rows that satisfy
-/// the optional residual predicate.
-class HashJoinIterator final : public RowIterator {
- public:
-  HashJoinIterator(RowIteratorPtr probe, std::shared_ptr<const JoinHashTable> table,
-                   const std::vector<int>* probe_keys, BoundExprPtr residual)
-      : probe_(std::move(probe)),
-        table_(std::move(table)),
-        probe_keys_(probe_keys),
-        residual_(std::move(residual)) {}
-
-  Result<bool> Next(Row* out) override {
-    for (;;) {
-      if (match_index_ < matches_.size()) {
-        const Row* build_row = matches_[match_index_++];
-        out->clear();
-        out->reserve(probe_row_.size() + build_row->size());
-        out->insert(out->end(), probe_row_.begin(), probe_row_.end());
-        out->insert(out->end(), build_row->begin(), build_row->end());
-        if (residual_ != nullptr) {
-          ASSIGN_OR_RETURN(Value keep, residual_->Evaluate(*out));
-          if (!IsTruthy(keep)) continue;
-        }
-        return true;
-      }
-      ASSIGN_OR_RETURN(bool has, probe_->Next(&probe_row_));
-      if (!has) return false;
-      matches_.clear();
-      match_index_ = 0;
-      table_->Probe(probe_row_, *probe_keys_,
-                    [this](const Row& build_row) {
-                      matches_.push_back(&build_row);
-                    });
-    }
-  }
-
- private:
-  RowIteratorPtr probe_;
-  std::shared_ptr<const JoinHashTable> table_;
-  const std::vector<int>* probe_keys_;
-  BoundExprPtr residual_;
-  Row probe_row_;
-  std::vector<const Row*> matches_;
-  size_t match_index_ = 0;
-};
-
 constexpr size_t kUdfQueueCapacity = 4096;
 
 class RowQueueSink final : public RowSink {
@@ -212,61 +131,6 @@ class RowQueueSink final : public RowSink {
 
  private:
   BlockingQueue<Row>* queue_;
-};
-
-/// Pipelines a table UDF: a pump thread runs ProcessPartition() pushing into
-/// a bounded queue that this iterator drains. Keeps UDFs with side effects
-/// (the streaming-transfer sink) overlapped with upstream query execution.
-class UdfPartitionIterator final : public RowIterator {
- public:
-  UdfPartitionIterator(TableUdfPtr udf, TableUdfContext context,
-                       RowIteratorPtr input)
-      : udf_(std::move(udf)),
-        context_(context),
-        input_(std::move(input)),
-        queue_(kUdfQueueCapacity) {
-    pump_ = std::thread([this] {
-      RowQueueSink sink(&queue_);
-      const Status status =
-          udf_->ProcessPartition(context_, input_.get(), &sink);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        // A cancelled push just means the consumer stopped early.
-        if (!status.ok() && !status.IsCancelled()) pump_status_ = status;
-      }
-      queue_.Close();
-    });
-  }
-
-  ~UdfPartitionIterator() override {
-    queue_.Close();
-    if (pump_.joinable()) pump_.join();
-  }
-
-  Result<bool> Next(Row* out) override {
-    std::optional<Row> row = queue_.Pop();
-    if (!row.has_value()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!pump_status_.ok()) return pump_status_;
-      return false;
-    }
-    *out = std::move(*row);
-    return true;
-  }
-
- private:
-  TableUdfPtr udf_;
-  TableUdfContext context_;
-  RowIteratorPtr input_;
-  BlockingQueue<Row> queue_;
-  std::thread pump_;
-  std::mutex mu_;
-  Status pump_status_;
-};
-
-class EmptyIterator final : public RowIterator {
- public:
-  Result<bool> Next(Row*) override { return false; }
 };
 
 // ---------------------------------------------------------------------------
@@ -424,9 +288,11 @@ class VectorizedHashJoinIterator final : public BatchIterator {
   std::vector<int32_t> sel_;
 };
 
-/// Batch-mode UDF pump: the pump thread feeds the UDF its columnar input
-/// through the row adapter, and the emitted rows are re-batched for the
-/// downstream vectorized pipeline.
+/// Pipelines a table UDF: a pump thread runs ProcessPartition() over the
+/// worker's batch input (through the row adapter), pushing into a bounded
+/// queue that this iterator drains and re-batches. Keeps UDFs with side
+/// effects (the streaming-transfer sink) overlapped with upstream query
+/// execution.
 class UdfBatchPartitionIterator final : public BatchIterator {
  public:
   UdfBatchPartitionIterator(TableUdfPtr udf, TableUdfContext context,
@@ -489,8 +355,8 @@ class UdfBatchPartitionIterator final : public BatchIterator {
 /// Hash table of distinct batch rows: each distinct row is stored once,
 /// unboxed, in keys() and numbered densely in first-seen order. Open
 /// addressing over group indices, probed by content hash. Both phases of
-/// the vectorized DISTINCT dedup through it, and the vectorized aggregate
-/// maps every input row to its group's state slots through it.
+/// DISTINCT dedup through it, and the aggregate maps every input row to its
+/// group's state slots through it.
 class BatchGroupTable {
  public:
   explicit BatchGroupTable(SchemaPtr schema) : keys_(std::move(schema)) {}
@@ -547,7 +413,7 @@ class BatchGroupTable {
 // ---------------------------------------------------------------------------
 // Per-operator stats wrappers (EXPLAIN ANALYZE / the /queries endpoint).
 // Counts and time accumulate in locals and flush to the shared atomics once,
-// in the destructor, so the row-at-a-time hot loop pays no atomics per row.
+// in the destructor, so the per-batch loop pays no atomics.
 
 /// Crude in-memory size of `rows` rows of `schema` — the same fixed
 /// per-value width the planner's cost model assumes, so estimate and actual
@@ -557,32 +423,6 @@ int64_t ApproxRowsBytes(const SchemaPtr& schema, int64_t rows) {
       schema == nullptr ? 1 : std::max(1, schema->num_fields());
   return rows * width * 16;
 }
-
-class StatsRowIterator final : public RowIterator {
- public:
-  StatsRowIterator(RowIteratorPtr child, OperatorActuals* actuals)
-      : child_(std::move(child)), actuals_(actuals) {}
-
-  ~StatsRowIterator() override {
-    actuals_->AddRows(rows_);
-    actuals_->AddMicros(micros_);
-    actuals_->AddInvocation();
-  }
-
-  Result<bool> Next(Row* out) override {
-    Stopwatch watch;
-    auto has = child_->Next(out);
-    micros_ += watch.ElapsedMicros();
-    if (has.ok() && *has) ++rows_;
-    return has;
-  }
-
- private:
-  RowIteratorPtr child_;
-  OperatorActuals* actuals_;
-  int64_t rows_ = 0;
-  int64_t micros_ = 0;
-};
 
 class StatsBatchIterator final : public BatchIterator {
  public:
@@ -627,8 +467,8 @@ struct Executor::PipelineState {
     // Repartition mode: per-worker probe slices and hash tables.
     std::vector<std::vector<Row>> probe_partitions;
     std::vector<std::shared_ptr<const JoinHashTable>> worker_tables;
-    // Vectorized mode: the build rows as ColumnBatches, gathered from
-    // during probe instead of boxing build rows per match.
+    // The build rows as ColumnBatches, gathered from during probe instead
+    // of boxing build rows per match.
     std::shared_ptr<const ColumnBatch> broadcast_batch;
     std::vector<std::shared_ptr<const ColumnBatch>> worker_batches;
   };
@@ -644,15 +484,9 @@ struct Executor::PipelineState {
 
 Executor::Executor(int num_workers, ClusterPtr cluster,
                    MetricsRegistry* metrics)
-    : Executor(num_workers, std::move(cluster), metrics,
-               VectorizedSqlEnabled()) {}
-
-Executor::Executor(int num_workers, ClusterPtr cluster,
-                   MetricsRegistry* metrics, bool vectorized)
     : num_workers_(num_workers),
       cluster_(std::move(cluster)),
-      metrics_(metrics != nullptr ? metrics : &MetricsRegistry::Global()),
-      vectorized_(vectorized) {
+      metrics_(metrics != nullptr ? metrics : &MetricsRegistry::Global()) {
   SQLINK_CHECK(num_workers_ > 0);
 }
 
@@ -694,8 +528,7 @@ Result<PartitionedRows> Executor::ExecuteNode(const PlanPtr& plan) {
   RETURN_IF_ERROR(CheckCancelled());
   switch (plan->kind) {
     case PlanKind::kDistinct:
-      return vectorized_ ? ExecuteDistinctVectorized(plan)
-                         : ExecuteDistinct(plan);
+      return ExecuteDistinct(plan);
     case PlanKind::kAggregate:
       return ExecuteAggregate(plan);
     case PlanKind::kSort:
@@ -752,7 +585,7 @@ Status Executor::Prepare(const PlanPtr& plan, PipelineState* state) {
       return Status::OK();
     case PlanKind::kHashJoin: {
       // Sort-merge choice (cost-based, equi keys only): materialize the
-      // merged result here so both engine modes pipeline over it.
+      // merged result here and pipeline over it.
       if (plan->join_algo == JoinAlgo::kSortMerge && !plan->left_keys.empty()) {
         Stopwatch merge_watch;
         ASSIGN_OR_RETURN(PartitionedRows rows, ExecuteMergeJoin(plan));
@@ -777,14 +610,12 @@ Status Executor::Prepare(const PlanPtr& plan, PipelineState* state) {
           actuals->AddBuildRows(build_rows);
           actuals->MaxPeakBytes(ApproxRowsBytes(build_schema, build_rows));
         }
-        if (vectorized_) {
-          ASSIGN_OR_RETURN(
-              ColumnBatch batch,
-              ColumnBatch::FromRows(build_schema,
-                                    artifact.broadcast_table->rows()));
-          artifact.broadcast_batch =
-              std::make_shared<const ColumnBatch>(std::move(batch));
-        }
+        ASSIGN_OR_RETURN(
+            ColumnBatch batch,
+            ColumnBatch::FromRows(build_schema,
+                                  artifact.broadcast_table->rows()));
+        artifact.broadcast_batch =
+            std::make_shared<const ColumnBatch>(std::move(batch));
         state->joins.emplace(plan.get(), std::move(artifact));
         return Prepare(plan->children[0], state);
       }
@@ -800,16 +631,14 @@ Status Executor::Prepare(const PlanPtr& plan, PipelineState* state) {
       ParallelFor(static_cast<size_t>(num_workers_), [&](size_t w) {
         artifact.worker_tables[w] = std::make_shared<const JoinHashTable>(
             std::move(build_parts[w]), plan->right_keys);
-        if (vectorized_) {
-          auto batch = ColumnBatch::FromRows(build_schema,
-                                             artifact.worker_tables[w]->rows());
-          if (!batch.ok()) {
-            batch_status[w] = batch.status();
-            return;
-          }
-          artifact.worker_batches[w] =
-              std::make_shared<const ColumnBatch>(std::move(batch).value());
+        auto batch = ColumnBatch::FromRows(build_schema,
+                                           artifact.worker_tables[w]->rows());
+        if (!batch.ok()) {
+          batch_status[w] = batch.status();
+          return;
         }
+        artifact.worker_batches[w] =
+            std::make_shared<const ColumnBatch>(std::move(batch).value());
       });
       for (const Status& s : batch_status) RETURN_IF_ERROR(s);
       if (OperatorActuals* actuals = NodeActuals(plan)) {
@@ -833,96 +662,14 @@ Status Executor::Prepare(const PlanPtr& plan, PipelineState* state) {
   }
 }
 
-Result<RowIteratorPtr> Executor::BuildPipeline(const PlanPtr& plan, int worker,
-                                               PipelineState* state) {
-  ASSIGN_OR_RETURN(RowIteratorPtr it, BuildPipelineNode(plan, worker, state));
-  OperatorActuals* actuals = NodeActuals(plan);
-  // Materialized nodes recorded their actuals on the blocking Execute path;
-  // wrapping the replay iterator would double-count them.
-  if (actuals == nullptr || state->materialized.count(plan.get()) > 0) {
-    return it;
-  }
-  return RowIteratorPtr(new StatsRowIterator(std::move(it), actuals));
-}
-
-Result<RowIteratorPtr> Executor::BuildPipelineNode(const PlanPtr& plan,
-                                                   int worker,
-                                                   PipelineState* state) {
-  // A node pre-materialized by Prepare (blocking op inside the pipeline).
-  auto materialized = state->materialized.find(plan.get());
-  if (materialized != state->materialized.end()) {
-    return RowIteratorPtr(
-        new VectorIterator(&materialized->second.partitions[worker]));
-  }
-  switch (plan->kind) {
-    case PlanKind::kScan:
-    case PlanKind::kMaterialized: {
-      if (static_cast<size_t>(worker) >= plan->table->num_partitions()) {
-        return RowIteratorPtr(new EmptyIterator());
-      }
-      return RowIteratorPtr(new VectorIterator(
-          &plan->table->partition(static_cast<size_t>(worker))));
-    }
-    case PlanKind::kFilter: {
-      ASSIGN_OR_RETURN(RowIteratorPtr child,
-                       BuildPipeline(plan->children[0], worker, state));
-      return RowIteratorPtr(
-          new FilterIterator(std::move(child), plan->predicate));
-    }
-    case PlanKind::kProject: {
-      ASSIGN_OR_RETURN(RowIteratorPtr child,
-                       BuildPipeline(plan->children[0], worker, state));
-      return RowIteratorPtr(
-          new ProjectIterator(std::move(child), &plan->projections));
-    }
-    case PlanKind::kHashJoin: {
-      auto it = state->joins.find(plan.get());
-      if (it == state->joins.end()) {
-        return Status::Internal("join not prepared");
-      }
-      PipelineState::JoinArtifact& artifact = it->second;
-      if (artifact.broadcast) {
-        ASSIGN_OR_RETURN(RowIteratorPtr probe,
-                         BuildPipeline(plan->children[0], worker, state));
-        return RowIteratorPtr(
-            new HashJoinIterator(std::move(probe), artifact.broadcast_table,
-                                 &plan->left_keys, plan->residual));
-      }
-      RowIteratorPtr probe(new VectorIterator(
-          &artifact.probe_partitions[static_cast<size_t>(worker)]));
-      return RowIteratorPtr(new HashJoinIterator(
-          std::move(probe), artifact.worker_tables[static_cast<size_t>(worker)],
-          &plan->left_keys, plan->residual));
-    }
-    case PlanKind::kTableUdf: {
-      RowIteratorPtr input;
-      if (!plan->children.empty()) {
-        ASSIGN_OR_RETURN(input,
-                         BuildPipeline(plan->children[0], worker, state));
-      }
-      TableUdfContext context;
-      context.worker_id = worker;
-      context.num_workers = num_workers_;
-      context.cluster = cluster_;
-      context.metrics = metrics_;
-      context.query_id = query_id_;
-      context.cancellation = cancellation_;
-      context.spill_budget = spill_budget_;
-      return RowIteratorPtr(
-          new UdfPartitionIterator(plan->udf, context, std::move(input)));
-    }
-    default:
-      return Status::Internal("unexpected plan kind in pipeline: " +
-                              plan->ToString());
-  }
-}
-
 Result<BatchIteratorPtr> Executor::BuildBatchPipeline(const PlanPtr& plan,
                                                       int worker,
                                                       PipelineState* state) {
   ASSIGN_OR_RETURN(BatchIteratorPtr it,
                    BuildBatchPipelineNode(plan, worker, state));
   OperatorActuals* actuals = NodeActuals(plan);
+  // Materialized nodes recorded their actuals on the blocking Execute path;
+  // wrapping the replay iterator would double-count them.
   if (actuals == nullptr || state->materialized.count(plan.get()) > 0) {
     return it;
   }
@@ -1008,57 +755,21 @@ Result<PartitionedRows> Executor::ExecutePipeline(const PlanPtr& plan) {
   TraceSpan span("sql.execute");
   span.AddAttribute("workers", num_workers_);
   Stopwatch timer;
-  PipelineState state;
-  Status prepare_status = Prepare(plan, &state);
-
   PartitionedRows output;
   output.schema = plan->output_schema;
   output.partitions.resize(static_cast<size_t>(num_workers_));
-
-  Status run_status = prepare_status;
-  if (run_status.ok() && vectorized_) {
-    run_status = ParallelWorkers(num_workers_, [&](int worker) -> Status {
-      ASSIGN_OR_RETURN(BatchIteratorPtr it,
-                       BuildBatchPipeline(plan, worker, &state));
-      std::vector<Row>& out = output.partitions[static_cast<size_t>(worker)];
-      ColumnBatch batch;
-      Row row;
-      for (;;) {
-        RETURN_IF_ERROR(PollBatch());
-        ASSIGN_OR_RETURN(bool has, it->Next(&batch));
-        if (!has) break;
+  const Status run_status = DrainBatches(
+      plan,
+      [&](int worker, const ColumnBatch& batch) -> Status {
+        std::vector<Row>& out = output.partitions[static_cast<size_t>(worker)];
         for (size_t r = 0; r < batch.num_rows(); ++r) {
-          batch.EmitRow(r, &row);
-          out.push_back(row);
+          out.emplace_back();
+          batch.EmitRow(r, &out.back());
         }
-      }
-      return Status::OK();
-    });
-  } else if (run_status.ok()) {
-    run_status = ParallelWorkers(num_workers_, [&](int worker) -> Status {
-      ASSIGN_OR_RETURN(RowIteratorPtr it, BuildPipeline(plan, worker, &state));
-      std::vector<Row>& out = output.partitions[static_cast<size_t>(worker)];
-      Row row;
-      int64_t since_check = 0;
-      for (;;) {
-        if (++since_check >= 1024) {  // Row mode: poll every ~1k rows.
-          since_check = 0;
-          RETURN_IF_ERROR(PollBatch());
-        }
-        ASSIGN_OR_RETURN(bool has, it->Next(&row));
-        if (!has) break;
-        out.push_back(std::move(row));
-      }
-      return Status::OK();
-    });
-  }
+        return Status::OK();
+      },
+      [](int) { return Status::OK(); });
 
-  // UDF epilogue runs regardless of success so resources are released; its
-  // error surfaces only when the run itself succeeded.
-  for (const TableUdfPtr& udf : state.udfs_to_finish) {
-    const Status finish_status = udf->Finish();
-    if (run_status.ok() && !finish_status.ok()) run_status = finish_status;
-  }
   int64_t rows_emitted = 0;
   for (const std::vector<Row>& partition : output.partitions) {
     rows_emitted += static_cast<int64_t>(partition.size());
@@ -1069,41 +780,6 @@ Result<PartitionedRows> Executor::ExecutePipeline(const PlanPtr& plan) {
   if (!run_status.ok()) span.SetError();
   RETURN_IF_ERROR(run_status);
   metrics_->GetCounter("sql.executor.rows_emitted")->Add(rows_emitted);
-  return output;
-}
-
-Result<PartitionedRows> Executor::ExecuteDistinct(const PlanPtr& plan) {
-  ASSIGN_OR_RETURN(PartitionedRows input, Execute(plan->children[0]));
-
-  // Local dedup, shuffle by whole-row hash, final dedup per partition.
-  ParallelFor(input.partitions.size(), [&](size_t p) {
-    std::map<Row, bool, RowLess> seen;
-    for (Row& row : input.partitions[p]) {
-      seen.emplace(std::move(row), true);
-    }
-    input.partitions[p].clear();
-    for (auto& [row, unused] : seen) {
-      input.partitions[p].push_back(row);
-    }
-  });
-
-  std::vector<int> all_columns;
-  for (int i = 0; i < plan->output_schema->num_fields(); ++i) {
-    all_columns.push_back(i);
-  }
-  PartitionedRows output;
-  output.schema = plan->output_schema;
-  output.partitions = Repartition(std::move(input.partitions), all_columns);
-  ParallelFor(output.partitions.size(), [&](size_t p) {
-    std::map<Row, bool, RowLess> seen;
-    for (Row& row : output.partitions[p]) {
-      seen.emplace(std::move(row), true);
-    }
-    output.partitions[p].clear();
-    for (auto& [row, unused] : seen) {
-      output.partitions[p].push_back(row);
-    }
-  });
   return output;
 }
 
@@ -1134,18 +810,14 @@ Status Executor::DrainBatches(
       return finish(worker);
     });
   }
-  for (const TableUdfPtr& udf : state.udfs_to_finish) {
-    const Status finish_status = udf->Finish();
-    if (run_status.ok() && !finish_status.ok()) run_status = finish_status;
-  }
-  return run_status;
+  return FinishUdfs(state.udfs_to_finish, run_status,
+                    /*tolerate_cancelled=*/false);
 }
 
-Result<PartitionedRows> Executor::ExecuteDistinctVectorized(
-    const PlanPtr& plan) {
-  // Same two-phase shape as ExecuteDistinct, but the child runs as a batch
-  // pipeline and dedup works on unboxed ColumnBatch rows: local dedup per
-  // worker, shuffle unique rows by content hash, final dedup per target.
+Result<PartitionedRows> Executor::ExecuteDistinct(const PlanPtr& plan) {
+  // Two phases over unboxed ColumnBatch rows: local dedup per worker as the
+  // child's batches arrive, shuffle unique rows by content hash, final dedup
+  // per target.
   const size_t n = static_cast<size_t>(num_workers_);
   std::vector<BatchGroupTable> local(n, BatchGroupTable(plan->output_schema));
   // shards[worker][target]: locally-unique rows routed to `target`.
@@ -1322,8 +994,8 @@ struct AggState {
   Value extreme;  // MIN/MAX running value.
 };
 
-/// Folds one argument value into a transition state (phase 1 of both
-/// engines; COUNT(*) never gets here).
+/// Folds one argument value into a transition state (the boxed path of
+/// UpdateStatesBatch; COUNT(*) never gets here).
 Status UpdateStateWithValue(const AggregateSpec& spec, const Value& v,
                             AggState* state) {
   if (v.is_null()) return Status::OK();  // Aggregates skip NULLs.
@@ -1356,22 +1028,12 @@ Status UpdateStateWithValue(const AggregateSpec& spec, const Value& v,
   return Status::OK();
 }
 
-Status UpdateState(const AggregateSpec& spec, const Row& input,
-                   AggState* state) {
-  if (spec.func == AggFunc::kCountStar) {
-    ++state->count;
-    return Status::OK();
-  }
-  ASSIGN_OR_RETURN(Value v, spec.argument->Evaluate(input));
-  return UpdateStateWithValue(spec, v, state);
-}
-
 /// Batch transition of one aggregate: folds row r of `arg` (its evaluated
 /// argument; unused for COUNT(*)) into states[groups[r] * stride + slot],
 /// in row order. The typed COUNT and SUM/AVG loops do exactly the
-/// arithmetic UpdateStateWithValue does per value, so each group's sums
-/// are bit-identical to the row engine's; MIN/MAX and any other argument
-/// type box each value through it.
+/// arithmetic UpdateStateWithValue does per value, so a group's sums depend
+/// only on its rows' order; MIN/MAX and any other argument type box each
+/// value through it.
 Status UpdateStatesBatch(const AggregateSpec& spec, const Column& arg,
                          const std::vector<size_t>& groups, size_t stride,
                          size_t slot, AggState* states) {
@@ -1506,38 +1168,6 @@ void DecodePartial(const Row& row, size_t num_keys, size_t num_aggs, Row* key,
 
 Result<std::vector<std::vector<Row>>> Executor::AggregatePartials(
     const PlanPtr& plan) {
-  ASSIGN_OR_RETURN(PartitionedRows input, Execute(plan->children[0]));
-  const size_t num_keys = plan->group_by.size();
-  const size_t num_aggs = plan->aggregates.size();
-  std::vector<std::vector<Row>> partials(input.partitions.size());
-  RETURN_IF_ERROR(ParallelWorkers(
-      static_cast<int>(input.partitions.size()), [&](int p) -> Status {
-        std::map<Row, std::vector<AggState>, RowLess> groups;
-        for (const Row& row : input.partitions[static_cast<size_t>(p)]) {
-          Row key;
-          key.reserve(num_keys);
-          for (const BoundExprPtr& expr : plan->group_by) {
-            ASSIGN_OR_RETURN(Value v, expr->Evaluate(row));
-            key.push_back(std::move(v));
-          }
-          auto [it, inserted] =
-              groups.try_emplace(std::move(key), num_aggs);
-          for (size_t a = 0; a < num_aggs; ++a) {
-            RETURN_IF_ERROR(
-                UpdateState(plan->aggregates[a], row, &it->second[a]));
-          }
-        }
-        for (const auto& [key, states] : groups) {
-          partials[static_cast<size_t>(p)].push_back(
-              EncodePartial(key, states.data(), num_aggs));
-        }
-        return Status::OK();
-      }));
-  return partials;
-}
-
-Result<std::vector<std::vector<Row>>> Executor::AggregatePartialsVectorized(
-    const PlanPtr& plan) {
   const size_t num_keys = plan->group_by.size();
   const size_t num_aggs = plan->aggregates.size();
   const std::vector<Field>& fields = plan->output_schema->fields();
@@ -1602,10 +1232,9 @@ Result<PartitionedRows> Executor::ExecuteAggregate(const PlanPtr& plan) {
   const size_t num_keys = plan->group_by.size();
   const size_t num_aggs = plan->aggregates.size();
 
-  // Phase 1, the only engine-specific step: per-worker partial states.
+  // Phase 1: per-worker partial states.
   ASSIGN_OR_RETURN(std::vector<std::vector<Row>> partials,
-                   vectorized_ ? AggregatePartialsVectorized(plan)
-                               : AggregatePartials(plan));
+                   AggregatePartials(plan));
 
   // Phase 2: shuffle partials by group key and merge.
   std::vector<int> key_columns;
@@ -1678,10 +1307,12 @@ Result<PartitionedRows> Executor::ExecuteLimit(const PlanPtr& plan) {
   PartitionedRows output;
   output.schema = plan->output_schema;
   output.partitions.resize(static_cast<size_t>(num_workers_));
+  std::vector<Row>& out = output.partitions[0];
+  const size_t limit = static_cast<size_t>(plan->limit);
 
-  // Early termination: when the child is pipelinable, pull rows worker by
-  // worker and stop as soon as the limit is met, instead of computing the
-  // full child result.
+  // Early termination: when the child is pipelinable, pull its batches
+  // worker by worker and stop as soon as the limit is met, instead of
+  // computing the full child result.
   const bool pipelinable = child->kind == PlanKind::kScan ||
                            child->kind == PlanKind::kMaterialized ||
                            child->kind == PlanKind::kFilter ||
@@ -1690,48 +1321,39 @@ Result<PartitionedRows> Executor::ExecuteLimit(const PlanPtr& plan) {
                            child->kind == PlanKind::kTableUdf;
   if (pipelinable) {
     PipelineState state;
-    RETURN_IF_ERROR(Prepare(child, &state));
-    int64_t remaining = plan->limit;
-    Status status;
-    for (int worker = 0; worker < num_workers_ && remaining > 0 && status.ok();
-         ++worker) {
-      auto it = BuildPipeline(child, worker, &state);
-      if (!it.ok()) {
-        status = it.status();
-        break;
-      }
-      Row row;
-      while (remaining > 0) {
-        auto has = (*it)->Next(&row);
-        if (!has.ok()) {
-          status = has.status();
-          break;
+    Status status = Prepare(child, &state);
+    const auto pull = [&](int worker) -> Status {
+      ASSIGN_OR_RETURN(BatchIteratorPtr it,
+                       BuildBatchPipeline(child, worker, &state));
+      ColumnBatch batch;
+      while (out.size() < limit) {
+        RETURN_IF_ERROR(PollBatch());
+        ASSIGN_OR_RETURN(bool has, it->Next(&batch));
+        if (!has) break;
+        const size_t take = std::min(batch.num_rows(), limit - out.size());
+        for (size_t r = 0; r < take; ++r) {
+          out.emplace_back();
+          batch.EmitRow(r, &out.back());
         }
-        if (!*has) break;
-        output.partitions[0].push_back(std::move(row));
-        --remaining;
       }
+      return Status::OK();
+    };
+    for (int worker = 0; status.ok() && worker < num_workers_ &&
+                         out.size() < limit;
+         ++worker) {
+      status = pull(worker);
     }
-    for (const TableUdfPtr& udf : state.udfs_to_finish) {
-      // A UDF interrupted by the limit may report a cancelled epilogue;
-      // that is expected, everything else surfaces.
-      const Status finish_status = udf->Finish();
-      if (status.ok() && !finish_status.ok() &&
-          !finish_status.IsCancelled()) {
-        status = finish_status;
-      }
-    }
-    RETURN_IF_ERROR(status);
+    // A UDF interrupted by the limit may report a cancelled epilogue.
+    RETURN_IF_ERROR(FinishUdfs(state.udfs_to_finish, status,
+                               /*tolerate_cancelled=*/true));
     return output;
   }
 
   ASSIGN_OR_RETURN(PartitionedRows input, Execute(child));
-  int64_t remaining = plan->limit;
   for (auto& partition : input.partitions) {
     for (Row& row : partition) {
-      if (remaining <= 0) break;
-      output.partitions[0].push_back(std::move(row));
-      --remaining;
+      if (out.size() >= limit) break;
+      out.push_back(std::move(row));
     }
   }
   return output;

@@ -41,28 +41,19 @@ struct PartitionedRows {
 };
 
 /// Parallel plan executor. Each of the n SQL workers runs a pipelined
-/// iterator chain over its partition; pipeline breakers (join builds,
-/// repartition joins, DISTINCT, aggregation, sort, limit) materialize and
-/// exchange rows between workers. Table UDFs stay pipelined: each worker
-/// pumps its UDF on a dedicated thread through a bounded queue, so a
+/// chain of BatchIterator operators over its partition: selection-vector
+/// filters, column-at-a-time projections and gather-based hash joins over
+/// ColumnBatch. Pipeline breakers (join builds, repartition and sort-merge
+/// joins, DISTINCT, aggregation, sort, limit) materialize and exchange rows
+/// between workers; DISTINCT, the aggregate's per-worker phase and LIMIT
+/// consume their child's batches directly. Table UDFs stay pipelined: each
+/// worker pumps its UDF on a dedicated thread through a bounded queue, so a
 /// streaming-transfer UDF overlaps with the upstream query work exactly as
-/// the paper's insql+stream pipeline does.
-///
-/// Two engine modes share the planner, Sort, Limit and the aggregate's
-/// shuffle-and-merge phase. The row mode chains RowIterator operators; the
-/// vectorized mode (default, gated by SQLINK_VECTORIZED_SQL) chains
-/// BatchIterator operators over ColumnBatch with selection-vector filters
-/// and gather-based joins, feeds batch-capable table UDFs columns directly,
-/// and runs DISTINCT and the aggregate's per-worker phase on batches. Both
-/// must produce identical results — tests/sql_differential_test.cc holds
-/// them to it.
+/// the paper's insql+stream pipeline does. tests/sql_differential_test.cc
+/// checks every result against a naive row-at-a-time oracle.
 class Executor {
  public:
-  /// Engine mode follows the SQLINK_VECTORIZED_SQL runtime flag.
   Executor(int num_workers, ClusterPtr cluster, MetricsRegistry* metrics);
-  /// Engine mode forced by the caller (benchmarks, differential tests).
-  Executor(int num_workers, ClusterPtr cluster, MetricsRegistry* metrics,
-           bool vectorized);
 
   /// Runs the plan and returns its materialized, partitioned result.
   Result<PartitionedRows> Execute(const PlanPtr& plan);
@@ -74,7 +65,7 @@ class Executor {
   /// Id of the tracked query (flows to table UDFs via TableUdfContext).
   void set_query_id(uint64_t query_id) { query_id_ = query_id; }
   /// Cooperative cancellation source for this query. Worker loops poll it
-  /// between batches (or every ~1k rows) and blocking operators check it
+  /// between batches and blocking operators check it
   /// up front, so a cancelled query unwinds promptly without disturbing
   /// neighbors. Not owned; must outlive Execute(). Also flows to table
   /// UDFs via TableUdfContext.
@@ -88,7 +79,6 @@ class Executor {
   }
 
   int num_workers() const { return num_workers_; }
-  bool vectorized() const { return vectorized_; }
 
  private:
   struct PipelineState;
@@ -102,15 +92,11 @@ class Executor {
   Result<PartitionedRows> ExecuteNode(const PlanPtr& plan);
   Result<PartitionedRows> ExecutePipeline(const PlanPtr& plan);
   Result<PartitionedRows> ExecuteDistinct(const PlanPtr& plan);
-  Result<PartitionedRows> ExecuteDistinctVectorized(const PlanPtr& plan);
   Result<PartitionedRows> ExecuteAggregate(const PlanPtr& plan);
   /// Aggregate phase 1: each worker's groups as partial-state rows, one
-  /// slice per worker. The row engine groups the materialized child rows;
-  /// the vectorized engine folds the child's batches into per-worker group
-  /// tables without boxing them. Phase 2 is shared.
+  /// slice per worker, folded from the child's batches into per-worker
+  /// group tables without boxing them.
   Result<std::vector<std::vector<Row>>> AggregatePartials(const PlanPtr& plan);
-  Result<std::vector<std::vector<Row>>> AggregatePartialsVectorized(
-      const PlanPtr& plan);
   Result<PartitionedRows> ExecuteSort(const PlanPtr& plan);
   Result<PartitionedRows> ExecuteLimit(const PlanPtr& plan);
 
@@ -119,7 +105,7 @@ class Executor {
   /// model when the build side would blow the hash-build memory budget.
   Result<PartitionedRows> ExecuteMergeJoin(const PlanPtr& plan);
 
-  /// Vectorized input of a blocking operator: prepares `child`, then every
+  /// Input of a pipeline or blocking operator: prepares `child`, then every
   /// worker pulls its batch pipeline to the end, handing each batch to
   /// consume(worker, batch) and then calling finish(worker). Polls between
   /// batches; the child's UDF epilogues run either way.
@@ -129,13 +115,9 @@ class Executor {
       const std::function<Status(int)>& finish);
 
   Status Prepare(const PlanPtr& plan, PipelineState* state);
-  Result<RowIteratorPtr> BuildPipeline(const PlanPtr& plan, int worker,
-                                       PipelineState* state);
   Result<BatchIteratorPtr> BuildBatchPipeline(const PlanPtr& plan, int worker,
                                               PipelineState* state);
   /// Operator construction for one node, without the stats wrapper.
-  Result<RowIteratorPtr> BuildPipelineNode(const PlanPtr& plan, int worker,
-                                           PipelineState* state);
   Result<BatchIteratorPtr> BuildBatchPipelineNode(const PlanPtr& plan,
                                                   int worker,
                                                   PipelineState* state);
@@ -147,7 +129,6 @@ class Executor {
   int num_workers_;
   ClusterPtr cluster_;
   MetricsRegistry* metrics_;
-  bool vectorized_;
   QueryStats* stats_ = nullptr;
   uint64_t query_id_ = 0;
   Cancellation* cancellation_ = nullptr;
@@ -157,8 +138,8 @@ class Executor {
   Status CheckCancelled() const {
     return cancellation_ == nullptr ? Status::OK() : cancellation_->Check();
   }
-  /// The poll every worker loop runs between batches (row mode: every ~1k
-  /// rows): fires the `sql.exec.batch` failpoint, then CheckCancelled().
+  /// The poll every worker loop runs between batches: fires the
+  /// `sql.exec.batch` failpoint, then CheckCancelled().
   Status PollBatch() const;
 };
 

@@ -236,8 +236,8 @@ class ComparisonExpr final : public BoundExpr {
         AppendBool(out, i, ApplyOp(a - b));
       }
     } else {
-      // Incompatible column types. The row engine only raises the error on
-      // rows where BOTH sides are non-NULL (NULL wins first), so an all-NULL
+      // Incompatible column types. Evaluate only raises the error on rows
+      // where BOTH sides are non-NULL (NULL wins first), so an all-NULL
       // operand column never errors.
       for (size_t i = 0; i < n; ++i) {
         if (l.IsNull(i) || r.IsNull(i)) {
@@ -294,7 +294,7 @@ class AndExpr final : public BoundExpr {
     Column l;
     RETURN_IF_ERROR(lhs_->EvaluateBatch(batch, &l));
     Column r;
-    // The row engine never evaluates the right side for rows where the left
+    // Evaluate never evaluates the right side for rows where the left
     // is FALSE; if eager evaluation errors, replay boxed to reproduce the
     // short-circuit exactly (the error may be confined to dominated rows).
     if (!rhs_->EvaluateBatch(batch, &r).ok() || l.type != DataType::kBool ||

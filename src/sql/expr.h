@@ -77,8 +77,8 @@ class BoundExpr {
   /// (tests/sql_differential_test.cc) enforces this. The base implementation
   /// boxes each row and calls Evaluate — nodes with typed kernels override.
   /// Nodes whose row semantics short-circuit (AND/OR) fall back to the boxed
-  /// loop when eager evaluation of a branch errors, so an error the row
-  /// engine never reaches is not surfaced by the vectorized one.
+  /// loop when eager evaluation of a branch errors, so an error Evaluate
+  /// never reaches is not surfaced by EvaluateBatch either.
   virtual Status EvaluateBatch(const ColumnBatch& batch, Column* out) const;
 
   DataType output_type() const { return output_type_; }

@@ -43,7 +43,6 @@ void AppendRecordJson(const QueryRecord& record, std::string* out) {
   char buffer[32];
   *out += "{\"query_id\":" + std::to_string(record.query_id) + ",\"sql\":";
   AppendJsonEscaped(record.sql, out);
-  *out += ",\"engine_mode\":\"" + record.engine_mode + "\"";
   if (!record.tenant.empty()) {
     *out += ",\"tenant\":";
     AppendJsonEscaped(record.tenant, out);
@@ -97,12 +96,11 @@ QueryRegistry& QueryRegistry::Global() {
   return *registry;
 }
 
-QueryRecordPtr QueryRegistry::Begin(std::string sql, std::string engine_mode,
+QueryRecordPtr QueryRegistry::Begin(std::string sql,
                                     std::shared_ptr<QueryStats> stats,
                                     uint64_t trace_id, std::string tenant) {
   auto record = std::make_shared<QueryRecord>();
   record->sql = std::move(sql);
-  record->engine_mode = std::move(engine_mode);
   record->stats = std::move(stats);
   record->trace_id = trace_id;
   record->tenant = std::move(tenant);

@@ -27,7 +27,6 @@ namespace sqlink {
 struct QueryRecord {
   uint64_t query_id = 0;
   std::string sql;          ///< Query text ("<plan>" for direct plan runs).
-  std::string engine_mode;  ///< "vectorized" or "row".
   std::string tenant;       ///< Submitting tenant (serving layer); may be "".
   uint64_t trace_id = 0;    ///< Joins the record to its trace spans; 0 = unsampled.
   int64_t start_unix_ms = 0;
@@ -68,9 +67,8 @@ class QueryRegistry {
   /// Registers a new active query and assigns it a fresh id. `tenant` is
   /// set before the record is published (the /queries endpoint may render
   /// it concurrently).
-  QueryRecordPtr Begin(std::string sql, std::string engine_mode,
-                       std::shared_ptr<QueryStats> stats, uint64_t trace_id,
-                       std::string tenant = {});
+  QueryRecordPtr Begin(std::string sql, std::shared_ptr<QueryStats> stats,
+                       uint64_t trace_id, std::string tenant = {});
 
   /// Moves the record from active to the finished ring. Idempotent: the
   /// first call wins; a later call (e.g. the TrackedQuery destructor racing

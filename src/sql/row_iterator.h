@@ -2,15 +2,14 @@
 #define SQLINK_SQL_ROW_ITERATOR_H_
 
 #include <memory>
-#include <vector>
 
 #include "common/result.h"
 #include "table/value.h"
 
 namespace sqlink {
 
-/// Pull-based row stream: the execution interface between physical
-/// operators within one worker's pipeline.
+/// Pull-based row stream: a table UDF's input (the executor adapts its
+/// batch pipeline with BatchToRowIterator).
 class RowIterator {
  public:
   virtual ~RowIterator() = default;
@@ -22,59 +21,11 @@ class RowIterator {
 
 using RowIteratorPtr = std::unique_ptr<RowIterator>;
 
-/// Push-based row consumer (table UDF output, exchange input).
+/// Push-based row consumer (table UDF output).
 class RowSink {
  public:
   virtual ~RowSink() = default;
   virtual Status Push(Row row) = 0;
-};
-
-/// Iterates over a borrowed row vector (rows are copied out).
-class VectorIterator final : public RowIterator {
- public:
-  explicit VectorIterator(const std::vector<Row>* rows) : rows_(rows) {}
-
-  Result<bool> Next(Row* out) override {
-    if (index_ >= rows_->size()) return false;
-    *out = (*rows_)[index_++];
-    return true;
-  }
-
- private:
-  const std::vector<Row>* rows_;
-  size_t index_ = 0;
-};
-
-/// Iterates over an owned row vector (rows are moved out).
-class OwningVectorIterator final : public RowIterator {
- public:
-  explicit OwningVectorIterator(std::vector<Row> rows)
-      : rows_(std::move(rows)) {}
-
-  Result<bool> Next(Row* out) override {
-    if (index_ >= rows_.size()) return false;
-    *out = std::move(rows_[index_++]);
-    return true;
-  }
-
- private:
-  std::vector<Row> rows_;
-  size_t index_ = 0;
-};
-
-/// Collects pushed rows into a vector.
-class VectorSink final : public RowSink {
- public:
-  Status Push(Row row) override {
-    rows_.push_back(std::move(row));
-    return Status::OK();
-  }
-
-  std::vector<Row>& rows() { return rows_; }
-  std::vector<Row> TakeRows() { return std::move(rows_); }
-
- private:
-  std::vector<Row> rows_;
 };
 
 }  // namespace sqlink

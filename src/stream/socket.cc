@@ -19,6 +19,12 @@ namespace sqlink {
 
 namespace {
 
+/// RecvExactly's first buffer size, which fits every data frame at the
+/// default 4 KB send buffer in one resize. Longer messages double the
+/// buffer as their bytes arrive, so a length read off the wire never sizes
+/// an allocation ahead of the data.
+constexpr size_t kRecvFirstStepBytes = 64 << 10;
+
 std::string ErrnoMessage(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
@@ -182,10 +188,14 @@ Status TcpSocket::RecvExactly(size_t n, std::string* out) {
       Close();
       return Status::NetworkError("failpoint: recv socket closed");
   }
-  out->resize(n);
+  out->resize(std::min(n, kRecvFirstStepBytes));
   size_t received = 0;
   while (received < n) {
-    const ssize_t got = ::recv(fd_, out->data() + received, n - received, 0);
+    if (received == out->size()) {
+      out->resize(std::min(n, 2 * out->size()));
+    }
+    const ssize_t got =
+        ::recv(fd_, out->data() + received, out->size() - received, 0);
     if (got < 0) {
       if (errno == EINTR) continue;
       return PeerError("recv");

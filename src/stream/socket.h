@@ -42,8 +42,9 @@ class TcpSocket {
   /// `iov` is consumed (entries are advanced over partial writes).
   Status SendAllIov(::iovec* iov, size_t count);
 
-  /// Receives exactly `n` bytes into `*out` (resized). A clean remote close
-  /// before any byte yields kNetworkError with message "closed".
+  /// Receives exactly `n` bytes into `*out` (resized). The buffer grows as
+  /// bytes arrive, never to `n` up front. A clean remote close before any
+  /// byte yields kNetworkError with message "closed".
   Status RecvExactly(size_t n, std::string* out);
 
   /// Non-blocking receive of up to `max` bytes appended to `*out`. Returns

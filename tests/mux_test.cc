@@ -49,7 +49,10 @@ struct OpenedChannels {
   }
 };
 
-/// One client↔server mux connection pair over loopback.
+/// One client↔server mux connection pair over loopback. The server's open
+/// handler holds `opened` weakly: the channels it collects hold the server
+/// connection, so a strong capture would make a cycle that outlives the
+/// pair.
 struct MuxPair {
   std::shared_ptr<OpenedChannels> opened = std::make_shared<OpenedChannels>();
   std::shared_ptr<MuxConn> client;
@@ -63,12 +66,14 @@ struct MuxPair {
     EXPECT_TRUE(dialed.ok()) << dialed.status();
     auto accepted = listener->Accept();
     EXPECT_TRUE(accepted.ok()) << accepted.status();
-    auto opened = pair.opened;
+    std::weak_ptr<OpenedChannels> weak_opened = pair.opened;
     pair.server = MuxConn::Spawn(
         std::move(*accepted),
-        [opened](std::shared_ptr<MuxChannel> channel,
-                 const OpenChannelMessage& msg) {
-          opened->Add(std::move(channel), msg);
+        [weak_opened](std::shared_ptr<MuxChannel> channel,
+                      const OpenChannelMessage& msg) {
+          if (auto opened = weak_opened.lock()) {
+            opened->Add(std::move(channel), msg);
+          }
         });
     pair.client = MuxConn::Spawn(std::move(*dialed), /*on_open=*/nullptr);
     return pair;

@@ -67,8 +67,8 @@ TEST(QueryRegistryTest, LifecycleAndFinishedRing) {
   QueryRegistry registry;
   registry.set_finished_capacity(2);
 
-  QueryRecordPtr a = registry.Begin("SELECT 1", "vectorized", nullptr, 11);
-  QueryRecordPtr b = registry.Begin("SELECT 2", "row", nullptr, 0);
+  QueryRecordPtr a = registry.Begin("SELECT 1", nullptr, 11);
+  QueryRecordPtr b = registry.Begin("SELECT 2", nullptr, 0);
   EXPECT_NE(a->query_id, b->query_id);
   EXPECT_EQ(registry.active_count(), 2u);
   EXPECT_EQ(registry.Find(a->query_id), a);
@@ -90,7 +90,7 @@ TEST(QueryRegistryTest, LifecycleAndFinishedRing) {
   EXPECT_EQ(registry.Finished()[0], b);
 
   // The ring evicts the oldest beyond capacity.
-  QueryRecordPtr c = registry.Begin("SELECT 3", "row", nullptr, 0);
+  QueryRecordPtr c = registry.Begin("SELECT 3", nullptr, 0);
   registry.Finish(c, Status::OK(), 1, 1.0);
   EXPECT_EQ(registry.finished_count(), 2u);
   EXPECT_EQ(registry.Find(a->query_id), nullptr);

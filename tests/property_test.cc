@@ -18,13 +18,13 @@
 #include "common/fs_util.h"
 #include "common/random.h"
 #include "common/retry_policy.h"
-#include "common/runtime_flags.h"
 #include "ml/sgd.h"
 #include "rewriter/predicate_logic.h"
 #include "serving/query_server.h"
 #include "sql/batch_kernels.h"
 #include "sql/engine.h"
 #include "sql/parser.h"
+#include "sql_oracle.h"
 #include "stream/replay_window.h"
 #include "stream/spill_queue.h"
 #include "stream/wire.h"
@@ -926,7 +926,7 @@ TEST_P(BatchKernelPropertyTest, FilterToSelectionMatchesRowTruthiness) {
   Random rng(GetParam());
   for (int round = 0; round < 20; ++round) {
     // A one-column predicate batch; sometimes deliberately non-bool, which
-    // must select nothing (the row engine's IsTruthy rejects non-bools).
+    // must select nothing (IsTruthy rejects non-bools).
     const DataType type =
         rng.Bernoulli(0.7) ? DataType::kBool
                            : static_cast<DataType>(rng.UniformInt(0, 3));
@@ -1038,7 +1038,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BatchKernelPropertyTest,
 // ---------------------------------------------------------------------------
 // Costed join choice: whatever strategy the planner picks, the physical
 // join algorithms must be interchangeable. Hash and sort-merge are forced
-// in turn over random tables, in both engine modes, and must agree.
+// in turn over random tables and must both agree with the naive oracle.
 
 class JoinStrategyPropertyTest : public ::testing::TestWithParam<uint64_t> {
  protected:
@@ -1048,8 +1048,6 @@ class JoinStrategyPropertyTest : public ::testing::TestWithParam<uint64_t> {
     ASSERT_TRUE(cluster.ok());
     engine_ = SqlEngine::Make(*cluster);
   }
-
-  void TearDown() override { SetVectorizedSqlEnabledForTest(-1); }
 
   std::multiset<std::string> Render(const std::vector<Row>& rows) {
     std::multiset<std::string> out;
@@ -1064,14 +1062,20 @@ class JoinStrategyPropertyTest : public ::testing::TestWithParam<uint64_t> {
     return out;
   }
 
-  std::multiset<std::string> Run(const std::string& sql, JoinStrategy strategy,
-                                 int vectorized) {
+  std::multiset<std::string> Run(const std::string& sql,
+                                 JoinStrategy strategy) {
     engine_->set_join_strategy(strategy);
-    SetVectorizedSqlEnabledForTest(vectorized);
     auto result = engine_->ExecuteSql(sql);
     EXPECT_TRUE(result.ok()) << sql << ": " << result.status();
     if (!result.ok()) return {};
     return Render((*result)->GatherRows());
+  }
+
+  std::multiset<std::string> RunOracle(const std::string& sql) {
+    auto rows = oracle::RunSql(engine_.get(), sql);
+    EXPECT_TRUE(rows.ok()) << sql << ": " << rows.status();
+    if (!rows.ok()) return {};
+    return Render(*rows);
   }
 
   std::unique_ptr<ScopedTempDir> temp_;
@@ -1120,13 +1124,9 @@ TEST_P(JoinStrategyPropertyTest, HashAndSortMergeAgreeOnRandomTables) {
       "SELECT a.k, b.label FROM dim a JOIN dim b ON a.label = b.label",
   };
   for (const std::string& sql : queries) {
-    const auto hash_row = Run(sql, JoinStrategy::kHash, 0);
-    const auto hash_vec = Run(sql, JoinStrategy::kHash, 1);
-    const auto merge_row = Run(sql, JoinStrategy::kSortMerge, 0);
-    const auto merge_vec = Run(sql, JoinStrategy::kSortMerge, 1);
-    EXPECT_EQ(hash_row, hash_vec) << sql;
-    EXPECT_EQ(hash_row, merge_row) << sql;
-    EXPECT_EQ(hash_row, merge_vec) << sql;
+    const auto expected = RunOracle(sql);
+    EXPECT_EQ(Run(sql, JoinStrategy::kHash), expected) << sql;
+    EXPECT_EQ(Run(sql, JoinStrategy::kSortMerge), expected) << sql;
   }
 }
 

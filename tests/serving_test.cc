@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -110,7 +111,7 @@ TEST(CancellationTest, RemoveCallbackPreventsFiring) {
 
 TEST(TrackedQueryTest, AbandonedQueryStillReachesTerminalState) {
   QueryRegistry registry;
-  QueryRecordPtr record = registry.Begin("SELECT 1", "row", nullptr, 0, "t1");
+  QueryRecordPtr record = registry.Begin("SELECT 1", nullptr, 0, "t1");
   EXPECT_EQ(record->tenant, "t1");
   {
     TrackedQuery tracked(&registry, record);
@@ -126,7 +127,7 @@ TEST(TrackedQueryTest, AbandonedQueryStillReachesTerminalState) {
 
 TEST(TrackedQueryTest, ExplicitFinishWinsOverDestructor) {
   QueryRegistry registry;
-  QueryRecordPtr record = registry.Begin("SELECT 1", "row", nullptr, 0);
+  QueryRecordPtr record = registry.Begin("SELECT 1", nullptr, 0);
   {
     TrackedQuery tracked(&registry, record);
     tracked.Finish(Status::OK(), 1234, 1.0);
@@ -499,6 +500,36 @@ TEST_F(QueryServerTest, RemoteResultMatchesLocalExecution) {
   }
   EXPECT_GT(response->elapsed_micros, 0);
   EXPECT_EQ(response->schema->num_fields(), 2u);
+}
+
+/// Lines of /proc/self/maps: one per memory mapping of this process.
+size_t CountMappings() {
+  std::ifstream maps("/proc/self/maps");
+  size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+/// Finished connection threads are joined as new connections arrive. A
+/// server that kept them until Stop() left each served query's thread stack
+/// mapped (2 mappings per query) until the process hit vm.max_map_count.
+TEST_F(QueryServerTest, SequentialQueriesDoNotAccumulateThreadStacks) {
+  auto server = StartServer();
+  ASSERT_NE(server, nullptr);
+  const auto run_queries = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      auto client = QueryClient::Connect("127.0.0.1", server->port());
+      ASSERT_TRUE(client.ok()) << client.status();
+      auto response =
+          client->Execute("SELECT COUNT(*) FROM points WHERE id < 10");
+      ASSERT_TRUE(response.ok()) << response.status();
+    }
+  };
+  run_queries(10);  // Warm up the allocator's arenas and stack cache.
+  const size_t before = CountMappings();
+  run_queries(200);
+  const size_t after = CountMappings();
+  EXPECT_LE(after, before + 32) << before << " -> " << after << " mappings";
 }
 
 TEST_F(QueryServerTest, SqlErrorsTravelTyped) {

@@ -2,10 +2,10 @@
 //
 // The corpus lives in tests/queries/: one <name>.sql per query and a
 // <name>.expected golden holding the canonical (sorted, pipe-joined)
-// result. Both sql_engine_test.cc (goldens under the session's engine
-// mode) and sql_differential_test.cc (row vs vectorized) load it through
+// result. Both sql_engine_test.cc (the engine against the goldens) and
+// sql_differential_test.cc (the engine against the oracle) load it through
 // this header, so a query added to the directory is automatically held to
-// byte-identical results across engines.
+// byte-identical results by both.
 //
 // Regenerate goldens with SQLINK_UPDATE_GOLDENS=1 (writes into the source
 // tree; inspect the diff before committing).
@@ -69,7 +69,7 @@ inline std::string CanonicalRow(const Row& row) {
 }
 
 /// A whole result rendered canonically: one line per row, sorted, so two
-/// engines producing the same multiset render byte-identically.
+/// evaluators producing the same multiset render byte-identically.
 inline std::string CanonicalResult(const std::vector<Row>& rows) {
   std::vector<std::string> lines;
   lines.reserve(rows.size());

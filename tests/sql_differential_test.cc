@@ -1,11 +1,12 @@
-// Row-vs-vectorized differential harness (ISSUE 6 satellite a).
+// Executor-vs-oracle differential harness.
 //
 // Every query — the committed golden corpus plus hundreds of
-// generator-driven random queries — is executed twice through the same
-// engine, once with the row-at-a-time operators and once with the
-// vectorized ColumnBatch pipeline, and the two results must be identical
-// as unordered multisets. The generator is seeded, so a failure reproduces
-// by rerunning the test; the failing SQL text is printed with the diff.
+// generator-driven random queries — runs through the engine and through
+// the naive reference evaluator in sql_oracle.h, over the same bound plan.
+// Both must succeed or both fail, and successful results must be identical
+// as unordered multisets, cell for cell. The generator is seeded, so a
+// failure reproduces by rerunning the test; the failing SQL text is
+// printed with the diff.
 
 #include <gtest/gtest.h>
 
@@ -15,19 +16,28 @@
 #include "cluster/cluster.h"
 #include "common/fs_util.h"
 #include "common/random.h"
-#include "common/runtime_flags.h"
 #include "common/string_util.h"
 #include "sql/engine.h"
 #include "sql_corpus.h"
+#include "sql_oracle.h"
 
 namespace sqlink {
 namespace {
 
-/// Outcome of one engine run: either a canonical result or an error text.
+/// Outcome of one run: either a canonical result or an error text.
 struct RunOutcome {
   bool ok = false;
   std::string canonical;  ///< Sorted pipe-joined rows when ok.
   std::string error;      ///< Status message when !ok.
+
+  explicit RunOutcome(const Result<std::vector<Row>>& rows) {
+    ok = rows.ok();
+    if (ok) {
+      canonical = CanonicalResult(*rows);
+    } else {
+      error = rows.status().ToString();
+    }
+  }
 };
 
 class SqlDifferentialTest : public ::testing::Test {
@@ -40,32 +50,28 @@ class SqlDifferentialTest : public ::testing::Test {
     RegisterCorpusTables(engine_.get());
   }
 
-  void TearDown() override { SetVectorizedSqlEnabledForTest(-1); }
-
-  RunOutcome RunMode(const std::string& sql, int vectorized) {
-    SetVectorizedSqlEnabledForTest(vectorized);
-    RunOutcome outcome;
+  RunOutcome RunEngine(const std::string& sql) {
     auto result = engine_->ExecuteSql(sql);
-    if (!result.ok()) {
-      outcome.error = result.status().ToString();
-      return outcome;
-    }
-    outcome.ok = true;
-    outcome.canonical = CanonicalResult((*result)->GatherRows());
-    return outcome;
+    if (!result.ok()) return RunOutcome(result.status());
+    return RunOutcome((*result)->GatherRows());
   }
 
-  /// Runs `sql` through both engines and asserts identical outcomes.
-  /// Returns the row-engine outcome for further checks.
-  RunOutcome ExpectEnginesAgree(const std::string& sql) {
-    RunOutcome row = RunMode(sql, 0);
-    RunOutcome vec = RunMode(sql, 1);
-    EXPECT_EQ(row.ok, vec.ok)
-        << sql << "\nrow error: " << row.error << "\nvec error: " << vec.error;
-    if (row.ok && vec.ok) {
-      EXPECT_EQ(row.canonical, vec.canonical) << sql;
+  RunOutcome RunOracle(const std::string& sql) {
+    return RunOutcome(oracle::RunSql(engine_.get(), sql));
+  }
+
+  /// Runs `sql` through the engine and the oracle and asserts identical
+  /// outcomes. Returns the oracle's outcome for further checks.
+  RunOutcome ExpectEngineMatchesOracle(const std::string& sql) {
+    RunOutcome engine = RunEngine(sql);
+    RunOutcome oracle = RunOracle(sql);
+    EXPECT_EQ(engine.ok, oracle.ok) << sql << "\nengine error: "
+                                    << engine.error
+                                    << "\noracle error: " << oracle.error;
+    if (engine.ok && oracle.ok) {
+      EXPECT_EQ(engine.canonical, oracle.canonical) << sql;
     }
-    return row;
+    return oracle;
   }
 
   std::unique_ptr<ScopedTempDir> temp_;
@@ -78,17 +84,17 @@ TEST_F(SqlDifferentialTest, GoldenCorpusAgreesAcrossEngines) {
   const bool update = EnvInt64("SQLINK_UPDATE_GOLDENS", 0) != 0;
   for (const CorpusQuery& query : corpus) {
     SCOPED_TRACE(query.name);
-    RunOutcome row = ExpectEnginesAgree(query.sql);
-    ASSERT_TRUE(row.ok) << query.sql << " -> " << row.error;
+    RunOutcome oracle = ExpectEngineMatchesOracle(query.sql);
+    ASSERT_TRUE(oracle.ok) << query.sql << " -> " << oracle.error;
     if (update) {
-      ASSERT_TRUE(WriteFileAtomic(query.expected_path, row.canonical).ok());
+      ASSERT_TRUE(WriteFileAtomic(query.expected_path, oracle.canonical).ok());
       continue;
     }
     auto golden = ReadFileToString(query.expected_path);
     ASSERT_TRUE(golden.ok())
         << query.expected_path
         << " missing; regenerate with SQLINK_UPDATE_GOLDENS=1";
-    EXPECT_EQ(row.canonical, *golden) << query.sql;
+    EXPECT_EQ(oracle.canonical, *golden) << query.sql;
   }
 }
 
@@ -288,7 +294,7 @@ TEST_F(SqlDifferentialTest, GeneratedQueriesAgreeAcrossEngines) {
       const std::string sql = GenQuery(rng);
       SCOPED_TRACE("seed=" + std::to_string(seed) + " i=" + std::to_string(i) +
                    "\n" + sql);
-      ExpectEnginesAgree(sql);
+      ExpectEngineMatchesOracle(sql);
       ++executed;
       if (HasFatalFailure()) return;
     }
@@ -297,8 +303,8 @@ TEST_F(SqlDifferentialTest, GeneratedQueriesAgreeAcrossEngines) {
 }
 
 // Join-heavy differential sweep pinning the costed join paths against each
-// other: the same queries under forced hash and forced sort-merge strategy,
-// in both engine modes, must all agree.
+// other: the same queries under forced hash and forced sort-merge strategy
+// must both agree with the oracle.
 TEST_F(SqlDifferentialTest, JoinStrategiesAgreeAcrossEngines) {
   Random rng(99);
   for (int i = 0; i < 30; ++i) {
@@ -309,17 +315,17 @@ TEST_F(SqlDifferentialTest, JoinStrategiesAgreeAcrossEngines) {
     SCOPED_TRACE(sql);
 
     engine_->set_join_strategy(JoinStrategy::kHash);
-    RunOutcome hash = RunMode(sql, 1);
+    RunOutcome hash = RunEngine(sql);
     engine_->set_join_strategy(JoinStrategy::kSortMerge);
-    RunOutcome merge_vec = RunMode(sql, 1);
-    RunOutcome merge_row = RunMode(sql, 0);
+    RunOutcome merge = RunEngine(sql);
     engine_->set_join_strategy(JoinStrategy::kAuto);
+    RunOutcome oracle = RunOracle(sql);
 
     ASSERT_TRUE(hash.ok) << hash.error;
-    ASSERT_TRUE(merge_vec.ok) << merge_vec.error;
-    ASSERT_TRUE(merge_row.ok) << merge_row.error;
-    EXPECT_EQ(hash.canonical, merge_vec.canonical);
-    EXPECT_EQ(hash.canonical, merge_row.canonical);
+    ASSERT_TRUE(merge.ok) << merge.error;
+    ASSERT_TRUE(oracle.ok) << oracle.error;
+    EXPECT_EQ(hash.canonical, oracle.canonical);
+    EXPECT_EQ(merge.canonical, oracle.canonical);
   }
 }
 

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <set>
+#include <thread>
 
 #include "cluster/cluster.h"
+#include "common/cancellation.h"
+#include "common/failpoint.h"
 #include "common/fs_util.h"
-#include "common/runtime_flags.h"
 #include "common/status_macros.h"
 #include "common/string_util.h"
 #include "sql/engine.h"
@@ -81,6 +85,18 @@ class SqlEngineTest : public ::testing::Test {
     EXPECT_TRUE(result.ok()) << sql << " -> " << result.status();
     if (!result.ok()) return {};
     return (*result)->GatherRows();
+  }
+
+  /// Registers table `name` (x INT) holding 0..rows-1, round-robin over the
+  /// partitions.
+  void AddCountingTable(const std::string& name, size_t rows) {
+    auto table =
+        engine_->MakeTable(name, Schema::Make({{"x", DataType::kInt64}}));
+    for (size_t i = 0; i < rows; ++i) {
+      table->AppendRow(i % table->num_partitions(),
+                       Row{Value::Int64(static_cast<int64_t>(i))});
+    }
+    engine_->catalog()->PutTable(table);
   }
 
   std::unique_ptr<ScopedTempDir> temp_;
@@ -540,39 +556,33 @@ TEST_F(SqlEngineTest, ExplainStatementReturnsPlanRows) {
 }
 
 TEST_F(SqlEngineTest, ExplainAnalyzeReportsEstimatedVsActualRows) {
-  // Join + filter + DISTINCT, the acceptance query shape, in both engine
-  // modes: the analyzed root's actual row count must equal the executed
-  // result's cardinality.
+  // Join + filter + DISTINCT, the acceptance query shape: the analyzed
+  // root's actual row count must equal the executed result's cardinality.
   const std::string query =
       "SELECT DISTINCT U.age, U.gender FROM carts C, users U "
       "WHERE C.userid = U.userid AND C.amount > 50";
-  for (int vectorized : {0, 1}) {
-    SCOPED_TRACE(vectorized ? "vectorized" : "row");
-    SetVectorizedSqlEnabledForTest(vectorized);
-    auto executed = engine_->ExecuteSql(query);
-    ASSERT_TRUE(executed.ok()) << executed.status();
-    const size_t expected_rows = (*executed)->TotalRows();
-    ASSERT_GT(expected_rows, 0u);
+  auto executed = engine_->ExecuteSql(query);
+  ASSERT_TRUE(executed.ok()) << executed.status();
+  const size_t expected_rows = (*executed)->TotalRows();
+  ASSERT_GT(expected_rows, 0u);
 
-    auto analyzed = engine_->ExecuteSql("EXPLAIN ANALYZE " + query);
-    ASSERT_TRUE(analyzed.ok()) << analyzed.status();
-    std::vector<Row> lines = (*analyzed)->GatherRows();
-    ASSERT_FALSE(lines.empty());
-    // Partition 0 holds the whole rendering in order; the first line is the
-    // root (DISTINCT) node.
-    const std::string& root = (*analyzed)->partition(0)[0][0].string_value();
-    EXPECT_NE(root.find("Distinct"), std::string::npos) << root;
-    EXPECT_NE(root.find("est="), std::string::npos) << root;
-    EXPECT_NE(root.find("actual=" + std::to_string(expected_rows) + " rows"),
-              std::string::npos)
-        << root;
-    // Every node line carries a q-error.
-    for (const Row& row : lines) {
-      EXPECT_NE(row[0].string_value().find("q="), std::string::npos)
-          << row[0].string_value();
-    }
+  auto analyzed = engine_->ExecuteSql("EXPLAIN ANALYZE " + query);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+  std::vector<Row> lines = (*analyzed)->GatherRows();
+  ASSERT_FALSE(lines.empty());
+  // Partition 0 holds the whole rendering in order; the first line is the
+  // root (DISTINCT) node.
+  const std::string& root = (*analyzed)->partition(0)[0][0].string_value();
+  EXPECT_NE(root.find("Distinct"), std::string::npos) << root;
+  EXPECT_NE(root.find("est="), std::string::npos) << root;
+  EXPECT_NE(root.find("actual=" + std::to_string(expected_rows) + " rows"),
+            std::string::npos)
+      << root;
+  // Every node line carries a q-error.
+  for (const Row& row : lines) {
+    EXPECT_NE(row[0].string_value().find("q="), std::string::npos)
+        << row[0].string_value();
   }
-  SetVectorizedSqlEnabledForTest(-1);
 }
 
 TEST_F(SqlEngineTest, ExplainAnalyzeTracksQueryInRegistry) {
@@ -609,6 +619,75 @@ TEST_F(SqlEngineTest, LimitWithoutSortTerminatesEarly) {
   EXPECT_EQ(joined.size(), 3u);
 }
 
+/// LIMIT polls cancellation between the batches it pulls: a LIMIT larger
+/// than its 100-batch table, paced by the batch failpoint, ends Cancelled
+/// when another thread cancels it.
+TEST_F(SqlEngineTest, LimitPollsCancellationBetweenBatches) {
+  AddCountingTable("big", 100 * kSqlBatchRows);
+  ScopedFailpoint pace("sql.exec.batch", "delay(20)");
+  Cancellation cancellation;
+  QueryOptions options;
+  options.cancellation = &cancellation;
+  std::thread canceller([&cancellation] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    cancellation.Cancel(Status::Cancelled("limit query cancelled"));
+  });
+  auto result = engine_->ExecuteSql(
+      "SELECT x FROM big LIMIT " + std::to_string(200 * kSqlBatchRows),
+      "result", options);
+  canceller.join();
+  ASSERT_FALSE(result.ok()) << "the LIMIT ran to completion";
+  EXPECT_TRUE(result.status().IsCancelled()) << result.status();
+}
+
+/// A table UDF that passes its input through and counts the rows it read.
+class CountingPassThroughUdf final : public TableUdf {
+ public:
+  explicit CountingPassThroughUdf(std::atomic<int64_t>* rows_read)
+      : rows_read_(rows_read) {}
+
+  Result<SchemaPtr> Bind(const SchemaPtr& input_schema,
+                         const std::vector<Value>&) override {
+    if (input_schema == nullptr) {
+      return Status::InvalidArgument("needs an input relation");
+    }
+    return input_schema;
+  }
+
+  Status ProcessPartition(const TableUdfContext&, RowIterator* input,
+                          RowSink* output) override {
+    Row row;
+    for (;;) {
+      ASSIGN_OR_RETURN(bool has, input->Next(&row));
+      if (!has) return Status::OK();
+      rows_read_->fetch_add(1);
+      RETURN_IF_ERROR(output->Push(row));
+    }
+  }
+
+ private:
+  std::atomic<int64_t>* rows_read_;
+};
+
+/// LIMIT over a table UDF returns its rows and stops the UDF early: the UDF
+/// reads fewer rows than its input table holds.
+TEST_F(SqlEngineTest, LimitOverTableUdfStopsItsInput) {
+  constexpr size_t kRows = 40000;
+  AddCountingTable("many", kRows);
+  std::atomic<int64_t> rows_read{0};
+  ASSERT_TRUE(engine_->table_udfs()
+                  ->Register("count_through",
+                             [&rows_read] {
+                               return std::make_shared<CountingPassThroughUdf>(
+                                   &rows_read);
+                             })
+                  .ok());
+  auto rows = Run("SELECT x FROM TABLE(count_through(many)) LIMIT 3");
+  EXPECT_EQ(rows.size(), 3u);
+  EXPECT_GT(rows_read.load(), 0);
+  EXPECT_LT(rows_read.load(), static_cast<int64_t>(kRows));
+}
+
 TEST_F(SqlEngineTest, CatalogOperations) {
   EXPECT_TRUE(engine_->catalog()->HasTable("CARTS"));  // Case-insensitive.
   EXPECT_EQ(engine_->catalog()->ListTables().size(), 2u);
@@ -617,9 +696,8 @@ TEST_F(SqlEngineTest, CatalogOperations) {
   EXPECT_TRUE(engine_->catalog()->DropTable("carts").IsNotFound());
 }
 
-/// Golden corpus queries against their committed .expected files, under
-/// whatever engine mode (SQLINK_VECTORIZED_SQL) this test run was launched
-/// with — CI runs both modes, so the goldens pin both engines.
+/// Golden corpus queries against their committed .expected files (which
+/// sql_differential_test also holds the oracle to).
 class CorpusGoldenTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -651,36 +729,60 @@ TEST_F(CorpusGoldenTest, QueriesMatchCommittedGoldens) {
 }
 
 /// EXPLAIN goldens: the rendered plan (shape, join strategy, estimates,
-/// costs) for every corpus query is pinned in <name>.explain.expected and
-/// must be byte-identical under both engine modes — the planner is shared,
-/// so a plan that diverges by engine mode is a bug. Regenerate with
-/// SQLINK_UPDATE_GOLDENS=1.
+/// costs) for every corpus query is pinned in <name>.explain.expected.
+/// Regenerate with SQLINK_UPDATE_GOLDENS=1.
 TEST_F(CorpusGoldenTest, ExplainPlansMatchCommittedGoldens) {
   auto corpus = LoadQueryCorpus();
   ASSERT_GE(corpus.size(), 14u);
   const bool update = EnvInt64("SQLINK_UPDATE_GOLDENS", 0) != 0;
   for (const CorpusQuery& query : corpus) {
     SCOPED_TRACE(query.name);
-    SetVectorizedSqlEnabledForTest(0);
-    auto row_plan = engine_->ExplainSql(query.sql);
-    SetVectorizedSqlEnabledForTest(1);
-    auto vec_plan = engine_->ExplainSql(query.sql);
-    SetVectorizedSqlEnabledForTest(-1);
-    ASSERT_TRUE(row_plan.ok()) << query.sql << " -> " << row_plan.status();
-    ASSERT_TRUE(vec_plan.ok()) << query.sql << " -> " << vec_plan.status();
-    EXPECT_EQ(*row_plan, *vec_plan)
-        << query.sql << " plans differ by engine mode";
+    auto plan = engine_->ExplainSql(query.sql);
+    ASSERT_TRUE(plan.ok()) << query.sql << " -> " << plan.status();
 
     const std::string golden_path =
         std::string(SQLINK_QUERY_DIR) + "/" + query.name + ".explain.expected";
     if (update) {
-      ASSERT_TRUE(WriteFileAtomic(golden_path, *row_plan).ok());
+      ASSERT_TRUE(WriteFileAtomic(golden_path, *plan).ok());
       continue;
     }
     auto golden = ReadFileToString(golden_path);
     ASSERT_TRUE(golden.ok())
         << golden_path << " missing; regenerate with SQLINK_UPDATE_GOLDENS=1";
-    EXPECT_EQ(*row_plan, *golden) << query.sql;
+    EXPECT_EQ(*plan, *golden) << query.sql;
+  }
+}
+
+/// LIMIT pulls whole batches but returns exactly min(n, rows) rows, each a
+/// row of the unlimited result, on both sides of the 1024-row batch edge,
+/// over a scan and over a join.
+TEST_F(CorpusGoldenTest, LimitAcrossBatchBoundaries) {
+  const char* const queries[] = {
+      "SELECT k, v, s, flag FROM e1025",
+      "SELECT e.k, e.v, e.s, d.label FROM e1025 e JOIN dims d ON e.k = d.k",
+  };
+  for (const char* query : queries) {
+    auto all = engine_->ExecuteSql(query);
+    ASSERT_TRUE(all.ok()) << query << " -> " << all.status();
+    std::multiset<std::string> unlimited;
+    for (const Row& row : (*all)->GatherRows()) {
+      unlimited.insert(CanonicalRow(row));
+    }
+    for (const size_t n : {0, 1, 1023, 1024, 1025, 5000}) {
+      const std::string sql = std::string(query) + " LIMIT " + std::to_string(n);
+      SCOPED_TRACE(sql);
+      auto limited = engine_->ExecuteSql(sql);
+      ASSERT_TRUE(limited.ok()) << limited.status();
+      const std::vector<Row> rows = (*limited)->GatherRows();
+      EXPECT_EQ(rows.size(), std::min(n, unlimited.size()));
+      std::multiset<std::string> left = unlimited;
+      for (const Row& row : rows) {
+        auto it = left.find(CanonicalRow(row));
+        ASSERT_NE(it, left.end()) << "not in the unlimited result: "
+                                  << CanonicalRow(row);
+        left.erase(it);
+      }
+    }
   }
 }
 
@@ -693,22 +795,17 @@ TEST_F(CorpusGoldenTest, ExplainAnalyzeGroupByRootQErrorIsSmall) {
       "SELECT s, flag, COUNT(*) FROM e1024 GROUP BY s, flag",
       "SELECT COUNT(*), SUM(v) FROM e1025",
   };
-  for (int vectorized : {0, 1}) {
-    SetVectorizedSqlEnabledForTest(vectorized);
-    for (const char* query : queries) {
-      SCOPED_TRACE(std::string(vectorized ? "vectorized: " : "row: ") +
-                   query);
-      auto analyzed = engine_->ExecuteSql(std::string("EXPLAIN ANALYZE ") +
-                                          query);
-      ASSERT_TRUE(analyzed.ok()) << analyzed.status();
-      const std::string root = (*analyzed)->partition(0)[0][0].string_value();
-      EXPECT_NE(root.find("Aggregate"), std::string::npos) << root;
-      const size_t q = root.find("q=");
-      ASSERT_NE(q, std::string::npos) << root;
-      EXPECT_LE(std::stod(root.substr(q + 2)), 4.0) << root;
-    }
+  for (const char* query : queries) {
+    SCOPED_TRACE(query);
+    auto analyzed = engine_->ExecuteSql(std::string("EXPLAIN ANALYZE ") +
+                                        query);
+    ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+    const std::string root = (*analyzed)->partition(0)[0][0].string_value();
+    EXPECT_NE(root.find("Aggregate"), std::string::npos) << root;
+    const size_t q = root.find("q=");
+    ASSERT_NE(q, std::string::npos) << root;
+    EXPECT_LE(std::stod(root.substr(q + 2)), 4.0) << root;
   }
-  SetVectorizedSqlEnabledForTest(-1);
 }
 
 }  // namespace

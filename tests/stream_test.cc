@@ -101,6 +101,31 @@ TEST(WireTest, FrameRoundTrip) {
   server.join();
 }
 
+/// A frame header is read before its payload arrives, so the length it
+/// claims must not size an allocation: a peer that claims 1 GiB, sends a
+/// few bytes and hangs up leaves a small buffer and an error.
+TEST(WireTest, HugeFrameLengthDoesNotAllocateAhead) {
+  auto listener = TcpListener::Listen(0);
+  ASSERT_TRUE(listener.ok());
+  std::thread peer([&] {
+    auto conn = TcpConnect("localhost", listener->port());
+    ASSERT_TRUE(conn.ok());
+    char header[kFrameHeaderBytes];
+    EncodeFrameHeader(header, FrameType::kData, uint32_t{1} << 30, /*seq=*/1,
+                      /*channel=*/0, TraceContext{});
+    ASSERT_TRUE(conn->SendAll(std::string_view(header, sizeof(header))).ok());
+    ASSERT_TRUE(conn->SendAll("a few bytes").ok());
+  });  // The peer's socket closes when the thread ends.
+  auto conn = listener->Accept();
+  ASSERT_TRUE(conn.ok());
+  peer.join();
+  Frame frame;
+  std::string scratch;
+  const Status status = RecvFrameInto(&*conn, &frame, &scratch);
+  EXPECT_FALSE(status.ok());
+  EXPECT_LT(frame.payload.capacity(), size_t{4} << 20);
+}
+
 TEST(WireTest, SchemaSerializationRoundTrip) {
   Schema schema({{"age", DataType::kInt64},
                  {"gender", DataType::kString},
