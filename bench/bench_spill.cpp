@@ -8,6 +8,13 @@
 // files (decoupling the systems); with spill disabled the SQL pipeline
 // stalls behind the consumer. Total wall time is consumer-bound either
 // way; the interesting column is how long the *SQL engine* stays busy.
+//
+// Usage: bench_spill [rows] [--check]. `--check` exits 1 unless the spill
+// run spilled at least one frame, the backpressure run spilled none, both
+// runs delivered every row, and no .spill file is left behind.
+
+#include <cstring>
+#include <filesystem>
 
 #include "bench_util.h"
 #include "common/stopwatch.h"
@@ -16,8 +23,31 @@
 using namespace sqlink;
 using sqlink::bench::BenchEnv;
 
+namespace {
+
+int CountSpillFiles(const std::string& root) {
+  int count = 0;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(root)) {
+    if (entry.is_regular_file() && entry.path().extension() == ".spill") {
+      ++count;
+    }
+  }
+  return count;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  const int64_t rows = sqlink::bench::RowsArg(argc, argv, 100000);
+  bool check = false;
+  int64_t rows = 100000;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--check") == 0) {
+      check = true;
+    } else {
+      rows = std::atoll(argv[i]);
+    }
+  }
   auto env = BenchEnv::Make(rows);
   auto table = env->engine->MaterializeSql(
       "SELECT cartid, amount, nitems, year FROM carts", "stream_src");
@@ -29,6 +59,7 @@ int main(int argc, char** argv) {
   std::printf("%-14s %12s %16s %16s\n", "mode", "time(s)", "spilled_frames",
               "spilled_bytes");
 
+  std::vector<std::string> failures;
   for (bool spill : {true, false}) {
     StreamTransferOptions options;
     options.sink.send_buffer_bytes = 4096;
@@ -52,6 +83,23 @@ int main(int argc, char** argv) {
         .Param("spilled_frames", result->spilled_frames)
         .Emit(watch.ElapsedSeconds() * 1000.0);
     MetricsRegistry::Global().Reset();  // Per-mode metric deltas.
+    const char* mode = spill ? "spill" : "backpressure";
+    if (result->dataset.TotalRows() != (*table)->TotalRows()) {
+      failures.push_back(std::string(mode) + " run lost rows");
+    }
+    if (spill && result->spilled_frames == 0) {
+      failures.push_back("spill run spilled no frame");
+    }
+    if (!spill && result->spilled_frames != 0) {
+      failures.push_back("backpressure run spilled");
+    }
   }
-  return 0;
+  if (CountSpillFiles(env->workspace->path()) != 0) {
+    failures.push_back(".spill files left behind");
+  }
+  if (!check) return 0;
+  for (const std::string& failure : failures) {
+    std::fprintf(stderr, "--check: %s\n", failure.c_str());
+  }
+  return failures.empty() ? 0 : 1;
 }

@@ -65,6 +65,15 @@ MUX_BENCH_JSON="${BUILD_DIR}/bench_mux.json"
 rm -f "${MUX_BENCH_JSON}"
 SQLINK_BENCH_JSON="${MUX_BENCH_JSON}" "${BUILD_DIR}/bench/bench_mux" --smoke --check
 
+# Slow-consumer smoke (ablation A4): with spill on, a lagging ML reader
+# must push frames to node-local disk; with spill off, it must stall the SQL
+# side instead. --check fails unless the spill run spilled, the
+# backpressure run did not, both delivered every row, and no .spill file
+# is left. 100k rows take well under a second and spill in every run.
+echo "==> [${BUILD_DIR}] bench smoke (slow consumer: spill vs backpressure)"
+cmake --build "${BUILD_DIR}" -j "${JOBS}" --target bench_spill
+"${BUILD_DIR}/bench/bench_spill" 100000 --check
+
 # Ops-endpoint smoke: start a workload under SQLINK_OPS_PORT, then curl the
 # live endpoints — /metrics must be Prometheus text carrying the planner
 # q-error feedback, /queries and /tracez must be valid JSON — while

@@ -7,12 +7,12 @@
 
 namespace sqlink {
 
-/// A non-blocking byte quota shared by all spill queues of one query (and,
+/// A non-blocking byte quota shared by all frame logs of one query (and,
 /// at the serving layer, carved out of the global admission memory pool).
 /// Producers TryCharge() before writing spill bytes; when the budget is
-/// exhausted they fall back to backpressure (parking on their queue's
+/// exhausted they fall back to backpressure (waiting on their log's
 /// producer condvar) instead of growing the shared spill directory.
-/// Consumers Release() as spill bytes are drained or discarded.
+/// Logs Release() as spilled frames are first sent or discarded.
 ///
 /// capacity <= 0 means unlimited: TryCharge always succeeds and nothing is
 /// tracked beyond the used counter.

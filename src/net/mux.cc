@@ -55,6 +55,14 @@ int64_t SlowChannelThresholdMs() {
   return std::strtoll(env, nullptr, 10);
 }
 
+/// The data-plane frame types a kChannelData frame may wrap.
+bool IsChannelFrameType(FrameType type) {
+  return type == FrameType::kResume || type == FrameType::kSchema ||
+         type == FrameType::kData || type == FrameType::kEnd ||
+         type == FrameType::kError || type == FrameType::kDataAck ||
+         type == FrameType::kAck;
+}
+
 Status ChannelClosedByPeer(const Status& close_status) {
   if (!close_status.ok()) return close_status;
   return Status::NetworkError("closed");
@@ -459,8 +467,17 @@ void MuxConn::RecvLoop() {
         }
         std::shared_ptr<MuxChannel> channel = FindChannel(frame.channel);
         if (channel == nullptr) break;  // Late frame for a closed channel.
+        const auto inner_type = static_cast<FrameType>(frame.payload[0]);
+        if (!IsChannelFrameType(inner_type)) {
+          // Only this channel is at fault; its socket-mates keep flowing.
+          channel->Shutdown(Status::DataLoss(
+              "unknown frame type " +
+              std::to_string(static_cast<uint8_t>(inner_type)) +
+              " on mux channel"));
+          break;
+        }
         Frame inner;
-        inner.type = static_cast<FrameType>(frame.payload[0]);
+        inner.type = inner_type;
         inner.payload.assign(frame.payload, 1, std::string::npos);
         inner.seq = frame.seq;
         inner.channel = frame.channel;

@@ -73,7 +73,7 @@ class Executor {
     cancellation_ = cancellation;
   }
   /// Per-query spill quota, handed to table UDFs (the streaming sink wires
-  /// it into its spill queues). May be null (no quota).
+  /// it into its frame logs). May be null (no quota).
   void set_spill_budget(ByteBudgetPtr budget) {
     spill_budget_ = std::move(budget);
   }

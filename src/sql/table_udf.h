@@ -31,9 +31,9 @@ struct TableUdfContext {
   uint64_t query_id = 0;
   /// Cooperative per-query cancellation (null = not cancellable). UDFs with
   /// parked threads register OnCancel callbacks that wake them (the sink
-  /// cancels its queues and closes its inboxes).
+  /// cancels its frame logs and closes its inboxes).
   Cancellation* cancellation = nullptr;
-  /// Per-query spill quota shared by all of the query's spill queues
+  /// Per-query spill quota shared by all of the query's frame logs
   /// (null = unlimited); the serving layer carves it from the global
   /// admission memory pool.
   ByteBudgetPtr spill_budget;

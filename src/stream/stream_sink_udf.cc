@@ -1,6 +1,5 @@
 #include "stream/stream_sink_udf.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -20,9 +19,8 @@
 #include "net/conn_pool.h"
 #include "net/mux.h"
 #include "sql/query_registry.h"
+#include "stream/frame_log.h"
 #include "stream/heartbeat.h"
-#include "stream/replay_window.h"
-#include "stream/spill_queue.h"
 #include "stream/wire.h"
 #include "table/row_codec.h"
 
@@ -30,75 +28,40 @@ namespace sqlink {
 
 namespace {
 
-/// Row count of a data frame payload (its leading varint).
-Result<uint64_t> FrameRowCount(const std::string& frame) {
-  Decoder decoder(frame);
-  return decoder.GetVarint64();
-}
-
-/// The reader-to-sink half of one data channel: cumulative kDataAck frames
-/// and the final kAck arrive interleaved with (and independent of) the
-/// outbound data stream, so the sender drains them non-blockingly between
-/// sends and blocks only when waiting for the finale.
-class AckChannel {
- public:
-  explicit AckChannel(MuxChannel* channel) : channel_(channel) {}
-
-  /// Applies every cumulative ack currently readable without blocking.
-  /// A kError frame surfaces as its decoded typed status. A clean peer
-  /// close is NOT an error here: buffered acks are still applied, and the
-  /// send path discovers the closed channel on its next write.
-  Status Poll(ReplayWindow* window) {
-    for (;;) {
-      bool closed = false;
-      ASSIGN_OR_RETURN(bool got, channel_->TryRecv(&frame_, &closed));
-      if (!got) return Status::OK();
-      bool done = false;
-      RETURN_IF_ERROR(Apply(window, /*final_ack=*/nullptr, &done));
-      if (done) return Status::OK();
-    }
-  }
-
-  /// Blocks until the reader's final kAck, applying kDataAcks on the way.
-  Status AwaitFinalAck(ReplayWindow* window) {
-    for (;;) {
-      const Status status = channel_->Recv(&frame_);
+/// Applies the reader's acks on `channel` to `log`. Cumulative kDataAcks
+/// arrive interleaved with (and independent of) the outbound data, so the
+/// sender drains them without blocking between frames and blocks only for
+/// the reader's final kAck (`final_ack`). A kError frame surfaces as its
+/// decoded typed status. A clean peer close mid-stream is NOT an error:
+/// the send path discovers the closed channel on its next write.
+Status DrainAcks(MuxChannel* channel, FrameLog* log, bool final_ack,
+                 Frame* frame) {
+  for (;;) {
+    if (final_ack) {
+      const Status status = channel->Recv(frame);
       if (!status.ok()) {
         return Status::NetworkError("connection closed before final ack (" +
                                     status.message() + ")");
       }
-      bool done = false;
-      RETURN_IF_ERROR(Apply(window, &done, &done));
-      if (done) return Status::OK();
+    } else {
+      bool closed = false;
+      ASSIGN_OR_RETURN(bool got, channel->TryRecv(frame, &closed));
+      if (!got) return Status::OK();
     }
-  }
-
- private:
-  /// Applies the frame in `frame_`. `final_ack` != nullptr means a kAck is
-  /// expected (and sets it); `done` stops the caller's drain loop.
-  Status Apply(ReplayWindow* window, bool* final_ack, bool* done) {
-    switch (frame_.type) {
+    switch (frame->type) {
       case FrameType::kDataAck:
-        window->Ack(frame_.seq);
-        return Status::OK();
+        log->Ack(frame->seq);
+        break;
       case FrameType::kAck:
-        *done = true;
-        if (final_ack == nullptr) {
-          return Status::NetworkError("unexpected final ack mid-stream");
-        }
-        return Status::OK();
+        if (final_ack) return Status::OK();
+        return Status::NetworkError("unexpected final ack mid-stream");
       case FrameType::kError:
-        *done = true;
-        return DecodeStatusPayload(frame_.payload);
+        return DecodeStatusPayload(frame->payload);
       default:
-        *done = true;
         return Status::NetworkError("unexpected frame on ack channel");
     }
   }
-
-  MuxChannel* channel_;
-  Frame frame_;  ///< Scratch reused across drains.
-};
+}
 
 }  // namespace
 
@@ -361,27 +324,26 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
   int64_t bytes_sent = 0;
   int64_t spilled_frames = 0;
 
-  FrameBufferPool* const frame_pool = FrameBufferPool::Global();
-
-  // --- Step 8: round-robin rows into per-target send buffers while sender
-  // threads drain them onto the sockets. Each sender retains sent frames in
-  // a replay window until the reader's cumulative ack releases them. ---
-  std::vector<std::unique_ptr<SpillingByteQueue>> queues;
+  // --- Step 8: round-robin rows into per-target frame logs while sender
+  // threads send them onto the channels. A log keeps each sent frame until
+  // the reader's cumulative ack trims it. ---
+  std::vector<std::unique_ptr<FrameLog>> logs;
   for (int j = 0; j < k; ++j) {
-    SpillingByteQueue::Options queue_options;
-    queue_options.memory_capacity_bytes = options_.send_buffer_bytes;
-    queue_options.spill_enabled = options_.spill_enabled;
+    FrameLog::Options log_options;
+    log_options.send_buffer_bytes = options_.send_buffer_bytes;
+    log_options.replay_window_bytes = options_.replay_window_bytes;
+    log_options.spill_enabled = options_.spill_enabled;
     // The query id keeps scratch paths distinct when several queries run
     // concurrently on one engine — without it, two pipelines truncate and
     // delete each other's spill files.
-    queue_options.spill_path = scratch_dir + "/stream_spill_q" +
-                               std::to_string(context.query_id) + "_w" +
-                               std::to_string(context.worker_id) + "_t" +
-                               std::to_string(j);
-    // Per-query spill quota (serving layer): when exhausted, Push degrades
-    // to backpressure instead of growing the shared spill directory.
-    queue_options.spill_budget = context.spill_budget;
-    queues.push_back(std::make_unique<SpillingByteQueue>(queue_options));
+    log_options.spill_path = scratch_dir + "/stream_spill_q" +
+                             std::to_string(context.query_id) + "_w" +
+                             std::to_string(context.worker_id) + "_t" +
+                             std::to_string(j);
+    // Per-query spill quota (serving layer): when exhausted, Append
+    // degrades to backpressure instead of growing the shared spill directory.
+    log_options.spill_budget = context.spill_budget;
+    logs.push_back(std::make_unique<FrameLog>(log_options));
   }
 
   // Channels the senders are actively serving, so an abort can shut each
@@ -405,16 +367,16 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
   active_channels.by_target.resize(static_cast<size_t>(k));
 
   // Sink lease: one heartbeat per SQL worker. Revocation means the
-  // coordinator aborted the query (or fenced this sink) — cancel the send
-  // queues so producer and senders unwind promptly with a typed status.
+  // coordinator aborted the query (or fenced this sink) — cancel the frame
+  // logs so producer and senders unwind promptly with a typed status.
   HeartbeatSender::Options beat_options;
   beat_options.coordinator_host = coordinator_host_;
   beat_options.coordinator_port = coordinator_port_;
   beat_options.interval_ms = options_.heartbeat_ms;
   beat_options.role = HeartbeatMessage::kSink;
   beat_options.id = context.worker_id;
-  beat_options.on_revoked = [&queues, &inboxes, &active_channels] {
-    for (auto& queue : queues) queue->Cancel();
+  beat_options.on_revoked = [&logs, &inboxes, &active_channels] {
+    for (auto& log : logs) log->Cancel();
     // A sender parked waiting for a (re)connect must wake too: an aborted
     // query has no replacement reader coming, so sleeping out the full
     // reconnect window would stall the drain.
@@ -425,9 +387,9 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
   heartbeat.Start();
 
   // Per-query cancellation (client disconnect, deadline): same unwind as a
-  // lease revocation — cancel the queues, wake parked senders. The guard is
-  // declared after the queues so its destructor removes the callback (and
-  // waits out any in-flight cancel pass) BEFORE the queues are destroyed.
+  // lease revocation — cancel the logs, wake parked senders. The guard is
+  // declared after the logs so its destructor removes the callback (and
+  // waits out any in-flight cancel pass) BEFORE the logs are destroyed.
   struct CancelGuard {
     Cancellation* cancellation;
     int64_t id = 0;
@@ -437,8 +399,8 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
   } cancel_guard{context.cancellation};
   if (context.cancellation != nullptr) {
     cancel_guard.id =
-        context.cancellation->OnCancel([&queues, &inboxes, &active_channels] {
-          for (auto& queue : queues) queue->Cancel();
+        context.cancellation->OnCancel([&logs, &inboxes, &active_channels] {
+          for (auto& log : logs) log->Cancel();
           for (auto& inbox : inboxes) inbox->Close();
           active_channels.ShutdownAll(Status::Cancelled("query cancelled"));
         });
@@ -456,18 +418,7 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
       // span explicitly; frames it sends inherit this span's context.
       TraceSpan send_span("sink.send", partition_ctx);
       send_span.AddAttribute("target", j);
-      SpillingByteQueue* queue = queues[static_cast<size_t>(j)].get();
-
-      ReplayWindow::Options window_options;
-      window_options.memory_capacity_bytes = options_.replay_window_bytes;
-      window_options.spill_enabled = options_.spill_enabled;
-      window_options.spill_path = scratch_dir + "/stream_replay_q" +
-                                  std::to_string(context.query_id) + "_w" +
-                                  std::to_string(context.worker_id) + "_t" +
-                                  std::to_string(j);
-      window_options.buffer_pool = frame_pool;
-      ReplayWindow window(window_options);
-      bool input_done = false;  ///< The send queue has been fully drained.
+      FrameLog* log = logs[static_cast<size_t>(j)].get();
 
       // A reader that applied the whole stream can lose its final ack to a
       // dying shared connection: it reports kCompleteSplit to the
@@ -490,13 +441,13 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
         return done.ok() && *done == 1;
       };
 
-      // Serves one (re)connection: answer HELLO with the resume point,
-      // replay the unacked suffix, then stream live frames until the input
-      // is exhausted and the reader's final ack lands.
+      // Serves one (re)connection: answer HELLO with the resume point, then
+      // send the log from there on — the unacked suffix first, then live
+      // frames — until the log is drained and the reader's final ack lands.
       auto serve = [&](const Inbound& conn) -> Status {
         MuxChannel* channel = conn.channel.get();
         if (conn.split_id >= 0) served_split = conn.split_id;
-        AckChannel acks(channel);
+        Frame ack;  ///< Scratch reused across ack drains.
         channels_served.fetch_add(1, std::memory_order_relaxed);
         // Publish the channel so an abort can wake this sender even while
         // it is parked inside a credit wait or the final-ack wait; clear it
@@ -508,13 +459,11 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
           ~ActiveGuard() { active->Set(j, nullptr); }
         } active_guard{&active_channels, static_cast<size_t>(j)};
 
-        uint64_t resume = conn.resume_seq < 0
-                              ? window.acked_seq()
-                              : static_cast<uint64_t>(conn.resume_seq);
-        // The window forgets acked frames, and never holds future ones.
-        resume = std::max(resume, window.acked_seq());
-        resume = std::min(resume, window.last_seq());
-        ASSIGN_OR_RETURN(uint64_t resume_rows, window.RowsThrough(resume));
+        // The log forgets acked frames, and a reader can't skip frames it
+        // never received: resume lands in [acked, sent].
+        const uint64_t resume = log->Rewind(
+            conn.resume_seq < 0 ? 0 : static_cast<uint64_t>(conn.resume_seq));
+        ASSIGN_OR_RETURN(uint64_t resume_rows, log->RowsThrough(resume));
         ResumeMessage resume_msg;
         resume_msg.resume_seq = resume;
         resume_msg.resume_rows = resume_rows;
@@ -525,44 +474,25 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
         EncodeSchema(*input_schema_, &schema_payload);
         RETURN_IF_ERROR(channel->Send(FrameType::kSchema, schema_payload, 0));
 
-        RETURN_IF_ERROR(window.Replay(
-            resume, [&](uint64_t seq, uint64_t rows, const std::string& frame)
-                        -> Status {
-              (void)rows;
-              RETURN_IF_ERROR(channel->Send(FrameType::kData, frame, seq));
-              replayed_counter->Increment();
-              return Status::OK();
-            }));
-
-        while (!input_done) {
-          RETURN_IF_ERROR(acks.Poll(&window));
-          ASSIGN_OR_RETURN(std::optional<std::string> frame, queue->Pop());
-          if (!frame.has_value()) {
-            input_done = true;
-            break;
-          }
-          ASSIGN_OR_RETURN(uint64_t rows, FrameRowCount(*frame));
-          const uint64_t seq = window.last_seq() + 1;
-          // Retain before sending: a frame that dies on the wire must
-          // already be replayable. The retained copy lives in a pooled
-          // buffer that Ack() recycles; the popped frame goes back to the
-          // pool once it is on the wire.
-          std::string retained = frame_pool->Acquire();
-          retained.assign(*frame);
-          RETURN_IF_ERROR(window.Append(seq, rows, std::move(retained)));
-          RETURN_IF_ERROR(channel->Send(FrameType::kData, *frame, seq));
-          frame_pool->Release(std::move(*frame));
+        // A frame stays in the log until acked, so one that dies on the
+        // wire is sent again from the next connection's resume point.
+        for (;;) {
+          RETURN_IF_ERROR(DrainAcks(channel, log, /*final_ack=*/false, &ack));
+          ASSIGN_OR_RETURN(std::optional<FrameLog::Read> read, log->Next());
+          if (!read.has_value()) break;
+          if (read->replay) replayed_counter->Increment();
+          RETURN_IF_ERROR(
+              channel->Send(FrameType::kData, read->frame, read->seq));
         }
 
         // kEnd carries the last data sequence so the reader can detect a
         // gap, and the channel's total row count for validation.
-        ASSIGN_OR_RETURN(uint64_t total_rows,
-                         window.RowsThrough(window.last_seq()));
+        const uint64_t last_seq = log->state().produced;
+        ASSIGN_OR_RETURN(uint64_t total_rows, log->RowsThrough(last_seq));
         std::string end_payload;
         PutVarint64(&end_payload, total_rows);
-        RETURN_IF_ERROR(channel->Send(FrameType::kEnd, end_payload,
-                                      window.last_seq()));
-        return acks.AwaitFinalAck(&window);
+        RETURN_IF_ERROR(channel->Send(FrameType::kEnd, end_payload, last_seq));
+        return DrainAcks(channel, log, /*final_ack=*/true, &ack);
       };
 
       auto run = [&]() -> Status {
@@ -605,10 +535,9 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
       if (!status.ok()) {
         send_span.SetError();
         // Unblock the producer so the SQL side fails fast instead of
-        // filling a queue nobody drains.
-        queue->Cancel();
+        // filling a log nobody drains.
+        log->Cancel();
       }
-      send_span.AddAttribute("replay_spilled", window.spilled_frames());
     });
   }
 
@@ -616,10 +545,11 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
   // batch becomes a frame once it crosses the send buffer size.
   std::vector<RowBatchEncoder> batchers(static_cast<size_t>(k));
   auto flush = [&](size_t j) -> Status {
-    std::string frame = frame_pool->Acquire();
+    const uint64_t rows = batchers[j].rows();
+    std::string frame = FrameBufferPool::Global()->Acquire();
     batchers[j].Flush(&frame);
     bytes_sent += static_cast<int64_t>(frame.size());
-    return queues[j]->Push(std::move(frame));
+    return logs[j]->Append(std::move(frame), rows);
   };
   Status produce_status;
   size_t next_target = 0;
@@ -643,15 +573,15 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
   for (size_t j = 0; j < batchers.size() && produce_status.ok(); ++j) {
     if (!batchers[j].empty()) produce_status = flush(j);
   }
-  for (auto& queue : queues) {
+  for (auto& log : logs) {
     if (produce_status.ok()) {
-      queue->CloseProducer();
+      log->Close();
     } else {
-      queue->Cancel();
+      log->Cancel();
     }
   }
   for (std::thread& sender : senders) sender.join();
-  for (auto& queue : queues) spilled_frames += queue->spilled_frames();
+  for (auto& log : logs) spilled_frames += log->state().spilled_frames;
 
   Status transfer_status = produce_status;
   if (transfer_status.ok()) {
@@ -666,7 +596,7 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
   if (!transfer_status.ok() && context.cancellation != nullptr &&
       context.cancellation->cancelled()) {
     // Surface the typed cancellation status (kCancelled / deadline) instead
-    // of the generic "queue cancelled" the unwind produced.
+    // of the generic "frame log cancelled" the unwind produced.
     transfer_status = context.cancellation->status();
   }
   if (!transfer_status.ok()) {

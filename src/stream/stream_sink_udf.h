@@ -23,8 +23,8 @@ struct StreamSinkOptions {
   /// Sink lease renewal interval; <= 0 disables heartbeats — the
   /// coordinator then cannot detect a dead SQL worker.
   int heartbeat_ms = static_cast<int>(EnvInt64("SQLINK_HEARTBEAT_MS", 0));
-  /// In-memory budget of each sender's replay window; unacked frames beyond
-  /// it spill to disk.
+  /// Memory bound on each channel's sent, unacked frames; beyond it the
+  /// oldest spill to disk.
   size_t replay_window_bytes = static_cast<size_t>(
       EnvInt64("SQLINK_REPLAY_WINDOW_BYTES", 1 << 20));
 
@@ -46,9 +46,9 @@ struct StreamSinkOptions {
 ///       [, <buffer_bytes>, <spill 0/1>, <resilient 0/1>,
 ///          <reconnect_timeout_ms>, <heartbeat_ms>, <replay_window_bytes>]))
 ///
-/// Every data frame carries a per-channel sequence number and is retained
-/// in a bounded replay window until the reader's cumulative ack releases it
-/// (§6). In resilient mode a sender whose connection drops waits for a
+/// Every data frame carries a per-channel sequence number and stays in the
+/// channel's frame log until the reader's cumulative ack trims it (§6). In
+/// resilient mode a sender whose connection drops waits for a
 /// reconnecting — or coordinator-appointed replacement — reader, answers
 /// its HELLO with the resume point, and replays only the unacked suffix:
 /// at-least-once delivery, exactly-once apply.

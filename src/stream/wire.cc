@@ -37,6 +37,11 @@ struct WireMetrics {
   }
 };
 
+Status CheckFrameType(uint8_t type) {
+  if (IsKnownFrameType(type)) return Status::OK();
+  return Status::DataLoss("unknown frame type " + std::to_string(type));
+}
+
 }  // namespace
 
 Status SendFrame(TcpSocket* socket, FrameType type, std::string_view payload) {
@@ -109,6 +114,7 @@ Status RecvFrameInto(TcpSocket* socket, Frame* frame, std::string* scratch) {
   Decoder decoder(*scratch);
   ASSIGN_OR_RETURN(uint32_t length, decoder.GetFixed32());
   ASSIGN_OR_RETURN(uint8_t type, decoder.GetByte());
+  RETURN_IF_ERROR(CheckFrameType(type));
   frame->type = static_cast<FrameType>(type);
   ASSIGN_OR_RETURN(frame->trace.trace_id, decoder.GetFixed64());
   ASSIGN_OR_RETURN(frame->trace.span_id, decoder.GetFixed64());
@@ -142,6 +148,7 @@ Result<bool> ExtractFrame(std::string_view buffer, size_t* cursor,
   Decoder decoder(rest);
   ASSIGN_OR_RETURN(uint32_t length, decoder.GetFixed32());
   ASSIGN_OR_RETURN(uint8_t type, decoder.GetByte());
+  RETURN_IF_ERROR(CheckFrameType(type));
   if (rest.size() < kFrameHeaderBytes + length) return false;
   frame->type = static_cast<FrameType>(type);
   ASSIGN_OR_RETURN(frame->trace.trace_id, decoder.GetFixed64());

@@ -72,6 +72,14 @@ enum class FrameType : uint8_t {
                       ///< payload = varint(1) completed / varint(0) not.
 };
 
+/// True when a header's type byte names a FrameType above: 1–4, 10–24 and
+/// 27–34. Decoders reject any other byte as DataLoss, so it never reaches a
+/// handler's default branch as a retryable error.
+constexpr bool IsKnownFrameType(uint8_t type) {
+  return (type >= 1 && type <= 4) || (type >= 10 && type <= 24) ||
+         (type >= 27 && type <= 34);
+}
+
 struct Frame {
   FrameType type = FrameType::kAck;
   std::string payload;
@@ -124,9 +132,9 @@ void EncodeFrameHeader(char* out, FrameType type, uint32_t payload_len,
 Result<bool> ExtractFrame(std::string_view buffer, size_t* cursor,
                           Frame* frame);
 
-/// Bounded pool of reusable frame/payload buffers. Steady-state senders
-/// acquire, fill, hand the bytes to the socket and the replay window, and
-/// release — after warm-up no send allocates. Buffers above a capacity cap
+/// Bounded pool of reusable frame/payload buffers. The sink acquires one
+/// per frame and its frame log releases it once the frame is acked or
+/// spilled — after warm-up no send allocates. Buffers above a capacity cap
 /// are dropped on release instead of pinning memory. Thread-safe.
 /// Counters: stream.wire.frames_pooled (acquire served from the pool),
 /// stream.wire.pool_miss (acquire had to allocate fresh).

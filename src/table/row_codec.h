@@ -49,6 +49,7 @@ class RowBatchEncoder {
     RowCodec::Encode(row, &body_);
   }
   bool empty() const { return rows_ == 0; }
+  uint64_t rows() const { return rows_; }
   /// Encoded row bytes so far (the flush threshold).
   size_t bytes() const { return body_.size(); }
 

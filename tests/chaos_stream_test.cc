@@ -160,6 +160,28 @@ TEST_F(ChaosStreamTest, SpillMetricsAccountForEveryFrame) {
   EXPECT_GT(metrics.GetHistogram("stream.wire.send_frame_micros")->count(), 0);
 }
 
+TEST_F(ChaosStreamTest, ReplayResumesAmongSpilledFrames) {
+  MetricsRegistry::Global().Reset();
+  StreamTransferOptions options;
+  options.sink.resilient = true;
+  options.sink.spill_enabled = true;
+  options.sink.send_buffer_bytes = 128;  // Unsent frames spill at append.
+  options.sink.replay_window_bytes = 256;
+  options.reader.consume_delay_micros_per_frame = 500;  // Slow consumer.
+  options.reader.recovery_enabled = true;
+  // The 21st data frame dies mid-send while the slow reader has left
+  // frames spilled at append. A spilled frame stays in the spill file once
+  // sent, so the reconnected reader's replay reads it back from disk.
+  ScopedFailpoint fault("stream.wire.send_data", "after(20):close(1)");
+  ASSERT_TRUE(fault.status().ok()) << fault.status();
+  ExpectCompleteTransfer(options);
+  EXPECT_EQ(fault.fires(), 1);
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  EXPECT_GT(metrics.Get("stream.spill.spilled_frames"), 0);
+  EXPECT_GE(metrics.Get("transfer.frames_replayed"), 1);
+  EXPECT_EQ(CountSpillFiles(temp_->path()), 0);
+}
+
 TEST_F(ChaosStreamTest, KilledReaderSplitIsReassigned) {
   MetricsRegistry::Global().Reset();
   StreamTransferOptions options;

@@ -280,6 +280,39 @@ TEST(MuxTest, RemoteCloseSurfacesStatusToPeerSendAndRecv) {
   EXPECT_TRUE(status.IsUnavailable()) << status;
 }
 
+TEST(MuxTest, UnknownInnerFrameTypeShutsOnlyItsChannel) {
+  MuxPair pair = MuxPair::Make();
+  auto bad = pair.client->OpenChannel(OpenMsg(1 << 20));
+  auto good = pair.client->OpenChannel(OpenMsg(1 << 20));
+  ASSERT_TRUE(bad.ok());
+  ASSERT_TRUE(good.ok());
+  std::shared_ptr<MuxChannel> bad_rx = pair.opened->Wait(0);
+  std::shared_ptr<MuxChannel> good_rx = pair.opened->Wait(1);
+
+  // kSubmitQuery is a valid frame type, but not one a channel may carry.
+  ASSERT_TRUE((*bad)->Send(FrameType::kData, "before", 1).ok());
+  ASSERT_TRUE((*bad)->Send(FrameType::kSubmitQuery, "stray", 0).ok());
+  ASSERT_TRUE((*good)->Send(FrameType::kData, "one", 1).ok());
+  ASSERT_TRUE((*good)->Send(FrameType::kEnd, "", 1).ok());
+
+  Frame frame;
+  ASSERT_TRUE(bad_rx->Recv(&frame).ok());
+  EXPECT_EQ(frame.payload, "before");
+  Status status = bad_rx->Recv(&frame);
+  ASSERT_TRUE(status.IsDataLoss()) << status;
+  // The sender learns why its channel closed.
+  status = (*bad)->Recv(&frame);
+  EXPECT_TRUE(status.IsDataLoss()) << status;
+
+  // The socket-mate completes on the same connection.
+  ASSERT_TRUE(good_rx->Recv(&frame).ok());
+  EXPECT_EQ(frame.payload, "one");
+  ASSERT_TRUE(good_rx->Recv(&frame).ok());
+  EXPECT_EQ(frame.type, FrameType::kEnd);
+  EXPECT_FALSE(pair.client->dead());
+  EXPECT_FALSE(pair.server->dead());
+}
+
 TEST(MuxTest, ConnectionDeathFailsEveryChannel) {
   MuxPair pair = MuxPair::Make();
   auto a = pair.client->OpenChannel(OpenMsg(1 << 20));

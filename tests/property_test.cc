@@ -7,17 +7,20 @@
 
 #include <cmath>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <limits>
 #include <map>
 #include <memory>
 #include <set>
+#include <thread>
 #include <utility>
 
 #include "cluster/cluster.h"
 #include "common/fs_util.h"
 #include "common/random.h"
 #include "common/retry_policy.h"
+#include "common/status_macros.h"
 #include "ml/sgd.h"
 #include "rewriter/predicate_logic.h"
 #include "serving/query_server.h"
@@ -25,8 +28,7 @@
 #include "sql/engine.h"
 #include "sql/parser.h"
 #include "sql_oracle.h"
-#include "stream/replay_window.h"
-#include "stream/spill_queue.h"
+#include "stream/frame_log.h"
 #include "stream/wire.h"
 #include "table/csv.h"
 #include "table/row_codec.h"
@@ -320,6 +322,26 @@ std::vector<WireMessageCase> WireMessageCases() {
   add("QueryResultMessage", result.Encode(), [](std::string_view bytes) {
     return QueryResultMessage::Decode(bytes).status();
   });
+  // A whole data frame, header included: a damaged type byte, length or
+  // payload must fail ExtractFrame or the row decoder, never crash them.
+  std::string frame_bytes(kFrameHeaderBytes, '\0');
+  const std::string frame_payload = RowCodec::EncodeRows(rows);
+  EncodeFrameHeader(frame_bytes.data(), FrameType::kData,
+                    static_cast<uint32_t>(frame_payload.size()), /*seq=*/5,
+                    /*channel=*/3, TraceContext{});
+  frame_bytes += frame_payload;
+  add("data frame", frame_bytes, [](std::string_view bytes) -> Status {
+    size_t cursor = 0;
+    Frame frame;
+    ASSIGN_OR_RETURN(bool complete, ExtractFrame(bytes, &cursor, &frame));
+    if (!complete || cursor != bytes.size()) {
+      return Status::DataLoss("frame does not span the buffer");
+    }
+    if (frame.type != FrameType::kData) {
+      return Status::DataLoss("frame type changed");
+    }
+    return RowCodec::DecodeRows(frame.payload).status();
+  });
   // Status payloads never fail to decode: a damaged one degrades to a
   // NetworkError carrying the raw bytes.
   add("EncodeStatus", EncodeStatus(Status::Aborted("lease revoked")),
@@ -529,17 +551,19 @@ INSTANTIATE_TEST_SUITE_P(Losses, GradientCheckTest,
                          ::testing::Values(0, 1, 2), LossName);
 
 // ---------------------------------------------------------------------------
-// Spill queue: order preserved across every capacity, with random sizes.
+// Frame log, send buffer half: order preserved across every capacity, with
+// random sizes and a concurrent producer and acking sender.
 
 class SpillQueueSweepTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(SpillQueueSweepTest, OrderPreservedUnderRandomTraffic) {
   ScopedTempDir temp("spill_sweep");
-  SpillingByteQueue::Options options;
-  options.memory_capacity_bytes = GetParam();
+  FrameLog::Options options;
+  options.send_buffer_bytes = GetParam();
+  options.replay_window_bytes = GetParam();
   options.spill_enabled = true;
   options.spill_path = temp.path() + "/spill";
-  SpillingByteQueue queue(options);
+  FrameLog log(options);
 
   Random rng(GetParam());
   constexpr int kFrames = 500;
@@ -548,21 +572,22 @@ TEST_P(SpillQueueSweepTest, OrderPreservedUnderRandomTraffic) {
     for (int i = 0; i < kFrames; ++i) {
       std::string frame = std::to_string(i) + ":" +
                           prng.NextString(prng.Uniform(64));
-      ASSERT_TRUE(queue.Push(std::move(frame)).ok());
+      ASSERT_TRUE(log.Append(std::move(frame), 1).ok());
       if (prng.Bernoulli(0.1)) {
         std::this_thread::sleep_for(std::chrono::microseconds(50));
       }
     }
-    queue.CloseProducer();
+    log.Close();
   });
   int expected = 0;
   for (;;) {
-    auto frame = queue.Pop();
-    ASSERT_TRUE(frame.ok());
-    if (!frame->has_value()) break;
-    const std::string& text = **frame;
+    auto read = log.Next();
+    ASSERT_TRUE(read.ok());
+    if (!read->has_value()) break;
+    const std::string text((*read)->frame);
     const int id = std::stoi(text.substr(0, text.find(':')));
     EXPECT_EQ(id, expected++);
+    if (rng.Bernoulli(0.2)) log.Ack((*read)->seq);
     if (rng.Bernoulli(0.05)) {
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
@@ -575,68 +600,267 @@ INSTANTIATE_TEST_SUITE_P(Capacities, SpillQueueSweepTest,
                          ::testing::Values(16, 64, 256, 4096, 1 << 20));
 
 // ---------------------------------------------------------------------------
-// Replay window: under an arbitrary interleaving of appends and cumulative
-// acks, (a) the in-memory footprint never exceeds the byte budget — excess
-// retention overflows to the spill file — and (b) replaying from the ack
-// always reproduces exactly the unacked suffix, in order, byte for byte.
+// Frame log, replay half: under an arbitrary interleaving of sends and
+// cumulative acks, (a) the in-memory footprint of sent frames never exceeds
+// replay_window_bytes — excess retention moves to the spill file — and (b)
+// rewinding to the ack always reproduces exactly the unacked suffix, in
+// order, byte for byte.
 
 class ReplayWindowPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ReplayWindowPropertyTest, MemoryBoundHoldsUnderRandomTraffic) {
   Random rng(GetParam() * 7919 + 11);
   ScopedTempDir temp("replay_window_prop");
-  ReplayWindow::Options options;
-  options.memory_capacity_bytes = 1 + rng.Uniform(2048);
+  FrameLog::Options options;
+  options.send_buffer_bytes = 1 << 20;
+  options.replay_window_bytes = 1 + rng.Uniform(2048);
   options.spill_enabled = true;
   options.spill_path = temp.path() + "/window";
-  ReplayWindow window(options);
+  FrameLog log(options);
 
   std::map<uint64_t, std::pair<uint64_t, std::string>> retained;  // seq→frame
   uint64_t next_seq = 1;
   uint64_t acked = 0;
   for (int op = 0; op < 400; ++op) {
     if (rng.Bernoulli(0.7)) {
-      // Frame sizes straddle the budget: some runs append single frames
+      // Frame sizes straddle the budget: some runs send single frames
       // larger than the whole window, which must spill immediately.
       std::string frame =
-          rng.NextString(1 + rng.Uniform(options.memory_capacity_bytes + 64));
+          rng.NextString(1 + rng.Uniform(options.replay_window_bytes + 64));
       const uint64_t rows = 1 + rng.Uniform(100);
-      ASSERT_TRUE(window.Append(next_seq, rows, frame).ok());
+      ASSERT_TRUE(log.Append(frame, rows).ok());
+      auto read = log.Next();
+      ASSERT_TRUE(read.ok() && read->has_value());
+      EXPECT_EQ((*read)->seq, next_seq);
+      EXPECT_EQ((*read)->frame, frame);
       retained[next_seq] = {rows, std::move(frame)};
       ++next_seq;
     } else {
       acked += rng.Uniform(next_seq - acked);  // Never past the last frame.
-      window.Ack(acked);
+      log.Ack(acked);
       retained.erase(retained.begin(), retained.lower_bound(acked + 1));
     }
-    ASSERT_LE(window.memory_bytes(), options.memory_capacity_bytes)
+    ASSERT_LE(log.state().retained_memory_bytes, options.replay_window_bytes)
         << "after op " << op << " (seq " << next_seq << ", acked " << acked
         << ")";
   }
 
+  log.Close();
+  ASSERT_EQ(log.Rewind(acked), acked);
   auto it = retained.begin();
   uint64_t replay_rows = 0;
-  ASSERT_TRUE(window
-                  .Replay(acked,
-                          [&](uint64_t seq, uint64_t rows,
-                              const std::string& frame) {
-                            EXPECT_NE(it, retained.end());
-                            EXPECT_EQ(seq, it->first);
-                            EXPECT_EQ(rows, it->second.first);
-                            EXPECT_EQ(frame, it->second.second);
-                            replay_rows += rows;
-                            ++it;
-                            return Status::OK();
-                          })
-                  .ok());
+  for (;;) {
+    auto read = log.Next();
+    ASSERT_TRUE(read.ok()) << read.status();
+    if (!read->has_value()) break;
+    ASSERT_NE(it, retained.end());
+    EXPECT_EQ((*read)->seq, it->first);
+    EXPECT_EQ((*read)->rows, it->second.first);
+    EXPECT_EQ((*read)->frame, it->second.second);
+    EXPECT_TRUE((*read)->replay);
+    replay_rows += (*read)->rows;
+    ++it;
+  }
   EXPECT_EQ(it, retained.end());
-  ASSERT_TRUE(window.RowsThrough(window.last_seq()).ok());
-  EXPECT_EQ(*window.RowsThrough(window.last_seq()),
-            *window.RowsThrough(acked) + replay_rows);
+  ASSERT_TRUE(log.RowsThrough(log.state().produced).ok());
+  EXPECT_EQ(*log.RowsThrough(log.state().produced),
+            *log.RowsThrough(acked) + replay_rows);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReplayWindowPropertyTest,
                          ::testing::Range<uint64_t>(0, 8));
+
+// ---------------------------------------------------------------------------
+// Frame log, whole: seeded single-thread schedules of append, send-next,
+// cumulative ack and rewind, checked step by step against a reference
+// model of both memory limits. Spill is on and there is no budget, so
+// Append never blocks and the schedule alone decides every interleaving.
+
+class FrameLogPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(FrameLogPropertyTest, SeededSchedulesKeepBothLimits) {
+  Random rng(GetParam() * 104729 + 7);
+  ScopedTempDir temp("frame_log_prop");
+  FrameLog::Options options;
+  options.send_buffer_bytes = 1 + rng.Uniform(512);
+  options.replay_window_bytes = 1 + rng.Uniform(512);
+  options.spill_enabled = true;
+  options.spill_path = temp.path() + "/log";
+  const size_t max_frame =
+      2 * std::max(options.send_buffer_bytes, options.replay_window_bytes);
+
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  Counter* append_spills = metrics.GetCounter("stream.spill.spilled_frames");
+  Counter* drains = metrics.GetCounter("stream.spill.drained_frames");
+  Counter* retention_spills =
+      metrics.GetCounter("stream.replay_window.spilled_frames");
+  const int64_t append_spills_before = append_spills->value();
+  const int64_t drains_before = drains->value();
+  const int64_t retention_spills_before = retention_spills->value();
+
+  // The reference model: every frame's bytes, rows and medium, plus the
+  // cursors and the in-memory byte counts of both halves.
+  struct ModelFrame {
+    std::string bytes;
+    uint64_t rows = 0;
+    bool in_memory = true;
+  };
+  std::vector<ModelFrame> frames;  // frames[seq - 1]
+  uint64_t acked = 0, cursor = 0, sent = 0;
+  size_t unsent_memory = 0, retained_memory = 0;
+  int unsent_in_memory = 0;
+  int64_t want_append_spills = 0, want_drains = 0, want_retention_spills = 0;
+
+  {
+    FrameLog log(options);
+    for (int step = 0; step < 600; ++step) {
+      const uint64_t op = rng.Uniform(100);
+      const uint64_t produced = frames.size();
+      if (op < 45) {
+        ModelFrame frame;
+        frame.bytes = rng.NextString(1 + rng.Uniform(max_frame));
+        frame.rows = rng.Uniform(50);
+        ASSERT_TRUE(log.Append(frame.bytes, frame.rows).ok());
+        frame.in_memory =
+            unsent_memory == 0 ||
+            unsent_memory + frame.bytes.size() <= options.send_buffer_bytes;
+        if (frame.in_memory) {
+          unsent_memory += frame.bytes.size();
+          ++unsent_in_memory;
+        } else {
+          ++want_append_spills;
+        }
+        frames.push_back(std::move(frame));
+      } else if (op < 75 && cursor < produced) {
+        auto read = log.Next();
+        ASSERT_TRUE(read.ok() && read->has_value()) << read.status();
+        const uint64_t seq = ++cursor;
+        ModelFrame& frame = frames[seq - 1];
+        EXPECT_EQ((*read)->seq, seq);
+        EXPECT_EQ((*read)->rows, frame.rows);
+        EXPECT_EQ((*read)->frame, frame.bytes) << "seq " << seq;
+        EXPECT_EQ((*read)->replay, seq <= sent);
+        if (seq > sent) {
+          sent = seq;
+          if (frame.in_memory) {
+            unsent_memory -= frame.bytes.size();
+            --unsent_in_memory;
+            retained_memory += frame.bytes.size();
+          } else {
+            ++want_drains;
+          }
+          // Oldest sent frames in memory move to disk first.
+          for (uint64_t s = acked + 1;
+               s <= sent && retained_memory > options.replay_window_bytes;
+               ++s) {
+            if (!frames[s - 1].in_memory) continue;
+            frames[s - 1].in_memory = false;
+            retained_memory -= frames[s - 1].bytes.size();
+            ++want_retention_spills;
+          }
+        }
+      } else if (op < 90) {
+        const uint64_t to = acked + rng.Uniform(sent - acked + 1);
+        log.Ack(to);
+        for (uint64_t s = acked + 1; s <= to; ++s) {
+          if (frames[s - 1].in_memory) {
+            retained_memory -= frames[s - 1].bytes.size();
+          }
+        }
+        acked = std::max(acked, to);
+        cursor = std::max(cursor, acked);
+      } else {
+        const uint64_t resume = acked + rng.Uniform(sent - acked + 1);
+        ASSERT_EQ(log.Rewind(resume), resume);
+        cursor = resume;
+      }
+
+      SCOPED_TRACE("step " + std::to_string(step));
+      const FrameLog::State state = log.state();
+      ASSERT_EQ(state.acked, acked);
+      ASSERT_EQ(state.sent, sent);
+      ASSERT_EQ(state.produced, frames.size());
+      ASSERT_EQ(state.unsent_memory_bytes, unsent_memory);
+      ASSERT_TRUE(unsent_memory <= options.send_buffer_bytes ||
+                  unsent_in_memory == 1)
+          << unsent_memory << " unsent bytes in " << unsent_in_memory
+          << " frames";
+      ASSERT_EQ(state.retained_memory_bytes, retained_memory);
+      ASSERT_LE(retained_memory, options.replay_window_bytes);
+      const uint64_t through = acked + rng.Uniform(frames.size() - acked + 1);
+      uint64_t want_rows = 0;
+      for (uint64_t s = 1; s <= through; ++s) want_rows += frames[s - 1].rows;
+      auto rows = log.RowsThrough(through);
+      ASSERT_TRUE(rows.ok()) << rows.status();
+      ASSERT_EQ(*rows, want_rows) << "through " << through;
+    }
+    EXPECT_EQ(log.state().spilled_frames, want_append_spills);
+  }
+
+  EXPECT_EQ(append_spills->value() - append_spills_before, want_append_spills);
+  EXPECT_EQ(drains->value() - drains_before, want_drains);
+  EXPECT_EQ(retention_spills->value() - retention_spills_before,
+            want_retention_spills);
+  EXPECT_TRUE(std::filesystem::is_empty(temp.path()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FrameLogPropertyTest,
+                         ::testing::Range<uint64_t>(0, 16));
+
+// The product shape: one producer thread appends under a spill budget while
+// one sender thread reads, acks with a lag and now and then rewinds to its
+// ack as a reconnect would. Every frame arrives in order with its rows, and
+// the log returns the whole budget and leaves no file.
+TEST(FrameLogThreadTest, ProducerAndAckingSenderAgreeOnEveryFrame) {
+  ScopedTempDir temp("frame_log_threads");
+  auto budget = std::make_shared<ByteBudget>(2048);
+  constexpr int kFrames = 3000;
+  {
+    FrameLog::Options options;
+    options.send_buffer_bytes = 256;
+    options.replay_window_bytes = 512;
+    options.spill_enabled = true;
+    options.spill_path = temp.path() + "/log";
+    options.spill_budget = budget;
+    FrameLog log(options);
+    std::thread producer([&] {
+      Random rng(17);
+      for (int i = 0; i < kFrames; ++i) {
+        std::string frame =
+            std::to_string(i) + ":" + rng.NextString(rng.Uniform(300));
+        ASSERT_TRUE(log.Append(std::move(frame), i % 5 + 1).ok());
+      }
+      log.Close();
+    });
+    Random rng(23);
+    uint64_t expected = 1;
+    int rewinds = 0;
+    for (;;) {
+      auto read = log.Next();
+      ASSERT_TRUE(read.ok()) << read.status();
+      if (!read->has_value()) break;
+      const uint64_t seq = (*read)->seq;
+      ASSERT_EQ(seq, expected);
+      const std::string text((*read)->frame);
+      EXPECT_EQ(std::stoull(text.substr(0, text.find(':'))), seq - 1);
+      EXPECT_EQ((*read)->rows, (seq - 1) % 5 + 1);
+      ++expected;
+      if (rng.Bernoulli(0.3)) log.Ack(seq - rng.Uniform(std::min<uint64_t>(seq, 8)));
+      if (rng.Bernoulli(0.01)) {
+        expected = log.Rewind(log.state().acked) + 1;
+        ++rewinds;
+      }
+    }
+    producer.join();
+    EXPECT_EQ(expected, static_cast<uint64_t>(kFrames) + 1);
+    EXPECT_GT(rewinds, 0);
+    uint64_t rows = 0;
+    for (int i = 0; i < kFrames; ++i) rows += i % 5 + 1;
+    EXPECT_EQ(*log.RowsThrough(kFrames), rows);
+  }
+  EXPECT_EQ(budget->used(), 0);
+  EXPECT_TRUE(std::filesystem::is_empty(temp.path()));
+}
 
 // ---------------------------------------------------------------------------
 // RetryPolicy: backoff schedule invariants over random configurations.

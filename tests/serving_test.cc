@@ -29,7 +29,7 @@
 #include "serving/query_server.h"
 #include "sql/engine.h"
 #include "sql/query_registry.h"
-#include "stream/spill_queue.h"
+#include "stream/frame_log.h"
 #include "stream/socket.h"
 #include "stream/wire.h"
 
@@ -306,33 +306,33 @@ TEST(AdmissionTest, FromEnvParsesTenantQuota) {
 TEST(SpillBudgetTest, ExhaustedBudgetParksProducerInsteadOfSpilling) {
   ScopedTempDir temp("spill_budget_test");
   auto budget = std::make_shared<ByteBudget>(100);
-  SpillingByteQueue::Options options;
-  options.memory_capacity_bytes = 64;
+  FrameLog::Options options;
+  options.send_buffer_bytes = 64;
   options.spill_enabled = true;
   options.spill_path = temp.path() + "/q";
   options.spill_budget = budget;
-  SpillingByteQueue queue(options);
+  FrameLog log(options);
 
   const int64_t parks_before =
       MetricsRegistry::Global().GetCounter("stream.spill.budget_parks")->value();
-  const std::string frame(50, 'x');  // 1 fits memory; 2 fit the 100B quota.
-  std::thread producer([&queue, &frame] {
+  const std::string frame(50, 'x');  // 1 fits memory; 1 fits the 100B quota.
+  std::thread producer([&log, &frame] {
     for (int i = 0; i < 6; ++i) {
-      ASSERT_TRUE(queue.Push(frame + static_cast<char>('0' + i)).ok());
+      ASSERT_TRUE(log.Append(frame + static_cast<char>('0' + i), 1).ok());
     }
-    queue.CloseProducer();
+    log.Close();
   });
 
   // Give the producer time to hit the exhausted budget and park.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_LE(queue.spilled_frames(), 2);  // Quota held: no unbounded spill.
+  EXPECT_LE(log.state().spilled_frames, 2);  // Quota held: no unbounded spill.
 
   std::vector<std::string> received;
   for (;;) {
-    auto frame_out = queue.Pop();
-    ASSERT_TRUE(frame_out.ok()) << frame_out.status();
-    if (!frame_out->has_value()) break;
-    received.push_back(**frame_out);
+    auto read = log.Next();
+    ASSERT_TRUE(read.ok()) << read.status();
+    if (!read->has_value()) break;
+    received.emplace_back((*read)->frame);
   }
   producer.join();
 
@@ -351,24 +351,53 @@ TEST(SpillBudgetTest, ExhaustedBudgetParksProducerInsteadOfSpilling) {
 TEST(SpillBudgetTest, CancelReturnsChargeAndRemovesSpillFile) {
   ScopedTempDir temp("spill_budget_cancel");
   auto budget = std::make_shared<ByteBudget>(100);
-  SpillingByteQueue::Options options;
-  options.memory_capacity_bytes = 64;
+  FrameLog::Options options;
+  options.send_buffer_bytes = 64;
   options.spill_enabled = true;
   options.spill_path = temp.path() + "/q";
   options.spill_budget = budget;
-  SpillingByteQueue queue(options);
+  FrameLog log(options);
 
   const std::string frame(50, 'x');
-  ASSERT_TRUE(queue.Push(frame).ok());  // Memory.
-  ASSERT_TRUE(queue.Push(frame).ok());  // Spill: charges 50.
-  ASSERT_TRUE(queue.Push(frame).ok());  // Spill: charges 50 more.
+  ASSERT_TRUE(log.Append(frame, 1).ok());  // Memory.
+  ASSERT_TRUE(log.Append(frame, 1).ok());  // Spill: charges 50.
+  ASSERT_TRUE(log.Append(frame, 1).ok());  // Spill: charges 50 more.
   EXPECT_EQ(budget->used(), 100);
   ASSERT_TRUE(std::filesystem::exists(temp.path() + "/q.spill"));
 
-  queue.Cancel();
+  log.Cancel();
   EXPECT_EQ(budget->used(), 0);  // Neighbor queries get the quota back.
   EXPECT_FALSE(std::filesystem::exists(temp.path() + "/q.spill"));
-  EXPECT_TRUE(queue.Push(frame).IsCancelled());
+  EXPECT_TRUE(log.Append(frame, 1).IsCancelled());
+}
+
+TEST(SpillBudgetTest, ChargeReturnsAtFirstSendNotAtAck) {
+  ScopedTempDir temp("spill_budget_send");
+  auto budget = std::make_shared<ByteBudget>(100);
+  FrameLog::Options options;
+  options.send_buffer_bytes = 64;
+  options.replay_window_bytes = 32;
+  options.spill_enabled = true;
+  options.spill_path = temp.path() + "/q";
+  options.spill_budget = budget;
+  FrameLog log(options);
+
+  const std::string frame(50, 'x');
+  ASSERT_TRUE(log.Append(frame, 1).ok());  // Memory.
+  ASSERT_TRUE(log.Append(frame, 1).ok());  // Spill: charges 50.
+  EXPECT_EQ(budget->used(), 50);
+  ASSERT_TRUE(log.Next().ok());  // The frame in memory: nothing to return.
+  EXPECT_EQ(budget->used(), 50);
+  ASSERT_TRUE(log.Next().ok());  // First send of the spilled frame.
+  EXPECT_EQ(budget->used(), 0);
+  // Still unacked, it stays on disk for replay without a charge, and
+  // retention overflow (frame 1 moving to disk) is never charged either.
+  EXPECT_EQ(log.state().acked, 0u);
+  EXPECT_EQ(log.state().retained_memory_bytes, 0u);
+  log.Rewind(0);
+  ASSERT_TRUE(log.Next().ok());
+  ASSERT_TRUE(log.Next().ok());
+  EXPECT_EQ(budget->used(), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -23,9 +23,8 @@
 #include "net/conn_pool.h"
 #include "sql/engine.h"
 #include "stream/coordinator.h"
-#include "stream/replay_window.h"
+#include "stream/frame_log.h"
 #include "stream/socket.h"
-#include "stream/spill_queue.h"
 #include "stream/sql_stream_input_format.h"
 #include "stream/streaming_transfer.h"
 #include "stream/wire.h"
@@ -126,6 +125,42 @@ TEST(WireTest, HugeFrameLengthDoesNotAllocateAhead) {
   EXPECT_LT(frame.payload.capacity(), size_t{4} << 20);
 }
 
+/// A type byte that names no FrameType is DataLoss in both header decoders:
+/// 0, the retired 25 and 26, and everything past the last type.
+TEST(WireTest, UnknownFrameTypeIsDataLoss) {
+  const std::vector<uint8_t> unknown = {0, 25, 26, 35, 255};
+  auto header = [](uint8_t type) {
+    char bytes[kFrameHeaderBytes];
+    EncodeFrameHeader(bytes, static_cast<FrameType>(type), /*payload_len=*/0,
+                      /*seq=*/1, /*channel=*/0, TraceContext{});
+    return std::string(bytes, sizeof(bytes));
+  };
+  for (uint8_t type : unknown) {
+    size_t cursor = 0;
+    Frame frame;
+    const Result<bool> extracted = ExtractFrame(header(type), &cursor, &frame);
+    EXPECT_TRUE(extracted.status().IsDataLoss())
+        << "type " << int{type} << ": " << extracted.status();
+  }
+
+  auto listener = TcpListener::Listen(0);
+  ASSERT_TRUE(listener.ok());
+  std::thread peer([&] {
+    auto conn = TcpConnect("localhost", listener->port());
+    ASSERT_TRUE(conn.ok());
+    for (uint8_t type : unknown) ASSERT_TRUE(conn->SendAll(header(type)).ok());
+  });
+  auto conn = listener->Accept();
+  ASSERT_TRUE(conn.ok());
+  peer.join();
+  Frame frame;
+  std::string scratch;
+  for (uint8_t type : unknown) {
+    const Status status = RecvFrameInto(&*conn, &frame, &scratch);
+    EXPECT_TRUE(status.IsDataLoss()) << "type " << int{type} << ": " << status;
+  }
+}
+
 TEST(WireTest, SchemaSerializationRoundTrip) {
   Schema schema({{"age", DataType::kInt64},
                  {"gender", DataType::kString},
@@ -185,159 +220,153 @@ TEST(WireTest, ControlMessagesRoundTrip) {
   EXPECT_TRUE(hello2->restart);
 }
 
-// --- Spill queue ---
+// --- Frame log: the send buffer half (unsent frames) ---
 
 class SpillQueueTest : public ::testing::Test {
  protected:
   ScopedTempDir temp_{"spill_test"};
 };
 
+/// The frame the sender reads next, as a string; "" at the end of the log.
+std::string NextFrame(FrameLog* log) {
+  auto read = log->Next();
+  EXPECT_TRUE(read.ok()) << read.status();
+  if (!read.ok() || !read->has_value()) return "";
+  return std::string((*read)->frame);
+}
+
 TEST_F(SpillQueueTest, FifoWithinMemory) {
-  SpillingByteQueue::Options options;
-  options.memory_capacity_bytes = 1 << 20;
+  FrameLog::Options options;
+  options.send_buffer_bytes = 1 << 20;
   options.spill_enabled = false;
-  SpillingByteQueue queue(options);
-  ASSERT_TRUE(queue.Push("a").ok());
-  ASSERT_TRUE(queue.Push("bb").ok());
-  queue.CloseProducer();
-  EXPECT_EQ(**queue.Pop(), "a");
-  EXPECT_EQ(**queue.Pop(), "bb");
-  EXPECT_FALSE(queue.Pop()->has_value());
+  FrameLog log(options);
+  ASSERT_TRUE(log.Append("a", 1).ok());
+  ASSERT_TRUE(log.Append("bb", 1).ok());
+  log.Close();
+  EXPECT_EQ(NextFrame(&log), "a");
+  EXPECT_EQ(NextFrame(&log), "bb");
+  EXPECT_FALSE(log.Next()->has_value());
 }
 
 TEST_F(SpillQueueTest, SpillsWhenFullAndPreservesOrder) {
-  SpillingByteQueue::Options options;
-  options.memory_capacity_bytes = 32;
+  FrameLog::Options options;
+  options.send_buffer_bytes = 32;
   options.spill_enabled = true;
   options.spill_path = temp_.path() + "/spill";
-  SpillingByteQueue queue(options);
+  FrameLog log(options);
   // Fill memory then overflow to disk with nobody consuming.
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(queue.Push("frame-" + std::to_string(i)).ok());
+    ASSERT_TRUE(log.Append("frame-" + std::to_string(i), 1).ok());
   }
-  EXPECT_GT(queue.spilled_frames(), 0);
-  queue.CloseProducer();
+  EXPECT_GT(log.state().spilled_frames, 0);
+  log.Close();
   for (int i = 0; i < 50; ++i) {
-    auto frame = queue.Pop();
-    ASSERT_TRUE(frame.ok());
-    ASSERT_TRUE(frame->has_value());
-    EXPECT_EQ(**frame, "frame-" + std::to_string(i));
+    auto read = log.Next();
+    ASSERT_TRUE(read.ok());
+    ASSERT_TRUE(read->has_value());
+    EXPECT_EQ((*read)->seq, static_cast<uint64_t>(i + 1));
+    EXPECT_EQ((*read)->frame, "frame-" + std::to_string(i));
   }
-  EXPECT_FALSE(queue.Pop()->has_value());
-}
-
-TEST_F(SpillQueueTest, ResumesMemoryAfterSpillDrained) {
-  SpillingByteQueue::Options options;
-  options.memory_capacity_bytes = 16;
-  options.spill_enabled = true;
-  options.spill_path = temp_.path() + "/spill2";
-  SpillingByteQueue queue(options);
-  ASSERT_TRUE(queue.Push(std::string(10, 'a')).ok());
-  ASSERT_TRUE(queue.Push(std::string(10, 'b')).ok());  // Spills.
-  EXPECT_EQ(queue.spilled_frames(), 1);
-  EXPECT_EQ((*queue.Pop())->front(), 'a');
-  EXPECT_EQ((*queue.Pop())->front(), 'b');  // From disk.
-  // Spill drained: memory path is used again.
-  ASSERT_TRUE(queue.Push(std::string(10, 'c')).ok());
-  EXPECT_EQ(queue.spilled_frames(), 1);
-  EXPECT_EQ((*queue.Pop())->front(), 'c');
+  EXPECT_FALSE(log.Next()->has_value());
 }
 
 TEST_F(SpillQueueTest, BackpressureBlocksProducerUntilPop) {
-  SpillingByteQueue::Options options;
-  options.memory_capacity_bytes = 8;
+  FrameLog::Options options;
+  options.send_buffer_bytes = 8;
   options.spill_enabled = false;
-  SpillingByteQueue queue(options);
-  ASSERT_TRUE(queue.Push(std::string(8, 'x')).ok());
-  std::atomic<bool> pushed{false};
+  FrameLog log(options);
+  ASSERT_TRUE(log.Append(std::string(8, 'x'), 1).ok());
+  std::atomic<bool> appended{false};
   std::thread producer([&] {
-    ASSERT_TRUE(queue.Push(std::string(8, 'y')).ok());
-    pushed.store(true);
+    ASSERT_TRUE(log.Append(std::string(8, 'y'), 1).ok());
+    appended.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(pushed.load());  // Blocked: no room, no spill.
-  EXPECT_TRUE(queue.Pop()->has_value());
+  EXPECT_FALSE(appended.load());  // Blocked: no room, no spill.
+  EXPECT_TRUE(log.Next()->has_value());
   producer.join();
-  EXPECT_TRUE(pushed.load());
+  EXPECT_TRUE(appended.load());
 }
 
 TEST_F(SpillQueueTest, CancelUnblocksBothSides) {
-  SpillingByteQueue::Options options;
-  options.memory_capacity_bytes = 4;
+  FrameLog::Options options;
+  options.send_buffer_bytes = 4;
   options.spill_enabled = false;
-  SpillingByteQueue queue(options);
-  std::thread consumer([&] {
-    auto result = queue.Pop();
+  FrameLog log(options);
+  std::thread sender([&] {
+    auto result = log.Next();
     EXPECT_TRUE(result.status().IsCancelled());
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  queue.Cancel();
-  consumer.join();
-  EXPECT_TRUE(queue.Push("x").IsCancelled());
+  log.Cancel();
+  sender.join();
+  EXPECT_TRUE(log.Append("x", 1).IsCancelled());
 }
 
 TEST_F(SpillQueueTest, ConcurrentProducerConsumerWithSpill) {
-  SpillingByteQueue::Options options;
-  options.memory_capacity_bytes = 64;
+  FrameLog::Options options;
+  options.send_buffer_bytes = 64;
+  options.replay_window_bytes = 64;
   options.spill_enabled = true;
   options.spill_path = temp_.path() + "/spill3";
-  SpillingByteQueue queue(options);
+  FrameLog log(options);
   constexpr int kFrames = 2000;
   std::thread producer([&] {
     for (int i = 0; i < kFrames; ++i) {
-      ASSERT_TRUE(queue.Push("frame-" + std::to_string(i)).ok());
+      ASSERT_TRUE(log.Append("frame-" + std::to_string(i), 1).ok());
     }
-    queue.CloseProducer();
+    log.Close();
   });
   int count = 0;
   for (;;) {
-    auto frame = queue.Pop();
-    ASSERT_TRUE(frame.ok());
-    if (!frame->has_value()) break;
-    EXPECT_EQ(**frame, "frame-" + std::to_string(count));
+    auto read = log.Next();
+    ASSERT_TRUE(read.ok());
+    if (!read->has_value()) break;
+    EXPECT_EQ((*read)->frame, "frame-" + std::to_string(count));
     ++count;
+    if (count % 7 == 0) log.Ack((*read)->seq);
   }
   producer.join();
   EXPECT_EQ(count, kFrames);
 }
 
 TEST_F(SpillQueueTest, AbortLeavesNoSpillFilesBehind) {
-  SpillingByteQueue::Options options;
-  options.memory_capacity_bytes = 32;
+  FrameLog::Options options;
+  options.send_buffer_bytes = 32;
   options.spill_enabled = true;
   options.spill_path = temp_.path() + "/abort_spill";
   {
-    SpillingByteQueue queue(options);
+    FrameLog log(options);
     for (int i = 0; i < 16; ++i) {
-      ASSERT_TRUE(queue.Push(std::string(24, 'x')).ok());
+      ASSERT_TRUE(log.Append(std::string(24, 'x'), 1).ok());
     }
-    ASSERT_GT(queue.spilled_frames(), 0);
+    ASSERT_GT(log.state().spilled_frames, 0);
     EXPECT_TRUE(std::filesystem::exists(options.spill_path + ".spill"));
-    // Abort mid-drain: nothing was ever popped, yet Cancel must delete the
+    // Abort mid-drain: nothing was ever sent, yet Cancel must delete the
     // on-disk backlog immediately, not wait for process exit.
-    queue.Cancel();
+    log.Cancel();
     EXPECT_FALSE(std::filesystem::exists(options.spill_path + ".spill"));
   }
   EXPECT_TRUE(std::filesystem::is_empty(temp_.path()));
 }
 
 TEST_F(SpillQueueTest, DestructorLeavesNoSpillFilesBehind) {
-  SpillingByteQueue::Options options;
-  options.memory_capacity_bytes = 32;
+  FrameLog::Options options;
+  options.send_buffer_bytes = 32;
   options.spill_enabled = true;
   options.spill_path = temp_.path() + "/drop_spill";
   {
-    SpillingByteQueue queue(options);
+    FrameLog log(options);
     for (int i = 0; i < 16; ++i) {
-      ASSERT_TRUE(queue.Push(std::string(24, 'x')).ok());
+      ASSERT_TRUE(log.Append(std::string(24, 'x'), 1).ok());
     }
-    ASSERT_GT(queue.spilled_frames(), 0);
+    ASSERT_GT(log.state().spilled_frames, 0);
     // No Cancel, no drain: destruction alone must clean the scratch dir.
   }
   EXPECT_TRUE(std::filesystem::is_empty(temp_.path()));
 }
 
-// --- Replay window ---
+// --- Frame log: the replay half (sent, unacked frames) ---
 
 class ReplayWindowTest : public ::testing::Test {
  protected:
@@ -345,54 +374,151 @@ class ReplayWindowTest : public ::testing::Test {
 };
 
 TEST_F(ReplayWindowTest, ReplaysUnackedSuffixAcrossSpill) {
-  ReplayWindow::Options options;
-  options.memory_capacity_bytes = 16;  // Force the older frames to disk.
+  FrameLog::Options options;
+  options.send_buffer_bytes = 1 << 20;
+  options.replay_window_bytes = 16;  // Force the older frames to disk.
   options.spill_enabled = true;
   options.spill_path = temp_.path() + "/window";
-  ReplayWindow window(options);
+  FrameLog log(options);
   for (uint64_t seq = 1; seq <= 6; ++seq) {
-    ASSERT_TRUE(
-        window.Append(seq, /*rows=*/seq, "frame" + std::to_string(seq)).ok());
+    ASSERT_TRUE(log.Append("frame" + std::to_string(seq), /*rows=*/seq).ok());
+    EXPECT_EQ(NextFrame(&log), "frame" + std::to_string(seq));
   }
-  EXPECT_GT(window.spilled_frames(), 0);
-  window.Ack(2);
-  EXPECT_EQ(window.acked_seq(), 2u);
-  EXPECT_EQ(*window.RowsThrough(2), 3u);   // 1 + 2
-  EXPECT_EQ(*window.RowsThrough(6), 21u);  // 1 + ... + 6
+  log.Close();
+  EXPECT_EQ(log.state().spilled_frames, 0);  // Nothing spilled at append...
+  EXPECT_LE(log.state().retained_memory_bytes, 16u);  // ...but retention did.
+  log.Ack(2);
+  EXPECT_EQ(log.state().acked, 2u);
+  EXPECT_EQ(*log.RowsThrough(2), 3u);   // 1 + 2
+  EXPECT_EQ(*log.RowsThrough(6), 21u);  // 1 + ... + 6
   // A reader resuming from frame 3 gets exactly 4, 5, 6 — in order, with
   // content intact whether the frame lived in memory or on disk.
+  EXPECT_EQ(log.Rewind(3), 3u);
   std::vector<uint64_t> seqs;
   std::vector<std::string> frames;
-  ASSERT_TRUE(window
-                  .Replay(3,
-                          [&](uint64_t seq, uint64_t rows,
-                              const std::string& frame) {
-                            (void)rows;
-                            seqs.push_back(seq);
-                            frames.push_back(frame);
-                            return Status::OK();
-                          })
-                  .ok());
+  for (;;) {
+    auto read = log.Next();
+    ASSERT_TRUE(read.ok()) << read.status();
+    if (!read->has_value()) break;
+    EXPECT_TRUE((*read)->replay);
+    seqs.push_back((*read)->seq);
+    frames.emplace_back((*read)->frame);
+  }
   EXPECT_EQ(seqs, (std::vector<uint64_t>{4, 5, 6}));
   EXPECT_EQ(frames, (std::vector<std::string>{"frame4", "frame5", "frame6"}));
-  window.Ack(6);
-  EXPECT_EQ(window.memory_bytes(), 0u);
+  log.Ack(6);
+  EXPECT_EQ(log.state().retained_memory_bytes, 0u);
 }
 
 TEST_F(ReplayWindowTest, DestructionRemovesSpillFile) {
   {
-    ReplayWindow::Options options;
-    options.memory_capacity_bytes = 8;
+    FrameLog::Options options;
+    options.replay_window_bytes = 8;
     options.spill_enabled = true;
     options.spill_path = temp_.path() + "/window";
-    ReplayWindow window(options);
+    FrameLog log(options);
     for (uint64_t seq = 1; seq <= 8; ++seq) {
-      ASSERT_TRUE(window.Append(seq, 1, std::string(64, 'w')).ok());
+      ASSERT_TRUE(log.Append(std::string(64, 'w'), 1).ok());
+      ASSERT_TRUE(log.Next().ok());
     }
-    ASSERT_GT(window.spilled_frames(), 0);
-    // Never acked, never replayed: an aborted transfer drops the window.
+    ASSERT_LE(log.state().retained_memory_bytes, 8u);
+    // Never acked, never replayed: an aborted transfer drops the log.
   }
   EXPECT_TRUE(std::filesystem::is_empty(temp_.path()));
+}
+
+// --- Frame log: cursors and the one spill file ---
+
+class FrameLogTest : public ::testing::Test {
+ protected:
+  ScopedTempDir temp_{"frame_log_test"};
+};
+
+TEST_F(FrameLogTest, MemoryReusedWhileOlderFramesWaitOnDisk) {
+  FrameLog::Options options;
+  options.send_buffer_bytes = 16;
+  options.spill_enabled = true;
+  options.spill_path = temp_.path() + "/spill";
+  FrameLog log(options);
+  ASSERT_TRUE(log.Append(std::string(10, 'a'), 1).ok());
+  ASSERT_TRUE(log.Append(std::string(10, 'b'), 1).ok());  // Spills.
+  EXPECT_EQ(log.state().spilled_frames, 1);
+  EXPECT_EQ(NextFrame(&log), std::string(10, 'a'));
+  // 'b' still waits on disk, yet the room 'a' left takes 'c' in memory:
+  // sequence numbers, not the medium, keep the order.
+  ASSERT_TRUE(log.Append(std::string(10, 'c'), 1).ok());
+  EXPECT_EQ(log.state().spilled_frames, 1);
+  EXPECT_EQ(log.state().unsent_memory_bytes, 10u);
+  EXPECT_EQ(NextFrame(&log), std::string(10, 'b'));  // From disk.
+  EXPECT_EQ(NextFrame(&log), std::string(10, 'c'));
+}
+
+TEST_F(FrameLogTest, AppendNeverWaitsOnAnAck) {
+  // Spill off: sent frames stay in memory past replay_window_bytes, and the
+  // producer waits only for the sender to take a frame, never for an ack —
+  // the sender reads acks only between frames.
+  FrameLog::Options options;
+  options.send_buffer_bytes = 8;
+  options.replay_window_bytes = 8;
+  options.spill_enabled = false;
+  FrameLog log(options);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(log.Append(std::string(8, 'x'), 1).ok());
+    ASSERT_TRUE(log.Next().ok());
+  }
+  EXPECT_EQ(log.state().acked, 0u);
+  EXPECT_EQ(log.state().retained_memory_bytes, 32u);
+  EXPECT_EQ(log.state().unsent_memory_bytes, 0u);
+}
+
+TEST_F(FrameLogTest, RewindClampsToAckedAndSent) {
+  FrameLog::Options options;
+  options.spill_enabled = false;
+  FrameLog log(options);
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(log.Append("f", 2).ok());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(log.Next().ok());
+  log.Ack(1);
+  EXPECT_EQ(log.Rewind(0), 1u);   // Below acked: the log forgot those.
+  EXPECT_EQ(log.Rewind(99), 3u);  // Past sent: the reader never got them.
+  EXPECT_EQ(log.Rewind(2), 2u);
+  auto read = log.Next();
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ((*read)->seq, 3u);
+  EXPECT_TRUE((*read)->replay);
+  read = log.Next();
+  EXPECT_EQ((*read)->seq, 4u);
+  EXPECT_FALSE((*read)->replay);
+  log.Ack(99);  // Acks past sent are clamped too.
+  EXPECT_EQ(log.state().acked, 4u);
+  EXPECT_EQ(*log.RowsThrough(5), 10u);
+  EXPECT_FALSE(log.RowsThrough(3).ok());  // Trimmed.
+}
+
+TEST_F(FrameLogTest, BothSpillsShareOneFile) {
+  FrameLog::Options options;
+  options.send_buffer_bytes = 16;
+  options.replay_window_bytes = 16;
+  options.spill_enabled = true;
+  options.spill_path = temp_.path() + "/one";
+  FrameLog log(options);
+  const std::string a(12, 'a'), b(12, 'b'), c(12, 'c');
+  ASSERT_TRUE(log.Append(a, 1).ok());
+  ASSERT_TRUE(log.Append(b, 1).ok());  // Send buffer full: spills.
+  EXPECT_EQ(NextFrame(&log), a);
+  ASSERT_TRUE(log.Append(c, 1).ok());
+  EXPECT_EQ(NextFrame(&log), b);  // Drained from disk.
+  EXPECT_EQ(NextFrame(&log), c);  // Retention overflows: 'a' moves to disk.
+  EXPECT_EQ(log.state().spilled_frames, 1);
+  EXPECT_EQ(log.state().retained_memory_bytes, 12u);
+  int files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(temp_.path())) {
+    EXPECT_EQ(entry.path().filename().string(), "one.spill");
+    ++files;
+  }
+  EXPECT_EQ(files, 1);
+  log.Rewind(0);
+  EXPECT_EQ(NextFrame(&log), a);  // Replayed from the same file.
+  EXPECT_EQ(NextFrame(&log), b);
 }
 
 // --- End-to-end streaming transfer ---
