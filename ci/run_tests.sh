@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Three-stage CI entry point: fast unit suite first, fault-injection chaos
-# suite second (so a broken build fails in seconds instead of after the
-# slow chaos runs), then a ThreadSanitizer rebuild of both suites — the
-# coordinator reaper, heartbeat senders, and replay machinery are
-# concurrent, so every run is race-checked.
+# and concurrency stress suites second (so a broken build fails in seconds
+# instead of after the slow chaos runs), then a ThreadSanitizer rebuild of
+# all three — the coordinator reaper, heartbeat senders, replay machinery
+# and concurrent queries' table UDFs run in parallel, so every run is
+# race-checked.
 #
 # Usage:
-#   ci/run_tests.sh                 # build + unit + chaos + TSan pass
+#   ci/run_tests.sh                 # build + unit + chaos + stress + TSan
 #   SQLINK_SANITIZE=address ci/run_tests.sh   # swap TSan for ASan
 #   SQLINK_SANITIZE=none ci/run_tests.sh      # skip the sanitizer stage
 #
@@ -30,6 +31,8 @@ run_suites() {
   (cd "${dir}" && ctest -L unit --output-on-failure -j "${JOBS}")
   echo "==> [${dir}] stage 2: chaos suite"
   (cd "${dir}" && ctest -L chaos --output-on-failure -j "${JOBS}")
+  echo "==> [${dir}] stage 2b: stress suite"
+  (cd "${dir}" && ctest -L stress --output-on-failure -j "${JOBS}")
 }
 
 echo "==> configure + build (${BUILD_DIR})"

@@ -49,55 +49,70 @@ class MqSinkUdf final : public TableUdf {
                          {"messages_published", DataType::kInt64}});
   }
 
-  Status ProcessPartition(const TableUdfContext& context, RowIterator* input,
-                          RowSink* output) override {
+  Result<TableUdfPartitionPtr> Open(const TableUdfContext& context) override {
     // First worker creates the topic (n·k partitions); others race benignly.
     MessageBroker::TopicConfig config;
     config.num_partitions = context.num_workers * k_;
     const Status created = broker_->CreateTopic(topic_, config);
     if (!created.ok() && !created.IsAlreadyExists()) return created;
-
-    const int first_partition = context.worker_id * k_;
-    TraceSpan span("mq.sink.partition");
-    span.AddAttribute("worker", context.worker_id);
-    // One broker message = one row-batch payload, as on the stream.
-    std::vector<RowBatchEncoder> batchers(static_cast<size_t>(k_));
-    int64_t rows = 0;
-    int64_t messages = 0;
-    auto flush = [&](int j) -> Status {
-      std::string payload;
-      batchers[static_cast<size_t>(j)].Flush(&payload);
-      ++messages;
-      return broker_->Produce(topic_, first_partition + j, std::move(payload))
-          .status();
-    };
-
-    Row row;
-    int next = 0;
-    for (;;) {
-      ASSIGN_OR_RETURN(bool has, input->Next(&row));
-      if (!has) break;
-      RowBatchEncoder& batch = batchers[static_cast<size_t>(next)];
-      batch.Add(row);
-      ++rows;
-      if (batch.bytes() >= batch_bytes_) {
-        RETURN_IF_ERROR(flush(next));
-      }
-      next = (next + 1) % k_;
-    }
-    for (int j = 0; j < k_; ++j) {
-      if (!batchers[static_cast<size_t>(j)].empty()) {
-        RETURN_IF_ERROR(flush(j));
-      }
-      RETURN_IF_ERROR(broker_->SealPartition(topic_, first_partition + j));
-    }
-    span.AddAttribute("rows_published", rows);
-    span.AddAttribute("messages_published", messages);
-    return output->Push(Row{Value::Int64(context.worker_id),
-                            Value::Int64(rows), Value::Int64(messages)});
+    return TableUdfPartitionPtr(new Partition(this, context.worker_id));
   }
 
  private:
+  /// One worker's rows go round-robin to its k topic partitions; one broker
+  /// message is one row-batch payload, as on the stream.
+  class Partition final : public TableUdfPartition {
+   public:
+    Partition(const MqSinkUdf* udf, int worker)
+        : udf_(udf),
+          worker_(worker),
+          batchers_(static_cast<size_t>(udf->k_)) {
+      span_.AddAttribute("worker", worker);
+    }
+
+    Status Consume(Row row, RowSink*) override {
+      RowBatchEncoder& batch = batchers_[next_];
+      batch.Add(row);
+      ++rows_;
+      if (batch.bytes() >= udf_->batch_bytes_) RETURN_IF_ERROR(Flush(next_));
+      next_ = (next_ + 1) % batchers_.size();
+      return Status::OK();
+    }
+
+    Status Finish(RowSink* output) override {
+      for (size_t j = 0; j < batchers_.size(); ++j) {
+        if (!batchers_[j].empty()) RETURN_IF_ERROR(Flush(j));
+        RETURN_IF_ERROR(
+            udf_->broker_->SealPartition(udf_->topic_, Target(j)));
+      }
+      span_.AddAttribute("rows_published", rows_);
+      span_.AddAttribute("messages_published", messages_);
+      return output->Push(Row{Value::Int64(worker_), Value::Int64(rows_),
+                              Value::Int64(messages_)});
+    }
+
+   private:
+    int Target(size_t j) const {
+      return worker_ * udf_->k_ + static_cast<int>(j);
+    }
+
+    Status Flush(size_t j) {
+      std::string payload;
+      batchers_[j].Flush(&payload);
+      ++messages_;
+      return udf_->broker_->Produce(udf_->topic_, Target(j), std::move(payload))
+          .status();
+    }
+
+    const MqSinkUdf* udf_;
+    int worker_;
+    TraceSpan span_{"mq.sink.partition", Tracer::Global().ambient_context()};
+    std::vector<RowBatchEncoder> batchers_;
+    size_t next_ = 0;
+    int64_t rows_ = 0;
+    int64_t messages_ = 0;
+  };
+
   MessageBrokerPtr broker_;
   std::string topic_;
   int k_ = 1;

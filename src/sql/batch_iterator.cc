@@ -17,18 +17,4 @@ Result<bool> RowVectorBatchIterator::Next(ColumnBatch* out) {
   return true;
 }
 
-Result<bool> BatchToRowIterator::Next(Row* row) {
-  while (pos_ >= batch_.num_rows()) {
-    if (done_) return false;
-    ASSIGN_OR_RETURN(bool has, child_->Next(&batch_));
-    if (!has) {
-      done_ = true;
-      return false;
-    }
-    pos_ = 0;
-  }
-  batch_.EmitRow(pos_++, row);
-  return true;
-}
-
 }  // namespace sqlink

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "sql/row_iterator.h"
 #include "table/column_batch.h"
 #include "table/schema.h"
 
@@ -46,20 +45,6 @@ class RowVectorBatchIterator final : public BatchIterator {
 class EmptyBatchIterator final : public BatchIterator {
  public:
   Result<bool> Next(ColumnBatch*) override { return false; }
-};
-
-/// Adapts a batch pipeline to the row interface (feeds row-only consumers
-/// such as table UDFs without batch support).
-class BatchToRowIterator final : public RowIterator {
- public:
-  explicit BatchToRowIterator(BatchIterator* child) : child_(child) {}
-  Result<bool> Next(Row* row) override;
-
- private:
-  BatchIterator* child_;  // Borrowed.
-  ColumnBatch batch_;
-  size_t pos_ = 0;
-  bool done_ = false;
 };
 
 }  // namespace sqlink

@@ -1,14 +1,10 @@
 #include "sql/executor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <map>
-#include <mutex>
-#include <thread>
 #include <unordered_map>
 
-#include "common/blocking_queue.h"
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "common/status_macros.h"
@@ -16,7 +12,6 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "sql/batch_kernels.h"
-#include "sql/row_iterator.h"
 
 namespace sqlink {
 
@@ -32,22 +27,6 @@ Status ParallelWorkers(int n, const std::function<Status(int)>& fn) {
     RETURN_IF_ERROR(status);
   }
   return Status::OK();
-}
-
-/// Runs the Finish() epilogue of a pipeline's table UDFs. It runs whether or
-/// not the pipeline succeeded, so resources are released; its error surfaces
-/// only when `run_status` is OK. With `tolerate_cancelled`, a Cancelled
-/// epilogue (a UDF cut short by LIMIT) is not an error.
-Status FinishUdfs(const std::vector<TableUdfPtr>& udfs, Status run_status,
-                  bool tolerate_cancelled) {
-  for (const TableUdfPtr& udf : udfs) {
-    const Status finish_status = udf->Finish();
-    if (run_status.ok() && !finish_status.ok() &&
-        !(tolerate_cancelled && finish_status.IsCancelled())) {
-      run_status = finish_status;
-    }
-  }
-  return run_status;
 }
 
 /// Lexicographic row ordering (NULL-first per Value::operator<).
@@ -115,22 +94,6 @@ class JoinHashTable {
   std::vector<Row> rows_;
   std::vector<int> keys_;
   std::unordered_map<size_t, std::vector<size_t>> buckets_;
-};
-
-constexpr size_t kUdfQueueCapacity = 4096;
-
-class RowQueueSink final : public RowSink {
- public:
-  explicit RowQueueSink(BlockingQueue<Row>* queue) : queue_(queue) {}
-  Status Push(Row row) override {
-    if (!queue_->Push(std::move(row))) {
-      return Status::Cancelled("downstream consumer closed");
-    }
-    return Status::OK();
-  }
-
- private:
-  BlockingQueue<Row>* queue_;
 };
 
 // ---------------------------------------------------------------------------
@@ -288,68 +251,62 @@ class VectorizedHashJoinIterator final : public BatchIterator {
   std::vector<int32_t> sel_;
 };
 
-/// Pipelines a table UDF: a pump thread runs ProcessPartition() over the
-/// worker's batch input (through the row adapter), pushing into a bounded
-/// queue that this iterator drains and re-batches. Keeps UDFs with side
-/// effects (the streaming-transfer sink) overlapped with upstream query
-/// execution.
-class UdfBatchPartitionIterator final : public BatchIterator {
+/// A table UDF on the worker thread: opens the worker's partition on the
+/// first Next, pulls the child's batches (polling between them), boxes each
+/// input row once and pushes it through Consume, and calls Finish at end of
+/// input. The UDF's output rows append straight to the caller's batch,
+/// which is handed out once it holds kSqlBatchRows rows.
+class TableUdfBatchIterator final : public BatchIterator, private RowSink {
  public:
-  UdfBatchPartitionIterator(TableUdfPtr udf, TableUdfContext context,
-                            BatchIteratorPtr input, SchemaPtr output_schema)
-      : udf_(std::move(udf)),
-        context_(context),
-        input_(std::move(input)),
-        output_schema_(std::move(output_schema)),
-        queue_(kUdfQueueCapacity) {
-    pump_ = std::thread([this] {
-      RowQueueSink sink(&queue_);
-      Status status;
-      if (input_ == nullptr) {
-        status = udf_->ProcessPartition(context_, nullptr, &sink);
-      } else {
-        BatchToRowIterator rows(input_.get());
-        status = udf_->ProcessPartition(context_, &rows, &sink);
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (!status.ok() && !status.IsCancelled()) pump_status_ = status;
-      }
-      queue_.Close();
-    });
-  }
-
-  ~UdfBatchPartitionIterator() override {
-    queue_.Close();
-    if (pump_.joinable()) pump_.join();
-  }
+  TableUdfBatchIterator(const PlanNode* plan, TableUdfContext context,
+                        BatchIteratorPtr input, std::function<Status()> poll)
+      : plan_(plan),
+        context_(std::move(context)),
+        poll_(std::move(poll)),
+        input_(std::move(input)) {}
 
   Result<bool> Next(ColumnBatch* out) override {
-    if (done_) return false;
-    out->Reset(output_schema_);
-    while (out->num_rows() < kSqlBatchRows) {
-      std::optional<Row> row = queue_.Pop();
-      if (!row.has_value()) {
-        done_ = true;
-        std::lock_guard<std::mutex> lock(mu_);
-        RETURN_IF_ERROR(pump_status_);
-        break;
+    if (finished_) return false;
+    if (partition_ == nullptr) {
+      ASSIGN_OR_RETURN(partition_, plan_->udf->Open(context_));
+    }
+    out->Reset(plan_->output_schema);
+    out_ = out;
+    while (out->num_rows() < kSqlBatchRows && !finished_) {
+      if (pos_ == batch_.num_rows()) {
+        bool has = false;
+        if (input_ != nullptr) {
+          RETURN_IF_ERROR(poll_());
+          ASSIGN_OR_RETURN(has, input_->Next(&batch_));
+        }
+        pos_ = 0;
+        if (!has) {
+          finished_ = true;
+          RETURN_IF_ERROR(partition_->Finish(this));
+          break;
+        }
       }
-      RETURN_IF_ERROR(out->AppendRow(*row));
+      batch_.EmitRow(pos_++, &row_);
+      RETURN_IF_ERROR(partition_->Consume(std::move(row_), this));
     }
     return out->num_rows() > 0;
   }
 
  private:
-  TableUdfPtr udf_;
+  Status Push(Row row) override { return out_->AppendRow(row); }
+
+  const PlanNode* plan_;
   TableUdfContext context_;
+  std::function<Status()> poll_;
+  // Before the input, so a chained UDF's partition inside it dies first:
+  // the spans partitions hold open end in the order they began.
+  TableUdfPartitionPtr partition_;
   BatchIteratorPtr input_;
-  SchemaPtr output_schema_;
-  BlockingQueue<Row> queue_;
-  std::thread pump_;
-  std::mutex mu_;
-  Status pump_status_;
-  bool done_ = false;
+  ColumnBatch batch_;
+  size_t pos_ = 0;
+  Row row_;
+  ColumnBatch* out_ = nullptr;
+  bool finished_ = false;
 };
 
 /// Hash table of distinct batch rows: each distinct row is stored once,
@@ -476,7 +433,6 @@ struct Executor::PipelineState {
   // Keyed by plan node identity.
   std::unordered_map<const PlanNode*, JoinArtifact> joins;
   std::unordered_map<const PlanNode*, PartitionedRows> materialized;
-  std::vector<TableUdfPtr> udfs_to_finish;
 };
 
 // ---------------------------------------------------------------------------
@@ -578,7 +534,6 @@ Status Executor::Prepare(const PlanPtr& plan, PipelineState* state) {
     case PlanKind::kProject:
       return Prepare(plan->children[0], state);
     case PlanKind::kTableUdf:
-      state->udfs_to_finish.push_back(plan->udf);
       if (!plan->children.empty()) {
         return Prepare(plan->children[0], state);
       }
@@ -742,8 +697,9 @@ Result<BatchIteratorPtr> Executor::BuildBatchPipelineNode(
       context.query_id = query_id_;
       context.cancellation = cancellation_;
       context.spill_budget = spill_budget_;
-      return BatchIteratorPtr(new UdfBatchPartitionIterator(
-          plan->udf, context, std::move(input), plan->output_schema));
+      return BatchIteratorPtr(new TableUdfBatchIterator(
+          plan.get(), context, std::move(input),
+          [this] { return PollBatch(); }));
     }
     default:
       return Status::Internal("unexpected plan kind in batch pipeline: " +
@@ -795,23 +751,19 @@ Status Executor::DrainBatches(
     const std::function<Status(int, const ColumnBatch&)>& consume,
     const std::function<Status(int)>& finish) {
   PipelineState state;
-  Status run_status = Prepare(child, &state);
-  if (run_status.ok()) {
-    run_status = ParallelWorkers(num_workers_, [&](int worker) -> Status {
-      ASSIGN_OR_RETURN(BatchIteratorPtr it,
-                       BuildBatchPipeline(child, worker, &state));
-      ColumnBatch batch;
-      for (;;) {
-        RETURN_IF_ERROR(PollBatch());
-        ASSIGN_OR_RETURN(bool has, it->Next(&batch));
-        if (!has) break;
-        RETURN_IF_ERROR(consume(worker, batch));
-      }
-      return finish(worker);
-    });
-  }
-  return FinishUdfs(state.udfs_to_finish, run_status,
-                    /*tolerate_cancelled=*/false);
+  RETURN_IF_ERROR(Prepare(child, &state));
+  return ParallelWorkers(num_workers_, [&](int worker) -> Status {
+    ASSIGN_OR_RETURN(BatchIteratorPtr it,
+                     BuildBatchPipeline(child, worker, &state));
+    ColumnBatch batch;
+    for (;;) {
+      RETURN_IF_ERROR(PollBatch());
+      ASSIGN_OR_RETURN(bool has, it->Next(&batch));
+      if (!has) break;
+      RETURN_IF_ERROR(consume(worker, batch));
+    }
+    return finish(worker);
+  });
 }
 
 Result<PartitionedRows> Executor::ExecuteDistinct(const PlanPtr& plan) {
@@ -1321,7 +1273,7 @@ Result<PartitionedRows> Executor::ExecuteLimit(const PlanPtr& plan) {
                            child->kind == PlanKind::kTableUdf;
   if (pipelinable) {
     PipelineState state;
-    Status status = Prepare(child, &state);
+    RETURN_IF_ERROR(Prepare(child, &state));
     const auto pull = [&](int worker) -> Status {
       ASSIGN_OR_RETURN(BatchIteratorPtr it,
                        BuildBatchPipeline(child, worker, &state));
@@ -1338,14 +1290,10 @@ Result<PartitionedRows> Executor::ExecuteLimit(const PlanPtr& plan) {
       }
       return Status::OK();
     };
-    for (int worker = 0; status.ok() && worker < num_workers_ &&
-                         out.size() < limit;
+    for (int worker = 0; worker < num_workers_ && out.size() < limit;
          ++worker) {
-      status = pull(worker);
+      RETURN_IF_ERROR(pull(worker));
     }
-    // A UDF interrupted by the limit may report a cancelled epilogue.
-    RETURN_IF_ERROR(FinishUdfs(state.udfs_to_finish, status,
-                               /*tolerate_cancelled=*/true));
     return output;
   }
 

@@ -46,10 +46,11 @@ struct PartitionedRows {
 /// ColumnBatch. Pipeline breakers (join builds, repartition and sort-merge
 /// joins, DISTINCT, aggregation, sort, limit) materialize and exchange rows
 /// between workers; DISTINCT, the aggregate's per-worker phase and LIMIT
-/// consume their child's batches directly. Table UDFs stay pipelined: each
-/// worker pumps its UDF on a dedicated thread through a bounded queue, so a
-/// streaming-transfer UDF overlaps with the upstream query work exactly as
-/// the paper's insql+stream pipeline does. tests/sql_differential_test.cc
+/// consume their child's batches directly. A table UDF is one more batch
+/// operator: the worker pushes each row of its partition through the UDF's
+/// TableUdfPartition on its own thread, and a streaming sink's sender
+/// threads overlap the transfer with the upstream query work, as the
+/// paper's insql+stream pipeline does. tests/sql_differential_test.cc
 /// checks every result against a naive row-at-a-time oracle.
 class Executor {
  public:
@@ -108,7 +109,7 @@ class Executor {
   /// Input of a pipeline or blocking operator: prepares `child`, then every
   /// worker pulls its batch pipeline to the end, handing each batch to
   /// consume(worker, batch) and then calling finish(worker). Polls between
-  /// batches; the child's UDF epilogues run either way.
+  /// batches.
   Status DrainBatches(
       const PlanPtr& child,
       const std::function<Status(int, const ColumnBatch&)>& consume,

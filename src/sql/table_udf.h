@@ -13,7 +13,6 @@
 #include "common/cancellation.h"
 #include "common/metrics.h"
 #include "common/result.h"
-#include "sql/row_iterator.h"
 #include "table/schema.h"
 #include "table/value.h"
 
@@ -39,17 +38,39 @@ struct TableUdfContext {
   ByteBudgetPtr spill_budget;
 };
 
+/// Push-based row consumer (table UDF output).
+class RowSink {
+ public:
+  virtual ~RowSink() = default;
+  virtual Status Push(Row row) = 0;
+};
+
+/// One SQL worker's run of a table UDF over its partition, driven on the
+/// worker thread: Consume() once per input row in partition order, then
+/// Finish() once after the last row (MADlib's transition/final contract).
+/// A UDF without a relation argument gets only Finish(). The executor calls
+/// Finish() only when the whole input was consumed without error; a
+/// partition destroyed without it (upstream error, cancellation, LIMIT
+/// stopping early) releases what it holds in its destructor.
+class TableUdfPartition {
+ public:
+  virtual ~TableUdfPartition() = default;
+
+  /// Takes the row by value, so a map UDF can move cells into its output.
+  virtual Status Consume(Row row, RowSink* output) = 0;
+  virtual Status Finish(RowSink* /*output*/) { return Status::OK(); }
+};
+
+using TableUdfPartitionPtr = std::unique_ptr<TableUdfPartition>;
+
 /// A parallel table UDF — the paper's extensibility mechanism (§2, §3).
 ///
 /// One instance is created per query execution. Bind() runs once on the
-/// coordinator thread to derive the output schema; ProcessPartition() then
-/// runs once per SQL worker, concurrently, consuming that worker's partition
-/// of the input relation and pushing output rows. Finish() runs once after
-/// all workers complete (cleanup, summary emission is not supported there).
-///
-/// Implementations must make ProcessPartition thread-safe across workers;
-/// per-job shared state (e.g. a streaming coordinator handshake) lives in
-/// the instance and is synchronized by the implementation.
+/// coordinator thread to derive the output schema; Open() then runs once per
+/// SQL worker, concurrently, and the worker pushes its partition through the
+/// returned TableUdfPartition. State shared by the workers of one call (e.g.
+/// a streaming coordinator handshake) lives in the instance and is
+/// synchronized by the implementation.
 class TableUdf {
  public:
   virtual ~TableUdf() = default;
@@ -60,12 +81,9 @@ class TableUdf {
   virtual Result<SchemaPtr> Bind(const SchemaPtr& input_schema,
                                  const std::vector<Value>& args) = 0;
 
-  /// Processes one worker's partition. `input` is null for source UDFs.
-  virtual Status ProcessPartition(const TableUdfContext& context,
-                                  RowIterator* input, RowSink* output) = 0;
-
-  /// Runs once after all workers returned (success or failure).
-  virtual Status Finish() { return Status::OK(); }
+  /// Starts one worker's partition; the instance outlives it.
+  virtual Result<TableUdfPartitionPtr> Open(
+      const TableUdfContext& context) = 0;
 };
 
 using TableUdfPtr = std::shared_ptr<TableUdf>;

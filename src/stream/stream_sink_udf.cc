@@ -63,6 +63,72 @@ Status DrainAcks(MuxChannel* channel, FrameLog* log, bool final_ack,
   }
 }
 
+/// A reader's data channel, routed to its sender by the HELLO split id.
+struct Inbound {
+  std::shared_ptr<MuxChannel> channel;
+  int64_t resume_seq = -1;  ///< From HELLO: -1 = "sink decides".
+  int split_id = -1;        ///< From HELLO: the split this channel serves.
+};
+
+/// State shared with the MuxSinkServer handler, which can fire on a
+/// connection's demux thread even as this transfer tears down — so it
+/// owns the inboxes jointly and checks `closed` under the lock.
+struct RouterState {
+  std::mutex mu;
+  bool closed = false;
+  int k = 0;  ///< 0 until registration tells us the fan-in.
+  std::vector<std::shared_ptr<BlockingQueue<Inbound>>> inboxes;
+  /// Channels that opened before registration told us `k`, parked here
+  /// so a reader racing the registration ack is not rejected outright
+  /// (it may not retry).
+  std::vector<std::pair<std::shared_ptr<MuxChannel>, OpenChannelMessage>>
+      pending;
+};
+
+/// Channels the senders are actively serving, so an abort can shut each
+/// LOGICAL channel down — waking a sender parked on flow-control credit or
+/// a blocking ack wait — without ever touching the shared mux socket the
+/// channel rides on (other queries keep flowing).
+struct ActiveChannels {
+  std::mutex mu;
+  std::vector<std::shared_ptr<MuxChannel>> by_target;
+  void Set(size_t j, std::shared_ptr<MuxChannel> channel) {
+    std::lock_guard<std::mutex> lock(mu);
+    by_target[j] = std::move(channel);
+  }
+  void ShutdownAll(const Status& status) {
+    std::lock_guard<std::mutex> lock(mu);
+    for (auto& channel : by_target) {
+      if (channel != nullptr) channel->Shutdown(status);
+    }
+  }
+};
+
+/// Waits for a data connection on `inbox`, pacing the poll with a backoff
+/// policy so the total wait across reconnect attempts is deadline-capped
+/// rather than one fixed-length block per attempt. Leaves `out` empty when
+/// the inbox closes (shutdown). Between slices, `acked_out_of_band` checks
+/// whether the split was already reported complete to the coordinator — a
+/// reader whose final ack died with a shared connection finishes that way
+/// and never reconnects; `*completed` signals that success to the caller.
+Status WaitForInbound(BlockingQueue<Inbound>* inbox, RetryPolicy* policy,
+                      const std::function<bool()>& acked_out_of_band,
+                      std::optional<Inbound>* out, bool* completed) {
+  for (;;) {
+    const auto slice = policy->NextDelay();
+    if (!slice.has_value()) {
+      return Status::Unavailable("timed out waiting for ML worker");
+    }
+    bool timed_out = false;
+    *out = inbox->PopFor(*slice, &timed_out);
+    if (!timed_out) return Status::OK();
+    if (acked_out_of_band != nullptr && acked_out_of_band()) {
+      *completed = true;
+      return Status::OK();
+    }
+  }
+}
+
 }  // namespace
 
 Result<StreamSinkOptions> StreamSinkOptions::FromArgs(
@@ -135,46 +201,77 @@ Result<SchemaPtr> SqlStreamSinkUdf::Bind(const SchemaPtr& input_schema,
   return SummarySchema();
 }
 
-Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
-                                          RowIterator* input,
-                                          RowSink* output) {
-  // Per-partition root of the SQL side of the trace. Every frame this
-  // worker sends (registration, schema, data) carries a descendant of this
-  // span, so the coordinator and the ML reader join the same trace.
-  TraceSpan partition_span("sink.partition");
-  partition_span.AddAttribute("worker", context.worker_id);
-  const TraceContext partition_ctx = partition_span.context();
+/// One SQL worker's transfer: Start registers and starts a sender thread
+/// per frame log, Consume batches rows into the logs on the worker thread,
+/// Finish settles the transfer and pushes the summary row. Destroyed
+/// without Finish, it aborts the transfer.
+class SqlStreamSinkUdf::Partition final : public TableUdfPartition {
+ public:
+  Partition(const SqlStreamSinkUdf* udf, const TableUdfContext& context)
+      : udf_(udf), context_(context) {
+    partition_span_.AddAttribute("worker", context.worker_id);
+  }
+  ~Partition() override;
+  Partition(const Partition&) = delete;
+  Partition& operator=(const Partition&) = delete;
 
+  /// Steps 1 and 7 of §3 and the start of step 8.
+  Status Start();
+  Status Consume(Row row, RowSink* output) override;
+  Status Finish(RowSink* output) override;
+
+ private:
+  /// One sender thread: serves target j's log to its (re)connecting reader.
+  void RunSender(int j);
+  /// Appends target j's batch to its log as one frame; a failed Append
+  /// ends the transfer.
+  Status Flush(size_t j);
+  /// Wakes every parked sender (lease revoked, query cancelled, partition
+  /// abandoned): cancels the logs, closes the inboxes, shuts the channels.
+  void Unwind(const Status& why);
+  /// Ends the transfer after the producer stopped with `produce_status`
+  /// (from an Append on `target`'s log, if it failed): closes or cancels
+  /// the logs, joins the senders, and broadcasts a failure's abort.
+  Status Settle(Status produce_status, size_t target);
+
+  const SqlStreamSinkUdf* udf_;
+  const TableUdfContext context_;
+  // Per-partition root of the SQL side of the trace, under the ambient
+  // (transfer) context on whichever thread opens it. Every frame this worker
+  // sends carries a descendant, so coordinator and reader join the trace.
+  TraceSpan partition_span_{"sink.partition",
+                            Tracer::Global().ambient_context()};
+  std::shared_ptr<RouterState> router_;  ///< Set once routing is registered.
+  uint64_t sink_key_ = 0;
+  std::vector<std::shared_ptr<BlockingQueue<Inbound>>> inboxes_;
+  std::vector<std::unique_ptr<FrameLog>> logs_;
+  ActiveChannels active_channels_;
+  // After the logs, inboxes and channels its revocation callback unwinds,
+  // so it stops before they die. Set once Start succeeded.
+  std::optional<HeartbeatSender> heartbeat_;
+  int64_t cancel_id_ = 0;
+  std::atomic<int64_t> channels_served_{0};
+  std::vector<Status> sender_status_;
+  std::vector<std::thread> senders_;  ///< After all they use.
+  std::vector<RowBatchEncoder> batchers_;
+  size_t next_target_ = 0;
+  int64_t rows_sent_ = 0;
+  int64_t bytes_sent_ = 0;
+  bool settled_ = false;
+};
+
+Status SqlStreamSinkUdf::Partition::Start() {
   // --- Step 1: register with the coordinator. ---
   //
   // Every partition in the process shares ONE listener (the MuxSinkServer)
   // and readers multiplex channels over the pooled connections to it; the
   // registration advertises this partition's routing key.
-  struct Inbound {
-    std::shared_ptr<MuxChannel> channel;
-    int64_t resume_seq = -1;  ///< From HELLO: -1 = "sink decides".
-    int split_id = -1;        ///< From HELLO: the split this channel serves.
-  };
-  /// State shared with the MuxSinkServer handler, which can fire on a
-  /// connection's demux thread even as this transfer tears down — so it
-  /// owns the inboxes jointly and checks `closed` under the lock.
-  struct RouterState {
-    std::mutex mu;
-    bool closed = false;
-    int k = 0;  ///< 0 until registration tells us the fan-in.
-    std::vector<std::shared_ptr<BlockingQueue<Inbound>>> inboxes;
-    /// Channels that opened before registration told us `k`, parked here
-    /// so a reader racing the registration ack is not rejected outright
-    /// (it may not retry).
-    std::vector<std::pair<std::shared_ptr<MuxChannel>, OpenChannelMessage>>
-        pending;
-  };
-
   ASSIGN_OR_RETURN(const int data_port,
                    MuxSinkServer::Global().EnsureStarted());
-  auto router = std::make_shared<RouterState>();
-  const uint64_t sink_key = MuxSinkServer::Global().Register(
-      [router](std::shared_ptr<MuxChannel> channel,
+  // From here on the destructor unwinds the routing.
+  router_ = std::make_shared<RouterState>();
+  sink_key_ = MuxSinkServer::Global().Register(
+      [router = router_](std::shared_ptr<MuxChannel> channel,
                const OpenChannelMessage& msg) {
         // Demux-thread context: route without blocking.
         std::shared_ptr<BlockingQueue<Inbound>> inbox;
@@ -203,35 +300,20 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
         (void)inbox->TryPush(Inbound{std::move(channel), msg.hello.resume_seq,
                                      msg.hello.split_id});
       });
-  // Always unwind the routing on exit: stop taking channels, reject the
-  // parked ones, and wake senders waiting on an inbox.
-  struct RouterGuard {
-    std::shared_ptr<RouterState> router;
-    uint64_t sink_key;
-    ~RouterGuard() {
-      MuxSinkServer::Global().Unregister(sink_key);
-      std::lock_guard<std::mutex> lock(router->mu);
-      router->closed = true;
-      for (auto& [channel, msg] : router->pending) {
-        channel->Shutdown(Status::Unavailable("sink not serving"));
-      }
-      router->pending.clear();
-      for (auto& inbox : router->inboxes) inbox->Close();
-    }
-  } router_guard{router, sink_key};
 
   const std::string my_host =
-      context.cluster != nullptr ? context.cluster->HostName(context.worker_id)
-                                 : "localhost";
+      context_.cluster != nullptr
+          ? context_.cluster->HostName(context_.worker_id)
+          : "localhost";
 
   RegisterSqlMessage registration;
-  registration.worker_id = context.worker_id;
-  registration.num_workers = context.num_workers;
+  registration.worker_id = context_.worker_id;
+  registration.num_workers = context_.num_workers;
   registration.host = my_host;
   registration.port = data_port;
-  registration.command = command_;
-  registration.schema = input_schema_;
-  registration.sink_key = sink_key;
+  registration.command = udf_->command_;
+  registration.schema = udf_->input_schema_;
+  registration.sink_key = sink_key_;
   int k = 1;
   {
     TraceSpan register_span("sink.register");
@@ -239,15 +321,15 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
     // (dropped control connections, injected faults) are retried with
     // backoff rather than restarting the whole SQL task.
     RetryPolicy::Options retry_options;
-    retry_options.deadline_ms = options_.reconnect_timeout_ms;
-    retry_options.seed = static_cast<uint64_t>(context.worker_id);
+    retry_options.deadline_ms = udf_->options_.reconnect_timeout_ms;
+    retry_options.seed = static_cast<uint64_t>(context_.worker_id);
     RetryPolicy retry(retry_options);
     Result<int> splits_per_worker = retry.Run([&]() -> Result<int> {
       if (SQLINK_FAILPOINT("stream.sink.register") != FailpointOutcome::kNone) {
         return Status::NetworkError("failpoint: injected registration error");
       }
-      ASSIGN_OR_RETURN(TcpSocket control,
-                       TcpConnect(coordinator_host_, coordinator_port_));
+      ASSIGN_OR_RETURN(TcpSocket control, TcpConnect(udf_->coordinator_host_,
+                                                     udf_->coordinator_port_));
       RETURN_IF_ERROR(SendFrame(&control, FrameType::kRegisterSql,
                                 registration.Encode()));
       ASSIGN_OR_RETURN(Frame ack, RecvFrame(&control));
@@ -267,344 +349,320 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
   // id (slot = split_id mod k within this worker's group). Reconnects and
   // §6 replacement readers arrive the same way, through the handler
   // registered above. ---
-  std::vector<std::shared_ptr<BlockingQueue<Inbound>>> inboxes;
   for (int j = 0; j < k; ++j) {
-    inboxes.push_back(std::make_shared<BlockingQueue<Inbound>>(4));
+    inboxes_.push_back(std::make_shared<BlockingQueue<Inbound>>(4));
   }
   {
-    std::lock_guard<std::mutex> lock(router->mu);
-    router->k = k;
-    router->inboxes = inboxes;
+    std::lock_guard<std::mutex> lock(router_->mu);
+    router_->k = k;
+    router_->inboxes = inboxes_;
     // Drain channels that beat the registration ack here. A full inbox
     // drops the parked Inbound just as the live-route path would.
-    for (auto& [channel, msg] : router->pending) {
+    for (auto& [channel, msg] : router_->pending) {
       const int slot = msg.hello.split_id % k;
-      (void)inboxes[static_cast<size_t>(slot)]->TryPush(
+      (void)inboxes_[static_cast<size_t>(slot)]->TryPush(
           Inbound{std::move(channel), msg.hello.resume_seq,
                   msg.hello.split_id});
     }
-    router->pending.clear();
+    router_->pending.clear();
   }
-
-  // Waits for a data connection on `inbox`, pacing the poll with a backoff
-  // policy so the total wait across reconnect attempts is deadline-capped
-  // rather than one fixed-length block per attempt. Leaves `out` empty when
-  // the inbox closes (shutdown). Between slices, `acked_out_of_band` checks
-  // whether the split was already reported complete to the coordinator — a
-  // reader whose final ack died with a shared connection finishes that way
-  // and never reconnects; `*completed` signals that success to the caller.
-  auto wait_for_inbound = [](BlockingQueue<Inbound>* inbox,
-                             RetryPolicy* policy,
-                             const std::function<bool()>& acked_out_of_band,
-                             std::optional<Inbound>* out,
-                             bool* completed) -> Status {
-    for (;;) {
-      const auto slice = policy->NextDelay();
-      if (!slice.has_value()) {
-        return Status::Unavailable("timed out waiting for ML worker");
-      }
-      bool timed_out = false;
-      *out = inbox->PopFor(*slice, &timed_out);
-      if (!timed_out) return Status::OK();
-      if (acked_out_of_band != nullptr && acked_out_of_band()) {
-        *completed = true;
-        return Status::OK();
-      }
-    }
-  };
-  RetryPolicy::Options inbound_wait_options;
-  inbound_wait_options.deadline_ms = options_.reconnect_timeout_ms;
-  inbound_wait_options.jitter = 0.0;
-
-  const std::string scratch_dir =
-      context.cluster != nullptr
-          ? context.cluster->NodeLocalDir(context.worker_id)
-          : "/tmp";
-  int64_t rows_sent = 0;
-  int64_t bytes_sent = 0;
-  int64_t spilled_frames = 0;
 
   // --- Step 8: round-robin rows into per-target frame logs while sender
   // threads send them onto the channels. A log keeps each sent frame until
   // the reader's cumulative ack trims it. ---
-  std::vector<std::unique_ptr<FrameLog>> logs;
+  const std::string scratch_dir =
+      context_.cluster != nullptr
+          ? context_.cluster->NodeLocalDir(context_.worker_id)
+          : "/tmp";
   for (int j = 0; j < k; ++j) {
     FrameLog::Options log_options;
-    log_options.send_buffer_bytes = options_.send_buffer_bytes;
-    log_options.replay_window_bytes = options_.replay_window_bytes;
-    log_options.spill_enabled = options_.spill_enabled;
+    log_options.send_buffer_bytes = udf_->options_.send_buffer_bytes;
+    log_options.replay_window_bytes = udf_->options_.replay_window_bytes;
+    log_options.spill_enabled = udf_->options_.spill_enabled;
     // The query id keeps scratch paths distinct when several queries run
     // concurrently on one engine — without it, two pipelines truncate and
     // delete each other's spill files.
     log_options.spill_path = scratch_dir + "/stream_spill_q" +
-                             std::to_string(context.query_id) + "_w" +
-                             std::to_string(context.worker_id) + "_t" +
+                             std::to_string(context_.query_id) + "_w" +
+                             std::to_string(context_.worker_id) + "_t" +
                              std::to_string(j);
     // Per-query spill quota (serving layer): when exhausted, Append
     // degrades to backpressure instead of growing the shared spill directory.
-    log_options.spill_budget = context.spill_budget;
-    logs.push_back(std::make_unique<FrameLog>(log_options));
+    log_options.spill_budget = context_.spill_budget;
+    logs_.push_back(std::make_unique<FrameLog>(log_options));
   }
-
-  // Channels the senders are actively serving, so an abort can shut each
-  // LOGICAL channel down — waking a sender parked on flow-control credit or
-  // a blocking ack wait — without ever touching the shared mux socket the
-  // channel rides on (other queries keep flowing).
-  struct ActiveChannels {
-    std::mutex mu;
-    std::vector<std::shared_ptr<MuxChannel>> by_target;
-    void Set(size_t j, std::shared_ptr<MuxChannel> channel) {
-      std::lock_guard<std::mutex> lock(mu);
-      by_target[j] = std::move(channel);
-    }
-    void ShutdownAll(const Status& status) {
-      std::lock_guard<std::mutex> lock(mu);
-      for (auto& channel : by_target) {
-        if (channel != nullptr) channel->Shutdown(status);
-      }
-    }
-  } active_channels;
-  active_channels.by_target.resize(static_cast<size_t>(k));
+  active_channels_.by_target.resize(static_cast<size_t>(k));
 
   // Sink lease: one heartbeat per SQL worker. Revocation means the
-  // coordinator aborted the query (or fenced this sink) — cancel the frame
-  // logs so producer and senders unwind promptly with a typed status.
+  // coordinator aborted the query (or fenced this sink) — unwind so
+  // producer and senders stop promptly with a typed status. A sender
+  // parked waiting for a (re)connect must wake too: an aborted query has
+  // no replacement reader coming, so sleeping out the full reconnect
+  // window would stall the drain.
   HeartbeatSender::Options beat_options;
-  beat_options.coordinator_host = coordinator_host_;
-  beat_options.coordinator_port = coordinator_port_;
-  beat_options.interval_ms = options_.heartbeat_ms;
+  beat_options.coordinator_host = udf_->coordinator_host_;
+  beat_options.coordinator_port = udf_->coordinator_port_;
+  beat_options.interval_ms = udf_->options_.heartbeat_ms;
   beat_options.role = HeartbeatMessage::kSink;
-  beat_options.id = context.worker_id;
-  beat_options.on_revoked = [&logs, &inboxes, &active_channels] {
-    for (auto& log : logs) log->Cancel();
-    // A sender parked waiting for a (re)connect must wake too: an aborted
-    // query has no replacement reader coming, so sleeping out the full
-    // reconnect window would stall the drain.
-    for (auto& inbox : inboxes) inbox->Close();
-    active_channels.ShutdownAll(Status::Aborted("sink lease revoked"));
+  beat_options.id = context_.worker_id;
+  beat_options.on_revoked = [this] {
+    Unwind(Status::Aborted("sink lease revoked"));
   };
-  HeartbeatSender heartbeat(beat_options);
-  heartbeat.Start();
+  heartbeat_.emplace(beat_options);
+  heartbeat_->Start();
 
   // Per-query cancellation (client disconnect, deadline): same unwind as a
-  // lease revocation — cancel the logs, wake parked senders. The guard is
-  // declared after the logs so its destructor removes the callback (and
-  // waits out any in-flight cancel pass) BEFORE the logs are destroyed.
-  struct CancelGuard {
-    Cancellation* cancellation;
-    int64_t id = 0;
-    ~CancelGuard() {
-      if (cancellation != nullptr) cancellation->RemoveCallback(id);
-    }
-  } cancel_guard{context.cancellation};
-  if (context.cancellation != nullptr) {
-    cancel_guard.id =
-        context.cancellation->OnCancel([&logs, &inboxes, &active_channels] {
-          for (auto& log : logs) log->Cancel();
-          for (auto& inbox : inboxes) inbox->Close();
-          active_channels.ShutdownAll(Status::Cancelled("query cancelled"));
-        });
+  // lease revocation. The destructor removes the callback (and waits out
+  // any in-flight cancel pass) before the logs are destroyed.
+  if (context_.cancellation != nullptr) {
+    cancel_id_ = context_.cancellation->OnCancel(
+        [this] { Unwind(Status::Cancelled("query cancelled")); });
   }
 
+  sender_status_.resize(static_cast<size_t>(k));
+  batchers_.resize(static_cast<size_t>(k));
+  for (int j = 0; j < k; ++j) {
+    senders_.emplace_back([this, j] { RunSender(j); });
+  }
+  return Status::OK();
+}
+
+void SqlStreamSinkUdf::Partition::RunSender(int j) {
   static Counter* const replayed_counter =
       MetricsRegistry::Global().GetCounter("transfer.frames_replayed");
+  // The sender runs on its own thread, so it parents to the partition
+  // span explicitly; frames it sends inherit this span's context.
+  TraceSpan send_span("sink.send", partition_span_.context());
+  send_span.AddAttribute("target", j);
+  FrameLog* log = logs_[static_cast<size_t>(j)].get();
+  const StreamSinkOptions& options = udf_->options_;
 
-  std::atomic<int64_t> channels_served{0};
-  std::vector<std::thread> senders;
-  std::vector<Status> sender_status(static_cast<size_t>(k));
-  for (int j = 0; j < k; ++j) {
-    senders.emplace_back([&, j] {
-      // The sender runs on its own thread, so it parents to the partition
-      // span explicitly; frames it sends inherit this span's context.
-      TraceSpan send_span("sink.send", partition_ctx);
-      send_span.AddAttribute("target", j);
-      FrameLog* log = logs[static_cast<size_t>(j)].get();
+  // A reader that applied the whole stream can lose its final ack to a
+  // dying shared connection: it reports kCompleteSplit to the
+  // coordinator and never reconnects. Track the split this sender
+  // serves so the reconnect wait can poll that out-of-band signal.
+  int served_split = -1;
+  auto split_completed = [&]() -> bool {
+    if (served_split < 0) return false;
+    auto control = TcpConnect(udf_->coordinator_host_, udf_->coordinator_port_);
+    if (!control.ok()) return false;
+    std::string payload;
+    PutVarint64(&payload, static_cast<uint64_t>(served_split));
+    if (!SendFrame(&*control, FrameType::kSplitStatus, payload).ok()) {
+      return false;
+    }
+    auto reply = RecvFrame(&*control);
+    if (!reply.ok() || reply->type != FrameType::kAck) return false;
+    Decoder decoder(reply->payload);
+    auto done = decoder.GetVarint64();
+    return done.ok() && *done == 1;
+  };
 
-      // A reader that applied the whole stream can lose its final ack to a
-      // dying shared connection: it reports kCompleteSplit to the
-      // coordinator and never reconnects. Track the split this sender
-      // serves so the reconnect wait can poll that out-of-band signal.
-      int served_split = -1;
-      auto split_completed = [&]() -> bool {
-        if (served_split < 0) return false;
-        auto control = TcpConnect(coordinator_host_, coordinator_port_);
-        if (!control.ok()) return false;
-        std::string payload;
-        PutVarint64(&payload, static_cast<uint64_t>(served_split));
-        if (!SendFrame(&*control, FrameType::kSplitStatus, payload).ok()) {
-          return false;
-        }
-        auto reply = RecvFrame(&*control);
-        if (!reply.ok() || reply->type != FrameType::kAck) return false;
-        Decoder decoder(reply->payload);
-        auto done = decoder.GetVarint64();
-        return done.ok() && *done == 1;
-      };
+  // Serves one (re)connection: answer HELLO with the resume point, then
+  // send the log from there on — the unacked suffix first, then live
+  // frames — until the log is drained and the reader's final ack lands.
+  auto serve = [&](const Inbound& conn) -> Status {
+    MuxChannel* channel = conn.channel.get();
+    if (conn.split_id >= 0) served_split = conn.split_id;
+    Frame ack;  ///< Scratch reused across ack drains.
+    channels_served_.fetch_add(1, std::memory_order_relaxed);
+    // Publish the channel so an abort can wake this sender even while
+    // it is parked inside a credit wait or the final-ack wait; clear it
+    // on every exit path before the Inbound (and channel) dies.
+    active_channels_.Set(static_cast<size_t>(j), conn.channel);
+    struct ActiveGuard {
+      ActiveChannels* active;
+      size_t j;
+      ~ActiveGuard() { active->Set(j, nullptr); }
+    } active_guard{&active_channels_, static_cast<size_t>(j)};
 
-      // Serves one (re)connection: answer HELLO with the resume point, then
-      // send the log from there on — the unacked suffix first, then live
-      // frames — until the log is drained and the reader's final ack lands.
-      auto serve = [&](const Inbound& conn) -> Status {
-        MuxChannel* channel = conn.channel.get();
-        if (conn.split_id >= 0) served_split = conn.split_id;
-        Frame ack;  ///< Scratch reused across ack drains.
-        channels_served.fetch_add(1, std::memory_order_relaxed);
-        // Publish the channel so an abort can wake this sender even while
-        // it is parked inside a credit wait or the final-ack wait; clear it
-        // on every exit path before the Inbound (and channel) dies.
-        active_channels.Set(static_cast<size_t>(j), conn.channel);
-        struct ActiveGuard {
-          ActiveChannels* active;
-          size_t j;
-          ~ActiveGuard() { active->Set(j, nullptr); }
-        } active_guard{&active_channels, static_cast<size_t>(j)};
+    // The log forgets acked frames, and a reader can't skip frames it
+    // never received: resume lands in [acked, sent].
+    const uint64_t resume = log->Rewind(
+        conn.resume_seq < 0 ? 0 : static_cast<uint64_t>(conn.resume_seq));
+    ASSIGN_OR_RETURN(uint64_t resume_rows, log->RowsThrough(resume));
+    ResumeMessage resume_msg;
+    resume_msg.resume_seq = resume;
+    resume_msg.resume_rows = resume_rows;
+    RETURN_IF_ERROR(channel->Send(FrameType::kResume, resume_msg.Encode(), 0));
 
-        // The log forgets acked frames, and a reader can't skip frames it
-        // never received: resume lands in [acked, sent].
-        const uint64_t resume = log->Rewind(
-            conn.resume_seq < 0 ? 0 : static_cast<uint64_t>(conn.resume_seq));
-        ASSIGN_OR_RETURN(uint64_t resume_rows, log->RowsThrough(resume));
-        ResumeMessage resume_msg;
-        resume_msg.resume_seq = resume;
-        resume_msg.resume_rows = resume_rows;
-        RETURN_IF_ERROR(
-            channel->Send(FrameType::kResume, resume_msg.Encode(), 0));
+    std::string schema_payload;
+    EncodeSchema(*udf_->input_schema_, &schema_payload);
+    RETURN_IF_ERROR(channel->Send(FrameType::kSchema, schema_payload, 0));
 
-        std::string schema_payload;
-        EncodeSchema(*input_schema_, &schema_payload);
-        RETURN_IF_ERROR(channel->Send(FrameType::kSchema, schema_payload, 0));
+    // A frame stays in the log until acked, so one that dies on the
+    // wire is sent again from the next connection's resume point.
+    for (;;) {
+      RETURN_IF_ERROR(DrainAcks(channel, log, /*final_ack=*/false, &ack));
+      ASSIGN_OR_RETURN(std::optional<FrameLog::Read> read, log->Next());
+      if (!read.has_value()) break;
+      if (read->replay) replayed_counter->Increment();
+      RETURN_IF_ERROR(channel->Send(FrameType::kData, read->frame, read->seq));
+    }
 
-        // A frame stays in the log until acked, so one that dies on the
-        // wire is sent again from the next connection's resume point.
-        for (;;) {
-          RETURN_IF_ERROR(DrainAcks(channel, log, /*final_ack=*/false, &ack));
-          ASSIGN_OR_RETURN(std::optional<FrameLog::Read> read, log->Next());
-          if (!read.has_value()) break;
-          if (read->replay) replayed_counter->Increment();
-          RETURN_IF_ERROR(
-              channel->Send(FrameType::kData, read->frame, read->seq));
-        }
+    // kEnd carries the last data sequence so the reader can detect a
+    // gap, and the channel's total row count for validation.
+    const uint64_t last_seq = log->state().produced;
+    ASSIGN_OR_RETURN(uint64_t total_rows, log->RowsThrough(last_seq));
+    std::string end_payload;
+    PutVarint64(&end_payload, total_rows);
+    RETURN_IF_ERROR(channel->Send(FrameType::kEnd, end_payload, last_seq));
+    return DrainAcks(channel, log, /*final_ack=*/true, &ack);
+  };
 
-        // kEnd carries the last data sequence so the reader can detect a
-        // gap, and the channel's total row count for validation.
-        const uint64_t last_seq = log->state().produced;
-        ASSIGN_OR_RETURN(uint64_t total_rows, log->RowsThrough(last_seq));
-        std::string end_payload;
-        PutVarint64(&end_payload, total_rows);
-        RETURN_IF_ERROR(channel->Send(FrameType::kEnd, end_payload, last_seq));
-        return DrainAcks(channel, log, /*final_ack=*/true, &ack);
-      };
-
-      auto run = [&]() -> Status {
-        // Bounded wait shared across every (re)connect: a dead ML job
-        // becomes an error, not a hang.
-        RetryPolicy wait_policy(inbound_wait_options);
-        Status status = Status::Cancelled("no ML worker connected");
-        for (;;) {
-          std::optional<Inbound> conn;
-          bool acked_via_coordinator = false;
-          RETURN_IF_ERROR(wait_for_inbound(
-              inboxes[static_cast<size_t>(j)].get(), &wait_policy,
-              split_completed, &conn, &acked_via_coordinator));
-          if (acked_via_coordinator) return Status::OK();
-          if (!conn.has_value()) {
-            return Status::Cancelled("no ML worker connected");
-          }
-          // An abort can race an inbound into the queue; serving it would
-          // stream rows for a query that is already dead, retrying past
-          // the transfer's end instead of honoring its deadline.
-          if (heartbeat.revoked()) return heartbeat.status();
-          if (context.cancellation != nullptr &&
-              context.cancellation->cancelled()) {
-            return context.cancellation->status();
-          }
-          status = serve(*conn);
-          if (status.ok()) return status;
-          if (heartbeat.revoked()) return heartbeat.status();
-          if (!options_.resilient || !RetryPolicy::IsTransient(status)) {
-            return status;
-          }
-          LOG_WARNING() << "stream sink worker " << context.worker_id
-                        << " target " << j
-                        << " transfer failed, awaiting reconnect: " << status;
-        }
-      };
-      Status status = run();
-      if (heartbeat.revoked()) status = heartbeat.status();
-      sender_status[static_cast<size_t>(j)] = status;
-      if (!status.ok()) {
-        send_span.SetError();
-        // Unblock the producer so the SQL side fails fast instead of
-        // filling a log nobody drains.
-        log->Cancel();
+  auto run = [&]() -> Status {
+    // Bounded wait shared across every (re)connect: a dead ML job
+    // becomes an error, not a hang.
+    RetryPolicy::Options wait_options;
+    wait_options.deadline_ms = options.reconnect_timeout_ms;
+    wait_options.jitter = 0.0;
+    RetryPolicy wait_policy(wait_options);
+    for (;;) {
+      std::optional<Inbound> conn;
+      bool acked_via_coordinator = false;
+      RETURN_IF_ERROR(WaitForInbound(inboxes_[static_cast<size_t>(j)].get(),
+                                     &wait_policy, split_completed, &conn,
+                                     &acked_via_coordinator));
+      if (acked_via_coordinator) return Status::OK();
+      if (!conn.has_value()) {
+        return Status::Cancelled("no ML worker connected");
       }
-    });
+      // An abort can race an inbound into the queue; serving it would
+      // stream rows for a query that is already dead, retrying past
+      // the transfer's end instead of honoring its deadline.
+      if (heartbeat_->revoked()) return heartbeat_->status();
+      if (context_.cancellation != nullptr &&
+          context_.cancellation->cancelled()) {
+        return context_.cancellation->status();
+      }
+      const Status status = serve(*conn);
+      if (status.ok()) return status;
+      if (heartbeat_->revoked()) return heartbeat_->status();
+      if (!options.resilient || !RetryPolicy::IsTransient(status)) {
+        return status;
+      }
+      LOG_WARNING() << "stream sink worker " << context_.worker_id
+                    << " target " << j
+                    << " transfer failed, awaiting reconnect: " << status;
+    }
+  };
+  Status status = run();
+  if (heartbeat_->revoked()) status = heartbeat_->status();
+  sender_status_[static_cast<size_t>(j)] = status;
+  if (!status.ok()) {
+    send_span.SetError();
+    // Unblock the producer so the SQL side fails fast instead of
+    // filling a log nobody drains.
+    log->Cancel();
   }
+}
 
+Status SqlStreamSinkUdf::Partition::Flush(size_t j) {
+  const uint64_t rows = batchers_[j].rows();
+  std::string frame = FrameBufferPool::Global()->Acquire();
+  batchers_[j].Flush(&frame);
+  bytes_sent_ += static_cast<int64_t>(frame.size());
+  const Status appended = logs_[j]->Append(std::move(frame), rows);
+  return appended.ok() ? appended : Settle(appended, j);
+}
+
+Status SqlStreamSinkUdf::Partition::Consume(Row row, RowSink*) {
   // Rows go round-robin, one at a time, into per-target row batches; a
   // batch becomes a frame once it crosses the send buffer size.
-  std::vector<RowBatchEncoder> batchers(static_cast<size_t>(k));
-  auto flush = [&](size_t j) -> Status {
-    const uint64_t rows = batchers[j].rows();
-    std::string frame = FrameBufferPool::Global()->Acquire();
-    batchers[j].Flush(&frame);
-    bytes_sent += static_cast<int64_t>(frame.size());
-    return logs[j]->Append(std::move(frame), rows);
-  };
-  Status produce_status;
-  size_t next_target = 0;
-  Row row;
-  for (;;) {
-    auto has = input->Next(&row);
-    if (!has.ok()) {
-      produce_status = has.status();
-      break;
-    }
-    if (!*has) break;
-    RowBatchEncoder& batch = batchers[next_target];
-    batch.Add(row);
-    ++rows_sent;
-    if (batch.bytes() >= options_.send_buffer_bytes) {
-      produce_status = flush(next_target);
-      if (!produce_status.ok()) break;
-    }
-    next_target = (next_target + 1) % static_cast<size_t>(k);
+  RowBatchEncoder& batch = batchers_[next_target_];
+  batch.Add(row);
+  ++rows_sent_;
+  if (batch.bytes() >= udf_->options_.send_buffer_bytes) {
+    RETURN_IF_ERROR(Flush(next_target_));
   }
-  for (size_t j = 0; j < batchers.size() && produce_status.ok(); ++j) {
-    if (!batchers[j].empty()) produce_status = flush(j);
+  next_target_ = (next_target_ + 1) % batchers_.size();
+  return Status::OK();
+}
+
+Status SqlStreamSinkUdf::Partition::Finish(RowSink* output) {
+  for (size_t j = 0; j < batchers_.size(); ++j) {
+    if (!batchers_[j].empty()) RETURN_IF_ERROR(Flush(j));
   }
-  for (auto& log : logs) {
+  RETURN_IF_ERROR(Settle(Status::OK(), 0));
+  int64_t spilled_frames = 0;
+  for (auto& log : logs_) spilled_frames += log->state().spilled_frames;
+
+  static Counter* const rows_counter =
+      MetricsRegistry::Global().GetCounter("stream.sink.rows_sent");
+  static Counter* const bytes_counter =
+      MetricsRegistry::Global().GetCounter("stream.sink.bytes_sent");
+  rows_counter->Add(rows_sent_);
+  bytes_counter->Add(bytes_sent_);
+  partition_span_.AddAttribute("rows_sent", rows_sent_);
+  partition_span_.AddAttribute("bytes_sent", bytes_sent_);
+  partition_span_.AddAttribute("spilled_frames", spilled_frames);
+  // Attribute the transfer to its owning query so the /queries ops endpoint
+  // shows live transfer progress next to the query's operator stats.
+  if (context_.query_id != 0) {
+    partition_span_.AddAttribute("query_id",
+                                 static_cast<int64_t>(context_.query_id));
+    if (QueryRecordPtr record =
+            QueryRegistry::Global().Find(context_.query_id)) {
+      record->transfer_rows.fetch_add(rows_sent_, std::memory_order_relaxed);
+      record->transfer_bytes.fetch_add(bytes_sent_, std::memory_order_relaxed);
+      record->transfer_spilled_frames.fetch_add(spilled_frames,
+                                                std::memory_order_relaxed);
+      record->transfer_channels.fetch_add(
+          channels_served_.load(std::memory_order_relaxed),
+          std::memory_order_relaxed);
+    }
+  }
+  return output->Push(Row{Value::Int64(context_.worker_id),
+                          Value::Int64(rows_sent_), Value::Int64(bytes_sent_),
+                          Value::Int64(spilled_frames)});
+}
+
+void SqlStreamSinkUdf::Partition::Unwind(const Status& why) {
+  for (auto& log : logs_) log->Cancel();
+  for (auto& inbox : inboxes_) inbox->Close();
+  active_channels_.ShutdownAll(why);
+}
+
+Status SqlStreamSinkUdf::Partition::Settle(Status produce_status,
+                                           size_t target) {
+  settled_ = true;
+  for (auto& log : logs_) {
     if (produce_status.ok()) {
       log->Close();
     } else {
       log->Cancel();
     }
   }
-  for (std::thread& sender : senders) sender.join();
-  for (auto& log : logs) spilled_frames += log->state().spilled_frames;
+  for (std::thread& sender : senders_) sender.join();
 
   Status transfer_status = produce_status;
+  if (transfer_status.IsCancelled() && !sender_status_[target].ok()) {
+    // The log's failed sender cancelled it, which is all the producer's
+    // Append saw: report the sender's own error.
+    transfer_status = sender_status_[target];
+  }
   if (transfer_status.ok()) {
-    for (const Status& status : sender_status) {
+    for (const Status& status : sender_status_) {
       if (!status.ok()) {
         transfer_status = status;
         break;
       }
     }
   }
-  if (heartbeat.revoked()) transfer_status = heartbeat.status();
-  if (!transfer_status.ok() && context.cancellation != nullptr &&
-      context.cancellation->cancelled()) {
+  if (heartbeat_->revoked()) transfer_status = heartbeat_->status();
+  if (!transfer_status.ok() && context_.cancellation != nullptr &&
+      context_.cancellation->cancelled()) {
     // Surface the typed cancellation status (kCancelled / deadline) instead
     // of the generic "frame log cancelled" the unwind produced.
-    transfer_status = context.cancellation->status();
+    transfer_status = context_.cancellation->status();
   }
   if (!transfer_status.ok()) {
     // The SQL side is done for: broadcast the abort so readers and the
     // runner drain promptly instead of waiting out lease TTLs.
-    heartbeat.Stop(HeartbeatMessage::kAlive);
-    if (options_.heartbeat_ms > 0 && !heartbeat.revoked()) {
-      auto control = TcpConnect(coordinator_host_, coordinator_port_);
+    heartbeat_->Stop(HeartbeatMessage::kAlive);
+    if (udf_->options_.heartbeat_ms > 0 && !heartbeat_->revoked()) {
+      auto control =
+          TcpConnect(udf_->coordinator_host_, udf_->coordinator_port_);
       if (control.ok()) {
         (void)SendFrame(&*control, FrameType::kAbortQuery,
                         EncodeStatus(transfer_status));
@@ -613,36 +671,41 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
     }
     return transfer_status;
   }
-  heartbeat.Stop(HeartbeatMessage::kCompleted);
+  heartbeat_->Stop(HeartbeatMessage::kCompleted);
+  return Status::OK();
+}
 
-  static Counter* const rows_counter =
-      MetricsRegistry::Global().GetCounter("stream.sink.rows_sent");
-  static Counter* const bytes_counter =
-      MetricsRegistry::Global().GetCounter("stream.sink.bytes_sent");
-  rows_counter->Add(rows_sent);
-  bytes_counter->Add(bytes_sent);
-  partition_span.AddAttribute("rows_sent", rows_sent);
-  partition_span.AddAttribute("bytes_sent", bytes_sent);
-  partition_span.AddAttribute("spilled_frames", spilled_frames);
-  // Attribute the transfer to its owning query so the /queries ops endpoint
-  // shows live transfer progress next to the query's operator stats.
-  if (context.query_id != 0) {
-    partition_span.AddAttribute("query_id",
-                                static_cast<int64_t>(context.query_id));
-    if (QueryRecordPtr record =
-            QueryRegistry::Global().Find(context.query_id)) {
-      record->transfer_rows.fetch_add(rows_sent, std::memory_order_relaxed);
-      record->transfer_bytes.fetch_add(bytes_sent, std::memory_order_relaxed);
-      record->transfer_spilled_frames.fetch_add(spilled_frames,
-                                                std::memory_order_relaxed);
-      record->transfer_channels.fetch_add(
-          channels_served.load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-    }
+SqlStreamSinkUdf::Partition::~Partition() {
+  if (heartbeat_.has_value() && !settled_) {
+    // Finish never ran: an upstream error, a cancellation or a LIMIT
+    // stopped the worker. Wake every parked sender and abort the transfer;
+    // a cancelled query's abort carries its cancellation status.
+    const Status stopped = Status::Aborted("SQL worker stopped early");
+    Unwind(stopped);
+    (void)Settle(stopped, 0);
   }
-  return output->Push(Row{Value::Int64(context.worker_id),
-                          Value::Int64(rows_sent), Value::Int64(bytes_sent),
-                          Value::Int64(spilled_frames)});
+  if (heartbeat_.has_value() && context_.cancellation != nullptr) {
+    context_.cancellation->RemoveCallback(cancel_id_);
+  }
+  if (router_ != nullptr) {
+    // Unwind the routing: stop taking channels, reject the parked ones, and
+    // wake senders waiting on an inbox.
+    MuxSinkServer::Global().Unregister(sink_key_);
+    std::lock_guard<std::mutex> lock(router_->mu);
+    router_->closed = true;
+    for (auto& [channel, msg] : router_->pending) {
+      channel->Shutdown(Status::Unavailable("sink not serving"));
+    }
+    router_->pending.clear();
+    for (auto& inbox : router_->inboxes) inbox->Close();
+  }
+}
+
+Result<TableUdfPartitionPtr> SqlStreamSinkUdf::Open(
+    const TableUdfContext& context) {
+  auto partition = std::make_unique<Partition>(this, context);
+  RETURN_IF_ERROR(partition->Start());
+  return TableUdfPartitionPtr(std::move(partition));
 }
 
 Status RegisterStreamSinkUdf(SqlEngine* engine) {

@@ -58,13 +58,14 @@ class SqlStreamSinkUdf final : public TableUdf {
 
   Result<SchemaPtr> Bind(const SchemaPtr& input_schema,
                          const std::vector<Value>& args) override;
-  Status ProcessPartition(const TableUdfContext& context, RowIterator* input,
-                          RowSink* output) override;
+  Result<TableUdfPartitionPtr> Open(const TableUdfContext& context) override;
 
   /// Schema of the per-worker summary row.
   static SchemaPtr SummarySchema();
 
  private:
+  class Partition;
+
   std::string coordinator_host_;
   int coordinator_port_ = 0;
   std::string command_;

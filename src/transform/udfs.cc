@@ -40,29 +40,36 @@ Result<SchemaPtr> RecodeLocalDistinctUdf::Bind(const SchemaPtr& input_schema,
       {{"colname", DataType::kString}, {"colval", DataType::kString}});
 }
 
-Status RecodeLocalDistinctUdf::ProcessPartition(const TableUdfContext& context,
-                                                RowIterator* input,
-                                                RowSink* output) {
-  (void)context;
-  // One local scan computes the distinct values of *all* columns (§2.1).
-  // Each column's seen-set is an open-addressing StringDict: one hash and
-  // no node or string allocation per already-seen value.
-  std::vector<StringDict> seen(column_indices_.size());
-  Row row;
-  for (;;) {
-    ASSIGN_OR_RETURN(bool has, input->Next(&row));
-    if (!has) break;
-    for (size_t c = 0; c < column_indices_.size(); ++c) {
-      const Value& value = row[static_cast<size_t>(column_indices_[c])];
+// One local scan computes the distinct values of *all* columns (§2.1).
+// Each column's seen-set is an open-addressing StringDict: one hash and no
+// node or string allocation per already-seen value.
+class RecodeLocalDistinctUdf::Partition final : public TableUdfPartition {
+ public:
+  explicit Partition(const RecodeLocalDistinctUdf* udf)
+      : udf_(udf), seen_(udf->column_indices_.size()) {}
+
+  Status Consume(Row row, RowSink* output) override {
+    for (size_t c = 0; c < seen_.size(); ++c) {
+      const Value& value =
+          row[static_cast<size_t>(udf_->column_indices_[c])];
       if (value.is_null()) continue;
-      const int32_t before = seen[c].size();
-      if (seen[c].GetOrAdd(value.string_value()) == before) {
-        RETURN_IF_ERROR(output->Push(Row{Value::String(column_names_[c]),
-                                         value}));
+      const int32_t before = seen_[c].size();
+      if (seen_[c].GetOrAdd(value.string_value()) == before) {
+        RETURN_IF_ERROR(output->Push(
+            Row{Value::String(udf_->column_names_[c]), value}));
       }
     }
+    return Status::OK();
   }
-  return Status::OK();
+
+ private:
+  const RecodeLocalDistinctUdf* udf_;
+  std::vector<StringDict> seen_;
+};
+
+Result<TableUdfPartitionPtr> RecodeLocalDistinctUdf::Open(
+    const TableUdfContext&) {
+  return TableUdfPartitionPtr(new Partition(this));
 }
 
 // ---------------------------------------------------------------------------
@@ -84,18 +91,14 @@ Result<SchemaPtr> RecodeAssignUdf::Bind(const SchemaPtr& input_schema,
                        {"recodeval", DataType::kInt64}});
 }
 
-Status RecodeAssignUdf::ProcessPartition(const TableUdfContext& context,
-                                         RowIterator* input, RowSink* output) {
-  (void)context;
-  std::map<std::string, int64_t> counters;
-  bool counted = false;
-  Row row;
-  for (;;) {
-    ASSIGN_OR_RETURN(bool has, input->Next(&row));
-    if (!has) break;
-    if (!counted) {
-      counted = true;
-      if (workers_with_data_.fetch_add(1) > 0) {
+class RecodeAssignUdf::Partition final : public TableUdfPartition {
+ public:
+  explicit Partition(RecodeAssignUdf* udf) : udf_(udf) {}
+
+  Status Consume(Row row, RowSink* output) override {
+    if (!counted_) {
+      counted_ = true;
+      if (udf_->workers_with_data_.fetch_add(1) > 0) {
         return Status::FailedPrecondition(
             "recode_assign input must be gathered on one worker; add an "
             "ORDER BY to the distinct-values query");
@@ -104,11 +107,19 @@ Status RecodeAssignUdf::ProcessPartition(const TableUdfContext& context,
     if (row[0].is_null() || row[1].is_null()) {
       return Status::InvalidArgument("NULL in distinct-values input");
     }
-    const int64_t code = ++counters[row[0].string_value()];
-    RETURN_IF_ERROR(
-        output->Push(Row{row[0], row[1], Value::Int64(code)}));
+    const int64_t code = ++counters_[row[0].string_value()];
+    return output->Push(
+        Row{std::move(row[0]), std::move(row[1]), Value::Int64(code)});
   }
-  return Status::OK();
+
+ private:
+  RecodeAssignUdf* udf_;
+  std::map<std::string, int64_t> counters_;
+  bool counted_ = false;
+};
+
+Result<TableUdfPartitionPtr> RecodeAssignUdf::Open(const TableUdfContext&) {
+  return TableUdfPartitionPtr(new Partition(this));
 }
 
 // ---------------------------------------------------------------------------
@@ -165,24 +176,21 @@ Result<SchemaPtr> CodeApplyUdf::Bind(const SchemaPtr& input_schema,
   return Schema::Make(std::move(fields));
 }
 
-Status CodeApplyUdf::ProcessPartition(const TableUdfContext& context,
-                                      RowIterator* input, RowSink* output) {
-  (void)context;
-  const DataType generated_type = scheme_ == CodingScheme::kOrthogonal
-                                      ? DataType::kDouble
-                                      : DataType::kInt64;
-  Row row;
-  for (;;) {
-    ASSIGN_OR_RETURN(bool has, input->Next(&row));
-    if (!has) break;
+class CodeApplyUdf::Partition final : public TableUdfPartition {
+ public:
+  explicit Partition(const CodeApplyUdf* udf) : udf_(udf) {}
+
+  Status Consume(Row row, RowSink* output) override {
+    const bool doubles = udf_->scheme_ == CodingScheme::kOrthogonal;
     Row out;
     for (size_t i = 0; i < row.size(); ++i) {
-      const int coded_index = dispatch_[i];
+      const int coded_index = udf_->dispatch_[i];
       if (coded_index < 0) {
         out.push_back(std::move(row[i]));
         continue;
       }
-      const BoundColumn& bound = coded_[static_cast<size_t>(coded_index)];
+      const BoundColumn& bound =
+          udf_->coded_[static_cast<size_t>(coded_index)];
       if (!row[i].is_int64()) {
         return Status::InvalidArgument("coded column has non-integer value");
       }
@@ -193,14 +201,19 @@ Status CodeApplyUdf::ProcessPartition(const TableUdfContext& context,
             std::to_string(bound.cardinality) + "]");
       }
       for (double v : bound.matrix[static_cast<size_t>(level - 1)]) {
-        out.push_back(generated_type == DataType::kDouble
-                          ? Value::Double(v)
-                          : Value::Int64(static_cast<int64_t>(v)));
+        out.push_back(doubles ? Value::Double(v)
+                              : Value::Int64(static_cast<int64_t>(v)));
       }
     }
-    RETURN_IF_ERROR(output->Push(std::move(out)));
+    return output->Push(std::move(out));
   }
-  return Status::OK();
+
+ private:
+  const CodeApplyUdf* udf_;
+};
+
+Result<TableUdfPartitionPtr> CodeApplyUdf::Open(const TableUdfContext&) {
+  return TableUdfPartitionPtr(new Partition(this));
 }
 
 // ---------------------------------------------------------------------------

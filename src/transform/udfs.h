@@ -24,10 +24,11 @@ class RecodeLocalDistinctUdf final : public TableUdf {
  public:
   Result<SchemaPtr> Bind(const SchemaPtr& input_schema,
                          const std::vector<Value>& args) override;
-  Status ProcessPartition(const TableUdfContext& context, RowIterator* input,
-                          RowSink* output) override;
+  Result<TableUdfPartitionPtr> Open(const TableUdfContext& context) override;
 
  private:
+  class Partition;
+
   std::vector<int> column_indices_;
   std::vector<std::string> column_names_;
 };
@@ -44,10 +45,11 @@ class RecodeAssignUdf final : public TableUdf {
  public:
   Result<SchemaPtr> Bind(const SchemaPtr& input_schema,
                          const std::vector<Value>& args) override;
-  Status ProcessPartition(const TableUdfContext& context, RowIterator* input,
-                          RowSink* output) override;
+  Result<TableUdfPartitionPtr> Open(const TableUdfContext& context) override;
 
  private:
+  class Partition;
+
   std::atomic<int> workers_with_data_{0};
 };
 
@@ -63,10 +65,11 @@ class CodeApplyUdf final : public TableUdf {
 
   Result<SchemaPtr> Bind(const SchemaPtr& input_schema,
                          const std::vector<Value>& args) override;
-  Status ProcessPartition(const TableUdfContext& context, RowIterator* input,
-                          RowSink* output) override;
+  Result<TableUdfPartitionPtr> Open(const TableUdfContext& context) override;
 
  private:
+  class Partition;
+
   struct BoundColumn {
     int input_index = -1;
     int cardinality = 0;

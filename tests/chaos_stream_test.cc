@@ -289,5 +289,32 @@ TEST_F(ChaosStreamTest, SlowConsumerDelayCompletes) {
   EXPECT_GT(fault.fires(), 0);
 }
 
+TEST_F(ChaosStreamTest, FailedSenderReportsItsErrorNotTheCancelledLog) {
+  // A sender whose channel fails cancels its frame log, so the producer's
+  // next Append sees only "frame log cancelled". The sink must report the
+  // sender's own network error: a Cancelled status would mask it. Spill
+  // off and 256-byte frames keep the producer appending (400k rows) when
+  // the 4th data frame fails, and the transfer is not resilient.
+  auto schema = Schema::Make({{"id", DataType::kInt64},
+                              {"feature", DataType::kDouble}});
+  auto table = engine_->MakeTable("many_points", schema);
+  for (int64_t i = 0; i < 400000; ++i) {
+    table->AppendRow(static_cast<size_t>(i) % 4,
+                     Row{Value::Int64(i), Value::Double(0.5)});
+  }
+  ASSERT_TRUE(engine_->catalog()->RegisterTable(table).ok());
+  StreamTransferOptions options;
+  options.sink.spill_enabled = false;
+  options.sink.send_buffer_bytes = 256;
+  ScopedFailpoint fault("stream.wire.send_data", "after(3):error(1)");
+  ASSERT_TRUE(fault.status().ok()) << fault.status();
+  auto result = StreamingTransfer::Run(engine_.get(),
+                                       "SELECT * FROM many_points", options);
+  ASSERT_FALSE(result.ok()) << "a data frame failed on a plain transfer";
+  EXPECT_TRUE(result.status().IsNetworkError()) << result.status();
+  EXPECT_EQ(fault.fires(), 1);
+  EXPECT_EQ(CountSpillFiles(temp_->path()), 0);
+}
+
 }  // namespace
 }  // namespace sqlink

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -367,18 +369,23 @@ class PartitionCounterUdf final : public TableUdf {
         {{"worker", DataType::kInt64}, {"cnt", DataType::kInt64}});
   }
 
-  Status ProcessPartition(const TableUdfContext& context, RowIterator* input,
-                          RowSink* output) override {
-    int64_t count = 0;
-    Row row;
-    for (;;) {
-      auto has = input->Next(&row);
-      RETURN_IF_ERROR(has.status());
-      if (!*has) break;
-      ++count;
-    }
-    return output->Push(
-        Row{Value::Int64(context.worker_id), Value::Int64(count)});
+  Result<TableUdfPartitionPtr> Open(const TableUdfContext& context) override {
+    class Partition final : public TableUdfPartition {
+     public:
+      explicit Partition(int worker) : worker_(worker) {}
+      Status Consume(Row, RowSink*) override {
+        ++count_;
+        return Status::OK();
+      }
+      Status Finish(RowSink* output) override {
+        return output->Push(Row{Value::Int64(worker_), Value::Int64(count_)});
+      }
+
+     private:
+      int worker_;
+      int64_t count_ = 0;
+    };
+    return TableUdfPartitionPtr(new Partition(context.worker_id));
   }
 };
 
@@ -654,15 +661,20 @@ class CountingPassThroughUdf final : public TableUdf {
     return input_schema;
   }
 
-  Status ProcessPartition(const TableUdfContext&, RowIterator* input,
-                          RowSink* output) override {
-    Row row;
-    for (;;) {
-      ASSIGN_OR_RETURN(bool has, input->Next(&row));
-      if (!has) return Status::OK();
-      rows_read_->fetch_add(1);
-      RETURN_IF_ERROR(output->Push(row));
-    }
+  Result<TableUdfPartitionPtr> Open(const TableUdfContext&) override {
+    class Partition final : public TableUdfPartition {
+     public:
+      explicit Partition(std::atomic<int64_t>* rows_read)
+          : rows_read_(rows_read) {}
+      Status Consume(Row row, RowSink* output) override {
+        rows_read_->fetch_add(1);
+        return output->Push(std::move(row));
+      }
+
+     private:
+      std::atomic<int64_t>* rows_read_;
+    };
+    return TableUdfPartitionPtr(new Partition(rows_read_));
   }
 
  private:
@@ -686,6 +698,157 @@ TEST_F(SqlEngineTest, LimitOverTableUdfStopsItsInput) {
   EXPECT_EQ(rows.size(), 3u);
   EXPECT_GT(rows_read.load(), 0);
   EXPECT_LT(rows_read.load(), static_cast<int64_t>(kRows));
+}
+
+/// A table UDF that passes rows through, except on worker 1, whose first
+/// row makes it give up with a Cancelled status of its own.
+class GivesUpOnWorkerOneUdf final : public TableUdf {
+ public:
+  Result<SchemaPtr> Bind(const SchemaPtr& input_schema,
+                         const std::vector<Value>&) override {
+    if (input_schema == nullptr) {
+      return Status::InvalidArgument("needs an input relation");
+    }
+    return input_schema;
+  }
+
+  Result<TableUdfPartitionPtr> Open(const TableUdfContext& context) override {
+    class Partition final : public TableUdfPartition {
+     public:
+      explicit Partition(int worker) : worker_(worker) {}
+      Status Consume(Row row, RowSink* output) override {
+        if (worker_ == 1) return Status::Cancelled("udf gave up");
+        return output->Push(std::move(row));
+      }
+
+     private:
+      int worker_;
+    };
+    return TableUdfPartitionPtr(new Partition(context.worker_id));
+  }
+};
+
+/// A UDF's Cancelled status is an error like any other, not the end of its
+/// input: the query fails instead of returning without worker 1's rows.
+TEST_F(SqlEngineTest, TableUdfCancelledStatusFailsTheQuery) {
+  AddCountingTable("numbers", 64);
+  ASSERT_TRUE(engine_->table_udfs()
+                  ->Register("gives_up", [] {
+                    return std::make_shared<GivesUpOnWorkerOneUdf>();
+                  })
+                  .ok());
+  auto result = engine_->ExecuteSql("SELECT x FROM TABLE(gives_up(numbers))");
+  ASSERT_FALSE(result.ok()) << "the query dropped worker 1's rows";
+  EXPECT_TRUE(result.status().IsCancelled()) << result.status();
+  EXPECT_EQ(result.status().message(), "udf gave up");
+}
+
+/// Threads each partition of a recording UDF was called on, keyed by
+/// (UDF name, worker).
+struct UdfThreadLog {
+  std::mutex mu;
+  std::map<std::pair<std::string, int>, std::set<std::thread::id>> threads;
+
+  void Record(const std::string& udf, int worker) {
+    std::lock_guard<std::mutex> lock(mu);
+    threads[{udf, worker}].insert(std::this_thread::get_id());
+  }
+};
+
+/// A pass-through table UDF that logs the thread of its Open, every
+/// Consume and its Finish.
+class ThreadRecordingUdf final : public TableUdf {
+ public:
+  ThreadRecordingUdf(std::string name, UdfThreadLog* log)
+      : name_(std::move(name)), log_(log) {}
+
+  Result<SchemaPtr> Bind(const SchemaPtr& input_schema,
+                         const std::vector<Value>&) override {
+    if (input_schema == nullptr) {
+      return Status::InvalidArgument("needs an input relation");
+    }
+    return input_schema;
+  }
+
+  Result<TableUdfPartitionPtr> Open(const TableUdfContext& context) override {
+    class Partition final : public TableUdfPartition {
+     public:
+      Partition(const ThreadRecordingUdf* udf, int worker)
+          : udf_(udf), worker_(worker) {
+        udf_->log_->Record(udf_->name_, worker_);
+      }
+      Status Consume(Row row, RowSink* output) override {
+        udf_->log_->Record(udf_->name_, worker_);
+        return output->Push(std::move(row));
+      }
+      Status Finish(RowSink*) override {
+        udf_->log_->Record(udf_->name_, worker_);
+        return Status::OK();
+      }
+
+     private:
+      const ThreadRecordingUdf* udf_;
+      int worker_;
+    };
+    return TableUdfPartitionPtr(new Partition(this, context.worker_id));
+  }
+
+ private:
+  std::string name_;
+  UdfThreadLog* log_;
+};
+
+/// A chain of two UDFs runs on the SQL workers' own threads: one thread per
+/// worker for both UDFs, and each partition's calls all on its worker's.
+TEST_F(SqlEngineTest, ChainedTableUdfsRunOnTheWorkerThreads) {
+  constexpr size_t kRows = 3 * kSqlBatchRows + 5;
+  AddCountingTable("numbers", kRows);
+  UdfThreadLog log;
+  for (const char* name : {"record_inner", "record_outer"}) {
+    ASSERT_TRUE(engine_->table_udfs()
+                    ->Register(name,
+                               [name, &log] {
+                                 return std::make_shared<ThreadRecordingUdf>(
+                                     name, &log);
+                               })
+                    .ok());
+  }
+  auto rows = Run(
+      "SELECT x FROM TABLE(record_outer((SELECT * FROM "
+      "TABLE(record_inner(numbers)))))");
+  EXPECT_EQ(rows.size(), kRows);
+  ASSERT_EQ(log.threads.size(), 8u);  // 2 UDFs x 4 workers.
+  std::set<std::thread::id> all;
+  for (const auto& [partition, threads] : log.threads) {
+    EXPECT_EQ(threads.size(), 1u)
+        << partition.first << " worker " << partition.second;
+    all.insert(threads.begin(), threads.end());
+  }
+  EXPECT_EQ(all.size(), 4u);
+}
+
+/// Cancellation reaches a query while a table UDF is still reading its
+/// input: the UDF operator polls between its input's batches, so a UDF
+/// that emits only at the end of its partition does not run it out.
+TEST_F(SqlEngineTest, CancellationStopsATableUdfInsideItsInput) {
+  AddCountingTable("big", 100 * kSqlBatchRows);
+  ASSERT_TRUE(engine_->table_udfs()
+                  ->Register("count_at_end",
+                             [] { return std::make_shared<PartitionCounterUdf>(); })
+                  .ok());
+  ScopedFailpoint pace("sql.exec.batch", "delay(20)");
+  Cancellation cancellation;
+  QueryOptions options;
+  options.cancellation = &cancellation;
+  std::thread canceller([&cancellation] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    cancellation.Cancel(Status::Cancelled("udf query cancelled"));
+  });
+  auto result = engine_->ExecuteSql(
+      "SELECT * FROM TABLE(count_at_end(big))", "result", options);
+  canceller.join();
+  ASSERT_FALSE(result.ok()) << "the UDF read its whole input";
+  EXPECT_TRUE(result.status().IsCancelled()) << result.status();
 }
 
 TEST_F(SqlEngineTest, CatalogOperations) {

@@ -7,8 +7,8 @@
 // implementation: a nested-loop equi join, std::set DISTINCT, std::map
 // GROUP BY with its own aggregate rules, a stable sort and a limit. Nothing
 // here comes from the executor (no join hash table, aggregate state, group
-// table or shuffle), so a bug there cannot hide in both. Table UDFs are
-// Unimplemented.
+// table or shuffle), so a bug there cannot hide in both. A table UDF runs
+// through its push contract in a plain loop per partition.
 //
 // Double SUM and AVG depend on summation order, and results print at 17
 // digits. The oracle therefore follows the executor's partition contract
@@ -207,6 +207,39 @@ inline Result<Partitions> Aggregate(const PlanNode& agg) {
   return OnePartition(std::move(out));
 }
 
+/// Appends a UDF's output rows to one partition.
+struct PartitionSink final : RowSink {
+  explicit PartitionSink(std::vector<Row>* rows) : rows(rows) {}
+  Status Push(Row row) override {
+    rows->push_back(std::move(row));
+    return Status::OK();
+  }
+  std::vector<Row>* rows;
+};
+
+/// For each input partition p: Open with worker_id = p, Consume every row
+/// in order, then Finish; the rows form output partition p.
+inline Result<Partitions> ApplyTableUdf(const PlanNode& node) {
+  if (node.children.empty()) {
+    return Status::Unimplemented("oracle: source table UDFs");
+  }
+  ASSIGN_OR_RETURN(Partitions in, Run(node.children[0]));
+  Partitions out(in.size());
+  for (size_t p = 0; p < in.size(); ++p) {
+    TableUdfContext context;
+    context.worker_id = static_cast<int>(p);
+    context.num_workers = static_cast<int>(in.size());
+    context.metrics = &MetricsRegistry::Global();
+    ASSIGN_OR_RETURN(TableUdfPartitionPtr partition, node.udf->Open(context));
+    PartitionSink sink(&out[p]);
+    for (Row& row : in[p]) {
+      RETURN_IF_ERROR(partition->Consume(std::move(row), &sink));
+    }
+    RETURN_IF_ERROR(partition->Finish(&sink));
+  }
+  return out;
+}
+
 /// Evaluates `plan`, one output partition per partition of its input.
 inline Result<Partitions> Run(const PlanPtr& plan) {
   const PlanNode& node = *plan;
@@ -277,7 +310,7 @@ inline Result<Partitions> Run(const PlanPtr& plan) {
       return OnePartition(std::move(all));
     }
     case PlanKind::kTableUdf:
-      return Status::Unimplemented("oracle: table UDFs");
+      return ApplyTableUdf(node);
   }
   return Status::Internal("oracle: unknown plan kind");
 }
