@@ -42,6 +42,13 @@ void BM_Scan(benchmark::State& state) {
 }
 BENCHMARK(BM_Scan)->Unit(benchmark::kMillisecond);
 
+// Scan only: no column is read and one row comes back, so the cost of
+// handing out the table's chunks does not hide behind result boxing.
+void BM_CountStar(benchmark::State& state) {
+  RunQuery(state, "SELECT COUNT(*) FROM carts");
+}
+BENCHMARK(BM_CountStar)->Unit(benchmark::kMillisecond);
+
 void BM_FilterProject(benchmark::State& state) {
   RunQuery(state,
            "SELECT cartid, amount * 1.07 FROM carts WHERE amount > 250");
@@ -54,6 +61,15 @@ void BM_BroadcastJoin(benchmark::State& state) {
            "WHERE C.userid = U.userid");
 }
 BENCHMARK(BM_BroadcastJoin)->Unit(benchmark::kMillisecond);
+
+// The prep query's join and filter, counted: the build and the probe
+// without the cost of returning the joined rows.
+void BM_JoinCount(benchmark::State& state) {
+  RunQuery(state,
+           "SELECT COUNT(*) FROM carts C, users U "
+           "WHERE C.userid = U.userid AND U.country = 'USA'");
+}
+BENCHMARK(BM_JoinCount)->Unit(benchmark::kMillisecond);
 
 void BM_Distinct(benchmark::State& state) {
   RunQuery(state, "SELECT DISTINCT abandoned, year FROM carts");

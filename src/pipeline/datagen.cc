@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "common/random.h"
+#include "common/status_macros.h"
 #include "common/thread_pool.h"
 
 namespace sqlink {
@@ -29,17 +30,20 @@ Result<CartsWorkload> GenerateCartsWorkload(
   workload.carts = engine->MakeTable("carts", carts_schema);
 
   // Per-partition generation, deterministic per (seed, partition).
+  std::vector<Status> statuses(partitions);
   ParallelFor(partitions, [&](size_t p) {
     Random rng(options.seed * 1000003 + p);
     for (int64_t id = static_cast<int64_t>(p); id < options.num_users;
          id += static_cast<int64_t>(partitions)) {
-      workload.users->AppendRow(
+      statuses[p] = workload.users->AppendRow(
           p, Row{Value::Int64(id), Value::Int64(rng.UniformInt(16, 90)),
                  Value::String(rng.Bernoulli(0.52) ? "F" : "M"),
                  Value::String(rng.Bernoulli(options.usa_fraction) ? "USA"
                                                                    : "CA")});
+      if (!statuses[p].ok()) return;
     }
   });
+  for (const Status& status : statuses) RETURN_IF_ERROR(status);
   std::unique_ptr<ZipfDistribution> zipf;
   if (options.zipf_skew > 0) {
     zipf = std::make_unique<ZipfDistribution>(
@@ -56,13 +60,15 @@ Result<CartsWorkload> GenerateCartsWorkload(
       // Signal: expensive carts abandon more; round numbers less.
       const double p_abandon =
           options.abandon_rate + (amount > 250 ? 0.25 : -0.15);
-      workload.carts->AppendRow(
+      statuses[p] = workload.carts->AppendRow(
           p, Row{Value::Int64(id), Value::Int64(userid), Value::Double(amount),
                  Value::Int64(rng.UniformInt(1, 15)),
                  Value::Int64(rng.UniformInt(2013, 2015)),
                  Value::String(rng.Bernoulli(p_abandon) ? "Yes" : "No")});
+      if (!statuses[p].ok()) return;
     }
   });
+  for (const Status& status : statuses) RETURN_IF_ERROR(status);
 
   engine->catalog()->PutTable(workload.users);
   engine->catalog()->PutTable(workload.carts);

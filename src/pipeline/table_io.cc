@@ -22,11 +22,15 @@ Result<uint64_t> WriteTableToDfs(Dfs* dfs, const Table& table,
                       static_cast<int>(p) % dfs->cluster()->num_nodes()));
       CsvCodec codec;
       std::string buffer;
-      for (const Row& row : table.partition(p)) {
-        codec.AppendRow(row, &buffer);
-        if (buffer.size() >= 1 << 20) {
-          RETURN_IF_ERROR(writer->Append(buffer));
-          buffer.clear();
+      Row row;
+      for (const ColumnBatch& chunk : table.chunks(p)) {
+        for (size_t r = 0; r < chunk.num_rows(); ++r) {
+          chunk.EmitRow(r, &row);
+          codec.AppendRow(row, &buffer);
+          if (buffer.size() >= 1 << 20) {
+            RETURN_IF_ERROR(writer->Append(buffer));
+            buffer.clear();
+          }
         }
       }
       if (!buffer.empty()) RETURN_IF_ERROR(writer->Append(buffer));
@@ -62,7 +66,7 @@ Result<TablePtr> ReadTableFromDfs(const Dfs& dfs, const std::string& name,
       std::string line;
       while (lines.Next(&line)) {
         ASSIGN_OR_RETURN(Row row, codec.ParseRow(line, *schema));
-        table->AppendRow(i, std::move(row));
+        RETURN_IF_ERROR(table->AppendRow(i, row));
       }
       return lines.status();
     };

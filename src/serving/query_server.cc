@@ -20,6 +20,24 @@ namespace {
 
 constexpr int kWatchPollMs = 10;
 
+/// Largest request frame payload the server buffers. The longest SQL in the
+/// tree is under 1 KB; a header announcing more is refused as soon as it is
+/// in, instead of buffering what the peer sends until the announced length
+/// (up to 4 GiB) arrives.
+constexpr uint32_t kMaxRequestFrameBytes = 1 << 20;
+
+/// InvalidArgument once the header of the frame starting at `cursor` in
+/// `buffer` is in and announces more than kMaxRequestFrameBytes.
+Status CheckRequestFrameLength(std::string_view buffer, size_t cursor) {
+  if (buffer.size() - cursor < kFrameHeaderBytes) return Status::OK();
+  Decoder decoder(buffer.substr(cursor));
+  ASSIGN_OR_RETURN(uint32_t length, decoder.GetFixed32());
+  if (length <= kMaxRequestFrameBytes) return Status::OK();
+  return Status::InvalidArgument(
+      "request frame of " + std::to_string(length) + " bytes exceeds " +
+      std::to_string(kMaxRequestFrameBytes) + " bytes");
+}
+
 /// Receives one frame by polling, so the wait can be interrupted by server
 /// shutdown (RecvFrame would block in recv(2) with no way to wake it short
 /// of killing the socket). `timeout_ms <= 0` = wait forever.
@@ -34,6 +52,7 @@ Result<Frame> RecvFramePolling(TcpSocket* socket,
     size_t cursor = 0;
     ASSIGN_OR_RETURN(bool complete, ExtractFrame(buffer, &cursor, &frame));
     if (complete) return frame;
+    RETURN_IF_ERROR(CheckRequestFrameLength(buffer, cursor));
     if (stop.load(std::memory_order_acquire)) {
       return Status::Cancelled("server shutting down");
     }
@@ -161,7 +180,11 @@ void QueryServer::HandleConnection(std::shared_ptr<TcpSocket> socket) {
 
   Result<Frame> frame =
       RecvFramePolling(socket.get(), stopping_, /*timeout_ms=*/30000);
-  if (!frame.ok()) return;  // Never sent a request; nothing to answer.
+  if (!frame.ok()) {
+    // An oversized request is answered; a peer that never sent one is not.
+    if (frame.status().IsInvalidArgument()) reply_error(frame.status());
+    return;
+  }
   if (frame->type != FrameType::kSubmitQuery) {
     reply_error(Status::InvalidArgument("expected kSubmitQuery frame"));
     return;
@@ -221,6 +244,11 @@ void QueryServer::HandleConnection(std::shared_ptr<TcpSocket> socket) {
           cancellation.Cancel(Status::Cancelled("cancelled by client"));
           return;
         }
+      }
+      if (Status bounded = CheckRequestFrameLength(buffer, cursor);
+          !bounded.ok()) {
+        cancellation.Cancel(std::move(bounded));
+        return;
       }
       buffer.erase(0, cursor);
       std::this_thread::sleep_for(std::chrono::milliseconds(kWatchPollMs));

@@ -10,12 +10,6 @@
 
 namespace sqlink {
 
-/// Rows per ColumnBatch in the vectorized SQL pipelines: large enough to
-/// amortize the per-batch virtual dispatch, small enough to stay cache
-/// resident. Also the batch-boundary size the golden-query corpus probes
-/// (sizes 0, 1, kSqlBatchRows-1, kSqlBatchRows, kSqlBatchRows+1).
-inline constexpr size_t kSqlBatchRows = 1024;
-
 /// Pull-based columnar operator interface of the SQL executor: Next fills
 /// `*out` (contents replaced) with the next batch and returns false at end
 /// of stream. Emitted batches are non-empty.
@@ -27,16 +21,23 @@ class BatchIterator {
 
 using BatchIteratorPtr = std::unique_ptr<BatchIterator>;
 
-/// Scan leaf: slices a materialized row partition into batches. Borrows the
-/// rows — the caller keeps them alive for the iterator's lifetime.
-class RowVectorBatchIterator final : public BatchIterator {
+/// Scan leaf: hands out a partition's chunks (Table's layout), one per
+/// Next, each copied into `*out` under `schema`. Borrows the chunks — the
+/// caller keeps them alive for the iterator's lifetime.
+class ChunkScanIterator final : public BatchIterator {
  public:
-  RowVectorBatchIterator(const std::vector<Row>* rows, SchemaPtr schema)
-      : rows_(rows), schema_(std::move(schema)) {}
-  Result<bool> Next(ColumnBatch* out) override;
+  ChunkScanIterator(const std::vector<ColumnBatch>* chunks, SchemaPtr schema)
+      : chunks_(chunks), schema_(std::move(schema)) {}
+
+  Result<bool> Next(ColumnBatch* out) override {
+    if (pos_ == chunks_->size()) return false;
+    *out = (*chunks_)[pos_++];
+    out->set_schema(schema_);
+    return true;
+  }
 
  private:
-  const std::vector<Row>* rows_;
+  const std::vector<ColumnBatch>* chunks_;
   SchemaPtr schema_;
   size_t pos_ = 0;
 };

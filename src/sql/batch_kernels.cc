@@ -1,5 +1,7 @@
 #include "sql/batch_kernels.h"
 
+#include <algorithm>
+#include <bit>
 #include <functional>
 #include <string_view>
 
@@ -43,6 +45,39 @@ uint64_t ColumnCellHash(const Column& c, size_t row) {
   return 0;
 }
 
+/// Non-NULL cells of equal type and payload (dictionary strings by
+/// content).
+bool CellsEqual(const Column& a, size_t ra, const Column& b, size_t rb) {
+  if (a.type != b.type) return false;
+  switch (a.type) {
+    case DataType::kBool:
+      return (a.bools[ra] != 0) == (b.bools[rb] != 0);
+    case DataType::kInt64:
+      return a.ints[ra] == b.ints[rb];
+    case DataType::kDouble:
+      return a.doubles[ra] == b.doubles[rb];
+    case DataType::kString:
+      return a.dict[a.codes[ra]] == b.dict[b.codes[rb]];
+  }
+  return false;
+}
+
+/// Key hashes of every row of `batch`, column at a time, and whether each
+/// row has a NULL key.
+void KeyHashes(const ColumnBatch& batch, const std::vector<int>& keys,
+               std::vector<uint64_t>* hashes, std::vector<uint8_t>* null_key) {
+  const size_t n = batch.num_rows();
+  hashes->assign(n, 0);
+  null_key->assign(n, 0);
+  for (const int k : keys) {
+    const Column& col = batch.column(static_cast<size_t>(k));
+    for (size_t r = 0; r < n; ++r) {
+      (*hashes)[r] = Mix((*hashes)[r], ColumnCellHash(col, r));
+      (*null_key)[r] |= col.IsNull(r) ? 1 : 0;
+    }
+  }
+}
+
 }  // namespace
 
 uint64_t BatchRowHash(const ColumnBatch& batch, size_t row) {
@@ -62,24 +97,57 @@ bool BatchRowsEqual(const ColumnBatch& a, size_t ra, const ColumnBatch& b,
     const bool na = ca.IsNull(ra);
     const bool nb = cb.IsNull(rb);
     if (na != nb) return false;
-    if (na) continue;
-    if (ca.type != cb.type) return false;
-    switch (ca.type) {
-      case DataType::kBool:
-        if ((ca.bools[ra] != 0) != (cb.bools[rb] != 0)) return false;
-        break;
-      case DataType::kInt64:
-        if (ca.ints[ra] != cb.ints[rb]) return false;
-        break;
-      case DataType::kDouble:
-        if (ca.doubles[ra] != cb.doubles[rb]) return false;
-        break;
-      case DataType::kString:
-        if (ca.dict[ca.codes[ra]] != cb.dict[cb.codes[rb]]) return false;
-        break;
-    }
+    if (!na && !CellsEqual(ca, ra, cb, rb)) return false;
   }
   return true;
+}
+
+JoinIndex::JoinIndex(ColumnBatch build, std::vector<int> keys)
+    : build_(std::move(build)), keys_(std::move(keys)) {
+  std::vector<uint8_t> null_key;
+  KeyHashes(build_, keys_, &hashes_, &null_key);
+  const size_t n = build_.num_rows();
+  const size_t capacity = std::max<size_t>(16, std::bit_ceil(2 * n));
+  shift_ = 64 - std::countr_zero(capacity);
+  heads_.assign(capacity, -1);
+  next_.assign(n, -1);
+  // Pushing rows in descending order onto the front of their slot's chain
+  // leaves every chain in ascending row order.
+  for (size_t r = n; r-- > 0;) {
+    if (null_key[r] != 0) continue;  // NULL keys never match.
+    int32_t& head = heads_[SlotOf(hashes_[r])];
+    next_[r] = head;
+    head = static_cast<int32_t>(r);
+  }
+}
+
+void JoinIndex::Probe(const ColumnBatch& probe,
+                      const std::vector<int>& probe_keys,
+                      std::vector<int32_t>* probe_rows,
+                      std::vector<int32_t>* build_rows) const {
+  probe_rows->clear();
+  build_rows->clear();
+  std::vector<uint64_t> hashes;
+  std::vector<uint8_t> null_key;
+  KeyHashes(probe, probe_keys, &hashes, &null_key);
+  for (size_t r = 0; r < probe.num_rows(); ++r) {
+    if (null_key[r] != 0) continue;
+    const uint64_t h = hashes[r];
+    for (int32_t b = heads_[SlotOf(h)]; b >= 0;
+         b = next_[static_cast<size_t>(b)]) {
+      const size_t build_row = static_cast<size_t>(b);
+      if (hashes_[build_row] != h) continue;
+      bool equal = true;
+      for (size_t k = 0; k < keys_.size() && equal; ++k) {
+        equal = CellsEqual(probe.column(static_cast<size_t>(probe_keys[k])), r,
+                           build_.column(static_cast<size_t>(keys_[k])),
+                           build_row);
+      }
+      if (!equal) continue;
+      probe_rows->push_back(static_cast<int32_t>(r));
+      build_rows->push_back(b);
+    }
+  }
 }
 
 }  // namespace sqlink

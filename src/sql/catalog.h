@@ -48,9 +48,9 @@ class Catalog {
   std::vector<std::string> ListTables() const;
 
   /// Statistics for a registered table. Computed on first request by a full
-  /// scan, then cached; PutTable/DropTable invalidate the cached entry, so
-  /// a stats snapshot can only go stale if a caller mutates table
-  /// partitions in place behind the catalog's back.
+  /// scan of its typed columns, one thread per column, then cached;
+  /// PutTable/DropTable invalidate the cached entry, so a stats snapshot can
+  /// only go stale if a caller appends to a table after publishing it.
   Result<TableStatsPtr> GetStats(const std::string& name) const;
 
  private:

@@ -107,11 +107,10 @@ TablePtr SqlEngine::MakePlanTextTable(const std::string& text,
   auto table = std::make_shared<Table>(
       result_name, Schema::Make({{"plan", DataType::kString}}),
       static_cast<size_t>(num_workers_));
-  std::vector<Row>& rows = table->mutable_partition(0);
   std::istringstream lines(text);
   std::string line;
   while (std::getline(lines, line)) {
-    rows.push_back(Row{Value::String(line)});
+    table->AppendRow(0, Row{Value::String(line)});
   }
   return table;
 }
@@ -179,7 +178,7 @@ Result<TablePtr> SqlEngine::RunTracked(const PlanPtr& plan,
   Gauge* active = metrics_->GetGauge("sql.queries_active");
   active->Add(1);
   Stopwatch timer;
-  Result<PartitionedRows> rows = executor.Execute(plan);
+  Result<Table> rows = executor.Execute(plan);
   const int64_t duration_micros = timer.ElapsedMicros();
   active->Add(-1);
   metrics_->GetHistogram("sql.query_micros")->Record(duration_micros);
@@ -198,12 +197,7 @@ Result<TablePtr> SqlEngine::RunTracked(const PlanPtr& plan,
   }
   span.AddAttribute("rows", static_cast<int64_t>(rows->TotalRows()));
 
-  auto table = std::make_shared<Table>(result_name, rows->schema,
-                                       rows->partitions.size());
-  for (size_t p = 0; p < rows->partitions.size(); ++p) {
-    table->mutable_partition(p) = std::move(rows->partitions[p]);
-  }
-  return table;
+  return std::make_shared<Table>(result_name, std::move(rows).value());
 }
 
 Result<TablePtr> SqlEngine::MaterializeSql(const std::string& sql,

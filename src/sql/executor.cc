@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <map>
+#include <numeric>
+#include <optional>
 #include <unordered_map>
 
 #include "common/failpoint.h"
@@ -59,42 +61,23 @@ bool HasNullKey(const Row& row, const std::vector<int>& keys) {
   return false;
 }
 
-/// Build-side hash table of an equi join. With no keys (cross join) every
-/// row lands in one bucket.
-class JoinHashTable {
- public:
-  JoinHashTable(std::vector<Row> rows, std::vector<int> keys)
-      : rows_(std::move(rows)), keys_(std::move(keys)) {
-    buckets_.reserve(rows_.size());
-    for (size_t i = 0; i < rows_.size(); ++i) {
-      if (HasNullKey(rows_[i], keys_)) continue;  // NULL keys never match.
-      buckets_[HashRowKey(rows_[i], keys_)].push_back(i);
-    }
-  }
+/// Each partition of `table`, boxed (the row islands: the sort-merge join
+/// and the repartition join's shuffle).
+std::vector<std::vector<Row>> BoxPartitions(const Table& table) {
+  std::vector<std::vector<Row>> rows(table.num_partitions());
+  for (size_t p = 0; p < rows.size(); ++p) rows[p] = table.partition(p);
+  return rows;
+}
 
-  /// Invokes fn(index) for every build row matching the probe key; the
-  /// join gathers matched rows out of a pre-built ColumnBatch by index.
-  template <typename Fn>
-  void ProbeIndices(const Row& probe, const std::vector<int>& probe_keys,
-                    Fn&& fn) const {
-    if (HasNullKey(probe, probe_keys)) return;
-    auto it = buckets_.find(HashRowKey(probe, probe_keys));
-    if (it == buckets_.end()) return;
-    for (size_t index : it->second) {
-      if (RowKeyEquals(probe, probe_keys, rows_[index], keys_)) {
-        fn(index);
-      }
-    }
-  }
-
-  const std::vector<Row>& rows() const { return rows_; }
-  size_t num_rows() const { return rows_.size(); }
-
- private:
-  std::vector<Row> rows_;
-  std::vector<int> keys_;
-  std::unordered_map<size_t, std::vector<size_t>> buckets_;
-};
+/// Appends the first `n` rows of `batch` to partition `p` of `out` (LIMIT).
+Status AppendHead(Table* out, size_t p, ColumnBatch batch, size_t n) {
+  if (n == batch.num_rows()) return out->AppendBatch(p, std::move(batch));
+  std::vector<int32_t> rows(n);
+  std::iota(rows.begin(), rows.end(), 0);
+  ColumnBatch head(batch.schema());
+  RETURN_IF_ERROR(head.AppendGather(batch, rows.data(), n));
+  return out->AppendBatch(p, std::move(head));
+}
 
 // ---------------------------------------------------------------------------
 // Vectorized operators (BatchIterator pipelines over ColumnBatch)
@@ -163,47 +146,27 @@ class VectorizedProjectIterator final : public BatchIterator {
   ColumnBatch input_;
 };
 
-/// Vectorized probe side of the hash join: per probe row only the key
-/// values are boxed; matched pairs are assembled by gathering probe columns
-/// and build columns (from the Prepare-built build batch), and the residual
+/// Vectorized probe side of the hash join: the JoinIndex pairs probe rows
+/// with build rows straight from the key columns; matched pairs are
+/// assembled by gathering probe columns and build columns, and the residual
 /// runs vectorized over the assembled batch.
 class VectorizedHashJoinIterator final : public BatchIterator {
  public:
   VectorizedHashJoinIterator(BatchIteratorPtr probe,
-                             std::shared_ptr<const JoinHashTable> table,
-                             std::shared_ptr<const ColumnBatch> build_batch,
+                             std::shared_ptr<const JoinIndex> index,
                              const std::vector<int>* probe_keys,
                              BoundExprPtr residual, SchemaPtr output_schema)
       : probe_(std::move(probe)),
-        table_(std::move(table)),
-        build_batch_(std::move(build_batch)),
+        index_(std::move(index)),
         probe_keys_(probe_keys),
         residual_(std::move(residual)),
-        output_schema_(std::move(output_schema)) {
-    identity_keys_.resize(probe_keys_->size());
-    for (size_t i = 0; i < identity_keys_.size(); ++i) {
-      identity_keys_[i] = static_cast<int>(i);
-    }
-  }
+        output_schema_(std::move(output_schema)) {}
 
   Result<bool> Next(ColumnBatch* out) override {
     for (;;) {
       ASSIGN_OR_RETURN(bool has, probe_->Next(&input_));
       if (!has) return false;
-      const size_t n = input_.num_rows();
-      probe_sel_.clear();
-      build_sel_.clear();
-      Row key;
-      for (size_t r = 0; r < n; ++r) {
-        key.clear();
-        for (int k : *probe_keys_) {
-          key.push_back(input_.ValueAt(r, static_cast<size_t>(k)));
-        }
-        table_->ProbeIndices(key, identity_keys_, [&](size_t build_index) {
-          probe_sel_.push_back(static_cast<int32_t>(r));
-          build_sel_.push_back(static_cast<int32_t>(build_index));
-        });
-      }
+      index_->Probe(input_, *probe_keys_, &probe_sel_, &build_sel_);
       if (probe_sel_.empty()) continue;
       joined_.Reset(output_schema_);
       const size_t probe_width = input_.num_columns();
@@ -211,9 +174,10 @@ class VectorizedHashJoinIterator final : public BatchIterator {
         AppendColumnGather(&joined_.column(c), 0, input_.column(c),
                            probe_sel_.data(), probe_sel_.size());
       }
-      for (size_t c = 0; c < build_batch_->num_columns(); ++c) {
+      const ColumnBatch& build = index_->batch();
+      for (size_t c = 0; c < build.num_columns(); ++c) {
         AppendColumnGather(&joined_.column(probe_width + c), 0,
-                           build_batch_->column(c), build_sel_.data(),
+                           build.column(c), build_sel_.data(),
                            build_sel_.size());
       }
       joined_.SetRowCountForDecode(probe_sel_.size());
@@ -238,10 +202,8 @@ class VectorizedHashJoinIterator final : public BatchIterator {
 
  private:
   BatchIteratorPtr probe_;
-  std::shared_ptr<const JoinHashTable> table_;
-  std::shared_ptr<const ColumnBatch> build_batch_;
+  std::shared_ptr<const JoinIndex> index_;
   const std::vector<int>* probe_keys_;
-  std::vector<int> identity_keys_;
   BoundExprPtr residual_;
   SchemaPtr output_schema_;
   ColumnBatch input_;
@@ -340,6 +302,8 @@ class BatchGroupTable {
   size_t size() const { return hashes_.size(); }
   /// The distinct rows, group index = row index.
   const ColumnBatch& keys() const { return keys_; }
+  /// Hands over keys() (DISTINCT's result).
+  ColumnBatch TakeKeys() && { return std::move(keys_); }
   /// BatchRowHash of group `group` (routes it in the shuffle).
   uint64_t hash(size_t group) const { return hashes_[group]; }
 
@@ -420,19 +384,16 @@ class StatsBatchIterator final : public BatchIterator {
 struct Executor::PipelineState {
   struct JoinArtifact {
     bool broadcast = true;
-    std::shared_ptr<const JoinHashTable> broadcast_table;
-    // Repartition mode: per-worker probe slices and hash tables.
-    std::vector<std::vector<Row>> probe_partitions;
-    std::vector<std::shared_ptr<const JoinHashTable>> worker_tables;
-    // The build rows as ColumnBatches, gathered from during probe instead
-    // of boxing build rows per match.
-    std::shared_ptr<const ColumnBatch> broadcast_batch;
-    std::vector<std::shared_ptr<const ColumnBatch>> worker_batches;
+    std::shared_ptr<const JoinIndex> broadcast_index;
+    // Repartition mode: the shuffled probe rows, one partition per worker,
+    // and each worker's index over its shuffled build rows.
+    std::optional<Table> probe;
+    std::vector<std::shared_ptr<const JoinIndex>> worker_indexes;
   };
 
   // Keyed by plan node identity.
   std::unordered_map<const PlanNode*, JoinArtifact> joins;
-  std::unordered_map<const PlanNode*, PartitionedRows> materialized;
+  std::unordered_map<const PlanNode*, Table> materialized;
 };
 
 // ---------------------------------------------------------------------------
@@ -446,7 +407,12 @@ Executor::Executor(int num_workers, ClusterPtr cluster,
   SQLINK_CHECK(num_workers_ > 0);
 }
 
-Result<PartitionedRows> Executor::Execute(const PlanPtr& plan) {
+Table Executor::EmptyResult(const PlanPtr& plan) const {
+  return Table(std::string(), plan->output_schema,
+               static_cast<size_t>(num_workers_));
+}
+
+Result<Table> Executor::Execute(const PlanPtr& plan) {
   // Blocking operators never flow through the pipeline stats wrappers, so
   // their actuals are recorded here, around the full (inclusive) execution.
   OperatorActuals* actuals = nullptr;
@@ -462,7 +428,7 @@ Result<PartitionedRows> Executor::Execute(const PlanPtr& plan) {
   }
   if (actuals == nullptr) return ExecuteNode(plan);
   Stopwatch watch;
-  Result<PartitionedRows> result = ExecuteNode(plan);
+  Result<Table> result = ExecuteNode(plan);
   actuals->AddMicros(watch.ElapsedMicros());
   actuals->AddInvocation();
   if (result.ok()) {
@@ -478,7 +444,7 @@ Result<PartitionedRows> Executor::Execute(const PlanPtr& plan) {
   return result;
 }
 
-Result<PartitionedRows> Executor::ExecuteNode(const PlanPtr& plan) {
+Result<Table> Executor::ExecuteNode(const PlanPtr& plan) {
   // Blocking operators (join builds, DISTINCT, aggregation, sort, limit)
   // materialize whole inputs; refuse to start one for a cancelled query.
   RETURN_IF_ERROR(CheckCancelled());
@@ -543,7 +509,7 @@ Status Executor::Prepare(const PlanPtr& plan, PipelineState* state) {
       // merged result here and pipeline over it.
       if (plan->join_algo == JoinAlgo::kSortMerge && !plan->left_keys.empty()) {
         Stopwatch merge_watch;
-        ASSIGN_OR_RETURN(PartitionedRows rows, ExecuteMergeJoin(plan));
+        ASSIGN_OR_RETURN(Table rows, ExecuteMergeJoin(plan));
         if (OperatorActuals* actuals = NodeActuals(plan)) {
           actuals->AddMicros(merge_watch.ElapsedMicros());
           actuals->AddRows(static_cast<int64_t>(rows.TotalRows()));
@@ -555,62 +521,60 @@ Status Executor::Prepare(const PlanPtr& plan, PipelineState* state) {
       PipelineState::JoinArtifact artifact;
       artifact.broadcast = plan->broadcast_build;
       const SchemaPtr& build_schema = plan->children[1]->output_schema;
-      ASSIGN_OR_RETURN(PartitionedRows build, Execute(plan->children[1]));
+      ASSIGN_OR_RETURN(Table build, Execute(plan->children[1]));
+      int64_t build_rows = 0;
       if (plan->broadcast_build) {
-        artifact.broadcast_table = std::make_shared<const JoinHashTable>(
-            build.Gather(), plan->right_keys);
-        if (OperatorActuals* actuals = NodeActuals(plan)) {
-          const int64_t build_rows =
-              static_cast<int64_t>(artifact.broadcast_table->rows().size());
-          actuals->AddBuildRows(build_rows);
-          actuals->MaxPeakBytes(ApproxRowsBytes(build_schema, build_rows));
+        // One index over the build's chunks, appended in partition order.
+        ColumnBatch batch(build_schema);
+        std::vector<int32_t> rows(kSqlBatchRows);
+        std::iota(rows.begin(), rows.end(), 0);
+        for (size_t p = 0; p < build.num_partitions(); ++p) {
+          for (const ColumnBatch& chunk : build.chunks(p)) {
+            RETURN_IF_ERROR(
+                batch.AppendGather(chunk, rows.data(), chunk.num_rows()));
+          }
         }
-        ASSIGN_OR_RETURN(
-            ColumnBatch batch,
-            ColumnBatch::FromRows(build_schema,
-                                  artifact.broadcast_table->rows()));
-        artifact.broadcast_batch =
-            std::make_shared<const ColumnBatch>(std::move(batch));
-        state->joins.emplace(plan.get(), std::move(artifact));
-        return Prepare(plan->children[0], state);
+        build_rows = static_cast<int64_t>(batch.num_rows());
+        artifact.broadcast_index = std::make_shared<const JoinIndex>(
+            std::move(batch), plan->right_keys);
+      } else {
+        // Repartition join: both sides materialize and shuffle by key hash.
+        ASSIGN_OR_RETURN(Table probe, Execute(plan->children[0]));
+        std::vector<std::vector<Row>> probe_parts =
+            Repartition(BoxPartitions(probe), plan->left_keys);
+        std::vector<std::vector<Row>> build_parts =
+            Repartition(BoxPartitions(build), plan->right_keys);
+        artifact.probe.emplace(EmptyResult(plan->children[0]));
+        artifact.worker_indexes.resize(static_cast<size_t>(num_workers_));
+        RETURN_IF_ERROR(ParallelWorkers(num_workers_, [&](int w) -> Status {
+          const size_t worker = static_cast<size_t>(w);
+          for (const Row& row : probe_parts[worker]) {
+            RETURN_IF_ERROR(artifact.probe->AppendRow(worker, row));
+          }
+          ColumnBatch batch(build_schema);
+          for (const Row& row : build_parts[worker]) {
+            RETURN_IF_ERROR(batch.AppendRow(row));
+          }
+          artifact.worker_indexes[worker] = std::make_shared<const JoinIndex>(
+              std::move(batch), plan->right_keys);
+          return Status::OK();
+        }));
+        for (const auto& index : artifact.worker_indexes) {
+          build_rows += static_cast<int64_t>(index->batch().num_rows());
+        }
       }
-      // Repartition join: both sides materialize and shuffle by key hash.
-      ASSIGN_OR_RETURN(PartitionedRows probe, Execute(plan->children[0]));
-      artifact.probe_partitions =
-          Repartition(std::move(probe.partitions), plan->left_keys);
-      std::vector<std::vector<Row>> build_parts =
-          Repartition(std::move(build.partitions), plan->right_keys);
-      artifact.worker_tables.resize(static_cast<size_t>(num_workers_));
-      artifact.worker_batches.resize(static_cast<size_t>(num_workers_));
-      std::vector<Status> batch_status(static_cast<size_t>(num_workers_));
-      ParallelFor(static_cast<size_t>(num_workers_), [&](size_t w) {
-        artifact.worker_tables[w] = std::make_shared<const JoinHashTable>(
-            std::move(build_parts[w]), plan->right_keys);
-        auto batch = ColumnBatch::FromRows(build_schema,
-                                           artifact.worker_tables[w]->rows());
-        if (!batch.ok()) {
-          batch_status[w] = batch.status();
-          return;
-        }
-        artifact.worker_batches[w] =
-            std::make_shared<const ColumnBatch>(std::move(batch).value());
-      });
-      for (const Status& s : batch_status) RETURN_IF_ERROR(s);
       if (OperatorActuals* actuals = NodeActuals(plan)) {
-        int64_t build_rows = 0;
-        for (const auto& table : artifact.worker_tables) {
-          build_rows += static_cast<int64_t>(table->rows().size());
-        }
         actuals->AddBuildRows(build_rows);
         actuals->MaxPeakBytes(ApproxRowsBytes(build_schema, build_rows));
       }
+      const bool broadcast = artifact.broadcast;
       state->joins.emplace(plan.get(), std::move(artifact));
-      return Status::OK();
+      return broadcast ? Prepare(plan->children[0], state) : Status::OK();
     }
     default: {
       // A blocking operator inside a pipeline: execute it fully and expose
       // its partitions as a pipeline source.
-      ASSIGN_OR_RETURN(PartitionedRows rows, Execute(plan));
+      ASSIGN_OR_RETURN(Table rows, Execute(plan));
       state->materialized.emplace(plan.get(), std::move(rows));
       return Status::OK();
     }
@@ -635,8 +599,9 @@ Result<BatchIteratorPtr> Executor::BuildBatchPipelineNode(
     const PlanPtr& plan, int worker, PipelineState* state) {
   auto materialized = state->materialized.find(plan.get());
   if (materialized != state->materialized.end()) {
-    return BatchIteratorPtr(new RowVectorBatchIterator(
-        &materialized->second.partitions[worker], plan->output_schema));
+    return BatchIteratorPtr(new ChunkScanIterator(
+        &materialized->second.chunks(static_cast<size_t>(worker)),
+        plan->output_schema));
   }
   switch (plan->kind) {
     case PlanKind::kScan:
@@ -644,8 +609,8 @@ Result<BatchIteratorPtr> Executor::BuildBatchPipelineNode(
       if (static_cast<size_t>(worker) >= plan->table->num_partitions()) {
         return BatchIteratorPtr(new EmptyBatchIterator());
       }
-      return BatchIteratorPtr(new RowVectorBatchIterator(
-          &plan->table->partition(static_cast<size_t>(worker)),
+      return BatchIteratorPtr(new ChunkScanIterator(
+          &plan->table->chunks(static_cast<size_t>(worker)),
           plan->output_schema));
     }
     case PlanKind::kFilter: {
@@ -670,17 +635,15 @@ Result<BatchIteratorPtr> Executor::BuildBatchPipelineNode(
         ASSIGN_OR_RETURN(BatchIteratorPtr probe,
                          BuildBatchPipeline(plan->children[0], worker, state));
         return BatchIteratorPtr(new VectorizedHashJoinIterator(
-            std::move(probe), artifact.broadcast_table,
-            artifact.broadcast_batch, &plan->left_keys, plan->residual,
-            plan->output_schema));
+            std::move(probe), artifact.broadcast_index, &plan->left_keys,
+            plan->residual, plan->output_schema));
       }
-      BatchIteratorPtr probe(new RowVectorBatchIterator(
-          &artifact.probe_partitions[static_cast<size_t>(worker)],
+      BatchIteratorPtr probe(new ChunkScanIterator(
+          &artifact.probe->chunks(static_cast<size_t>(worker)),
           plan->children[0]->output_schema));
       return BatchIteratorPtr(new VectorizedHashJoinIterator(
           std::move(probe),
-          artifact.worker_tables[static_cast<size_t>(worker)],
-          artifact.worker_batches[static_cast<size_t>(worker)],
+          artifact.worker_indexes[static_cast<size_t>(worker)],
           &plan->left_keys, plan->residual, plan->output_schema));
     }
     case PlanKind::kTableUdf: {
@@ -707,29 +670,20 @@ Result<BatchIteratorPtr> Executor::BuildBatchPipelineNode(
   }
 }
 
-Result<PartitionedRows> Executor::ExecutePipeline(const PlanPtr& plan) {
+Result<Table> Executor::ExecutePipeline(const PlanPtr& plan) {
   TraceSpan span("sql.execute");
   span.AddAttribute("workers", num_workers_);
   Stopwatch timer;
-  PartitionedRows output;
-  output.schema = plan->output_schema;
-  output.partitions.resize(static_cast<size_t>(num_workers_));
+  Table output = EmptyResult(plan);
   const Status run_status = DrainBatches(
       plan,
-      [&](int worker, const ColumnBatch& batch) -> Status {
-        std::vector<Row>& out = output.partitions[static_cast<size_t>(worker)];
-        for (size_t r = 0; r < batch.num_rows(); ++r) {
-          out.emplace_back();
-          batch.EmitRow(r, &out.back());
-        }
-        return Status::OK();
+      [&](int worker, ColumnBatch* batch) -> Status {
+        return output.AppendBatch(static_cast<size_t>(worker),
+                                  std::move(*batch));
       },
       [](int) { return Status::OK(); });
 
-  int64_t rows_emitted = 0;
-  for (const std::vector<Row>& partition : output.partitions) {
-    rows_emitted += static_cast<int64_t>(partition.size());
-  }
+  const int64_t rows_emitted = static_cast<int64_t>(output.TotalRows());
   span.AddAttribute("rows", rows_emitted);
   metrics_->GetHistogram("sql.executor.pipeline_micros")
       ->Record(timer.ElapsedMicros());
@@ -748,7 +702,7 @@ Status Executor::PollBatch() const {
 
 Status Executor::DrainBatches(
     const PlanPtr& child,
-    const std::function<Status(int, const ColumnBatch&)>& consume,
+    const std::function<Status(int, ColumnBatch*)>& consume,
     const std::function<Status(int)>& finish) {
   PipelineState state;
   RETURN_IF_ERROR(Prepare(child, &state));
@@ -760,13 +714,13 @@ Status Executor::DrainBatches(
       RETURN_IF_ERROR(PollBatch());
       ASSIGN_OR_RETURN(bool has, it->Next(&batch));
       if (!has) break;
-      RETURN_IF_ERROR(consume(worker, batch));
+      RETURN_IF_ERROR(consume(worker, &batch));
     }
     return finish(worker);
   });
 }
 
-Result<PartitionedRows> Executor::ExecuteDistinct(const PlanPtr& plan) {
+Result<Table> Executor::ExecuteDistinct(const PlanPtr& plan) {
   // Two phases over unboxed ColumnBatch rows: local dedup per worker as the
   // child's batches arrive, shuffle unique rows by content hash, final dedup
   // per target.
@@ -776,10 +730,10 @@ Result<PartitionedRows> Executor::ExecuteDistinct(const PlanPtr& plan) {
   std::vector<std::vector<ColumnBatch>> shards(n);
   RETURN_IF_ERROR(DrainBatches(
       plan->children[0],
-      [&](int worker, const ColumnBatch& batch) -> Status {
+      [&](int worker, ColumnBatch* batch) -> Status {
         BatchGroupTable& unique = local[static_cast<size_t>(worker)];
-        for (size_t r = 0; r < batch.num_rows(); ++r) {
-          RETURN_IF_ERROR(unique.FindOrInsert(batch, r).status());
+        for (size_t r = 0; r < batch->num_rows(); ++r) {
+          RETURN_IF_ERROR(unique.FindOrInsert(*batch, r).status());
         }
         return Status::OK();
       },
@@ -802,30 +756,18 @@ Result<PartitionedRows> Executor::ExecuteDistinct(const PlanPtr& plan) {
         return Status::OK();
       }));
 
-  PartitionedRows output;
-  output.schema = plan->output_schema;
-  output.partitions.resize(n);
-  std::vector<Status> target_status(n);
-  ParallelFor(n, [&](size_t t) {
+  Table output = EmptyResult(plan);
+  RETURN_IF_ERROR(ParallelWorkers(num_workers_, [&](int target) -> Status {
+    const size_t t = static_cast<size_t>(target);
     BatchGroupTable unique(plan->output_schema);
     for (size_t w = 0; w < n; ++w) {
       const ColumnBatch& shard = shards[w][t];
       for (size_t r = 0; r < shard.num_rows(); ++r) {
-        const Status s = unique.FindOrInsert(shard, r).status();
-        if (!s.ok()) {
-          target_status[t] = s;
-          return;
-        }
+        RETURN_IF_ERROR(unique.FindOrInsert(shard, r).status());
       }
     }
-    output.partitions[t].reserve(unique.size());
-    Row row;
-    for (size_t g = 0; g < unique.size(); ++g) {
-      unique.keys().EmitRow(g, &row);
-      output.partitions[t].push_back(row);
-    }
-  });
-  for (const Status& s : target_status) RETURN_IF_ERROR(s);
+    return output.AppendBatch(t, std::move(unique).TakeKeys());
+  }));
   return output;
 }
 
@@ -846,22 +788,24 @@ int CompareKeys(const Row& a, const std::vector<int>& a_keys, const Row& b,
 
 }  // namespace
 
-Result<PartitionedRows> Executor::ExecuteMergeJoin(const PlanPtr& plan) {
+Result<Table> Executor::ExecuteMergeJoin(const PlanPtr& plan) {
   // Repartition both sides by key so equal keys land on the same worker,
   // sort each worker's slices, then merge equal-key runs. NULL keys never
   // match (dropped up front), and emitted pairs are guarded by the exact
   // RowKeyEquals check so ordering-equal but type-distinct numeric keys
   // (1 vs 1.0) behave exactly like the hash join.
-  ASSIGN_OR_RETURN(PartitionedRows probe, Execute(plan->children[0]));
-  ASSIGN_OR_RETURN(PartitionedRows build, Execute(plan->children[1]));
-  std::vector<std::vector<Row>> probe_parts =
-      Repartition(std::move(probe.partitions), plan->left_keys);
-  std::vector<std::vector<Row>> build_parts =
-      Repartition(std::move(build.partitions), plan->right_keys);
+  std::vector<std::vector<Row>> probe_parts;
+  {
+    ASSIGN_OR_RETURN(Table probe, Execute(plan->children[0]));
+    probe_parts = Repartition(BoxPartitions(probe), plan->left_keys);
+  }
+  std::vector<std::vector<Row>> build_parts;
+  {
+    ASSIGN_OR_RETURN(Table build, Execute(plan->children[1]));
+    build_parts = Repartition(BoxPartitions(build), plan->right_keys);
+  }
 
-  PartitionedRows output;
-  output.schema = plan->output_schema;
-  output.partitions.resize(static_cast<size_t>(num_workers_));
+  Table output = EmptyResult(plan);
   Status run_status = ParallelWorkers(num_workers_, [&](int w) -> Status {
     std::vector<Row>& left = probe_parts[static_cast<size_t>(w)];
     std::vector<Row>& right = build_parts[static_cast<size_t>(w)];
@@ -882,7 +826,6 @@ Result<PartitionedRows> Executor::ExecuteMergeJoin(const PlanPtr& plan) {
       return CompareKeys(a, plan->right_keys, b, plan->right_keys) < 0;
     });
 
-    std::vector<Row>& out = output.partitions[static_cast<size_t>(w)];
     size_t li = 0;
     size_t ri = 0;
     Row joined;
@@ -923,7 +866,7 @@ Result<PartitionedRows> Executor::ExecuteMergeJoin(const PlanPtr& plan) {
             ASSIGN_OR_RETURN(Value keep, plan->residual->Evaluate(joined));
             if (!IsTruthy(keep)) continue;
           }
-          out.push_back(joined);
+          RETURN_IF_ERROR(output.AppendRow(static_cast<size_t>(w), joined));
         }
       }
       li = lend;
@@ -1141,7 +1084,8 @@ Result<std::vector<std::vector<Row>>> Executor::AggregatePartials(
   std::vector<std::vector<Row>> partials(static_cast<size_t>(num_workers_));
   RETURN_IF_ERROR(DrainBatches(
       plan->children[0],
-      [&](int worker, const ColumnBatch& batch) -> Status {
+      [&](int worker, ColumnBatch* input) -> Status {
+        const ColumnBatch& batch = *input;
         WorkerGroups& w = workers[static_cast<size_t>(worker)];
         const size_t n = batch.num_rows();
         w.keys.Reset(key_schema);
@@ -1180,7 +1124,7 @@ Result<std::vector<std::vector<Row>>> Executor::AggregatePartials(
   return partials;
 }
 
-Result<PartitionedRows> Executor::ExecuteAggregate(const PlanPtr& plan) {
+Result<Table> Executor::ExecuteAggregate(const PlanPtr& plan) {
   const size_t num_keys = plan->group_by.size();
   const size_t num_aggs = plan->aggregates.size();
 
@@ -1204,9 +1148,7 @@ Result<PartitionedRows> Executor::ExecuteAggregate(const PlanPtr& plan) {
     shuffled = Repartition(std::move(partials), key_columns);
   }
 
-  PartitionedRows output;
-  output.schema = plan->output_schema;
-  output.partitions.resize(static_cast<size_t>(num_workers_));
+  Table output = EmptyResult(plan);
   Status status = ParallelWorkers(num_workers_, [&](int w) -> Status {
     std::map<Row, std::vector<AggState>, RowLess> groups;
     Row key;
@@ -1227,7 +1169,7 @@ Result<PartitionedRows> Executor::ExecuteAggregate(const PlanPtr& plan) {
       for (size_t a = 0; a < num_aggs; ++a) {
         out.push_back(FinalizeState(plan->aggregates[a], group_states[a]));
       }
-      output.partitions[static_cast<size_t>(w)].push_back(std::move(out));
+      RETURN_IF_ERROR(output.AppendRow(static_cast<size_t>(w), out));
     }
     return Status::OK();
   });
@@ -1235,9 +1177,12 @@ Result<PartitionedRows> Executor::ExecuteAggregate(const PlanPtr& plan) {
   return output;
 }
 
-Result<PartitionedRows> Executor::ExecuteSort(const PlanPtr& plan) {
-  ASSIGN_OR_RETURN(PartitionedRows input, Execute(plan->children[0]));
-  std::vector<Row> all = input.Gather();
+Result<Table> Executor::ExecuteSort(const PlanPtr& plan) {
+  std::vector<Row> all;
+  {
+    ASSIGN_OR_RETURN(Table input, Execute(plan->children[0]));
+    all = input.GatherRows();
+  }
   std::stable_sort(all.begin(), all.end(), [&](const Row& a, const Row& b) {
     for (size_t i = 0; i < plan->sort_keys.size(); ++i) {
       const size_t k = static_cast<size_t>(plan->sort_keys[i]);
@@ -1247,20 +1192,16 @@ Result<PartitionedRows> Executor::ExecuteSort(const PlanPtr& plan) {
     }
     return false;
   });
-  PartitionedRows output;
-  output.schema = plan->output_schema;
-  output.partitions.resize(static_cast<size_t>(num_workers_));
-  output.partitions[0] = std::move(all);
+  Table output = EmptyResult(plan);
+  for (const Row& row : all) RETURN_IF_ERROR(output.AppendRow(0, row));
   return output;
 }
 
-Result<PartitionedRows> Executor::ExecuteLimit(const PlanPtr& plan) {
+Result<Table> Executor::ExecuteLimit(const PlanPtr& plan) {
   const PlanPtr& child = plan->children[0];
-  PartitionedRows output;
-  output.schema = plan->output_schema;
-  output.partitions.resize(static_cast<size_t>(num_workers_));
-  std::vector<Row>& out = output.partitions[0];
+  Table output = EmptyResult(plan);
   const size_t limit = static_cast<size_t>(plan->limit);
+  size_t taken = 0;
 
   // Early termination: when the child is pipelinable, pull its batches
   // worker by worker and stop as soon as the limit is met, instead of
@@ -1278,30 +1219,29 @@ Result<PartitionedRows> Executor::ExecuteLimit(const PlanPtr& plan) {
       ASSIGN_OR_RETURN(BatchIteratorPtr it,
                        BuildBatchPipeline(child, worker, &state));
       ColumnBatch batch;
-      while (out.size() < limit) {
+      while (taken < limit) {
         RETURN_IF_ERROR(PollBatch());
         ASSIGN_OR_RETURN(bool has, it->Next(&batch));
         if (!has) break;
-        const size_t take = std::min(batch.num_rows(), limit - out.size());
-        for (size_t r = 0; r < take; ++r) {
-          out.emplace_back();
-          batch.EmitRow(r, &out.back());
-        }
+        const size_t take = std::min(batch.num_rows(), limit - taken);
+        RETURN_IF_ERROR(AppendHead(&output, 0, std::move(batch), take));
+        taken += take;
       }
       return Status::OK();
     };
-    for (int worker = 0; worker < num_workers_ && out.size() < limit;
-         ++worker) {
+    for (int worker = 0; worker < num_workers_ && taken < limit; ++worker) {
       RETURN_IF_ERROR(pull(worker));
     }
     return output;
   }
 
-  ASSIGN_OR_RETURN(PartitionedRows input, Execute(child));
-  for (auto& partition : input.partitions) {
-    for (Row& row : partition) {
-      if (out.size() >= limit) break;
-      out.push_back(std::move(row));
+  ASSIGN_OR_RETURN(Table input, Execute(child));
+  for (size_t p = 0; p < input.num_partitions() && taken < limit; ++p) {
+    for (const ColumnBatch& chunk : input.chunks(p)) {
+      if (taken >= limit) break;
+      const size_t take = std::min(chunk.num_rows(), limit - taken);
+      RETURN_IF_ERROR(AppendHead(&output, 0, chunk, take));
+      taken += take;
     }
   }
   return output;

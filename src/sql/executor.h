@@ -14,39 +14,20 @@
 #include "sql/plan.h"
 #include "sql/query_stats.h"
 #include "table/schema.h"
+#include "table/table.h"
 #include "table/value.h"
 
 namespace sqlink {
 
-/// Rows of a query result, partitioned one slice per SQL worker.
-struct PartitionedRows {
-  SchemaPtr schema;
-  std::vector<std::vector<Row>> partitions;
-
-  size_t TotalRows() const {
-    size_t total = 0;
-    for (const auto& p : partitions) total += p.size();
-    return total;
-  }
-
-  /// All rows concatenated (small results/tests).
-  std::vector<Row> Gather() const {
-    std::vector<Row> all;
-    all.reserve(TotalRows());
-    for (const auto& p : partitions) {
-      all.insert(all.end(), p.begin(), p.end());
-    }
-    return all;
-  }
-};
-
 /// Parallel plan executor. Each of the n SQL workers runs a pipelined
-/// chain of BatchIterator operators over its partition: selection-vector
-/// filters, column-at-a-time projections and gather-based hash joins over
-/// ColumnBatch. Pipeline breakers (join builds, repartition and sort-merge
-/// joins, DISTINCT, aggregation, sort, limit) materialize and exchange rows
-/// between workers; DISTINCT, the aggregate's per-worker phase and LIMIT
-/// consume their child's batches directly. A table UDF is one more batch
+/// chain of BatchIterator operators over its partition: chunk scans,
+/// selection-vector filters, column-at-a-time projections and hash joins
+/// probing a JoinIndex over ColumnBatch. Every operator's result is a Table
+/// of chunks, one partition per worker, which a pipeline breaker's consumer
+/// scans like a base table. DISTINCT, the aggregate's per-worker phase and
+/// LIMIT consume their child's batches directly; the aggregate's partial
+/// states, Sort, the sort-merge join and the repartition join's shuffle box
+/// their input into rows once (DESIGN.md §10). A table UDF is one more batch
 /// operator: the worker pushes each row of its partition through the UDF's
 /// TableUdfPartition on its own thread, and a streaming sink's sender
 /// threads overlap the transfer with the upstream query work, as the
@@ -56,8 +37,9 @@ class Executor {
  public:
   Executor(int num_workers, ClusterPtr cluster, MetricsRegistry* metrics);
 
-  /// Runs the plan and returns its materialized, partitioned result.
-  Result<PartitionedRows> Execute(const PlanPtr& plan);
+  /// Runs the plan and returns its result: an unnamed Table with one
+  /// partition per worker.
+  Result<Table> Execute(const PlanPtr& plan);
 
   /// Per-operator stats collection target. When set (and the plan carries
   /// node ids), every operator accumulates rows/batches/time/peak memory
@@ -90,30 +72,33 @@ class Executor {
     return stats_ == nullptr ? nullptr : stats_->actuals(plan->node_id);
   }
 
-  Result<PartitionedRows> ExecuteNode(const PlanPtr& plan);
-  Result<PartitionedRows> ExecutePipeline(const PlanPtr& plan);
-  Result<PartitionedRows> ExecuteDistinct(const PlanPtr& plan);
-  Result<PartitionedRows> ExecuteAggregate(const PlanPtr& plan);
+  /// An empty result of `plan`: its output schema, one partition per
+  /// worker.
+  Table EmptyResult(const PlanPtr& plan) const;
+
+  Result<Table> ExecuteNode(const PlanPtr& plan);
+  Result<Table> ExecutePipeline(const PlanPtr& plan);
+  Result<Table> ExecuteDistinct(const PlanPtr& plan);
+  Result<Table> ExecuteAggregate(const PlanPtr& plan);
   /// Aggregate phase 1: each worker's groups as partial-state rows, one
   /// slice per worker, folded from the child's batches into per-worker
   /// group tables without boxing them.
   Result<std::vector<std::vector<Row>>> AggregatePartials(const PlanPtr& plan);
-  Result<PartitionedRows> ExecuteSort(const PlanPtr& plan);
-  Result<PartitionedRows> ExecuteLimit(const PlanPtr& plan);
+  Result<Table> ExecuteSort(const PlanPtr& plan);
+  Result<Table> ExecuteLimit(const PlanPtr& plan);
 
   /// Sort-merge equi join: repartition both sides by key, sort each
   /// worker's slices, merge equal-key runs. Chosen by the planner's cost
   /// model when the build side would blow the hash-build memory budget.
-  Result<PartitionedRows> ExecuteMergeJoin(const PlanPtr& plan);
+  Result<Table> ExecuteMergeJoin(const PlanPtr& plan);
 
   /// Input of a pipeline or blocking operator: prepares `child`, then every
   /// worker pulls its batch pipeline to the end, handing each batch to
-  /// consume(worker, batch) and then calling finish(worker). Polls between
-  /// batches.
-  Status DrainBatches(
-      const PlanPtr& child,
-      const std::function<Status(int, const ColumnBatch&)>& consume,
-      const std::function<Status(int)>& finish);
+  /// consume(worker, batch), which may move from it, and then calling
+  /// finish(worker). Polls between batches.
+  Status DrainBatches(const PlanPtr& child,
+                      const std::function<Status(int, ColumnBatch*)>& consume,
+                      const std::function<Status(int)>& finish);
 
   Status Prepare(const PlanPtr& plan, PipelineState* state);
   Result<BatchIteratorPtr> BuildBatchPipeline(const PlanPtr& plan, int worker,

@@ -19,48 +19,66 @@ Value ColumnValueAt(const Column& col, size_t row) {
   return Value::Null();
 }
 
-Status AppendColumnValue(Column* col, size_t row, const Value& v,
-                         const std::string& column_name) {
+namespace {
+
+/// The type check of AppendColumnValue, apart so a row can be checked whole
+/// before any of its cells is appended.
+Status CheckColumnValue(DataType type, const Value& v,
+                        const std::string& column_name) {
+  if (v.is_null()) return Status::OK();
+  switch (type) {
+    case DataType::kBool:
+      if (v.is_bool()) return Status::OK();
+      return Status::InvalidArgument("non-bool value in BOOL column '" +
+                                     column_name + "'");
+    case DataType::kInt64:
+      if (v.is_int64()) return Status::OK();
+      return Status::InvalidArgument("non-integer value in INT64 column '" +
+                                     column_name + "'");
+    case DataType::kDouble:
+      if (v.is_double() || v.is_int64()) return Status::OK();
+      return Status::InvalidArgument("non-numeric value in DOUBLE column '" +
+                                     column_name + "'");
+    case DataType::kString:
+      if (v.is_string()) return Status::OK();
+      return Status::InvalidArgument("non-string value in STRING column '" +
+                                     column_name + "'");
+  }
+  return Status::OK();
+}
+
+/// Appends a value CheckColumnValue accepted.
+void AppendCheckedValue(Column* col, size_t row, const Value& v) {
   const bool null = v.is_null();
   col->AppendNullBit(row, null);
   switch (col->type) {
     case DataType::kBool:
-      if (!null && !v.is_bool()) {
-        return Status::InvalidArgument("non-bool value in BOOL column '" +
-                                       column_name + "'");
-      }
       col->bools.push_back(!null && v.bool_value() ? 1 : 0);
       break;
     case DataType::kInt64:
-      if (!null && !v.is_int64()) {
-        return Status::InvalidArgument("non-integer value in INT64 column '" +
-                                       column_name + "'");
-      }
       col->ints.push_back(null ? 0 : v.int64_value());
       break;
-    case DataType::kDouble: {
-      double d = 0;
-      if (!null) {
-        if (v.is_double()) {
-          d = v.double_value();
-        } else if (v.is_int64()) {
-          d = static_cast<double>(v.int64_value());
-        } else {
-          return Status::InvalidArgument("non-numeric value in DOUBLE column '" +
-                                         column_name + "'");
-        }
+    case DataType::kDouble:
+      if (null) {
+        col->doubles.push_back(0);
+      } else if (v.is_double()) {
+        col->doubles.push_back(v.double_value());
+      } else {
+        col->doubles.push_back(static_cast<double>(v.int64_value()));
       }
-      col->doubles.push_back(d);
       break;
-    }
     case DataType::kString:
-      if (!null && !v.is_string()) {
-        return Status::InvalidArgument("non-string value in STRING column '" +
-                                       column_name + "'");
-      }
       col->codes.push_back(null ? 0 : col->dict.GetOrAdd(v.string_value()));
       break;
   }
+}
+
+}  // namespace
+
+Status AppendColumnValue(Column* col, size_t row, const Value& v,
+                         const std::string& column_name) {
+  RETURN_IF_ERROR(CheckColumnValue(col->type, v, column_name));
+  AppendCheckedValue(col, row, v);
   return Status::OK();
 }
 
@@ -90,16 +108,18 @@ void AppendColumnGather(Column* dst, size_t dst_rows, const Column& src,
       break;
     case DataType::kString:
       dst->codes.reserve(dst->codes.size() + n);
-      if (dst->codes.empty() && dst->dict.size() == 0) {
-        // Fresh destination: share the source dictionary wholesale and
-        // gather codes directly (unreferenced entries are harmless).
+      if (dst->codes.empty() && dst->dict.size() == 0 &&
+          static_cast<size_t>(src.dict.size()) <= n) {
+        // Fresh destination, small dictionary: copy it wholesale and gather
+        // codes directly (unreferenced entries are harmless).
         dst->dict = src.dict;
         for (size_t i = 0; i < n; ++i) {
           dst->codes.push_back(src.codes[static_cast<size_t>(rows[i])]);
         }
       } else if (n < static_cast<size_t>(src.dict.size())) {
-        // Few rows against a big dictionary (single-row dedup inserts):
-        // remap only the referenced entries instead of the whole dict.
+        // Few rows against a big dictionary (single-row dedup inserts, a
+        // join's matches in a large build batch): remap only the referenced
+        // entries instead of copying the whole dict.
         for (size_t i = 0; i < n; ++i) {
           const size_t r = static_cast<size_t>(rows[i]);
           dst->codes.push_back(
@@ -167,10 +187,12 @@ Status ColumnBatch::AppendRow(const Row& row) {
         "row width " + std::to_string(row.size()) +
         " does not match batch width " + std::to_string(columns_.size()));
   }
-  const size_t r = num_rows_;
   for (size_t i = 0; i < columns_.size(); ++i) {
-    RETURN_IF_ERROR(AppendColumnValue(&columns_[i], r, row[i],
-                                      schema_->field(static_cast<int>(i)).name));
+    RETURN_IF_ERROR(CheckColumnValue(columns_[i].type, row[i],
+                                     schema_->field(static_cast<int>(i)).name));
+  }
+  for (size_t i = 0; i < columns_.size(); ++i) {
+    AppendCheckedValue(&columns_[i], num_rows_, row[i]);
   }
   ++num_rows_;
   return Status::OK();

@@ -12,6 +12,12 @@
 
 namespace sqlink {
 
+/// Rows per ColumnBatch in the vectorized SQL pipelines and per Table chunk:
+/// large enough to amortize the per-batch virtual dispatch, small enough to
+/// stay cache resident. Also the batch-boundary size the golden-query corpus
+/// probes (sizes 0, 1, kSqlBatchRows-1, kSqlBatchRows, kSqlBatchRows+1).
+inline constexpr size_t kSqlBatchRows = 1024;
+
 /// One column of a ColumnBatch: a typed contiguous vector plus a null
 /// bitmap. Exactly one of the value vectors is populated, chosen by `type`;
 /// string columns are dictionary-encoded (codes index `dict`). Null rows
@@ -55,9 +61,10 @@ Status AppendColumnValue(Column* col, size_t row, const Value& v,
                          const std::string& column_name);
 
 /// Gather-appends `n` rows of `src` (selected by `rows`) onto `dst`, which
-/// already holds `dst_rows` rows of the same type. String codes are carried
-/// over wholesale when `dst` is empty and remapped through a translate
-/// table otherwise.
+/// already holds `dst_rows` rows of the same type. An empty `dst` takes a
+/// copy of the source dictionary when it has at most `n` entries; otherwise
+/// string codes are remapped, so a gather never holds more dictionary
+/// entries than its destination needs plus `n`.
 void AppendColumnGather(Column* dst, size_t dst_rows, const Column& src,
                         const int32_t* rows, size_t n);
 
@@ -82,8 +89,13 @@ class ColumnBatch {
 
   void Reserve(size_t rows);
 
+  /// Relabels the batch with `schema`, whose column types must be this
+  /// batch's (a scan hands out a table's chunks under the plan's schema).
+  void set_schema(SchemaPtr schema) { schema_ = std::move(schema); }
+
   /// Appends one row. Value types must match the schema (int64 widens into
-  /// a double column); NULL is accepted anywhere.
+  /// a double column); NULL is accepted anywhere. On error the batch is
+  /// unchanged.
   Status AppendRow(const Row& row);
 
   /// Gather-appends the `n` rows of `src` selected by `rows` (src indices,

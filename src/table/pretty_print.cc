@@ -21,19 +21,22 @@ std::string PrettyPrintTable(const Table& table,
 
   // Collect the visible rows.
   std::vector<std::vector<std::string>> cells;
-  size_t total_rows = 0;
+  const size_t total_rows = table.TotalRows();
+  Row row;
   for (size_t p = 0; p < table.num_partitions(); ++p) {
-    for (const Row& row : table.partition(p)) {
-      ++total_rows;
-      if (cells.size() >= options.max_rows) continue;
-      std::vector<std::string> rendered;
-      rendered.reserve(columns);
-      for (size_t c = 0; c < columns && c < row.size(); ++c) {
-        rendered.push_back(
-            Truncate(row[c].is_null() ? "NULL" : row[c].ToString(),
-                     options.max_column_width));
+    for (const ColumnBatch& chunk : table.chunks(p)) {
+      for (size_t r = 0; r < chunk.num_rows(); ++r) {
+        if (cells.size() >= options.max_rows) break;
+        chunk.EmitRow(r, &row);
+        std::vector<std::string> rendered;
+        rendered.reserve(columns);
+        for (size_t c = 0; c < columns && c < row.size(); ++c) {
+          rendered.push_back(
+              Truncate(row[c].is_null() ? "NULL" : row[c].ToString(),
+                       options.max_column_width));
+        }
+        cells.push_back(std::move(rendered));
       }
-      cells.push_back(std::move(rendered));
     }
   }
 

@@ -72,13 +72,17 @@ Result<RecodeMap> RecodeMap::FromTable(const Table& table) {
                                    table.schema()->ToString());
   }
   RecodeMap map;
+  Row row;
   for (size_t p = 0; p < table.num_partitions(); ++p) {
-    for (const Row& row : table.partition(p)) {
-      if (row[0].is_null() || row[1].is_null() || !row[2].is_int64()) {
-        return Status::InvalidArgument("malformed recode map row");
+    for (const ColumnBatch& chunk : table.chunks(p)) {
+      for (size_t r = 0; r < chunk.num_rows(); ++r) {
+        chunk.EmitRow(r, &row);
+        if (row[0].is_null() || row[1].is_null() || !row[2].is_int64()) {
+          return Status::InvalidArgument("malformed recode map row");
+        }
+        RETURN_IF_ERROR(map.Add(row[0].string_value(), row[1].string_value(),
+                                static_cast<int>(row[2].int64_value())));
       }
-      RETURN_IF_ERROR(map.Add(row[0].string_value(), row[1].string_value(),
-                              static_cast<int>(row[2].int64_value())));
     }
   }
   // Codes must be consecutive integers starting at 1 (SystemML-style

@@ -50,14 +50,18 @@ Result<RecodeMap> InSqlTransformer::ComputeRecodeMapPerColumnSql(
                             prep_query + ") prep ORDER BY " + column;
     ASSIGN_OR_RETURN(TablePtr table, engine_->ExecuteSql(sql, "distinct_col"));
     int code = 0;
+    Row row;
     for (size_t p = 0; p < table->num_partitions(); ++p) {
-      for (const Row& row : table->partition(p)) {
-        if (row[0].is_null()) continue;
-        if (!row[0].is_string()) {
-          return Status::InvalidArgument("recoding a non-STRING column: " +
-                                         column);
+      for (const ColumnBatch& chunk : table->chunks(p)) {
+        for (size_t r = 0; r < chunk.num_rows(); ++r) {
+          chunk.EmitRow(r, &row);
+          if (row[0].is_null()) continue;
+          if (!row[0].is_string()) {
+            return Status::InvalidArgument("recoding a non-STRING column: " +
+                                           column);
+          }
+          RETURN_IF_ERROR(map.Add(column, row[0].string_value(), ++code));
         }
-        RETURN_IF_ERROR(map.Add(column, row[0].string_value(), ++code));
       }
     }
   }

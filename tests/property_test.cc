@@ -1357,5 +1357,114 @@ TEST_P(JoinStrategyPropertyTest, HashAndSortMergeAgreeOnRandomTables) {
 INSTANTIATE_TEST_SUITE_P(Seeds, JoinStrategyPropertyTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
+// ---------------------------------------------------------------------------
+// The hash join's index against a nested loop over boxed values: for random
+// build and probe batches with duplicate and NULL keys, one or two key
+// columns of INT64, DOUBLE or STRING (mismatched types included), zeros of
+// both signs and the cross join, the index yields exactly the nested loop's
+// (probe row, build row) pairs, in probe order, then build order.
+
+class JoinIndexPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+/// A key from a small domain, so keys repeat; NULL one time in seven.
+Value RandomJoinKey(Random* rng, DataType type) {
+  if (rng->Uniform(7) == 0) return Value::Null();
+  const int64_t v = rng->UniformInt(0, 4);
+  switch (type) {
+    case DataType::kInt64:
+      return Value::Int64(v);
+    case DataType::kDouble:
+      if (v == 0) return Value::Double(rng->Bernoulli(0.5) ? -0.0 : 0.0);
+      return Value::Double(static_cast<double>(v));
+    default:
+      return Value::String(std::string(1, static_cast<char>('a' + v)));
+  }
+}
+
+using JoinPairs = std::vector<std::pair<int32_t, int32_t>>;
+
+/// Value equality per key; a NULL key matches nothing.
+JoinPairs NestedLoopJoinPairs(const ColumnBatch& probe,
+                              const std::vector<int>& probe_keys,
+                              const ColumnBatch& build,
+                              const std::vector<int>& build_keys) {
+  JoinPairs pairs;
+  for (size_t p = 0; p < probe.num_rows(); ++p) {
+    for (size_t b = 0; b < build.num_rows(); ++b) {
+      bool match = true;
+      for (size_t k = 0; k < probe_keys.size() && match; ++k) {
+        const Value pv = probe.ValueAt(p, static_cast<size_t>(probe_keys[k]));
+        const Value bv = build.ValueAt(b, static_cast<size_t>(build_keys[k]));
+        match = !pv.is_null() && !bv.is_null() && pv == bv;
+      }
+      if (match) {
+        pairs.emplace_back(static_cast<int32_t>(p), static_cast<int32_t>(b));
+      }
+    }
+  }
+  return pairs;
+}
+
+TEST_P(JoinIndexPropertyTest, MatchesANestedLoopInOrder) {
+  Random rng(GetParam() * 31 + 7);
+  const DataType kKeyTypes[] = {DataType::kInt64, DataType::kDouble,
+                                DataType::kString};
+  for (int round = 0; round < 40; ++round) {
+    // 0 keys is the cross join. Build keys follow a payload column, probe
+    // keys lead, so key positions differ between the sides.
+    const size_t num_keys = rng.Uniform(3);
+    std::vector<Field> build_fields{{"payload", DataType::kInt64}};
+    std::vector<Field> probe_fields;
+    std::vector<int> build_keys;
+    std::vector<int> probe_keys;
+    for (size_t k = 0; k < num_keys; ++k) {
+      const DataType build_type = kKeyTypes[rng.Uniform(3)];
+      const DataType probe_type =
+          rng.Uniform(4) == 0 ? kKeyTypes[rng.Uniform(3)] : build_type;
+      build_keys.push_back(static_cast<int>(build_fields.size()));
+      build_fields.push_back({"b" + std::to_string(k), build_type});
+      probe_keys.push_back(static_cast<int>(probe_fields.size()));
+      probe_fields.push_back({"p" + std::to_string(k), probe_type});
+    }
+    probe_fields.push_back({"tag", DataType::kString});
+    ColumnBatch build(Schema::Make(build_fields));
+    ColumnBatch probe(Schema::Make(probe_fields));
+    const int64_t build_rows = rng.UniformInt(0, 40);
+    for (int64_t r = 0; r < build_rows; ++r) {
+      Row row{Value::Int64(r)};
+      for (size_t k = 0; k < num_keys; ++k) {
+        row.push_back(RandomJoinKey(&rng, build_fields[k + 1].type));
+      }
+      ASSERT_TRUE(build.AppendRow(row).ok());
+    }
+    const int64_t probe_rows = rng.UniformInt(0, 40);
+    for (int64_t r = 0; r < probe_rows; ++r) {
+      Row row;
+      for (size_t k = 0; k < num_keys; ++k) {
+        row.push_back(RandomJoinKey(&rng, probe_fields[k].type));
+      }
+      row.push_back(Value::String("t" + std::to_string(r)));
+      ASSERT_TRUE(probe.AppendRow(row).ok());
+    }
+    const JoinPairs expected =
+        NestedLoopJoinPairs(probe, probe_keys, build, build_keys);
+    const JoinIndex index(build, build_keys);
+    std::vector<int32_t> probe_sel{99};
+    std::vector<int32_t> build_sel{99};
+    index.Probe(probe, probe_keys, &probe_sel, &build_sel);
+    ASSERT_EQ(probe_sel.size(), build_sel.size());
+    JoinPairs got;
+    for (size_t i = 0; i < probe_sel.size(); ++i) {
+      got.emplace_back(probe_sel[i], build_sel[i]);
+    }
+    EXPECT_EQ(got, expected) << "round " << round << ", " << num_keys
+                             << " keys, build " << build.schema()->ToString()
+                             << ", probe " << probe.schema()->ToString();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, JoinIndexPropertyTest,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
 }  // namespace
 }  // namespace sqlink

@@ -687,5 +687,62 @@ TEST_F(QueryServerTest, DisconnectCancelsQueryAndFreesSlot) {
   EXPECT_EQ(QueryRegistry::Global().active_count(), 0u);
 }
 
+/// A frame header announcing a 1 GiB payload, and nothing after it.
+std::string OversizedHeader(FrameType type) {
+  std::string header(kFrameHeaderBytes, '\0');
+  EncodeFrameHeader(header.data(), type, /*payload_len=*/1u << 30,
+                    /*seq=*/0, /*channel=*/0, TraceContext{});
+  return header;
+}
+
+// A submit header announcing more than the server's request-frame bound is
+// refused as soon as it is in: the server neither waits for the announced
+// gigabyte nor buffers it, and keeps serving.
+TEST_F(QueryServerTest, OversizedSubmitHeaderIsRefusedPromptly) {
+  auto server = StartServer();
+  ASSERT_NE(server, nullptr);
+  auto socket = TcpConnect("127.0.0.1", server->port());
+  ASSERT_TRUE(socket.ok()) << socket.status();
+  Stopwatch watch;
+  ASSERT_TRUE(socket->SendAll(OversizedHeader(FrameType::kSubmitQuery)).ok());
+  auto reply = RecvFrame(&*socket);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_LT(watch.ElapsedMicros(), 5'000'000);
+  ASSERT_EQ(reply->type, FrameType::kError);
+  const Status status = DecodeStatusPayload(reply->payload);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status;
+
+  auto client = QueryClient::Connect("127.0.0.1", server->port());
+  ASSERT_TRUE(client.ok()) << client.status();
+  auto response = client->Execute("SELECT COUNT(*) FROM points");
+  ASSERT_TRUE(response.ok()) << response.status();
+  ASSERT_EQ(response->rows.size(), 1u);
+  EXPECT_EQ(response->rows[0][0], Value::Int64(16384));
+}
+
+// The bound holds while a query runs: a client whose next frame header
+// announces 1 GiB has its query cancelled with InvalidArgument.
+TEST_F(QueryServerTest, OversizedFrameDuringQueryCancelsIt) {
+  auto server = StartServer();
+  ASSERT_NE(server, nullptr);
+  ScopedFailpoint pace("sql.exec.batch", "delay(20)");
+  ASSERT_TRUE(pace.status().ok());
+  auto socket = TcpConnect("127.0.0.1", server->port());
+  ASSERT_TRUE(socket.ok()) << socket.status();
+  SubmitQueryMessage submit;
+  submit.sql = "SELECT id FROM points";
+  ASSERT_TRUE(
+      SendFrame(&*socket, FrameType::kSubmitQuery, submit.Encode()).ok());
+  // Past the submit frame, so the header reaches the query's watcher.
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  ASSERT_TRUE(socket->SendAll(OversizedHeader(FrameType::kSubmitQuery)).ok());
+  auto reply = RecvFrame(&*socket);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  ASSERT_EQ(reply->type, FrameType::kError);
+  const Status status = DecodeStatusPayload(reply->payload);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status;
+  EXPECT_EQ(server->admission()->active(), 0);
+}
+
 }  // namespace
 }  // namespace sqlink

@@ -579,7 +579,7 @@ TEST_F(SqlEngineTest, ExplainAnalyzeReportsEstimatedVsActualRows) {
   ASSERT_FALSE(lines.empty());
   // Partition 0 holds the whole rendering in order; the first line is the
   // root (DISTINCT) node.
-  const std::string& root = (*analyzed)->partition(0)[0][0].string_value();
+  const std::string root = (*analyzed)->partition(0)[0][0].string_value();
   EXPECT_NE(root.find("Distinct"), std::string::npos) << root;
   EXPECT_NE(root.find("est="), std::string::npos) << root;
   EXPECT_NE(root.find("actual=" + std::to_string(expected_rows) + " rows"),
@@ -590,6 +590,105 @@ TEST_F(SqlEngineTest, ExplainAnalyzeReportsEstimatedVsActualRows) {
     EXPECT_NE(row[0].string_value().find("q="), std::string::npos)
         << row[0].string_value();
   }
+}
+
+/// The batch count EXPLAIN ANALYZE reports for the Scan of
+/// `SELECT x FROM <table>`.
+int64_t ScanBatches(SqlEngine* engine, const std::string& table) {
+  auto analyzed = engine->ExecuteSql("EXPLAIN ANALYZE SELECT x FROM " + table);
+  EXPECT_TRUE(analyzed.ok()) << analyzed.status();
+  if (!analyzed.ok()) return -1;
+  for (const Row& line : (*analyzed)->GatherRows()) {
+    const std::string text = line[0].string_value();
+    const size_t at = text.find("batches=");
+    if (text.find("Scan") == std::string::npos || at == std::string::npos) {
+      continue;
+    }
+    return std::stoll(text.substr(at + 8));
+  }
+  ADD_FAILURE() << "no Scan line with a batch count for " << table;
+  return -1;
+}
+
+// A pipeline's result is stored in Table's chunk layout: the filter's
+// partial batches are packed into full chunks, so a scan over the result
+// hands out as many batches as a scan over a base table of the same
+// partition sizes.
+TEST_F(SqlEngineTest, FilterResultIsStoredInFullChunks) {
+  auto base = engine_->MakeTable(
+      "pattern",
+      Schema::Make({{"x", DataType::kInt64}, {"keep", DataType::kInt64}}));
+  for (int64_t i = 0; i < 4 * 3000; ++i) {
+    ASSERT_TRUE(base->AppendRow(static_cast<size_t>(i) % 4,
+                                Row{Value::Int64(i), Value::Int64(i % 3 != 0)})
+                    .ok());
+  }
+  engine_->catalog()->PutTable(base);
+  // Every third row goes, so each 1024-row scan batch leaves the filter
+  // partial; each partition keeps 2000 rows.
+  auto filtered = engine_->MaterializeSql(
+      "SELECT x FROM pattern WHERE keep = 1", "filtered");
+  ASSERT_TRUE(filtered.ok()) << filtered.status();
+  auto same_size = engine_->MakeTable("same_size", (*filtered)->schema());
+  for (size_t p = 0; p < (*filtered)->num_partitions(); ++p) {
+    const std::vector<ColumnBatch>& chunks = (*filtered)->chunks(p);
+    ASSERT_EQ(chunks.size(), 2u) << "partition " << p;
+    EXPECT_EQ(chunks[0].num_rows(), kSqlBatchRows) << "partition " << p;
+    EXPECT_EQ(chunks[1].num_rows(), 2000u - kSqlBatchRows) << "partition " << p;
+    for (int64_t r = 0; r < 2000; ++r) {
+      ASSERT_TRUE(same_size->AppendRow(p, Row{Value::Int64(r)}).ok());
+    }
+  }
+  engine_->catalog()->PutTable(same_size);
+  EXPECT_EQ(ScanBatches(engine_.get(), "filtered"), 8);
+  EXPECT_EQ(ScanBatches(engine_.get(), "same_size"), 8);
+}
+
+// Catalog statistics read the typed chunks and must equal what a row-by-row
+// scan computes: NULLs from the bitmap, NDV from Value::Hash's hash of each
+// payload (so 0.0 and -0.0 are one value), string widths per row.
+TEST(CatalogStatsTest, TypedStatsMatchHandComputedValues) {
+  auto table = std::make_shared<Table>(
+      "stats", Schema::Make({{"id", DataType::kInt64},
+                             {"x", DataType::kDouble},
+                             {"s", DataType::kString}}),
+      4);
+  for (int64_t i = 0; i < 2500; ++i) {
+    const Value id = i % 10 == 9 ? Value::Null() : Value::Int64(i);
+    Value x = Value::Null();
+    if (i % 4 != 0) {
+      x = Value::Double(i % 50 == 0 && (i / 50) % 2 == 1
+                            ? -0.0
+                            : static_cast<double>(i % 50) * 0.5);
+    }
+    const Value s =
+        i % 5 == 0 ? Value::Null()
+                   : Value::String(std::string(static_cast<size_t>(1 + i % 3),
+                                               static_cast<char>('a' + i % 7)));
+    ASSERT_TRUE(table->AppendRow(0, Row{id, x, s}).ok());
+  }
+  ASSERT_EQ(table->chunks(0).size(), 3u);
+  Catalog catalog;
+  catalog.PutTable(table);
+  auto stats = catalog.GetStats("stats");
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  const TableStats& t = **stats;
+  EXPECT_EQ(t.row_count, 2500);
+  ASSERT_EQ(t.columns.size(), 3u);
+  // id: every tenth row NULL, the rest distinct.
+  EXPECT_EQ(t.columns[0].distinct_values, 2250);
+  EXPECT_EQ(t.columns[0].null_fraction, 250.0 / 2500.0);
+  EXPECT_EQ(t.columns[0].avg_bytes, 16);
+  // x: every fourth row NULL; 50 values, the zeros of both signs as one.
+  EXPECT_EQ(t.columns[1].distinct_values, 50);
+  EXPECT_EQ(t.columns[1].null_fraction, 625.0 / 2500.0);
+  EXPECT_EQ(t.columns[1].avg_bytes, 16);
+  // s: every fifth row NULL; 21 strings (i mod 21) whose lengths 1, 2 and 3
+  // fall on 667, 667 and 666 of the 2000 other rows.
+  EXPECT_EQ(t.columns[2].distinct_values, 21);
+  EXPECT_EQ(t.columns[2].null_fraction, 500.0 / 2500.0);
+  EXPECT_EQ(t.columns[2].avg_bytes, (2000 * 16.0 + 3999) / 2000);
+  EXPECT_EQ(t.avg_row_bytes, 16 + 16 + (2000 * 16.0 + 3999) / 2000);
 }
 
 TEST_F(SqlEngineTest, ExplainAnalyzeTracksQueryInRegistry) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "table/column_batch.h"
 #include "table/csv.h"
 #include "table/pretty_print.h"
 #include "table/record_batch.h"
@@ -90,6 +91,133 @@ TEST(TableTest, PartitionedAppendAndGather) {
   EXPECT_EQ(table.TotalRows(), 10u);
   EXPECT_EQ(table.partition(0).size(), 3u);
   EXPECT_EQ(table.GatherRows().size(), 10u);
+}
+
+/// Fails unless every chunk holds 1 to kSqlBatchRows rows and every chunk
+/// but a partition's last is full.
+void ExpectChunkInvariant(const Table& table) {
+  for (size_t p = 0; p < table.num_partitions(); ++p) {
+    const std::vector<ColumnBatch>& chunks = table.chunks(p);
+    for (size_t i = 0; i < chunks.size(); ++i) {
+      EXPECT_GE(chunks[i].num_rows(), 1u)
+          << "partition " << p << " chunk " << i;
+      if (i + 1 < chunks.size()) {
+        EXPECT_EQ(chunks[i].num_rows(), kSqlBatchRows)
+            << "partition " << p << " chunk " << i;
+      } else {
+        EXPECT_LE(chunks[i].num_rows(), kSqlBatchRows) << "partition " << p;
+      }
+    }
+  }
+}
+
+SchemaPtr ChunkTestSchema() {
+  return Schema::Make({{"id", DataType::kInt64},
+                       {"x", DataType::kDouble},
+                       {"s", DataType::kString}});
+}
+
+/// Row i of the chunk tests: NULLs in both nullable columns, and strings
+/// that repeat across chunks.
+Row ChunkTestRow(int64_t i) {
+  return Row{Value::Int64(i),
+             i % 7 == 0 ? Value::Null()
+                        : Value::Double(static_cast<double>(i) * 0.5),
+             i % 5 == 0 ? Value::Null()
+                        : Value::String("s" + std::to_string(i % 3))};
+}
+
+TEST(TableTest, AppendRowFillsChunksInRowOrder) {
+  Table table("t", ChunkTestSchema(), 2);
+  std::vector<Row> expected;
+  for (int64_t i = 0; i < 2500; ++i) {
+    expected.push_back(ChunkTestRow(i));
+    ASSERT_TRUE(table.AppendRow(0, expected.back()).ok());
+  }
+  ExpectChunkInvariant(table);
+  ASSERT_EQ(table.chunks(0).size(), 3u);
+  EXPECT_EQ(table.chunks(0)[2].num_rows(), 2500u - 2 * kSqlBatchRows);
+  EXPECT_TRUE(table.chunks(1).empty());
+  EXPECT_EQ(table.TotalRows(), 2500u);
+  EXPECT_EQ(table.partition(0), expected);
+  EXPECT_TRUE(table.partition(1).empty());
+  EXPECT_EQ(table.GatherRows(), expected);
+}
+
+TEST(TableTest, AppendBatchOfAnySizeKeepsTheChunkInvariant) {
+  const SchemaPtr schema = ChunkTestSchema();
+  Table table("t", schema, 1);
+  std::vector<Row> expected;
+  int64_t next = 0;
+  for (const size_t n : {1024, 1, 2500, 0, 1023, 1025, 1024, 1}) {
+    ColumnBatch batch(schema);
+    for (size_t k = 0; k < n; ++k) {
+      expected.push_back(ChunkTestRow(next++));
+      ASSERT_TRUE(batch.AppendRow(expected.back()).ok());
+    }
+    ASSERT_TRUE(table.AppendBatch(0, std::move(batch)).ok()) << n;
+    ExpectChunkInvariant(table);
+    EXPECT_EQ(table.TotalRows(), expected.size()) << n;
+    // Rows appended one at a time continue the same last chunk.
+    expected.push_back(ChunkTestRow(next++));
+    ASSERT_TRUE(table.AppendRow(0, expected.back()).ok());
+    ExpectChunkInvariant(table);
+  }
+  EXPECT_EQ(table.partition(0), expected);
+}
+
+TEST(TableTest, MalformedRowsAndBatchesLeaveTheTableUnchanged) {
+  const SchemaPtr schema = ChunkTestSchema();
+  Table table("t", schema, 1);
+  std::vector<Row> expected;
+  for (int64_t i = 0; i < static_cast<int64_t>(kSqlBatchRows); ++i) {
+    expected.push_back(ChunkTestRow(i));
+    ASSERT_TRUE(table.AppendRow(0, expected.back()).ok());
+  }
+  const auto refused = [&](const Row& row) {
+    EXPECT_TRUE(table.AppendRow(0, row).IsInvalidArgument());
+    ExpectChunkInvariant(table);
+    EXPECT_EQ(table.TotalRows(), expected.size());
+    EXPECT_EQ(table.partition(0), expected);
+  };
+  // The last chunk is full: a refused row must not leave a new empty chunk.
+  // Only the last cell is wrong, so a partial append would show.
+  refused(Row{Value::Int64(1), Value::Double(1.0), Value::Int64(3)});
+  refused(Row{Value::Int64(1), Value::Double(1.0)});
+  refused(Row{Value::Int64(1), Value::Double(1.0), Value::String("a"),
+              Value::Int64(0)});
+  EXPECT_EQ(table.chunks(0).size(), 1u);
+  // Mid-chunk.
+  expected.push_back(ChunkTestRow(9999));
+  ASSERT_TRUE(table.AppendRow(0, expected.back()).ok());
+  refused(Row{Value::Int64(1), Value::String("not a double"),
+              Value::String("a")});
+  refused(Row{Value::Double(1.0), Value::Double(1.0), Value::String("a")});
+  ASSERT_EQ(table.chunks(0).size(), 2u);
+  EXPECT_EQ(table.chunks(0)[1].num_rows(), 1u);
+
+  ColumnBatch wrong_type(Schema::Make({{"id", DataType::kInt64},
+                                       {"x", DataType::kInt64},
+                                       {"s", DataType::kString}}));
+  ASSERT_TRUE(wrong_type
+                  .AppendRow(Row{Value::Int64(1), Value::Int64(2),
+                                 Value::String("a")})
+                  .ok());
+  EXPECT_TRUE(table.AppendBatch(0, std::move(wrong_type)).IsInvalidArgument());
+  ColumnBatch wrong_width(Schema::Make({{"id", DataType::kInt64}}));
+  ASSERT_TRUE(wrong_width.AppendRow(Row{Value::Int64(1)}).ok());
+  EXPECT_TRUE(table.AppendBatch(0, std::move(wrong_width)).IsInvalidArgument());
+  EXPECT_EQ(table.partition(0), expected);
+}
+
+TEST(TableTest, Int64WidensIntoADoubleColumn) {
+  Table table("t", ChunkTestSchema(), 1);
+  ASSERT_TRUE(table.AppendRow(0, Row{Value::Int64(1), Value::Int64(7),
+                                     Value::String("a")})
+                  .ok());
+  const std::vector<Row> rows = table.partition(0);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][1], Value::Double(7.0));
 }
 
 TEST(CsvTest, SimpleRoundTrip) {
