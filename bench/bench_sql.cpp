@@ -97,6 +97,15 @@ void BM_RecodeLocalDistinctUdf(benchmark::State& state) {
 }
 BENCHMARK(BM_RecodeLocalDistinctUdf)->Unit(benchmark::kMillisecond);
 
+void BM_DummyCodeUdf(benchmark::State& state) {
+  // The §2.2 coding UDF: two columns pass through, nitems becomes 15
+  // generated columns.
+  RunQuery(state,
+           "SELECT * FROM TABLE(dummy_code((SELECT cartid, amount, nitems "
+           "FROM carts), 'nitems:15'))");
+}
+BENCHMARK(BM_DummyCodeUdf)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 }  // namespace sqlink
 

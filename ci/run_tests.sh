@@ -80,7 +80,9 @@ cmake --build "${BUILD_DIR}" -j "${JOBS}" --target bench_spill
 # Ops-endpoint smoke: start a workload under SQLINK_OPS_PORT, then curl the
 # live endpoints — /metrics must be Prometheus text carrying the planner
 # q-error feedback, /queries and /tracez must be valid JSON — while
-# streaming transfers are still running.
+# streaming transfers are still running, and while an idle connection
+# (fd 8) that never sends a request is held open: the server must not
+# wait on it forever.
 echo "==> [${BUILD_DIR}] ops endpoint smoke (live /metrics, /queries, /tracez)"
 cmake --build "${BUILD_DIR}" -j "${JOBS}" --target ops_demo
 OPS_LOG="$(mktemp)"
@@ -97,22 +99,24 @@ if [[ -z "${OPS_PORT}" ]]; then
 fi
 # Give the demo a moment to run its EXPLAIN ANALYZE and first transfer.
 sleep 2
-curl -sf "127.0.0.1:${OPS_PORT}/healthz" | grep -q ok
-curl -sf "127.0.0.1:${OPS_PORT}/metrics" > /tmp/ops_metrics.txt
+exec 8<>"/dev/tcp/127.0.0.1/${OPS_PORT}"
+curl -sf --max-time 10 "127.0.0.1:${OPS_PORT}/healthz" | grep -q ok
+curl -sf --max-time 10 "127.0.0.1:${OPS_PORT}/metrics" > /tmp/ops_metrics.txt
 grep -q '^# TYPE sqlink_' /tmp/ops_metrics.txt
 grep -q 'sqlink_sql_planner_qerror_x100' /tmp/ops_metrics.txt
-curl -sf "127.0.0.1:${OPS_PORT}/queries" | python3 -c '
+curl -sf --max-time 10 "127.0.0.1:${OPS_PORT}/queries" | python3 -c '
 import json, sys
 doc = json.load(sys.stdin)
 assert "active" in doc and "finished" in doc, doc.keys()
 assert doc["finished"], "no finished queries on /queries"
 assert any(q.get("operators") for q in doc["finished"]), "no operator stats"
 '
-curl -sf "127.0.0.1:${OPS_PORT}/tracez" | python3 -c '
+curl -sf --max-time 10 "127.0.0.1:${OPS_PORT}/tracez" | python3 -c '
 import json, sys
 doc = json.load(sys.stdin)
 assert "traces" in doc, doc.keys()
 '
+exec 8>&-
 wait "${OPS_PID}"
 grep -q '^DONE transfers=' "${OPS_LOG}"
 rm -f "${OPS_LOG}" /tmp/ops_metrics.txt

@@ -70,16 +70,18 @@ class MqSinkUdf final : public TableUdf {
       span_.AddAttribute("worker", worker);
     }
 
-    Status Consume(Row row, RowSink*) override {
-      RowBatchEncoder& batch = batchers_[next_];
-      batch.Add(row);
-      ++rows_;
-      if (batch.bytes() >= udf_->batch_bytes_) RETURN_IF_ERROR(Flush(next_));
-      next_ = (next_ + 1) % batchers_.size();
+    Status Consume(ColumnBatch input, ColumnBatch*) override {
+      for (size_t r = 0; r < input.num_rows(); ++r) {
+        RowBatchEncoder& batch = batchers_[next_];
+        batch.Add(input, r);
+        ++rows_;
+        if (batch.bytes() >= udf_->batch_bytes_) RETURN_IF_ERROR(Flush(next_));
+        next_ = (next_ + 1) % batchers_.size();
+      }
       return Status::OK();
     }
 
-    Status Finish(RowSink* output) override {
+    Status Finish(ColumnBatch* output) override {
       for (size_t j = 0; j < batchers_.size(); ++j) {
         if (!batchers_[j].empty()) RETURN_IF_ERROR(Flush(j));
         RETURN_IF_ERROR(
@@ -87,8 +89,8 @@ class MqSinkUdf final : public TableUdf {
       }
       span_.AddAttribute("rows_published", rows_);
       span_.AddAttribute("messages_published", messages_);
-      return output->Push(Row{Value::Int64(worker_), Value::Int64(rows_),
-                              Value::Int64(messages_)});
+      return output->AppendRow(Row{Value::Int64(worker_), Value::Int64(rows_),
+                                   Value::Int64(messages_)});
     }
 
    private:

@@ -1,5 +1,10 @@
 #include "obs/ops_server.h"
 
+#include <poll.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -17,6 +22,10 @@ namespace sqlink {
 namespace {
 
 constexpr size_t kMaxRequestBytes = 8192;
+/// How long a peer has to send its whole request head. The server answers
+/// one connection at a time, so this bounds how long a silent peer holds
+/// up everyone else and Stop().
+constexpr int kRequestHeadTimeoutMs = 2000;
 
 void AppendJsonString(const std::string& text, std::string* out) {
   out->push_back('"');
@@ -103,31 +112,57 @@ Status SendResponse(TcpSocket* socket, const std::string& status_line,
   return socket->SendAllV(head, body);
 }
 
-/// Reads until the end of the request head ("\r\n\r\n") and returns the
-/// request target path (query strings stripped). GET requests carry no
-/// body, so nothing else is consumed.
+/// Reads the request head ("...\r\n\r\n") under one deadline and returns
+/// the request target path (query strings stripped). GET requests carry no
+/// body, so nothing after the head matters. InvalidArgument (answered 400)
+/// when the head does not end within kMaxRequestBytes or its request line
+/// is malformed; Unavailable or a network error (the connection is dropped)
+/// when the peer stalls past kRequestHeadTimeoutMs or goes away.
 Result<std::string> ReadRequestPath(TcpSocket* socket) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(kRequestHeadTimeoutMs);
   std::string request;
-  std::string byte;
-  while (request.size() < kMaxRequestBytes) {
-    RETURN_IF_ERROR(socket->RecvExactly(1, &byte));
-    request += byte;
-    if (request.size() >= 4 &&
-        request.compare(request.size() - 4, 4, "\r\n\r\n") == 0) {
-      break;
+  size_t head_end = std::string::npos;
+  while (head_end == std::string::npos) {
+    if (request.size() >= kMaxRequestBytes) {
+      return Status::InvalidArgument("http request head over " +
+                                     std::to_string(kMaxRequestBytes) +
+                                     " bytes");
     }
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    ::pollfd pfd{socket->fd(), POLLIN, 0};
+    const int ready =
+        ::poll(&pfd, 1, static_cast<int>(std::max<int64_t>(0, left.count())));
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready < 0) return Status::NetworkError("poll on ops connection failed");
+    if (ready == 0) {
+      return Status::Unavailable("http request head not received within " +
+                                 std::to_string(kRequestHeadTimeoutMs) +
+                                 " ms");
+    }
+    const size_t scanned = request.size();
+    bool eof = false;
+    RETURN_IF_ERROR(socket
+                        ->TryRecv(kMaxRequestBytes - request.size(), &request,
+                                  &eof)
+                        .status());
+    if (eof) return Status::NetworkError("peer closed mid request head");
+    head_end = request.find("\r\n\r\n", scanned < 3 ? 0 : scanned - 3);
   }
-  // "GET /path HTTP/1.1\r\n..."
-  const size_t first_space = request.find(' ');
-  if (first_space == std::string::npos) {
-    return Status::InvalidArgument("malformed http request line");
-  }
-  const size_t second_space = request.find(' ', first_space + 1);
-  if (second_space == std::string::npos) {
+  // "GET /path HTTP/1.1": method, target and version, one space apart.
+  const std::string line = request.substr(0, request.find("\r\n"));
+  const size_t first_space = line.find(' ');
+  const size_t second_space = first_space == std::string::npos
+                                  ? std::string::npos
+                                  : line.find(' ', first_space + 1);
+  if (first_space == 0 || second_space == std::string::npos ||
+      second_space == first_space + 1 ||
+      line.compare(second_space + 1, 5, "HTTP/") != 0) {
     return Status::InvalidArgument("malformed http request line");
   }
   std::string path =
-      request.substr(first_space + 1, second_space - first_space - 1);
+      line.substr(first_space + 1, second_space - first_space - 1);
   const size_t query = path.find('?');
   if (query != std::string::npos) path.resize(query);
   return path;
@@ -171,7 +206,14 @@ void OpsServer::Serve() {
 
 void OpsServer::HandleConnection(TcpSocket socket) {
   Result<std::string> path = ReadRequestPath(&socket);
-  if (!path.ok()) return;  // Peer vanished or sent garbage; drop it.
+  if (!path.ok()) {
+    // A stalled or vanished peer is dropped; a bad head gets an answer.
+    if (path.status().IsInvalidArgument()) {
+      (void)SendResponse(&socket, "400 Bad Request", "text/plain",
+                         path.status().message() + "\n");
+    }
+    return;
+  }
 
   Status sent;
   if (*path == "/metrics") {

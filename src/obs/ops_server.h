@@ -24,9 +24,12 @@ namespace sqlink {
 ///              503 with a JSON reason (e.g. admission queue saturated)
 ///
 /// One accept thread serves requests sequentially (ops traffic is tiny);
-/// every response closes the connection. Bound to 127.0.0.1 like all other
-/// sockets in the simulated cluster. Enable via SQLINK_OPS_PORT=<port>
-/// (0 = ephemeral) or programmatically with Start().
+/// every response closes the connection. A peer has 2 s to send its request
+/// head, so an idle connection holds up neither the next request nor
+/// Stop(); a head over 8 KiB or a malformed request line is answered 400.
+/// Bound to 127.0.0.1 like all other sockets in the simulated cluster.
+/// Enable via SQLINK_OPS_PORT=<port> (0 = ephemeral) or programmatically
+/// with Start().
 class OpsServer {
  public:
   /// Health verdict from a HealthHook: healthy == true serves the plain

@@ -214,11 +214,11 @@ class VectorizedHashJoinIterator final : public BatchIterator {
 };
 
 /// A table UDF on the worker thread: opens the worker's partition on the
-/// first Next, pulls the child's batches (polling between them), boxes each
-/// input row once and pushes it through Consume, and calls Finish at end of
-/// input. The UDF's output rows append straight to the caller's batch,
-/// which is handed out once it holds kSqlBatchRows rows.
-class TableUdfBatchIterator final : public BatchIterator, private RowSink {
+/// first Next, pulls the child's batches (polling between them) and hands
+/// each one whole to Consume, and calls Finish at end of input. Next hands
+/// out whatever the UDF appended to the caller's batch as soon as it holds
+/// a row, so no row is boxed on the way through.
+class TableUdfBatchIterator final : public BatchIterator {
  public:
   TableUdfBatchIterator(const PlanNode* plan, TableUdfContext context,
                         BatchIteratorPtr input, std::function<Status()> poll)
@@ -233,30 +233,23 @@ class TableUdfBatchIterator final : public BatchIterator, private RowSink {
       ASSIGN_OR_RETURN(partition_, plan_->udf->Open(context_));
     }
     out->Reset(plan_->output_schema);
-    out_ = out;
-    while (out->num_rows() < kSqlBatchRows && !finished_) {
-      if (pos_ == batch_.num_rows()) {
-        bool has = false;
-        if (input_ != nullptr) {
-          RETURN_IF_ERROR(poll_());
-          ASSIGN_OR_RETURN(has, input_->Next(&batch_));
-        }
-        pos_ = 0;
-        if (!has) {
-          finished_ = true;
-          RETURN_IF_ERROR(partition_->Finish(this));
-          break;
-        }
+    while (out->empty()) {
+      bool has = false;
+      if (input_ != nullptr) {
+        RETURN_IF_ERROR(poll_());
+        ASSIGN_OR_RETURN(has, input_->Next(&batch_));
       }
-      batch_.EmitRow(pos_++, &row_);
-      RETURN_IF_ERROR(partition_->Consume(std::move(row_), this));
+      if (!has) {
+        finished_ = true;
+        RETURN_IF_ERROR(partition_->Finish(out));
+        break;
+      }
+      RETURN_IF_ERROR(partition_->Consume(std::move(batch_), out));
     }
-    return out->num_rows() > 0;
+    return !out->empty();
   }
 
  private:
-  Status Push(Row row) override { return out_->AppendRow(row); }
-
   const PlanNode* plan_;
   TableUdfContext context_;
   std::function<Status()> poll_;
@@ -265,9 +258,6 @@ class TableUdfBatchIterator final : public BatchIterator, private RowSink {
   TableUdfPartitionPtr partition_;
   BatchIteratorPtr input_;
   ColumnBatch batch_;
-  size_t pos_ = 0;
-  Row row_;
-  ColumnBatch* out_ = nullptr;
   bool finished_ = false;
 };
 

@@ -28,10 +28,12 @@ namespace sqlink {
 /// LIMIT consume their child's batches directly; the aggregate's partial
 /// states, Sort, the sort-merge join and the repartition join's shuffle box
 /// their input into rows once (DESIGN.md §10). A table UDF is one more batch
-/// operator: the worker pushes each row of its partition through the UDF's
-/// TableUdfPartition on its own thread, and a streaming sink's sender
-/// threads overlap the transfer with the upstream query work, as the
-/// paper's insql+stream pipeline does. tests/sql_differential_test.cc
+/// operator: the worker pushes each batch of its partition through the
+/// UDF's TableUdfPartition on its own thread and hands out the batch the UDF
+/// appended to, so no row is boxed on the way through; a streaming sink
+/// encodes its frames from the typed columns, and its sender threads
+/// overlap the transfer with the upstream query work, as the paper's
+/// insql+stream pipeline does. tests/sql_differential_test.cc
 /// checks every result against a naive row-at-a-time oracle.
 class Executor {
  public:

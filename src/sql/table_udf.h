@@ -13,6 +13,7 @@
 #include "common/cancellation.h"
 #include "common/metrics.h"
 #include "common/result.h"
+#include "table/column_batch.h"
 #include "table/schema.h"
 #include "table/value.h"
 
@@ -38,27 +39,27 @@ struct TableUdfContext {
   ByteBudgetPtr spill_budget;
 };
 
-/// Push-based row consumer (table UDF output).
-class RowSink {
- public:
-  virtual ~RowSink() = default;
-  virtual Status Push(Row row) = 0;
-};
-
 /// One SQL worker's run of a table UDF over its partition, driven on the
-/// worker thread: Consume() once per input row in partition order, then
-/// Finish() once after the last row (MADlib's transition/final contract).
+/// worker thread: Consume() once per input batch in partition order, then
+/// Finish() once after the last batch (MADlib's transition/final contract).
 /// A UDF without a relation argument gets only Finish(). The executor calls
 /// Finish() only when the whole input was consumed without error; a
 /// partition destroyed without it (upstream error, cancellation, LIMIT
 /// stopping early) releases what it holds in its destructor.
+///
+/// Each input batch holds one or more rows; where the input is split
+/// carries no meaning, so a UDF's output must not depend on it. `output` is
+/// empty on entry and carries the UDF's bound output schema; the UDF
+/// appends any number of rows to it: typed columns filled in place and then
+/// SetRowCountForDecode, AppendGather, or AppendRow.
 class TableUdfPartition {
  public:
   virtual ~TableUdfPartition() = default;
 
-  /// Takes the row by value, so a map UDF can move cells into its output.
-  virtual Status Consume(Row row, RowSink* output) = 0;
-  virtual Status Finish(RowSink* /*output*/) { return Status::OK(); }
+  /// Takes the batch by value, so a map UDF can move whole columns into its
+  /// output.
+  virtual Status Consume(ColumnBatch input, ColumnBatch* output) = 0;
+  virtual Status Finish(ColumnBatch* /*output*/) { return Status::OK(); }
 };
 
 using TableUdfPartitionPtr = std::unique_ptr<TableUdfPartition>;

@@ -202,9 +202,9 @@ Result<SchemaPtr> SqlStreamSinkUdf::Bind(const SchemaPtr& input_schema,
 }
 
 /// One SQL worker's transfer: Start registers and starts a sender thread
-/// per frame log, Consume batches rows into the logs on the worker thread,
-/// Finish settles the transfer and pushes the summary row. Destroyed
-/// without Finish, it aborts the transfer.
+/// per frame log, Consume encodes rows from the input's typed columns into
+/// the logs on the worker thread, Finish settles the transfer and appends
+/// the summary row. Destroyed without Finish, it aborts the transfer.
 class SqlStreamSinkUdf::Partition final : public TableUdfPartition {
  public:
   Partition(const SqlStreamSinkUdf* udf, const TableUdfContext& context)
@@ -217,8 +217,8 @@ class SqlStreamSinkUdf::Partition final : public TableUdfPartition {
 
   /// Steps 1 and 7 of §3 and the start of step 8.
   Status Start();
-  Status Consume(Row row, RowSink* output) override;
-  Status Finish(RowSink* output) override;
+  Status Consume(ColumnBatch input, ColumnBatch* output) override;
+  Status Finish(ColumnBatch* output) override;
 
  private:
   /// One sender thread: serves target j's log to its (re)connecting reader.
@@ -566,20 +566,22 @@ Status SqlStreamSinkUdf::Partition::Flush(size_t j) {
   return appended.ok() ? appended : Settle(appended, j);
 }
 
-Status SqlStreamSinkUdf::Partition::Consume(Row row, RowSink*) {
+Status SqlStreamSinkUdf::Partition::Consume(ColumnBatch input, ColumnBatch*) {
   // Rows go round-robin, one at a time, into per-target row batches; a
   // batch becomes a frame once it crosses the send buffer size.
-  RowBatchEncoder& batch = batchers_[next_target_];
-  batch.Add(row);
-  ++rows_sent_;
-  if (batch.bytes() >= udf_->options_.send_buffer_bytes) {
-    RETURN_IF_ERROR(Flush(next_target_));
+  for (size_t r = 0; r < input.num_rows(); ++r) {
+    RowBatchEncoder& batch = batchers_[next_target_];
+    batch.Add(input, r);
+    ++rows_sent_;
+    if (batch.bytes() >= udf_->options_.send_buffer_bytes) {
+      RETURN_IF_ERROR(Flush(next_target_));
+    }
+    next_target_ = (next_target_ + 1) % batchers_.size();
   }
-  next_target_ = (next_target_ + 1) % batchers_.size();
   return Status::OK();
 }
 
-Status SqlStreamSinkUdf::Partition::Finish(RowSink* output) {
+Status SqlStreamSinkUdf::Partition::Finish(ColumnBatch* output) {
   for (size_t j = 0; j < batchers_.size(); ++j) {
     if (!batchers_[j].empty()) RETURN_IF_ERROR(Flush(j));
   }
@@ -612,9 +614,10 @@ Status SqlStreamSinkUdf::Partition::Finish(RowSink* output) {
           std::memory_order_relaxed);
     }
   }
-  return output->Push(Row{Value::Int64(context_.worker_id),
-                          Value::Int64(rows_sent_), Value::Int64(bytes_sent_),
-                          Value::Int64(spilled_frames)});
+  return output->AppendRow(Row{Value::Int64(context_.worker_id),
+                               Value::Int64(rows_sent_),
+                               Value::Int64(bytes_sent_),
+                               Value::Int64(spilled_frames)});
 }
 
 void SqlStreamSinkUdf::Partition::Unwind(const Status& why) {

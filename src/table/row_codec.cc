@@ -31,6 +31,35 @@ void RowCodec::Encode(const Row& row, std::string* out) {
   }
 }
 
+void RowCodec::Encode(const ColumnBatch& batch, size_t row, std::string* out) {
+  PutVarint64(out, batch.num_columns());
+  for (size_t c = 0; c < batch.num_columns(); ++c) {
+    const Column& col = batch.column(c);
+    if (col.IsNull(row)) {
+      out->push_back(static_cast<char>(kTagNull));
+      continue;
+    }
+    switch (col.type) {
+      case DataType::kBool:
+        out->push_back(static_cast<char>(kTagBool));
+        out->push_back(col.bools[row] != 0 ? 1 : 0);
+        break;
+      case DataType::kInt64:
+        out->push_back(static_cast<char>(kTagInt64));
+        PutVarint64Signed(out, col.ints[row]);
+        break;
+      case DataType::kDouble:
+        out->push_back(static_cast<char>(kTagDouble));
+        PutDouble(out, col.doubles[row]);
+        break;
+      case DataType::kString:
+        out->push_back(static_cast<char>(kTagString));
+        PutLengthPrefixed(out, col.dict[col.codes[row]]);
+        break;
+    }
+  }
+}
+
 Result<Row> RowCodec::Decode(Decoder* decoder) {
   auto count = decoder->GetCount(/*min_element_bytes=*/1);  // A NULL tag.
   if (!count.ok()) return count.status();

@@ -7,6 +7,7 @@
 
 #include "common/coding.h"
 #include "common/result.h"
+#include "table/column_batch.h"
 #include "table/schema.h"
 #include "table/value.h"
 
@@ -24,6 +25,10 @@ class RowCodec {
  public:
   /// Appends one encoded row (field count + values) to the buffer.
   static void Encode(const Row& row, std::string* out);
+  /// Appends row `row` of `batch`, encoded straight from its typed columns:
+  /// the same bytes as Encode of the boxed row (a DOUBLE column's cells stay
+  /// doubles, whatever was appended into it).
+  static void Encode(const ColumnBatch& batch, size_t row, std::string* out);
 
   /// Decodes one row from the cursor.
   static Result<Row> Decode(Decoder* decoder);
@@ -44,9 +49,10 @@ class RowCodec {
 /// known up front (the sink's frames, the broker's messages).
 class RowBatchEncoder {
  public:
-  void Add(const Row& row) {
+  /// Adds row `row` of `batch`.
+  void Add(const ColumnBatch& batch, size_t row) {
     ++rows_;
-    RowCodec::Encode(row, &body_);
+    RowCodec::Encode(batch, row, &body_);
   }
   bool empty() const { return rows_ == 0; }
   uint64_t rows() const { return rows_; }

@@ -42,21 +42,38 @@ Result<SchemaPtr> RecodeLocalDistinctUdf::Bind(const SchemaPtr& input_schema,
 
 // One local scan computes the distinct values of *all* columns (§2.1).
 // Each column's seen-set is an open-addressing StringDict: one hash and no
-// node or string allocation per already-seen value.
+// node or string allocation per already-seen value. A batch is read through
+// its dictionary codes, so each of a batch's distinct values is tested
+// against the seen-set at most once.
 class RecodeLocalDistinctUdf::Partition final : public TableUdfPartition {
  public:
   explicit Partition(const RecodeLocalDistinctUdf* udf)
       : udf_(udf), seen_(udf->column_indices_.size()) {}
 
-  Status Consume(Row row, RowSink* output) override {
-    for (size_t c = 0; c < seen_.size(); ++c) {
-      const Value& value =
-          row[static_cast<size_t>(udf_->column_indices_[c])];
-      if (value.is_null()) continue;
-      const int32_t before = seen_[c].size();
-      if (seen_[c].GetOrAdd(value.string_value()) == before) {
-        RETURN_IF_ERROR(output->Push(
-            Row{Value::String(udf_->column_names_[c]), value}));
+  Status Consume(ColumnBatch input, ColumnBatch* output) override {
+    const size_t num_cols = seen_.size();
+    tested_.resize(num_cols);
+    for (size_t c = 0; c < num_cols; ++c) {
+      const Column& col =
+          input.column(static_cast<size_t>(udf_->column_indices_[c]));
+      tested_[c].assign(static_cast<size_t>(col.dict.size()), 0);
+    }
+    // First-seen order: rows in order, columns in argument order.
+    for (size_t r = 0; r < input.num_rows(); ++r) {
+      for (size_t c = 0; c < num_cols; ++c) {
+        const Column& col =
+            input.column(static_cast<size_t>(udf_->column_indices_[c]));
+        if (col.IsNull(r)) continue;
+        const int32_t code = col.codes[r];
+        uint8_t& tested = tested_[c][static_cast<size_t>(code)];
+        if (tested) continue;
+        tested = 1;
+        const std::string_view value = col.dict[code];
+        const int32_t before = seen_[c].size();
+        if (seen_[c].GetOrAdd(value) != before) continue;
+        RETURN_IF_ERROR(
+            output->AppendRow(Row{Value::String(udf_->column_names_[c]),
+                                  Value::String(std::string(value))}));
       }
     }
     return Status::OK();
@@ -65,6 +82,8 @@ class RecodeLocalDistinctUdf::Partition final : public TableUdfPartition {
  private:
   const RecodeLocalDistinctUdf* udf_;
   std::vector<StringDict> seen_;
+  /// Per column, per code of the current batch's dictionary: tested yet.
+  std::vector<std::vector<uint8_t>> tested_;
 };
 
 Result<TableUdfPartitionPtr> RecodeLocalDistinctUdf::Open(
@@ -95,7 +114,7 @@ class RecodeAssignUdf::Partition final : public TableUdfPartition {
  public:
   explicit Partition(RecodeAssignUdf* udf) : udf_(udf) {}
 
-  Status Consume(Row row, RowSink* output) override {
+  Status Consume(ColumnBatch input, ColumnBatch* output) override {
     if (!counted_) {
       counted_ = true;
       if (udf_->workers_with_data_.fetch_add(1) > 0) {
@@ -104,12 +123,28 @@ class RecodeAssignUdf::Partition final : public TableUdfPartition {
             "ORDER BY to the distinct-values query");
       }
     }
-    if (row[0].is_null() || row[1].is_null()) {
+    const size_t rows = input.num_rows();
+    const Column& names = input.column(0);
+    if (names.has_nulls() || input.column(1).has_nulls()) {
       return Status::InvalidArgument("NULL in distinct-values input");
     }
-    const int64_t code = ++counters_[row[0].string_value()];
-    return output->Push(
-        Row{std::move(row[0]), std::move(row[1]), Value::Int64(code)});
+    // One counter lookup per distinct colname of the batch.
+    std::vector<int64_t*> counters(static_cast<size_t>(names.dict.size()),
+                                   nullptr);
+    Column& codes = output->column(2);
+    codes.ints.resize(rows);
+    for (size_t r = 0; r < rows; ++r) {
+      int64_t*& counter = counters[static_cast<size_t>(names.codes[r])];
+      if (counter == nullptr) {
+        counter = &counters_[std::string(names.dict[names.codes[r]])];
+      }
+      codes.ints[r] = ++*counter;
+    }
+    codes.null_words.assign((rows + 63) / 64, 0);
+    output->column(0) = std::move(input.column(0));
+    output->column(1) = std::move(input.column(1));
+    output->SetRowCountForDecode(rows);
+    return Status::OK();
   }
 
  private:
@@ -180,35 +215,66 @@ class CodeApplyUdf::Partition final : public TableUdfPartition {
  public:
   explicit Partition(const CodeApplyUdf* udf) : udf_(udf) {}
 
-  Status Consume(Row row, RowSink* output) override {
+  Status Consume(ColumnBatch input, ColumnBatch* output) override {
+    const size_t rows = input.num_rows();
+    RETURN_IF_ERROR(CheckLevels(input));
     const bool doubles = udf_->scheme_ == CodingScheme::kOrthogonal;
-    Row out;
-    for (size_t i = 0; i < row.size(); ++i) {
+    size_t out = 0;
+    for (size_t i = 0; i < input.num_columns(); ++i) {
       const int coded_index = udf_->dispatch_[i];
       if (coded_index < 0) {
-        out.push_back(std::move(row[i]));
+        output->column(out++) = std::move(input.column(i));
         continue;
       }
       const BoundColumn& bound =
           udf_->coded_[static_cast<size_t>(coded_index)];
-      if (!row[i].is_int64()) {
-        return Status::InvalidArgument("coded column has non-integer value");
-      }
-      const int64_t level = row[i].int64_value();
-      if (level < 1 || level > bound.cardinality) {
-        return Status::OutOfRange(
-            "recoded value " + std::to_string(level) + " outside [1, " +
-            std::to_string(bound.cardinality) + "]");
-      }
-      for (double v : bound.matrix[static_cast<size_t>(level - 1)]) {
-        out.push_back(doubles ? Value::Double(v)
-                              : Value::Int64(static_cast<int64_t>(v)));
+      const std::vector<int64_t>& levels = input.column(i).ints;
+      const size_t width = bound.matrix.front().size();
+      for (size_t k = 0; k < width; ++k) {
+        Column& col = output->column(out++);
+        col.null_words.assign((rows + 63) / 64, 0);
+        if (doubles) {
+          col.doubles.resize(rows);
+          for (size_t r = 0; r < rows; ++r) {
+            col.doubles[r] =
+                bound.matrix[static_cast<size_t>(levels[r] - 1)][k];
+          }
+        } else {
+          col.ints.resize(rows);
+          for (size_t r = 0; r < rows; ++r) {
+            col.ints[r] = static_cast<int64_t>(
+                bound.matrix[static_cast<size_t>(levels[r] - 1)][k]);
+          }
+        }
       }
     }
-    return output->Push(std::move(out));
+    output->SetRowCountForDecode(rows);
+    return Status::OK();
   }
 
  private:
+  /// The error of the first bad coded cell, rows in order and columns left
+  /// to right, as a row-at-a-time pass reports it; OK when every coded cell
+  /// is a level in [1, k].
+  Status CheckLevels(const ColumnBatch& input) const {
+    for (size_t r = 0; r < input.num_rows(); ++r) {
+      for (const BoundColumn& bound : udf_->coded_) {
+        const Column& col =
+            input.column(static_cast<size_t>(bound.input_index));
+        if (col.IsNull(r)) {
+          return Status::InvalidArgument("coded column has non-integer value");
+        }
+        const int64_t level = col.ints[r];
+        if (level < 1 || level > bound.cardinality) {
+          return Status::OutOfRange(
+              "recoded value " + std::to_string(level) + " outside [1, " +
+              std::to_string(bound.cardinality) + "]");
+        }
+      }
+    }
+    return Status::OK();
+  }
+
   const CodeApplyUdf* udf_;
 };
 

@@ -117,12 +117,12 @@ TEST(ColumnBatchTest, AppendRowRejectsMismatches) {
 // --- Row-batch wire payload ---------------------------------------------------
 
 TEST(RowBatchWireTest, EncodeDecodeRoundTripsEdgeValues) {
-  // The sink boxes rows out of the executor's batches and encodes them one
-  // at a time; the reader decodes a whole payload into its staging vector.
+  // The sink encodes rows straight from the executor's batches, one at a
+  // time; the reader decodes a whole payload into its staging vector.
   auto batch = ColumnBatch::FromRows(EdgeSchema(), EdgeRows());
   ASSERT_TRUE(batch.ok()) << batch.status();
   RowBatchEncoder encoder;
-  for (const Row& row : batch->ToRows()) encoder.Add(row);
+  for (size_t r = 0; r < batch->num_rows(); ++r) encoder.Add(*batch, r);
   std::string payload;
   encoder.Flush(&payload);
 
@@ -138,10 +138,12 @@ TEST(RowBatchWireTest, FramesDecodeWithoutChannelState) {
   // of frames to a replacement reader with no preamble, and a duplicate
   // delivery decodes to the same rows again.
   const std::vector<Row> rows = EdgeRows();
+  auto batch = ColumnBatch::FromRows(EdgeSchema(), rows);
+  ASSERT_TRUE(batch.ok()) << batch.status();
   RowBatchEncoder encoder;
   std::vector<std::string> frames;
   for (size_t r = 0; r < rows.size(); ++r) {
-    encoder.Add(rows[r]);
+    encoder.Add(*batch, r);
     if (r % 2 == 1) {
       frames.emplace_back();
       encoder.Flush(&frames.back());

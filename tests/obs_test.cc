@@ -101,18 +101,18 @@ TEST(QueryRegistryTest, LifecycleAndFinishedRing) {
   EXPECT_NE(json.find("\"state\":\"error\""), std::string::npos);
 }
 
-/// Raw HTTP GET against the ops server; returns the full response text.
-std::string HttpGet(int port, const std::string& path) {
+/// Sends `request` raw to the ops server and returns what arrives before the
+/// server closes the connection or `timeout` passes, whichever is first.
+std::string HttpExchange(
+    int port, const std::string& request,
+    std::chrono::milliseconds timeout = std::chrono::seconds(5)) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
   auto socket = TcpConnect("127.0.0.1", port);
   if (!socket.ok()) return "";
-  if (!socket
-           ->SendAll("GET " + path + " HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n")
-           .ok()) {
-    return "";
-  }
+  if (!socket->SendAll(request).ok()) return "";
   std::string response;
   bool eof = false;
-  while (!eof) {
+  while (!eof && std::chrono::steady_clock::now() < deadline) {
     auto n = socket->TryRecv(4096, &response, &eof);
     if (!n.ok()) break;
     if (*n == 0 && !eof) {
@@ -120,6 +120,13 @@ std::string HttpGet(int port, const std::string& path) {
     }
   }
   return response;
+}
+
+/// Raw HTTP GET against the ops server; returns the full response text, or
+/// what arrived within 5 s.
+std::string HttpGet(int port, const std::string& path) {
+  return HttpExchange(port,
+                      "GET " + path + " HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n");
 }
 
 TEST(OpsServerTest, ServesMetricsQueriesTracezAndHealth) {
@@ -152,6 +159,38 @@ TEST(OpsServerTest, ServesMetricsQueriesTracezAndHealth) {
 
   (*server)->Stop();
   (*server)->Stop();  // Idempotent.
+}
+
+/// One accept thread serves the ops routes, so a peer that connects and
+/// sends nothing must not hold up the next request or Stop(), and a head
+/// that never ends or a request line that is not one gets a 400.
+TEST(OpsServerTest, IdlePeerDoesNotStallOtherRequestsOrStop) {
+  auto server = OpsServer::Start(OpsServer::Options{});
+  ASSERT_TRUE(server.ok()) << server.status();
+  const int port = (*server)->port();
+  auto idle = TcpConnect("127.0.0.1", port);
+  ASSERT_TRUE(idle.ok()) << idle.status();
+
+  const auto asked = std::chrono::steady_clock::now();
+  const std::string health = HttpGet(port, "/healthz");
+  const bool served = health.find("200 OK") != std::string::npos;
+  EXPECT_TRUE(served) << "no answer within 5 s behind an idle peer: "
+                      << health;
+  EXPECT_LT(std::chrono::steady_clock::now() - asked, std::chrono::seconds(5));
+
+  const std::string endless = HttpExchange(port, std::string(9000, 'a'));
+  EXPECT_NE(endless.find("400 Bad Request"), std::string::npos) << endless;
+  const std::string garbled = HttpExchange(port, "GARBAGE\r\n\r\n");
+  EXPECT_NE(garbled.find("400 Bad Request"), std::string::npos) << garbled;
+
+  // A server stuck on the idle peer would never return from Stop().
+  if (!served) idle->Close();
+  auto second_idle = TcpConnect("127.0.0.1", port);
+  ASSERT_TRUE(second_idle.ok()) << second_idle.status();
+  const auto stopping = std::chrono::steady_clock::now();
+  (*server)->Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - stopping,
+            std::chrono::seconds(5));
 }
 
 TEST(OpsServerTest, StartFromEnvDisabledWhenUnset) {

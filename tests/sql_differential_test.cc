@@ -41,12 +41,12 @@ class RowCountUdf final : public TableUdf {
   Result<TableUdfPartitionPtr> Open(const TableUdfContext&) override {
     class Partition final : public TableUdfPartition {
      public:
-      Status Consume(Row, RowSink*) override {
-        ++rows_;
+      Status Consume(ColumnBatch input, ColumnBatch*) override {
+        rows_ += static_cast<int64_t>(input.num_rows());
         return Status::OK();
       }
-      Status Finish(RowSink* output) override {
-        return output->Push(Row{Value::Int64(rows_)});
+      Status Finish(ColumnBatch* output) override {
+        return output->AppendRow(Row{Value::Int64(rows_)});
       }
 
      private:

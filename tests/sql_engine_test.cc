@@ -373,12 +373,13 @@ class PartitionCounterUdf final : public TableUdf {
     class Partition final : public TableUdfPartition {
      public:
       explicit Partition(int worker) : worker_(worker) {}
-      Status Consume(Row, RowSink*) override {
-        ++count_;
+      Status Consume(ColumnBatch input, ColumnBatch*) override {
+        count_ += static_cast<int64_t>(input.num_rows());
         return Status::OK();
       }
-      Status Finish(RowSink* output) override {
-        return output->Push(Row{Value::Int64(worker_), Value::Int64(count_)});
+      Status Finish(ColumnBatch* output) override {
+        return output->AppendRow(
+            Row{Value::Int64(worker_), Value::Int64(count_)});
       }
 
      private:
@@ -746,6 +747,16 @@ TEST_F(SqlEngineTest, LimitPollsCancellationBetweenBatches) {
   EXPECT_TRUE(result.status().IsCancelled()) << result.status();
 }
 
+/// A pass-through UDF's Consume body: moves every input column into the
+/// output, whose schema is the input's.
+Status PassThrough(ColumnBatch input, ColumnBatch* output) {
+  for (size_t c = 0; c < input.num_columns(); ++c) {
+    output->column(c) = std::move(input.column(c));
+  }
+  output->SetRowCountForDecode(input.num_rows());
+  return Status::OK();
+}
+
 /// A table UDF that passes its input through and counts the rows it read.
 class CountingPassThroughUdf final : public TableUdf {
  public:
@@ -765,9 +776,9 @@ class CountingPassThroughUdf final : public TableUdf {
      public:
       explicit Partition(std::atomic<int64_t>* rows_read)
           : rows_read_(rows_read) {}
-      Status Consume(Row row, RowSink* output) override {
-        rows_read_->fetch_add(1);
-        return output->Push(std::move(row));
+      Status Consume(ColumnBatch input, ColumnBatch* output) override {
+        rows_read_->fetch_add(static_cast<int64_t>(input.num_rows()));
+        return PassThrough(std::move(input), output);
       }
 
      private:
@@ -815,9 +826,9 @@ class GivesUpOnWorkerOneUdf final : public TableUdf {
     class Partition final : public TableUdfPartition {
      public:
       explicit Partition(int worker) : worker_(worker) {}
-      Status Consume(Row row, RowSink* output) override {
+      Status Consume(ColumnBatch input, ColumnBatch* output) override {
         if (worker_ == 1) return Status::Cancelled("udf gave up");
-        return output->Push(std::move(row));
+        return PassThrough(std::move(input), output);
       }
 
      private:
@@ -876,11 +887,11 @@ class ThreadRecordingUdf final : public TableUdf {
           : udf_(udf), worker_(worker) {
         udf_->log_->Record(udf_->name_, worker_);
       }
-      Status Consume(Row row, RowSink* output) override {
+      Status Consume(ColumnBatch input, ColumnBatch* output) override {
         udf_->log_->Record(udf_->name_, worker_);
-        return output->Push(std::move(row));
+        return PassThrough(std::move(input), output);
       }
-      Status Finish(RowSink*) override {
+      Status Finish(ColumnBatch*) override {
         udf_->log_->Record(udf_->name_, worker_);
         return Status::OK();
       }

@@ -8,7 +8,9 @@
 // GROUP BY with its own aggregate rules, a stable sort and a limit. Nothing
 // here comes from the executor (no join hash table, aggregate state, group
 // table or shuffle), so a bug there cannot hide in both. A table UDF runs
-// through its push contract in a plain loop per partition.
+// through its push contract in a plain loop per partition, fed 7-row
+// batches: batch boundaries the engine never makes, so a UDF whose output
+// depends on where its input is split disagrees with the engine.
 //
 // Double SUM and AVG depend on summation order, and results print at 17
 // digits. The oracle therefore follows the executor's partition contract
@@ -207,22 +209,14 @@ inline Result<Partitions> Aggregate(const PlanNode& agg) {
   return OnePartition(std::move(out));
 }
 
-/// Appends a UDF's output rows to one partition.
-struct PartitionSink final : RowSink {
-  explicit PartitionSink(std::vector<Row>* rows) : rows(rows) {}
-  Status Push(Row row) override {
-    rows->push_back(std::move(row));
-    return Status::OK();
-  }
-  std::vector<Row>* rows;
-};
-
-/// For each input partition p: Open with worker_id = p, Consume every row
-/// in order, then Finish; the rows form output partition p.
+/// For each input partition p: Open with worker_id = p, Consume its rows in
+/// order in batches of 7, then Finish; the rows the UDF appends form output
+/// partition p.
 inline Result<Partitions> ApplyTableUdf(const PlanNode& node) {
   if (node.children.empty()) {
     return Status::Unimplemented("oracle: source table UDFs");
   }
+  constexpr size_t kBatchRows = 7;
   ASSIGN_OR_RETURN(Partitions in, Run(node.children[0]));
   Partitions out(in.size());
   for (size_t p = 0; p < in.size(); ++p) {
@@ -231,11 +225,24 @@ inline Result<Partitions> ApplyTableUdf(const PlanNode& node) {
     context.num_workers = static_cast<int>(in.size());
     context.metrics = &MetricsRegistry::Global();
     ASSIGN_OR_RETURN(TableUdfPartitionPtr partition, node.udf->Open(context));
-    PartitionSink sink(&out[p]);
-    for (Row& row : in[p]) {
-      RETURN_IF_ERROR(partition->Consume(std::move(row), &sink));
+    const auto append = [&](const ColumnBatch& output) {
+      for (Row& row : output.ToRows()) out[p].push_back(std::move(row));
+    };
+    for (size_t begin = 0; begin < in[p].size(); begin += kBatchRows) {
+      const size_t end = std::min(in[p].size(), begin + kBatchRows);
+      ASSIGN_OR_RETURN(
+          ColumnBatch input,
+          ColumnBatch::FromRows(
+              node.children[0]->output_schema,
+              std::vector<Row>(in[p].begin() + static_cast<ptrdiff_t>(begin),
+                               in[p].begin() + static_cast<ptrdiff_t>(end))));
+      ColumnBatch output(node.output_schema);
+      RETURN_IF_ERROR(partition->Consume(std::move(input), &output));
+      append(output);
     }
-    RETURN_IF_ERROR(partition->Finish(&sink));
+    ColumnBatch output(node.output_schema);
+    RETURN_IF_ERROR(partition->Finish(&output));
+    append(output);
   }
   return out;
 }

@@ -319,9 +319,18 @@ TEST(RowCodecTest, HugeRowCountIsDataLoss) {
 TEST(RowCodecTest, RowBatchEncoderMatchesEncodeRows) {
   const std::vector<Row> rows{Row{Value::Int64(7), Value::Null()}, Row{},
                               Row{Value::String("x"), Value::Double(0.5)}};
+  // Rows of different shapes: each comes from a one-row batch of its own.
+  const std::vector<SchemaPtr> schemas{
+      Schema::Make({{"a", DataType::kInt64}, {"b", DataType::kString}}),
+      Schema::Make({}),
+      Schema::Make({{"a", DataType::kString}, {"b", DataType::kDouble}})};
   RowBatchEncoder encoder;
   EXPECT_TRUE(encoder.empty());
-  for (const Row& row : rows) encoder.Add(row);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    auto batch = ColumnBatch::FromRows(schemas[i], {rows[i]});
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    encoder.Add(*batch, 0);
+  }
   EXPECT_FALSE(encoder.empty());
   std::string payload = "prefix";
   encoder.Flush(&payload);

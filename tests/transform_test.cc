@@ -232,6 +232,39 @@ TEST_F(TransformUdfTest, LocalDistinctEmitsAllValues) {
   EXPECT_TRUE(pairs.count({"abandoned", "0"}));
 }
 
+TEST_F(TransformUdfTest, LocalDistinctKeepsFirstSeenOrderAcrossBatches) {
+  // 3000 rows in one partition, so three input batches, each bringing new
+  // values of both columns: the output is every distinct value once, in
+  // first-seen order (rows in order, columns in argument order).
+  auto table = engine_->MakeTable(
+      "wide", Schema::Make({{"a", DataType::kString},
+                            {"b", DataType::kString}}));
+  std::vector<std::pair<std::string, std::string>> expected;
+  std::set<std::pair<std::string, std::string>> seen;
+  for (int i = 0; i < 3000; ++i) {
+    const Row row{Value::String("a" + std::to_string(i / 2)),
+                  Value::String("b" + std::to_string(i / 3))};
+    ASSERT_TRUE(table->AppendRow(0, row).ok());
+    for (const auto& pair : {std::make_pair(std::string("b"), row[1]),
+                             std::make_pair(std::string("a"), row[0])}) {
+      if (seen.emplace(pair.first, pair.second.string_value()).second) {
+        expected.emplace_back(pair.first, pair.second.string_value());
+      }
+    }
+  }
+  ASSERT_TRUE(engine_->catalog()->RegisterTable(table).ok());
+  auto result = engine_->ExecuteSql(
+      "SELECT * FROM TABLE(recode_local_distinct((SELECT a, b FROM wide), "
+      "'b,a'))");
+  ASSERT_TRUE(result.ok()) << result.status();
+  std::vector<std::pair<std::string, std::string>> got;
+  for (const Row& row : (*result)->partition(0)) {
+    got.emplace_back(row[0].string_value(), row[1].string_value());
+  }
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ((*result)->TotalRows(), expected.size());
+}
+
 TEST_F(TransformUdfTest, LocalDistinctRejectsNumericColumn) {
   auto status = engine_
                     ->ExecuteSql(
@@ -431,6 +464,29 @@ TEST_F(TransformUdfTest, CodedNullLevelRejected) {
                     .status();
   EXPECT_TRUE(status.IsInvalidArgument()) << status;
   EXPECT_NE(status.message().find("non-integer"), std::string::npos);
+}
+
+TEST_F(TransformUdfTest, FirstBadLevelInRowOrderIsReported) {
+  // Rows (1, 1), (1, 5), (7, 1) in one partition: reading row by row, left
+  // to right, the first bad level is b's 5; a column-at-a-time check would
+  // stop at a's 7 first. (AddLevels spreads rows over the partitions, and a
+  // query reports the lowest failing worker's error, so build it here.)
+  auto table = engine_->MakeTable(
+      "t2", Schema::Make({{"a", DataType::kInt64}, {"b", DataType::kInt64}}));
+  for (const auto& [a, b] : {std::pair<int64_t, int64_t>{1, 1},
+                             std::pair<int64_t, int64_t>{1, 5},
+                             std::pair<int64_t, int64_t>{7, 1}}) {
+    ASSERT_TRUE(
+        table->AppendRow(0, Row{Value::Int64(a), Value::Int64(b)}).ok());
+  }
+  ASSERT_TRUE(engine_->catalog()->RegisterTable(table).ok());
+  auto status = engine_
+                    ->ExecuteSql(
+                        "SELECT * FROM TABLE(dummy_code((SELECT a, b FROM "
+                        "t2), 'a:2,b:2'))")
+                    .status();
+  EXPECT_TRUE(status.IsOutOfRange()) << status;
+  EXPECT_EQ(status.message(), "recoded value 5 outside [1, 2]");
 }
 
 TEST_F(TransformUdfTest, DummyCodeRequiresIntColumn) {
