@@ -71,10 +71,24 @@ void BM_JoinCount(benchmark::State& state) {
 }
 BENCHMARK(BM_JoinCount)->Unit(benchmark::kMillisecond);
 
+// A build side of 100k rows in many chunks: the broadcast build gathers
+// every chunk into one batch before indexing it.
+void BM_SelfJoinCount(benchmark::State& state) {
+  RunQuery(state,
+           "SELECT COUNT(*) FROM carts A, carts B WHERE A.cartid = B.cartid");
+}
+BENCHMARK(BM_SelfJoinCount)->Unit(benchmark::kMillisecond);
+
 void BM_Distinct(benchmark::State& state) {
   RunQuery(state, "SELECT DISTINCT abandoned, year FROM carts");
 }
 BENCHMARK(BM_Distinct)->Unit(benchmark::kMillisecond);
+
+// One group per row (100k): the group table's key batch grows row by row.
+void BM_DistinctManyGroups(benchmark::State& state) {
+  RunQuery(state, "SELECT DISTINCT cartid FROM carts");
+}
+BENCHMARK(BM_DistinctManyGroups)->Unit(benchmark::kMillisecond);
 
 void BM_GroupByAggregate(benchmark::State& state) {
   RunQuery(state,

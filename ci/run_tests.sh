@@ -77,6 +77,24 @@ echo "==> [${BUILD_DIR}] bench smoke (slow consumer: spill vs backpressure)"
 cmake --build "${BUILD_DIR}" -j "${JOBS}" --target bench_spill
 "${BUILD_DIR}/bench/bench_spill" 100000 --check
 
+# SQL microbenchmark smoke: every bench_sql case runs briefly. A case whose
+# query fails reports it only in its JSON entry ("error_occurred"), with
+# exit status 0, so the stage reads the JSON and fails on any such entry as
+# well as on a non-zero exit. Correctness only; there is no timing gate.
+echo "==> [${BUILD_DIR}] bench smoke (SQL microbenchmarks)"
+cmake --build "${BUILD_DIR}" -j "${JOBS}" --target bench_sql
+SQL_BENCH_JSON="${BUILD_DIR}/bench_sql.json"
+"${BUILD_DIR}/bench/bench_sql" --benchmark_min_time=0.01 \
+  --benchmark_format=json > "${SQL_BENCH_JSON}"
+python3 - "${SQL_BENCH_JSON}" <<'PY'
+import json, sys
+runs = json.load(open(sys.argv[1]))["benchmarks"]
+failed = [run["name"] for run in runs if run.get("error_occurred")]
+assert runs, "bench_sql ran no case"
+assert not failed, "bench_sql cases failed: " + ", ".join(failed)
+print("    bench_sql: %d cases, none failed" % len(runs))
+PY
+
 # Ops-endpoint smoke: start a workload under SQLINK_OPS_PORT, then curl the
 # live endpoints — /metrics must be Prometheus text carrying the planner
 # q-error feedback, /queries and /tracez must be valid JSON — while

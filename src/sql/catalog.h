@@ -19,9 +19,9 @@ struct ColumnStats {
   double avg_bytes = 16;       ///< Average in-memory payload bytes per value.
 };
 
-/// Table-level statistics feeding the planner's cost model: filter
-/// selectivity (NDV, null fractions), join output cardinality, and the
-/// hash-build memory estimate that picks hash vs sort-merge joins.
+/// Table-level statistics feeding the planner's estimates: filter
+/// selectivity (NDV, null fractions) and join output cardinality. The byte
+/// widths are measured, but no plan decision reads them.
 struct TableStats {
   double row_count = 0;
   double avg_row_bytes = 0;          ///< Sum of per-column avg_bytes.

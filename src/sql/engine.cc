@@ -91,8 +91,7 @@ Result<PlanPtr> SqlEngine::Plan(const std::string& sql) {
 }
 
 Result<PlanPtr> SqlEngine::PlanStmt(const SelectStmt& stmt) {
-  Planner planner(&catalog_, scalar_udfs_.get(), &table_udfs_, num_workers_,
-                  planner_options_);
+  Planner planner(&catalog_, scalar_udfs_.get(), &table_udfs_, num_workers_);
   return planner.PlanSelect(stmt);
 }
 

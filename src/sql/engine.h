@@ -46,29 +46,6 @@ class SqlEngine {
   static std::shared_ptr<SqlEngine> Make(ClusterPtr cluster,
                                          MetricsRegistry* metrics = nullptr);
 
-  /// Join-strategy knob: build sides estimated at or below this many rows
-  /// are broadcast; larger ones trigger a repartition (shuffle) join.
-  /// Exposed for tests and tuning.
-  void set_broadcast_threshold_rows(double rows) {
-    planner_options_.broadcast_threshold_rows = rows;
-  }
-  double broadcast_threshold_rows() const {
-    return planner_options_.broadcast_threshold_rows;
-  }
-
-  /// Forces (or re-enables cost-based choice of) the physical equi-join
-  /// algorithm. kAuto picks hash unless the estimated build size exceeds
-  /// the hash-build memory budget.
-  void set_join_strategy(JoinStrategy strategy) {
-    planner_options_.join_strategy = strategy;
-  }
-  JoinStrategy join_strategy() const { return planner_options_.join_strategy; }
-
-  /// Hash-build memory budget for the kAuto join choice, in bytes.
-  void set_hash_build_budget_bytes(double bytes) {
-    planner_options_.hash_build_budget_bytes = bytes;
-  }
-
   /// Parses, plans and runs a statement; the result table is named
   /// `result_name` (default "result") but not registered in the catalog.
   ///
@@ -142,7 +119,6 @@ class SqlEngine {
   Catalog catalog_;
   std::shared_ptr<ScalarFunctionRegistry> scalar_udfs_;
   TableUdfRegistry table_udfs_;
-  PlannerOptions planner_options_;
 };
 
 using SqlEnginePtr = std::shared_ptr<SqlEngine>;

@@ -4,7 +4,6 @@
 #include <bit>
 #include <map>
 #include <numeric>
-#include <optional>
 #include <unordered_map>
 
 #include "common/failpoint.h"
@@ -42,32 +41,6 @@ struct RowLess {
     return a.size() < b.size();
   }
 };
-
-bool RowKeyEquals(const Row& a, const std::vector<int>& a_keys, const Row& b,
-                  const std::vector<int>& b_keys) {
-  for (size_t i = 0; i < a_keys.size(); ++i) {
-    if (a[static_cast<size_t>(a_keys[i])] !=
-        b[static_cast<size_t>(b_keys[i])]) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool HasNullKey(const Row& row, const std::vector<int>& keys) {
-  for (int k : keys) {
-    if (row[static_cast<size_t>(k)].is_null()) return true;
-  }
-  return false;
-}
-
-/// Each partition of `table`, boxed (the row islands: the sort-merge join
-/// and the repartition join's shuffle).
-std::vector<std::vector<Row>> BoxPartitions(const Table& table) {
-  std::vector<std::vector<Row>> rows(table.num_partitions());
-  for (size_t p = 0; p < rows.size(); ++p) rows[p] = table.partition(p);
-  return rows;
-}
 
 /// Appends the first `n` rows of `batch` to partition `p` of `out` (LIMIT).
 Status AppendHead(Table* out, size_t p, ColumnBatch batch, size_t n) {
@@ -306,6 +279,9 @@ class BatchGroupTable {
 
   void Grow() {
     const size_t capacity = std::max<size_t>(16, 2 * slots_.size());
+    // The table holds at most capacity / 2 groups before it grows again, so
+    // the one-row appends of FindOrInsert never reallocate keys_.
+    keys_.Reserve(capacity / 2);
     shift_ = 64 - std::countr_zero(capacity);
     slots_.assign(capacity, -1);
     for (size_t g = 0; g < hashes_.size(); ++g) {
@@ -372,17 +348,8 @@ class StatsBatchIterator final : public BatchIterator {
 // PipelineState
 
 struct Executor::PipelineState {
-  struct JoinArtifact {
-    bool broadcast = true;
-    std::shared_ptr<const JoinIndex> broadcast_index;
-    // Repartition mode: the shuffled probe rows, one partition per worker,
-    // and each worker's index over its shuffled build rows.
-    std::optional<Table> probe;
-    std::vector<std::shared_ptr<const JoinIndex>> worker_indexes;
-  };
-
   // Keyed by plan node identity.
-  std::unordered_map<const PlanNode*, JoinArtifact> joins;
+  std::unordered_map<const PlanNode*, std::shared_ptr<const JoinIndex>> joins;
   std::unordered_map<const PlanNode*, Table> materialized;
 };
 
@@ -460,9 +427,7 @@ std::vector<std::vector<Row>> Executor::Repartition(
   ParallelFor(input.size(), [&](size_t p) {
     local[p].resize(n);
     for (Row& row : input[p]) {
-      const size_t target =
-          keys.empty() ? p % n : HashRowKey(row, keys) % n;
-      local[p][target].push_back(std::move(row));
+      local[p][HashRowKey(row, keys) % n].push_back(std::move(row));
     }
     input[p].clear();
   });
@@ -495,71 +460,27 @@ Status Executor::Prepare(const PlanPtr& plan, PipelineState* state) {
       }
       return Status::OK();
     case PlanKind::kHashJoin: {
-      // Sort-merge choice (cost-based, equi keys only): materialize the
-      // merged result here and pipeline over it.
-      if (plan->join_algo == JoinAlgo::kSortMerge && !plan->left_keys.empty()) {
-        Stopwatch merge_watch;
-        ASSIGN_OR_RETURN(Table rows, ExecuteMergeJoin(plan));
-        if (OperatorActuals* actuals = NodeActuals(plan)) {
-          actuals->AddMicros(merge_watch.ElapsedMicros());
-          actuals->AddRows(static_cast<int64_t>(rows.TotalRows()));
-          actuals->AddInvocation();
-        }
-        state->materialized.emplace(plan.get(), std::move(rows));
-        return Status::OK();
-      }
-      PipelineState::JoinArtifact artifact;
-      artifact.broadcast = plan->broadcast_build;
-      const SchemaPtr& build_schema = plan->children[1]->output_schema;
+      // One index over the build's chunks, appended in partition order,
+      // that every worker probes.
       ASSIGN_OR_RETURN(Table build, Execute(plan->children[1]));
-      int64_t build_rows = 0;
-      if (plan->broadcast_build) {
-        // One index over the build's chunks, appended in partition order.
-        ColumnBatch batch(build_schema);
-        std::vector<int32_t> rows(kSqlBatchRows);
-        std::iota(rows.begin(), rows.end(), 0);
-        for (size_t p = 0; p < build.num_partitions(); ++p) {
-          for (const ColumnBatch& chunk : build.chunks(p)) {
-            RETURN_IF_ERROR(
-                batch.AppendGather(chunk, rows.data(), chunk.num_rows()));
-          }
-        }
-        build_rows = static_cast<int64_t>(batch.num_rows());
-        artifact.broadcast_index = std::make_shared<const JoinIndex>(
-            std::move(batch), plan->right_keys);
-      } else {
-        // Repartition join: both sides materialize and shuffle by key hash.
-        ASSIGN_OR_RETURN(Table probe, Execute(plan->children[0]));
-        std::vector<std::vector<Row>> probe_parts =
-            Repartition(BoxPartitions(probe), plan->left_keys);
-        std::vector<std::vector<Row>> build_parts =
-            Repartition(BoxPartitions(build), plan->right_keys);
-        artifact.probe.emplace(EmptyResult(plan->children[0]));
-        artifact.worker_indexes.resize(static_cast<size_t>(num_workers_));
-        RETURN_IF_ERROR(ParallelWorkers(num_workers_, [&](int w) -> Status {
-          const size_t worker = static_cast<size_t>(w);
-          for (const Row& row : probe_parts[worker]) {
-            RETURN_IF_ERROR(artifact.probe->AppendRow(worker, row));
-          }
-          ColumnBatch batch(build_schema);
-          for (const Row& row : build_parts[worker]) {
-            RETURN_IF_ERROR(batch.AppendRow(row));
-          }
-          artifact.worker_indexes[worker] = std::make_shared<const JoinIndex>(
-              std::move(batch), plan->right_keys);
-          return Status::OK();
-        }));
-        for (const auto& index : artifact.worker_indexes) {
-          build_rows += static_cast<int64_t>(index->batch().num_rows());
+      ColumnBatch batch(plan->children[1]->output_schema);
+      batch.Reserve(build.TotalRows());
+      std::vector<int32_t> rows(kSqlBatchRows);
+      std::iota(rows.begin(), rows.end(), 0);
+      for (size_t p = 0; p < build.num_partitions(); ++p) {
+        for (const ColumnBatch& chunk : build.chunks(p)) {
+          RETURN_IF_ERROR(
+              batch.AppendGather(chunk, rows.data(), chunk.num_rows()));
         }
       }
       if (OperatorActuals* actuals = NodeActuals(plan)) {
+        const int64_t build_rows = static_cast<int64_t>(batch.num_rows());
         actuals->AddBuildRows(build_rows);
-        actuals->MaxPeakBytes(ApproxRowsBytes(build_schema, build_rows));
+        actuals->MaxPeakBytes(ApproxRowsBytes(batch.schema(), build_rows));
       }
-      const bool broadcast = artifact.broadcast;
-      state->joins.emplace(plan.get(), std::move(artifact));
-      return broadcast ? Prepare(plan->children[0], state) : Status::OK();
+      state->joins.emplace(plan.get(), std::make_shared<const JoinIndex>(
+                                           std::move(batch), plan->right_keys));
+      return Prepare(plan->children[0], state);
     }
     default: {
       // A blocking operator inside a pipeline: execute it fully and expose
@@ -620,21 +541,11 @@ Result<BatchIteratorPtr> Executor::BuildBatchPipelineNode(
       if (it == state->joins.end()) {
         return Status::Internal("join not prepared");
       }
-      PipelineState::JoinArtifact& artifact = it->second;
-      if (artifact.broadcast) {
-        ASSIGN_OR_RETURN(BatchIteratorPtr probe,
-                         BuildBatchPipeline(plan->children[0], worker, state));
-        return BatchIteratorPtr(new VectorizedHashJoinIterator(
-            std::move(probe), artifact.broadcast_index, &plan->left_keys,
-            plan->residual, plan->output_schema));
-      }
-      BatchIteratorPtr probe(new ChunkScanIterator(
-          &artifact.probe->chunks(static_cast<size_t>(worker)),
-          plan->children[0]->output_schema));
+      ASSIGN_OR_RETURN(BatchIteratorPtr probe,
+                       BuildBatchPipeline(plan->children[0], worker, state));
       return BatchIteratorPtr(new VectorizedHashJoinIterator(
-          std::move(probe),
-          artifact.worker_indexes[static_cast<size_t>(worker)],
-          &plan->left_keys, plan->residual, plan->output_schema));
+          std::move(probe), it->second, &plan->left_keys, plan->residual,
+          plan->output_schema));
     }
     case PlanKind::kTableUdf: {
       BatchIteratorPtr input;
@@ -758,114 +669,6 @@ Result<Table> Executor::ExecuteDistinct(const PlanPtr& plan) {
     }
     return output.AppendBatch(t, std::move(unique).TakeKeys());
   }));
-  return output;
-}
-
-namespace {
-
-/// Lexicographic three-way compare of the key columns of two rows, using
-/// Value's cross-numeric, NULL-first ordering.
-int CompareKeys(const Row& a, const std::vector<int>& a_keys, const Row& b,
-                const std::vector<int>& b_keys) {
-  for (size_t i = 0; i < a_keys.size(); ++i) {
-    const Value& av = a[static_cast<size_t>(a_keys[i])];
-    const Value& bv = b[static_cast<size_t>(b_keys[i])];
-    if (av < bv) return -1;
-    if (bv < av) return 1;
-  }
-  return 0;
-}
-
-}  // namespace
-
-Result<Table> Executor::ExecuteMergeJoin(const PlanPtr& plan) {
-  // Repartition both sides by key so equal keys land on the same worker,
-  // sort each worker's slices, then merge equal-key runs. NULL keys never
-  // match (dropped up front), and emitted pairs are guarded by the exact
-  // RowKeyEquals check so ordering-equal but type-distinct numeric keys
-  // (1 vs 1.0) behave exactly like the hash join.
-  std::vector<std::vector<Row>> probe_parts;
-  {
-    ASSIGN_OR_RETURN(Table probe, Execute(plan->children[0]));
-    probe_parts = Repartition(BoxPartitions(probe), plan->left_keys);
-  }
-  std::vector<std::vector<Row>> build_parts;
-  {
-    ASSIGN_OR_RETURN(Table build, Execute(plan->children[1]));
-    build_parts = Repartition(BoxPartitions(build), plan->right_keys);
-  }
-
-  Table output = EmptyResult(plan);
-  Status run_status = ParallelWorkers(num_workers_, [&](int w) -> Status {
-    std::vector<Row>& left = probe_parts[static_cast<size_t>(w)];
-    std::vector<Row>& right = build_parts[static_cast<size_t>(w)];
-    auto drop_null_keys = [](std::vector<Row>* rows,
-                             const std::vector<int>& keys) {
-      rows->erase(std::remove_if(rows->begin(), rows->end(),
-                                 [&](const Row& row) {
-                                   return HasNullKey(row, keys);
-                                 }),
-                  rows->end());
-    };
-    drop_null_keys(&left, plan->left_keys);
-    drop_null_keys(&right, plan->right_keys);
-    std::sort(left.begin(), left.end(), [&](const Row& a, const Row& b) {
-      return CompareKeys(a, plan->left_keys, b, plan->left_keys) < 0;
-    });
-    std::sort(right.begin(), right.end(), [&](const Row& a, const Row& b) {
-      return CompareKeys(a, plan->right_keys, b, plan->right_keys) < 0;
-    });
-
-    size_t li = 0;
-    size_t ri = 0;
-    Row joined;
-    while (li < left.size() && ri < right.size()) {
-      const int cmp =
-          CompareKeys(left[li], plan->left_keys, right[ri], plan->right_keys);
-      if (cmp < 0) {
-        ++li;
-        continue;
-      }
-      if (cmp > 0) {
-        ++ri;
-        continue;
-      }
-      // Equal-key runs on both sides; emit the cross product of the runs.
-      size_t lend = li + 1;
-      while (lend < left.size() &&
-             CompareKeys(left[lend], plan->left_keys, left[li],
-                         plan->left_keys) == 0) {
-        ++lend;
-      }
-      size_t rend = ri + 1;
-      while (rend < right.size() &&
-             CompareKeys(right[rend], plan->right_keys, right[ri],
-                         plan->right_keys) == 0) {
-        ++rend;
-      }
-      for (size_t l = li; l < lend; ++l) {
-        for (size_t r = ri; r < rend; ++r) {
-          // Ordering-equal is weaker than join equality: re-check exactly.
-          if (!RowKeyEquals(left[l], plan->left_keys, right[r],
-                            plan->right_keys)) {
-            continue;
-          }
-          joined = left[l];
-          joined.insert(joined.end(), right[r].begin(), right[r].end());
-          if (plan->residual != nullptr) {
-            ASSIGN_OR_RETURN(Value keep, plan->residual->Evaluate(joined));
-            if (!IsTruthy(keep)) continue;
-          }
-          RETURN_IF_ERROR(output.AppendRow(static_cast<size_t>(w), joined));
-        }
-      }
-      li = lend;
-      ri = rend;
-    }
-    return Status::OK();
-  });
-  RETURN_IF_ERROR(run_status);
-  metrics_->GetCounter("sql.executor.merge_joins")->Add(1);
   return output;
 }
 

@@ -21,19 +21,20 @@ namespace sqlink {
 
 /// Parallel plan executor. Each of the n SQL workers runs a pipelined
 /// chain of BatchIterator operators over its partition: chunk scans,
-/// selection-vector filters, column-at-a-time projections and hash joins
-/// probing a JoinIndex over ColumnBatch. Every operator's result is a Table
+/// selection-vector filters, column-at-a-time projections and hash joins.
+/// The one equi-join builds a single JoinIndex over the whole build side,
+/// which every worker probes: the workers share one address space, so no
+/// row is copied per worker or shuffled. Every operator's result is a Table
 /// of chunks, one partition per worker, which a pipeline breaker's consumer
-/// scans like a base table. DISTINCT, the aggregate's per-worker phase and
-/// LIMIT consume their child's batches directly; the aggregate's partial
-/// states, Sort, the sort-merge join and the repartition join's shuffle box
-/// their input into rows once (DESIGN.md §10). A table UDF is one more batch
-/// operator: the worker pushes each batch of its partition through the
-/// UDF's TableUdfPartition on its own thread and hands out the batch the UDF
-/// appended to, so no row is boxed on the way through; a streaming sink
-/// encodes its frames from the typed columns, and its sender threads
-/// overlap the transfer with the upstream query work, as the paper's
-/// insql+stream pipeline does. tests/sql_differential_test.cc
+/// scans like a base table. DISTINCT, the aggregate's per-worker phase and LIMIT
+/// consume their child's batches directly; the aggregate's partial states
+/// and Sort box their input into rows once (DESIGN.md §10). A table UDF is
+/// one more batch operator: the worker pushes each batch of its partition
+/// through the UDF's TableUdfPartition on its own thread and hands out the
+/// batch the UDF appended to, so no row is boxed on the way through; a
+/// streaming sink encodes its frames from the typed columns, and its sender
+/// threads overlap the transfer with the upstream query work, as the
+/// paper's insql+stream pipeline does. tests/sql_differential_test.cc
 /// checks every result against a naive row-at-a-time oracle.
 class Executor {
  public:
@@ -89,11 +90,6 @@ class Executor {
   Result<Table> ExecuteSort(const PlanPtr& plan);
   Result<Table> ExecuteLimit(const PlanPtr& plan);
 
-  /// Sort-merge equi join: repartition both sides by key, sort each
-  /// worker's slices, merge equal-key runs. Chosen by the planner's cost
-  /// model when the build side would blow the hash-build memory budget.
-  Result<Table> ExecuteMergeJoin(const PlanPtr& plan);
-
   /// Input of a pipeline or blocking operator: prepares `child`, then every
   /// worker pulls its batch pipeline to the end, handing each batch to
   /// consume(worker, batch), which may move from it, and then calling
@@ -110,7 +106,8 @@ class Executor {
                                                   int worker,
                                                   PipelineState* state);
 
-  /// Hash-partitions rows by key columns into `num_workers_` slices.
+  /// Hash-partitions rows by key columns (at least one) into
+  /// `num_workers_` slices: the aggregate's partial shuffle.
   std::vector<std::vector<Row>> Repartition(std::vector<std::vector<Row>> input,
                                             const std::vector<int>& keys);
 

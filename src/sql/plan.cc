@@ -43,12 +43,7 @@ std::string PlanNode::ToString() const {
       if (table != nullptr) out += "(" + table->name() + ")";
       break;
     case PlanKind::kHashJoin:
-      if (join_algo == JoinAlgo::kSortMerge) {
-        out = "MergeJoin";
-        out += "[repartition]";
-      } else {
-        out += broadcast_build ? "[broadcast]" : "[repartition]";
-      }
+      out += "[broadcast]";
       break;
     case PlanKind::kTableUdf:
       out += "(" + udf_name + ")";

@@ -15,7 +15,7 @@ enum class PlanKind : int {
   kScan,        // Base-table partitions.
   kFilter,      // Predicate over child rows.
   kProject,     // Expression list over child rows.
-  kHashJoin,    // Equi hash join (broadcast or repartition).
+  kHashJoin,    // Equi hash join, build side broadcast to every worker.
   kDistinct,    // Global duplicate elimination.
   kAggregate,   // Two-phase grouped aggregation.
   kSort,        // Global sort (gathers to one partition).
@@ -25,12 +25,6 @@ enum class PlanKind : int {
 };
 
 enum class AggFunc : int { kCountStar, kCount, kSum, kMin, kMax, kAvg };
-
-/// Physical equi-join algorithm, chosen by the planner's cost model (or
-/// forced via SqlEngine::set_join_strategy). Hash join streams the probe
-/// side against an in-memory build table; sort-merge materializes, sorts
-/// and merges both sides, trading CPU for bounded build memory.
-enum class JoinAlgo : int { kHash, kSortMerge };
 
 struct AggregateSpec {
   AggFunc func = AggFunc::kCountStar;
@@ -49,7 +43,7 @@ struct PlanNode {
   SchemaPtr output_schema;
   std::vector<PlanPtr> children;
 
-  /// Crude cardinality estimate used to pick the join strategy.
+  /// Crude cardinality estimate (EXPLAIN's est and cost, q-error feedback).
   double estimated_rows = 0;
 
   /// Pre-order id stamped by AssignPlanNodeIds (sql/query_stats.h); keys
@@ -68,9 +62,7 @@ struct PlanNode {
   // kHashJoin: children[0] = probe (left), children[1] = build (right).
   std::vector<int> left_keys;
   std::vector<int> right_keys;
-  bool broadcast_build = true;  // Else repartition both sides by key hash.
-  JoinAlgo join_algo = JoinAlgo::kHash;
-  BoundExprPtr residual;        // Over the concatenated row; may be null.
+  BoundExprPtr residual;  // Over the concatenated row; may be null.
 
   // kAggregate.
   std::vector<BoundExprPtr> group_by;
@@ -97,9 +89,7 @@ std::string PlanTreeToString(const PlanPtr& plan, int indent = 0);
 
 /// EXPLAIN rendering: the plan tree with, per node, the planner's estimated
 /// cardinality and cumulative cost (C_out: the sum of estimated rows over
-/// the node's subtree — the same quantity the join-order and join-strategy
-/// decisions minimize). Join strategy and broadcast/repartition choice are
-/// part of each node's label.
+/// the node's subtree).
 std::string ExplainPlanText(const PlanPtr& plan);
 
 }  // namespace sqlink

@@ -101,23 +101,11 @@ double EstimateGroupCount(const std::vector<ExprPtr>& keys,
 }  // namespace
 
 Planner::Planner(const Catalog* catalog, const ScalarFunctionRegistry* scalars,
-                 const TableUdfRegistry* table_udfs, int num_partitions,
-                 double broadcast_threshold_rows)
+                 const TableUdfRegistry* table_udfs, int num_partitions)
     : catalog_(catalog),
       scalars_(scalars),
       table_udfs_(table_udfs),
-      num_partitions_(num_partitions) {
-  options_.broadcast_threshold_rows = broadcast_threshold_rows;
-}
-
-Planner::Planner(const Catalog* catalog, const ScalarFunctionRegistry* scalars,
-                 const TableUdfRegistry* table_udfs, int num_partitions,
-                 const PlannerOptions& options)
-    : catalog_(catalog),
-      scalars_(scalars),
-      table_udfs_(table_udfs),
-      num_partitions_(num_partitions),
-      options_(options) {}
+      num_partitions_(num_partitions) {}
 
 double Planner::EstimateSelectivity(
     const Expr& expr, const NameScope& scope,
@@ -378,8 +366,6 @@ Result<Planner::RelationPlan> Planner::PlanFromWhere(const SelectStmt& stmt) {
     join->children = {current.plan, right.plan};
     join->left_keys = std::move(left_keys);
     join->right_keys = std::move(right_keys);
-    join->broadcast_build =
-        right.plan->estimated_rows <= options_.broadcast_threshold_rows;
     if (!residuals.empty()) {
       const ExprPtr combined = CombineConjuncts(residuals);
       ASSIGN_OR_RETURN(join->residual,
@@ -411,26 +397,6 @@ Result<Planner::RelationPlan> Planner::PlanFromWhere(const SelectStmt& stmt) {
     } else {
       join->estimated_rows =
           std::max(current.plan->estimated_rows, right.plan->estimated_rows);
-    }
-
-    // Hash vs sort-merge: hash unless the build side blows the hash-build
-    // memory budget (or the caller forced a strategy). Keyless joins must
-    // stay hash — partition-wise merging has no key to align on.
-    double build_row_bytes = 0;
-    for (const ColumnStats& col : right.column_stats) {
-      build_row_bytes += col.avg_bytes;
-    }
-    if (build_row_bytes <= 0) {
-      build_row_bytes =
-          16.0 * right.plan->output_schema->num_fields();  // No stats.
-    }
-    const double build_bytes = right_rows * build_row_bytes;
-    if (!join->left_keys.empty() &&
-        (options_.join_strategy == JoinStrategy::kSortMerge ||
-         (options_.join_strategy == JoinStrategy::kAuto &&
-          build_bytes > options_.hash_build_budget_bytes))) {
-      join->join_algo = JoinAlgo::kSortMerge;
-      join->broadcast_build = false;
     }
 
     // Flat-schema stats for the joined relation; missing sides padded with

@@ -14,39 +14,20 @@
 
 namespace sqlink {
 
-/// Physical join choice override (tests, benchmarks, tuning). kAuto lets
-/// the cost model decide: hash unless the build side's estimated bytes
-/// exceed the hash-build memory budget, sort-merge then.
-enum class JoinStrategy : int { kAuto, kHash, kSortMerge };
-
-/// Cost-model knobs for the planner.
-struct PlannerOptions {
-  /// Build sides estimated at or below this many rows are broadcast to
-  /// every worker; larger ones use a repartition (shuffle) join.
-  double broadcast_threshold_rows = 500000;
-  /// Equi joins whose build side is estimated to exceed this many bytes
-  /// in a hash table use sort-merge instead (bounded memory, more CPU).
-  double hash_build_budget_bytes = 256.0 * 1024 * 1024;
-  JoinStrategy join_strategy = JoinStrategy::kAuto;
-};
-
 /// Turns a parsed SELECT into an executable plan:
 ///  - FROM entries become Scan / TableUdf / subquery plans;
 ///  - single-relation WHERE conjuncts are pushed below joins;
 ///  - comma joins become left-deep equi joins keyed on the equality
-///    conjuncts that connect the sides, costed with catalog statistics
-///    (NDV, null fractions, row bytes): broadcast vs repartition by build
-///    cardinality, hash vs sort-merge by build memory;
+///    conjuncts that connect the sides, in FROM order, each a hash join
+///    whose build side (the right input) is broadcast to every worker;
+///  - catalog statistics (NDV, null fractions) estimate each node's rows
+///    for EXPLAIN and the q-error feedback;
 ///  - GROUP BY / aggregate select lists become a two-phase Aggregate;
 ///  - DISTINCT / ORDER BY / LIMIT become their operators.
 class Planner {
  public:
   Planner(const Catalog* catalog, const ScalarFunctionRegistry* scalars,
-          const TableUdfRegistry* table_udfs, int num_partitions,
-          double broadcast_threshold_rows = 500000);
-  Planner(const Catalog* catalog, const ScalarFunctionRegistry* scalars,
-          const TableUdfRegistry* table_udfs, int num_partitions,
-          const PlannerOptions& options);
+          const TableUdfRegistry* table_udfs, int num_partitions);
 
   Result<PlanPtr> PlanSelect(const SelectStmt& stmt);
 
@@ -75,7 +56,6 @@ class Planner {
   const ScalarFunctionRegistry* scalars_;
   const TableUdfRegistry* table_udfs_;
   int num_partitions_;
-  PlannerOptions options_;
 };
 
 }  // namespace sqlink

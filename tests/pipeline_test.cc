@@ -234,18 +234,13 @@ TEST_F(PipelineTest, SkewedWorkloadJoinsConsistently) {
   ASSERT_EQ((*top)->TotalRows(), 1u);
   EXPECT_GT((*top)->GatherRows()[0][1].int64_value(), 4000 / 200 * 5);
 
-  // Broadcast and repartition joins agree under skew.
+  // Every cart finds its user under skew.
   const std::string sql =
       "SELECT U.userid, C.cartid FROM carts C, users U "
       "WHERE C.userid = U.userid";
-  auto broadcast = engine_->ExecuteSql(sql);
-  ASSERT_TRUE(broadcast.ok());
-  engine_->set_broadcast_threshold_rows(0);
-  auto repartition = engine_->ExecuteSql(sql);
-  engine_->set_broadcast_threshold_rows(500000);
-  ASSERT_TRUE(repartition.ok());
-  EXPECT_EQ((*broadcast)->TotalRows(), 4000u);
-  EXPECT_EQ((*broadcast)->TotalRows(), (*repartition)->TotalRows());
+  auto joined = engine_->ExecuteSql(sql);
+  ASSERT_TRUE(joined.ok());
+  EXPECT_EQ((*joined)->TotalRows(), 4000u);
 }
 
 TEST_F(PipelineTest, DatagenDeterministicAndFiltered) {

@@ -1320,11 +1320,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BatchKernelPropertyTest,
                          ::testing::Values(1, 2, 3, 5, 8));
 
 // ---------------------------------------------------------------------------
-// Costed join choice: whatever strategy the planner picks, the physical
-// join algorithms must be interchangeable. Hash and sort-merge are forced
-// in turn over random tables and must both agree with the naive oracle.
+// The broadcast hash join, the executor's one equi-join, against the naive
+// oracle on random tables: small ones with NULL, duplicate and cross-type
+// keys, and a build side of two chunks per partition whose string keys keep
+// bringing new dictionary entries.
 
-class JoinStrategyPropertyTest : public ::testing::TestWithParam<uint64_t> {
+class BroadcastJoinPropertyTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   void SetUp() override {
     temp_ = std::make_unique<ScopedTempDir>("join_prop");
@@ -1346,9 +1347,7 @@ class JoinStrategyPropertyTest : public ::testing::TestWithParam<uint64_t> {
     return out;
   }
 
-  std::multiset<std::string> Run(const std::string& sql,
-                                 JoinStrategy strategy) {
-    engine_->set_join_strategy(strategy);
+  std::multiset<std::string> Run(const std::string& sql) {
     auto result = engine_->ExecuteSql(sql);
     EXPECT_TRUE(result.ok()) << sql << ": " << result.status();
     if (!result.ok()) return {};
@@ -1366,7 +1365,7 @@ class JoinStrategyPropertyTest : public ::testing::TestWithParam<uint64_t> {
   SqlEnginePtr engine_;
 };
 
-TEST_P(JoinStrategyPropertyTest, HashAndSortMergeAgreeOnRandomTables) {
+TEST_P(BroadcastJoinPropertyTest, MatchesOracleOnRandomTables) {
   Random rng(GetParam() * 17 + 5);
   // Random fact/dim pair with NULL keys, duplicate keys, and a double key
   // column so cross-type key comparison (1 vs 1.0) is exercised.
@@ -1408,13 +1407,59 @@ TEST_P(JoinStrategyPropertyTest, HashAndSortMergeAgreeOnRandomTables) {
       "SELECT a.k, b.label FROM dim a JOIN dim b ON a.label = b.label",
   };
   for (const std::string& sql : queries) {
+    EXPECT_EQ(Run(sql), RunOracle(sql)) << sql;
+  }
+
+  // A build side of two chunks per partition, each with its own string
+  // dictionary. Row i's key is one of the first i + 1 values (or, 5% of the
+  // time, NULL), so the second chunk brings keys the first does not hold.
+  // The build gathers every chunk into one batch, remapping each chunk's
+  // codes; a dropped chunk or a wrong remap loses or invents matches.
+  const auto key = [&](uint64_t bound) {
+    return rng.Bernoulli(0.05)
+               ? Value::Null()
+               : Value::String("v" + std::to_string(rng.Uniform(bound)));
+  };
+  auto big = engine_->MakeTable("big", Schema::Make({{"k", DataType::kString},
+                                                     {"m", DataType::kInt64},
+                                                     {"n", DataType::kInt64}}));
+  const size_t per_partition = kSqlBatchRows + 300;
+  for (size_t p = 0; p < big->num_partitions(); ++p) {
+    for (size_t i = 0; i < per_partition; ++i) {
+      const Row row{key(i + 1), Value::Int64(rng.UniformInt(0, 3)),
+                    Value::Int64(static_cast<int64_t>(p * per_partition + i))};
+      ASSERT_TRUE(big->AppendRow(p, row).ok());
+    }
+  }
+  ASSERT_EQ(big->chunks(0).size(), 2u);
+  engine_->catalog()->PutTable(big);
+
+  auto probe = engine_->MakeTable("probe",
+                                  Schema::Make({{"k", DataType::kString},
+                                                {"m", DataType::kInt64},
+                                                {"x", DataType::kDouble}}));
+  for (size_t i = 0; i < 300; ++i) {
+    const Row row{key(per_partition + 50), Value::Int64(rng.UniformInt(0, 3)),
+                  Value::Double(rng.NextGaussian())};
+    ASSERT_TRUE(probe->AppendRow(i % probe->num_partitions(), row).ok());
+  }
+  engine_->catalog()->PutTable(probe);
+
+  const std::vector<std::string> multi_chunk_queries = {
+      "SELECT p.k, p.x, b.n FROM probe p JOIN big b ON p.k = b.k",
+      "SELECT p.x, b.k, b.n FROM probe p JOIN big b "
+      "ON p.k = b.k AND p.m = b.m",
+      "SELECT b.k, COUNT(*), SUM(p.x) FROM probe p JOIN big b ON p.k = b.k "
+      "GROUP BY b.k",
+  };
+  for (const std::string& sql : multi_chunk_queries) {
     const auto expected = RunOracle(sql);
-    EXPECT_EQ(Run(sql, JoinStrategy::kHash), expected) << sql;
-    EXPECT_EQ(Run(sql, JoinStrategy::kSortMerge), expected) << sql;
+    EXPECT_FALSE(expected.empty()) << sql;
+    EXPECT_EQ(Run(sql), expected) << sql;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, JoinStrategyPropertyTest,
+INSTANTIATE_TEST_SUITE_P(Seeds, BroadcastJoinPropertyTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
 // ---------------------------------------------------------------------------
