@@ -80,7 +80,10 @@ cmake --build "${BUILD_DIR}" -j "${JOBS}" --target bench_spill
 # SQL microbenchmark smoke: every bench_sql case runs briefly. A case whose
 # query fails reports it only in its JSON entry ("error_occurred"), with
 # exit status 0, so the stage reads the JSON and fails on any such entry as
-# well as on a non-zero exit. Correctness only; there is no timing gate.
+# well as on a non-zero exit. It also fails on a case whose name lacks
+# "/real_time": such a case sizes its iterations by the CPU time of a
+# thread that mostly waits on the SQL workers. Correctness only; there is
+# no timing gate.
 echo "==> [${BUILD_DIR}] bench smoke (SQL microbenchmarks)"
 cmake --build "${BUILD_DIR}" -j "${JOBS}" --target bench_sql
 SQL_BENCH_JSON="${BUILD_DIR}/bench_sql.json"
@@ -90,8 +93,10 @@ python3 - "${SQL_BENCH_JSON}" <<'PY'
 import json, sys
 runs = json.load(open(sys.argv[1]))["benchmarks"]
 failed = [run["name"] for run in runs if run.get("error_occurred")]
+cpu_clock = [run["name"] for run in runs if "/real_time" not in run["name"]]
 assert runs, "bench_sql ran no case"
 assert not failed, "bench_sql cases failed: " + ", ".join(failed)
+assert not cpu_clock, "bench_sql cases without UseRealTime(): " + ", ".join(cpu_clock)
 print("    bench_sql: %d cases, none failed" % len(runs))
 PY
 

@@ -136,10 +136,4 @@ std::string FormatBytes(uint64_t bytes) {
   return buf;
 }
 
-std::string FormatSeconds(double seconds) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3fs", seconds);
-  return buf;
-}
-
 }  // namespace sqlink

@@ -41,9 +41,6 @@ int64_t EnvInt64(const char* name, int64_t fallback);
 /// Human-readable byte count, e.g. "1.5 MiB".
 std::string FormatBytes(uint64_t bytes);
 
-/// Fixed-point seconds with 3 decimals, e.g. "12.345s".
-std::string FormatSeconds(double seconds);
-
 }  // namespace sqlink
 
 #endif  // SQLINK_COMMON_STRING_UTIL_H_

@@ -1,64 +1,9 @@
 #include "common/thread_pool.h"
 
-#include <utility>
+#include <thread>
+#include <vector>
 
 namespace sqlink {
-
-ThreadPool::ThreadPool(size_t num_threads) {
-  if (num_threads == 0) num_threads = 1;
-  threads_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    threads_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
-    work_available_.notify_all();
-  }
-  for (std::thread& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-}
-
-void ThreadPool::Schedule(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
-  }
-  work_available_.notify_one();
-}
-
-void ThreadPool::WaitIdle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
-void ThreadPool::WorkerLoop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_available_.wait(lock,
-                           [this] { return shutdown_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        // shutdown_ must be true: drain-then-exit semantics.
-        return;
-      }
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++active_;
-    }
-    task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_.notify_all();
-    }
-  }
-}
 
 void ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   std::vector<std::thread> threads;

@@ -1,56 +1,10 @@
 #ifndef SQLINK_COMMON_THREAD_POOL_H_
 #define SQLINK_COMMON_THREAD_POOL_H_
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <future>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace sqlink {
-
-/// Fixed-size worker pool. Tasks are arbitrary callables; Submit returns a
-/// future for the task's result. The destructor drains the queue and joins.
-class ThreadPool {
- public:
-  explicit ThreadPool(size_t num_threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues a task. Never blocks (unbounded queue).
-  void Schedule(std::function<void()> task);
-
-  /// Enqueues a task and returns a future for its result.
-  template <typename F>
-  auto Submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> future = task->get_future();
-    Schedule([task] { (*task)(); });
-    return future;
-  }
-
-  /// Blocks until every scheduled task has finished.
-  void WaitIdle();
-
-  size_t num_threads() const { return threads_.size(); }
-
- private:
-  void WorkerLoop();
-
-  std::mutex mu_;
-  std::condition_variable work_available_;
-  std::condition_variable idle_;
-  std::deque<std::function<void()>> queue_;
-  size_t active_ = 0;
-  bool shutdown_ = false;
-  std::vector<std::thread> threads_;
-};
 
 /// Runs `fn(i)` for i in [0, n) on `n` dedicated threads and joins them all.
 /// This is the "one thread per worker" pattern used by the simulated cluster

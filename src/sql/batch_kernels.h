@@ -17,8 +17,9 @@ void FilterToSelection(const Column& pred, size_t num_rows,
 
 /// Hash of one batch row, equal for rows BatchRowsEqual deems equal even
 /// across batches with different dictionaries (string values hash by
-/// content, NULLs by a fixed constant, +/-0.0 alike). Internally consistent
-/// only — not comparable with HashRowKey on boxed rows.
+/// content, NULLs by a fixed constant, +/-0.0 alike); a row of no columns
+/// hashes to 0. DISTINCT and GROUP BY route each group by it to the worker
+/// that merges it.
 uint64_t BatchRowHash(const ColumnBatch& batch, size_t row);
 
 /// Exact row equality across batches of the same schema: NULL == NULL, and

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
 #include <numeric>
 #include <unordered_map>
 
@@ -29,18 +28,6 @@ Status ParallelWorkers(int n, const std::function<Status(int)>& fn) {
   }
   return Status::OK();
 }
-
-/// Lexicographic row ordering (NULL-first per Value::operator<).
-struct RowLess {
-  bool operator()(const Row& a, const Row& b) const {
-    const size_t n = std::min(a.size(), b.size());
-    for (size_t i = 0; i < n; ++i) {
-      if (a[i] < b[i]) return true;
-      if (b[i] < a[i]) return false;
-    }
-    return a.size() < b.size();
-  }
-};
 
 /// Appends the first `n` rows of `batch` to partition `p` of `out` (LIMIT).
 Status AppendHead(Table* out, size_t p, ColumnBatch batch, size_t n) {
@@ -237,8 +224,8 @@ class TableUdfBatchIterator final : public BatchIterator {
 /// Hash table of distinct batch rows: each distinct row is stored once,
 /// unboxed, in keys() and numbered densely in first-seen order. Open
 /// addressing over group indices, probed by content hash. Both phases of
-/// DISTINCT dedup through it, and the aggregate maps every input row to its
-/// group's state slots through it.
+/// DISTINCT and of GROUP BY group through it; the aggregate maps every row
+/// to its group's state slots by the index FindOrInsert returns.
 class BatchGroupTable {
  public:
   explicit BatchGroupTable(SchemaPtr schema) : keys_(std::move(schema)) {}
@@ -265,9 +252,9 @@ class BatchGroupTable {
   size_t size() const { return hashes_.size(); }
   /// The distinct rows, group index = row index.
   const ColumnBatch& keys() const { return keys_; }
-  /// Hands over keys() (DISTINCT's result).
+  /// Hands over keys() (the result's key columns).
   ColumnBatch TakeKeys() && { return std::move(keys_); }
-  /// BatchRowHash of group `group` (routes it in the shuffle).
+  /// BatchRowHash of group `group` (routes it in MergeRouted).
   uint64_t hash(size_t group) const { return hashes_[group]; }
 
  private:
@@ -296,6 +283,25 @@ class BatchGroupTable {
   std::vector<int32_t> slots_;    ///< Group index or -1; power-of-2 size.
   int shift_ = 64;
 };
+
+/// Phase 2 of DISTINCT and GROUP BY on one target: walks the workers'
+/// group tables in partition order, each in group order, FindOrInserts
+/// every group that routes to `target` (its hash % tables.size()) into
+/// `merged`, and calls on_group(worker, group, merged group). A group with
+/// no key columns hashes to 0, so a global aggregate merges on target 0.
+template <typename OnGroup>
+Status MergeRouted(const std::vector<BatchGroupTable>& tables, size_t target,
+                   BatchGroupTable* merged, OnGroup on_group) {
+  for (size_t w = 0; w < tables.size(); ++w) {
+    const BatchGroupTable& table = tables[w];
+    for (size_t g = 0; g < table.size(); ++g) {
+      if (table.hash(g) % tables.size() != target) continue;
+      ASSIGN_OR_RETURN(const size_t m, merged->FindOrInsert(table.keys(), g));
+      on_group(w, g, m);
+    }
+  }
+  return Status::OK();
+}
 
 // ---------------------------------------------------------------------------
 // Per-operator stats wrappers (EXPLAIN ANALYZE / the /queries endpoint).
@@ -417,33 +423,6 @@ Result<Table> Executor::ExecuteNode(const PlanPtr& plan) {
     default:
       return ExecutePipeline(plan);
   }
-}
-
-std::vector<std::vector<Row>> Executor::Repartition(
-    std::vector<std::vector<Row>> input, const std::vector<int>& keys) {
-  const size_t n = static_cast<size_t>(num_workers_);
-  // Per input partition, bucket locally in parallel; then concatenate.
-  std::vector<std::vector<std::vector<Row>>> local(input.size());
-  ParallelFor(input.size(), [&](size_t p) {
-    local[p].resize(n);
-    for (Row& row : input[p]) {
-      local[p][HashRowKey(row, keys) % n].push_back(std::move(row));
-    }
-    input[p].clear();
-  });
-  std::vector<std::vector<Row>> output(n);
-  for (size_t target = 0; target < n; ++target) {
-    size_t total = 0;
-    for (size_t p = 0; p < local.size(); ++p) total += local[p][target].size();
-    output[target].reserve(total);
-    for (size_t p = 0; p < local.size(); ++p) {
-      auto& bucket = local[p][target];
-      std::move(bucket.begin(), bucket.end(),
-                std::back_inserter(output[target]));
-      bucket.clear();
-    }
-  }
-  return output;
 }
 
 Status Executor::Prepare(const PlanPtr& plan, PipelineState* state) {
@@ -623,12 +602,10 @@ Status Executor::DrainBatches(
 
 Result<Table> Executor::ExecuteDistinct(const PlanPtr& plan) {
   // Two phases over unboxed ColumnBatch rows: local dedup per worker as the
-  // child's batches arrive, shuffle unique rows by content hash, final dedup
-  // per target.
-  const size_t n = static_cast<size_t>(num_workers_);
-  std::vector<BatchGroupTable> local(n, BatchGroupTable(plan->output_schema));
-  // shards[worker][target]: locally-unique rows routed to `target`.
-  std::vector<std::vector<ColumnBatch>> shards(n);
+  // child's batches arrive, then each target dedups the unique rows that
+  // route to it (MergeRouted).
+  std::vector<BatchGroupTable> local(static_cast<size_t>(num_workers_),
+                                     BatchGroupTable(plan->output_schema));
   RETURN_IF_ERROR(DrainBatches(
       plan->children[0],
       [&](int worker, ColumnBatch* batch) -> Status {
@@ -638,35 +615,14 @@ Result<Table> Executor::ExecuteDistinct(const PlanPtr& plan) {
         }
         return Status::OK();
       },
-      [&](int worker) -> Status {
-        // Split this worker's unique rows by hash into per-target gathers.
-        const BatchGroupTable& unique = local[static_cast<size_t>(worker)];
-        std::vector<std::vector<int32_t>> routed(n);
-        for (size_t g = 0; g < unique.size(); ++g) {
-          routed[unique.hash(g) % n].push_back(static_cast<int32_t>(g));
-        }
-        std::vector<ColumnBatch>& out = shards[static_cast<size_t>(worker)];
-        for (size_t t = 0; t < n; ++t) {
-          ColumnBatch shard(plan->output_schema);
-          if (!routed[t].empty()) {
-            RETURN_IF_ERROR(shard.AppendGather(
-                unique.keys(), routed[t].data(), routed[t].size()));
-          }
-          out.push_back(std::move(shard));
-        }
-        return Status::OK();
-      }));
+      [](int) { return Status::OK(); }));
 
   Table output = EmptyResult(plan);
   RETURN_IF_ERROR(ParallelWorkers(num_workers_, [&](int target) -> Status {
     const size_t t = static_cast<size_t>(target);
     BatchGroupTable unique(plan->output_schema);
-    for (size_t w = 0; w < n; ++w) {
-      const ColumnBatch& shard = shards[w][t];
-      for (size_t r = 0; r < shard.num_rows(); ++r) {
-        RETURN_IF_ERROR(unique.FindOrInsert(shard, r).status());
-      }
-    }
+    RETURN_IF_ERROR(
+        MergeRouted(local, t, &unique, [](size_t, size_t, size_t) {}));
     return output.AppendBatch(t, std::move(unique).TakeKeys());
   }));
   return output;
@@ -825,73 +781,45 @@ Value FinalizeState(const AggregateSpec& spec, const AggState& state) {
   return Value::Null();
 }
 
-/// Partial-state row layout: group keys, then per aggregate
-/// (count, int_sum, double_sum, extreme).
-Row EncodePartial(const Row& key, const AggState* states, size_t num_aggs) {
-  Row row = key;
-  for (size_t a = 0; a < num_aggs; ++a) {
-    const AggState& s = states[a];
-    row.push_back(Value::Int64(s.count));
-    row.push_back(Value::Int64(s.int_sum));
-    row.push_back(Value::Double(s.double_sum));
-    row.push_back(s.extreme);
-  }
-  return row;
-}
-
-void DecodePartial(const Row& row, size_t num_keys, size_t num_aggs, Row* key,
-                   std::vector<AggState>* states) {
-  key->assign(row.begin(), row.begin() + static_cast<std::ptrdiff_t>(num_keys));
-  states->resize(num_aggs);
-  size_t pos = num_keys;
-  for (AggState& s : *states) {
-    s.count = row[pos++].int64_value();
-    s.int_sum = row[pos++].int64_value();
-    s.double_sum = row[pos++].double_value();
-    s.extreme = row[pos++];
-  }
-}
-
 }  // namespace
 
-Result<std::vector<std::vector<Row>>> Executor::AggregatePartials(
-    const PlanPtr& plan) {
+Result<Table> Executor::ExecuteAggregate(const PlanPtr& plan) {
   const size_t num_keys = plan->group_by.size();
   const size_t num_aggs = plan->aggregates.size();
   const std::vector<Field>& fields = plan->output_schema->fields();
   const SchemaPtr key_schema = Schema::Make(std::vector<Field>(
       fields.begin(), fields.begin() + static_cast<std::ptrdiff_t>(num_keys)));
 
-  // Per worker: a group table over the evaluated key columns and a flat
-  // group-major state vector (num_aggs slots per group).
+  // Phase 1, per worker: a group table over the evaluated key columns and a
+  // flat group-major state vector (num_aggs slots per group), folded from
+  // the child's batches without boxing them.
   struct WorkerGroups {
-    explicit WorkerGroups(const SchemaPtr& schema) : table(schema) {}
-    BatchGroupTable table;
     std::vector<AggState> states;
     ColumnBatch keys;
     Column arg;
     std::vector<size_t> row_groups;
   };
-  std::vector<WorkerGroups> workers(static_cast<size_t>(num_workers_),
-                                    WorkerGroups(key_schema));
-  std::vector<std::vector<Row>> partials(static_cast<size_t>(num_workers_));
+  const size_t n = static_cast<size_t>(num_workers_);
+  std::vector<BatchGroupTable> tables(n, BatchGroupTable(key_schema));
+  std::vector<WorkerGroups> workers(n);
   RETURN_IF_ERROR(DrainBatches(
       plan->children[0],
       [&](int worker, ColumnBatch* input) -> Status {
         const ColumnBatch& batch = *input;
+        BatchGroupTable& table = tables[static_cast<size_t>(worker)];
         WorkerGroups& w = workers[static_cast<size_t>(worker)];
-        const size_t n = batch.num_rows();
+        const size_t rows = batch.num_rows();
         w.keys.Reset(key_schema);
         for (size_t k = 0; k < num_keys; ++k) {
           RETURN_IF_ERROR(
               plan->group_by[k]->EvaluateBatch(batch, &w.keys.column(k)));
         }
-        w.keys.SetRowCountForDecode(n);
-        w.row_groups.resize(n);
-        for (size_t r = 0; r < n; ++r) {
-          ASSIGN_OR_RETURN(w.row_groups[r], w.table.FindOrInsert(w.keys, r));
+        w.keys.SetRowCountForDecode(rows);
+        w.row_groups.resize(rows);
+        for (size_t r = 0; r < rows; ++r) {
+          ASSIGN_OR_RETURN(w.row_groups[r], table.FindOrInsert(w.keys, r));
         }
-        w.states.resize(w.table.size() * num_aggs);
+        w.states.resize(table.size() * num_aggs);
         for (size_t a = 0; a < num_aggs; ++a) {
           const AggregateSpec& spec = plan->aggregates[a];
           if (spec.argument != nullptr) {
@@ -902,71 +830,44 @@ Result<std::vector<std::vector<Row>>> Executor::AggregatePartials(
         }
         return Status::OK();
       },
-      [&](int worker) -> Status {
-        const WorkerGroups& w = workers[static_cast<size_t>(worker)];
-        std::vector<Row>& out = partials[static_cast<size_t>(worker)];
-        out.reserve(w.table.size());
-        Row key;
-        for (size_t g = 0; g < w.table.size(); ++g) {
-          w.table.keys().EmitRow(g, &key);
-          out.push_back(
-              EncodePartial(key, w.states.data() + g * num_aggs, num_aggs));
-        }
-        return Status::OK();
-      }));
-  return partials;
-}
+      [](int) { return Status::OK(); }));
 
-Result<Table> Executor::ExecuteAggregate(const PlanPtr& plan) {
-  const size_t num_keys = plan->group_by.size();
-  const size_t num_aggs = plan->aggregates.size();
-
-  // Phase 1: per-worker partial states.
-  ASSIGN_OR_RETURN(std::vector<std::vector<Row>> partials,
-                   AggregatePartials(plan));
-
-  // Phase 2: shuffle partials by group key and merge.
-  std::vector<int> key_columns;
-  for (size_t i = 0; i < num_keys; ++i) {
-    key_columns.push_back(static_cast<int>(i));
-  }
-  std::vector<std::vector<Row>> shuffled;
-  if (num_keys == 0) {
-    // Global aggregate: merge everything on worker 0.
-    shuffled.resize(static_cast<size_t>(num_workers_));
-    for (auto& p : partials) {
-      for (Row& row : p) shuffled[0].push_back(std::move(row));
-    }
-  } else {
-    shuffled = Repartition(std::move(partials), key_columns);
-  }
-
+  // Phase 2, per target: merge the states of the groups routed here, each
+  // from zero and in partition order, then finalize them into one batch.
   Table output = EmptyResult(plan);
-  Status status = ParallelWorkers(num_workers_, [&](int w) -> Status {
-    std::map<Row, std::vector<AggState>, RowLess> groups;
-    Row key;
+  RETURN_IF_ERROR(ParallelWorkers(num_workers_, [&](int target) -> Status {
+    const size_t t = static_cast<size_t>(target);
+    BatchGroupTable merged(key_schema);
     std::vector<AggState> states;
-    for (const Row& partial : shuffled[static_cast<size_t>(w)]) {
-      DecodePartial(partial, num_keys, num_aggs, &key, &states);
-      auto [it, inserted] = groups.try_emplace(key, num_aggs);
-      for (size_t a = 0; a < num_aggs; ++a) {
-        MergeState(plan->aggregates[a], states[a], &it->second[a]);
+    RETURN_IF_ERROR(MergeRouted(
+        tables, t, &merged, [&](size_t worker, size_t group, size_t m) {
+          states.resize(merged.size() * num_aggs);
+          const AggState* partial =
+              workers[worker].states.data() + group * num_aggs;
+          for (size_t a = 0; a < num_aggs; ++a) {
+            MergeState(plan->aggregates[a], partial[a],
+                       &states[m * num_aggs + a]);
+          }
+        }));
+    // A global aggregate's one row, on target 0, even over zero rows.
+    const size_t groups = num_keys == 0 && t == 0 ? 1 : merged.size();
+    states.resize(groups * num_aggs);
+    ColumnBatch out(plan->output_schema);
+    ColumnBatch keys = std::move(merged).TakeKeys();
+    for (size_t k = 0; k < num_keys; ++k) {
+      out.column(k) = std::move(keys.column(k));
+    }
+    for (size_t a = 0; a < num_aggs; ++a) {
+      for (size_t g = 0; g < groups; ++g) {
+        RETURN_IF_ERROR(AppendColumnValue(
+            &out.column(num_keys + a), g,
+            FinalizeState(plan->aggregates[a], states[g * num_aggs + a]),
+            fields[num_keys + a].name));
       }
     }
-    // A global aggregate over zero rows still yields one output row.
-    if (num_keys == 0 && groups.empty() && w == 0) {
-      groups.try_emplace(Row{}, num_aggs);
-    }
-    for (const auto& [group_key, group_states] : groups) {
-      Row out = group_key;
-      for (size_t a = 0; a < num_aggs; ++a) {
-        out.push_back(FinalizeState(plan->aggregates[a], group_states[a]));
-      }
-      RETURN_IF_ERROR(output.AppendRow(static_cast<size_t>(w), out));
-    }
-    return Status::OK();
-  });
-  RETURN_IF_ERROR(status);
+    out.SetRowCountForDecode(groups);
+    return output.AppendBatch(t, std::move(out));
+  }));
   return output;
 }
 

@@ -15,7 +15,6 @@
 #include "sql/query_stats.h"
 #include "table/schema.h"
 #include "table/table.h"
-#include "table/value.h"
 
 namespace sqlink {
 
@@ -26,15 +25,16 @@ namespace sqlink {
 /// which every worker probes: the workers share one address space, so no
 /// row is copied per worker or shuffled. Every operator's result is a Table
 /// of chunks, one partition per worker, which a pipeline breaker's consumer
-/// scans like a base table. DISTINCT, the aggregate's per-worker phase and LIMIT
-/// consume their child's batches directly; the aggregate's partial states
-/// and Sort box their input into rows once (DESIGN.md §10). A table UDF is
-/// one more batch operator: the worker pushes each batch of its partition
-/// through the UDF's TableUdfPartition on its own thread and hands out the
-/// batch the UDF appended to, so no row is boxed on the way through; a
-/// streaming sink encodes its frames from the typed columns, and its sender
-/// threads overlap the transfer with the upstream query work, as the
-/// paper's insql+stream pipeline does. tests/sql_differential_test.cc
+/// scans like a base table. DISTINCT, the aggregate and LIMIT consume their
+/// child's batches directly; DISTINCT and the aggregate group each worker's
+/// rows in a table of its own, then merge every group on the one worker its
+/// hash routes it to. Only Sort boxes its input into rows (DESIGN.md §10).
+/// A table UDF is one more batch operator: the worker pushes each batch of
+/// its partition through the UDF's TableUdfPartition on its own thread and
+/// hands out the batch the UDF appended to, so no row is boxed on the way
+/// through; a streaming sink encodes its frames from the typed columns, and
+/// its sender threads overlap the transfer with the upstream query work, as
+/// the paper's insql+stream pipeline does. tests/sql_differential_test.cc
 /// checks every result against a naive row-at-a-time oracle.
 class Executor {
  public:
@@ -83,10 +83,6 @@ class Executor {
   Result<Table> ExecutePipeline(const PlanPtr& plan);
   Result<Table> ExecuteDistinct(const PlanPtr& plan);
   Result<Table> ExecuteAggregate(const PlanPtr& plan);
-  /// Aggregate phase 1: each worker's groups as partial-state rows, one
-  /// slice per worker, folded from the child's batches into per-worker
-  /// group tables without boxing them.
-  Result<std::vector<std::vector<Row>>> AggregatePartials(const PlanPtr& plan);
   Result<Table> ExecuteSort(const PlanPtr& plan);
   Result<Table> ExecuteLimit(const PlanPtr& plan);
 
@@ -105,11 +101,6 @@ class Executor {
   Result<BatchIteratorPtr> BuildBatchPipelineNode(const PlanPtr& plan,
                                                   int worker,
                                                   PipelineState* state);
-
-  /// Hash-partitions rows by key columns (at least one) into
-  /// `num_workers_` slices: the aggregate's partial shuffle.
-  std::vector<std::vector<Row>> Repartition(std::vector<std::vector<Row>> input,
-                                            const std::vector<int>& keys);
 
   int num_workers_;
   ClusterPtr cluster_;

@@ -249,12 +249,4 @@ std::vector<Row> ColumnBatch::ToRows() const {
   return rows;
 }
 
-Result<ColumnBatch> ColumnBatch::FromRecordBatch(const RecordBatch& batch) {
-  return FromRows(batch.schema(), batch.rows());
-}
-
-RecordBatch ColumnBatch::ToRecordBatch() const {
-  return RecordBatch(schema_, ToRows());
-}
-
 }  // namespace sqlink

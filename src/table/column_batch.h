@@ -6,7 +6,6 @@
 
 #include "common/result.h"
 #include "common/string_dict.h"
-#include "table/record_batch.h"
 #include "table/schema.h"
 #include "table/value.h"
 
@@ -71,9 +70,10 @@ Status AppendColumnValue(Column* col, size_t row, const Value& v,
 void AppendColumnGather(Column* dst, size_t dst_rows, const Column& src,
                         const int32_t* rows, size_t n);
 
-/// Columnar counterpart of RecordBatch: typed per-column vectors instead of
-/// boxed Value rows. This is the unit the vectorized SQL operators work on;
-/// converters to/from RecordBatch bridge the row-oriented surfaces.
+/// A batch of rows stored column by column: typed per-column vectors instead
+/// of boxed Value rows. This is the unit the vectorized SQL operators work
+/// on and the chunk a Table stores; FromRows/ToRows bridge the row-oriented
+/// surfaces.
 class ColumnBatch {
  public:
   ColumnBatch() = default;
@@ -120,11 +120,6 @@ class ColumnBatch {
   static Result<ColumnBatch> FromRows(SchemaPtr schema,
                                       const std::vector<Row>& rows);
   std::vector<Row> ToRows() const;
-
-  /// RecordBatch interop: FromRecordBatch errors on a schema-less batch or
-  /// on rows whose value types contradict the schema.
-  static Result<ColumnBatch> FromRecordBatch(const RecordBatch& batch);
-  RecordBatch ToRecordBatch() const;
 
  private:
   SchemaPtr schema_;

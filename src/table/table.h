@@ -8,7 +8,6 @@
 
 #include "common/status.h"
 #include "table/column_batch.h"
-#include "table/record_batch.h"
 #include "table/schema.h"
 
 namespace sqlink {

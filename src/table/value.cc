@@ -136,13 +136,4 @@ Result<Value> Value::Parse(std::string_view text, DataType type) {
   return Status::Internal("unhandled data type");
 }
 
-size_t HashRowKey(const Row& row, const std::vector<int>& key_indices) {
-  size_t hash = 14695981039346656037ULL;
-  for (int index : key_indices) {
-    hash ^= row[static_cast<size_t>(index)].Hash();
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
 }  // namespace sqlink

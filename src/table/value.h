@@ -84,9 +84,6 @@ class Value {
 /// batch/table they belong to.
 using Row = std::vector<Value>;
 
-/// Combines per-column hashes of the key columns of a row.
-size_t HashRowKey(const Row& row, const std::vector<int>& key_indices);
-
 }  // namespace sqlink
 
 #endif  // SQLINK_TABLE_VALUE_H_

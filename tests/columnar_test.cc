@@ -9,7 +9,6 @@
 #include "common/metrics.h"
 #include "stream/wire.h"
 #include "table/column_batch.h"
-#include "table/record_batch.h"
 #include "table/row_codec.h"
 
 namespace sqlink {
@@ -69,7 +68,7 @@ std::vector<Row> EdgeRows() {
   };
 }
 
-// --- ColumnBatch <-> rows / RecordBatch -------------------------------------
+// --- ColumnBatch <-> rows ----------------------------------------------------
 
 TEST(ColumnBatchTest, RoundTripsEdgeValues) {
   auto batch = ColumnBatch::FromRows(EdgeSchema(), EdgeRows());
@@ -79,15 +78,6 @@ TEST(ColumnBatchTest, RoundTripsEdgeValues) {
   // NULL string rows must not pollute the dictionary; "" and "repeated" are
   // stored once each.
   EXPECT_EQ(batch->column(3).dict.size(), 3);
-}
-
-TEST(ColumnBatchTest, RecordBatchRoundTripKeepsEdgeValues) {
-  auto batch = ColumnBatch::FromRows(EdgeSchema(), EdgeRows());
-  ASSERT_TRUE(batch.ok()) << batch.status();
-  RecordBatch record = batch->ToRecordBatch();
-  auto back = ColumnBatch::FromRecordBatch(record);
-  ASSERT_TRUE(back.ok()) << back.status();
-  EXPECT_TRUE(SameRows(back->ToRows(), EdgeRows()));
 }
 
 TEST(ColumnBatchTest, HighCardinalityDictionaryRoundTrips) {

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <filesystem>
 #include <set>
 #include <thread>
@@ -257,24 +256,6 @@ TEST(BlockingQueueTest, ProducerConsumerThreads) {
   producer.join();
   EXPECT_EQ(count, kItems);
   EXPECT_EQ(sum, kItems * (kItems - 1) / 2);
-}
-
-TEST(ThreadPoolTest, SubmitReturnsFutures) {
-  ThreadPool pool(4);
-  auto f1 = pool.Submit([] { return 6 * 7; });
-  auto f2 = pool.Submit([] { return std::string("ok"); });
-  EXPECT_EQ(f1.get(), 42);
-  EXPECT_EQ(f2.get(), "ok");
-}
-
-TEST(ThreadPoolTest, WaitIdleWaitsForAll) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.Schedule([&counter] { counter.fetch_add(1); });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(counter.load(), 50);
 }
 
 TEST(ParallelForTest, RunsEveryIndexOnce) {

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -423,6 +424,54 @@ TEST_F(SqlDifferentialTest, TableUdfQueriesAgreeAcrossEngines) {
   // The three out-of-range and NULL-level queries per coding UDF fail on
   // e1023, e1024 and e1025 at least.
   EXPECT_GE(failures, 3 * 3 * 3);
+}
+
+// GROUP BY and DISTINCT past one batch of groups per worker, over a table
+// of their own: `many` holds 2 x 1024 rows per partition, with an INT64 key
+// of more than 1024 values in every partition and heavy overlap across
+// partitions, a STRING key whose range shifts per partition (so every
+// partition's dictionaries differ), about 5% NULLs in each, and a DOUBLE
+// of mixed signs and magnitudes, whose sums depend on the order they are
+// added in. The corpus tables hold at most 1025 rows and 33 keys, so only
+// here does a worker's group table pass 1024 groups before the merge.
+TEST_F(SqlDifferentialTest, ManyGroupsAgreeAcrossEngines) {
+  auto many = engine_->MakeTable("many",
+                                 Schema::Make({{"k", DataType::kInt64},
+                                               {"s", DataType::kString},
+                                               {"v", DataType::kDouble}}));
+  Random rng(23);
+  for (size_t p = 0; p < many->num_partitions(); ++p) {
+    std::set<int64_t> distinct_k;
+    for (size_t i = 0; i < 2 * kSqlBatchRows; ++i) {
+      const int64_t k = static_cast<int64_t>(rng.Uniform(1536) + 128 * p);
+      const uint64_t s = rng.Uniform(1600) + 200 * p;
+      const double v = (rng.NextDouble() - 0.5) *
+                       static_cast<double>(uint64_t{1} << rng.Uniform(40));
+      Row row{Value::Int64(k), Value::String("s" + std::to_string(s)),
+              Value::Double(v)};
+      for (Value& cell : row) {
+        if (rng.Bernoulli(0.05)) cell = Value::Null();
+      }
+      if (!row[0].is_null()) distinct_k.insert(k);
+      ASSERT_TRUE(many->AppendRow(p, row).ok());
+    }
+    ASSERT_GT(distinct_k.size(), kSqlBatchRows);
+  }
+  engine_->catalog()->PutTable(many);
+
+  const std::string aggregates =
+      "COUNT(*), COUNT(v), COUNT(s), SUM(v), AVG(v), MIN(s), MAX(s), "
+      "MIN(v), MAX(v)";
+  for (const std::string keys : {"k", "s", "k, s"}) {
+    for (const std::string& sql :
+         {"SELECT " + keys + ", " + aggregates + " FROM many GROUP BY " + keys,
+          "SELECT DISTINCT " + keys + " FROM many"}) {
+      SCOPED_TRACE(sql);
+      const RunOutcome oracle = ExpectEngineMatchesOracle(sql);
+      ASSERT_TRUE(oracle.ok) << oracle.error;
+      EXPECT_FALSE(oracle.canonical.empty());
+    }
+  }
 }
 
 // Join-heavy differential sweep: each query runs once through the engine's

@@ -3,7 +3,6 @@
 #include "table/column_batch.h"
 #include "table/csv.h"
 #include "table/pretty_print.h"
-#include "table/record_batch.h"
 #include "table/row_codec.h"
 #include "table/schema.h"
 #include "table/table.h"
@@ -348,13 +347,6 @@ TEST(RowCodecTest, RowBatchEncoderMatchesEncodeRows) {
   EXPECT_EQ(decoder.remaining(), 1u);
 }
 
-TEST(RowCodecTest, HashRowKeySelectsColumns) {
-  Row a{Value::Int64(1), Value::String("x"), Value::Int64(2)};
-  Row b{Value::Int64(9), Value::String("x"), Value::Int64(2)};
-  const std::vector<int> keys{1, 2};
-  EXPECT_EQ(HashRowKey(a, keys), HashRowKey(b, keys));
-}
-
 TEST(PrettyPrintTest, AlignedGridWithTruncation) {
   auto schema = Schema::Make({{"id", DataType::kInt64},
                               {"name", DataType::kString},
@@ -388,15 +380,6 @@ TEST(PrettyPrintTest, LongStringsTruncated) {
   options.max_column_width = 10;
   const std::string out = PrettyPrintTable(table, options);
   EXPECT_NE(out.find("zzzzzzz..."), std::string::npos) << out;
-}
-
-TEST(RecordBatchTest, AppendAndRead) {
-  auto schema = Schema::Make({{"x", DataType::kInt64}});
-  RecordBatch batch(schema, {});
-  batch.Append(Row{Value::Int64(1)});
-  batch.Append(Row{Value::Int64(2)});
-  EXPECT_EQ(batch.num_rows(), 2u);
-  EXPECT_EQ(batch.rows()[1][0], Value::Int64(2));
 }
 
 }  // namespace
