@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <thread>
 
@@ -13,6 +14,7 @@
 #include "common/cancellation.h"
 #include "common/failpoint.h"
 #include "common/fs_util.h"
+#include "common/random.h"
 #include "common/status_macros.h"
 #include "common/string_util.h"
 #include "sql/engine.h"
@@ -101,6 +103,44 @@ class SqlEngineTest : public ::testing::Test {
     engine_->catalog()->PutTable(table);
   }
 
+  /// Registers table `name` (k INT, v DOUBLE) of `rows` rows with
+  /// k = perm[i % groups], for a seeded shuffle perm of 0..groups-1, and
+  /// v = i / 3.0; row i goes to partition i % 4 or, when `only_partition`
+  /// is set, all rows to that one. With an odd `groups` each key's rows
+  /// spread over every partition, and the shuffle lets each partition meet
+  /// the keys that route to one target in an order of its own.
+  void AddKeyedTable(const std::string& name, size_t rows, size_t groups,
+                     std::optional<size_t> only_partition = std::nullopt) {
+    auto table = engine_->MakeTable(
+        name,
+        Schema::Make({{"k", DataType::kInt64}, {"v", DataType::kDouble}}));
+    std::vector<int64_t> perm(groups);
+    Random rng(7);
+    for (size_t g = 0; g < groups; ++g) {
+      perm[g] = static_cast<int64_t>(g);
+      std::swap(perm[g], perm[rng.Uniform(g + 1)]);
+    }
+    for (size_t i = 0; i < rows; ++i) {
+      const size_t p = only_partition.value_or(i % table->num_partitions());
+      const Row row{Value::Int64(perm[i % groups]),
+                    Value::Double(static_cast<double>(i) / 3.0)};
+      ASSERT_TRUE(table->AppendRow(p, row).ok());
+    }
+    engine_->catalog()->PutTable(table);
+  }
+
+  /// Runs `sql` and returns its result's rows partition by partition.
+  std::vector<std::vector<Row>> RunPartitions(const std::string& sql) {
+    auto result = engine_->ExecuteSql(sql);
+    EXPECT_TRUE(result.ok()) << sql << " -> " << result.status();
+    if (!result.ok()) return {};
+    std::vector<std::vector<Row>> partitions;
+    for (size_t p = 0; p < (*result)->num_partitions(); ++p) {
+      partitions.push_back((*result)->partition(p));
+    }
+    return partitions;
+  }
+
   std::unique_ptr<ScopedTempDir> temp_;
   SqlEnginePtr engine_;
 };
@@ -181,6 +221,90 @@ TEST_F(SqlEngineTest, GlobalAggregateOnEmptyInput) {
   auto rows = Run("SELECT COUNT(*) FROM users WHERE age > 1000");
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0][0], Value::Int64(0));
+}
+
+// A global aggregate has no key columns, so its one group merges on target
+// 0: the row lands in partition 0, over rows and over none, and the other
+// partitions stay empty.
+TEST_F(SqlEngineTest, GlobalAggregateRowLandsInPartitionZero) {
+  for (const std::string sql :
+       {"SELECT COUNT(*), SUM(amount) FROM carts",
+        "SELECT COUNT(*), SUM(amount) FROM carts WHERE amount < 0"}) {
+    SCOPED_TRACE(sql);
+    const auto partitions = RunPartitions(sql);
+    ASSERT_EQ(partitions.size(), 4u);
+    EXPECT_EQ(partitions[0].size(), 1u);
+    for (size_t p = 1; p < partitions.size(); ++p) {
+      EXPECT_TRUE(partitions[p].empty()) << "partition " << p;
+    }
+  }
+}
+
+// The group merge routes each group to one target by its key hash: every
+// key comes out once, in one partition, with its rows from all four
+// partitions counted, and the groups spread over every target.
+TEST_F(SqlEngineTest, GroupByPlacesEachGroupInOnePartition) {
+  AddKeyedTable("keyed", 6000, 1499);
+  const auto partitions =
+      RunPartitions("SELECT k, COUNT(*) FROM keyed GROUP BY k");
+  ASSERT_EQ(partitions.size(), 4u);
+  std::set<int64_t> keys;
+  int64_t counted = 0;
+  for (size_t p = 0; p < partitions.size(); ++p) {
+    EXPECT_FALSE(partitions[p].empty()) << "partition " << p;
+    for (const Row& row : partitions[p]) {
+      EXPECT_TRUE(keys.insert(row[0].int64_value()).second)
+          << "key " << row[0].int64_value() << " again in partition " << p;
+      counted += row[1].int64_value();
+    }
+  }
+  EXPECT_EQ(keys.size(), 1499u);
+  EXPECT_EQ(counted, 6000);
+}
+
+// The merge walks the workers in partition order, whatever order they
+// finish in, so each partition's groups, their order and their double
+// sums come out the same on every run.
+TEST_F(SqlEngineTest, GroupByRowsAreDeterministicPerPartition) {
+  AddKeyedTable("keyed", 6000, 1499);
+  const std::string sql =
+      "SELECT k, COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v) FROM keyed "
+      "GROUP BY k";
+  const auto first = RunPartitions(sql);
+  ASSERT_EQ(first.size(), 4u);
+  for (int run = 0; run < 3; ++run) {
+    EXPECT_EQ(RunPartitions(sql), first) << "run " << run;
+  }
+}
+
+// DISTINCT and GROUP BY share one group merge: over the same key they emit
+// the same rows in every partition, in the same order.
+TEST_F(SqlEngineTest, GroupByAndDistinctEmitTheSameRowsPerPartition) {
+  AddKeyedTable("keyed", 6000, 1499);
+  const auto grouped = RunPartitions("SELECT k FROM keyed GROUP BY k");
+  const auto distinct = RunPartitions("SELECT DISTINCT k FROM keyed");
+  ASSERT_EQ(grouped.size(), 4u);
+  EXPECT_EQ(grouped, distinct);
+}
+
+// Input held by one worker: the other workers' group tables are empty, and
+// the merge still routes that worker's groups over every target.
+TEST_F(SqlEngineTest, GroupByOverOnePartitionSpreadsItsGroups) {
+  AddKeyedTable("lopsided", 900, 300, /*only_partition=*/2);
+  const auto partitions =
+      RunPartitions("SELECT k, COUNT(*), SUM(k) FROM lopsided GROUP BY k");
+  ASSERT_EQ(partitions.size(), 4u);
+  std::vector<Row> rows;
+  for (size_t p = 0; p < partitions.size(); ++p) {
+    EXPECT_FALSE(partitions[p].empty()) << "partition " << p;
+    rows.insert(rows.end(), partitions[p].begin(), partitions[p].end());
+  }
+  rows = Sorted(std::move(rows));
+  ASSERT_EQ(rows.size(), 300u);
+  for (int64_t k = 0; k < 300; ++k) {
+    EXPECT_EQ(rows[static_cast<size_t>(k)],
+              (Row{Value::Int64(k), Value::Int64(3), Value::Int64(3 * k)}));
+  }
 }
 
 TEST_F(SqlEngineTest, OrderByAndLimit) {
