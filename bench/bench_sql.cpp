@@ -86,6 +86,16 @@ void BM_SelfJoinCount(benchmark::State& state) {
 }
 SQL_BENCHMARK(BM_SelfJoinCount);
 
+// A STRING key probed against a 2-row build, the shape of the transformed
+// query's joins with its recode maps.
+void BM_StringKeyJoinCount(benchmark::State& state) {
+  RunQuery(state,
+           "SELECT COUNT(*) FROM carts C, "
+           "(SELECT DISTINCT abandoned FROM carts) M "
+           "WHERE C.abandoned = M.abandoned");
+}
+SQL_BENCHMARK(BM_StringKeyJoinCount);
+
 void BM_Distinct(benchmark::State& state) {
   RunQuery(state, "SELECT DISTINCT abandoned, year FROM carts");
 }

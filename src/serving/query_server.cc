@@ -1,5 +1,9 @@
 #include "serving/query_server.h"
 
+#include <poll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <thread>
 #include <utility>
@@ -18,7 +22,40 @@ namespace sqlink {
 
 namespace {
 
+/// Longest a submit wait or a query's watcher blocks in poll(2) before it
+/// rechecks the stop flag, its deadline and the cancel failpoint.
 constexpr int kWatchPollMs = 10;
+
+/// Blocks until one of `fds` is readable (or hung up) or kWatchPollMs pass.
+/// Negative fds are ignored.
+void WaitReadable(::pollfd* fds, nfds_t count) {
+  for (nfds_t i = 0; i < count; ++i) fds[i].events = POLLIN;
+  (void)::poll(fds, count, kWatchPollMs);
+}
+
+/// An eventfd that wakes a query's watcher out of WaitReadable when the
+/// query ends. fd() is -1 when the kernel refused one; the watcher then
+/// wakes on its poll timeout alone.
+class WakeEvent {
+ public:
+  WakeEvent() : fd_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {}
+  ~WakeEvent() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  WakeEvent(const WakeEvent&) = delete;
+  WakeEvent& operator=(const WakeEvent&) = delete;
+
+  int fd() const { return fd_; }
+  void Signal() const {
+    const uint64_t one = 1;
+    if (fd_ >= 0 && ::write(fd_, &one, sizeof(one)) < 0) {
+      // The watcher still wakes on its next poll timeout.
+    }
+  }
+
+ private:
+  const int fd_;
+};
 
 /// Largest request frame payload the server buffers. The longest SQL in the
 /// tree is under 1 KB; a header announcing more is refused as soon as it is
@@ -38,9 +75,10 @@ Status CheckRequestFrameLength(std::string_view buffer, size_t cursor) {
       std::to_string(kMaxRequestFrameBytes) + " bytes");
 }
 
-/// Receives one frame by polling, so the wait can be interrupted by server
-/// shutdown (RecvFrame would block in recv(2) with no way to wake it short
-/// of killing the socket). `timeout_ms <= 0` = wait forever.
+/// Receives one frame, waiting in poll(2) for bytes at most kWatchPollMs at
+/// a time, so the wait can be interrupted by server shutdown (RecvFrame
+/// would block in recv(2) with no way to wake it short of killing the
+/// socket). `timeout_ms <= 0` = wait forever.
 Result<Frame> RecvFramePolling(TcpSocket* socket,
                                const std::atomic<bool>& stop,
                                int64_t timeout_ms) {
@@ -63,7 +101,8 @@ Result<Frame> RecvFramePolling(TcpSocket* socket,
     ASSIGN_OR_RETURN(size_t n, socket->TryRecv(64 * 1024, &buffer, &eof));
     if (n == 0) {
       if (eof) return Status::NetworkError("connection closed");
-      std::this_thread::sleep_for(std::chrono::milliseconds(kWatchPollMs));
+      ::pollfd pfd{socket->fd(), 0, 0};
+      WaitReadable(&pfd, 1);
     }
   }
 }
@@ -203,12 +242,15 @@ void QueryServer::HandleConnection(std::shared_ptr<TcpSocket> socket) {
   }
 
   // All cancellation sources funnel here: client disconnect, kCancelQuery,
-  // deadline, the serving.cancel_query failpoint, and server shutdown.
+  // deadline, the serving.cancel_query failpoint, and server shutdown. The
+  // watcher blocks in poll(2) on the socket and on `query_done`, which is
+  // signalled when the query ends, so the join below waits out no sleep.
   Cancellation cancellation;
   const int64_t deadline_ms = submit->deadline_ms > 0
                                   ? submit->deadline_ms
                                   : options_.default_deadline_ms;
   std::atomic<bool> watcher_stop{false};
+  const WakeEvent query_done;
   std::thread watcher([&] {
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(deadline_ms);
@@ -251,7 +293,8 @@ void QueryServer::HandleConnection(std::shared_ptr<TcpSocket> socket) {
         return;
       }
       buffer.erase(0, cursor);
-      std::this_thread::sleep_for(std::chrono::milliseconds(kWatchPollMs));
+      ::pollfd fds[2] = {{socket->fd(), 0, 0}, {query_done.fd(), 0, 0}};
+      WaitReadable(fds, 2);
     }
   });
 
@@ -265,6 +308,7 @@ void QueryServer::HandleConnection(std::shared_ptr<TcpSocket> socket) {
   const int64_t elapsed_micros = timer.ElapsedMicros();
 
   watcher_stop.store(true, std::memory_order_release);
+  query_done.Signal();
   watcher.join();
   // Release the admission slot before the (possibly slow) result send: the
   // engine is done with the memory, so a queued query can start now.

@@ -22,10 +22,25 @@ void FilterToSelection(const Column& pred, size_t num_rows,
 /// that merges it.
 uint64_t BatchRowHash(const ColumnBatch& batch, size_t row);
 
+/// BatchRowHash of every row of `batch`, into `hashes` (resized), computed
+/// a column at a time with the type dispatch outside the row loop.
+void BatchRowHashes(const ColumnBatch& batch, std::vector<uint64_t>* hashes);
+
 /// Exact row equality across batches of the same schema: NULL == NULL, and
 /// non-null values compare by typed payload (dictionary strings by content).
 bool BatchRowsEqual(const ColumnBatch& a, size_t ra, const ColumnBatch& b,
                     size_t rb);
+
+/// Compares cell `ra` of column `a` with cell `rb` of column `b`, both of
+/// the type the function was chosen for.
+using CellEquality = bool (*)(const Column& a, size_t ra, const Column& b,
+                              size_t rb);
+
+/// BatchRowsEqual's rule for one column of `type` on both sides, so a
+/// kernel picks the typed comparison once per column and calls it per
+/// cell. With `check_nulls`, NULL equals NULL and nothing else; without,
+/// the caller guarantees both cells are non-NULL.
+CellEquality CellEqualityFor(DataType type, bool check_nulls);
 
 /// Hash index over the key columns of an equi join's build batch. For each
 /// probe row, in order, it yields every build row whose keys equal the
@@ -42,11 +57,18 @@ class JoinIndex {
   /// The build rows the index refers to by position.
   const ColumnBatch& batch() const { return build_; }
 
+  /// Per-batch buffers of Probe, kept by the caller so that probing many
+  /// batches allocates them once.
+  struct Scratch {
+    std::vector<uint64_t> hashes;   ///< Key hash per probe row.
+    std::vector<uint8_t> null_key;  ///< Per probe row: has a NULL key.
+  };
+
   /// Fills `probe_rows` and `build_rows` (cleared first) with the matching
   /// (probe row, build row) pairs of `probe`, whose key columns are
   /// `probe_keys` (as many as the build keys).
   void Probe(const ColumnBatch& probe, const std::vector<int>& probe_keys,
-             std::vector<int32_t>* probe_rows,
+             Scratch* scratch, std::vector<int32_t>* probe_rows,
              std::vector<int32_t>* build_rows) const;
 
  private:
@@ -56,6 +78,7 @@ class JoinIndex {
 
   ColumnBatch build_;
   std::vector<int> keys_;
+  std::vector<CellEquality> key_equal_;  ///< Per key: its typed comparison.
   std::vector<uint64_t> hashes_;  ///< Key hash per build row.
   std::vector<int32_t> heads_;    ///< Per slot: first build row, or -1.
   std::vector<int32_t> next_;     ///< Per build row: next row in its slot.

@@ -126,7 +126,8 @@ class VectorizedHashJoinIterator final : public BatchIterator {
     for (;;) {
       ASSIGN_OR_RETURN(bool has, probe_->Next(&input_));
       if (!has) return false;
-      index_->Probe(input_, *probe_keys_, &probe_sel_, &build_sel_);
+      index_->Probe(input_, *probe_keys_, &scratch_, &probe_sel_,
+                    &build_sel_);
       if (probe_sel_.empty()) continue;
       joined_.Reset(output_schema_);
       const size_t probe_width = input_.num_columns();
@@ -168,6 +169,7 @@ class VectorizedHashJoinIterator final : public BatchIterator {
   SchemaPtr output_schema_;
   ColumnBatch input_;
   ColumnBatch joined_;
+  JoinIndex::Scratch scratch_;
   std::vector<int32_t> probe_sel_;
   std::vector<int32_t> build_sel_;
   std::vector<int32_t> sel_;
@@ -225,28 +227,52 @@ class TableUdfBatchIterator final : public BatchIterator {
 /// unboxed, in keys() and numbered densely in first-seen order. Open
 /// addressing over group indices, probed by content hash. Both phases of
 /// DISTINCT and of GROUP BY group through it; the aggregate maps every row
-/// to its group's state slots by the index FindOrInsert returns.
+/// to its group's state slots by the index the lookup returns.
 class BatchGroupTable {
  public:
   explicit BatchGroupTable(SchemaPtr schema) : keys_(std::move(schema)) {}
 
-  /// The group index of row `row` of `src` (the table's schema), adding the
-  /// row as a new group when no equal row is stored yet.
-  Result<size_t> FindOrInsert(const ColumnBatch& src, size_t row) {
-    if (2 * (size() + 1) > slots_.size()) Grow();
-    const uint64_t h = BatchRowHash(src, row);
-    for (size_t i = SlotOf(h);; i = (i + 1) & (slots_.size() - 1)) {
-      const int32_t group = slots_[i];
-      if (group < 0) {
-        const int32_t index = static_cast<int32_t>(row);
-        RETURN_IF_ERROR(keys_.AppendGather(src, &index, 1));
-        slots_[i] = static_cast<int32_t>(hashes_.size());
-        hashes_.push_back(h);
-        return hashes_.size() - 1;
-      }
-      const size_t g = static_cast<size_t>(group);
-      if (hashes_[g] == h && BatchRowsEqual(keys_, g, src, row)) return g;
+  /// The group index of every row of `src`, in row order, into `groups`
+  /// (resized); a row no stored row equals becomes a new group, so groups
+  /// are numbered as row-by-row lookups would number them. The batch is
+  /// hashed once, and each key column is compared with the typed
+  /// comparison chosen for it once. `src`'s column types must be the
+  /// table's.
+  Status FindOrInsertBatch(const ColumnBatch& src,
+                           std::vector<size_t>* groups) {
+    if (src.num_columns() != keys_.num_columns()) {
+      return Status::InvalidArgument("batch width mismatch in group lookup");
     }
+    equal_.clear();
+    for (size_t c = 0; c < src.num_columns(); ++c) {
+      const Column& column = src.column(c);
+      const Column& stored = keys_.column(c);
+      if (column.type != stored.type) {
+        return Status::InvalidArgument("column type mismatch in group lookup");
+      }
+      equal_.push_back(CellEqualityFor(
+          column.type, column.has_nulls() || stored.has_nulls()));
+    }
+    BatchRowHashes(src, &row_hashes_);
+    groups->resize(src.num_rows());
+    for (size_t r = 0; r < src.num_rows(); ++r) {
+      (*groups)[r] = FindOrInsertHashed(src, r, row_hashes_[r], [&](size_t g) {
+        for (size_t c = 0; c < equal_.size(); ++c) {
+          if (!equal_[c](keys_.column(c), g, src.column(c), r)) return false;
+        }
+        return true;
+      });
+    }
+    return Status::OK();
+  }
+
+  /// The group index of row `row` of another table's keys(), whose
+  /// BatchRowHash is `hash`, adding the row as a new group when no equal
+  /// row is stored yet.
+  size_t FindOrInsert(const ColumnBatch& src, size_t row, uint64_t hash) {
+    return FindOrInsertHashed(src, row, hash, [&](size_t g) {
+      return BatchRowsEqual(keys_, g, src, row);
+    });
   }
 
   size_t size() const { return hashes_.size(); }
@@ -264,10 +290,35 @@ class BatchGroupTable {
     return static_cast<size_t>((h * 0x9e3779b97f4a7c15ULL) >> shift_);
   }
 
+  /// The group whose stored hash is `h` and for which equal(group) holds,
+  /// or row `row` of `src` appended as a new group.
+  template <typename Equal>
+  size_t FindOrInsertHashed(const ColumnBatch& src, size_t row, uint64_t h,
+                            Equal equal) {
+    if (2 * (size() + 1) > slots_.size()) Grow();
+    for (size_t i = SlotOf(h);; i = (i + 1) & (slots_.size() - 1)) {
+      const int32_t group = slots_[i];
+      if (group >= 0) {
+        const size_t g = static_cast<size_t>(group);
+        if (hashes_[g] == h && equal(g)) return g;
+        continue;
+      }
+      const size_t g = hashes_.size();
+      const int32_t index = static_cast<int32_t>(row);
+      for (size_t c = 0; c < keys_.num_columns(); ++c) {
+        AppendColumnGather(&keys_.column(c), g, src.column(c), &index, 1);
+      }
+      keys_.SetRowCountForDecode(g + 1);
+      slots_[i] = static_cast<int32_t>(g);
+      hashes_.push_back(h);
+      return g;
+    }
+  }
+
   void Grow() {
     const size_t capacity = std::max<size_t>(16, 2 * slots_.size());
     // The table holds at most capacity / 2 groups before it grows again, so
-    // the one-row appends of FindOrInsert never reallocate keys_.
+    // the one-row appends of a new group never reallocate keys_.
     keys_.Reserve(capacity / 2);
     shift_ = 64 - std::countr_zero(capacity);
     slots_.assign(capacity, -1);
@@ -282,25 +333,28 @@ class BatchGroupTable {
   std::vector<uint64_t> hashes_;  ///< Per group.
   std::vector<int32_t> slots_;    ///< Group index or -1; power-of-2 size.
   int shift_ = 64;
+  // FindOrInsertBatch's per-batch scratch.
+  std::vector<uint64_t> row_hashes_;
+  std::vector<CellEquality> equal_;
 };
 
 /// Phase 2 of DISTINCT and GROUP BY on one target: walks the workers'
 /// group tables in partition order, each in group order, FindOrInserts
-/// every group that routes to `target` (its hash % tables.size()) into
-/// `merged`, and calls on_group(worker, group, merged group). A group with
-/// no key columns hashes to 0, so a global aggregate merges on target 0.
+/// every group that routes to `target` (its stored hash % tables.size())
+/// into `merged`, and calls on_group(worker, group, merged group). A group
+/// with no key columns hashes to 0, so a global aggregate merges on target
+/// 0. Every table holds `merged`'s key schema.
 template <typename OnGroup>
-Status MergeRouted(const std::vector<BatchGroupTable>& tables, size_t target,
-                   BatchGroupTable* merged, OnGroup on_group) {
+void MergeRouted(const std::vector<BatchGroupTable>& tables, size_t target,
+                 BatchGroupTable* merged, OnGroup on_group) {
   for (size_t w = 0; w < tables.size(); ++w) {
     const BatchGroupTable& table = tables[w];
     for (size_t g = 0; g < table.size(); ++g) {
-      if (table.hash(g) % tables.size() != target) continue;
-      ASSIGN_OR_RETURN(const size_t m, merged->FindOrInsert(table.keys(), g));
-      on_group(w, g, m);
+      const uint64_t h = table.hash(g);
+      if (h % tables.size() != target) continue;
+      on_group(w, g, merged->FindOrInsert(table.keys(), g, h));
     }
   }
-  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -604,16 +658,14 @@ Result<Table> Executor::ExecuteDistinct(const PlanPtr& plan) {
   // Two phases over unboxed ColumnBatch rows: local dedup per worker as the
   // child's batches arrive, then each target dedups the unique rows that
   // route to it (MergeRouted).
-  std::vector<BatchGroupTable> local(static_cast<size_t>(num_workers_),
-                                     BatchGroupTable(plan->output_schema));
+  const size_t n = static_cast<size_t>(num_workers_);
+  std::vector<BatchGroupTable> local(n, BatchGroupTable(plan->output_schema));
+  std::vector<std::vector<size_t>> row_groups(n);
   RETURN_IF_ERROR(DrainBatches(
       plan->children[0],
       [&](int worker, ColumnBatch* batch) -> Status {
-        BatchGroupTable& unique = local[static_cast<size_t>(worker)];
-        for (size_t r = 0; r < batch->num_rows(); ++r) {
-          RETURN_IF_ERROR(unique.FindOrInsert(*batch, r).status());
-        }
-        return Status::OK();
+        const size_t w = static_cast<size_t>(worker);
+        return local[w].FindOrInsertBatch(*batch, &row_groups[w]);
       },
       [](int) { return Status::OK(); }));
 
@@ -621,8 +673,7 @@ Result<Table> Executor::ExecuteDistinct(const PlanPtr& plan) {
   RETURN_IF_ERROR(ParallelWorkers(num_workers_, [&](int target) -> Status {
     const size_t t = static_cast<size_t>(target);
     BatchGroupTable unique(plan->output_schema);
-    RETURN_IF_ERROR(
-        MergeRouted(local, t, &unique, [](size_t, size_t, size_t) {}));
+    MergeRouted(local, t, &unique, [](size_t, size_t, size_t) {});
     return output.AppendBatch(t, std::move(unique).TakeKeys());
   }));
   return output;
@@ -630,18 +681,44 @@ Result<Table> Executor::ExecuteDistinct(const PlanPtr& plan) {
 
 namespace {
 
-/// Partial aggregation state for one (group, aggregate) pair.
+/// Partial aggregation state for one (group, aggregate) pair. A MIN or MAX
+/// keeps its running value apart (AggSlots::extremes), so COUNT, SUM and
+/// AVG states stay three scalars.
 struct AggState {
   int64_t count = 0;
   int64_t int_sum = 0;
   double double_sum = 0;
-  Value extreme;  // MIN/MAX running value.
+};
+
+/// MIN and MAX keep a running value besides their count.
+bool KeepsExtreme(AggFunc func) {
+  return func == AggFunc::kMin || func == AggFunc::kMax;
+}
+
+/// One aggregate's states in group-major storage: group g's at
+/// scalars[g * stride + slot] and, for MIN/MAX only (extremes set), its
+/// running value at extremes[g * extreme_stride + extreme_slot].
+struct AggSlots {
+  AggState* scalars = nullptr;
+  size_t stride = 0;
+  size_t slot = 0;
+  Value* extremes = nullptr;
+  size_t extreme_stride = 0;
+  size_t extreme_slot = 0;
+
+  AggState& state(size_t g) const { return scalars[g * stride + slot]; }
+  Value* extreme(size_t g) const {
+    return extremes == nullptr
+               ? nullptr
+               : &extremes[g * extreme_stride + extreme_slot];
+  }
 };
 
 /// Folds one argument value into a transition state (the boxed path of
-/// UpdateStatesBatch; COUNT(*) never gets here).
+/// UpdateStatesBatch; COUNT(*) never gets here). `extreme` is the running
+/// value of a MIN or MAX.
 Status UpdateStateWithValue(const AggregateSpec& spec, const Value& v,
-                            AggState* state) {
+                            AggState* state, Value* extreme) {
   if (v.is_null()) return Status::OK();  // Aggregates skip NULLs.
   switch (spec.func) {
     case AggFunc::kCount:
@@ -659,11 +736,11 @@ Status UpdateStateWithValue(const AggregateSpec& spec, const Value& v,
       break;
     }
     case AggFunc::kMin:
-      if (state->count == 0 || v < state->extreme) state->extreme = v;
+      if (state->count == 0 || v < *extreme) *extreme = v;
       ++state->count;
       break;
     case AggFunc::kMax:
-      if (state->count == 0 || state->extreme < v) state->extreme = v;
+      if (state->count == 0 || *extreme < v) *extreme = v;
       ++state->count;
       break;
     case AggFunc::kCountStar:
@@ -673,22 +750,24 @@ Status UpdateStateWithValue(const AggregateSpec& spec, const Value& v,
 }
 
 /// Batch transition of one aggregate: folds row r of `arg` (its evaluated
-/// argument; unused for COUNT(*)) into states[groups[r] * stride + slot],
-/// in row order. The typed COUNT and SUM/AVG loops do exactly the
-/// arithmetic UpdateStateWithValue does per value, so a group's sums depend
-/// only on its rows' order; MIN/MAX and any other argument type box each
-/// value through it.
+/// argument; unused for COUNT(*)) into the states of group groups[r], in
+/// row order. The typed COUNT and SUM/AVG loops do exactly the arithmetic
+/// UpdateStateWithValue does per value, so a group's sums depend only on
+/// its rows' order; MIN/MAX and any other argument type box each value
+/// through it.
 Status UpdateStatesBatch(const AggregateSpec& spec, const Column& arg,
-                         const std::vector<size_t>& groups, size_t stride,
-                         size_t slot, AggState* states) {
+                         const std::vector<size_t>& groups,
+                         const AggSlots& slots) {
   const size_t n = groups.size();
   const auto state = [&](size_t r) -> AggState& {
-    return states[groups[r] * stride + slot];
+    return slots.state(groups[r]);
   };
-  // Counts every non-NULL row of `arg` and adds it with add(state, row).
+  // Counts every non-NULL row of `arg` and adds it with add(state, row);
+  // the NULL test runs only when `arg` has NULLs.
   const auto fold = [&](auto add) {
+    const bool nulls = arg.has_nulls();
     for (size_t r = 0; r < n; ++r) {
-      if (arg.IsNull(r)) continue;
+      if (nulls && arg.IsNull(r)) continue;
       AggState& s = state(r);
       ++s.count;
       add(s, r);
@@ -722,14 +801,17 @@ Status UpdateStatesBatch(const AggregateSpec& spec, const Column& arg,
       break;
   }
   for (size_t r = 0; r < n; ++r) {
-    RETURN_IF_ERROR(
-        UpdateStateWithValue(spec, ColumnValueAt(arg, r), &state(r)));
+    RETURN_IF_ERROR(UpdateStateWithValue(spec, ColumnValueAt(arg, r),
+                                         &state(r),
+                                         slots.extreme(groups[r])));
   }
   return Status::OK();
 }
 
+/// Merges a partial state (and, for MIN/MAX, its running value) into
+/// `state` (and `extreme`).
 void MergeState(const AggregateSpec& spec, const AggState& other,
-                AggState* state) {
+                const Value* other_extreme, AggState* state, Value* extreme) {
   switch (spec.func) {
     case AggFunc::kCountStar:
     case AggFunc::kCount:
@@ -743,42 +825,72 @@ void MergeState(const AggregateSpec& spec, const AggState& other,
       break;
     case AggFunc::kMin:
       if (other.count > 0 &&
-          (state->count == 0 || other.extreme < state->extreme)) {
-        state->extreme = other.extreme;
+          (state->count == 0 || *other_extreme < *extreme)) {
+        *extreme = *other_extreme;
       }
       state->count += other.count;
       break;
     case AggFunc::kMax:
       if (other.count > 0 &&
-          (state->count == 0 || state->extreme < other.extreme)) {
-        state->extreme = other.extreme;
+          (state->count == 0 || *extreme < *other_extreme)) {
+        *extreme = *other_extreme;
       }
       state->count += other.count;
       break;
   }
 }
 
-Value FinalizeState(const AggregateSpec& spec, const AggState& state) {
-  switch (spec.func) {
-    case AggFunc::kCountStar:
-    case AggFunc::kCount:
-      return Value::Int64(state.count);
-    case AggFunc::kSum:
-      if (state.count == 0) return Value::Null();
-      return spec.output_type == DataType::kInt64
-                 ? Value::Int64(state.int_sum)
-                 : Value::Double(state.double_sum +
-                                 static_cast<double>(state.int_sum));
-    case AggFunc::kAvg:
-      if (state.count == 0) return Value::Null();
-      return Value::Double(
-          (state.double_sum + static_cast<double>(state.int_sum)) /
-          static_cast<double>(state.count));
-    case AggFunc::kMin:
-    case AggFunc::kMax:
-      return state.count == 0 ? Value::Null() : state.extreme;
+/// Finalizes one aggregate over `groups` groups into `col`, an empty column
+/// of spec.output_type. COUNT, SUM and AVG write their typed values
+/// straight into it (an empty SUM or AVG is NULL); MIN and MAX append their
+/// running values.
+Status FinalizeColumn(const AggregateSpec& spec, const AggSlots& slots,
+                      size_t groups, Column* col,
+                      const std::string& column_name) {
+  if (KeepsExtreme(spec.func)) {
+    for (size_t g = 0; g < groups; ++g) {
+      RETURN_IF_ERROR(AppendColumnValue(
+          col, g,
+          slots.state(g).count == 0 ? Value::Null() : *slots.extreme(g),
+          column_name));
+    }
+    return Status::OK();
   }
-  return Value::Null();
+  col->null_words.assign((groups + 63) / 64, 0);
+  const auto set_null = [col](size_t g) {
+    col->null_words[g >> 6] |= uint64_t{1} << (g & 63);
+  };
+  if (spec.func == AggFunc::kCountStar || spec.func == AggFunc::kCount) {
+    col->ints.resize(groups);
+    for (size_t g = 0; g < groups; ++g) col->ints[g] = slots.state(g).count;
+    return Status::OK();
+  }
+  if (spec.func == AggFunc::kSum && spec.output_type == DataType::kInt64) {
+    col->ints.assign(groups, 0);
+    for (size_t g = 0; g < groups; ++g) {
+      const AggState& s = slots.state(g);
+      if (s.count == 0) {
+        set_null(g);
+      } else {
+        col->ints[g] = s.int_sum;
+      }
+    }
+    return Status::OK();
+  }
+  // A DOUBLE SUM, or an AVG.
+  col->doubles.assign(groups, 0);
+  for (size_t g = 0; g < groups; ++g) {
+    const AggState& s = slots.state(g);
+    if (s.count == 0) {
+      set_null(g);
+      continue;
+    }
+    const double sum = s.double_sum + static_cast<double>(s.int_sum);
+    col->doubles[g] = spec.func == AggFunc::kAvg
+                          ? sum / static_cast<double>(s.count)
+                          : sum;
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -789,12 +901,33 @@ Result<Table> Executor::ExecuteAggregate(const PlanPtr& plan) {
   const std::vector<Field>& fields = plan->output_schema->fields();
   const SchemaPtr key_schema = Schema::Make(std::vector<Field>(
       fields.begin(), fields.begin() + static_cast<std::ptrdiff_t>(num_keys)));
+  // MIN/MAX running values: num_extremes per group, aggregate a's at
+  // extreme_slot[a].
+  std::vector<size_t> extreme_slot(num_aggs, 0);
+  size_t num_extremes = 0;
+  for (size_t a = 0; a < num_aggs; ++a) {
+    if (KeepsExtreme(plan->aggregates[a].func)) {
+      extreme_slot[a] = num_extremes++;
+    }
+  }
+  // Aggregate a's slots in group-major `states` and `extremes`.
+  const auto slots_of = [&](std::vector<AggState>* states,
+                            std::vector<Value>* extremes, size_t a) {
+    AggSlots slots{states->data(), num_aggs, a};
+    if (KeepsExtreme(plan->aggregates[a].func)) {
+      slots.extremes = extremes->data();
+      slots.extreme_stride = num_extremes;
+      slots.extreme_slot = extreme_slot[a];
+    }
+    return slots;
+  };
 
-  // Phase 1, per worker: a group table over the evaluated key columns and a
-  // flat group-major state vector (num_aggs slots per group), folded from
-  // the child's batches without boxing them.
+  // Phase 1, per worker: a group table over the evaluated key columns and
+  // flat group-major states (num_aggs scalars and num_extremes running
+  // values per group), folded from the child's batches without boxing them.
   struct WorkerGroups {
     std::vector<AggState> states;
+    std::vector<Value> extremes;
     ColumnBatch keys;
     Column arg;
     std::vector<size_t> row_groups;
@@ -808,25 +941,22 @@ Result<Table> Executor::ExecuteAggregate(const PlanPtr& plan) {
         const ColumnBatch& batch = *input;
         BatchGroupTable& table = tables[static_cast<size_t>(worker)];
         WorkerGroups& w = workers[static_cast<size_t>(worker)];
-        const size_t rows = batch.num_rows();
         w.keys.Reset(key_schema);
         for (size_t k = 0; k < num_keys; ++k) {
           RETURN_IF_ERROR(
               plan->group_by[k]->EvaluateBatch(batch, &w.keys.column(k)));
         }
-        w.keys.SetRowCountForDecode(rows);
-        w.row_groups.resize(rows);
-        for (size_t r = 0; r < rows; ++r) {
-          ASSIGN_OR_RETURN(w.row_groups[r], table.FindOrInsert(w.keys, r));
-        }
+        w.keys.SetRowCountForDecode(batch.num_rows());
+        RETURN_IF_ERROR(table.FindOrInsertBatch(w.keys, &w.row_groups));
         w.states.resize(table.size() * num_aggs);
+        w.extremes.resize(table.size() * num_extremes);
         for (size_t a = 0; a < num_aggs; ++a) {
           const AggregateSpec& spec = plan->aggregates[a];
           if (spec.argument != nullptr) {
             RETURN_IF_ERROR(spec.argument->EvaluateBatch(batch, &w.arg));
           }
-          RETURN_IF_ERROR(UpdateStatesBatch(spec, w.arg, w.row_groups,
-                                            num_aggs, a, w.states.data()));
+          RETURN_IF_ERROR(UpdateStatesBatch(
+              spec, w.arg, w.row_groups, slots_of(&w.states, &w.extremes, a)));
         }
         return Status::OK();
       },
@@ -839,31 +969,33 @@ Result<Table> Executor::ExecuteAggregate(const PlanPtr& plan) {
     const size_t t = static_cast<size_t>(target);
     BatchGroupTable merged(key_schema);
     std::vector<AggState> states;
-    RETURN_IF_ERROR(MergeRouted(
-        tables, t, &merged, [&](size_t worker, size_t group, size_t m) {
-          states.resize(merged.size() * num_aggs);
-          const AggState* partial =
-              workers[worker].states.data() + group * num_aggs;
-          for (size_t a = 0; a < num_aggs; ++a) {
-            MergeState(plan->aggregates[a], partial[a],
-                       &states[m * num_aggs + a]);
-          }
-        }));
+    std::vector<Value> extremes;
+    MergeRouted(tables, t, &merged, [&](size_t worker, size_t group,
+                                        size_t m) {
+      states.resize(merged.size() * num_aggs);
+      extremes.resize(merged.size() * num_extremes);
+      WorkerGroups& w = workers[worker];
+      for (size_t a = 0; a < num_aggs; ++a) {
+        const AggSlots partial = slots_of(&w.states, &w.extremes, a);
+        const AggSlots into = slots_of(&states, &extremes, a);
+        MergeState(plan->aggregates[a], partial.state(group),
+                   partial.extreme(group), &into.state(m), into.extreme(m));
+      }
+    });
     // A global aggregate's one row, on target 0, even over zero rows.
     const size_t groups = num_keys == 0 && t == 0 ? 1 : merged.size();
     states.resize(groups * num_aggs);
+    extremes.resize(groups * num_extremes);
     ColumnBatch out(plan->output_schema);
     ColumnBatch keys = std::move(merged).TakeKeys();
     for (size_t k = 0; k < num_keys; ++k) {
       out.column(k) = std::move(keys.column(k));
     }
     for (size_t a = 0; a < num_aggs; ++a) {
-      for (size_t g = 0; g < groups; ++g) {
-        RETURN_IF_ERROR(AppendColumnValue(
-            &out.column(num_keys + a), g,
-            FinalizeState(plan->aggregates[a], states[g * num_aggs + a]),
-            fields[num_keys + a].name));
-      }
+      RETURN_IF_ERROR(FinalizeColumn(plan->aggregates[a],
+                                     slots_of(&states, &extremes, a), groups,
+                                     &out.column(num_keys + a),
+                                     fields[num_keys + a].name));
     }
     out.SetRowCountForDecode(groups);
     return output.AppendBatch(t, std::move(out));

@@ -82,63 +82,96 @@ Status AppendColumnValue(Column* col, size_t row, const Value& v,
   return Status::OK();
 }
 
+namespace {
+
+/// Grows `values` to `size` elements, reserving exactly `size` when it must
+/// reallocate, and returns where the new elements start.
+template <typename T>
+T* GrowValues(std::vector<T>* values, size_t size) {
+  const size_t old_size = values->size();
+  if (values->capacity() < size) values->reserve(size);
+  values->resize(size);
+  return values->data() + old_size;
+}
+
+/// out[i] = in[rows[i]] for the n selected rows: one typed loop, no
+/// per-row capacity check.
+template <typename T>
+void GatherValues(std::vector<T>* dst, size_t dst_rows,
+                  const std::vector<T>& src, const int32_t* rows, size_t n) {
+  T* out = GrowValues(dst, dst_rows + n);
+  const T* in = src.data();
+  for (size_t i = 0; i < n; ++i) out[i] = in[rows[i]];
+}
+
+/// The string codes of the n selected rows, in `dst`'s dictionary. A NULL
+/// row gets code 0.
+void GatherCodes(Column* dst, size_t dst_rows, const Column& src,
+                 const int32_t* rows, size_t n, bool maybe_nulls) {
+  const bool fresh = dst->codes.empty() && dst->dict.size() == 0;
+  int32_t* out = GrowValues(&dst->codes, dst_rows + n);
+  const int32_t* codes = src.codes.data();
+  if (fresh && static_cast<size_t>(src.dict.size()) <= n) {
+    // Fresh destination, small dictionary: copy it wholesale and gather
+    // codes directly (unreferenced entries are harmless; a NULL row's code
+    // is already the zero placeholder).
+    dst->dict = src.dict;
+    for (size_t i = 0; i < n; ++i) out[i] = codes[rows[i]];
+  } else if (n < static_cast<size_t>(src.dict.size())) {
+    // Few rows against a big dictionary (single-row dedup inserts, a
+    // join's matches in a large build batch): remap only the referenced
+    // entries instead of copying the whole dict.
+    for (size_t i = 0; i < n; ++i) {
+      const size_t r = static_cast<size_t>(rows[i]);
+      out[i] = maybe_nulls && src.IsNull(r)
+                   ? 0
+                   : dst->dict.GetOrAdd(src.dict[codes[r]]);
+    }
+  } else {
+    std::vector<int32_t> remap(static_cast<size_t>(src.dict.size()));
+    for (int32_t id = 0; id < src.dict.size(); ++id) {
+      remap[static_cast<size_t>(id)] = dst->dict.GetOrAdd(src.dict[id]);
+    }
+    for (size_t i = 0; i < n; ++i) {
+      const size_t r = static_cast<size_t>(rows[i]);
+      const size_t code = static_cast<size_t>(codes[r]);
+      out[i] = !(maybe_nulls && src.IsNull(r)) && code < remap.size()
+                   ? remap[code]
+                   : 0;
+    }
+  }
+}
+
+}  // namespace
+
 void AppendColumnGather(Column* dst, size_t dst_rows, const Column& src,
                         const int32_t* rows, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    dst->AppendNullBit(dst_rows + i, src.IsNull(static_cast<size_t>(rows[i])));
+  const size_t words = (dst_rows + n + 63) / 64;
+  if (dst->null_words.size() < words) dst->null_words.resize(words, 0);
+  // O(n) either way: test the selected rows when they are fewer than the
+  // source's bitmap words, else scan the bitmap first, which is no longer.
+  const bool maybe_nulls = n < src.null_words.size() || src.has_nulls();
+  if (maybe_nulls) {
+    uint64_t* out = dst->null_words.data();
+    for (size_t i = 0; i < n; ++i) {
+      if (src.IsNull(static_cast<size_t>(rows[i]))) {
+        const size_t row = dst_rows + i;
+        out[row >> 6] |= uint64_t{1} << (row & 63);
+      }
+    }
   }
   switch (dst->type) {
     case DataType::kBool:
-      dst->bools.reserve(dst->bools.size() + n);
-      for (size_t i = 0; i < n; ++i) {
-        dst->bools.push_back(src.bools[static_cast<size_t>(rows[i])]);
-      }
+      GatherValues(&dst->bools, dst_rows, src.bools, rows, n);
       break;
     case DataType::kInt64:
-      dst->ints.reserve(dst->ints.size() + n);
-      for (size_t i = 0; i < n; ++i) {
-        dst->ints.push_back(src.ints[static_cast<size_t>(rows[i])]);
-      }
+      GatherValues(&dst->ints, dst_rows, src.ints, rows, n);
       break;
     case DataType::kDouble:
-      dst->doubles.reserve(dst->doubles.size() + n);
-      for (size_t i = 0; i < n; ++i) {
-        dst->doubles.push_back(src.doubles[static_cast<size_t>(rows[i])]);
-      }
+      GatherValues(&dst->doubles, dst_rows, src.doubles, rows, n);
       break;
     case DataType::kString:
-      dst->codes.reserve(dst->codes.size() + n);
-      if (dst->codes.empty() && dst->dict.size() == 0 &&
-          static_cast<size_t>(src.dict.size()) <= n) {
-        // Fresh destination, small dictionary: copy it wholesale and gather
-        // codes directly (unreferenced entries are harmless).
-        dst->dict = src.dict;
-        for (size_t i = 0; i < n; ++i) {
-          dst->codes.push_back(src.codes[static_cast<size_t>(rows[i])]);
-        }
-      } else if (n < static_cast<size_t>(src.dict.size())) {
-        // Few rows against a big dictionary (single-row dedup inserts, a
-        // join's matches in a large build batch): remap only the referenced
-        // entries instead of copying the whole dict.
-        for (size_t i = 0; i < n; ++i) {
-          const size_t r = static_cast<size_t>(rows[i]);
-          dst->codes.push_back(
-              src.IsNull(r) ? 0 : dst->dict.GetOrAdd(src.dict[src.codes[r]]));
-        }
-      } else {
-        std::vector<int32_t> remap(static_cast<size_t>(src.dict.size()));
-        for (int32_t id = 0; id < src.dict.size(); ++id) {
-          remap[static_cast<size_t>(id)] = dst->dict.GetOrAdd(src.dict[id]);
-        }
-        for (size_t i = 0; i < n; ++i) {
-          const size_t r = static_cast<size_t>(rows[i]);
-          const int32_t code = src.codes[r];
-          dst->codes.push_back(
-              !src.IsNull(r) && static_cast<size_t>(code) < remap.size()
-                  ? remap[static_cast<size_t>(code)]
-                  : 0);
-        }
-      }
+      GatherCodes(dst, dst_rows, src, rows, n, maybe_nulls);
       break;
   }
 }

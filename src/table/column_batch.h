@@ -63,10 +63,13 @@ Status AppendColumnValue(Column* col, size_t row, const Value& v,
 /// already holds `dst_rows` rows of the same type. An empty `dst` takes a
 /// copy of the source dictionary when it has at most `n` entries; otherwise
 /// string codes are remapped, so a gather never holds more dictionary
-/// entries than its destination needs plus `n`. It reserves exactly
-/// `dst_rows + n` values, so a caller that appends to one column many times
-/// reserves the total up front (ColumnBatch::Reserve); otherwise each append
-/// reallocates the whole column.
+/// entries than its destination needs plus `n`. Each column is one typed
+/// loop, and NULL bits are set only for NULL source rows (none when the
+/// source has no NULLs), so a gather costs O(n), not O(source rows). When
+/// it must grow a value vector it reserves exactly `dst_rows + n` values,
+/// so a caller that appends to one column many times reserves the total up
+/// front (ColumnBatch::Reserve); otherwise each append reallocates the
+/// whole column.
 void AppendColumnGather(Column* dst, size_t dst_rows, const Column& src,
                         const int32_t* rows, size_t n);
 

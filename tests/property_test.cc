@@ -1272,6 +1272,168 @@ TEST_P(BatchKernelPropertyTest, AppendGatherMatchesRowByRowAppend) {
   }
 }
 
+/// A value of `type` that is NULL with probability `null_share`: small
+/// ints, doubles that are often zero of either sign, and strings drawn from
+/// `distinct` values, so a batch's dictionary is as small as asked.
+Value KernelValue(Random* rng, DataType type, double null_share,
+                  uint64_t distinct) {
+  if (rng->Bernoulli(null_share)) return Value::Null();
+  switch (type) {
+    case DataType::kBool:
+      return Value::Bool(rng->Bernoulli(0.5));
+    case DataType::kInt64:
+      return Value::Int64(rng->UniformInt(-3, 3));
+    case DataType::kDouble:
+      if (rng->Bernoulli(0.3)) {
+        return Value::Double(rng->Bernoulli(0.5) ? -0.0 : 0.0);
+      }
+      return Value::Double(rng->NextGaussian());
+    case DataType::kString:
+      return Value::String("s" + std::to_string(rng->Uniform(distinct)));
+  }
+  return Value::Null();
+}
+
+/// A batch of `rows` KernelValue rows of `schema`.
+ColumnBatch KernelBatch(Random* rng, const SchemaPtr& schema, size_t rows,
+                        double null_share, uint64_t distinct) {
+  ColumnBatch batch(schema);
+  for (size_t r = 0; r < rows; ++r) {
+    Row row;
+    for (const Field& field : schema->fields()) {
+      row.push_back(KernelValue(rng, field.type, null_share, distinct));
+    }
+    EXPECT_TRUE(batch.AppendRow(row).ok());
+  }
+  return batch;
+}
+
+/// The Column invariants: ceil(rows/64) null words, no bit set past the
+/// row count, one value per row, and a zero placeholder under every NULL.
+void ExpectColumnInvariants(const ColumnBatch& batch, const std::string& at) {
+  const size_t rows = batch.num_rows();
+  for (size_t c = 0; c < batch.num_columns(); ++c) {
+    const Column& col = batch.column(c);
+    ASSERT_EQ(col.null_words.size(), (rows + 63) / 64) << at << " col " << c;
+    if (rows % 64 != 0) {
+      EXPECT_EQ(col.null_words.back() >> (rows % 64), 0u)
+          << at << " col " << c << ": NULL bits past the row count";
+    }
+    size_t values = 0;
+    switch (col.type) {
+      case DataType::kBool:
+        values = col.bools.size();
+        break;
+      case DataType::kInt64:
+        values = col.ints.size();
+        break;
+      case DataType::kDouble:
+        values = col.doubles.size();
+        break;
+      case DataType::kString:
+        values = col.codes.size();
+        break;
+    }
+    ASSERT_EQ(values, rows) << at << " col " << c;
+    for (size_t r = 0; r < rows; ++r) {
+      if (!col.IsNull(r)) continue;
+      bool zero = true;
+      switch (col.type) {
+        case DataType::kBool:
+          zero = col.bools[r] == 0;
+          break;
+        case DataType::kInt64:
+          zero = col.ints[r] == 0;
+          break;
+        case DataType::kDouble:
+          zero = col.doubles[r] == 0.0;
+          break;
+        case DataType::kString:
+          zero = col.codes[r] == 0;
+          break;
+      }
+      EXPECT_TRUE(zero) << at << " col " << c << " row " << r
+                        << ": NULL without a zero placeholder";
+    }
+  }
+}
+
+// Many gathers into one destination, as a join's build, a group table's
+// one-row inserts and LIMIT make them: sources of up to a few thousand rows
+// with no, few or only NULLs and string dictionaries smaller or larger than
+// a gather, one-row gathers from the large source, repeated and
+// out-of-order rows, and destination row counts off a multiple of 64.
+TEST_P(BatchKernelPropertyTest, RepeatedGathersMatchRowByRowAppend) {
+  Random rng(GetParam() * 53 + 11);
+  const double kNullShares[] = {0.0, 0.02, 1.0};
+  for (int round = 0; round < 12; ++round) {
+    SchemaPtr schema = RandomSchema(&rng);
+    const double null_share = kNullShares[round % 3];
+    const size_t n = 1 + rng.Uniform(4000);
+    const uint64_t distinct = rng.Bernoulli(0.5) ? 3 : 5000;
+    const ColumnBatch src = KernelBatch(&rng, schema, n, null_share, distinct);
+    ColumnBatch gathered(schema);
+    ColumnBatch appended(schema);
+    Row boxed;
+    for (int step = 0; step < 8; ++step) {
+      std::vector<int32_t> sel;
+      const size_t picks = step % 3 == 0   ? 1
+                           : step % 3 == 1 ? 1 + rng.Uniform(200)
+                                           : rng.Uniform(2 * n);
+      for (size_t i = 0; i < picks; ++i) {
+        sel.push_back(static_cast<int32_t>(rng.Uniform(n)));
+      }
+      ASSERT_TRUE(gathered.AppendGather(src, sel.data(), sel.size()).ok());
+      for (const int32_t r : sel) {
+        src.EmitRow(static_cast<size_t>(r), &boxed);
+        ASSERT_TRUE(appended.AppendRow(boxed).ok());
+      }
+      const std::string at = "round " + std::to_string(round) + " step " +
+                             std::to_string(step) + " (" +
+                             std::to_string(n) + " source rows)";
+      ASSERT_EQ(gathered.num_rows(), appended.num_rows()) << at;
+      for (size_t r = 0; r < gathered.num_rows(); ++r) {
+        for (size_t c = 0; c < schema->num_fields(); ++c) {
+          ASSERT_EQ(gathered.ValueAt(r, c), appended.ValueAt(r, c))
+              << at << " row " << r << " col " << c;
+        }
+      }
+      ExpectColumnInvariants(gathered, at);
+    }
+  }
+}
+
+// The column-at-a-time row hash equals the per-row one bit for bit: groups
+// route to merge targets by it. String columns come with dictionaries
+// smaller than the batch (hashed once per entry) and larger than it (unused
+// entries appended, hashed row by row).
+TEST_P(BatchKernelPropertyTest, BatchRowHashesMatchBatchRowHash) {
+  Random rng(GetParam() * 71 + 3);
+  for (int round = 0; round < 20; ++round) {
+    SchemaPtr schema = RandomSchema(&rng);
+    const size_t n = rng.Uniform(300);
+    const double null_share = round % 2 == 0 ? 0.0 : 0.2;
+    ColumnBatch batch = KernelBatch(&rng, schema, n, null_share, 5);
+    if (round % 4 >= 2) {
+      for (size_t c = 0; c < batch.num_columns(); ++c) {
+        Column& col = batch.column(c);
+        if (col.type != DataType::kString) continue;
+        for (size_t i = 0; i <= n; ++i) {
+          col.dict.GetOrAdd("unused" + std::to_string(i));
+        }
+      }
+    }
+    std::vector<uint64_t> hashes{42};
+    BatchRowHashes(batch, &hashes);
+    ASSERT_EQ(hashes.size(), n);
+    for (size_t r = 0; r < n; ++r) {
+      EXPECT_EQ(hashes[r], BatchRowHash(batch, r))
+          << "round " << round << " row " << r << " of "
+          << batch.schema()->ToString();
+    }
+  }
+}
+
 TEST_P(BatchKernelPropertyTest, RowHashConsistentWithRowEquality) {
   Random rng(GetParam() * 101 + 13);
   auto schema = Schema::Make({{"k", DataType::kInt64},
@@ -1554,9 +1716,10 @@ TEST_P(JoinIndexPropertyTest, MatchesANestedLoopInOrder) {
     const JoinPairs expected =
         NestedLoopJoinPairs(probe, probe_keys, build, build_keys);
     const JoinIndex index(build, build_keys);
+    JoinIndex::Scratch scratch;
     std::vector<int32_t> probe_sel{99};
     std::vector<int32_t> build_sel{99};
-    index.Probe(probe, probe_keys, &probe_sel, &build_sel);
+    index.Probe(probe, probe_keys, &scratch, &probe_sel, &build_sel);
     ASSERT_EQ(probe_sel.size(), build_sel.size());
     JoinPairs got;
     for (size_t i = 0; i < probe_sel.size(); ++i) {

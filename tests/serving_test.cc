@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -559,6 +560,35 @@ TEST_F(QueryServerTest, SequentialQueriesDoNotAccumulateThreadStacks) {
   run_queries(200);
   const size_t after = CountMappings();
   EXPECT_LE(after, before + 32) << before << " -> " << after << " mappings";
+}
+
+// The server adds little to a fast query: nothing waits out a poll sleep,
+// neither the submit wait nor the query's watcher, which the end of the
+// query wakes. A watcher that slept 10 ms between reads made the join after
+// every query wait for the rest of that sleep, so even the fastest of 20
+// queries spent about 10 ms beyond its server time. Other load (parallel
+// tests, sanitizers) only adds to a query's overhead, so the fastest query
+// is the one that shows what the server itself waits for.
+TEST_F(QueryServerTest, FastQueryIsNotHeldByTheWatcher) {
+  auto server = StartServer();
+  ASSERT_NE(server, nullptr);
+  std::vector<int64_t> overhead_micros;
+  for (int i = 0; i < 20; ++i) {
+    Stopwatch watch;
+    auto client = QueryClient::Connect("127.0.0.1", server->port());
+    ASSERT_TRUE(client.ok()) << client.status();
+    auto response = client->Execute("SELECT COUNT(*) FROM points");
+    ASSERT_TRUE(response.ok()) << response.status();
+    overhead_micros.push_back(watch.ElapsedMicros() -
+                              response->elapsed_micros);
+  }
+  std::sort(overhead_micros.begin(), overhead_micros.end());
+  std::string sorted;
+  for (const int64_t micros : overhead_micros) {
+    sorted += " " + std::to_string(micros);
+  }
+  EXPECT_LT(overhead_micros.front(), 5000)
+      << "client latency minus server time per query, us:" << sorted;
 }
 
 TEST_F(QueryServerTest, SqlErrorsTravelTyped) {
