@@ -2,14 +2,15 @@
 """Compares two bench_sql binaries case by case, one process per case.
 
     python3 bench/compare_sql_cases.py PARENT_BIN CHANGE_BIN [--rounds N]
-        [--filter REGEX] [--repetitions R] [--min-time SECONDS]
+        [--filter REGEX]
 
 Run whole, bench_sql's small cases spread up to 3x within one side, so each
-case runs alone (--benchmark_filter='^<case>$'), the two sides alternating
-and the order flipped each round. Every run reports the median wall time of
-its repetitions; the script prints, per case, each side's per-run medians in
-run order and the median of those. A case only one binary has runs on that
-side alone.
+case runs alone (--benchmark_filter='^<case>$', 3 repetitions of at least
+0.1 s), the two sides alternating and the order flipped each round. Every
+run reports the median wall time of its repetitions; the script prints, per
+case, each side's per-run medians in run order and the median of those.
+Both binaries must list the same cases: build the parent with the change's
+bench_sql.cpp when the change adds a case.
 """
 
 import argparse
@@ -26,12 +27,11 @@ def list_cases(binary):
     return [line.strip() for line in out.splitlines() if line.strip()]
 
 
-def run_case(binary, case, repetitions, min_time):
+def run_case(binary, case):
     """The median real time (ms) of one process running `case` alone."""
     out = subprocess.run(
         [binary, "--benchmark_filter=^" + re.escape(case) + "$",
-         "--benchmark_repetitions=%d" % repetitions,
-         "--benchmark_min_time=%s" % min_time,
+         "--benchmark_repetitions=3", "--benchmark_min_time=0.1",
          "--benchmark_format=json"],
         check=True, capture_output=True, text=True).stdout
     runs = json.loads(out)["benchmarks"]
@@ -56,26 +56,19 @@ def main():
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--filter", default="",
                         help="regex a case name must contain")
-    parser.add_argument("--repetitions", type=int, default=3)
-    parser.add_argument("--min-time", default="0.1",
-                        help="--benchmark_min_time per repetition, seconds")
     args = parser.parse_args()
 
     sides = [("parent", args.parent_bin), ("change", args.change_bin)]
-    listed = {name: list_cases(binary) for name, binary in sides}
-    cases = []
-    for name, _ in sides:
-        for case in listed[name]:
-            if case not in cases and re.search(args.filter, case):
-                cases.append(case)
+    listed = list_cases(args.parent_bin)
+    if list_cases(args.change_bin) != listed:
+        sys.exit("the two binaries list different cases")
+    cases = [case for case in listed if re.search(args.filter, case)]
     results = {case: {name: [] for name, _ in sides} for case in cases}
     for round_index in range(args.rounds):
         order = sides if round_index % 2 == 0 else sides[::-1]
         for case in cases:
             for name, binary in order:
-                if case not in listed[name]:
-                    continue
-                ms = run_case(binary, case, args.repetitions, args.min_time)
+                ms = run_case(binary, case)
                 results[case][name].append(ms)
                 print("round %d %s %s %s ms" % (round_index + 1, name, case,
                                                 fmt(ms)),
@@ -89,8 +82,8 @@ def main():
         medians = []
         for name, _ in sides:
             runs = results[case][name]
-            cells.append(", ".join(fmt(ms) for ms in runs) or "-")
-            medians.append(fmt(statistics.median(runs)) if runs else "-")
+            cells.append(", ".join(fmt(ms) for ms in runs))
+            medians.append(fmt(statistics.median(runs)))
         print("| `%s` | %s | %s | %s | %s |" % (case, cells[0], cells[1],
                                                medians[0], medians[1]))
     return 0
