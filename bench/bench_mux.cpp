@@ -7,7 +7,8 @@
 // The interesting property is socket economy: 64 concurrent pipelines
 // share at most MuxConnsPerPeer() pooled sockets per sink peer (the
 // in-process cluster exposes one shared sink listener, i.e. one peer),
-// while per-channel credit windows stop one slow channel from
+// while each sender's ack window (the reader's cumulative kDataAck against
+// the window it advertised) stops one slow channel from
 // head-of-line-blocking its socket-mates.
 //
 // `bench_mux [rows]` prints the table; with SQLINK_BENCH_JSON set, one
@@ -39,7 +40,7 @@ struct LevelResult {
   std::string first_failure;     // status of the first failed transfer
   int64_t sockets = 0;           // data dials during the level
   int64_t coalesced_frames = 0;  // frames that shared a writev
-  int64_t window_stalls = 0;     // sends parked on an empty credit window
+  int64_t window_stalls = 0;     // senders parked on a full ack window
 
   double qps() const {
     return wall_s > 0 ? static_cast<double>(latencies_ms.size()) / wall_s : 0;

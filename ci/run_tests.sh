@@ -77,6 +77,21 @@ echo "==> [${BUILD_DIR}] bench smoke (slow consumer: spill vs backpressure)"
 cmake --build "${BUILD_DIR}" -j "${JOBS}" --target bench_spill
 "${BUILD_DIR}/bench/bench_spill" 100000 --check
 
+# Fault-tolerance smoke (ablation A7): a pipelined, a resilient and a
+# resilient transfer whose reader drops its connection once mid-stream.
+# bench_fault_tolerance exits 2 on any wrong row count; the stage also
+# fails unless the failure forced a reconnect, so every run replays from a
+# rewound frame log through the reader's ack window.
+echo "==> [${BUILD_DIR}] bench smoke (A7 fault tolerance)"
+cmake --build "${BUILD_DIR}" -j "${JOBS}" --target bench_fault_tolerance
+FT_LOG="$(mktemp)"
+"${BUILD_DIR}/bench/bench_fault_tolerance" 40000 | tee "${FT_LOG}"
+FT_RECONNECTS="$(sed -n 's/^reconnects observed: //p' "${FT_LOG}")"
+rm -f "${FT_LOG}"
+if [[ -z "${FT_RECONNECTS}" || "${FT_RECONNECTS}" -lt 1 ]]; then
+  echo "bench_fault_tolerance observed no reconnect"; exit 1
+fi
+
 # SQL microbenchmark smoke: every bench_sql case runs briefly. A case whose
 # query fails reports it only in its JSON entry ("error_occurred"), with
 # exit status 0, so the stage reads the JSON and fails on any such entry as

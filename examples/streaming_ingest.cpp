@@ -86,7 +86,7 @@ int Run(int64_t rows) {
   // Split reassignment (§8): readers and the sink lease their work via
   // heartbeats. One ML reader is killed outright mid-split — no local
   // reconnect — so the coordinator releases its lease and hands the split
-  // to a replacement reader, which resumes from the sink's replay window.
+  // to a replacement reader, which resumes from the sink's frame log.
   {
     StreamTransferOptions options;
     options.sink.resilient = true;

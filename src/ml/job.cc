@@ -98,7 +98,7 @@ Result<IngestResult> MlJobRunner::Ingest(InputFormat* format) {
   });
 
   // --- §6 split reassignment: failed splits are re-pulled from their
-  // producers' replay windows by replacement readers. Sequential, and only
+  // producers' frame logs by replacement readers. Sequential, and only
   // after every original reader has unwound: a fenced ("zombie") reader must
   // have stopped touching its partition before a replacement resumes it. ---
   size_t failed = 0;

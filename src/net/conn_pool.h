@@ -18,9 +18,10 @@ namespace sqlink {
 /// Shared data connections per sink peer.
 inline constexpr int kMuxConnsPerPeer = 4;
 
-/// Initial and replenished per-channel credit, in bytes, that a reader
-/// grants a sink's data frames. A channel that exhausts its window parks
-/// alone; socket-mates keep flowing.
+/// The window a pooled reader advertises in kOpenChannel: the sink's sender
+/// keeps at most this many data bytes sent and not yet acked on the
+/// channel, plus one frame. A sender whose window is full parks alone;
+/// socket-mates keep flowing.
 inline constexpr int64_t kMuxChannelWindowBytes = int64_t{4} << 20;
 
 /// Pool slots per peer: kMuxConnsPerPeer unless a test forced another size.

@@ -2,13 +2,10 @@
 
 #include <sys/uio.h>
 
-#include <cstdlib>
 #include <thread>
 #include <utility>
 
-#include "common/coding.h"
 #include "common/failpoint.h"
-#include "common/logging.h"
 #include "common/metrics.h"
 #include "common/status_macros.h"
 #include "common/stopwatch.h"
@@ -22,8 +19,6 @@ struct MuxMetrics {
   Gauge* open_channels;
   Gauge* conns;
   Counter* coalesced_frames;
-  Counter* window_stalls;
-  Counter* slow_channels;
   Counter* frames_sent;
   Counter* bytes_sent;
   Histogram* send_micros;
@@ -35,8 +30,6 @@ struct MuxMetrics {
           registry.GetGauge("net.mux.open_channels"),
           registry.GetGauge("net.mux.conns"),
           registry.GetCounter("net.mux.coalesced_frames"),
-          registry.GetCounter("net.mux.window_stalls"),
-          registry.GetCounter("net.mux.slow_channels"),
           // Shared with SendFrame: a frame is a frame on any socket.
           registry.GetCounter("stream.wire.frames_sent"),
           registry.GetCounter("stream.wire.bytes_sent"),
@@ -45,15 +38,6 @@ struct MuxMetrics {
     return metrics;
   }
 };
-
-/// SQLINK_SLOW_QUERY_MS doubles as the slow-channel threshold: a channel
-/// that spent at least this long parked on an empty flow-control window is
-/// worth a log line. Re-read per close so tests can flip it with setenv.
-int64_t SlowChannelThresholdMs() {
-  const char* env = std::getenv("SQLINK_SLOW_QUERY_MS");
-  if (env == nullptr || *env == '\0') return -1;
-  return std::strtoll(env, nullptr, 10);
-}
 
 /// The data-plane frame types a kChannelData frame may wrap.
 bool IsChannelFrameType(FrameType type) {
@@ -72,9 +56,8 @@ Status ChannelClosedByPeer(const Status& close_status) {
 
 // --- MuxChannel -------------------------------------------------------------
 
-MuxChannel::MuxChannel(std::shared_ptr<MuxConn> conn, uint32_t id,
-                       int64_t credit)
-    : conn_(std::move(conn)), id_(id), credit_(credit) {
+MuxChannel::MuxChannel(std::shared_ptr<MuxConn> conn, uint32_t id)
+    : conn_(std::move(conn)), id_(id) {
   MuxMetrics::Get().open_channels->Increment();
 }
 
@@ -91,81 +74,39 @@ Status MuxChannel::Send(FrameType type, std::string_view payload,
   if (outcome == FailpointOutcome::kError) {
     return Status::NetworkError("failpoint: injected frame send error");
   }
-  const bool truncate = outcome == FailpointOutcome::kClose;
-
-  if (type == FrameType::kData && !truncate) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (credit_ <= 0 && state_.ok() && !remote_closed_) {
-      MuxMetrics::Get().window_stalls->Increment();
-      Stopwatch stall;
-      credit_cv_.wait(lock, [this] {
-        return credit_ > 0 || !state_.ok() || remote_closed_;
-      });
-      stall_micros_ += stall.ElapsedMicros();
-    }
-    if (!state_.ok()) return state_;
-    if (remote_closed_) return ChannelClosedByPeer(close_status_);
-    // Deduct the whole frame even past zero: a frame larger than the window
-    // must still make progress (the balance just goes negative).
-    credit_ -= static_cast<int64_t>(payload.size());
-  } else {
+  {
     std::lock_guard<std::mutex> lock(mu_);
     if (!state_.ok()) return state_;
     if (remote_closed_) return ChannelClosedByPeer(close_status_);
   }
   return conn_->EnqueueWrite(FrameType::kChannelData, id_, seq,
-                             static_cast<int>(type), payload, truncate);
+                             static_cast<int>(type), payload,
+                             outcome == FailpointOutcome::kClose);
 }
 
 Status MuxChannel::Recv(Frame* frame) {
-  int64_t grant = 0;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    inbox_cv_.wait(lock, [this] {
-      return !inbox_.empty() || !state_.ok() || remote_closed_;
-    });
-    if (inbox_.empty()) {
-      if (!state_.ok()) return state_;
-      return ChannelClosedByPeer(close_status_);
-    }
-    *frame = std::move(inbox_.front());
-    inbox_.pop_front();
-    if (frame->type == FrameType::kData) {
-      grant = static_cast<int64_t>(frame->payload.size());
-    }
+  std::unique_lock<std::mutex> lock(mu_);
+  inbox_cv_.wait(lock, [this] {
+    return !inbox_.empty() || !state_.ok() || remote_closed_;
+  });
+  if (inbox_.empty()) {
+    if (!state_.ok()) return state_;
+    return ChannelClosedByPeer(close_status_);
   }
-  if (grant > 0) {
-    // Replenish the sender's window by what we just consumed. Best effort:
-    // a dead connection surfaces on the next Recv.
-    std::string payload;
-    PutVarint64(&payload, static_cast<uint64_t>(grant));
-    (void)conn_->EnqueueWrite(FrameType::kChannelWindow, id_, /*seq=*/0,
-                              /*inner=*/-1, payload, /*truncate=*/false);
-  }
+  *frame = std::move(inbox_.front());
+  inbox_.pop_front();
   return Status::OK();
 }
 
 Result<bool> MuxChannel::TryRecv(Frame* frame, bool* closed) {
-  int64_t grant = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (inbox_.empty()) {
-      if (!state_.ok()) return state_;
-      if (remote_closed_) *closed = true;
-      return false;
-    }
-    *frame = std::move(inbox_.front());
-    inbox_.pop_front();
-    if (frame->type == FrameType::kData) {
-      grant = static_cast<int64_t>(frame->payload.size());
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (inbox_.empty()) {
+    if (!state_.ok()) return state_;
+    if (remote_closed_) *closed = true;
+    return false;
   }
-  if (grant > 0) {
-    std::string payload;
-    PutVarint64(&payload, static_cast<uint64_t>(grant));
-    (void)conn_->EnqueueWrite(FrameType::kChannelWindow, id_, /*seq=*/0,
-                              /*inner=*/-1, payload, /*truncate=*/false);
-  }
+  *frame = std::move(inbox_.front());
+  inbox_.pop_front();
   return true;
 }
 
@@ -182,19 +123,12 @@ void MuxChannel::OnFrame(Frame&& frame) {
   inbox_cv_.notify_one();
 }
 
-void MuxChannel::AddCredit(int64_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  credit_ += bytes;
-  if (credit_ > 0) credit_cv_.notify_all();
-}
-
 void MuxChannel::RemoteClose(const Status& status) {
   std::lock_guard<std::mutex> lock(mu_);
   if (closed_ || remote_closed_) return;
   remote_closed_ = true;
   close_status_ = status;
   inbox_cv_.notify_all();
-  credit_cv_.notify_all();
 }
 
 void MuxChannel::Fail(const Status& status) {
@@ -204,25 +138,14 @@ void MuxChannel::Fail(const Status& status) {
 }
 
 void MuxChannel::CloseInternal(const Status& status, bool notify_peer) {
-  int64_t stalled_micros = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (closed_) return;
     closed_ = true;
     state_ = status.ok() ? Status::NetworkError("channel closed") : status;
-    stalled_micros = stall_micros_;
     inbox_cv_.notify_all();
-    credit_cv_.notify_all();
   }
   MuxMetrics::Get().open_channels->Decrement();
-  const int64_t threshold_ms = SlowChannelThresholdMs();
-  if (threshold_ms >= 0 && stalled_micros >= threshold_ms * 1000) {
-    MuxMetrics::Get().slow_channels->Increment();
-    LOG_WARNING() << "slow channel " << id_ << " ("
-                  << static_cast<double>(stalled_micros) / 1000.0
-                  << " ms stalled on flow-control window, threshold "
-                  << threshold_ms << " ms)";
-  }
   if (notify_peer && !conn_->dead()) {
     const std::string payload = status.ok() ? "" : EncodeStatus(status);
     (void)conn_->EnqueueWrite(FrameType::kCloseChannel, id_, /*seq=*/0,
@@ -262,8 +185,7 @@ Result<std::shared_ptr<MuxChannel>> MuxConn::OpenChannel(
     std::lock_guard<std::mutex> lock(channels_mu_);
     if (dead()) return Status::NetworkError("mux connection failed");
     id = next_id_++;
-    channel = std::make_shared<MuxChannel>(
-        shared_from_this(), id, static_cast<int64_t>(msg.window_bytes));
+    channel = std::make_shared<MuxChannel>(shared_from_this(), id);
     channels_[id] = channel;
   }
   const Status sent = EnqueueWrite(FrameType::kOpenChannel, id, /*seq=*/0,
@@ -447,9 +369,8 @@ void MuxConn::RecvLoop() {
         std::shared_ptr<MuxChannel> channel;
         {
           std::lock_guard<std::mutex> lock(channels_mu_);
-          channel = std::make_shared<MuxChannel>(
-              shared_from_this(), frame.channel,
-              static_cast<int64_t>(decoded->window_bytes));
+          channel = std::make_shared<MuxChannel>(shared_from_this(),
+                                                 frame.channel);
           channels_[frame.channel] = channel;
         }
         if (on_open_ != nullptr) {
@@ -483,14 +404,6 @@ void MuxConn::RecvLoop() {
         inner.channel = frame.channel;
         inner.trace = frame.trace;
         channel->OnFrame(std::move(inner));
-        break;
-      }
-      case FrameType::kChannelWindow: {
-        std::shared_ptr<MuxChannel> channel = FindChannel(frame.channel);
-        if (channel == nullptr) break;
-        Decoder decoder(frame.payload);
-        auto bytes = decoder.GetVarint64();
-        if (bytes.ok()) channel->AddCredit(static_cast<int64_t>(*bytes));
         break;
       }
       case FrameType::kCloseChannel: {

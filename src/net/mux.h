@@ -24,16 +24,17 @@ class MuxConn;
 /// One logical sink→reader transfer stream, multiplexed onto a shared
 /// connection. The sink's sender and the reader speak the §6 frame protocol
 /// (kResume/kSchema/kData/kEnd + kDataAck/kAck) through it: frames travel
-/// wrapped in kChannelData with a one-byte inner-type prefix, and kData
-/// frames additionally consume per-channel credit
-/// (kChannelWindow replenishes it), so one slow reader parks only its own
-/// channel, never its socket-mates.
+/// wrapped in kChannelData with a one-byte inner-type prefix. The channel
+/// has no flow control of its own: the sink's sender bounds its unacked
+/// data frames by the reader's window (OpenChannelMessage::window_bytes)
+/// and waits for acks in Recv, so one slow reader parks only its own
+/// sender, never its socket-mates.
 ///
 /// Threading: Send and Recv/TryRecv each have one caller at a time (they
 /// may be different threads); Shutdown may race both.
 class MuxChannel final {
  public:
-  MuxChannel(std::shared_ptr<MuxConn> conn, uint32_t id, int64_t credit);
+  MuxChannel(std::shared_ptr<MuxConn> conn, uint32_t id);
   ~MuxChannel();
 
   /// Sends one frame. `seq` = 0 for frames outside the replay protocol.
@@ -51,15 +52,14 @@ class MuxChannel final {
   Result<bool> TryRecv(Frame* frame, bool* closed);
 
   /// Closes this channel only — never the shared socket — waking any thread
-  /// parked in Send (flow-control credit) or Recv, and telling the peer
-  /// best-effort why. Safe to call from any thread, more than once.
+  /// parked in Recv, and telling the peer best-effort why. Safe to call
+  /// from any thread, more than once.
   void Shutdown(const Status& status);
 
   uint32_t id() const { return id_; }
 
   // --- Called by MuxConn's demux thread. ---
   void OnFrame(Frame&& frame);
-  void AddCredit(int64_t bytes);
   /// Peer sent kCloseChannel; `status` is OK for a clean close.
   void RemoteClose(const Status& status);
   /// The shared connection died; every Send/Recv fails with `status`.
@@ -74,15 +74,12 @@ class MuxChannel final {
   const uint32_t id_;
 
   std::mutex mu_;
-  std::condition_variable credit_cv_;
   std::condition_variable inbox_cv_;
   std::deque<Frame> inbox_;
-  int64_t credit_;             ///< Sender-side; only data frames deduct.
   bool closed_ = false;        ///< Local close/shutdown or transport death.
   bool remote_closed_ = false; ///< Peer sent kCloseChannel.
   Status close_status_;        ///< Why the peer closed (OK = clean close).
   Status state_;               ///< Why the channel is unusable (OK = alive).
-  int64_t stall_micros_ = 0;   ///< Time spent parked on an empty window.
 };
 
 /// One shared sink→reader TCP connection carrying many channels. Owns the

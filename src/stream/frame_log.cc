@@ -9,7 +9,6 @@
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "common/status_macros.h"
 #include "common/stopwatch.h"
 #include "common/trace.h"
 #include "stream/wire.h"
@@ -27,8 +26,6 @@ struct LogMetrics {
   Counter* spilled_bytes = registry.GetCounter("stream.spill.spilled_bytes");
   Counter* drained_frames = registry.GetCounter("stream.spill.drained_frames");
   Counter* budget_parks = registry.GetCounter("stream.spill.budget_parks");
-  Counter* retention_spills =
-      registry.GetCounter("stream.replay_window.spilled_frames");
   Histogram* write_micros = registry.GetHistogram("stream.spill.write_micros");
   Histogram* read_micros = registry.GetHistogram("stream.spill.read_micros");
 
@@ -71,7 +68,11 @@ Result<std::string> SpillFile::ReadAt(uint64_t offset) {
   in_.clear();
   in_.seekg(static_cast<std::streamoff>(offset));
   char header[4];
-  in_.read(header, 4);
+  // A short read leaves `header` unset, and its length would size the
+  // record: fail before using it.
+  if (!in_.read(header, 4)) {
+    return Status::IoError("spill record header cut short: " + path_);
+  }
   uint32_t length = 0;
   std::memcpy(&length, header, 4);
   std::string record(length, '\0');
@@ -202,12 +203,12 @@ Result<std::optional<FrameLog::Read>> FrameLog::Next() {
     span.AddAttribute("bytes", static_cast<int64_t>(entry.bytes));
   }
   cursor_ = seq;
+  in_flight_bytes_ += entry.bytes;
   if (first_send) {
     // The frame leaves the send buffer. One spilled at append is drained
-    // and returns its budget charge; one in memory joins the sent frames.
+    // and returns its budget charge; it stays on disk until acked.
     if (entry.in_memory) {
       unsent_bytes_ -= entry.bytes;
-      retained_bytes_ += entry.bytes;
       metrics.depth_bytes->Add(-static_cast<int64_t>(entry.bytes));
     } else {
       metrics.drained_frames->Increment();
@@ -216,7 +217,6 @@ Result<std::optional<FrameLog::Read>> FrameLog::Next() {
     sent_ = seq;
     metrics.depth_frames->Decrement();
     producer_cv_.notify_one();
-    RETURN_IF_ERROR(EnforceRetentionLocked(seq));
   }
   Read read;
   read.seq = seq;
@@ -227,44 +227,29 @@ Result<std::optional<FrameLog::Read>> FrameLog::Next() {
   return std::optional<Read>(read);
 }
 
-Status FrameLog::EnforceRetentionLocked(uint64_t reading) {
-  if (!options_.spill_enabled) return Status::OK();
-  while (retained_bytes_ > options_.replay_window_bytes) {
-    Entry& entry = EntryLocked(retain_scan_);
-    if (entry.in_memory) {
-      ASSIGN_OR_RETURN(entry.spill_offset, spill_.Append(entry.frame));
-      entry.in_memory = false;
-      retained_bytes_ -= entry.bytes;
-      LogMetrics::Get().retention_spills->Increment();
-      std::string buffer = std::move(entry.frame);
-      entry.frame.clear();
-      if (retain_scan_ == reading) read_buffer_.swap(buffer);
-      FrameBufferPool::Global()->Release(std::move(buffer));
-    }
-    ++retain_scan_;
-  }
-  return Status::OK();
-}
-
 uint64_t FrameLog::Rewind(uint64_t resume) {
   std::lock_guard<std::mutex> lock(mu_);
   cursor_ = std::clamp(resume, acked_, sent_);
+  rewound_to_ = cursor_;
+  in_flight_bytes_ = 0;
   return cursor_;
 }
 
 void FrameLog::Ack(uint64_t seq) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (seq = std::min(seq, sent_); acked_ < seq; ++acked_) {
+  for (seq = std::min(seq, sent_); acked_ < seq;) {
     Entry& front = entries_.front();
+    ++acked_;
     acked_rows_ += front.rows;
+    if (acked_ > rewound_to_ && acked_ <= cursor_) {
+      in_flight_bytes_ -= front.bytes;
+    }
     if (front.in_memory) {
-      retained_bytes_ -= front.bytes;
       FrameBufferPool::Global()->Release(std::move(front.frame));
     }
     entries_.pop_front();
   }
   cursor_ = std::max(cursor_, acked_);
-  retain_scan_ = std::max(retain_scan_, acked_ + 1);
 }
 
 Result<uint64_t> FrameLog::RowsThrough(uint64_t seq) const {
@@ -296,8 +281,8 @@ void FrameLog::ReleaseBudgetLocked(int64_t bytes) {
 
 FrameLog::State FrameLog::state() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return State{acked_,        sent_,           produced_,
-               unsent_bytes_, retained_bytes_, spilled_frames_};
+  return State{acked_,        sent_,            produced_,
+               unsent_bytes_, in_flight_bytes_, spilled_frames_};
 }
 
 }  // namespace sqlink

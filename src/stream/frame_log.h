@@ -54,17 +54,19 @@ class SpillFile {
 /// straight from the log, so a replay is the same read loop rewound to the
 /// reader's resume point.
 ///
-/// Two memory limits share one spill file:
-/// - Unsent frames in memory stay within `send_buffer_bytes`; a single
-///   larger frame is still admitted. Past it, Append spills the new frame
-///   if spill is on and the per-query budget allows, and otherwise waits
-///   for the sender to take a frame. It never waits on an ack: the sender
-///   reads acks only between frames, so that wait could deadlock.
-/// - Sent, unacked frames in memory stay within `replay_window_bytes`; past
-///   it the oldest move to disk, uncharged. With spill off they stay in
-///   memory, since replay needs them.
-/// A spill at append charges the budget until that frame is first sent, or
-/// until Cancel or destruction.
+/// One memory limit: unsent frames in memory stay within
+/// `send_buffer_bytes`; a single larger frame is still admitted. Past it,
+/// Append spills the new frame if spill is on and the per-query budget
+/// allows, and otherwise waits for the sender to take a frame. It never
+/// waits on an ack: the sender reads acks only between frames, so that
+/// wait could deadlock. A spill at append charges the budget until that
+/// frame is first sent, or until Cancel or destruction.
+///
+/// Sent frames stay where they are, in memory or in the spill file, until
+/// acked. The reader's window bounds them: the log counts the bytes read
+/// since the last Rewind and not yet acked (State::in_flight_bytes), and
+/// the sender waits for acks on its channel, never inside the log, while
+/// that count fills the window.
 ///
 /// Threading: one producer (Append, Close), one sender (Next, Rewind, Ack);
 /// Cancel may come from any thread.
@@ -72,7 +74,6 @@ class FrameLog {
  public:
   struct Options {
     size_t send_buffer_bytes = 4096;
-    size_t replay_window_bytes = 1 << 20;
     bool spill_enabled = true;
     /// The spill file is `<spill_path>.spill`; required when spill_enabled.
     std::string spill_path;
@@ -96,7 +97,10 @@ class FrameLog {
     uint64_t sent = 0;
     uint64_t produced = 0;
     size_t unsent_memory_bytes = 0;
-    size_t retained_memory_bytes = 0;
+    /// Bytes of the frames read since the last Rewind and not yet acked:
+    /// what the reader's window counts. Frames at or below the resume
+    /// point were not sent on the new connection, so they never count.
+    size_t in_flight_bytes = 0;
     int64_t spilled_frames = 0;  ///< Spills at append.
   };
 
@@ -115,7 +119,8 @@ class FrameLog {
   /// nullopt once the log is closed and fully read.
   Result<std::optional<Read>> Next();
   /// Moves the read cursor to `resume`, clamped to [acked, sent] so a
-  /// reader can't skip frames it never received; returns the clamped value.
+  /// reader can't skip frames it never received, and starts counting
+  /// in-flight bytes afresh from there; returns the clamped value.
   uint64_t Rewind(uint64_t resume);
   /// Cumulative ack: trims every frame with seq <= `seq` (clamped to sent).
   void Ack(uint64_t seq);
@@ -138,9 +143,6 @@ class FrameLog {
   };
 
   Entry& EntryLocked(uint64_t seq) { return entries_[seq - acked_ - 1]; }
-  /// Moves the oldest sent frames in memory to disk until within
-  /// replay_window_bytes; frame `reading` keeps its bytes in read_buffer_.
-  Status EnforceRetentionLocked(uint64_t reading);
   void ReleaseBudgetLocked(int64_t bytes);
 
   const Options options_;
@@ -153,10 +155,10 @@ class FrameLog {
   uint64_t cursor_ = 0;  ///< Last frame read by the sender.
   uint64_t sent_ = 0;    ///< Highest frame ever read.
   uint64_t produced_ = 0;
-  uint64_t acked_rows_ = 0;   ///< Rows in frames [1, acked_].
-  uint64_t retain_scan_ = 1;  ///< Sent frames below it are on disk.
+  uint64_t acked_rows_ = 0;  ///< Rows in frames [1, acked_].
+  uint64_t rewound_to_ = 0;  ///< The last Rewind's clamped resume point.
   size_t unsent_bytes_ = 0;
-  size_t retained_bytes_ = 0;
+  size_t in_flight_bytes_ = 0;  ///< Frames (max(acked_, rewound_to_), cursor_].
   int64_t spilled_frames_ = 0;
   int64_t budget_outstanding_ = 0;
   bool closed_ = false;

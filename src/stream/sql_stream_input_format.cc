@@ -360,7 +360,7 @@ class StreamRecordReader final : public ml::RecordReader {
           }
           if (heartbeat_ != nullptr && heartbeat_->revoked()) {
             // Fenced during the finale: do NOT confirm — the sink must keep
-            // its window for the replacement reader.
+            // its log for the replacement reader.
             return heartbeat_->status();
           }
           // Confirm completion so the sender may release its retained

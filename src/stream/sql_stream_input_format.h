@@ -58,7 +58,7 @@ class SqlStreamInputFormat final : public ml::InputFormat {
 
   /// §6 reassignment (requires heartbeats): surviving workers poll the
   /// coordinator for splits whose reader was declared dead and resume them
-  /// from the sink's replay window.
+  /// from the sink's frame log.
   bool SupportsReassignment() const override;
   Result<ml::ReassignedSplit> AcquireReassigned() override;
   void AbortTransfer(const Status& status) override;

@@ -28,32 +28,44 @@ namespace sqlink {
 
 namespace {
 
+constexpr char kSinkUsage[] =
+    "sql_stream_sink(query, host, port, command[, buffer_bytes, spill, "
+    "resilient, reconnect_timeout_ms, heartbeat_ms])";
+
+/// How long DrainAcks reads the reader's frames.
+enum class AckWait {
+  kNone,   ///< Apply what has arrived; never block.
+  kOne,    ///< Block for the next cumulative ack: the window is full.
+  kFinal,  ///< Block for the reader's final kAck.
+};
+
 /// Applies the reader's acks on `channel` to `log`. Cumulative kDataAcks
 /// arrive interleaved with (and independent of) the outbound data, so the
-/// sender drains them without blocking between frames and blocks only for
-/// the reader's final kAck (`final_ack`). A kError frame surfaces as its
-/// decoded typed status. A clean peer close mid-stream is NOT an error:
-/// the send path discovers the closed channel on its next write.
-Status DrainAcks(MuxChannel* channel, FrameLog* log, bool final_ack,
+/// sender drains them without blocking between frames, and blocks only
+/// while the reader's window is full or for the final kAck. A parked wait
+/// wakes with the channel's status when the channel closes or is shut down.
+/// A kError frame surfaces as its decoded typed status. A clean peer close
+/// seen while draining is NOT an error: the send path discovers the closed
+/// channel on its next write.
+Status DrainAcks(MuxChannel* channel, FrameLog* log, AckWait wait,
                  Frame* frame) {
   for (;;) {
-    if (final_ack) {
-      const Status status = channel->Recv(frame);
-      if (!status.ok()) {
-        return Status::NetworkError("connection closed before final ack (" +
-                                    status.message() + ")");
-      }
-    } else {
+    if (wait == AckWait::kNone) {
       bool closed = false;
       ASSIGN_OR_RETURN(bool got, channel->TryRecv(frame, &closed));
       if (!got) return Status::OK();
+    } else if (const Status status = channel->Recv(frame); !status.ok()) {
+      if (wait == AckWait::kOne) return status;
+      return Status::NetworkError("connection closed before final ack (" +
+                                  status.message() + ")");
     }
     switch (frame->type) {
       case FrameType::kDataAck:
         log->Ack(frame->seq);
+        if (wait == AckWait::kOne) return Status::OK();
         break;
       case FrameType::kAck:
-        if (final_ack) return Status::OK();
+        if (wait == AckWait::kFinal) return Status::OK();
         return Status::NetworkError("unexpected final ack mid-stream");
       case FrameType::kError:
         return DecodeStatusPayload(frame->payload);
@@ -68,6 +80,7 @@ struct Inbound {
   std::shared_ptr<MuxChannel> channel;
   int64_t resume_seq = -1;  ///< From HELLO: -1 = "sink decides".
   int split_id = -1;        ///< From HELLO: the split this channel serves.
+  uint64_t window_bytes = 0;  ///< The reader's window, from kOpenChannel.
 };
 
 /// State shared with the MuxSinkServer handler, which can fire on a
@@ -86,8 +99,8 @@ struct RouterState {
 };
 
 /// Channels the senders are actively serving, so an abort can shut each
-/// LOGICAL channel down — waking a sender parked on flow-control credit or
-/// a blocking ack wait — without ever touching the shared mux socket the
+/// LOGICAL channel down — waking a sender parked on a full window or the
+/// final-ack wait — without ever touching the shared mux socket the
 /// channel rides on (other queries keep flowing).
 struct ActiveChannels {
   std::mutex mu;
@@ -166,11 +179,8 @@ Result<StreamSinkOptions> StreamSinkOptions::FromArgs(
     options.heartbeat_ms = static_cast<int>(args[first + 4].int64_value());
   }
   if (args.size() > first + 5) {
-    if (!args[first + 5].is_int64() || args[first + 5].int64_value() <= 0) {
-      return Status::InvalidArgument("replay window must be positive");
-    }
-    options.replay_window_bytes =
-        static_cast<size_t>(args[first + 5].int64_value());
+    return Status::InvalidArgument(std::string("too many arguments: ") +
+                                   kSinkUsage);
   }
   return options;
 }
@@ -189,9 +199,7 @@ Result<SchemaPtr> SqlStreamSinkUdf::Bind(const SchemaPtr& input_schema,
   }
   if (args.size() < 3 || !args[0].is_string() || !args[1].is_int64() ||
       !args[2].is_string()) {
-    return Status::InvalidArgument(
-        "sql_stream_sink(query, host, port, command[, buffer, spill, "
-        "resilient])");
+    return Status::InvalidArgument(kSinkUsage);
   }
   coordinator_host_ = args[0].string_value();
   coordinator_port_ = static_cast<int>(args[1].int64_value());
@@ -298,7 +306,7 @@ Status SqlStreamSinkUdf::Partition::Start() {
         // destructor closes the channel — the reader backs off and
         // retries. The shared socket is untouched either way.
         (void)inbox->TryPush(Inbound{std::move(channel), msg.hello.resume_seq,
-                                     msg.hello.split_id});
+                                     msg.hello.split_id, msg.window_bytes});
       });
 
   const std::string my_host =
@@ -362,7 +370,7 @@ Status SqlStreamSinkUdf::Partition::Start() {
       const int slot = msg.hello.split_id % k;
       (void)inboxes_[static_cast<size_t>(slot)]->TryPush(
           Inbound{std::move(channel), msg.hello.resume_seq,
-                  msg.hello.split_id});
+                  msg.hello.split_id, msg.window_bytes});
     }
     router_->pending.clear();
   }
@@ -377,7 +385,6 @@ Status SqlStreamSinkUdf::Partition::Start() {
   for (int j = 0; j < k; ++j) {
     FrameLog::Options log_options;
     log_options.send_buffer_bytes = udf_->options_.send_buffer_bytes;
-    log_options.replay_window_bytes = udf_->options_.replay_window_bytes;
     log_options.spill_enabled = udf_->options_.spill_enabled;
     // The query id keeps scratch paths distinct when several queries run
     // concurrently on one engine — without it, two pipelines truncate and
@@ -430,6 +437,8 @@ Status SqlStreamSinkUdf::Partition::Start() {
 void SqlStreamSinkUdf::Partition::RunSender(int j) {
   static Counter* const replayed_counter =
       MetricsRegistry::Global().GetCounter("transfer.frames_replayed");
+  static Counter* const window_stalls =
+      MetricsRegistry::Global().GetCounter("net.mux.window_stalls");
   // The sender runs on its own thread, so it parents to the partition
   // span explicitly; frames it sends inherit this span's context.
   TraceSpan send_span("sink.send", partition_span_.context());
@@ -467,7 +476,7 @@ void SqlStreamSinkUdf::Partition::RunSender(int j) {
     Frame ack;  ///< Scratch reused across ack drains.
     channels_served_.fetch_add(1, std::memory_order_relaxed);
     // Publish the channel so an abort can wake this sender even while
-    // it is parked inside a credit wait or the final-ack wait; clear it
+    // it is parked on a full window or in the final-ack wait; clear it
     // on every exit path before the Inbound (and channel) dies.
     active_channels_.Set(static_cast<size_t>(j), conn.channel);
     struct ActiveGuard {
@@ -477,7 +486,8 @@ void SqlStreamSinkUdf::Partition::RunSender(int j) {
     } active_guard{&active_channels_, static_cast<size_t>(j)};
 
     // The log forgets acked frames, and a reader can't skip frames it
-    // never received: resume lands in [acked, sent].
+    // never received: resume lands in [acked, sent]. Frames at or below
+    // it were not sent on this channel, so the window starts empty.
     const uint64_t resume = log->Rewind(
         conn.resume_seq < 0 ? 0 : static_cast<uint64_t>(conn.resume_seq));
     ASSIGN_OR_RETURN(uint64_t resume_rows, log->RowsThrough(resume));
@@ -491,9 +501,18 @@ void SqlStreamSinkUdf::Partition::RunSender(int j) {
     RETURN_IF_ERROR(channel->Send(FrameType::kSchema, schema_payload, 0));
 
     // A frame stays in the log until acked, so one that dies on the
-    // wire is sent again from the next connection's resume point.
+    // wire is sent again from the next connection's resume point. While
+    // the bytes in flight fill the reader's window, wait on the channel
+    // for its next ack; with nothing in flight a frame goes whatever its
+    // size, so a window below one frame still moves a frame at a time.
     for (;;) {
-      RETURN_IF_ERROR(DrainAcks(channel, log, /*final_ack=*/false, &ack));
+      RETURN_IF_ERROR(DrainAcks(channel, log, AckWait::kNone, &ack));
+      for (uint64_t in_flight = log->state().in_flight_bytes;
+           in_flight > 0 && in_flight >= conn.window_bytes;
+           in_flight = log->state().in_flight_bytes) {
+        window_stalls->Increment();
+        RETURN_IF_ERROR(DrainAcks(channel, log, AckWait::kOne, &ack));
+      }
       ASSIGN_OR_RETURN(std::optional<FrameLog::Read> read, log->Next());
       if (!read.has_value()) break;
       if (read->replay) replayed_counter->Increment();
@@ -507,7 +526,7 @@ void SqlStreamSinkUdf::Partition::RunSender(int j) {
     std::string end_payload;
     PutVarint64(&end_payload, total_rows);
     RETURN_IF_ERROR(channel->Send(FrameType::kEnd, end_payload, last_seq));
-    return DrainAcks(channel, log, /*final_ack=*/true, &ack);
+    return DrainAcks(channel, log, AckWait::kFinal, &ack);
   };
 
   auto run = [&]() -> Status {

@@ -23,13 +23,10 @@ struct StreamSinkOptions {
   /// Sink lease renewal interval; <= 0 disables heartbeats — the
   /// coordinator then cannot detect a dead SQL worker.
   int heartbeat_ms = static_cast<int>(EnvInt64("SQLINK_HEARTBEAT_MS", 0));
-  /// Memory bound on each channel's sent, unacked frames; beyond it the
-  /// oldest spill to disk.
-  size_t replay_window_bytes = static_cast<size_t>(
-      EnvInt64("SQLINK_REPLAY_WINDOW_BYTES", 1 << 20));
 
   /// Parses the optional trailing UDF arguments (buffer_bytes, spill 0/1,
-  /// resilient 0/1, reconnect_timeout_ms, heartbeat_ms, replay_window_bytes).
+  /// resilient 0/1, reconnect_timeout_ms, heartbeat_ms); more arguments
+  /// than these are InvalidArgument.
   static Result<StreamSinkOptions> FromArgs(const std::vector<Value>& args,
                                             size_t first);
 };
@@ -44,11 +41,14 @@ struct StreamSinkOptions {
 ///   SELECT * FROM TABLE(sql_stream_sink((<query>),
 ///       '<coordinator_host>', <coordinator_port>, '<ml_command>'
 ///       [, <buffer_bytes>, <spill 0/1>, <resilient 0/1>,
-///          <reconnect_timeout_ms>, <heartbeat_ms>, <replay_window_bytes>]))
+///          <reconnect_timeout_ms>, <heartbeat_ms>]))
 ///
 /// Every data frame carries a per-channel sequence number and stays in the
-/// channel's frame log until the reader's cumulative ack trims it (§6). In
-/// resilient mode a sender whose connection drops waits for a
+/// channel's frame log until the reader's cumulative ack trims it (§6).
+/// That ack is also the channel's only flow control: a sender keeps at most
+/// the reader's window (OpenChannelMessage::window_bytes) of data bytes
+/// sent and unacked, plus one frame, and waits on the channel for the next
+/// ack past it. In resilient mode a sender whose connection drops waits for a
 /// reconnecting — or coordinator-appointed replacement — reader, answers
 /// its HELLO with the resume point, and replays only the unacked suffix:
 /// at-least-once delivery, exactly-once apply.

@@ -21,8 +21,7 @@ std::string StreamingTransfer::BuildSinkSql(const std::string& query_sql,
          (sink.spill_enabled ? "1" : "0") + ", " +
          (sink.resilient ? "1" : "0") + ", " +
          std::to_string(sink.reconnect_timeout_ms) + ", " +
-         std::to_string(sink.heartbeat_ms) + ", " +
-         std::to_string(sink.replay_window_bytes) + "))";
+         std::to_string(sink.heartbeat_ms) + "))";
 }
 
 Result<StreamTransferResult> StreamingTransfer::Run(

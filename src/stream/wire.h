@@ -43,8 +43,9 @@ enum class FrameType : uint8_t {
   kResume = 23,         ///< Sink → reader: replay start point after HELLO.
   kAbortQuery = 24,     ///< Broadcast abort; payload = encoded Status.
 
-  // 25 and 26 are retired: a peer built while they were in use may still
-  // send them, so they must never be reused.
+  // 25, 26 and 33 (kChannelWindow, the mux's per-frame credit grant) are
+  // retired: a peer built while they were in use may still send them, so
+  // they must never be reused.
 
   // Serving plane (src/serving): client ↔ query server. One query per
   // connection; an overloaded server answers kSubmitQuery with kError
@@ -61,7 +62,6 @@ enum class FrameType : uint8_t {
   kOpenChannel = 30,    ///< Reader → sink: payload = OpenChannelMessage.
   kChannelData = 31,    ///< Wrapped inner frame; payload = [inner type][...].
   kCloseChannel = 32,   ///< Either side: channel torn down (socket stays up).
-  kChannelWindow = 33,  ///< Credit grant; payload = varint byte count.
 
   // Completion plane: out-of-band final-ack recovery. A reader's final ack
   // can die with a shared connection after the whole stream was applied;
@@ -72,12 +72,12 @@ enum class FrameType : uint8_t {
                       ///< payload = varint(1) completed / varint(0) not.
 };
 
-/// True when a header's type byte names a FrameType above: 1–4, 10–24 and
-/// 27–34. Decoders reject any other byte as DataLoss, so it never reaches a
-/// handler's default branch as a retryable error.
+/// True when a header's type byte names a FrameType above: 1–4, 10–24,
+/// 27–32 and 34. Decoders reject any other byte as DataLoss, so it never
+/// reaches a handler's default branch as a retryable error.
 constexpr bool IsKnownFrameType(uint8_t type) {
   return (type >= 1 && type <= 4) || (type >= 10 && type <= 24) ||
-         (type >= 27 && type <= 34);
+         (type >= 27 && type <= 32) || type == 34;
 }
 
 struct Frame {
@@ -247,8 +247,9 @@ struct HelloMessage {
 
 /// Reader → sink kOpenChannel payload: routes the new logical channel to a
 /// sink partition registered on the shared MuxSinkServer listener and opens
-/// the stream with the embedded HELLO. `window_bytes` is the initial credit
-/// the reader grants the sink's data frames (kChannelWindow replenishes it).
+/// the stream with the embedded HELLO. `window_bytes` is the reader's
+/// window: the sink's sender waits for the reader's cumulative kDataAck
+/// while the data bytes it sent on this channel and not yet acked reach it.
 struct OpenChannelMessage {
   uint64_t sink_key = 0;
   uint64_t window_bytes = 0;

@@ -166,7 +166,6 @@ TEST_F(ChaosStreamTest, ReplayResumesAmongSpilledFrames) {
   options.sink.resilient = true;
   options.sink.spill_enabled = true;
   options.sink.send_buffer_bytes = 128;  // Unsent frames spill at append.
-  options.sink.replay_window_bytes = 256;
   options.reader.consume_delay_micros_per_frame = 500;  // Slow consumer.
   options.reader.recovery_enabled = true;
   // The 21st data frame dies mid-send while the slow reader has left

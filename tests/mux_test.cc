@@ -1,6 +1,8 @@
 // Unit tests for the multiplexed transfer fabric (src/net): channel
-// framing and FIFO isolation on a shared connection, per-channel credit
-// flow control (a starved channel parks alone), close/failure semantics
+// framing and FIFO isolation on a shared connection, the reader's ack
+// window as the sink's sender keeps it (a starved sender parks alone, an
+// abort wakes it, a window below one frame still moves, a reconnect
+// resumes past frames whose acks were lost), close/failure semantics
 // (channel close never touches the shared socket; connection death fails
 // every channel), the reader-side connection pool bound, sink-key routing
 // on the process-wide sink server, the writer's send-latency histogram, and
@@ -8,21 +10,30 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cluster/cluster.h"
+#include "common/cancellation.h"
+#include "common/fs_util.h"
 #include "common/metrics.h"
+#include "common/status_macros.h"
 #include "net/conn_pool.h"
 #include "net/mux.h"
+#include "sql/engine.h"
+#include "stream/coordinator.h"
 #include "stream/heartbeat.h"
 #include "stream/socket.h"
+#include "stream/streaming_transfer.h"
 #include "stream/wire.h"
+#include "table/row_codec.h"
 
 namespace sqlink {
 namespace {
@@ -92,6 +103,202 @@ OpenChannelMessage OpenMsg(uint64_t window_bytes) {
   msg.hello.split_id = 1;
   return msg;
 }
+
+/// The next frame on `channel`; a peer's close status once it closed, or
+/// Unavailable after 10 s, so a sender that deadlocked fails the test
+/// instead of hanging it.
+Status RecvWithin(MuxChannel* channel, Frame* frame) {
+  for (int ms = 0; ms < 10000; ++ms) {
+    bool closed = false;
+    ASSIGN_OR_RETURN(bool got, channel->TryRecv(frame, &closed));
+    if (got) return Status::OK();
+    if (closed) return channel->Recv(frame);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return Status::Unavailable("no frame within 10 s");
+}
+
+uint64_t RowsIn(const Frame& frame) {
+  auto rows = RowCodec::DecodeRows(frame.payload);
+  EXPECT_TRUE(rows.ok()) << rows.status();
+  return rows.ok() ? rows->size() : 0;
+}
+
+bool WaitFor(const std::function<bool()>& done) {
+  for (int ms = 0; ms < 10000 && !done(); ++ms) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
+/// One SQL worker running the real sql_stream_sink over `rows` rows into
+/// `splits` targets, whose readers the test plays itself: it dials the
+/// process-wide sink listener once, opens every channel on that one shared
+/// connection with the window it picks, and acks when it chooses. The
+/// coordinator launches no ML job. Destruction cancels the query, which
+/// unwinds a sender a failed test left parked.
+class SinkWithTestReaders {
+ public:
+  void Start(int splits, int64_t rows, StreamSinkOptions options = {}) {
+    auto cluster = Cluster::Make(1, temp_.path());
+    ASSERT_TRUE(cluster.ok()) << cluster.status();
+    engine_ = SqlEngine::Make(*cluster);
+    auto table =
+        engine_->MakeTable("points", Schema::Make({{"id", DataType::kInt64}}));
+    for (int64_t i = 0; i < rows; ++i) {
+      ASSERT_TRUE(table->AppendRow(0, Row{Value::Int64(i)}).ok());
+    }
+    ASSERT_TRUE(engine_->catalog()->RegisterTable(table).ok());
+    ASSERT_TRUE(RegisterStreamSinkUdf(engine_.get()).ok());
+
+    StreamCoordinator::Options coordinator_options;
+    coordinator_options.splits_per_worker = splits;
+    coordinator_options.ml_launcher = [](const std::string&,
+                                         const std::vector<std::string>&) {};
+    auto coordinator = StreamCoordinator::Start(std::move(coordinator_options));
+    ASSERT_TRUE(coordinator.ok()) << coordinator.status();
+    coordinator_ = std::move(*coordinator);
+
+    options.send_buffer_bytes = 256;  // Many small frames per split.
+    const std::string sql = StreamingTransfer::BuildSinkSql(
+        "SELECT * FROM points", coordinator_->host(), coordinator_->port(),
+        "test", options);
+    QueryOptions query;
+    query.cancellation = &cancel_;
+    query_ = std::async(std::launch::async, [this, sql, query] {
+      return engine_->ExecuteSql(sql, "summary", query).status();
+    });
+
+    // The split fetch waits for the worker's registration.
+    auto control = TcpConnect(coordinator_->host(), coordinator_->port());
+    ASSERT_TRUE(control.ok()) << control.status();
+    ASSERT_TRUE(SendFrame(&*control, FrameType::kGetSplits, "").ok());
+    auto reply = RecvFrame(&*control);
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    ASSERT_EQ(reply->type, FrameType::kSplits) << reply->payload;
+    auto decoded = SplitsMessage::Decode(reply->payload);
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    splits_ = decoded->splits;
+    auto socket = TcpConnect("localhost", splits_[0].port);
+    ASSERT_TRUE(socket.ok()) << socket.status();
+    conn_ = MuxConn::Spawn(std::move(*socket), /*on_open=*/nullptr);
+  }
+
+  ~SinkWithTestReaders() {
+    if (query_.valid()) {
+      cancel_.Cancel(Status::Cancelled("test over"));
+      query_.wait();
+    }
+    if (conn_ != nullptr) conn_->Shutdown(Status::Cancelled("test done"));
+    if (coordinator_ != nullptr) coordinator_->Stop();
+  }
+
+  /// Opens split `split`'s channel with `window` and reads the handshake;
+  /// `*resumed` receives the sink's resume point.
+  std::shared_ptr<MuxChannel> Open(int split, uint64_t window,
+                                   int64_t resume_seq = -1,
+                                   uint64_t* resumed = nullptr) {
+    OpenChannelMessage msg;
+    msg.sink_key = splits_[static_cast<size_t>(split)].sink_key;
+    msg.window_bytes = window;
+    msg.hello.split_id = splits_[static_cast<size_t>(split)].split_id;
+    msg.hello.restart = resume_seq >= 0;
+    msg.hello.resume_seq = resume_seq;
+    auto channel = conn_->OpenChannel(msg);
+    EXPECT_TRUE(channel.ok()) << channel.status();
+    if (!channel.ok()) return nullptr;
+    Frame frame;
+    EXPECT_TRUE(RecvWithin(channel->get(), &frame).ok());
+    EXPECT_EQ(frame.type, FrameType::kResume);
+    auto resume = ResumeMessage::Decode(frame.payload);
+    EXPECT_TRUE(resume.ok()) << resume.status();
+    if (resumed != nullptr && resume.ok()) *resumed = resume->resume_seq;
+    EXPECT_TRUE(RecvWithin(channel->get(), &frame).ok());
+    EXPECT_EQ(frame.type, FrameType::kSchema);
+    return *channel;
+  }
+
+  /// Reads data frames without acking until they fill `window` bytes —
+  /// what a sender keeping that window sends before it parks — then waits
+  /// for the sender to count the stall. Returns the last frame's seq.
+  uint64_t ReadFullWindow(MuxChannel* channel, uint64_t window,
+                          int64_t stalls_before, uint64_t* rows) {
+    uint64_t bytes = 0, seq = 0;
+    Frame frame;
+    while (bytes < window || bytes == 0) {
+      const Status status = RecvWithin(channel, &frame);
+      EXPECT_TRUE(status.ok()) << status;
+      EXPECT_EQ(frame.type, FrameType::kData);
+      if (!status.ok() || frame.type != FrameType::kData) return seq;
+      bytes += frame.payload.size();
+      *rows += RowsIn(frame);
+      seq = frame.seq;
+    }
+    EXPECT_TRUE(WaitFor([&] {
+      return MetricsRegistry::Global().Get("net.mux.window_stalls") >
+             stalls_before;
+    })) << "the sender never parked on its full window";
+    return seq;
+  }
+
+  /// Reads the rest of a channel's stream as a reader does, acking each
+  /// data frame once its rows are counted, and confirms the end. With
+  /// `one_in_flight`, fails if a data frame arrives before the previous
+  /// one was acked. Returns the rows received.
+  uint64_t DrainAndAck(MuxChannel* channel, bool one_in_flight = false) {
+    uint64_t rows = 0;
+    Frame frame;
+    Frame next;
+    bool have_next = false;
+    for (;;) {
+      if (have_next) {
+        frame = std::move(next);
+        have_next = false;
+      } else if (const Status status = RecvWithin(channel, &frame);
+                 !status.ok()) {
+        ADD_FAILURE() << "stream stopped: " << status;
+        return rows;
+      }
+      if (frame.type == FrameType::kEnd) {
+        EXPECT_TRUE(channel->Send(FrameType::kAck, "", 0).ok());
+        return rows;
+      }
+      EXPECT_EQ(frame.type, FrameType::kData);
+      rows += RowsIn(frame);
+      if (one_in_flight) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        bool closed = false;
+        auto got = channel->TryRecv(&next, &closed);
+        have_next = got.ok() && *got;
+        EXPECT_FALSE(have_next && next.type == FrameType::kData)
+            << "frame " << next.seq << " sent before frame " << frame.seq
+            << " was acked";
+      }
+      EXPECT_TRUE(channel->Send(FrameType::kDataAck, "", frame.seq).ok());
+    }
+  }
+
+  /// The query's status, once it ends; Unavailable after 10 s.
+  Status Finish() {
+    if (query_.wait_for(std::chrono::seconds(10)) !=
+        std::future_status::ready) {
+      return Status::Unavailable("the sink query did not end within 10 s");
+    }
+    return query_.get();
+  }
+
+  Cancellation& cancel() { return cancel_; }
+  MuxConn* conn() { return conn_.get(); }
+
+ private:
+  ScopedTempDir temp_{"mux_sink_window"};
+  SqlEnginePtr engine_;
+  std::unique_ptr<StreamCoordinator> coordinator_;
+  Cancellation cancel_;
+  std::future<Status> query_;
+  std::vector<StreamSplitInfo> splits_;
+  std::shared_ptr<MuxConn> conn_;
+};
 
 TEST(MuxTest, InterleavedChannelsKeepPerChannelFifoOrder) {
   MuxPair pair = MuxPair::Make();
@@ -168,98 +375,119 @@ TEST(MuxTest, WriterRecordsSendFrameMicros) {
 }
 
 TEST(MuxTest, WindowExhaustionParksOnlyTheStarvedChannel) {
-  MetricsRegistry& metrics = MetricsRegistry::Global();
-  const int64_t stalls_before = metrics.Get("net.mux.window_stalls");
-  MuxPair pair = MuxPair::Make();
-  const std::string payload(32, 'x');
+  const int64_t stalls_before =
+      MetricsRegistry::Global().Get("net.mux.window_stalls");
+  SinkWithTestReaders sink;
+  ASSERT_NO_FATAL_FAILURE(sink.Start(/*splits=*/2, /*rows=*/2000));
+  // Split 0's reader advertises a 512-byte window and stops acking. Split
+  // 1's rides the same connection with a window it never fills.
+  auto starved = sink.Open(0, 512);
+  auto flowing = sink.Open(1, 1 << 20);
+  ASSERT_TRUE(starved != nullptr && flowing != nullptr);
+  uint64_t starved_rows = 0;
+  const uint64_t last_seq =
+      sink.ReadFullWindow(starved.get(), 512, stalls_before, &starved_rows);
 
-  // Channel A gets a 64-byte window and a server that never reads: the
-  // third data frame must park the sender.
-  auto starved = pair.client->OpenChannel(OpenMsg(64));
-  ASSERT_TRUE(starved.ok());
-  // Channel B shares the socket but has a reader, so it must keep flowing
-  // while A is parked.
-  auto flowing = pair.client->OpenChannel(OpenMsg(64));
-  ASSERT_TRUE(flowing.ok());
-  std::shared_ptr<MuxChannel> starved_rx = pair.opened->Wait(0);
-  std::shared_ptr<MuxChannel> flowing_rx = pair.opened->Wait(1);
-
-  std::atomic<int> starved_sent{0};
-  std::thread starved_sender([&] {
-    for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE((*starved)
-                      ->Send(FrameType::kData, payload,
-                             static_cast<uint64_t>(i + 1))
-                      .ok());
-      starved_sent.fetch_add(1);
-    }
-  });
-  // The sender counts its stall just before parking. Wait for it so B's
-  // round trips below provably run while A is stuck, however late the
-  // scheduler starts A's thread.
-  for (int i = 0;
-       i < 5000 && metrics.Get("net.mux.window_stalls") == stalls_before;
-       ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  // B makes 20 full round trips on the shared connection while A is stuck.
+  // The socket-mate streams its whole split while the starved sender
+  // stays parked: nothing past the window reaches the starved reader.
+  EXPECT_EQ(sink.DrainAndAck(flowing.get()), 1000u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
   Frame frame;
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE((*flowing)
-                    ->Send(FrameType::kData, payload,
-                           static_cast<uint64_t>(i + 1))
-                    .ok());
-    ASSERT_TRUE(flowing_rx->Recv(&frame).ok());
-    EXPECT_EQ(frame.seq, static_cast<uint64_t>(i + 1));
-  }
-  EXPECT_EQ(starved_sent.load(), 2);  // Third frame is parked on credit.
-  EXPECT_GT(metrics.Get("net.mux.window_stalls"), stalls_before);
+  bool closed = false;
+  auto got = starved->TryRecv(&frame, &closed);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_FALSE(*got) << "frame " << frame.seq << " sent past a full window";
 
-  // Draining A's inbox replenishes its window (kChannelWindow) and releases
-  // the parked sender.
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(starved_rx->Recv(&frame).ok());
-    EXPECT_EQ(frame.seq, static_cast<uint64_t>(i + 1));
-  }
-  starved_sender.join();
-  EXPECT_EQ(starved_sent.load(), 3);
+  // The ack releases the parked sender, and its split completes too.
+  ASSERT_TRUE(starved->Send(FrameType::kDataAck, "", last_seq).ok());
+  EXPECT_EQ(starved_rows + sink.DrainAndAck(starved.get()), 1000u);
+  const Status status = sink.Finish();
+  EXPECT_TRUE(status.ok()) << status;
 }
 
 TEST(MuxTest, ShutdownWakesAParkedSenderWithoutTouchingTheSocket) {
-  MuxPair pair = MuxPair::Make();
-  auto starved = pair.client->OpenChannel(OpenMsg(16));
-  ASSERT_TRUE(starved.ok());
-  auto healthy = pair.client->OpenChannel(OpenMsg(1 << 20));
-  ASSERT_TRUE(healthy.ok());
-  std::shared_ptr<MuxChannel> healthy_rx = pair.opened->Wait(1);
+  const int64_t stalls_before =
+      MetricsRegistry::Global().Get("net.mux.window_stalls");
+  SinkWithTestReaders sink;
+  ASSERT_NO_FATAL_FAILURE(sink.Start(/*splits=*/1, /*rows=*/2000));
+  auto starved = sink.Open(0, 512);
+  ASSERT_TRUE(starved != nullptr);
+  uint64_t rows = 0;
+  (void)sink.ReadFullWindow(starved.get(), 512, stalls_before, &rows);
 
-  const std::string payload(32, 'x');
-  ASSERT_TRUE((*starved)->Send(FrameType::kData, payload, 1).ok());
-  std::atomic<bool> woke{false};
-  Status parked_status;
-  std::thread parked([&] {
-    parked_status = (*starved)->Send(FrameType::kData, payload, 2);
-    woke.store(true);
-  });
-  // Replay-abort while the sender is parked on an empty window (the serving
-  // layer's cancel path): the channel must wake with the abort status.
-  while (!woke.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    (*starved)->Shutdown(Status::Aborted("transfer aborted"));
-  }
-  parked.join();
-  ASSERT_FALSE(parked_status.ok());
-  EXPECT_TRUE(parked_status.IsAborted()) << parked_status;
-
-  // The shared socket survived the channel close: its socket-mate still
-  // makes full round trips.
+  // Cancel the query while its sender is parked on the full window (the
+  // serving layer's cancel path). The sink's unwind shuts the channel
+  // down, which wakes the sender with the abort status; the query ends.
+  sink.cancel().Cancel(Status::Cancelled("client went away"));
+  const Status status = sink.Finish();
+  EXPECT_TRUE(status.IsCancelled()) << status;
   Frame frame;
-  ASSERT_TRUE((*healthy)->Send(FrameType::kData, "still alive", 1).ok());
-  ASSERT_TRUE(healthy_rx->Recv(&frame).ok());
+  const Status closed = RecvWithin(starved.get(), &frame);
+  EXPECT_TRUE(closed.IsCancelled()) << closed;
+
+  // The shared socket survived the channel close: a new channel on it
+  // still makes a round trip.
+  EXPECT_FALSE(sink.conn()->dead());
+  auto opened = std::make_shared<OpenedChannels>();
+  const uint64_t key = MuxSinkServer::Global().Register(
+      [opened](std::shared_ptr<MuxChannel> channel,
+               const OpenChannelMessage& msg) {
+        opened->Add(std::move(channel), msg);
+      });
+  OpenChannelMessage msg = OpenMsg(1 << 20);
+  msg.sink_key = key;
+  auto mate = sink.conn()->OpenChannel(msg);
+  ASSERT_TRUE(mate.ok()) << mate.status();
+  ASSERT_TRUE(opened->Wait(0)->Send(FrameType::kData, "still alive", 1).ok());
+  ASSERT_TRUE(RecvWithin(mate->get(), &frame).ok());
   EXPECT_EQ(frame.payload, "still alive");
-  EXPECT_FALSE(pair.client->dead());
-  EXPECT_FALSE(pair.server->dead());
+  EXPECT_FALSE(sink.conn()->dead());
+  MuxSinkServer::Global().Unregister(key);
+}
+
+TEST(MuxTest, WindowSmallerThanAFrameStillCompletesATransfer) {
+  SinkWithTestReaders sink;
+  ASSERT_NO_FATAL_FAILURE(sink.Start(/*splits=*/2, /*rows=*/400));
+  // With nothing in flight a frame goes whatever its size, so a window of
+  // 0, or of one byte, moves the stream one acked frame at a time.
+  auto zero = sink.Open(0, 0);
+  auto tiny = sink.Open(1, 1);
+  ASSERT_TRUE(zero != nullptr && tiny != nullptr);
+  EXPECT_EQ(sink.DrainAndAck(zero.get(), /*one_in_flight=*/true), 200u);
+  EXPECT_EQ(sink.DrainAndAck(tiny.get(), /*one_in_flight=*/true), 200u);
+  const Status status = sink.Finish();
+  EXPECT_TRUE(status.ok()) << status;
+}
+
+TEST(MuxTest, ReconnectResumesPastAppliedFramesWhoseAcksWereLost) {
+  const int64_t stalls_before =
+      MetricsRegistry::Global().Get("net.mux.window_stalls");
+  StreamSinkOptions options;
+  options.resilient = true;
+  options.reconnect_timeout_ms = 10000;
+  SinkWithTestReaders sink;
+  ASSERT_NO_FATAL_FAILURE(sink.Start(/*splits=*/1, /*rows=*/2000, options));
+  // The first connection's reader applies a full window of frames, and
+  // the connection dies before any of its acks reach the sink.
+  auto first = sink.Open(0, 512);
+  ASSERT_TRUE(first != nullptr);
+  uint64_t rows = 0;
+  const uint64_t applied =
+      sink.ReadFullWindow(first.get(), 512, stalls_before, &rows);
+  ASSERT_GT(applied, 0u);
+  first->Shutdown(Status::NetworkError("connection lost"));
+
+  // The reconnect resumes after the frames it applied. They stay in the
+  // sink's log, unacked, but the new connection never sent them: counted
+  // against its window, they would park the sender on an ack the reader
+  // owes only for a frame it has not received.
+  uint64_t resumed = 0;
+  auto second = sink.Open(0, 512, static_cast<int64_t>(applied), &resumed);
+  ASSERT_TRUE(second != nullptr);
+  EXPECT_EQ(resumed, applied);
+  EXPECT_EQ(rows + sink.DrainAndAck(second.get()), 2000u);
+  const Status status = sink.Finish();
+  EXPECT_TRUE(status.ok()) << status;
 }
 
 TEST(MuxTest, RemoteCloseSurfacesStatusToPeerSendAndRecv) {

@@ -620,7 +620,6 @@ TEST_P(SpillQueueSweepTest, OrderPreservedUnderRandomTraffic) {
   ScopedTempDir temp("spill_sweep");
   FrameLog::Options options;
   options.send_buffer_bytes = GetParam();
-  options.replay_window_bytes = GetParam();
   options.spill_enabled = true;
   options.spill_path = temp.path() + "/spill";
   FrameLog log(options);
@@ -661,8 +660,9 @@ INSTANTIATE_TEST_SUITE_P(Capacities, SpillQueueSweepTest,
 
 // ---------------------------------------------------------------------------
 // Frame log, replay half: under an arbitrary interleaving of sends and
-// cumulative acks, (a) the in-memory footprint of sent frames never exceeds
-// replay_window_bytes — excess retention moves to the spill file — and (b)
+// cumulative acks, (a) a sender that keeps the reader's window holds at
+// most the window plus one frame of sent, unacked bytes — with the send
+// buffer never full, that is all the memory sent frames take — and (b)
 // rewinding to the ack always reproduces exactly the unacked suffix, in
 // order, byte for byte.
 
@@ -670,37 +670,41 @@ class ReplayWindowPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ReplayWindowPropertyTest, MemoryBoundHoldsUnderRandomTraffic) {
   Random rng(GetParam() * 7919 + 11);
-  ScopedTempDir temp("replay_window_prop");
   FrameLog::Options options;
   options.send_buffer_bytes = 1 << 20;
-  options.replay_window_bytes = 1 + rng.Uniform(2048);
-  options.spill_enabled = true;
-  options.spill_path = temp.path() + "/window";
+  options.spill_enabled = false;
+  const uint64_t window = rng.Uniform(2048);
   FrameLog log(options);
 
   std::map<uint64_t, std::pair<uint64_t, std::string>> retained;  // seq→frame
   uint64_t next_seq = 1;
   uint64_t acked = 0;
+  size_t in_flight = 0;
   for (int op = 0; op < 400; ++op) {
-    if (rng.Bernoulli(0.7)) {
-      // Frame sizes straddle the budget: some runs send single frames
-      // larger than the whole window, which must spill immediately.
-      std::string frame =
-          rng.NextString(1 + rng.Uniform(options.replay_window_bytes + 64));
+    // The sender sends while the window has room, or nothing is in
+    // flight; otherwise the reader's next ack is all it may take.
+    if (rng.Bernoulli(0.7) && (in_flight == 0 || in_flight < window)) {
+      // Frame sizes straddle the window: some runs send single frames
+      // larger than the whole window, which go alone.
+      std::string frame = rng.NextString(1 + rng.Uniform(window + 64));
       const uint64_t rows = 1 + rng.Uniform(100);
       ASSERT_TRUE(log.Append(frame, rows).ok());
       auto read = log.Next();
       ASSERT_TRUE(read.ok() && read->has_value());
       EXPECT_EQ((*read)->seq, next_seq);
       EXPECT_EQ((*read)->frame, frame);
+      in_flight += frame.size();
+      ASSERT_LE(in_flight, window + frame.size());
       retained[next_seq] = {rows, std::move(frame)};
       ++next_seq;
     } else {
       acked += rng.Uniform(next_seq - acked);  // Never past the last frame.
       log.Ack(acked);
       retained.erase(retained.begin(), retained.lower_bound(acked + 1));
+      in_flight = 0;
+      for (const auto& [seq, frame] : retained) in_flight += frame.second.size();
     }
-    ASSERT_LE(log.state().retained_memory_bytes, options.replay_window_bytes)
+    ASSERT_EQ(log.state().in_flight_bytes, in_flight)
         << "after op " << op << " (seq " << next_seq << ", acked " << acked
         << ")";
   }
@@ -733,8 +737,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReplayWindowPropertyTest,
 // ---------------------------------------------------------------------------
 // Frame log, whole: seeded single-thread schedules of append, send-next,
 // cumulative ack and rewind, checked step by step against a reference
-// model of both memory limits. Spill is on and there is no budget, so
-// Append never blocks and the schedule alone decides every interleaving.
+// model of both limits: the send buffer, which the log keeps, and the
+// reader's window, which the sender keeps by sending only while the
+// log's in-flight count leaves room. Spill is on and there is no budget,
+// so Append never blocks and the schedule alone decides every
+// interleaving.
 
 class FrameLogPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -743,33 +750,38 @@ TEST_P(FrameLogPropertyTest, SeededSchedulesKeepBothLimits) {
   ScopedTempDir temp("frame_log_prop");
   FrameLog::Options options;
   options.send_buffer_bytes = 1 + rng.Uniform(512);
-  options.replay_window_bytes = 1 + rng.Uniform(512);
   options.spill_enabled = true;
   options.spill_path = temp.path() + "/log";
-  const size_t max_frame =
-      2 * std::max(options.send_buffer_bytes, options.replay_window_bytes);
+  // Every fourth seed keeps a window of 0: one frame in flight at a time.
+  const size_t window = GetParam() % 4 == 0 ? 0 : 1 + rng.Uniform(512);
+  const size_t max_frame = 2 * std::max(options.send_buffer_bytes, window);
 
   MetricsRegistry& metrics = MetricsRegistry::Global();
   Counter* append_spills = metrics.GetCounter("stream.spill.spilled_frames");
   Counter* drains = metrics.GetCounter("stream.spill.drained_frames");
-  Counter* retention_spills =
-      metrics.GetCounter("stream.replay_window.spilled_frames");
   const int64_t append_spills_before = append_spills->value();
   const int64_t drains_before = drains->value();
-  const int64_t retention_spills_before = retention_spills->value();
 
   // The reference model: every frame's bytes, rows and medium, plus the
-  // cursors and the in-memory byte counts of both halves.
+  // cursors, the unsent bytes in memory, and the bytes sent since the last
+  // rewind and not yet acked.
   struct ModelFrame {
     std::string bytes;
     uint64_t rows = 0;
     bool in_memory = true;
   };
   std::vector<ModelFrame> frames;  // frames[seq - 1]
-  uint64_t acked = 0, cursor = 0, sent = 0;
-  size_t unsent_memory = 0, retained_memory = 0;
+  uint64_t acked = 0, cursor = 0, sent = 0, rewound_to = 0;
+  size_t unsent_memory = 0;
   int unsent_in_memory = 0;
-  int64_t want_append_spills = 0, want_drains = 0, want_retention_spills = 0;
+  int64_t want_append_spills = 0, want_drains = 0;
+  auto model_in_flight = [&] {
+    size_t bytes = 0;
+    for (uint64_t s = std::max(acked, rewound_to) + 1; s <= cursor; ++s) {
+      bytes += frames[s - 1].bytes.size();
+    }
+    return bytes;
+  };
 
   {
     FrameLog log(options);
@@ -791,7 +803,9 @@ TEST_P(FrameLogPropertyTest, SeededSchedulesKeepBothLimits) {
           ++want_append_spills;
         }
         frames.push_back(std::move(frame));
-      } else if (op < 75 && cursor < produced) {
+      } else if (op < 75 && cursor < produced &&
+                 (log.state().in_flight_bytes == 0 ||
+                  log.state().in_flight_bytes < window)) {
         auto read = log.Next();
         ASSERT_TRUE(read.ok() && read->has_value()) << read.status();
         const uint64_t seq = ++cursor;
@@ -802,37 +816,24 @@ TEST_P(FrameLogPropertyTest, SeededSchedulesKeepBothLimits) {
         EXPECT_EQ((*read)->replay, seq <= sent);
         if (seq > sent) {
           sent = seq;
+          // A frame keeps its medium once sent: memory or the spill file.
           if (frame.in_memory) {
             unsent_memory -= frame.bytes.size();
             --unsent_in_memory;
-            retained_memory += frame.bytes.size();
           } else {
             ++want_drains;
-          }
-          // Oldest sent frames in memory move to disk first.
-          for (uint64_t s = acked + 1;
-               s <= sent && retained_memory > options.replay_window_bytes;
-               ++s) {
-            if (!frames[s - 1].in_memory) continue;
-            frames[s - 1].in_memory = false;
-            retained_memory -= frames[s - 1].bytes.size();
-            ++want_retention_spills;
           }
         }
       } else if (op < 90) {
         const uint64_t to = acked + rng.Uniform(sent - acked + 1);
         log.Ack(to);
-        for (uint64_t s = acked + 1; s <= to; ++s) {
-          if (frames[s - 1].in_memory) {
-            retained_memory -= frames[s - 1].bytes.size();
-          }
-        }
         acked = std::max(acked, to);
         cursor = std::max(cursor, acked);
       } else {
         const uint64_t resume = acked + rng.Uniform(sent - acked + 1);
         ASSERT_EQ(log.Rewind(resume), resume);
         cursor = resume;
+        rewound_to = resume;
       }
 
       SCOPED_TRACE("step " + std::to_string(step));
@@ -845,8 +846,12 @@ TEST_P(FrameLogPropertyTest, SeededSchedulesKeepBothLimits) {
                   unsent_in_memory == 1)
           << unsent_memory << " unsent bytes in " << unsent_in_memory
           << " frames";
-      ASSERT_EQ(state.retained_memory_bytes, retained_memory);
-      ASSERT_LE(retained_memory, options.replay_window_bytes);
+      const size_t in_flight = model_in_flight();
+      ASSERT_EQ(state.in_flight_bytes, in_flight);
+      // The window plus one frame, the newest in flight.
+      if (in_flight > 0) {
+        ASSERT_LE(in_flight, window + frames[cursor - 1].bytes.size());
+      }
       const uint64_t through = acked + rng.Uniform(frames.size() - acked + 1);
       uint64_t want_rows = 0;
       for (uint64_t s = 1; s <= through; ++s) want_rows += frames[s - 1].rows;
@@ -859,8 +864,6 @@ TEST_P(FrameLogPropertyTest, SeededSchedulesKeepBothLimits) {
 
   EXPECT_EQ(append_spills->value() - append_spills_before, want_append_spills);
   EXPECT_EQ(drains->value() - drains_before, want_drains);
-  EXPECT_EQ(retention_spills->value() - retention_spills_before,
-            want_retention_spills);
   EXPECT_TRUE(std::filesystem::is_empty(temp.path()));
 }
 
@@ -878,7 +881,6 @@ TEST(FrameLogThreadTest, ProducerAndAckingSenderAgreeOnEveryFrame) {
   {
     FrameLog::Options options;
     options.send_buffer_bytes = 256;
-    options.replay_window_bytes = 512;
     options.spill_enabled = true;
     options.spill_path = temp.path() + "/log";
     options.spill_budget = budget;

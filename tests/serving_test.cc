@@ -377,7 +377,6 @@ TEST(SpillBudgetTest, ChargeReturnsAtFirstSendNotAtAck) {
   auto budget = std::make_shared<ByteBudget>(100);
   FrameLog::Options options;
   options.send_buffer_bytes = 64;
-  options.replay_window_bytes = 32;
   options.spill_enabled = true;
   options.spill_path = temp.path() + "/q";
   options.spill_budget = budget;
@@ -391,10 +390,9 @@ TEST(SpillBudgetTest, ChargeReturnsAtFirstSendNotAtAck) {
   EXPECT_EQ(budget->used(), 50);
   ASSERT_TRUE(log.Next().ok());  // First send of the spilled frame.
   EXPECT_EQ(budget->used(), 0);
-  // Still unacked, it stays on disk for replay without a charge, and
-  // retention overflow (frame 1 moving to disk) is never charged either.
+  // Still unacked, it stays on disk for replay without a charge.
   EXPECT_EQ(log.state().acked, 0u);
-  EXPECT_EQ(log.state().retained_memory_bytes, 0u);
+  EXPECT_EQ(log.state().in_flight_bytes, 100u);
   log.Rewind(0);
   ASSERT_TRUE(log.Next().ok());
   ASSERT_TRUE(log.Next().ok());

@@ -126,9 +126,9 @@ TEST(WireTest, HugeFrameLengthDoesNotAllocateAhead) {
 }
 
 /// A type byte that names no FrameType is DataLoss in both header decoders:
-/// 0, the retired 25 and 26, and everything past the last type.
+/// 0, the retired 25, 26 and 33, and everything past the last type.
 TEST(WireTest, UnknownFrameTypeIsDataLoss) {
-  const std::vector<uint8_t> unknown = {0, 25, 26, 35, 255};
+  const std::vector<uint8_t> unknown = {0, 25, 26, 33, 35, 255};
   auto header = [](uint8_t type) {
     char bytes[kFrameHeaderBytes];
     EncodeFrameHeader(bytes, static_cast<FrameType>(type), /*payload_len=*/0,
@@ -306,7 +306,6 @@ TEST_F(SpillQueueTest, CancelUnblocksBothSides) {
 TEST_F(SpillQueueTest, ConcurrentProducerConsumerWithSpill) {
   FrameLog::Options options;
   options.send_buffer_bytes = 64;
-  options.replay_window_bytes = 64;
   options.spill_enabled = true;
   options.spill_path = temp_.path() + "/spill3";
   FrameLog log(options);
@@ -375,18 +374,20 @@ class ReplayWindowTest : public ::testing::Test {
 
 TEST_F(ReplayWindowTest, ReplaysUnackedSuffixAcrossSpill) {
   FrameLog::Options options;
-  options.send_buffer_bytes = 1 << 20;
-  options.replay_window_bytes = 16;  // Force the older frames to disk.
+  options.send_buffer_bytes = 16;  // Frames 3 to 6 spill at append.
   options.spill_enabled = true;
   options.spill_path = temp_.path() + "/window";
   FrameLog log(options);
   for (uint64_t seq = 1; seq <= 6; ++seq) {
     ASSERT_TRUE(log.Append("frame" + std::to_string(seq), /*rows=*/seq).ok());
+  }
+  EXPECT_EQ(log.state().spilled_frames, 4);
+  for (uint64_t seq = 1; seq <= 6; ++seq) {
     EXPECT_EQ(NextFrame(&log), "frame" + std::to_string(seq));
   }
   log.Close();
-  EXPECT_EQ(log.state().spilled_frames, 0);  // Nothing spilled at append...
-  EXPECT_LE(log.state().retained_memory_bytes, 16u);  // ...but retention did.
+  // Sent frames stay where they were, in memory or on disk, until acked.
+  EXPECT_EQ(log.state().in_flight_bytes, 36u);
   log.Ack(2);
   EXPECT_EQ(log.state().acked, 2u);
   EXPECT_EQ(*log.RowsThrough(2), 3u);   // 1 + 2
@@ -406,22 +407,24 @@ TEST_F(ReplayWindowTest, ReplaysUnackedSuffixAcrossSpill) {
   }
   EXPECT_EQ(seqs, (std::vector<uint64_t>{4, 5, 6}));
   EXPECT_EQ(frames, (std::vector<std::string>{"frame4", "frame5", "frame6"}));
+  EXPECT_EQ(log.state().in_flight_bytes, 18u);  // Counted from the rewind.
   log.Ack(6);
-  EXPECT_EQ(log.state().retained_memory_bytes, 0u);
+  EXPECT_EQ(log.state().in_flight_bytes, 0u);
 }
 
 TEST_F(ReplayWindowTest, DestructionRemovesSpillFile) {
   {
     FrameLog::Options options;
-    options.replay_window_bytes = 8;
+    options.send_buffer_bytes = 8;
     options.spill_enabled = true;
     options.spill_path = temp_.path() + "/window";
     FrameLog log(options);
     for (uint64_t seq = 1; seq <= 8; ++seq) {
       ASSERT_TRUE(log.Append(std::string(64, 'w'), 1).ok());
-      ASSERT_TRUE(log.Next().ok());
     }
-    ASSERT_LE(log.state().retained_memory_bytes, 8u);
+    for (uint64_t seq = 1; seq <= 8; ++seq) ASSERT_TRUE(log.Next().ok());
+    ASSERT_EQ(log.state().spilled_frames, 7);
+    ASSERT_TRUE(std::filesystem::exists(options.spill_path + ".spill"));
     // Never acked, never replayed: an aborted transfer drops the log.
   }
   EXPECT_TRUE(std::filesystem::is_empty(temp_.path()));
@@ -454,12 +457,12 @@ TEST_F(FrameLogTest, MemoryReusedWhileOlderFramesWaitOnDisk) {
 }
 
 TEST_F(FrameLogTest, AppendNeverWaitsOnAnAck) {
-  // Spill off: sent frames stay in memory past replay_window_bytes, and the
-  // producer waits only for the sender to take a frame, never for an ack —
-  // the sender reads acks only between frames.
+  // Spill off: sent frames stay in memory until acked, and the producer
+  // waits only for the sender to take a frame, never for an ack — the
+  // sender reads acks only between frames. The window is the sender's to
+  // keep, on its channel.
   FrameLog::Options options;
   options.send_buffer_bytes = 8;
-  options.replay_window_bytes = 8;
   options.spill_enabled = false;
   FrameLog log(options);
   for (int i = 0; i < 4; ++i) {
@@ -467,7 +470,7 @@ TEST_F(FrameLogTest, AppendNeverWaitsOnAnAck) {
     ASSERT_TRUE(log.Next().ok());
   }
   EXPECT_EQ(log.state().acked, 0u);
-  EXPECT_EQ(log.state().retained_memory_bytes, 32u);
+  EXPECT_EQ(log.state().in_flight_bytes, 32u);
   EXPECT_EQ(log.state().unsent_memory_bytes, 0u);
 }
 
@@ -494,31 +497,50 @@ TEST_F(FrameLogTest, RewindClampsToAckedAndSent) {
   EXPECT_FALSE(log.RowsThrough(3).ok());  // Trimmed.
 }
 
-TEST_F(FrameLogTest, BothSpillsShareOneFile) {
+TEST_F(FrameLogTest, InFlightBytesCountFromTheResumePoint) {
+  // The reader's window counts what the sender read since its last Rewind
+  // and the reader has not acked. Frames at or below a reconnecting
+  // reader's resume point were applied, their acks lost with the old
+  // connection: they stay in the log but never count.
   FrameLog::Options options;
-  options.send_buffer_bytes = 16;
-  options.replay_window_bytes = 16;
-  options.spill_enabled = true;
-  options.spill_path = temp_.path() + "/one";
+  options.spill_enabled = false;
   FrameLog log(options);
-  const std::string a(12, 'a'), b(12, 'b'), c(12, 'c');
-  ASSERT_TRUE(log.Append(a, 1).ok());
-  ASSERT_TRUE(log.Append(b, 1).ok());  // Send buffer full: spills.
-  EXPECT_EQ(NextFrame(&log), a);
-  ASSERT_TRUE(log.Append(c, 1).ok());
-  EXPECT_EQ(NextFrame(&log), b);  // Drained from disk.
-  EXPECT_EQ(NextFrame(&log), c);  // Retention overflows: 'a' moves to disk.
-  EXPECT_EQ(log.state().spilled_frames, 1);
-  EXPECT_EQ(log.state().retained_memory_bytes, 12u);
-  int files = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(temp_.path())) {
-    EXPECT_EQ(entry.path().filename().string(), "one.spill");
-    ++files;
+  for (int i = 1; i <= 5; ++i) {
+    ASSERT_TRUE(log.Append(std::string(static_cast<size_t>(i), 'x'), 1).ok());
   }
-  EXPECT_EQ(files, 1);
-  log.Rewind(0);
-  EXPECT_EQ(NextFrame(&log), a);  // Replayed from the same file.
-  EXPECT_EQ(NextFrame(&log), b);
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(log.Next().ok());
+  EXPECT_EQ(log.state().in_flight_bytes, 10u);  // 1 + 2 + 3 + 4.
+  log.Ack(1);
+  EXPECT_EQ(log.state().in_flight_bytes, 9u);
+  EXPECT_EQ(log.Rewind(3), 3u);
+  EXPECT_EQ(log.state().in_flight_bytes, 0u);
+  ASSERT_TRUE(log.Next().ok());  // Frame 4 again, on the new connection.
+  EXPECT_EQ(log.state().in_flight_bytes, 4u);
+  log.Ack(3);  // Frames 2 and 3 were never sent on it.
+  EXPECT_EQ(log.state().acked, 3u);
+  EXPECT_EQ(log.state().in_flight_bytes, 4u);
+  log.Ack(4);
+  EXPECT_EQ(log.state().in_flight_bytes, 0u);
+}
+
+TEST_F(FrameLogTest, TruncatedSpillRecordHeaderIsIoError) {
+  FrameLog::Options options;
+  options.send_buffer_bytes = 4;
+  options.spill_enabled = true;
+  options.spill_path = temp_.path() + "/cut";
+  FrameLog log(options);
+  ASSERT_TRUE(log.Append("mem", 1).ok());
+  ASSERT_TRUE(log.Append("disk", 1).ok());  // Send buffer full: spills.
+  ASSERT_EQ(log.state().spilled_frames, 1);
+  const std::string file = options.spill_path + ".spill";
+  // Two bytes of the record's four-byte length header survive.
+  std::filesystem::resize_file(file, 2);
+  EXPECT_EQ(NextFrame(&log), "mem");
+  auto read = log.Next();
+  EXPECT_TRUE(read.status().IsIoError()) << read.status();
+  log.Cancel();
+  EXPECT_FALSE(std::filesystem::exists(file));
+  EXPECT_TRUE(std::filesystem::is_empty(temp_.path()));
 }
 
 // --- End-to-end streaming transfer ---
@@ -806,6 +828,27 @@ TEST_F(StreamingTransferTest, SinkSqlRendersRoundTrippableQuery) {
   ASSERT_TRUE(stmt.ok()) << sql << ": " << stmt.status();
   EXPECT_EQ(stmt->from[0].kind, TableRef::Kind::kTableFunction);
   EXPECT_EQ(stmt->from[0].name, "sql_stream_sink");
+  // Planning binds the UDF's arguments without running the transfer.
+  ASSERT_TRUE(RegisterStreamSinkUdf(engine_.get()).ok());
+  auto plan = engine_->Plan(sql);
+  EXPECT_TRUE(plan.ok()) << sql << ": " << plan.status();
+}
+
+TEST_F(StreamingTransferTest, SinkRejectsArgumentsItDoesNotParse) {
+  // The query, host, port and command, then five optional arguments: a
+  // tenth or eleventh (an old replay window, say) is an error at planning,
+  // not an argument silently ignored.
+  ASSERT_TRUE(RegisterStreamSinkUdf(engine_.get()).ok());
+  std::string sql =
+      "SELECT * FROM TABLE(sql_stream_sink((SELECT * FROM points), "
+      "'localhost', 9999, 'svm', 4096, 1, 0, 1000, 0";
+  ASSERT_TRUE(engine_->Plan(sql + "))").ok());
+  for (int extra = 1; extra <= 2; ++extra) {
+    sql += ", 1048576";
+    auto plan = engine_->Plan(sql + "))");
+    EXPECT_TRUE(plan.status().IsInvalidArgument())
+        << extra << " extra: " << plan.status();
+  }
 }
 
 TEST_F(StreamingTransferTest, OneTraceCoversSinkCoordinatorReaderAndIngest) {
