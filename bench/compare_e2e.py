@@ -2,14 +2,15 @@
 """Compares two checkouts on one e2ebench workload in alternating pairs.
 
     python3 bench/compare_e2e.py PARENT_DIR CHANGE_DIR --workload W
-        [--seed 2015] [--pairs 10] [--seconds 25] [--pr N --parent SHA]
+        [--seed 2015] [--pairs 10] [--pr N --parent SHA]
 
 Each checkout builds and runs through its own `python3 e2ebench/run.py`,
 with CARGO_TARGET_DIR set to `<checkout>/.bench_build`, so the two sides
 never share a build. One short warm-up run per side builds it first and is
-not counted. Then each pair runs both sides with `--trace 0`, the side that
-goes first alternating from pair to pair. A non-zero exit, `"correct":
-false` or a failed op on either side stops the script with an error.
+not counted. Then each pair runs both sides for CHANGE_DIR/BENCHMARK.json's
+`run_seconds` with `--trace 0`, the side that goes first alternating from
+pair to pair. A non-zero exit, `"correct": false` or a failed op on either
+side stops the script with an error.
 
 For every end-to-end metric of CHANGE_DIR/BENCHMARK.json the script prints
 each side's median [q1, q3] (`statistics.quantiles(n=4,
@@ -62,7 +63,6 @@ def main():
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=2015)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25)
     parser.add_argument("--pr", type=int, help="PR number for the JSON line")
     parser.add_argument("--parent", help="parent commit for the JSON line")
     args = parser.parse_args()
@@ -70,7 +70,9 @@ def main():
         sys.exit("--pairs must be at least 2 to give quartiles")
 
     with open(os.path.join(args.change_dir, "BENCHMARK.json")) as f:
-        end_to_end = json.load(f)["end_to_end"]
+        benchmark = json.load(f)
+    end_to_end = benchmark["end_to_end"]
+    seconds = benchmark["run_seconds"]
     sides = [("parent", os.path.abspath(args.parent_dir)),
              ("change", os.path.abspath(args.change_dir))]
 
@@ -84,7 +86,7 @@ def main():
         order = sides if pair % 2 == 0 else sides[::-1]
         for name, checkout in order:
             runs[name].append(run(checkout, args.workload, args.seed,
-                                  args.seconds))
+                                  seconds))
             print("pair %d %s done" % (pair + 1, name), file=sys.stderr,
                   flush=True)
 
@@ -107,7 +109,7 @@ def main():
 
     print(json.dumps({
         "pr": args.pr, "parent": args.parent, "workload": args.workload,
-        "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
+        "seed": args.seed, "seconds": seconds, "pairs": args.pairs,
         "failed_ops": {"parent": 0, "change": 0}, "metrics": metrics}))
     return 0
 

@@ -505,13 +505,18 @@ void SqlStreamSinkUdf::Partition::RunSender(int j) {
     // the bytes in flight fill the reader's window, wait on the channel
     // for its next ack; with nothing in flight a frame goes whatever its
     // size, so a window below one frame still moves a frame at a time.
+    // Each park counts once, however many acks it takes to leave it.
+    auto window_full = [&] {
+      const uint64_t in_flight = log->state().in_flight_bytes;
+      return in_flight > 0 && in_flight >= conn.window_bytes;
+    };
     for (;;) {
       RETURN_IF_ERROR(DrainAcks(channel, log, AckWait::kNone, &ack));
-      for (uint64_t in_flight = log->state().in_flight_bytes;
-           in_flight > 0 && in_flight >= conn.window_bytes;
-           in_flight = log->state().in_flight_bytes) {
+      if (window_full()) {
         window_stalls->Increment();
-        RETURN_IF_ERROR(DrainAcks(channel, log, AckWait::kOne, &ack));
+        while (window_full()) {
+          RETURN_IF_ERROR(DrainAcks(channel, log, AckWait::kOne, &ack));
+        }
       }
       ASSIGN_OR_RETURN(std::optional<FrameLog::Read> read, log->Next());
       if (!read.has_value()) break;

@@ -168,16 +168,25 @@ TEST_F(ChaosStreamTest, ReplayResumesAmongSpilledFrames) {
   options.sink.send_buffer_bytes = 128;  // Unsent frames spill at append.
   options.reader.consume_delay_micros_per_frame = 500;  // Slow consumer.
   options.reader.recovery_enabled = true;
-  // The 21st data frame dies mid-send while the slow reader has left
-  // frames spilled at append. A spilled frame stays in the spill file once
-  // sent, so the reconnected reader's replay reads it back from disk.
-  ScopedFailpoint fault("stream.wire.send_data", "after(20):close(1)");
+  // Each reader dials late, so every sink has appended its whole split
+  // before its first send: all but each log's first frame are spilled at
+  // append. Split 1's slow reader then drops its channel after 100 rows,
+  // past its first frame. A spilled frame stays in the spill file once
+  // sent, so the reconnected reader's replay, from its last applied frame,
+  // reads frames back from disk.
+  ScopedFailpoint late_dial("stream.reader.connect", "delay(200)");
+  ASSERT_TRUE(late_dial.status().ok()) << late_dial.status();
+  ScopedFailpoint fault("stream.reader.row.split1", "after(99):error(1)");
   ASSERT_TRUE(fault.status().ok()) << fault.status();
   ExpectCompleteTransfer(options);
   EXPECT_EQ(fault.fires(), 1);
   MetricsRegistry& metrics = MetricsRegistry::Global();
   EXPECT_GT(metrics.Get("stream.spill.spilled_frames"), 0);
   EXPECT_GE(metrics.Get("transfer.frames_replayed"), 1);
+  // A frame's first send from disk counts as drained; every other read
+  // from the spill file is a replay.
+  EXPECT_GT(metrics.GetHistogram("stream.spill.read_micros")->count(),
+            metrics.Get("stream.spill.drained_frames"));
   EXPECT_EQ(CountSpillFiles(temp_->path()), 0);
 }
 

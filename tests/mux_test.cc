@@ -387,6 +387,9 @@ TEST(MuxTest, WindowExhaustionParksOnlyTheStarvedChannel) {
   uint64_t starved_rows = 0;
   const uint64_t last_seq =
       sink.ReadFullWindow(starved.get(), 512, stalls_before, &starved_rows);
+  // An ack that frees nothing wakes the sender into the same park, which
+  // still counts as one stall.
+  ASSERT_TRUE(starved->Send(FrameType::kDataAck, "", 0).ok());
 
   // The socket-mate streams its whole split while the starved sender
   // stays parked: nothing past the window reaches the starved reader.
@@ -397,6 +400,8 @@ TEST(MuxTest, WindowExhaustionParksOnlyTheStarvedChannel) {
   auto got = starved->TryRecv(&frame, &closed);
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_FALSE(*got) << "frame " << frame.seq << " sent past a full window";
+  EXPECT_EQ(MetricsRegistry::Global().Get("net.mux.window_stalls"),
+            stalls_before + 1);
 
   // The ack releases the parked sender, and its split completes too.
   ASSERT_TRUE(starved->Send(FrameType::kDataAck, "", last_seq).ok());
