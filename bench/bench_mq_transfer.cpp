@@ -4,8 +4,14 @@
 //   - recovery cost after a mid-stream consumer failure: the §6 design
 //     replays the whole stream from the retained log, while the broker
 //     resumes from the last committed offset (bounded recovery tail).
+//
+// Usage: bench_mq_transfer [rows] [--check]. `--check` exits 1 unless each
+// of the four runs (direct and broker, failure-free and with the injected
+// consumer failure) delivers exactly the source table's rows.
 
+#include <cstring>
 #include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/failpoint.h"
@@ -17,7 +23,15 @@ using namespace sqlink;
 using sqlink::bench::BenchEnv;
 
 int main(int argc, char** argv) {
-  const int64_t rows = sqlink::bench::RowsArg(argc, argv, 300000);
+  bool check = false;
+  int64_t rows = 300000;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--check") == 0) {
+      check = true;
+    } else {
+      rows = std::atoll(argv[i]);
+    }
+  }
   auto env = BenchEnv::Make(rows);
   auto table = env->engine->MaterializeSql(
       "SELECT cartid, amount, nitems, year FROM carts", "src");
@@ -29,6 +43,14 @@ int main(int argc, char** argv) {
   std::printf("rows: %zu\n\n", expected);
   std::printf("%-28s %10s %10s %18s\n", "mechanism", "time(s)", "rows",
               "recovery re-read");
+  std::vector<std::string> failures;
+  auto expect_rows = [&](const char* mechanism, size_t delivered) {
+    if (delivered != expected) {
+      failures.push_back(std::string(mechanism) + " delivered " +
+                         std::to_string(delivered) + " rows, want " +
+                         std::to_string(expected));
+    }
+  };
 
   // Failure-free runs.
   {
@@ -38,6 +60,7 @@ int main(int argc, char** argv) {
     if (!direct.ok()) return 1;
     std::printf("%-28s %10.3f %10zu %18s\n", "direct sockets (§3)",
                 watch.ElapsedSeconds(), direct->dataset.TotalRows(), "-");
+    expect_rows("direct", direct->dataset.TotalRows());
   }
   {
     Stopwatch watch;
@@ -45,6 +68,7 @@ int main(int argc, char** argv) {
     if (!mq.ok()) return 1;
     std::printf("%-28s %10.3f %10zu %18s\n", "message broker (§8)",
                 watch.ElapsedSeconds(), mq->dataset.TotalRows(), "-");
+    expect_rows("broker", mq->dataset.TotalRows());
   }
 
   // Runs with one injected mid-stream consumer failure.
@@ -62,6 +86,7 @@ int main(int argc, char** argv) {
     std::printf("%-28s %10.3f %10zu %18s\n", "direct + failure (§6)",
                 watch.ElapsedSeconds(), direct->dataset.TotalRows(),
                 "full split replay");
+    expect_rows("direct + failure", direct->dataset.TotalRows());
   }
   {
     MqTransferOptions options;
@@ -75,6 +100,11 @@ int main(int argc, char** argv) {
     std::printf("%-28s %10.3f %10zu %15lld msg\n", "broker + failure (§8)",
                 watch.ElapsedSeconds(), mq->dataset.TotalRows(),
                 static_cast<long long>(mq->messages_reread));
+    expect_rows("broker + failure", mq->dataset.TotalRows());
   }
-  return 0;
+  if (!check) return 0;
+  for (const std::string& failure : failures) {
+    std::fprintf(stderr, "--check: %s\n", failure.c_str());
+  }
+  return failures.empty() ? 0 : 1;
 }

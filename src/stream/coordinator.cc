@@ -127,13 +127,20 @@ Result<std::unique_ptr<StreamCoordinator>> StreamCoordinator::Resume(
 StreamCoordinator::~StreamCoordinator() { Stop(); }
 
 void StreamCoordinator::Stop() {
+  std::thread launcher;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopped_) return;
     stopped_ = true;
+    launcher = std::move(launcher_thread_);
     splits_ready_cv_.notify_all();
     reaper_cv_.notify_all();
   }
+  // The ML launcher goes first, while the listener still answers: its
+  // split fetch, re-matches and acquires now get a typed Cancelled and end
+  // at once. Behind a closed listener they would see a refused connection,
+  // which is transient, and retry out their whole budget.
+  if (launcher.joinable()) launcher.join();
   listener_.Close();
   if (accept_thread_.joinable()) accept_thread_.join();
   if (reaper_thread_.joinable()) reaper_thread_.join();
@@ -153,12 +160,17 @@ void StreamCoordinator::Stop() {
     handlers_.clear();
     handler_sockets_.clear();
   }
-  if (launcher_thread_.joinable()) launcher_thread_.join();
 }
 
 void StreamCoordinator::Abort(Status status) {
   std::lock_guard<std::mutex> lock(mu_);
   AbortLocked(std::move(status));
+}
+
+Status StreamCoordinator::ServingStatusLocked() const {
+  if (aborted_) return abort_status_;
+  if (stopped_) return Status::Cancelled("coordinator stopped");
+  return Status::OK();
 }
 
 void StreamCoordinator::AbortLocked(Status status) {
@@ -367,11 +379,9 @@ Status StreamCoordinator::HandleRegisterSql(TcpSocket* socket,
   }
   ASSIGN_OR_RETURN(RegisterSqlMessage msg,
                    RegisterSqlMessage::Decode(frame.payload));
-  bool all_registered = false;
-  std::string command;
-  std::vector<std::string> args;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    if (stopped_) return Status::Cancelled("coordinator stopped");
     if (expected_sql_workers_ == 0) {
       expected_sql_workers_ = msg.num_workers;
     } else if (expected_sql_workers_ != msg.num_workers) {
@@ -407,15 +417,16 @@ Status StreamCoordinator::HandleRegisterSql(TcpSocket* socket,
       }
       split_runtime_.assign(splits_.splits.size(), SplitRuntime{});
       splits_ready_ = true;
-      command = msg.command;
-      args = msg.args;
-      all_registered = true;
       splits_ready_cv_.notify_all();
+      // Started under mu_ so Stop() either finds the thread to join or
+      // keeps it from starting.
+      if (options_.ml_launcher) {
+        launcher_thread_ = std::thread(
+            [this, command = msg.command, args = msg.args] {
+              options_.ml_launcher(command, args);
+            });
+      }
     }
-  }
-  if (all_registered && options_.ml_launcher) {
-    launcher_thread_ = std::thread(
-        [this, command, args] { options_.ml_launcher(command, args); });
   }
   // Ack carries k so the SQL worker knows how many ML connections to expect.
   std::string payload;
@@ -433,9 +444,8 @@ Status StreamCoordinator::WaitForSplits() {
       lock, std::chrono::milliseconds(options_.barrier_timeout_ms),
       [this] { return splits_ready_ || stopped_ || aborted_; });
   barrier_wait->Record(timer.ElapsedMicros());
-  if (aborted_) return abort_status_;
+  RETURN_IF_ERROR(ServingStatusLocked());
   if (!ready) return Status::Unavailable("timed out waiting for SQL workers");
-  if (!splits_ready_) return Status::Cancelled("coordinator stopped");
   return Status::OK();
 }
 
@@ -448,7 +458,7 @@ Status StreamCoordinator::HandleGetSplits(TcpSocket* socket) {
   std::string payload;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (aborted_) return abort_status_;
+    RETURN_IF_ERROR(ServingStatusLocked());
     payload = splits_.Encode();
   }
   return SendFrame(socket, FrameType::kSplits, payload);
@@ -467,7 +477,7 @@ Status StreamCoordinator::HandleRegisterMl(TcpSocket* socket,
   MatchMessage match;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (aborted_) return abort_status_;
+    RETURN_IF_ERROR(ServingStatusLocked());
     if (msg.split_id < 0 ||
         static_cast<size_t>(msg.split_id) >= splits_.splits.size()) {
       return Status::InvalidArgument("unknown split id " +
@@ -544,7 +554,7 @@ Status StreamCoordinator::HandleAcquireSplit(TcpSocket* socket,
   SplitGrantMessage grant;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (aborted_) return abort_status_;
+    RETURN_IF_ERROR(ServingStatusLocked());
     for (size_t i = 0; i < split_runtime_.size(); ++i) {
       SplitRuntime& rt = split_runtime_[i];
       if (rt.state != SplitState::kReassignable) continue;

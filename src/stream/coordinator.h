@@ -96,7 +96,9 @@ class StreamCoordinator {
   StreamCoordinator(const StreamCoordinator&) = delete;
   StreamCoordinator& operator=(const StreamCoordinator&) = delete;
 
-  /// Stops the server and joins every handler. Idempotent.
+  /// Stops the server and joins every handler. The ML launcher is joined
+  /// first, while split fetches, matches and acquires still get an answer
+  /// (a typed Cancelled). Idempotent.
   void Stop();
 
   /// Aborts the query: every subsequent heartbeat, split fetch, and acquire
@@ -146,6 +148,10 @@ class StreamCoordinator {
 
   /// Blocks until the split table exists (all SQL workers registered).
   Status WaitForSplits();
+
+  /// OK while the coordinator serves the ML side; the abort status after
+  /// Abort(), or Cancelled once Stop() began. Requires mu_.
+  Status ServingStatusLocked() const;
 
   /// Declares split `i`'s current owner gone: bumps the epoch (fencing),
   /// spends reassignment budget, and either parks the split as

@@ -39,6 +39,12 @@ RetryPolicy::Options ReconnectBackoffOptions(int split_id) {
 /// with seq <= last applied as duplicates, and treats a sequence gap as a
 /// transport failure. On reconnect it offers its last applied sequence in
 /// HELLO; the sink replays exactly the unseen suffix.
+///
+/// One ack per drained inbox: the cumulative ack goes out when the channel's
+/// inbox is empty, just before the reader blocks in Recv, or once the
+/// applied frames it does not cover reach kAckEveryBytes. A sender parked on
+/// a full window therefore always gets its ack: the reader drains what was
+/// sent and acks before it waits for more.
 class StreamRecordReader final : public ml::RecordReader {
  public:
   StreamRecordReader(std::string coordinator_host, int coordinator_port,
@@ -79,6 +85,7 @@ class StreamRecordReader final : public ml::RecordReader {
   }
 
   ~StreamRecordReader() override {
+    PublishDelivered();
     CloseStreamSpan(/*error=*/!done_);
     CloseChannel(done_ ? Status::OK()
                        : Status::Cancelled("reader destroyed mid-split"));
@@ -124,7 +131,6 @@ class StreamRecordReader final : public ml::RecordReader {
           return false;
         }
         ++delivered_;
-        if (rows_delivered_ != nullptr) rows_delivered_->Increment();
         RETURN_IF_ERROR(ProbeDeliveryFailpoints());
         return true;
       }
@@ -133,6 +139,21 @@ class StreamRecordReader final : public ml::RecordReader {
   }
 
  private:
+  /// Applied-but-unacked frame bytes that force an ack even while frames
+  /// wait in the inbox: 1/16 of the window the reader advertises, so a busy
+  /// reader frees its sender's window long before it fills. A window below
+  /// 16 frames acks every frame.
+  static constexpr uint64_t kAckEveryBytes =
+      static_cast<uint64_t>(kMuxChannelWindowBytes) / 16;
+
+  /// Adds the rows delivered since the last call to the process-wide
+  /// counter: once per committed frame and once at close, not per row.
+  void PublishDelivered() {
+    if (rows_delivered_ == nullptr || delivered_ == published_) return;
+    rows_delivered_->Add(static_cast<int64_t>(delivered_ - published_));
+    published_ = delivered_;
+  }
+
   /// Fault injection after a delivery. "row": drop the connection and
   /// recover locally. "kill": the reader dies mid-split — no local recovery;
   /// its split must be reassigned to a survivor.
@@ -173,6 +194,9 @@ class StreamRecordReader final : public ml::RecordReader {
       RETURN_IF_ERROR(SendFrame(&control, FrameType::kReportFailure,
                                 report.Encode()));
       ASSIGN_OR_RETURN(Frame match_frame, RecvFrame(&control));
+      if (match_frame.type == FrameType::kError) {
+        return DecodeStatusPayload(match_frame.payload);
+      }
       if (match_frame.type != FrameType::kMatch) {
         return Status::NetworkError("coordinator failed to re-match: " +
                                     match_frame.payload);
@@ -257,6 +281,7 @@ class StreamRecordReader final : public ml::RecordReader {
     batch_index_ = 0;
     batch_pending_ = false;
     pending_ack_ = false;
+    unacked_bytes_ = 0;
     return Status::OK();
   }
 
@@ -266,6 +291,7 @@ class StreamRecordReader final : public ml::RecordReader {
   Status FlushAck() {
     if (!pending_ack_) return Status::OK();
     pending_ack_ = false;
+    unacked_bytes_ = 0;
     RETURN_IF_ERROR(
         channel_->Send(FrameType::kDataAck, "", last_applied_seq_));
     if (heartbeat_ != nullptr) heartbeat_->set_applied_seq(last_applied_seq_);
@@ -284,9 +310,27 @@ class StreamRecordReader final : public ml::RecordReader {
     }
   }
 
-  /// Commits the fully-delivered staged frame, acknowledges it, and
-  /// receives until the next data frame is staged. Returns false at clean
-  /// end-of-stream.
+  /// Marks a frame of `bytes` applied (or a duplicate dropped) and owed an
+  /// ack.
+  void OweAck(size_t bytes) {
+    pending_ack_ = true;
+    unacked_bytes_ += bytes;
+  }
+
+  /// Receives the next frame into frame_, sending the owed cumulative ack
+  /// first only if the frames it covers reached kAckEveryBytes or the inbox
+  /// is empty and the reader is about to block.
+  Status RecvNext() {
+    if (unacked_bytes_ >= kAckEveryBytes) RETURN_IF_ERROR(FlushAck());
+    bool closed = false;
+    ASSIGN_OR_RETURN(bool got, channel_->TryRecv(&frame_, &closed));
+    if (got) return Status::OK();
+    RETURN_IF_ERROR(FlushAck());
+    return channel_->Recv(&frame_);
+  }
+
+  /// Commits the fully-delivered staged frame and receives until the next
+  /// data frame is staged. Returns false at clean end-of-stream.
   Result<bool> AdvanceToStagedFrame() {
     if (batch_pending_) {
       // Every row of the staged frame has been handed to the ML job: only
@@ -296,11 +340,11 @@ class StreamRecordReader final : public ml::RecordReader {
       last_applied_seq_ = batch_seq_;
       applied_rows_ += batch_.size();
       batch_pending_ = false;
-      pending_ack_ = true;
+      OweAck(batch_bytes_);
+      PublishDelivered();
     }
-    RETURN_IF_ERROR(FlushAck());
     for (;;) {
-      RETURN_IF_ERROR(channel_->Recv(&frame_));
+      RETURN_IF_ERROR(RecvNext());
       switch (frame_.type) {
         case FrameType::kData: {
           if (SQLINK_FAILPOINT("stream.reader.frame") !=
@@ -309,10 +353,9 @@ class StreamRecordReader final : public ml::RecordReader {
           }
           if (frame_.seq <= last_applied_seq_) {
             // At-least-once delivery: a replayed frame this reader already
-            // applied. Drop it whole; re-ack so the sink can trim.
+            // applied. Drop it whole; the re-ack lets the sink trim it.
             frames_deduped_->Increment();
-            pending_ack_ = true;
-            RETURN_IF_ERROR(FlushAck());
+            OweAck(frame_.payload.size());
             continue;
           }
           if (frame_.seq != last_applied_seq_ + 1) {
@@ -333,6 +376,7 @@ class StreamRecordReader final : public ml::RecordReader {
           skip_seq_ = 0;
           skip_rows_ = 0;
           batch_seq_ = frame_.seq;
+          batch_bytes_ = frame_.payload.size();
           batch_pending_ = true;
           if (bytes_received_ != nullptr) {
             bytes_received_->Add(static_cast<int64_t>(frame_.payload.size()));
@@ -460,14 +504,17 @@ class StreamRecordReader final : public ml::RecordReader {
   std::vector<Row> batch_;         // Staged kData frame.
   size_t batch_index_ = 0;         // Next staged row to deliver.
   uint64_t batch_seq_ = 0;         // Frame the staged rows decoded from.
+  size_t batch_bytes_ = 0;         // That frame's payload bytes.
   bool batch_pending_ = false;     // Staged but not fully delivered.
   uint64_t skip_seq_ = 0;          // Frame whose replay skips a prefix of
   uint64_t skip_rows_ = 0;         // skip_rows_ already-delivered rows.
   bool pending_ack_ = false;       // last_applied_seq_ not yet acked.
+  uint64_t unacked_bytes_ = 0;     // Payload bytes pending_ack_ covers.
   uint64_t last_applied_seq_ = 0;  // Highest frame fully handed to the job.
   uint64_t applied_rows_ = 0;      // Rows in frames [1, last_applied_seq_].
   uint64_t resume_rows_ = 0;       // Partition truncation point (Open).
   uint64_t delivered_ = 0;         // Rows handed to the ML job by *this* reader.
+  uint64_t published_ = 0;         // delivered_ already in rows_delivered_.
   int reconnects_ = 0;
   RetryPolicy reconnect_backoff_;
 };
@@ -486,7 +533,9 @@ Result<std::vector<ml::InputSplitPtr>> SqlStreamInputFormat::GetSplits(
   (void)context;
   // Step 3: the customized getInputSplits contacts the coordinator. The
   // exchange is read-only on the coordinator, so dropped control
-  // connections are simply retried with backoff.
+  // connections are simply retried with backoff. A kError reply carries the
+  // coordinator's typed status: an aborted or stopped transfer answers
+  // Cancelled or Aborted, which ends the retries at once.
   TraceSpan span("reader.get_splits");
   RetryPolicy retry(RetryPolicy::Options{});
   Result<SplitsMessage> exchange = retry.Run([&]() -> Result<SplitsMessage> {
@@ -494,6 +543,9 @@ Result<std::vector<ml::InputSplitPtr>> SqlStreamInputFormat::GetSplits(
                      TcpConnect(coordinator_host_, coordinator_port_));
     RETURN_IF_ERROR(SendFrame(&control, FrameType::kGetSplits, ""));
     ASSIGN_OR_RETURN(Frame frame, RecvFrame(&control));
+    if (frame.type == FrameType::kError) {
+      return DecodeStatusPayload(frame.payload);
+    }
     if (frame.type != FrameType::kSplits) {
       return Status::NetworkError("coordinator did not return splits: " +
                                   frame.payload);

@@ -1,5 +1,7 @@
 #include "table/row_codec.h"
 
+#include "common/status_macros.h"
+
 namespace sqlink {
 
 namespace {
@@ -8,6 +10,50 @@ constexpr unsigned char kTagBool = 1;
 constexpr unsigned char kTagInt64 = 2;
 constexpr unsigned char kTagDouble = 3;
 constexpr unsigned char kTagString = 4;
+
+/// Decodes one row from the cursor into `*row`, which is empty.
+Status DecodeRow(Decoder* decoder, Row* row) {
+  auto count = decoder->GetCount(/*min_element_bytes=*/1);  // A NULL tag.
+  if (!count.ok()) return count.status();
+  row->reserve(*count);
+  for (uint64_t i = 0; i < *count; ++i) {
+    auto tag = decoder->GetByte();
+    if (!tag.ok()) return tag.status();
+    switch (*tag) {
+      case kTagNull:
+        row->push_back(Value::Null());
+        break;
+      case kTagBool: {
+        auto b = decoder->GetByte();
+        if (!b.ok()) return b.status();
+        row->push_back(Value::Bool(*b != 0));
+        break;
+      }
+      case kTagInt64: {
+        auto v = decoder->GetVarint64Signed();
+        if (!v.ok()) return v.status();
+        row->push_back(Value::Int64(*v));
+        break;
+      }
+      case kTagDouble: {
+        auto v = decoder->GetDouble();
+        if (!v.ok()) return v.status();
+        row->push_back(Value::Double(*v));
+        break;
+      }
+      case kTagString: {
+        auto v = decoder->GetLengthPrefixed();
+        if (!v.ok()) return v.status();
+        row->push_back(Value::String(std::string(*v)));
+        break;
+      }
+      default:
+        return Status::DataLoss("unknown value tag " + std::to_string(*tag));
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 void RowCodec::Encode(const Row& row, std::string* out) {
@@ -61,45 +107,9 @@ void RowCodec::Encode(const ColumnBatch& batch, size_t row, std::string* out) {
 }
 
 Result<Row> RowCodec::Decode(Decoder* decoder) {
-  auto count = decoder->GetCount(/*min_element_bytes=*/1);  // A NULL tag.
-  if (!count.ok()) return count.status();
   Row row;
-  row.reserve(*count);
-  for (uint64_t i = 0; i < *count; ++i) {
-    auto tag = decoder->GetByte();
-    if (!tag.ok()) return tag.status();
-    switch (*tag) {
-      case kTagNull:
-        row.push_back(Value::Null());
-        break;
-      case kTagBool: {
-        auto b = decoder->GetByte();
-        if (!b.ok()) return b.status();
-        row.push_back(Value::Bool(*b != 0));
-        break;
-      }
-      case kTagInt64: {
-        auto v = decoder->GetVarint64Signed();
-        if (!v.ok()) return v.status();
-        row.push_back(Value::Int64(*v));
-        break;
-      }
-      case kTagDouble: {
-        auto v = decoder->GetDouble();
-        if (!v.ok()) return v.status();
-        row.push_back(Value::Double(*v));
-        break;
-      }
-      case kTagString: {
-        auto v = decoder->GetLengthPrefixed();
-        if (!v.ok()) return v.status();
-        row.push_back(Value::String(std::string(*v)));
-        break;
-      }
-      default:
-        return Status::DataLoss("unknown value tag " + std::to_string(*tag));
-    }
-  }
+  Status status = DecodeRow(decoder, &row);
+  if (!status.ok()) return status;
   return row;
 }
 
@@ -126,9 +136,8 @@ Status RowCodec::DecodeRows(Decoder* decoder, std::vector<Row>* rows) {
   if (!count.ok()) return count.status();
   rows->reserve(*count);
   for (uint64_t i = 0; i < *count; ++i) {
-    auto row = Decode(decoder);
-    if (!row.ok()) return row.status();
-    rows->push_back(std::move(*row));
+    // Each row is decoded where it will live: no Result<Row> to move out.
+    RETURN_IF_ERROR(DecodeRow(decoder, &rows->emplace_back()));
   }
   return Status::OK();
 }

@@ -13,8 +13,10 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "cluster/cluster.h"
+#include "common/cancellation.h"
 #include "common/failpoint.h"
 #include "common/fs_util.h"
 #include "common/metrics.h"
@@ -209,6 +211,63 @@ TEST_F(ChaosStreamTest, KilledReaderSplitIsReassigned) {
   MetricsRegistry& metrics = MetricsRegistry::Global();
   EXPECT_GE(metrics.Get("transfer.splits_reassigned"), 1);
   EXPECT_GE(metrics.Get("transfer.frames_replayed"), 1);
+  EXPECT_EQ(CountSpillFiles(temp_->path()), 0);
+}
+
+TEST_F(ChaosStreamTest, KilledReaderHoldingUnackedFramesIsReassigned) {
+  MetricsRegistry::Global().Reset();
+  StreamTransferOptions options;
+  options.sink.resilient = true;
+  options.sink.send_buffer_bytes = 256;  // About 20 rows per frame.
+  options.sink.heartbeat_ms = 20;
+  options.reader.heartbeat_ms = 20;
+  options.reader.recovery_enabled = true;
+  // Paced readers: each sender runs ahead, so frames wait in the inbox and
+  // a reader commits frame after frame owing its ack (the inbox never
+  // drains and the frames stay far below 1/16 of the window).
+  options.reader.consume_delay_micros_per_frame = 5000;
+  // The split-1 reader dies after 100 delivered rows, holding the frames
+  // it applied but never acked. The replacement resumes from the sink's
+  // cumulative ack, behind them: the partition is truncated back to it and
+  // the frames are applied again, once.
+  ScopedFailpoint fault("stream.reader.kill.split1", "after(99):error(1)");
+  ASSERT_TRUE(fault.status().ok()) << fault.status();
+  ExpectCompleteTransfer(options);
+  EXPECT_EQ(fault.fires(), 1);
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  EXPECT_GE(metrics.Get("transfer.splits_reassigned"), 1);
+  // Delivered rows count the dead reader's too: well over one frame of
+  // them were applied past the last ack and delivered again.
+  EXPECT_GT(metrics.Get("stream.reader.rows_delivered"), 1000 + 50);
+  EXPECT_EQ(CountSpillFiles(temp_->path()), 0);
+}
+
+TEST_F(ChaosStreamTest, CancelBeforeTheSplitFetchEndsTheTransferPromptly) {
+  // The coordinator holds the ML side's split fetch for 300 ms. The fetch
+  // comes from the launcher, which starts only once every SQL worker has
+  // registered; the query is cancelled while it is held. The coordinator
+  // answers the fetch with its typed Cancelled, and the transfer must end
+  // at once instead of retrying the fetch for 30 s.
+  ScopedFailpoint hold("coordinator.get_splits", "delay(300,1)");
+  ASSERT_TRUE(hold.status().ok()) << hold.status();
+  Cancellation cancel;
+  StreamTransferOptions options;
+  options.query.cancellation = &cancel;
+  std::thread canceller([&] {
+    for (int ms = 0; ms < 10000 && hold.hits() == 0; ++ms) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    cancel.Cancel(Status::Cancelled("cancelled before the split fetch"));
+  });
+  Stopwatch timer;
+  auto result =
+      StreamingTransfer::Run(engine_.get(), "SELECT * FROM points", options);
+  const int64_t elapsed_ms = timer.ElapsedMicros() / 1000;
+  canceller.join();
+  EXPECT_EQ(hold.fires(), 1);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsCancelled()) << result.status();
+  EXPECT_LT(elapsed_ms, 2000);
   EXPECT_EQ(CountSpillFiles(temp_->path()), 0);
 }
 

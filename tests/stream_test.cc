@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <limits>
 #include <map>
 #include <memory>
@@ -28,6 +29,7 @@
 #include "stream/sql_stream_input_format.h"
 #include "stream/streaming_transfer.h"
 #include "stream/wire.h"
+#include "table/row_codec.h"
 
 namespace sqlink {
 namespace {
@@ -910,81 +912,228 @@ TEST_F(StreamingTransferTest, OneTraceCoversSinkCoordinatorReaderAndIngest) {
   EXPECT_EQ(split_spans, 4);  // One per split (k=1, n=4).
 }
 
-// --- Reader against a hostile sink ---
+// --- Reader against a fake sink ---
 
-TEST(StreamReaderTest, HugeFrameRowCountIsDataLoss) {
-  // A fake sink answers the reader's channel with a valid handshake, then a
-  // kData frame whose row count (2^40) no payload could back. The reader
-  // must fail the split with DataLoss before sizing its staging vector.
-  auto port = MuxSinkServer::Global().EnsureStarted();
-  ASSERT_TRUE(port.ok()) << port.status();
+/// One split's reader against a sink partition the test plays: the
+/// process-wide mux listener hands the test the channel the reader opens.
+/// Heartbeats and recovery are off, so the reader dials the coordinator
+/// (port 1, where nothing listens) only for its best-effort completion
+/// report, which fails fast.
+class StreamReaderTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto port = MuxSinkServer::Global().EnsureStarted();
+    ASSERT_TRUE(port.ok()) << port.status();
+    key_ = MuxSinkServer::Global().Register(
+        [opened = opened_](std::shared_ptr<MuxChannel> channel,
+                           const OpenChannelMessage&) {
+          std::lock_guard<std::mutex> lock(opened->mu);
+          opened->channel = std::move(channel);
+          opened->cv.notify_all();
+        });
+    StreamSplitInfo info;
+    info.host = "localhost";
+    info.port = *port;
+    info.sink_key = key_;
+    StreamReaderOptions options;
+    options.heartbeat_ms = 0;
+    SqlStreamInputFormat format("localhost", /*coordinator_port=*/1, options);
+    auto reader = format.CreateReader(ml::JobContext{}, StreamSplit(info),
+                                      /*worker_id=*/0);
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    reader_ = std::move(*reader);
+  }
+
+  void TearDown() override {
+    reader_.reset();
+    {
+      std::lock_guard<std::mutex> lock(opened_->mu);
+      if (opened_->channel != nullptr) {
+        opened_->channel->Shutdown(Status::Cancelled("test done"));
+      }
+    }
+    if (key_ != 0) MuxSinkServer::Global().Unregister(key_);
+    MuxConnPool::Global().ResetForTest();
+  }
+
+  /// The sink's side of the reader's channel after a valid handshake
+  /// (kResume at 0, then `schema`); null if the reader opened none in 10 s.
+  std::shared_ptr<MuxChannel> AcceptWithHandshake(const Schema& schema) {
+    std::shared_ptr<MuxChannel> channel;
+    {
+      std::unique_lock<std::mutex> lock(opened_->mu);
+      opened_->cv.wait_for(lock, std::chrono::seconds(10),
+                           [&] { return opened_->channel != nullptr; });
+      channel = opened_->channel;
+    }
+    if (channel == nullptr) return nullptr;
+    std::string encoded;
+    EncodeSchema(schema, &encoded);
+    EXPECT_TRUE(
+        channel->Send(FrameType::kResume, ResumeMessage{}.Encode(), 0).ok());
+    EXPECT_TRUE(channel->Send(FrameType::kSchema, encoded, 0).ok());
+    return channel;
+  }
+
   struct Opened {
     std::mutex mu;
     std::condition_variable cv;
     std::shared_ptr<MuxChannel> channel;
   };
-  auto opened = std::make_shared<Opened>();
-  const uint64_t key = MuxSinkServer::Global().Register(
-      [opened](std::shared_ptr<MuxChannel> channel,
-               const OpenChannelMessage& msg) {
-        (void)msg;
-        std::lock_guard<std::mutex> lock(opened->mu);
-        opened->channel = std::move(channel);
-        opened->cv.notify_all();
-      });
-  StreamSplitInfo info;
-  info.host = "localhost";
-  info.port = *port;
-  info.sink_key = key;
-  StreamReaderOptions options;
-  options.heartbeat_ms = 0;
-  // Recovery is off, so the reader never dials the (absent) coordinator.
-  SqlStreamInputFormat format("localhost", /*coordinator_port=*/1, options);
-  auto reader =
-      format.CreateReader(ml::JobContext{}, StreamSplit(info), /*worker_id=*/0);
-  ASSERT_TRUE(reader.ok()) << reader.status();
+  std::shared_ptr<Opened> opened_ = std::make_shared<Opened>();
+  uint64_t key_ = 0;
+  std::unique_ptr<ml::RecordReader> reader_;
+};
 
-  std::thread sink([opened] {
-    std::shared_ptr<MuxChannel> channel;
-    {
-      std::unique_lock<std::mutex> lock(opened->mu);
-      if (!opened->cv.wait_for(lock, std::chrono::seconds(10),
-                               [&] { return opened->channel != nullptr; })) {
-        return;
-      }
-      channel = opened->channel;
-    }
-    std::string schema;
-    EncodeSchema(*Schema::Make({{"id", DataType::kInt64}}), &schema);
+TEST_F(StreamReaderTest, HugeFrameRowCountIsDataLoss) {
+  // After a valid handshake the fake sink sends a kData frame whose row
+  // count (2^40) no payload could back. The reader must fail the split
+  // with DataLoss before sizing its staging vector.
+  std::thread sink([this] {
+    std::shared_ptr<MuxChannel> channel =
+        AcceptWithHandshake(*Schema::Make({{"id", DataType::kInt64}}));
+    if (channel == nullptr) return;
     std::string hostile;
     PutVarint64(&hostile, uint64_t{1} << 40);
-    EXPECT_TRUE(
-        channel->Send(FrameType::kResume, ResumeMessage{}.Encode(), 0).ok());
-    EXPECT_TRUE(channel->Send(FrameType::kSchema, schema, 0).ok());
     EXPECT_TRUE(channel->Send(FrameType::kData, hostile, 1).ok());
   });
 
-  const Status opened_status = (*reader)->Open();
+  const Status opened_status = reader_->Open();
   EXPECT_TRUE(opened_status.ok()) << opened_status;
   if (opened_status.ok()) {
     Row row;
-    const Status status = (*reader)->Next(&row).status();
+    const Status status = reader_->Next(&row).status();
     EXPECT_TRUE(status.IsDataLoss()) << status;
   }
   sink.join();
+}
 
-  reader->reset();
-  {
-    std::lock_guard<std::mutex> lock(opened->mu);
-    if (opened->channel != nullptr) {
-      opened->channel->Shutdown(Status::Cancelled("test done"));
+TEST_F(StreamReaderTest, AcksOnlyWhenItsInboxDrainsOrAWindowSixteenthIsOwed) {
+  // The fake sink sends the handshake, 100 one-row kData frames of about
+  // 4 KiB and kEnd before the reader applies a row, so at every commit the
+  // reader's inbox still holds frames. It owes its cumulative kDataAck
+  // then, and sends it only once the frames owed reach 1/16 of its 4 MiB
+  // window (about 65 of these) or its inbox is empty: far fewer acks than
+  // frames, each covering only applied frames, and every row once.
+  constexpr int kFrames = 100;
+  std::promise<void> all_sent;
+  std::vector<uint64_t> acked;  // The sink thread's until it is joined.
+  bool final_ack = false;
+  std::thread sink([&] {
+    std::shared_ptr<MuxChannel> channel = AcceptWithHandshake(*Schema::Make(
+        {{"id", DataType::kInt64}, {"pad", DataType::kString}}));
+    if (channel == nullptr) {
+      all_sent.set_value();
+      return;
+    }
+    for (int seq = 1; seq <= kFrames; ++seq) {
+      const std::string payload = RowCodec::EncodeRows(
+          {Row{Value::Int64(seq), Value::String(std::string(4000, 'p'))}});
+      EXPECT_TRUE(channel->Send(FrameType::kData, payload, seq).ok());
+    }
+    std::string end;
+    PutVarint64(&end, kFrames);
+    EXPECT_TRUE(channel->Send(FrameType::kEnd, end, kFrames).ok());
+    all_sent.set_value();
+    // Collect the reader's acks up to its final kAck (10 s at most).
+    for (int ms = 0; ms < 10000 && !final_ack; ++ms) {
+      Frame frame;
+      bool closed = false;
+      auto got = channel->TryRecv(&frame, &closed);
+      if (!got.ok() || closed) break;
+      if (!*got) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        continue;
+      }
+      if (frame.type == FrameType::kDataAck) acked.push_back(frame.seq);
+      final_ack = frame.type == FrameType::kAck;
+    }
+  });
+
+  const Status opened_status = reader_->Open();
+  EXPECT_TRUE(opened_status.ok()) << opened_status;
+  all_sent.get_future().wait();
+  // Let the reader's demux thread file every sent frame into the inbox.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::vector<int64_t> ids;
+  if (opened_status.ok()) {
+    Row row;
+    for (;;) {
+      auto has = reader_->Next(&row);
+      EXPECT_TRUE(has.ok()) << has.status();
+      if (!has.ok() || !*has) break;
+      ids.push_back(row[0].int64_value());
     }
   }
-  MuxSinkServer::Global().Unregister(key);
-  MuxConnPool::Global().ResetForTest();
+  sink.join();
+
+  ASSERT_EQ(ids.size(), static_cast<size_t>(kFrames));
+  for (int i = 0; i < kFrames; ++i) EXPECT_EQ(ids[i], i + 1);
+  EXPECT_TRUE(final_ack);
+  EXPECT_GE(acked.size(), 1u);
+  EXPECT_LT(acked.size(), static_cast<size_t>(kFrames));
+  for (size_t i = 0; i < acked.size(); ++i) {
+    EXPECT_LE(acked[i], static_cast<uint64_t>(kFrames));
+    if (i > 0) {
+      EXPECT_GT(acked[i], acked[i - 1]);
+    }
+  }
 }
 
 // --- Coordinator-level behaviours ---
+
+TEST(CoordinatorTest, StopAnswersTheLaunchersSplitFetchBeforeClosing) {
+  // The ML launcher asks for its splits only after Stop() has begun.
+  // Stop() must keep answering until the launcher returns, with a typed
+  // Cancelled that ends the fetch: a fetch that met a closed listener
+  // would retry its refused connects for the retry policy's 30 s budget.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool stopping = false;
+  int port = 0;
+  Status fetched = Status::OK();
+  StreamCoordinator::Options options;
+  options.ml_launcher = [&](const std::string&,
+                            const std::vector<std::string>&) {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait_for(lock, std::chrono::seconds(10), [&] { return stopping; });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    SqlStreamInputFormat format("localhost", port);
+    fetched = format.GetSplits(ml::JobContext{}).status();
+  };
+  auto coordinator = StreamCoordinator::Start(std::move(options));
+  ASSERT_TRUE(coordinator.ok()) << coordinator.status();
+  port = (*coordinator)->port();
+  {
+    auto control = TcpConnect("localhost", port);
+    ASSERT_TRUE(control.ok());
+    RegisterSqlMessage reg;
+    reg.worker_id = 0;
+    reg.num_workers = 1;  // This registration launches the ML side.
+    reg.host = "node0";
+    reg.port = 7777;
+    reg.command = "test";
+    reg.schema = Schema::Make({{"x", DataType::kInt64}});
+    ASSERT_TRUE(
+        SendFrame(&*control, FrameType::kRegisterSql, reg.Encode()).ok());
+    ASSERT_TRUE(RecvFrame(&*control).ok());
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    stopping = true;
+  }
+  cv.notify_all();
+  const auto start = std::chrono::steady_clock::now();
+  (*coordinator)->Stop();
+  const auto stop_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+  EXPECT_LT(stop_ms, 2000);
+  EXPECT_TRUE(fetched.IsCancelled()) << fetched;
+}
+
 
 TEST(CoordinatorTest, SplitsGroupedPerSqlWorker) {
   StreamCoordinator::Options options;

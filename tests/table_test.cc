@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "table/column_batch.h"
 #include "table/csv.h"
 #include "table/pretty_print.h"
@@ -345,6 +350,108 @@ TEST(RowCodecTest, RowBatchEncoderMatchesEncodeRows) {
   ASSERT_TRUE(RowCodec::DecodeRows(&decoder, &decoded).ok());
   EXPECT_EQ(decoded, rows);
   EXPECT_EQ(decoder.remaining(), 1u);
+}
+
+// --- Golden row-batch payload ---
+
+/// The golden payload's rows, one schema (i INT64, b BOOL, d DOUBLE,
+/// s STRING): every INT64 varint length boundary, zigzag (±2^s - 1, ±2^s)
+/// and unsigned (127/128, 16383/16384), the INT64 extremes, and NULL, BOOL,
+/// DOUBLE and long STRING cells.
+std::vector<Row> GoldenRows() {
+  std::vector<int64_t> ints{0,     1,     -1,
+                            127,   128,   16383,
+                            16384, std::numeric_limits<int64_t>::min(),
+                            std::numeric_limits<int64_t>::max()};
+  for (int shift = 6; shift <= 62; shift += 7) {
+    const int64_t p = int64_t{1} << shift;
+    ints.insert(ints.end(), {p - 1, p, -p, -p - 1});
+  }
+  const double doubles[] = {0.5, -0.0, 1e300, -2.25, 3.0};
+  std::vector<Row> rows;
+  for (size_t i = 0; i < ints.size(); ++i) {
+    rows.push_back(
+        Row{Value::Int64(ints[i]),
+            i % 3 == 0 ? Value::Bool(i % 2 == 0) : Value::Null(),
+            i % 5 == 0 ? Value::Double(doubles[i / 5 % 5]) : Value::Null(),
+            i % 7 == 0 ? Value::String(std::string(i / 7, 'k'))
+                       : Value::Null()});
+  }
+  rows.push_back(Row{Value::Null(), Value::Null(), Value::Null(),
+                     Value::Null()});
+  std::string long_string;
+  for (int c = 0; c < 130; ++c) long_string.push_back('a' + c % 26);
+  rows.push_back(Row{Value::Int64(42), Value::Bool(false), Value::Double(-0.0),
+                     Value::String(long_string)});
+  return rows;
+}
+
+/// EncodeRows(GoldenRows()) as written by the encoder before its varint
+/// and decode paths were inlined: the wire bytes must never change.
+constexpr char kGoldenPayloadHex[] =
+    "2f040200010103000000000000e03f04000402020000000402010000000402fe"
+    "0101000000040280020000000402feff01000300000000000000800004028080"
+    "02010100000402ffffffffffffffffff01000004016b0402feffffffffffffff"
+    "ff0100000004027e010000000402800100039c7500883ce4377e0004027f0000"
+    "0004028101010100000402fe7f0000000402808001000004026b6b0402ff7f01"
+    "000300000000000002c00004028180010000000402feff7f0000000402808080"
+    "01010100000402ffff7f00000004028180800100030000000000000840000402"
+    "feffff7f01000004036b6b6b040280808080010000000402ffffff7f00000004"
+    "028180808001010100000402feffffff7f0003000000000000e03f0004028080"
+    "808080010000000402ffffffff7f010000000402818080808001000004046b6b"
+    "6b6b0402feffffffff7f00000004028080808080800101010300000000000000"
+    "80000402ffffffffff7f0000000402818080808080010000000402feffffffff"
+    "ff7f01000000040280808080808080010000000402ffffffffffff7f00039c75"
+    "00883ce4377e04056b6b6b6b6b04028180808080808001010100000402feffff"
+    "ffffffff7f00000004028080808080808080010000000402ffffffffffffff7f"
+    "010000000402818080808080808001000300000000000002c0000402feffffff"
+    "ffffffff7f00000004028080808080808080800101010004066b6b6b6b6b6b04"
+    "02ffffffffffffffff7f00000004028180808080808080800100000004000000"
+    "0004025401000300000000000000800482016162636465666768696a6b6c6d6e"
+    "6f707172737475767778797a6162636465666768696a6b6c6d6e6f7071727374"
+    "75767778797a6162636465666768696a6b6c6d6e6f707172737475767778797a"
+    "6162636465666768696a6b6c6d6e6f707172737475767778797a616263646566"
+    "6768696a6b6c6d6e6f707172737475767778797a";
+
+std::string ToHex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const unsigned char c : bytes) {
+    hex.push_back(kDigits[c >> 4]);
+    hex.push_back(kDigits[c & 15]);
+  }
+  return hex;
+}
+
+TEST(RowCodecTest, GoldenPayloadRoundTripsThroughBothEncoders) {
+  const std::vector<Row> rows = GoldenRows();
+  const std::string payload = RowCodec::EncodeRows(rows);
+  EXPECT_EQ(ToHex(payload), kGoldenPayloadHex);
+
+  // The sink's path: the same rows encoded straight from typed columns.
+  const SchemaPtr schema = Schema::Make({{"i", DataType::kInt64},
+                                         {"b", DataType::kBool},
+                                         {"d", DataType::kDouble},
+                                         {"s", DataType::kString}});
+  auto batch = ColumnBatch::FromRows(schema, rows);
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  RowBatchEncoder encoder;
+  for (size_t r = 0; r < batch->num_rows(); ++r) encoder.Add(*batch, r);
+  std::string batch_payload;
+  encoder.Flush(&batch_payload);
+  EXPECT_EQ(ToHex(batch_payload), kGoldenPayloadHex);
+
+  Decoder decoder(payload);
+  std::vector<Row> decoded;
+  ASSERT_TRUE(RowCodec::DecodeRows(&decoder, &decoded).ok());
+  EXPECT_EQ(decoded, rows);
+  EXPECT_TRUE(decoder.AtEnd());
+
+  // Every strict prefix lacks bytes some row needs.
+  for (size_t cut = 0; cut < payload.size(); ++cut) {
+    const Status status = RowCodec::DecodeRows(payload.substr(0, cut)).status();
+    EXPECT_TRUE(status.IsDataLoss()) << "cut=" << cut << ": " << status;
+  }
 }
 
 TEST(PrettyPrintTest, AlignedGridWithTruncation) {
