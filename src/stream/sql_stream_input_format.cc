@@ -467,6 +467,11 @@ class StreamRecordReader final : public ml::RecordReader {
     if (heartbeat_ != nullptr && heartbeat_->revoked()) {
       return heartbeat_->status();
     }
+    // Cancelled and Aborted are verdicts on the transfer, not faults of the
+    // connection: a stopped or aborted coordinator answers the re-match with
+    // one, and a sink unwinding a cancelled or aborted query closes the
+    // channel with one. No reconnect can succeed after either.
+    if (cause.IsCancelled() || cause.IsAborted()) return cause;
     if (!options_.recovery_enabled || reconnects_ >= options_.max_reconnects) {
       return cause;
     }

@@ -106,13 +106,6 @@ void RowCodec::Encode(const ColumnBatch& batch, size_t row, std::string* out) {
   }
 }
 
-Result<Row> RowCodec::Decode(Decoder* decoder) {
-  Row row;
-  Status status = DecodeRow(decoder, &row);
-  if (!status.ok()) return status;
-  return row;
-}
-
 void RowCodec::EncodeRows(const std::vector<Row>& rows, std::string* out) {
   PutVarint64(out, rows.size());
   for (const Row& row : rows) Encode(row, out);

@@ -30,9 +30,6 @@ class RowCodec {
   /// doubles, whatever was appended into it).
   static void Encode(const ColumnBatch& batch, size_t row, std::string* out);
 
-  /// Decodes one row from the cursor.
-  static Result<Row> Decode(Decoder* decoder);
-
   /// Appends `rows` as one row-batch payload.
   static void EncodeRows(const std::vector<Row>& rows, std::string* out);
   static std::string EncodeRows(const std::vector<Row>& rows);

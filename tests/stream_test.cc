@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
@@ -912,18 +913,53 @@ TEST_F(StreamingTransferTest, OneTraceCoversSinkCoordinatorReaderAndIngest) {
   EXPECT_EQ(split_spans, 4);  // One per split (k=1, n=4).
 }
 
+// --- Coordinator helpers ---
+
+/// Registers the one SQL worker of a one-worker transfer with the
+/// coordinator at `port`; that registration launches the ML side.
+void RegisterOneSqlWorker(int port) {
+  auto control = TcpConnect("localhost", port);
+  ASSERT_TRUE(control.ok()) << control.status();
+  RegisterSqlMessage reg;
+  reg.worker_id = 0;
+  reg.num_workers = 1;
+  reg.host = "node0";
+  reg.port = 7777;
+  reg.command = "test";
+  reg.schema = Schema::Make({{"x", DataType::kInt64}});
+  ASSERT_TRUE(SendFrame(&*control, FrameType::kRegisterSql, reg.Encode()).ok());
+  ASSERT_TRUE(RecvFrame(&*control).ok());
+}
+
+/// Waits until the coordinator at `port`, whose splits are ready, answers a
+/// split fetch with kError: Stop() has begun and still serves. False if
+/// that takes over 10 s.
+bool WaitUntilStopping(int port) {
+  for (int attempt = 0; attempt < 10000; ++attempt) {
+    auto control = TcpConnect("localhost", port);
+    if (!control.ok()) return false;
+    if (!SendFrame(&*control, FrameType::kGetSplits, "").ok()) return false;
+    auto frame = RecvFrame(&*control);
+    if (!frame.ok()) return false;
+    if (frame->type == FrameType::kError) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
+
 // --- Reader against a fake sink ---
 
 /// One split's reader against a sink partition the test plays: the
 /// process-wide mux listener hands the test the channel the reader opens.
-/// Heartbeats and recovery are off, so the reader dials the coordinator
-/// (port 1, where nothing listens) only for its best-effort completion
-/// report, which fails fast.
+/// The default reader_ has heartbeats and recovery off, so it dials the
+/// coordinator (port 1, where nothing listens) only for its best-effort
+/// completion report, which fails fast.
 class StreamReaderTest : public ::testing::Test {
  protected:
   void SetUp() override {
     auto port = MuxSinkServer::Global().EnsureStarted();
     ASSERT_TRUE(port.ok()) << port.status();
+    sink_port_ = *port;
     key_ = MuxSinkServer::Global().Register(
         [opened = opened_](std::shared_ptr<MuxChannel> channel,
                            const OpenChannelMessage&) {
@@ -931,17 +967,24 @@ class StreamReaderTest : public ::testing::Test {
           opened->channel = std::move(channel);
           opened->cv.notify_all();
         });
-    StreamSplitInfo info;
-    info.host = "localhost";
-    info.port = *port;
-    info.sink_key = key_;
     StreamReaderOptions options;
     options.heartbeat_ms = 0;
-    SqlStreamInputFormat format("localhost", /*coordinator_port=*/1, options);
+    reader_ = MakeReader(/*coordinator_port=*/1, options);
+    ASSERT_NE(reader_, nullptr);
+  }
+
+  /// A reader of the split the fake sink serves.
+  std::unique_ptr<ml::RecordReader> MakeReader(int coordinator_port,
+                                               StreamReaderOptions options) {
+    StreamSplitInfo info;
+    info.host = "localhost";
+    info.port = sink_port_;
+    info.sink_key = key_;
+    SqlStreamInputFormat format("localhost", coordinator_port, options);
     auto reader = format.CreateReader(ml::JobContext{}, StreamSplit(info),
                                       /*worker_id=*/0);
-    ASSERT_TRUE(reader.ok()) << reader.status();
-    reader_ = std::move(*reader);
+    EXPECT_TRUE(reader.ok()) << reader.status();
+    return reader.ok() ? std::move(*reader) : nullptr;
   }
 
   void TearDown() override {
@@ -981,6 +1024,7 @@ class StreamReaderTest : public ::testing::Test {
     std::shared_ptr<MuxChannel> channel;
   };
   std::shared_ptr<Opened> opened_ = std::make_shared<Opened>();
+  int sink_port_ = 0;
   uint64_t key_ = 0;
   std::unique_ptr<ml::RecordReader> reader_;
 };
@@ -1080,6 +1124,66 @@ TEST_F(StreamReaderTest, AcksOnlyWhenItsInboxDrainsOrAWindowSixteenthIsOwed) {
   }
 }
 
+TEST_F(StreamReaderTest, RematchAgainstAStoppingCoordinatorEndsRecovery) {
+  // The reader loses its channel while its coordinator is stopping. Stop()
+  // waits for the ML launcher, which runs this reader, and answers the
+  // reader's re-match with Cancelled. That answer ends recovery at once:
+  // one re-match, not one per reconnect the reader is allowed.
+  Counter* rematches =
+      MetricsRegistry::Global().GetCounter("coordinator.rematch.count");
+  const int64_t rematches_before = rematches->value();
+  std::mutex mu;
+  std::condition_variable cv;
+  bool opened = false;
+  std::atomic<int> port{0};  // Set once the coordinator listens.
+  Status read_status = Status::OK();
+  StreamCoordinator::Options options;
+  options.ml_launcher = [&](const std::string&,
+                            const std::vector<std::string>&) {
+    StreamReaderOptions reader_options;
+    reader_options.heartbeat_ms = 0;
+    reader_options.recovery_enabled = true;
+    reader_options.max_reconnects = 3;
+    std::unique_ptr<ml::RecordReader> reader =
+        MakeReader(port.load(), reader_options);
+    if (reader == nullptr) return;
+    read_status = reader->Open();
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      opened = true;
+    }
+    cv.notify_all();
+    if (!read_status.ok()) return;
+    Row row;
+    read_status = reader->Next(&row).status();
+  };
+  auto coordinator = StreamCoordinator::Start(std::move(options));
+  ASSERT_TRUE(coordinator.ok()) << coordinator.status();
+  port = (*coordinator)->port();
+  RegisterOneSqlWorker(port);
+  std::shared_ptr<MuxChannel> channel =
+      AcceptWithHandshake(*Schema::Make({{"x", DataType::kInt64}}));
+  ASSERT_NE(channel, nullptr);
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait_for(lock, std::chrono::seconds(10), [&] { return opened; });
+  }
+
+  const auto start = std::chrono::steady_clock::now();
+  std::thread stopper([&] { (*coordinator)->Stop(); });
+  const bool stopping = WaitUntilStopping(port);
+  // The sink goes away; the reader's recovery re-matches.
+  channel->Shutdown(Status::NetworkError("sink lost"));
+  stopper.join();
+  const auto stop_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+  EXPECT_TRUE(stopping);
+  EXPECT_LT(stop_ms, 2000);
+  EXPECT_TRUE(read_status.IsCancelled()) << read_status;
+  EXPECT_EQ(rematches->value() - rematches_before, 1);
+}
+
 // --- Coordinator-level behaviours ---
 
 TEST(CoordinatorTest, StopAnswersTheLaunchersSplitFetchBeforeClosing) {
@@ -1099,41 +1203,29 @@ TEST(CoordinatorTest, StopAnswersTheLaunchersSplitFetchBeforeClosing) {
       std::unique_lock<std::mutex> lock(mu);
       cv.wait_for(lock, std::chrono::seconds(10), [&] { return stopping; });
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
     SqlStreamInputFormat format("localhost", port);
     fetched = format.GetSplits(ml::JobContext{}).status();
   };
   auto coordinator = StreamCoordinator::Start(std::move(options));
   ASSERT_TRUE(coordinator.ok()) << coordinator.status();
   port = (*coordinator)->port();
-  {
-    auto control = TcpConnect("localhost", port);
-    ASSERT_TRUE(control.ok());
-    RegisterSqlMessage reg;
-    reg.worker_id = 0;
-    reg.num_workers = 1;  // This registration launches the ML side.
-    reg.host = "node0";
-    reg.port = 7777;
-    reg.command = "test";
-    reg.schema = Schema::Make({{"x", DataType::kInt64}});
-    ASSERT_TRUE(
-        SendFrame(&*control, FrameType::kRegisterSql, reg.Encode()).ok());
-    ASSERT_TRUE(RecvFrame(&*control).ok());
-  }
+  RegisterOneSqlWorker(port);
+  const auto start = std::chrono::steady_clock::now();
+  std::thread stopper([&] { (*coordinator)->Stop(); });
+  const bool stopped = WaitUntilStopping(port);
   {
     std::lock_guard<std::mutex> lock(mu);
     stopping = true;
   }
   cv.notify_all();
-  const auto start = std::chrono::steady_clock::now();
-  (*coordinator)->Stop();
+  stopper.join();
   const auto stop_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                            std::chrono::steady_clock::now() - start)
                            .count();
+  EXPECT_TRUE(stopped);
   EXPECT_LT(stop_ms, 2000);
   EXPECT_TRUE(fetched.IsCancelled()) << fetched;
 }
-
 
 TEST(CoordinatorTest, SplitsGroupedPerSqlWorker) {
   StreamCoordinator::Options options;

@@ -311,9 +311,11 @@ std::string HugeCountPayload() {
 }
 
 TEST(RowCodecTest, HugeValueCountIsDataLoss) {
-  const std::string payload = HugeCountPayload();
-  Decoder decoder(payload);
-  EXPECT_TRUE(RowCodec::Decode(&decoder).status().IsDataLoss());
+  // One row whose field count is 2^40.
+  std::string payload;
+  PutVarint64(&payload, 1);
+  payload += HugeCountPayload();
+  EXPECT_TRUE(RowCodec::DecodeRows(payload).status().IsDataLoss());
 }
 
 TEST(RowCodecTest, HugeRowCountIsDataLoss) {
