@@ -235,6 +235,13 @@ for workload in fig3_stream fig4_cached serve_agg; do
   CARGO_TARGET_DIR="${BUILD_DIR}/e2ebench" python3 e2ebench/run.py \
     --workload "${workload}" --seed 2015 --seconds 3 --trace 0
 done
+# One more fig3_stream run with leases on: sink and reader heartbeats,
+# their byes and the coordinator's heartbeat dispatch run under the
+# workload's reference and leak checks. Every other run keeps them off.
+echo "    e2ebench fig3_stream (SQLINK_HEARTBEAT_MS=200)"
+SQLINK_HEARTBEAT_MS=200 CARGO_TARGET_DIR="${BUILD_DIR}/e2ebench" \
+  python3 e2ebench/run.py --workload fig3_stream --seed 2015 --seconds 3 \
+  --trace 0
 
 if [[ "${SQLINK_SANITIZE}" != "none" ]]; then
   SAN_DIR="${BUILD_DIR}-${SQLINK_SANITIZE}"

@@ -159,8 +159,15 @@ Result<IngestResult> MlJobRunner::Ingest(InputFormat* format) {
       }
     }
   }
-  for (const Status& status : statuses) {
-    RETURN_IF_ERROR(status);
+  for (size_t i = 0; i < m; ++i) {
+    if (statuses[i].ok()) continue;
+    // The split's producer would otherwise wait out its reconnect timeout
+    // for a reader that is not coming. The abort is Aborted, which ends
+    // that wait, where the reader's own NetworkError would be transient.
+    format->AbortTransfer(Status::Aborted("split " + std::to_string(i) +
+                                          " unrecovered: " +
+                                          statuses[i].ToString()));
+    return statuses[i];
   }
   for (const std::vector<Row>& partition : partitions) {
     stats.rows += partition.size();

@@ -15,29 +15,12 @@ namespace sqlink {
 
 namespace {
 
-const char* HandlerSpanName(FrameType type) {
-  switch (type) {
-    case FrameType::kRegisterSql:
-      return "coordinator.register_sql";
-    case FrameType::kGetSplits:
-      return "coordinator.get_splits";
-    case FrameType::kRegisterMl:
-      return "coordinator.match";
-    case FrameType::kReportFailure:
-      return "coordinator.rematch";
-    case FrameType::kHeartbeat:
-      return "coordinator.heartbeat";
-    case FrameType::kAcquireSplit:
-      return "coordinator.acquire_split";
-    case FrameType::kCompleteSplit:
-      return "coordinator.complete_split";
-    case FrameType::kSplitStatus:
-      return "coordinator.split_status";
-    case FrameType::kAbortQuery:
-      return "coordinator.abort_query";
-    default:
-      return "coordinator.unknown";
-  }
+/// A handler's reply: a frame of `type` carrying `payload`.
+Frame Reply(FrameType type, std::string payload = {}) {
+  Frame frame;
+  frame.type = type;
+  frame.payload = std::move(payload);
+  return frame;
 }
 
 const char* SplitStateName(SplitState state) {
@@ -144,22 +127,17 @@ void StreamCoordinator::Stop() {
   listener_.Close();
   if (accept_thread_.joinable()) accept_thread_.join();
   if (reaper_thread_.joinable()) reaper_thread_.join();
+  decltype(handlers_) handlers;
   {
     std::lock_guard<std::mutex> lock(handlers_mu_);
-    // Persistent heartbeat connections keep handlers parked in RecvFrame;
-    // shutting the sockets down unblocks them so the joins below finish.
-    for (const std::weak_ptr<TcpSocket>& weak : handler_sockets_) {
-      if (auto socket = weak.lock()) socket->ShutdownBoth();
-    }
+    handlers.swap(handlers_);
   }
-  {
-    std::lock_guard<std::mutex> lock(handlers_mu_);
-    for (std::thread& handler : handlers_) {
-      if (handler.joinable()) handler.join();
-    }
-    handlers_.clear();
-    handler_sockets_.clear();
+  // Persistent heartbeat connections keep handlers parked in RecvFrame;
+  // shutting the sockets down unblocks them so the joins finish.
+  for (auto& [id, handler] : handlers) {
+    if (auto socket = handler.second.lock()) socket->ShutdownBoth();
   }
+  for (auto& [id, handler] : handlers) handler.first.join();
 }
 
 void StreamCoordinator::Abort(Status status) {
@@ -189,16 +167,6 @@ int StreamCoordinator::registered_sql_workers() const {
   return static_cast<int>(sql_workers_.size());
 }
 
-int StreamCoordinator::registered_ml_workers() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return registered_ml_;
-}
-
-int StreamCoordinator::reported_failures() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return failures_;
-}
-
 int StreamCoordinator::splits_reassigned() const {
   std::lock_guard<std::mutex> lock(mu_);
   return splits_reassigned_;
@@ -213,18 +181,65 @@ void StreamCoordinator::AcceptLoop() {
   for (;;) {
     auto socket = listener_.Accept();
     if (!socket.ok()) return;  // Closed.
-    std::lock_guard<std::mutex> lock(handlers_mu_);
     auto shared = std::make_shared<TcpSocket>(std::move(*socket));
-    handler_sockets_.push_back(shared);
-    handlers_.emplace_back(
-        [this, s = std::move(shared)] { HandleConnection(s.get()); });
+    std::weak_ptr<TcpSocket> weak = shared;
+    std::lock_guard<std::mutex> lock(handlers_mu_);
+    for (const std::thread::id& id : finished_) {
+      auto it = handlers_.find(id);
+      it->second.first.join();
+      handlers_.erase(it);
+    }
+    finished_.clear();
+    // The thread cannot report itself finished before it is registered:
+    // reporting takes handlers_mu_, held here until the emplace. The socket
+    // closes when the thread ends.
+    std::thread handler([this, shared = std::move(shared)] {
+      HandleConnection(shared.get());
+      std::lock_guard<std::mutex> finished_lock(handlers_mu_);
+      finished_.push_back(std::this_thread::get_id());
+    });
+    const std::thread::id id = handler.get_id();
+    handlers_.emplace(id, std::make_pair(std::move(handler), std::move(weak)));
   }
 }
 
 void StreamCoordinator::HandleConnection(TcpSocket* socket) {
-  // A connection carries a sequence of control frames: one-shot clients
-  // (registration, split fetch, matchmaking) send a single frame and close;
-  // heartbeat senders keep theirs open for the whole transfer.
+  // Per request type: the handler span, the request counter, the failpoint
+  // that drops the request unanswered (null: none of either), the handler.
+  struct Route {
+    FrameType type;
+    const char* span;
+    const char* counter;
+    const char* drop_failpoint;
+    Result<Frame> (StreamCoordinator::*handle)(const Frame& request);
+  };
+  static constexpr Route kRoutes[] = {
+      {FrameType::kRegisterSql, "coordinator.register_sql",
+       "coordinator.register_sql.count", "coordinator.register_sql",
+       &StreamCoordinator::HandleRegisterSql},
+      {FrameType::kGetSplits, "coordinator.get_splits",
+       "coordinator.get_splits.count", "coordinator.get_splits",
+       &StreamCoordinator::HandleGetSplits},
+      {FrameType::kReportFailure, "coordinator.rematch",
+       "coordinator.rematch.count", "coordinator.match",
+       &StreamCoordinator::HandleReportFailure},
+      {FrameType::kHeartbeat, "coordinator.heartbeat", nullptr, nullptr,
+       &StreamCoordinator::HandleHeartbeat},
+      {FrameType::kAcquireSplit, "coordinator.acquire_split", nullptr,
+       nullptr, &StreamCoordinator::HandleAcquireSplit},
+      {FrameType::kCompleteSplit, "coordinator.complete_split", nullptr,
+       nullptr, &StreamCoordinator::HandleCompleteSplit},
+      {FrameType::kSplitStatus, "coordinator.split_status", nullptr, nullptr,
+       &StreamCoordinator::HandleSplitStatus},
+      {FrameType::kAbortQuery, "coordinator.abort_query", nullptr, nullptr,
+       &StreamCoordinator::HandleAbortQuery},
+  };
+  // Any other frame is no request; it is answered with kError.
+  static constexpr Route kNoRequest = {FrameType::kError, "coordinator.unknown",
+                                       nullptr, nullptr, nullptr};
+  // A connection carries a sequence of requests: one-shot callers
+  // (CallCoordinator) send a single frame and close; heartbeat senders keep
+  // theirs open for the whole transfer.
   //
   // The gauge counts connections that carried at least one heartbeat: with
   // the shared heartbeat bus it stays at one per peer process no matter how
@@ -233,70 +248,47 @@ void StreamCoordinator::HandleConnection(TcpSocket* socket) {
       MetricsRegistry::Global().GetGauge("coordinator.heartbeat_conns");
   bool counted_heartbeat_conn = false;
   for (;;) {
-    auto frame = RecvFrame(socket);
-    if (!frame.ok()) {
-      if (counted_heartbeat_conn) heartbeat_conns->Decrement();
-      return;  // Peer closed (or Stop shut us down).
+    Result<Frame> request = RecvFrame(socket);
+    if (!request.ok()) break;  // Peer closed (or Stop shut us down).
+    const Route* route = &kNoRequest;
+    for (const Route& candidate : kRoutes) {
+      if (candidate.type == request->type) route = &candidate;
     }
     // The handler span continues the trace carried in the frame header: its
     // parent is the remote caller's span, so one query's trace crosses the
     // control plane.
-    TraceSpan span(HandlerSpanName(frame->type), frame->trace);
-    Stopwatch timer;
-    Status status;
-    switch (frame->type) {
-      case FrameType::kRegisterSql:
-        status = HandleRegisterSql(socket, *frame);
-        MetricsRegistry::Global().GetCounter("coordinator.register_sql.count")
-            ->Increment();
-        break;
-      case FrameType::kGetSplits:
-        status = HandleGetSplits(socket);
-        MetricsRegistry::Global().GetCounter("coordinator.get_splits.count")
-            ->Increment();
-        break;
-      case FrameType::kRegisterMl:
-        status = HandleRegisterMl(socket, *frame, /*is_failure=*/false);
-        MetricsRegistry::Global().GetCounter("coordinator.match.count")
-            ->Increment();
-        break;
-      case FrameType::kReportFailure:
-        status = HandleRegisterMl(socket, *frame, /*is_failure=*/true);
-        MetricsRegistry::Global().GetCounter("coordinator.rematch.count")
-            ->Increment();
-        break;
-      case FrameType::kHeartbeat:
-        status = HandleHeartbeat(socket, *frame);
-        if (!counted_heartbeat_conn) {
-          counted_heartbeat_conn = true;
-          heartbeat_conns->Increment();
-        }
-        break;
-      case FrameType::kAcquireSplit:
-        status = HandleAcquireSplit(socket, *frame);
-        break;
-      case FrameType::kCompleteSplit:
-        status = HandleCompleteSplit(socket, *frame);
-        break;
-      case FrameType::kSplitStatus:
-        status = HandleSplitStatus(socket, *frame);
-        break;
-      case FrameType::kAbortQuery:
-        status = HandleAbortQuery(socket, *frame);
-        break;
-      default:
-        status = Status::InvalidArgument("unexpected control frame");
-        break;
+    TraceSpan span(route->span, request->trace);
+    if (route->counter != nullptr) {
+      MetricsRegistry::Global().GetCounter(route->counter)->Increment();
     }
+    if (route->drop_failpoint != nullptr &&
+        SQLINK_FAILPOINT(route->drop_failpoint) != FailpointOutcome::kNone) {
+      // Close the connection with the request unanswered, as a coordinator
+      // that crashed after reading it would. The participant sees a dead
+      // connection and retries; every request that can be dropped is
+      // idempotent (registration is a map overwrite).
+      break;
+    }
+    if (request->type == FrameType::kHeartbeat && !counted_heartbeat_conn) {
+      counted_heartbeat_conn = true;
+      heartbeat_conns->Increment();
+    }
+    Stopwatch timer;
+    Result<Frame> reply =
+        route->handle != nullptr ? (this->*route->handle)(*request)
+                                 : Result<Frame>(Status::InvalidArgument(
+                                       "unexpected control frame"));
     MetricsRegistry::Global()
         .GetHistogram("coordinator.handler_micros")
         ->Record(timer.ElapsedMicros());
-    if (!status.ok()) {
+    if (!reply.ok()) {
       span.SetError();
-      LOG_WARNING() << "coordinator handler: " << status;
-      (void)SendFrame(socket, FrameType::kError, EncodeStatus(status));
+      LOG_WARNING() << "coordinator handler: " << reply.status();
+      reply = Reply(FrameType::kError, EncodeStatus(reply.status()));
     }
+    if (!SendFrame(socket, reply->type, reply->payload).ok()) break;
   }
+  if (counted_heartbeat_conn) heartbeat_conns->Decrement();
 }
 
 void StreamCoordinator::ReaperLoop() {
@@ -368,17 +360,9 @@ void StreamCoordinator::ReleaseSplitLocked(size_t i, const std::string& reason) 
                 << options_.max_split_reassignments << ")";
 }
 
-Status StreamCoordinator::HandleRegisterSql(TcpSocket* socket,
-                                            const Frame& frame) {
-  if (SQLINK_FAILPOINT("coordinator.register_sql") != FailpointOutcome::kNone) {
-    // Drop the registration on the floor: the worker sees a dead connection
-    // and must retry. Re-registration is idempotent (map overwrite), so this
-    // models a coordinator that crashed after reading the request.
-    socket->Close();
-    return Status::OK();
-  }
+Result<Frame> StreamCoordinator::HandleRegisterSql(const Frame& request) {
   ASSIGN_OR_RETURN(RegisterSqlMessage msg,
-                   RegisterSqlMessage::Decode(frame.payload));
+                   RegisterSqlMessage::Decode(request.payload));
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopped_) return Status::Cancelled("coordinator stopped");
@@ -422,9 +406,7 @@ Status StreamCoordinator::HandleRegisterSql(TcpSocket* socket,
       // keeps it from starting.
       if (options_.ml_launcher) {
         launcher_thread_ = std::thread(
-            [this, command = msg.command, args = msg.args] {
-              options_.ml_launcher(command, args);
-            });
+            [this, command = msg.command] { options_.ml_launcher(command); });
       }
     }
   }
@@ -432,7 +414,7 @@ Status StreamCoordinator::HandleRegisterSql(TcpSocket* socket,
   std::string payload;
   PutVarint64(&payload,
               static_cast<uint64_t>(std::max(1, options_.splits_per_worker)));
-  return SendFrame(socket, FrameType::kAck, payload);
+  return Reply(FrameType::kAck, std::move(payload));
 }
 
 Status StreamCoordinator::WaitForSplits() {
@@ -449,59 +431,35 @@ Status StreamCoordinator::WaitForSplits() {
   return Status::OK();
 }
 
-Status StreamCoordinator::HandleGetSplits(TcpSocket* socket) {
-  if (SQLINK_FAILPOINT("coordinator.get_splits") != FailpointOutcome::kNone) {
-    socket->Close();
-    return Status::OK();
-  }
+Result<Frame> StreamCoordinator::HandleGetSplits(const Frame&) {
   RETURN_IF_ERROR(WaitForSplits());
-  std::string payload;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    RETURN_IF_ERROR(ServingStatusLocked());
-    payload = splits_.Encode();
-  }
-  return SendFrame(socket, FrameType::kSplits, payload);
+  std::lock_guard<std::mutex> lock(mu_);
+  RETURN_IF_ERROR(ServingStatusLocked());
+  return Reply(FrameType::kSplits, splits_.Encode());
 }
 
-Status StreamCoordinator::HandleRegisterMl(TcpSocket* socket,
-                                           const Frame& frame,
-                                           bool is_failure) {
-  if (SQLINK_FAILPOINT("coordinator.match") != FailpointOutcome::kNone) {
-    socket->Close();
-    return Status::OK();
-  }
-  ASSIGN_OR_RETURN(RegisterMlMessage msg,
-                   RegisterMlMessage::Decode(frame.payload));
+Result<Frame> StreamCoordinator::HandleReportFailure(const Frame& request) {
+  ASSIGN_OR_RETURN(ReportFailureMessage msg,
+                   ReportFailureMessage::Decode(request.payload));
   RETURN_IF_ERROR(WaitForSplits());
-  MatchMessage match;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    RETURN_IF_ERROR(ServingStatusLocked());
-    if (msg.split_id < 0 ||
-        static_cast<size_t>(msg.split_id) >= splits_.splits.size()) {
-      return Status::InvalidArgument("unknown split id " +
-                                     std::to_string(msg.split_id));
-    }
-    const StreamSplitInfo& split =
-        splits_.splits[static_cast<size_t>(msg.split_id)];
-    match.host = split.host;
-    match.port = split.port;
-    match.sink_key = split.sink_key;
-    if (is_failure) {
-      ++failures_;
-    } else {
-      ++registered_ml_;
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  RETURN_IF_ERROR(ServingStatusLocked());
+  if (msg.split_id < 0 ||
+      static_cast<size_t>(msg.split_id) >= splits_.splits.size()) {
+    return Status::InvalidArgument("unknown split id " +
+                                   std::to_string(msg.split_id));
   }
-  // Step 5/6: hand the matched SQL endpoint back to the ML worker.
-  return SendFrame(socket, FrameType::kMatch, match.Encode());
+  // §6 re-match: the current endpoint of the split's SQL worker, which a
+  // restarted worker has re-registered.
+  const StreamSplitInfo& split =
+      splits_.splits[static_cast<size_t>(msg.split_id)];
+  return Reply(FrameType::kMatch,
+               MatchMessage{split.host, split.port, split.sink_key}.Encode());
 }
 
-Status StreamCoordinator::HandleHeartbeat(TcpSocket* socket,
-                                          const Frame& frame) {
+Result<Frame> StreamCoordinator::HandleHeartbeat(const Frame& request) {
   ASSIGN_OR_RETURN(HeartbeatMessage msg,
-                   HeartbeatMessage::Decode(frame.payload));
+                   HeartbeatMessage::Decode(request.payload));
   const auto ttl = std::chrono::milliseconds(
       options_.heartbeat_timeout_ms > 0 ? options_.heartbeat_timeout_ms
                                         : 3000);
@@ -514,7 +472,7 @@ Status StreamCoordinator::HandleHeartbeat(TcpSocket* socket,
     } else {
       sink_leases_[msg.id] = SinkLease{now + ttl, /*suspect=*/false};
     }
-    return SendFrame(socket, FrameType::kAck, "");
+    return Reply(FrameType::kAck);
   }
   // Reader lease for one split.
   if (!splits_ready_ || msg.id < 0 ||
@@ -524,7 +482,7 @@ Status StreamCoordinator::HandleHeartbeat(TcpSocket* socket,
   }
   SplitRuntime& rt = split_runtime_[static_cast<size_t>(msg.id)];
   if (rt.state == SplitState::kCompleted) {
-    return SendFrame(socket, FrameType::kAck, "");
+    return Reply(FrameType::kAck);
   }
   if (msg.epoch < rt.epoch) {
     // A fenced ("zombie") owner: its lease lapsed and the split moved on.
@@ -535,21 +493,20 @@ Status StreamCoordinator::HandleHeartbeat(TcpSocket* socket,
   if (msg.bye == HeartbeatMessage::kFailed) {
     ReleaseSplitLocked(static_cast<size_t>(msg.id), "reader reported failure");
     if (aborted_) return abort_status_;
-    return SendFrame(socket, FrameType::kAck, "");
+    return Reply(FrameType::kAck);
   }
   if (msg.bye == HeartbeatMessage::kCompleted) {
     rt.leased = false;  // kCompleteSplit marks the state; just drop the lease.
-    return SendFrame(socket, FrameType::kAck, "");
+    return Reply(FrameType::kAck);
   }
   rt.state = SplitState::kAssigned;  // Also recovers a kSuspect lease.
   rt.leased = true;
   rt.deadline = now + ttl;
   rt.applied_seq = msg.applied_seq;
-  return SendFrame(socket, FrameType::kAck, "");
+  return Reply(FrameType::kAck);
 }
 
-Status StreamCoordinator::HandleAcquireSplit(TcpSocket* socket,
-                                             const Frame& frame) {
+Result<Frame> StreamCoordinator::HandleAcquireSplit(const Frame& request) {
   RETURN_IF_ERROR(WaitForSplits());
   SplitGrantMessage grant;
   {
@@ -571,7 +528,7 @@ Status StreamCoordinator::HandleAcquireSplit(TcpSocket* socket,
       grant.granted = true;
       grant.split = splits_.splits[i];
       grant.split.epoch = rt.epoch;
-      TraceSpan span("recover_split", frame.trace);
+      TraceSpan span("recover_split", request.trace);
       span.AddAttribute("split", static_cast<int64_t>(i));
       span.AddAttribute("epoch", rt.epoch);
       MetricsRegistry::Global()
@@ -581,13 +538,12 @@ Status StreamCoordinator::HandleAcquireSplit(TcpSocket* socket,
       break;
     }
   }
-  return SendFrame(socket, FrameType::kSplitGrant, grant.Encode());
+  return Reply(FrameType::kSplitGrant, grant.Encode());
 }
 
-Status StreamCoordinator::HandleCompleteSplit(TcpSocket* socket,
-                                              const Frame& frame) {
+Result<Frame> StreamCoordinator::HandleCompleteSplit(const Frame& request) {
   ASSIGN_OR_RETURN(CompleteSplitMessage msg,
-                   CompleteSplitMessage::Decode(frame.payload));
+                   CompleteSplitMessage::Decode(request.payload));
   std::lock_guard<std::mutex> lock(mu_);
   if (!splits_ready_ || msg.split_id < 0 ||
       static_cast<size_t>(msg.split_id) >= split_runtime_.size()) {
@@ -607,32 +563,47 @@ Status StreamCoordinator::HandleCompleteSplit(TcpSocket* socket,
   rt.state = SplitState::kCompleted;
   rt.leased = false;
   rt.applied_seq = std::max(rt.applied_seq, msg.rows);
-  return SendFrame(socket, FrameType::kAck, "");
+  return Reply(FrameType::kAck);
 }
 
-Status StreamCoordinator::HandleSplitStatus(TcpSocket* socket,
-                                            const Frame& frame) {
-  Decoder decoder(frame.payload);
+Result<Frame> StreamCoordinator::HandleSplitStatus(const Frame& request) {
+  Decoder decoder(request.payload);
   ASSIGN_OR_RETURN(uint64_t split_id, decoder.GetVarint64());
-  bool completed = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    completed = splits_ready_ && split_id < split_runtime_.size() &&
-                split_runtime_[static_cast<size_t>(split_id)].state ==
-                    SplitState::kCompleted;
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  const bool completed = splits_ready_ && split_id < split_runtime_.size() &&
+                         split_runtime_[static_cast<size_t>(split_id)].state ==
+                             SplitState::kCompleted;
+  // A sink waiting for its reader to reconnect ends the wait with the
+  // abort: no reader is coming.
+  if (!completed) RETURN_IF_ERROR(ServingStatusLocked());
   std::string payload;
   PutVarint64(&payload, completed ? 1 : 0);
-  return SendFrame(socket, FrameType::kAck, payload);
+  return Reply(FrameType::kAck, std::move(payload));
 }
 
-Status StreamCoordinator::HandleAbortQuery(TcpSocket* socket,
-                                           const Frame& frame) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    AbortLocked(DecodeStatusPayload(frame.payload));
+Result<Frame> StreamCoordinator::HandleAbortQuery(const Frame& request) {
+  std::lock_guard<std::mutex> lock(mu_);
+  AbortLocked(DecodeStatusPayload(request.payload));
+  return Reply(FrameType::kAck);
+}
+
+Result<std::string> CallCoordinator(const std::string& host, int port,
+                                    FrameType request,
+                                    std::string_view payload,
+                                    FrameType reply) {
+  ASSIGN_OR_RETURN(TcpSocket socket, TcpConnect(host, port));
+  RETURN_IF_ERROR(SendFrame(&socket, request, payload));
+  ASSIGN_OR_RETURN(Frame answer, RecvFrame(&socket));
+  if (answer.type == FrameType::kError) {
+    return DecodeStatusPayload(answer.payload);
   }
-  return SendFrame(socket, FrameType::kAck, "");
+  if (answer.type != reply) {
+    return Status::NetworkError(
+        "coordinator answered frame type " +
+        std::to_string(static_cast<int>(answer.type)) + ", expected " +
+        std::to_string(static_cast<int>(reply)));
+  }
+  return std::move(answer.payload);
 }
 
 }  // namespace sqlink

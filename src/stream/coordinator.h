@@ -9,6 +9,8 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -44,22 +46,27 @@ enum class SplitState {
 ///  3. the ML job's SqlStreamInputFormat asks it for InputSplits — it
 ///     creates m = n·k splits, grouped k-per-SQL-worker, each carrying the
 ///     SQL worker's host as its locality hint;
-///  4. ML workers register back; 5./6. the coordinator matches each to its
-///     SQL worker's endpoint; 7./8. the data sockets are then peer-to-peer.
+///  4.–6. happen in that split fetch: each split already names its SQL
+///     worker's endpoint, so ML workers need not register back to be
+///     matched; 7./8. the data channels are then peer-to-peer.
 ///
-/// For §6 it also answers failure reports with the endpoint to re-dial, and
-/// — when heartbeats are enabled — tracks participant liveness: readers and
-/// sinks renew leases on their control connections, a reaper expires the
-/// leases of silent participants (SplitState machine above), expired
-/// readers' splits are handed to surviving readers via kAcquireSplit, and a
-/// dead sink or exhausted reassignment budget aborts the whole query with a
-/// typed Status broadcast through every heartbeat reply.
+/// For §6 it re-matches a reader that lost its connection (kReportFailure)
+/// with the endpoint to re-dial, and — when heartbeats are enabled — tracks
+/// participant liveness: readers and sinks renew leases on their control
+/// connections, a reaper expires the leases of silent participants
+/// (SplitState machine above), expired readers' splits are handed to
+/// surviving readers via kAcquireSplit, and a dead sink or exhausted
+/// reassignment budget aborts the whole query with a typed Status
+/// broadcast through every heartbeat reply.
+///
+/// Every request is one frame answered by one frame. Participants send it
+/// with CallCoordinator; each handler maps the request frame to its reply,
+/// and HandleConnection alone reads and writes the control sockets.
 class StreamCoordinator {
  public:
   /// Runs the job's ML side; invoked once, on a dedicated thread, when all
   /// SQL workers have registered (paper step 2).
-  using MlLauncher = std::function<void(const std::string& command,
-                                        const std::vector<std::string>& args)>;
+  using MlLauncher = std::function<void(const std::string& command)>;
 
   struct Options {
     int port = 0;               ///< 0 = ephemeral.
@@ -97,8 +104,8 @@ class StreamCoordinator {
   StreamCoordinator& operator=(const StreamCoordinator&) = delete;
 
   /// Stops the server and joins every handler. The ML launcher is joined
-  /// first, while split fetches, matches and acquires still get an answer
-  /// (a typed Cancelled). Idempotent.
+  /// first, while split fetches, re-matches and acquires still get an
+  /// answer (a typed Cancelled). Idempotent.
   void Stop();
 
   /// Aborts the query: every subsequent heartbeat, split fetch, and acquire
@@ -110,8 +117,6 @@ class StreamCoordinator {
 
   /// Observability for tests and benchmarks.
   int registered_sql_workers() const;
-  int registered_ml_workers() const;
-  int reported_failures() const;
   int splits_reassigned() const;
   bool aborted() const;
 
@@ -133,18 +138,21 @@ class StreamCoordinator {
   explicit StreamCoordinator(Options options) : options_(std::move(options)) {}
 
   void AcceptLoop();
+  /// Serves one control connection: for each request it applies the
+  /// request's drop failpoint, runs its handler and writes the reply, or
+  /// kError with the typed status of a handler that failed.
   void HandleConnection(TcpSocket* socket);
   void ReaperLoop();
 
-  Status HandleRegisterSql(TcpSocket* socket, const Frame& frame);
-  Status HandleGetSplits(TcpSocket* socket);
-  Status HandleRegisterMl(TcpSocket* socket, const Frame& frame,
-                          bool is_failure);
-  Status HandleHeartbeat(TcpSocket* socket, const Frame& frame);
-  Status HandleAcquireSplit(TcpSocket* socket, const Frame& frame);
-  Status HandleCompleteSplit(TcpSocket* socket, const Frame& frame);
-  Status HandleSplitStatus(TcpSocket* socket, const Frame& frame);
-  Status HandleAbortQuery(TcpSocket* socket, const Frame& frame);
+  // Request handlers: each returns its request's reply frame.
+  Result<Frame> HandleRegisterSql(const Frame& request);
+  Result<Frame> HandleGetSplits(const Frame& request);
+  Result<Frame> HandleReportFailure(const Frame& request);
+  Result<Frame> HandleHeartbeat(const Frame& request);
+  Result<Frame> HandleAcquireSplit(const Frame& request);
+  Result<Frame> HandleCompleteSplit(const Frame& request);
+  Result<Frame> HandleSplitStatus(const Frame& request);
+  Result<Frame> HandleAbortQuery(const Frame& request);
 
   /// Blocks until the split table exists (all SQL workers registered).
   Status WaitForSplits();
@@ -176,18 +184,30 @@ class StreamCoordinator {
   SplitsMessage splits_;
   std::vector<SplitRuntime> split_runtime_;  ///< Parallel to splits_.splits.
   std::map<int, SinkLease> sink_leases_;
-  int registered_ml_ = 0;
-  int failures_ = 0;
   int splits_reassigned_ = 0;
   bool aborted_ = false;
   Status abort_status_;
 
   std::mutex handlers_mu_;
-  std::vector<std::thread> handlers_;
-  /// Live handler sockets; Stop() shuts them down to unblock handler
-  /// threads parked in RecvFrame on persistent heartbeat connections.
-  std::vector<std::weak_ptr<TcpSocket>> handler_sockets_;
+  /// Handler threads not yet joined, by id, each with its connection's
+  /// socket (owned by the thread; Stop() shuts the live ones down). A
+  /// thread adds its id to finished_ as it returns, and the accept loop
+  /// joins those before it starts the next, so only live connections hold
+  /// a thread stack.
+  std::unordered_map<std::thread::id,
+                     std::pair<std::thread, std::weak_ptr<TcpSocket>>>
+      handlers_;
+  std::vector<std::thread::id> finished_;
 };
+
+/// The participant side of the control plane: dials the coordinator at
+/// host:port, sends one `request` frame carrying `payload` and reads one
+/// reply. Returns the payload of a `reply` frame. A kError reply comes back
+/// as its decoded typed status, any other frame as a transient
+/// NetworkError.
+Result<std::string> CallCoordinator(const std::string& host, int port,
+                                    FrameType request,
+                                    std::string_view payload, FrameType reply);
 
 }  // namespace sqlink
 

@@ -13,8 +13,8 @@
 #include "common/trace.h"
 #include "net/conn_pool.h"
 #include "net/mux.h"
+#include "stream/coordinator.h"
 #include "stream/heartbeat.h"
-#include "stream/socket.h"
 #include "table/row_codec.h"
 
 namespace sqlink {
@@ -187,22 +187,13 @@ class StreamRecordReader final : public ml::RecordReader {
     if (restart) {
       // §6: report the failure; the coordinator answers with the endpoint
       // of the (restarted) SQL worker to resume from.
-      ASSIGN_OR_RETURN(TcpSocket control,
-                       TcpConnect(coordinator_host_, coordinator_port_));
-      RegisterMlMessage report;
-      report.split_id = split_.split_id;
-      RETURN_IF_ERROR(SendFrame(&control, FrameType::kReportFailure,
-                                report.Encode()));
-      ASSIGN_OR_RETURN(Frame match_frame, RecvFrame(&control));
-      if (match_frame.type == FrameType::kError) {
-        return DecodeStatusPayload(match_frame.payload);
-      }
-      if (match_frame.type != FrameType::kMatch) {
-        return Status::NetworkError("coordinator failed to re-match: " +
-                                    match_frame.payload);
-      }
-      ASSIGN_OR_RETURN(MatchMessage match,
-                       MatchMessage::Decode(match_frame.payload));
+      ASSIGN_OR_RETURN(
+          std::string reply,
+          CallCoordinator(coordinator_host_, coordinator_port_,
+                          FrameType::kReportFailure,
+                          ReportFailureMessage{split_.split_id}.Encode(),
+                          FrameType::kMatch));
+      ASSIGN_OR_RETURN(MatchMessage match, MatchMessage::Decode(reply));
       host = match.host;
       port = match.port;
       // A restarted sink re-registers under a fresh mux routing key; the
@@ -214,7 +205,6 @@ class StreamRecordReader final : public ml::RecordReader {
     }
     HelloMessage hello;
     hello.split_id = split_.split_id;
-    hello.restart = restart;
     // A reader that held this connection before resumes from its own
     // applied position; a fresh one (first connect, or a replacement after
     // reassignment) lets the sink decide from its cumulative ack.
@@ -410,7 +400,7 @@ class StreamRecordReader final : public ml::RecordReader {
           // Confirm completion so the sender may release its retained
           // state; a sender tears down only after this acknowledgement.
           RETURN_IF_ERROR(channel_->Send(FrameType::kAck, "", 0));
-          RETURN_IF_ERROR(CompleteSplit());
+          CompleteSplit();
           // Clean close: frees the channel's slot on the shared connection
           // now instead of at reader destruction.
           CloseChannel(Status::OK());
@@ -429,17 +419,13 @@ class StreamRecordReader final : public ml::RecordReader {
   /// but also the sink's out-of-band final-ack signal: if the kAck died
   /// with a shared connection, the sink's reconnect wait polls the
   /// coordinator (kSplitStatus) and finds the completion here — so this
-  /// must run even when heartbeats are disabled.
-  Status CompleteSplit() {
-    auto control = TcpConnect(coordinator_host_, coordinator_port_);
-    if (!control.ok()) return Status::OK();  // Best-effort.
-    CompleteSplitMessage msg;
-    msg.split_id = split_.split_id;
-    msg.epoch = split_.epoch;
-    msg.rows = applied_rows_;
-    (void)SendFrame(&*control, FrameType::kCompleteSplit, msg.Encode());
-    (void)RecvFrame(&*control);
-    return Status::OK();
+  /// must run even when heartbeats are disabled. Best-effort.
+  void CompleteSplit() {
+    const CompleteSplitMessage msg{split_.split_id, split_.epoch,
+                                   applied_rows_};
+    (void)CallCoordinator(coordinator_host_, coordinator_port_,
+                          FrameType::kCompleteSplit, msg.Encode(),
+                          FrameType::kAck);
   }
 
   /// Finishes the per-connection span, stamping the delivered-row count.
@@ -544,18 +530,11 @@ Result<std::vector<ml::InputSplitPtr>> SqlStreamInputFormat::GetSplits(
   TraceSpan span("reader.get_splits");
   RetryPolicy retry(RetryPolicy::Options{});
   Result<SplitsMessage> exchange = retry.Run([&]() -> Result<SplitsMessage> {
-    ASSIGN_OR_RETURN(TcpSocket control,
-                     TcpConnect(coordinator_host_, coordinator_port_));
-    RETURN_IF_ERROR(SendFrame(&control, FrameType::kGetSplits, ""));
-    ASSIGN_OR_RETURN(Frame frame, RecvFrame(&control));
-    if (frame.type == FrameType::kError) {
-      return DecodeStatusPayload(frame.payload);
-    }
-    if (frame.type != FrameType::kSplits) {
-      return Status::NetworkError("coordinator did not return splits: " +
-                                  frame.payload);
-    }
-    return SplitsMessage::Decode(frame.payload);
+    ASSIGN_OR_RETURN(std::string reply,
+                     CallCoordinator(coordinator_host_, coordinator_port_,
+                                     FrameType::kGetSplits, "",
+                                     FrameType::kSplits));
+    return SplitsMessage::Decode(reply);
   });
   if (!exchange.ok()) return exchange.status();
   SplitsMessage msg = exchange.MoveValue();
@@ -586,18 +565,11 @@ bool SqlStreamInputFormat::SupportsReassignment() const {
 }
 
 Result<ml::ReassignedSplit> SqlStreamInputFormat::AcquireReassigned() {
-  ASSIGN_OR_RETURN(TcpSocket control,
-                   TcpConnect(coordinator_host_, coordinator_port_));
-  RETURN_IF_ERROR(SendFrame(&control, FrameType::kAcquireSplit, ""));
-  ASSIGN_OR_RETURN(Frame frame, RecvFrame(&control));
-  if (frame.type == FrameType::kError) {
-    return DecodeStatusPayload(frame.payload);
-  }
-  if (frame.type != FrameType::kSplitGrant) {
-    return Status::NetworkError("coordinator did not answer split acquire");
-  }
-  ASSIGN_OR_RETURN(SplitGrantMessage grant,
-                   SplitGrantMessage::Decode(frame.payload));
+  ASSIGN_OR_RETURN(std::string reply,
+                   CallCoordinator(coordinator_host_, coordinator_port_,
+                                   FrameType::kAcquireSplit, "",
+                                   FrameType::kSplitGrant));
+  ASSIGN_OR_RETURN(SplitGrantMessage grant, SplitGrantMessage::Decode(reply));
   ml::ReassignedSplit result;
   if (grant.granted) {
     result.index = grant.split.split_id;
@@ -607,10 +579,9 @@ Result<ml::ReassignedSplit> SqlStreamInputFormat::AcquireReassigned() {
 }
 
 void SqlStreamInputFormat::AbortTransfer(const Status& status) {
-  auto control = TcpConnect(coordinator_host_, coordinator_port_);
-  if (!control.ok()) return;
-  (void)SendFrame(&*control, FrameType::kAbortQuery, EncodeStatus(status));
-  (void)RecvFrame(&*control);
+  (void)CallCoordinator(coordinator_host_, coordinator_port_,
+                        FrameType::kAbortQuery, EncodeStatus(status),
+                        FrameType::kAck);
 }
 
 }  // namespace sqlink

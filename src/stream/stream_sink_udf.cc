@@ -19,6 +19,7 @@
 #include "net/conn_pool.h"
 #include "net/mux.h"
 #include "sql/query_registry.h"
+#include "stream/coordinator.h"
 #include "stream/frame_log.h"
 #include "stream/heartbeat.h"
 #include "stream/wire.h"
@@ -120,12 +121,14 @@ struct ActiveChannels {
 /// Waits for a data connection on `inbox`, pacing the poll with a backoff
 /// policy so the total wait across reconnect attempts is deadline-capped
 /// rather than one fixed-length block per attempt. Leaves `out` empty when
-/// the inbox closes (shutdown). Between slices, `acked_out_of_band` checks
-/// whether the split was already reported complete to the coordinator — a
-/// reader whose final ack died with a shared connection finishes that way
-/// and never reconnects; `*completed` signals that success to the caller.
+/// the inbox closes (shutdown). Between slices, `split_status` asks the
+/// coordinator whether the split was already reported complete — a reader
+/// whose final ack died with a shared connection finishes that way and
+/// never reconnects; `*completed` signals that success to the caller. An
+/// answer that is not transient, such as the query's abort, ends the wait
+/// with its status: no reader is coming.
 Status WaitForInbound(BlockingQueue<Inbound>* inbox, RetryPolicy* policy,
-                      const std::function<bool()>& acked_out_of_band,
+                      const std::function<Result<bool>()>& split_status,
                       std::optional<Inbound>* out, bool* completed) {
   for (;;) {
     const auto slice = policy->NextDelay();
@@ -135,9 +138,13 @@ Status WaitForInbound(BlockingQueue<Inbound>* inbox, RetryPolicy* policy,
     bool timed_out = false;
     *out = inbox->PopFor(*slice, &timed_out);
     if (!timed_out) return Status::OK();
-    if (acked_out_of_band != nullptr && acked_out_of_band()) {
+    const Result<bool> done = split_status();
+    if (done.ok() && *done) {
       *completed = true;
       return Status::OK();
+    }
+    if (!done.ok() && !RetryPolicy::IsTransient(done.status())) {
+      return done.status();
     }
   }
 }
@@ -336,16 +343,13 @@ Status SqlStreamSinkUdf::Partition::Start() {
       if (SQLINK_FAILPOINT("stream.sink.register") != FailpointOutcome::kNone) {
         return Status::NetworkError("failpoint: injected registration error");
       }
-      ASSIGN_OR_RETURN(TcpSocket control, TcpConnect(udf_->coordinator_host_,
-                                                     udf_->coordinator_port_));
-      RETURN_IF_ERROR(SendFrame(&control, FrameType::kRegisterSql,
-                                registration.Encode()));
-      ASSIGN_OR_RETURN(Frame ack, RecvFrame(&control));
-      if (ack.type != FrameType::kAck) {
-        return Status::NetworkError("coordinator rejected registration: " +
-                                    ack.payload);
-      }
-      Decoder decoder(ack.payload);
+      // A refusal (kError) is typed and ends the retries at once.
+      ASSIGN_OR_RETURN(
+          std::string ack,
+          CallCoordinator(udf_->coordinator_host_, udf_->coordinator_port_,
+                          FrameType::kRegisterSql, registration.Encode(),
+                          FrameType::kAck));
+      Decoder decoder(ack);
       ASSIGN_OR_RETURN(uint64_t splits, decoder.GetVarint64());
       return static_cast<int>(splits);
     });
@@ -449,22 +453,20 @@ void SqlStreamSinkUdf::Partition::RunSender(int j) {
   // A reader that applied the whole stream can lose its final ack to a
   // dying shared connection: it reports kCompleteSplit to the
   // coordinator and never reconnects. Track the split this sender
-  // serves so the reconnect wait can poll that out-of-band signal.
+  // serves so the reconnect wait can poll that out-of-band signal, or
+  // the query's abort.
   int served_split = -1;
-  auto split_completed = [&]() -> bool {
+  auto split_status = [&]() -> Result<bool> {
     if (served_split < 0) return false;
-    auto control = TcpConnect(udf_->coordinator_host_, udf_->coordinator_port_);
-    if (!control.ok()) return false;
-    std::string payload;
-    PutVarint64(&payload, static_cast<uint64_t>(served_split));
-    if (!SendFrame(&*control, FrameType::kSplitStatus, payload).ok()) {
-      return false;
-    }
-    auto reply = RecvFrame(&*control);
-    if (!reply.ok() || reply->type != FrameType::kAck) return false;
-    Decoder decoder(reply->payload);
-    auto done = decoder.GetVarint64();
-    return done.ok() && *done == 1;
+    std::string request;
+    PutVarint64(&request, static_cast<uint64_t>(served_split));
+    ASSIGN_OR_RETURN(
+        std::string reply,
+        CallCoordinator(udf_->coordinator_host_, udf_->coordinator_port_,
+                        FrameType::kSplitStatus, request, FrameType::kAck));
+    Decoder decoder(reply);
+    ASSIGN_OR_RETURN(uint64_t done, decoder.GetVarint64());
+    return done == 1;
   };
 
   // Serves one (re)connection: answer HELLO with the resume point, then
@@ -545,7 +547,7 @@ void SqlStreamSinkUdf::Partition::RunSender(int j) {
       std::optional<Inbound> conn;
       bool acked_via_coordinator = false;
       RETURN_IF_ERROR(WaitForInbound(inboxes_[static_cast<size_t>(j)].get(),
-                                     &wait_policy, split_completed, &conn,
+                                     &wait_policy, split_status, &conn,
                                      &acked_via_coordinator));
       if (acked_via_coordinator) return Status::OK();
       if (!conn.has_value()) {
@@ -688,13 +690,9 @@ Status SqlStreamSinkUdf::Partition::Settle(Status produce_status,
     // runner drain promptly instead of waiting out lease TTLs.
     heartbeat_->Stop(HeartbeatMessage::kAlive);
     if (udf_->options_.heartbeat_ms > 0 && !heartbeat_->revoked()) {
-      auto control =
-          TcpConnect(udf_->coordinator_host_, udf_->coordinator_port_);
-      if (control.ok()) {
-        (void)SendFrame(&*control, FrameType::kAbortQuery,
-                        EncodeStatus(transfer_status));
-        (void)RecvFrame(&*control);
-      }
+      (void)CallCoordinator(udf_->coordinator_host_, udf_->coordinator_port_,
+                            FrameType::kAbortQuery,
+                            EncodeStatus(transfer_status), FrameType::kAck);
     }
     return transfer_status;
   }

@@ -56,10 +56,9 @@ Result<StreamTransferResult> StreamingTransfer::Run(
                              // so capture a pointer to a stable location.
   auto port_holder = std::make_shared<int>(0);
   coordinator_options.ml_launcher =
-      [engine, port_holder, reader_options = options.reader, &ml_promise](
-          const std::string& command, const std::vector<std::string>& args) {
+      [engine, port_holder, reader_options = options.reader,
+       &ml_promise](const std::string& command) {
         (void)command;
-        (void)args;
         ml::JobContext context;
         context.cluster = engine->cluster();
         context.metrics = engine->metrics();

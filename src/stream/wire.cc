@@ -251,8 +251,6 @@ std::string RegisterSqlMessage::Encode() const {
   PutLengthPrefixed(&out, host);
   PutVarint64Signed(&out, port);
   PutLengthPrefixed(&out, command);
-  PutVarint64(&out, args.size());
-  for (const std::string& arg : args) PutLengthPrefixed(&out, arg);
   EncodeSchema(*schema, &out);
   PutVarint64(&out, sink_key);
   return out;
@@ -272,11 +270,6 @@ Result<RegisterSqlMessage> RegisterSqlMessage::Decode(
   msg.port = static_cast<int>(port);
   ASSIGN_OR_RETURN(std::string_view command, decoder.GetLengthPrefixed());
   msg.command = std::string(command);
-  ASSIGN_OR_RETURN(uint64_t num_args, decoder.GetVarint64());
-  for (uint64_t i = 0; i < num_args; ++i) {
-    ASSIGN_OR_RETURN(std::string_view arg, decoder.GetLengthPrefixed());
-    msg.args.push_back(std::string(arg));
-  }
   ASSIGN_OR_RETURN(msg.schema, DecodeSchema(&decoder));
   ASSIGN_OR_RETURN(msg.sink_key, decoder.GetVarint64());
   return msg;
@@ -319,15 +312,16 @@ Result<SplitsMessage> SplitsMessage::Decode(std::string_view payload) {
   return msg;
 }
 
-std::string RegisterMlMessage::Encode() const {
+std::string ReportFailureMessage::Encode() const {
   std::string out;
   PutVarint64Signed(&out, split_id);
   return out;
 }
 
-Result<RegisterMlMessage> RegisterMlMessage::Decode(std::string_view payload) {
+Result<ReportFailureMessage> ReportFailureMessage::Decode(
+    std::string_view payload) {
   Decoder decoder(payload);
-  RegisterMlMessage msg;
+  ReportFailureMessage msg;
   ASSIGN_OR_RETURN(int64_t id, decoder.GetVarint64Signed());
   msg.split_id = static_cast<int>(id);
   return msg;
@@ -355,7 +349,6 @@ Result<MatchMessage> MatchMessage::Decode(std::string_view payload) {
 std::string HelloMessage::Encode() const {
   std::string out;
   PutVarint64Signed(&out, split_id);
-  out.push_back(restart ? 1 : 0);
   PutVarint64Signed(&out, resume_seq);
   return out;
 }
@@ -365,8 +358,6 @@ Result<HelloMessage> HelloMessage::Decode(std::string_view payload) {
   HelloMessage msg;
   ASSIGN_OR_RETURN(int64_t id, decoder.GetVarint64Signed());
   msg.split_id = static_cast<int>(id);
-  ASSIGN_OR_RETURN(uint8_t restart, decoder.GetByte());
-  msg.restart = restart != 0;
   ASSIGN_OR_RETURN(msg.resume_seq, decoder.GetVarint64Signed());
   return msg;
 }

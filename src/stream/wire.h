@@ -28,11 +28,9 @@ enum class FrameType : uint8_t {
   kRegisterSql = 10,
   kGetSplits = 11,
   kSplits = 12,
-  kRegisterMl = 13,
   kMatch = 14,
   kReportFailure = 15,
   kAck = 16,
-  kShutdown = 17,
 
   // Recovery plane (liveness + at-least-once replay).
   kHeartbeat = 18,      ///< Lease renewal from a sink or reader.
@@ -43,9 +41,9 @@ enum class FrameType : uint8_t {
   kResume = 23,         ///< Sink → reader: replay start point after HELLO.
   kAbortQuery = 24,     ///< Broadcast abort; payload = encoded Status.
 
-  // 25, 26 and 33 (kChannelWindow, the mux's per-frame credit grant) are
-  // retired: a peer built while they were in use may still send them, so
-  // they must never be reused.
+  // 13 (kRegisterMl), 17 (kShutdown), 25, 26 and 33 (kChannelWindow, the
+  // mux's per-frame credit grant) are retired: a peer built while they were
+  // in use may still send them, so they must never be reused.
 
   // Serving plane (src/serving): client ↔ query server. One query per
   // connection; an overloaded server answers kSubmitQuery with kError
@@ -69,14 +67,16 @@ enum class FrameType : uint8_t {
   // reconnects, so the sink asks the coordinator instead of waiting out a
   // reconnect that will never come.
   kSplitStatus = 34,  ///< Sink → coordinator: varint split id. Reply kAck,
-                      ///< payload = varint(1) completed / varint(0) not.
+                      ///< payload = varint(1) completed / varint(0) not,
+                      ///< or kError carrying the query's abort.
 };
 
-/// True when a header's type byte names a FrameType above: 1–4, 10–24,
-/// 27–32 and 34. Decoders reject any other byte as DataLoss, so it never
-/// reaches a handler's default branch as a retryable error.
+/// True when a header's type byte names a FrameType above: 1–4, 10–12,
+/// 14–16, 18–24, 27–32 and 34. Decoders reject any other byte as DataLoss,
+/// so it never reaches a handler's default branch as a retryable error.
 constexpr bool IsKnownFrameType(uint8_t type) {
-  return (type >= 1 && type <= 4) || (type >= 10 && type <= 24) ||
+  return (type >= 1 && type <= 4) ||
+         (type >= 10 && type <= 24 && type != 13 && type != 17) ||
          (type >= 27 && type <= 32) || type == 34;
 }
 
@@ -177,7 +177,6 @@ struct RegisterSqlMessage {
   std::string host;
   int port = 0;
   std::string command;
-  std::vector<std::string> args;
   SchemaPtr schema;
   /// Routing key of this partition's inbox on the process-wide
   /// MuxSinkServer (host/port name the shared listener).
@@ -210,13 +209,14 @@ struct SplitsMessage {
   static Result<SplitsMessage> Decode(std::string_view payload);
 };
 
-/// ML worker registration (step 4) and failure reports (§6); the kMatch
-/// response carries the SQL endpoint to dial (steps 5-6).
-struct RegisterMlMessage {
+/// A reader's failure report (§6): the re-match request of a reader that
+/// lost its connection. The kMatch reply carries the SQL endpoint to
+/// re-dial.
+struct ReportFailureMessage {
   int split_id = 0;
 
   std::string Encode() const;
-  static Result<RegisterMlMessage> Decode(std::string_view payload);
+  static Result<ReportFailureMessage> Decode(std::string_view payload);
 };
 
 struct MatchMessage {
@@ -234,7 +234,6 @@ struct MatchMessage {
 /// The ML worker's opening of a data stream, embedded in kOpenChannel.
 struct HelloMessage {
   int split_id = 0;
-  bool restart = false;  ///< §6 recovery: replay from the retained log.
   /// Highest frame sequence number this reader already applied; the sink
   /// replays everything after it. -1 = "resume from your last cumulative
   /// ack" — sent by fresh and replacement readers, which own no local

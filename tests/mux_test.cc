@@ -153,8 +153,7 @@ class SinkWithTestReaders {
 
     StreamCoordinator::Options coordinator_options;
     coordinator_options.splits_per_worker = splits;
-    coordinator_options.ml_launcher = [](const std::string&,
-                                         const std::vector<std::string>&) {};
+    coordinator_options.ml_launcher = [](const std::string&) {};
     auto coordinator = StreamCoordinator::Start(std::move(coordinator_options));
     ASSERT_TRUE(coordinator.ok()) << coordinator.status();
     coordinator_ = std::move(*coordinator);
@@ -170,13 +169,10 @@ class SinkWithTestReaders {
     });
 
     // The split fetch waits for the worker's registration.
-    auto control = TcpConnect(coordinator_->host(), coordinator_->port());
-    ASSERT_TRUE(control.ok()) << control.status();
-    ASSERT_TRUE(SendFrame(&*control, FrameType::kGetSplits, "").ok());
-    auto reply = RecvFrame(&*control);
+    auto reply = CallCoordinator(coordinator_->host(), coordinator_->port(),
+                                 FrameType::kGetSplits, "", FrameType::kSplits);
     ASSERT_TRUE(reply.ok()) << reply.status();
-    ASSERT_EQ(reply->type, FrameType::kSplits) << reply->payload;
-    auto decoded = SplitsMessage::Decode(reply->payload);
+    auto decoded = SplitsMessage::Decode(*reply);
     ASSERT_TRUE(decoded.ok()) << decoded.status();
     splits_ = decoded->splits;
     auto socket = TcpConnect("localhost", splits_[0].port);
@@ -202,7 +198,6 @@ class SinkWithTestReaders {
     msg.sink_key = splits_[static_cast<size_t>(split)].sink_key;
     msg.window_bytes = window;
     msg.hello.split_id = splits_[static_cast<size_t>(split)].split_id;
-    msg.hello.restart = resume_seq >= 0;
     msg.hello.resume_seq = resume_seq;
     auto channel = conn_->OpenChannel(msg);
     EXPECT_TRUE(channel.ok()) << channel.status();

@@ -328,7 +328,6 @@ std::vector<WireMessageCase> WireMessageCases() {
   reg.host = "node1";
   reg.port = 7000;
   reg.command = "svm";
-  reg.args = {"--iterations", "10"};
   reg.schema = schema;
   reg.sink_key = 99;
   add("RegisterSqlMessage", reg.Encode(), [](std::string_view bytes) {
@@ -343,13 +342,17 @@ std::vector<WireMessageCase> WireMessageCases() {
   OpenChannelMessage open;
   open.sink_key = 99;
   open.window_bytes = 1 << 20;
-  open.hello = HelloMessage{3, true, 17};
+  open.hello = HelloMessage{3, 17};
   add("OpenChannelMessage", open.Encode(), [](std::string_view bytes) {
     return OpenChannelMessage::Decode(bytes).status();
   });
   add("HelloMessage", open.hello.Encode(), [](std::string_view bytes) {
     return HelloMessage::Decode(bytes).status();
   });
+  add("ReportFailureMessage", ReportFailureMessage{3}.Encode(),
+      [](std::string_view bytes) {
+        return ReportFailureMessage::Decode(bytes).status();
+      });
   add("ResumeMessage", ResumeMessage{12, 3400}.Encode(),
       [](std::string_view bytes) {
         return ResumeMessage::Decode(bytes).status();

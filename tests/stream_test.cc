@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <future>
 #include <limits>
 #include <map>
@@ -20,6 +21,7 @@
 #include "common/fs_util.h"
 #include "common/metrics.h"
 #include "common/random.h"
+#include "common/status_macros.h"
 #include "common/trace.h"
 #include "ml/dataset.h"
 #include "net/conn_pool.h"
@@ -129,9 +131,9 @@ TEST(WireTest, HugeFrameLengthDoesNotAllocateAhead) {
 }
 
 /// A type byte that names no FrameType is DataLoss in both header decoders:
-/// 0, the retired 25, 26 and 33, and everything past the last type.
+/// 0, the retired 13, 17, 25, 26 and 33, and everything past the last type.
 TEST(WireTest, UnknownFrameTypeIsDataLoss) {
-  const std::vector<uint8_t> unknown = {0, 25, 26, 33, 35, 255};
+  const std::vector<uint8_t> unknown = {0, 13, 17, 25, 26, 33, 35, 255};
   auto header = [](uint8_t type) {
     char bytes[kFrameHeaderBytes];
     EncodeFrameHeader(bytes, static_cast<FrameType>(type), /*payload_len=*/0,
@@ -199,12 +201,11 @@ TEST(WireTest, ControlMessagesRoundTrip) {
   reg.host = "node2";
   reg.port = 12345;
   reg.command = "svm";
-  reg.args = {"--iterations", "10"};
   reg.schema = Schema::Make({{"x", DataType::kDouble}});
   auto reg2 = RegisterSqlMessage::Decode(reg.Encode());
   ASSERT_TRUE(reg2.ok());
   EXPECT_EQ(reg2->worker_id, 2);
-  EXPECT_EQ(reg2->args, reg.args);
+  EXPECT_EQ(reg2->command, reg.command);
   EXPECT_EQ(*reg2->schema, *reg.schema);
 
   SplitsMessage splits;
@@ -216,11 +217,15 @@ TEST(WireTest, ControlMessagesRoundTrip) {
   ASSERT_EQ(splits2->splits.size(), 3u);
   EXPECT_EQ(splits2->splits[2].host, "node1");
 
-  HelloMessage hello{7, true};
+  HelloMessage hello{7, 41};
   auto hello2 = HelloMessage::Decode(hello.Encode());
   ASSERT_TRUE(hello2.ok());
   EXPECT_EQ(hello2->split_id, 7);
-  EXPECT_TRUE(hello2->restart);
+  EXPECT_EQ(hello2->resume_seq, 41);
+
+  auto report = ReportFailureMessage::Decode(ReportFailureMessage{5}.Encode());
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->split_id, 5);
 }
 
 // --- Frame log: the send buffer half (unsent frames) ---
@@ -915,36 +920,51 @@ TEST_F(StreamingTransferTest, OneTraceCoversSinkCoordinatorReaderAndIngest) {
 
 // --- Coordinator helpers ---
 
+/// Registers SQL worker `worker_id` of `num_workers`, on host
+/// "node<worker_id>" with data port `data_port`, with the coordinator at
+/// `port`; returns the registration's answer.
+Result<std::string> RegisterSqlWorker(int port, int worker_id,
+                                      int num_workers, int data_port) {
+  RegisterSqlMessage reg;
+  reg.worker_id = worker_id;
+  reg.num_workers = num_workers;
+  reg.host = "node" + std::to_string(worker_id);
+  reg.port = data_port;
+  reg.command = "test";
+  reg.schema = Schema::Make({{"x", DataType::kInt64}});
+  return CallCoordinator("localhost", port, FrameType::kRegisterSql,
+                         reg.Encode(), FrameType::kAck);
+}
+
 /// Registers the one SQL worker of a one-worker transfer with the
 /// coordinator at `port`; that registration launches the ML side.
 void RegisterOneSqlWorker(int port) {
-  auto control = TcpConnect("localhost", port);
-  ASSERT_TRUE(control.ok()) << control.status();
-  RegisterSqlMessage reg;
-  reg.worker_id = 0;
-  reg.num_workers = 1;
-  reg.host = "node0";
-  reg.port = 7777;
-  reg.command = "test";
-  reg.schema = Schema::Make({{"x", DataType::kInt64}});
-  ASSERT_TRUE(SendFrame(&*control, FrameType::kRegisterSql, reg.Encode()).ok());
-  ASSERT_TRUE(RecvFrame(&*control).ok());
+  auto registered = RegisterSqlWorker(port, 0, 1, 7777);
+  ASSERT_TRUE(registered.ok()) << registered.status();
 }
 
 /// Waits until the coordinator at `port`, whose splits are ready, answers a
-/// split fetch with kError: Stop() has begun and still serves. False if
+/// split fetch with Cancelled: Stop() has begun and still serves. False if
 /// that takes over 10 s.
 bool WaitUntilStopping(int port) {
   for (int attempt = 0; attempt < 10000; ++attempt) {
-    auto control = TcpConnect("localhost", port);
-    if (!control.ok()) return false;
-    if (!SendFrame(&*control, FrameType::kGetSplits, "").ok()) return false;
-    auto frame = RecvFrame(&*control);
-    if (!frame.ok()) return false;
-    if (frame->type == FrameType::kError) return true;
+    auto splits = CallCoordinator("localhost", port, FrameType::kGetSplits,
+                                  "", FrameType::kSplits);
+    if (splits.status().IsCancelled()) return true;
+    if (!splits.ok()) return false;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return false;
+}
+
+/// The coordinator's re-match of `split_id` (kReportFailure), as a reader
+/// that lost its connection asks for it.
+Result<MatchMessage> Rematch(int port, int split_id) {
+  ASSIGN_OR_RETURN(std::string reply,
+                   CallCoordinator("localhost", port, FrameType::kReportFailure,
+                                   ReportFailureMessage{split_id}.Encode(),
+                                   FrameType::kMatch));
+  return MatchMessage::Decode(reply);
 }
 
 // --- Reader against a fake sink ---
@@ -1138,8 +1158,7 @@ TEST_F(StreamReaderTest, RematchAgainstAStoppingCoordinatorEndsRecovery) {
   std::atomic<int> port{0};  // Set once the coordinator listens.
   Status read_status = Status::OK();
   StreamCoordinator::Options options;
-  options.ml_launcher = [&](const std::string&,
-                            const std::vector<std::string>&) {
+  options.ml_launcher = [&](const std::string&) {
     StreamReaderOptions reader_options;
     reader_options.heartbeat_ms = 0;
     reader_options.recovery_enabled = true;
@@ -1197,8 +1216,7 @@ TEST(CoordinatorTest, StopAnswersTheLaunchersSplitFetchBeforeClosing) {
   int port = 0;
   Status fetched = Status::OK();
   StreamCoordinator::Options options;
-  options.ml_launcher = [&](const std::string&,
-                            const std::vector<std::string>&) {
+  options.ml_launcher = [&](const std::string&) {
     {
       std::unique_lock<std::mutex> lock(mu);
       cv.wait_for(lock, std::chrono::seconds(10), [&] { return stopping; });
@@ -1232,33 +1250,18 @@ TEST(CoordinatorTest, SplitsGroupedPerSqlWorker) {
   options.splits_per_worker = 2;
   auto coordinator = StreamCoordinator::Start(std::move(options));
   ASSERT_TRUE(coordinator.ok());
+  const int port = (*coordinator)->port();
 
-  auto schema = Schema::Make({{"x", DataType::kInt64}});
   // Register two fake SQL workers.
   for (int w = 0; w < 2; ++w) {
-    auto control = TcpConnect("localhost", (*coordinator)->port());
-    ASSERT_TRUE(control.ok());
-    RegisterSqlMessage reg;
-    reg.worker_id = w;
-    reg.num_workers = 2;
-    reg.host = "node" + std::to_string(w);
-    reg.port = 5000 + w;
-    reg.command = "test";
-    reg.schema = schema;
-    ASSERT_TRUE(
-        SendFrame(&*control, FrameType::kRegisterSql, reg.Encode()).ok());
-    auto ack = RecvFrame(&*control);
-    ASSERT_TRUE(ack.ok());
-    EXPECT_EQ(ack->type, FrameType::kAck);
+    auto ack = RegisterSqlWorker(port, w, 2, 5000 + w);
+    ASSERT_TRUE(ack.ok()) << ack.status();
   }
   // Fetch splits like an ML job would.
-  auto control = TcpConnect("localhost", (*coordinator)->port());
-  ASSERT_TRUE(control.ok());
-  ASSERT_TRUE(SendFrame(&*control, FrameType::kGetSplits, "").ok());
-  auto frame = RecvFrame(&*control);
-  ASSERT_TRUE(frame.ok());
-  ASSERT_EQ(frame->type, FrameType::kSplits);
-  auto splits = SplitsMessage::Decode(frame->payload);
+  auto reply = CallCoordinator("localhost", port, FrameType::kGetSplits, "",
+                               FrameType::kSplits);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  auto splits = SplitsMessage::Decode(*reply);
   ASSERT_TRUE(splits.ok());
   ASSERT_EQ(splits->splits.size(), 4u);  // m = n*k = 2*2.
   // Grouped: splits 0,1 -> worker 0; splits 2,3 -> worker 1.
@@ -1274,62 +1277,33 @@ TEST(CoordinatorTest, SplitsGroupedPerSqlWorker) {
 }
 
 TEST(CoordinatorTest, MatchmakingReturnsSqlEndpoint) {
+  Counter* rematches =
+      MetricsRegistry::Global().GetCounter("coordinator.rematch.count");
+  const int64_t rematches_before = rematches->value();
   StreamCoordinator::Options options;
   auto coordinator = StreamCoordinator::Start(std::move(options));
   ASSERT_TRUE(coordinator.ok());
-  {
-    auto control = TcpConnect("localhost", (*coordinator)->port());
-    ASSERT_TRUE(control.ok());
-    RegisterSqlMessage reg;
-    reg.worker_id = 0;
-    reg.num_workers = 1;
-    reg.host = "node0";
-    reg.port = 7777;
-    reg.command = "test";
-    reg.schema = Schema::Make({{"x", DataType::kInt64}});
-    ASSERT_TRUE(
-        SendFrame(&*control, FrameType::kRegisterSql, reg.Encode()).ok());
-    ASSERT_TRUE(RecvFrame(&*control).ok());
-  }
-  auto control = TcpConnect("localhost", (*coordinator)->port());
-  ASSERT_TRUE(control.ok());
-  RegisterMlMessage reg_ml;
-  reg_ml.split_id = 0;
-  ASSERT_TRUE(
-      SendFrame(&*control, FrameType::kRegisterMl, reg_ml.Encode()).ok());
-  auto match_frame = RecvFrame(&*control);
-  ASSERT_TRUE(match_frame.ok());
-  ASSERT_EQ(match_frame->type, FrameType::kMatch);
-  auto match = MatchMessage::Decode(match_frame->payload);
-  ASSERT_TRUE(match.ok());
+  RegisterOneSqlWorker((*coordinator)->port());
+  auto match = Rematch((*coordinator)->port(), 0);
+  ASSERT_TRUE(match.ok()) << match.status();
   EXPECT_EQ(match->host, "node0");
   EXPECT_EQ(match->port, 7777);
-  EXPECT_EQ((*coordinator)->registered_ml_workers(), 1);
+  EXPECT_EQ(rematches->value() - rematches_before, 1);
 }
 
 TEST(CoordinatorTest, CheckpointResumeServesMatchmaking) {
   // §6: the coordinator itself must be resilient (the paper suggests
   // ZooKeeper). Simulate a failover: checkpoint after SQL registration,
   // kill the coordinator, resume a replacement from the checkpoint, and
-  // verify an ML worker can still register and be matched.
+  // verify a reader can still be re-matched.
   std::string checkpoint;
   {
     StreamCoordinator::Options options;
     options.splits_per_worker = 2;
     auto coordinator = StreamCoordinator::Start(std::move(options));
     ASSERT_TRUE(coordinator.ok());
-    auto control = TcpConnect("localhost", (*coordinator)->port());
-    ASSERT_TRUE(control.ok());
-    RegisterSqlMessage reg;
-    reg.worker_id = 0;
-    reg.num_workers = 1;
-    reg.host = "node0";
-    reg.port = 4242;
-    reg.command = "svm";
-    reg.schema = Schema::Make({{"x", DataType::kInt64}});
-    ASSERT_TRUE(
-        SendFrame(&*control, FrameType::kRegisterSql, reg.Encode()).ok());
-    ASSERT_TRUE(RecvFrame(&*control).ok());
+    auto ack = RegisterSqlWorker((*coordinator)->port(), 0, 1, 4242);
+    ASSERT_TRUE(ack.ok()) << ack.status();
     checkpoint = (*coordinator)->Checkpoint();
     (*coordinator)->Stop();  // The "crash".
   }
@@ -1339,28 +1313,16 @@ TEST(CoordinatorTest, CheckpointResumeServesMatchmaking) {
   ASSERT_TRUE(resumed.ok()) << resumed.status();
 
   // Splits survive the failover.
-  auto control = TcpConnect("localhost", (*resumed)->port());
-  ASSERT_TRUE(control.ok());
-  ASSERT_TRUE(SendFrame(&*control, FrameType::kGetSplits, "").ok());
-  auto frame = RecvFrame(&*control);
-  ASSERT_TRUE(frame.ok());
-  ASSERT_EQ(frame->type, FrameType::kSplits);
-  auto splits = SplitsMessage::Decode(frame->payload);
+  auto reply = CallCoordinator("localhost", (*resumed)->port(),
+                               FrameType::kGetSplits, "", FrameType::kSplits);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  auto splits = SplitsMessage::Decode(*reply);
   ASSERT_TRUE(splits.ok());
   EXPECT_EQ(splits->splits.size(), 2u);
 
   // Matchmaking works against the resumed coordinator.
-  auto ml_control = TcpConnect("localhost", (*resumed)->port());
-  ASSERT_TRUE(ml_control.ok());
-  RegisterMlMessage reg_ml;
-  reg_ml.split_id = 1;
-  ASSERT_TRUE(
-      SendFrame(&*ml_control, FrameType::kRegisterMl, reg_ml.Encode()).ok());
-  auto match_frame = RecvFrame(&*ml_control);
-  ASSERT_TRUE(match_frame.ok());
-  ASSERT_EQ(match_frame->type, FrameType::kMatch);
-  auto match = MatchMessage::Decode(match_frame->payload);
-  ASSERT_TRUE(match.ok());
+  auto match = Rematch((*resumed)->port(), 1);
+  ASSERT_TRUE(match.ok()) << match.status();
   EXPECT_EQ(match->port, 4242);
 }
 
@@ -1371,14 +1333,11 @@ TEST(CoordinatorTest, BarrierTimesOutWithoutFullRegistration) {
   ASSERT_TRUE(coordinator.ok());
   // No SQL worker ever registers, so the splits barrier cannot complete;
   // a GetSplits request must fail after barrier_timeout_ms, not hang.
-  auto control = TcpConnect("localhost", (*coordinator)->port());
-  ASSERT_TRUE(control.ok());
-  ASSERT_TRUE(SendFrame(&*control, FrameType::kGetSplits, "").ok());
-  auto reply = RecvFrame(&*control);
-  ASSERT_TRUE(reply.ok());
-  EXPECT_EQ(reply->type, FrameType::kError);
-  EXPECT_NE(reply->payload.find("timed out"), std::string::npos)
-      << reply->payload;
+  auto reply = CallCoordinator("localhost", (*coordinator)->port(),
+                               FrameType::kGetSplits, "", FrameType::kSplits);
+  EXPECT_TRUE(reply.status().IsUnavailable()) << reply.status();
+  EXPECT_NE(reply.status().message().find("timed out"), std::string::npos)
+      << reply.status();
 }
 
 TEST(CoordinatorTest, ResumeRejectsCorruptCheckpoint) {
@@ -1391,28 +1350,138 @@ TEST(CoordinatorTest, UnknownSplitRejected) {
   options.barrier_timeout_ms = 500;
   auto coordinator = StreamCoordinator::Start(std::move(options));
   ASSERT_TRUE(coordinator.ok());
+  auto ack = RegisterSqlWorker((*coordinator)->port(), 0, 1, 1);
+  ASSERT_TRUE(ack.ok()) << ack.status();
+  auto match = Rematch((*coordinator)->port(), 99);
+  EXPECT_TRUE(match.status().IsInvalidArgument()) << match.status();
+  // A frame that is no request is refused the same way.
+  auto no_request = CallCoordinator("localhost", (*coordinator)->port(),
+                                    FrameType::kAck, "", FrameType::kAck);
+  EXPECT_TRUE(no_request.status().IsInvalidArgument()) << no_request.status();
+}
+
+/// The drop failpoints close the connection with the request unanswered,
+/// before its handler runs: the caller sees a transient NetworkError, and
+/// its retry is answered.
+TEST(CoordinatorTest, DropFailpointsLeaveTheRequestUnanswered) {
+  StreamCoordinator::Options options;
+  auto coordinator = StreamCoordinator::Start(std::move(options));
+  ASSERT_TRUE(coordinator.ok());
+  const int port = (*coordinator)->port();
   {
-    auto control = TcpConnect("localhost", (*coordinator)->port());
-    ASSERT_TRUE(control.ok());
-    RegisterSqlMessage reg;
-    reg.worker_id = 0;
-    reg.num_workers = 1;
-    reg.host = "node0";
-    reg.port = 1;
-    reg.command = "t";
-    reg.schema = Schema::Make({{"x", DataType::kInt64}});
-    ASSERT_TRUE(
-        SendFrame(&*control, FrameType::kRegisterSql, reg.Encode()).ok());
-    ASSERT_TRUE(RecvFrame(&*control).ok());
+    ScopedFailpoint drop("coordinator.register_sql", "error(1)");
+    auto dropped = RegisterSqlWorker(port, 0, 1, 7777);
+    EXPECT_TRUE(dropped.status().IsNetworkError()) << dropped.status();
+    EXPECT_EQ((*coordinator)->registered_sql_workers(), 0);
+    auto retried = RegisterSqlWorker(port, 0, 1, 7777);
+    EXPECT_TRUE(retried.ok()) << retried.status();
   }
-  auto control = TcpConnect("localhost", (*coordinator)->port());
-  ASSERT_TRUE(control.ok());
-  RegisterMlMessage bad;
-  bad.split_id = 99;
-  ASSERT_TRUE(SendFrame(&*control, FrameType::kRegisterMl, bad.Encode()).ok());
-  auto reply = RecvFrame(&*control);
-  ASSERT_TRUE(reply.ok());
-  EXPECT_EQ(reply->type, FrameType::kError);
+  {
+    ScopedFailpoint drop("coordinator.get_splits", "error(1)");
+    auto fetch = [port] {
+      return CallCoordinator("localhost", port, FrameType::kGetSplits, "",
+                             FrameType::kSplits);
+    };
+    auto dropped = fetch();
+    EXPECT_TRUE(dropped.status().IsNetworkError()) << dropped.status();
+    auto retried = fetch();
+    EXPECT_TRUE(retried.ok()) << retried.status();
+  }
+  {
+    ScopedFailpoint drop("coordinator.match", "error(1)");
+    auto dropped = Rematch(port, 0);
+    EXPECT_TRUE(dropped.status().IsNetworkError()) << dropped.status();
+    auto retried = Rematch(port, 0);
+    EXPECT_TRUE(retried.ok()) << retried.status();
+  }
+}
+
+/// Lines of /proc/self/maps: one per memory mapping of this process.
+size_t CountMappings() {
+  std::ifstream maps("/proc/self/maps");
+  size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+/// The coordinator joins a finished handler thread when the next
+/// connection arrives. One that kept them until Stop() left each one-shot
+/// call's thread stack mapped (2 mappings per call); the sink's split-status
+/// poll makes one call per backoff slice while it waits for a reconnect.
+TEST(CoordinatorTest, SequentialCallsDoNotAccumulateHandlerStacks) {
+  StreamCoordinator::Options options;
+  auto coordinator = StreamCoordinator::Start(std::move(options));
+  ASSERT_TRUE(coordinator.ok());
+  std::string split_zero;
+  PutVarint64(&split_zero, 0);
+  const auto call = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      auto reply = CallCoordinator("localhost", (*coordinator)->port(),
+                                   FrameType::kSplitStatus, split_zero,
+                                   FrameType::kAck);
+      ASSERT_TRUE(reply.ok()) << reply.status();
+    }
+  };
+  // Warm up the allocator's arenas and stack cache, and under TSan its
+  // registry of finished threads, which grows for about 100 threads.
+  call(100);
+  const size_t before = CountMappings();
+  call(200);
+  const size_t after = CountMappings();
+  EXPECT_LE(after, before + 32) << before << " -> " << after << " mappings";
+}
+
+/// A registration the coordinator refuses ends the sink's retries at once
+/// with the refusal's typed status. Read as a transport error, it was
+/// retried until the 30 s reconnect timeout.
+TEST_F(StreamingTransferTest, RefusedRegistrationFailsTheSinksAtOnce) {
+  StreamCoordinator::Options options;
+  auto coordinator = StreamCoordinator::Start(std::move(options));
+  ASSERT_TRUE(coordinator.ok());
+  // A worker of a 2-worker transfer registers first, so the engine's four
+  // sinks each register with an inconsistent worker count.
+  auto ack = RegisterSqlWorker((*coordinator)->port(), 7, 2, 1);
+  ASSERT_TRUE(ack.ok()) << ack.status();
+  ASSERT_TRUE(RegisterStreamSinkUdf(engine_.get()).ok());
+  const std::string sql = StreamingTransfer::BuildSinkSql(
+      "SELECT * FROM points", (*coordinator)->host(), (*coordinator)->port(),
+      "test", StreamSinkOptions{});
+  const auto start = std::chrono::steady_clock::now();
+  auto result = engine_->ExecuteSql(sql);
+  const auto elapsed_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_TRUE(result.status().IsInvalidArgument()) << result.status();
+  EXPECT_LT(elapsed_ms, 5000);
+}
+
+/// The ML side gives up on a split it cannot recover and aborts the
+/// transfer; the split's resilient sink, waiting for a reconnect, learns of
+/// the abort from its split-status poll and ends at once. Before, the sink
+/// waited out its 30 s reconnect timeout and reported only
+/// "timed out waiting for ML worker".
+TEST_F(StreamingTransferTest, ResilientTransferEndsWhenTheReaderGivesUp) {
+  StreamTransferOptions options;
+  options.sink.resilient = true;
+  options.sink.heartbeat_ms = 0;
+  options.reader.heartbeat_ms = 0;
+  options.reader.recovery_enabled = true;
+  options.reader.max_reconnects = 0;
+  ScopedFailpoint fault("stream.reader.row.split0", "after(9):error(1)");
+  ASSERT_TRUE(fault.status().ok()) << fault.status();
+  const auto start = std::chrono::steady_clock::now();
+  auto result =
+      StreamingTransfer::Run(engine_.get(), "SELECT * FROM points", options);
+  const auto elapsed_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("injected connection failure"),
+            std::string::npos)
+      << result.status();
+  EXPECT_LT(elapsed_ms, 5000);
 }
 
 }  // namespace
