@@ -64,15 +64,12 @@ int main(int argc, char** argv) {
 
   // Runs with one injected mid-stream consumer failure.
   {
-    StreamTransferOptions options;
-    options.sink.resilient = true;
-    options.reader.recovery_enabled = true;
     ScopedFailpoint fault(
         "stream.reader.row.split1",
         "after(" + std::to_string(expected / 16 - 1) + "):error(1)");
     Stopwatch watch;
-    auto direct = StreamingTransfer::Run(env->engine.get(),
-                                         "SELECT * FROM src", options);
+    auto direct =
+        StreamingTransfer::Run(env->engine.get(), "SELECT * FROM src");
     if (!direct.ok()) return 1;
     std::printf("%-28s %10.3f %10zu %18s\n", "direct + failure (§6)",
                 watch.ElapsedSeconds(), direct->dataset.TotalRows(),

@@ -77,11 +77,11 @@ echo "==> [${BUILD_DIR}] bench smoke (slow consumer: spill vs backpressure)"
 cmake --build "${BUILD_DIR}" -j "${JOBS}" --target bench_spill
 "${BUILD_DIR}/bench/bench_spill" 100000 --check
 
-# Fault-tolerance smoke (ablation A7): a pipelined, a resilient and a
-# resilient transfer whose reader drops its connection once mid-stream.
-# bench_fault_tolerance exits 2 on any wrong row count; the stage also
-# fails unless the failure forced a reconnect, so every run replays from a
-# rewound frame log through the reader's ack window.
+# Fault-tolerance smoke (ablation A7): after an untimed warm-up, one
+# failure-free transfer and one whose reader drops its connection once
+# mid-stream. bench_fault_tolerance exits 2 on any wrong row count; the
+# stage also fails unless the failure forced a reconnect, so every run
+# replays from a rewound frame log through the reader's ack window.
 echo "==> [${BUILD_DIR}] bench smoke (A7 fault tolerance)"
 cmake --build "${BUILD_DIR}" -j "${JOBS}" --target bench_fault_tolerance
 FT_LOG="$(mktemp)"
@@ -242,6 +242,26 @@ echo "    e2ebench fig3_stream (SQLINK_HEARTBEAT_MS=200)"
 SQLINK_HEARTBEAT_MS=200 CARGO_TARGET_DIR="${BUILD_DIR}/e2ebench" \
   python3 e2ebench/run.py --workload fig3_stream --seed 2015 --seconds 3 \
   --trace 0
+# And one under a data-plane fault: split 1's reader drops its connection
+# at every 50000th row delivered by any split-1 reader. A split holds about
+# 69.5k rows per op and the two clients' split-1 readers share the count,
+# so a reader reconnects about 1.4 times per op and never more than its
+# max_reconnects (3). Every op must reconnect, replay and still match the
+# reference. e2ebench logs errors only, so the reconnects are read from
+# the metrics dump, not from stderr.
+echo "    e2ebench fig3_stream (FAILPOINTS=stream.reader.row.split1=every(50000):error)"
+FAULT_METRICS="$(mktemp)"
+SQLINK_METRICS_DUMP="${FAULT_METRICS}" \
+  FAILPOINTS="stream.reader.row.split1=every(50000):error" \
+  CARGO_TARGET_DIR="${BUILD_DIR}/e2ebench" python3 e2ebench/run.py \
+  --workload fig3_stream --seed 2015 --seconds 3 --trace 0
+python3 - "${FAULT_METRICS}" <<'PY'
+import json, sys
+reconnects = json.load(open(sys.argv[1]))["counters"].get("stream.reconnects", 0)
+assert reconnects >= 1, "the fault run made no reconnect"
+print("    fault run: %d reconnects" % reconnects)
+PY
+rm -f "${FAULT_METRICS}"
 
 if [[ "${SQLINK_SANITIZE}" != "none" ]]; then
   SAN_DIR="${BUILD_DIR}-${SQLINK_SANITIZE}"

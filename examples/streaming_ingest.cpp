@@ -56,16 +56,14 @@ int Run(int64_t rows) {
                 static_cast<int>(result->spilled_frames));
   }
 
-  // Fault-tolerant transfer (§6): retained logs on the SQL side, one ML
-  // reader drops its connection mid-stream and replays.
+  // Fault tolerance (§6), which every transfer has: the SQL side keeps
+  // each frame until it is acked, and one ML reader drops its connection
+  // mid-stream, reconnects and replays.
   {
-    StreamTransferOptions options;
-    options.sink.resilient = true;
-    options.reader.recovery_enabled = true;
     ScopedFailpoint fault("stream.reader.row.split2", "after(99):error(1)");
-    auto result = StreamingTransfer::Run(engine.get(), query, options);
+    auto result = StreamingTransfer::Run(engine.get(), query);
     if (!result.ok()) {
-      std::fprintf(stderr, "resilient transfer: %s\n",
+      std::fprintf(stderr, "transfer with a dropped connection: %s\n",
                    result.status().ToString().c_str());
       return 1;
     }
@@ -76,7 +74,7 @@ int Run(int64_t rows) {
         if (!ids.insert(row[0].int64_value()).second) ++duplicates;
       }
     }
-    std::printf("resilient run with injected failure: %zu rows delivered, "
+    std::printf("run with a dropped connection: %zu rows delivered, "
                 "%zu duplicates, %lld reconnects\n",
                 result->dataset.TotalRows(), duplicates,
                 static_cast<long long>(
@@ -89,10 +87,7 @@ int Run(int64_t rows) {
   // to a replacement reader, which resumes from the sink's frame log.
   {
     StreamTransferOptions options;
-    options.sink.resilient = true;
-    options.sink.heartbeat_ms = 20;
-    options.reader.heartbeat_ms = 20;
-    options.reader.recovery_enabled = true;
+    options.heartbeat_ms = 20;
     ScopedFailpoint fault("stream.reader.kill.split1", "after(99):error(1)");
     auto result = StreamingTransfer::Run(engine.get(), query, options);
     if (!result.ok()) {

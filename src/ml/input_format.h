@@ -1,7 +1,6 @@
 #ifndef SQLINK_ML_INPUT_FORMAT_H_
 #define SQLINK_ML_INPUT_FORMAT_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,8 +13,8 @@
 
 namespace sqlink::ml {
 
-/// Job-level context shared by the input format and the workers — the
-/// analogue of a Hadoop Configuration plus cluster handles.
+/// Job-level context shared by the input format and the workers: the
+/// requested worker count plus cluster and metrics handles.
 struct JobContext {
   /// Requested number of ML workers. An InputFormat may override it when it
   /// returns a different number of splits (the split count wins, as in
@@ -23,7 +22,6 @@ struct JobContext {
   int requested_workers = 0;
   ClusterPtr cluster;
   MetricsRegistry* metrics = nullptr;
-  std::map<std::string, std::string> config;
 };
 
 /// One unit of input, consumed by exactly one ML worker — the Hadoop

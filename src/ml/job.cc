@@ -4,13 +4,16 @@
 #include "common/retry_policy.h"
 #include "common/status_macros.h"
 #include "common/stopwatch.h"
-#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 
 namespace sqlink::ml {
 
 namespace {
+
+/// How long the runner polls for a reassignable split (§6) before it aborts
+/// the transfer.
+constexpr int kReassignmentDeadlineMs = 30000;
 
 /// Consumes one split into `partition`, truncating it first to the reader's
 /// negotiated resume point (rows an earlier incarnation already applied and
@@ -110,14 +113,7 @@ Result<IngestResult> MlJobRunner::Ingest(InputFormat* format) {
     poll_options.initial_delay_ms = 5;
     poll_options.max_delay_ms = 100;
     poll_options.jitter = 0.0;
-    poll_options.deadline_ms = static_cast<int>(EnvInt64(
-        "SQLINK_RECOVERY_DEADLINE_MS", 30000));
-    if (auto it = context.config.find("recovery_deadline_ms");
-        it != context.config.end()) {
-      if (Result<int64_t> ms = ParseInt64(it->second); ms.ok()) {
-        poll_options.deadline_ms = static_cast<int>(*ms);
-      }
-    }
+    poll_options.deadline_ms = kReassignmentDeadlineMs;
     RetryPolicy poll(poll_options);
     while (failed > 0) {
       Result<ReassignedSplit> acquired = format->AcquireReassigned();

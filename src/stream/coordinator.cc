@@ -45,14 +45,17 @@ Result<std::unique_ptr<StreamCoordinator>> StreamCoordinator::Start(
     Options options) {
   auto coordinator =
       std::unique_ptr<StreamCoordinator>(new StreamCoordinator(options));
-  ASSIGN_OR_RETURN(coordinator->listener_, TcpListener::Listen(options.port));
-  coordinator->accept_thread_ =
-      std::thread([c = coordinator.get()] { c->AcceptLoop(); });
-  if (options.heartbeat_timeout_ms > 0) {
-    coordinator->reaper_thread_ =
-        std::thread([c = coordinator.get()] { c->ReaperLoop(); });
-  }
+  RETURN_IF_ERROR(coordinator->Serve());
   return coordinator;
+}
+
+Status StreamCoordinator::Serve() {
+  ASSIGN_OR_RETURN(listener_, TcpListener::Listen(options_.port));
+  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  if (options_.heartbeat_ms > 0) {
+    reaper_thread_ = std::thread([this] { ReaperLoop(); });
+  }
+  return Status::OK();
 }
 
 std::string StreamCoordinator::Checkpoint() const {
@@ -89,6 +92,8 @@ Result<std::unique_ptr<StreamCoordinator>> StreamCoordinator::Resume(
     if (ready != 0) {
       ASSIGN_OR_RETURN(std::string_view encoded, decoder.GetLengthPrefixed());
       ASSIGN_OR_RETURN(coordinator->splits_, SplitsMessage::Decode(encoded));
+      // Readers beat at this coordinator's interval, not the checkpoint's.
+      coordinator->splits_.heartbeat_ms = options.heartbeat_ms;
       coordinator->splits_ready_ = true;
       coordinator->split_runtime_.resize(coordinator->splits_.splits.size());
       for (size_t i = 0; i < coordinator->splits_.splits.size(); ++i) {
@@ -97,13 +102,7 @@ Result<std::unique_ptr<StreamCoordinator>> StreamCoordinator::Resume(
       }
     }
   }
-  ASSIGN_OR_RETURN(coordinator->listener_, TcpListener::Listen(options.port));
-  coordinator->accept_thread_ =
-      std::thread([c = coordinator.get()] { c->AcceptLoop(); });
-  if (options.heartbeat_timeout_ms > 0) {
-    coordinator->reaper_thread_ =
-        std::thread([c = coordinator.get()] { c->ReaperLoop(); });
-  }
+  RETURN_IF_ERROR(coordinator->Serve());
   return coordinator;
 }
 
@@ -162,19 +161,14 @@ void StreamCoordinator::AbortLocked(Status status) {
   splits_ready_cv_.notify_all();
 }
 
+std::chrono::milliseconds StreamCoordinator::LeaseTtl() const {
+  return std::chrono::milliseconds(int64_t{options_.heartbeat_ms} *
+                                   HeartbeatSender::kLeaseIntervals);
+}
+
 int StreamCoordinator::registered_sql_workers() const {
   std::lock_guard<std::mutex> lock(mu_);
   return static_cast<int>(sql_workers_.size());
-}
-
-int StreamCoordinator::splits_reassigned() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return splits_reassigned_;
-}
-
-bool StreamCoordinator::aborted() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return aborted_;
 }
 
 void StreamCoordinator::AcceptLoop() {
@@ -229,7 +223,8 @@ void StreamCoordinator::HandleConnection(TcpSocket* socket) {
        nullptr, &StreamCoordinator::HandleAcquireSplit},
       {FrameType::kCompleteSplit, "coordinator.complete_split", nullptr,
        nullptr, &StreamCoordinator::HandleCompleteSplit},
-      {FrameType::kSplitStatus, "coordinator.split_status", nullptr, nullptr,
+      {FrameType::kSplitStatus, "coordinator.split_status",
+       "coordinator.split_status.count", nullptr,
        &StreamCoordinator::HandleSplitStatus},
       {FrameType::kAbortQuery, "coordinator.abort_query", nullptr, nullptr,
        &StreamCoordinator::HandleAbortQuery},
@@ -292,7 +287,7 @@ void StreamCoordinator::HandleConnection(TcpSocket* socket) {
 }
 
 void StreamCoordinator::ReaperLoop() {
-  const auto ttl = std::chrono::milliseconds(options_.heartbeat_timeout_ms);
+  const auto ttl = LeaseTtl();
   const auto grace = ttl / 2;
   const auto tick =
       std::max(ttl / 4, std::chrono::milliseconds::zero()) +
@@ -363,6 +358,15 @@ void StreamCoordinator::ReleaseSplitLocked(size_t i, const std::string& reason) 
 Result<Frame> StreamCoordinator::HandleRegisterSql(const Frame& request) {
   ASSIGN_OR_RETURN(RegisterSqlMessage msg,
                    RegisterSqlMessage::Decode(request.payload));
+  // Worker ids 0..n-1 number the splits: sender j of worker w serves
+  // split w·k + j.
+  if (msg.num_workers < 1 || msg.worker_id < 0 ||
+      msg.worker_id >= msg.num_workers) {
+    return Status::InvalidArgument(
+        "SQL worker id " + std::to_string(msg.worker_id) + " outside [0, " +
+        std::to_string(msg.num_workers) + ")");
+  }
+  const int k = std::max(1, options_.splits_per_worker);
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopped_) return Status::Cancelled("coordinator stopped");
@@ -389,14 +393,13 @@ Result<Frame> StreamCoordinator::HandleRegisterSql(const Frame& request) {
       // All registered (step 1 complete): build the split table — m = n·k
       // splits in n groups, each split located at its SQL worker's host —
       // and launch the ML job (step 2).
-      const int k = std::max(1, options_.splits_per_worker);
       splits_.schema = msg.schema;
-      int split_id = 0;
+      splits_.heartbeat_ms = options_.heartbeat_ms;
       for (const auto& [worker_id, worker] : sql_workers_) {
         for (int j = 0; j < k; ++j) {
           splits_.splits.push_back(StreamSplitInfo{
-              split_id++, worker_id, worker.host, worker.port, /*epoch=*/1,
-              worker.sink_key});
+              worker_id * k + j, worker_id, worker.host, worker.port,
+              /*epoch=*/1, worker.sink_key});
         }
       }
       split_runtime_.assign(splits_.splits.size(), SplitRuntime{});
@@ -410,11 +413,10 @@ Result<Frame> StreamCoordinator::HandleRegisterSql(const Frame& request) {
       }
     }
   }
-  // Ack carries k so the SQL worker knows how many ML connections to expect.
-  std::string payload;
-  PutVarint64(&payload,
-              static_cast<uint64_t>(std::max(1, options_.splits_per_worker)));
-  return Reply(FrameType::kAck, std::move(payload));
+  // The ack tells the SQL worker how many ML connections to expect and how
+  // often to renew its lease.
+  return Reply(FrameType::kAck,
+               RegisterAckMessage{k, options_.heartbeat_ms}.Encode());
 }
 
 Status StreamCoordinator::WaitForSplits() {
@@ -460,9 +462,7 @@ Result<Frame> StreamCoordinator::HandleReportFailure(const Frame& request) {
 Result<Frame> StreamCoordinator::HandleHeartbeat(const Frame& request) {
   ASSIGN_OR_RETURN(HeartbeatMessage msg,
                    HeartbeatMessage::Decode(request.payload));
-  const auto ttl = std::chrono::milliseconds(
-      options_.heartbeat_timeout_ms > 0 ? options_.heartbeat_timeout_ms
-                                        : 3000);
+  const auto ttl = LeaseTtl();
   std::lock_guard<std::mutex> lock(mu_);
   if (aborted_) return abort_status_;
   const auto now = std::chrono::steady_clock::now();
@@ -519,12 +519,7 @@ Result<Frame> StreamCoordinator::HandleAcquireSplit(const Frame& request) {
       // replacement still has to dial the SQL worker before its first beat.
       rt.state = SplitState::kAssigned;
       rt.leased = true;
-      rt.deadline = std::chrono::steady_clock::now() +
-                    2 * std::chrono::milliseconds(
-                            options_.heartbeat_timeout_ms > 0
-                                ? options_.heartbeat_timeout_ms
-                                : 3000);
-      ++splits_reassigned_;
+      rt.deadline = std::chrono::steady_clock::now() + 2 * LeaseTtl();
       grant.granted = true;
       grant.split = splits_.splits[i];
       grant.split.epoch = rt.epoch;

@@ -41,7 +41,8 @@ enum class SplitState {
 /// The long-standing coordinator service of §3 that bridges the big SQL and
 /// big ML systems:
 ///
-///  1. every SQL worker registers (worker id, endpoint, ML command, schema);
+///  1. every SQL worker registers (worker id, endpoint, ML command, schema)
+///     and learns k and the lease interval;
 ///  2. once all n have registered, the coordinator launches the ML job;
 ///  3. the ML job's SqlStreamInputFormat asks it for InputSplits — it
 ///     creates m = n·k splits, grouped k-per-SQL-worker, each carrying the
@@ -74,10 +75,12 @@ class StreamCoordinator {
     MlLauncher ml_launcher;
     /// How long participants may wait on registration barriers.
     int barrier_timeout_ms = 30000;
-    /// Lease TTL: a participant whose last beat is older than this turns
-    /// kSuspect; after another TTL/2 of silence it is declared dead. 0
-    /// disables liveness tracking (no reaper thread).
-    int heartbeat_timeout_ms = 0;
+    /// Lease renewal interval, which the coordinator hands every sink (in
+    /// the kRegisterSql ack) and the ML side (in kSplits). A participant
+    /// whose last beat is older than the TTL, kLeaseIntervals intervals,
+    /// turns kSuspect; after another TTL/2 of silence it is declared dead.
+    /// 0 disables liveness tracking (no reaper thread).
+    int heartbeat_ms = 0;
     /// How many times one split may be handed to a replacement reader
     /// before the coordinator gives up and aborts the query.
     int max_split_reassignments = 3;
@@ -115,10 +118,8 @@ class StreamCoordinator {
   int port() const { return listener_.port(); }
   std::string host() const { return "localhost"; }
 
-  /// Observability for tests and benchmarks.
+  /// Observability for tests.
   int registered_sql_workers() const;
-  int splits_reassigned() const;
-  bool aborted() const;
 
  private:
   /// Per-split liveness bookkeeping (beside the static StreamSplitInfo).
@@ -137,6 +138,10 @@ class StreamCoordinator {
 
   explicit StreamCoordinator(Options options) : options_(std::move(options)) {}
 
+  /// Listens, then starts the accept loop and, with leases, the reaper.
+  Status Serve();
+  /// kLeaseIntervals renewal intervals.
+  std::chrono::milliseconds LeaseTtl() const;
   void AcceptLoop();
   /// Serves one control connection: for each request it applies the
   /// request's drop failpoint, runs its handler and writes the reply, or
@@ -184,7 +189,6 @@ class StreamCoordinator {
   SplitsMessage splits_;
   std::vector<SplitRuntime> split_runtime_;  ///< Parallel to splits_.splits.
   std::map<int, SinkLease> sink_leases_;
-  int splits_reassigned_ = 0;
   bool aborted_ = false;
   Status abort_status_;
 

@@ -29,9 +29,9 @@ RetryPolicy::Options ReconnectBackoffOptions(int split_id) {
   return options;
 }
 
-/// Receives one split's row stream from its SQL worker, with optional §6
-/// recovery (reconnect + sequence-numbered replay + dedupe), liveness
-/// heartbeats, and fault injection.
+/// Receives one split's row stream from its SQL worker, with §6 recovery
+/// (reconnect + sequence-numbered replay + dedupe), liveness heartbeats
+/// when the coordinator leases, and fault injection.
 ///
 /// Exactly-once apply protocol: every kData frame carries a monotonic
 /// sequence number. The reader acknowledges frame N (cumulative kDataAck)
@@ -49,7 +49,7 @@ class StreamRecordReader final : public ml::RecordReader {
  public:
   StreamRecordReader(std::string coordinator_host, int coordinator_port,
                      StreamSplitInfo split, StreamReaderOptions options,
-                     MetricsRegistry* metrics)
+                     int heartbeat_ms, MetricsRegistry* metrics)
       : coordinator_host_(std::move(coordinator_host)),
         coordinator_port_(coordinator_port),
         split_(std::move(split)),
@@ -70,11 +70,11 @@ class StreamRecordReader final : public ml::RecordReader {
         frames_deduped_(
             MetricsRegistry::Global().GetCounter("transfer.frames_deduped")),
         reconnect_backoff_(ReconnectBackoffOptions(split_.split_id)) {
-    if (options_.heartbeat_ms > 0) {
+    if (heartbeat_ms > 0) {
       HeartbeatSender::Options beat;
       beat.coordinator_host = coordinator_host_;
       beat.coordinator_port = coordinator_port_;
-      beat.interval_ms = options_.heartbeat_ms;
+      beat.interval_ms = heartbeat_ms;
       beat.role = HeartbeatMessage::kReader;
       beat.id = split_.split_id;
       beat.epoch = split_.epoch;
@@ -458,9 +458,7 @@ class StreamRecordReader final : public ml::RecordReader {
     // one, and a sink unwinding a cancelled or aborted query closes the
     // channel with one. No reconnect can succeed after either.
     if (cause.IsCancelled() || cause.IsAborted()) return cause;
-    if (!options_.recovery_enabled || reconnects_ >= options_.max_reconnects) {
-      return cause;
-    }
+    if (reconnects_ >= options_.max_reconnects) return cause;
     ++reconnects_;
     LOG_WARNING() << "stream split " << split_.split_id
                   << " transfer failed (" << cause.message()
@@ -539,6 +537,7 @@ Result<std::vector<ml::InputSplitPtr>> SqlStreamInputFormat::GetSplits(
   if (!exchange.ok()) return exchange.status();
   SplitsMessage msg = exchange.MoveValue();
   schema_ = msg.schema;
+  heartbeat_ms_ = msg.heartbeat_ms;
   std::vector<ml::InputSplitPtr> splits;
   splits.reserve(msg.splits.size());
   for (StreamSplitInfo& info : msg.splits) {
@@ -557,11 +556,7 @@ Result<std::unique_ptr<ml::RecordReader>> SqlStreamInputFormat::CreateReader(
   }
   return std::unique_ptr<ml::RecordReader>(new StreamRecordReader(
       coordinator_host_, coordinator_port_, stream_split->info(), options_,
-      context.metrics));
-}
-
-bool SqlStreamInputFormat::SupportsReassignment() const {
-  return options_.heartbeat_ms > 0;
+      heartbeat_ms_, context.metrics));
 }
 
 Result<ml::ReassignedSplit> SqlStreamInputFormat::AcquireReassigned() {

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/string_util.h"
 #include "ml/input_format.h"
 #include "stream/wire.h"
 
@@ -22,13 +21,9 @@ namespace sqlink {
 struct StreamReaderOptions {
   /// §6 recovery: on a broken connection, report the failure to the
   /// coordinator, re-dial the matched SQL worker, and resume from the last
-  /// applied frame sequence (replayed duplicates are dropped by sequence).
-  bool recovery_enabled = false;
+  /// applied frame sequence (replayed duplicates are dropped by sequence),
+  /// at most this many times per split; 0 gives up at the first failure.
   int max_reconnects = 3;
-
-  /// Reader lease renewal interval; <= 0 disables heartbeats and split
-  /// reassignment.
-  int heartbeat_ms = static_cast<int>(EnvInt64("SQLINK_HEARTBEAT_MS", 0));
 
   /// Benchmark knob: sleep this long after each received data frame,
   /// simulating a slow ML consumer (drives the spill/backpressure study).
@@ -56,10 +51,10 @@ class SqlStreamInputFormat final : public ml::InputFormat {
   /// Known after GetSplits (the coordinator forwards the SQL-side schema).
   SchemaPtr schema() const override { return schema_; }
 
-  /// §6 reassignment (requires heartbeats): surviving workers poll the
-  /// coordinator for splits whose reader was declared dead and resume them
-  /// from the sink's frame log.
-  bool SupportsReassignment() const override;
+  /// §6 reassignment (requires the coordinator's leases, which kSplits
+  /// names): surviving workers poll the coordinator for splits whose reader
+  /// was declared dead and resume them from the sink's frame log.
+  bool SupportsReassignment() const override { return heartbeat_ms_ > 0; }
   Result<ml::ReassignedSplit> AcquireReassigned() override;
   void AbortTransfer(const Status& status) override;
 
@@ -68,6 +63,8 @@ class SqlStreamInputFormat final : public ml::InputFormat {
   int coordinator_port_;
   StreamReaderOptions options_;
   SchemaPtr schema_;
+  /// The readers' lease renewal interval; known after GetSplits (0: none).
+  int heartbeat_ms_ = 0;
 };
 
 /// One streaming split: the SQL worker endpoint to drain, located at the

@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <thread>
+#include <utility>
 
 #include "common/blocking_queue.h"
 #include "common/coding.h"
@@ -31,7 +32,7 @@ namespace {
 
 constexpr char kSinkUsage[] =
     "sql_stream_sink(query, host, port, command[, buffer_bytes, spill, "
-    "resilient, reconnect_timeout_ms, heartbeat_ms])";
+    "reconnect_timeout_ms])";
 
 /// How long DrainAcks reads the reader's frames.
 enum class AckWait {
@@ -80,7 +81,6 @@ Status DrainAcks(MuxChannel* channel, FrameLog* log, AckWait wait,
 struct Inbound {
   std::shared_ptr<MuxChannel> channel;
   int64_t resume_seq = -1;  ///< From HELLO: -1 = "sink decides".
-  int split_id = -1;        ///< From HELLO: the split this channel serves.
   uint64_t window_bytes = 0;  ///< The reader's window, from kOpenChannel.
 };
 
@@ -90,13 +90,36 @@ struct Inbound {
 struct RouterState {
   std::mutex mu;
   bool closed = false;
-  int k = 0;  ///< 0 until registration tells us the fan-in.
+  int first_split = 0;  ///< worker_id·k, once registration set `inboxes`.
+  /// One per sender, k of them; empty until registration tells us k.
   std::vector<std::shared_ptr<BlockingQueue<Inbound>>> inboxes;
   /// Channels that opened before registration told us `k`, parked here
   /// so a reader racing the registration ack is not rejected outright
   /// (it may not retry).
   std::vector<std::pair<std::shared_ptr<MuxChannel>, OpenChannelMessage>>
       pending;
+
+  /// Hands a channel to the sender of its HELLO's split, first_split + j,
+  /// or parks it until registration. A channel for a split outside this
+  /// worker's k is shut down, as is any once the routing closed. A full
+  /// or closed inbox drops the Inbound, whose destructor closes the
+  /// channel: the reader backs off and retries. The shared socket is
+  /// untouched either way. Requires mu.
+  void RouteLocked(std::shared_ptr<MuxChannel> channel,
+                   const OpenChannelMessage& msg) {
+    if (!closed && inboxes.empty()) {
+      pending.emplace_back(std::move(channel), msg);
+      return;
+    }
+    const int64_t slot = int64_t{msg.hello.split_id} - first_split;
+    if (closed || slot < 0 || slot >= static_cast<int64_t>(inboxes.size())) {
+      channel->Shutdown(Status::Unavailable(
+          "sink not serving split " + std::to_string(msg.hello.split_id)));
+      return;
+    }
+    (void)inboxes[static_cast<size_t>(slot)]->TryPush(
+        Inbound{std::move(channel), msg.hello.resume_seq, msg.window_bytes});
+  }
 };
 
 /// Channels the senders are actively serving, so an abort can shut each
@@ -167,25 +190,13 @@ Result<StreamSinkOptions> StreamSinkOptions::FromArgs(
     options.spill_enabled = args[first + 1].int64_value() != 0;
   }
   if (args.size() > first + 2) {
-    if (!args[first + 2].is_int64()) {
-      return Status::InvalidArgument("resilient flag must be 0 or 1");
-    }
-    options.resilient = args[first + 2].int64_value() != 0;
-  }
-  if (args.size() > first + 3) {
-    if (!args[first + 3].is_int64() || args[first + 3].int64_value() <= 0) {
+    if (!args[first + 2].is_int64() || args[first + 2].int64_value() <= 0) {
       return Status::InvalidArgument("reconnect timeout must be positive");
     }
     options.reconnect_timeout_ms =
-        static_cast<int>(args[first + 3].int64_value());
+        static_cast<int>(args[first + 2].int64_value());
   }
-  if (args.size() > first + 4) {
-    if (!args[first + 4].is_int64()) {
-      return Status::InvalidArgument("heartbeat interval must be an integer");
-    }
-    options.heartbeat_ms = static_cast<int>(args[first + 4].int64_value());
-  }
-  if (args.size() > first + 5) {
+  if (args.size() > first + 3) {
     return Status::InvalidArgument(std::string("too many arguments: ") +
                                    kSinkUsage);
   }
@@ -258,6 +269,7 @@ class SqlStreamSinkUdf::Partition final : public TableUdfPartition {
                             Tracer::Global().ambient_context()};
   std::shared_ptr<RouterState> router_;  ///< Set once routing is registered.
   uint64_t sink_key_ = 0;
+  int first_split_ = 0;  ///< worker_id·k: the split sender 0 serves.
   std::vector<std::shared_ptr<BlockingQueue<Inbound>>> inboxes_;
   std::vector<std::unique_ptr<FrameLog>> logs_;
   ActiveChannels active_channels_;
@@ -289,31 +301,8 @@ Status SqlStreamSinkUdf::Partition::Start() {
       [router = router_](std::shared_ptr<MuxChannel> channel,
                const OpenChannelMessage& msg) {
         // Demux-thread context: route without blocking.
-        std::shared_ptr<BlockingQueue<Inbound>> inbox;
-        {
-          std::lock_guard<std::mutex> lock(router->mu);
-          if (!router->closed && router->k == 0) {
-            // Registration has not told us the fan-in yet: park the
-            // channel; setting `k` drains the backlog into the inboxes.
-            router->pending.emplace_back(std::move(channel), msg);
-            return;
-          }
-          if (!router->closed && router->k > 0) {
-            const int slot = msg.hello.split_id % router->k;
-            if (slot >= 0) {
-              inbox = router->inboxes[static_cast<size_t>(slot)];
-            }
-          }
-        }
-        if (inbox == nullptr) {
-          channel->Shutdown(Status::Unavailable("sink not serving"));
-          return;
-        }
-        // A full or closed inbox drops the rejected Inbound, whose channel
-        // destructor closes the channel — the reader backs off and
-        // retries. The shared socket is untouched either way.
-        (void)inbox->TryPush(Inbound{std::move(channel), msg.hello.resume_seq,
-                                     msg.hello.split_id, msg.window_bytes});
+        std::lock_guard<std::mutex> lock(router->mu);
+        router->RouteLocked(std::move(channel), msg);
       });
 
   const std::string my_host =
@@ -329,7 +318,7 @@ Status SqlStreamSinkUdf::Partition::Start() {
   registration.command = udf_->command_;
   registration.schema = udf_->input_schema_;
   registration.sink_key = sink_key_;
-  int k = 1;
+  RegisterAckMessage registered;
   {
     TraceSpan register_span("sink.register");
     // Registration is idempotent on the coordinator, so transient failures
@@ -339,44 +328,36 @@ Status SqlStreamSinkUdf::Partition::Start() {
     retry_options.deadline_ms = udf_->options_.reconnect_timeout_ms;
     retry_options.seed = static_cast<uint64_t>(context_.worker_id);
     RetryPolicy retry(retry_options);
-    Result<int> splits_per_worker = retry.Run([&]() -> Result<int> {
+    Result<std::string> ack = retry.Run([&]() -> Result<std::string> {
       if (SQLINK_FAILPOINT("stream.sink.register") != FailpointOutcome::kNone) {
         return Status::NetworkError("failpoint: injected registration error");
       }
       // A refusal (kError) is typed and ends the retries at once.
-      ASSIGN_OR_RETURN(
-          std::string ack,
-          CallCoordinator(udf_->coordinator_host_, udf_->coordinator_port_,
-                          FrameType::kRegisterSql, registration.Encode(),
-                          FrameType::kAck));
-      Decoder decoder(ack);
-      ASSIGN_OR_RETURN(uint64_t splits, decoder.GetVarint64());
-      return static_cast<int>(splits);
+      return CallCoordinator(udf_->coordinator_host_, udf_->coordinator_port_,
+                             FrameType::kRegisterSql, registration.Encode(),
+                             FrameType::kAck);
     });
-    if (!splits_per_worker.ok()) return splits_per_worker.status();
-    k = *splits_per_worker;
+    if (!ack.ok()) return ack.status();
+    ASSIGN_OR_RETURN(registered, RegisterAckMessage::Decode(*ack));
   }
+  const int k = registered.splits_per_worker;
+  first_split_ = context_.worker_id * k;
 
-  // --- Step 7: route incoming data channels to their slot by HELLO split
-  // id (slot = split_id mod k within this worker's group). Reconnects and
-  // §6 replacement readers arrive the same way, through the handler
+  // --- Step 7: route incoming data channels to their sender by HELLO
+  // split id: sender j serves split first_split_ + j. Reconnects and §6
+  // replacement readers arrive the same way, through the handler
   // registered above. ---
   for (int j = 0; j < k; ++j) {
     inboxes_.push_back(std::make_shared<BlockingQueue<Inbound>>(4));
   }
   {
     std::lock_guard<std::mutex> lock(router_->mu);
-    router_->k = k;
+    router_->first_split = first_split_;
     router_->inboxes = inboxes_;
-    // Drain channels that beat the registration ack here. A full inbox
-    // drops the parked Inbound just as the live-route path would.
-    for (auto& [channel, msg] : router_->pending) {
-      const int slot = msg.hello.split_id % k;
-      (void)inboxes_[static_cast<size_t>(slot)]->TryPush(
-          Inbound{std::move(channel), msg.hello.resume_seq,
-                  msg.hello.split_id, msg.window_bytes});
+    // Route the channels that beat the registration ack here.
+    for (auto& [channel, msg] : std::exchange(router_->pending, {})) {
+      router_->RouteLocked(std::move(channel), msg);
     }
-    router_->pending.clear();
   }
 
   // --- Step 8: round-robin rows into per-target frame logs while sender
@@ -413,7 +394,7 @@ Status SqlStreamSinkUdf::Partition::Start() {
   HeartbeatSender::Options beat_options;
   beat_options.coordinator_host = udf_->coordinator_host_;
   beat_options.coordinator_port = udf_->coordinator_port_;
-  beat_options.interval_ms = udf_->options_.heartbeat_ms;
+  beat_options.interval_ms = registered.heartbeat_ms;
   beat_options.role = HeartbeatMessage::kSink;
   beat_options.id = context_.worker_id;
   beat_options.on_revoked = [this] {
@@ -452,14 +433,12 @@ void SqlStreamSinkUdf::Partition::RunSender(int j) {
 
   // A reader that applied the whole stream can lose its final ack to a
   // dying shared connection: it reports kCompleteSplit to the
-  // coordinator and never reconnects. Track the split this sender
-  // serves so the reconnect wait can poll that out-of-band signal, or
-  // the query's abort.
-  int served_split = -1;
+  // coordinator and never reconnects. Every wait for a (re)connect polls
+  // that out-of-band signal for the split this sender serves, and the
+  // query's abort with it: a reader that never connects ends the wait too.
+  std::string request;
+  PutVarint64(&request, static_cast<uint64_t>(first_split_ + j));
   auto split_status = [&]() -> Result<bool> {
-    if (served_split < 0) return false;
-    std::string request;
-    PutVarint64(&request, static_cast<uint64_t>(served_split));
     ASSIGN_OR_RETURN(
         std::string reply,
         CallCoordinator(udf_->coordinator_host_, udf_->coordinator_port_,
@@ -474,7 +453,6 @@ void SqlStreamSinkUdf::Partition::RunSender(int j) {
   // frames — until the log is drained and the reader's final ack lands.
   auto serve = [&](const Inbound& conn) -> Status {
     MuxChannel* channel = conn.channel.get();
-    if (conn.split_id >= 0) served_split = conn.split_id;
     Frame ack;  ///< Scratch reused across ack drains.
     channels_served_.fetch_add(1, std::memory_order_relaxed);
     // Publish the channel so an abort can wake this sender even while
@@ -564,9 +542,7 @@ void SqlStreamSinkUdf::Partition::RunSender(int j) {
       const Status status = serve(*conn);
       if (status.ok()) return status;
       if (heartbeat_->revoked()) return heartbeat_->status();
-      if (!options.resilient || !RetryPolicy::IsTransient(status)) {
-        return status;
-      }
+      if (!RetryPolicy::IsTransient(status)) return status;
       LOG_WARNING() << "stream sink worker " << context_.worker_id
                     << " target " << j
                     << " transfer failed, awaiting reconnect: " << status;
@@ -687,9 +663,11 @@ Status SqlStreamSinkUdf::Partition::Settle(Status produce_status,
   }
   if (!transfer_status.ok()) {
     // The SQL side is done for: broadcast the abort so readers and the
-    // runner drain promptly instead of waiting out lease TTLs.
+    // runner drain promptly. A reader re-matching to this sink gets the
+    // abort instead of spending its reconnects on a sender that is gone,
+    // and a leased one stops at its next beat instead of a TTL later.
     heartbeat_->Stop(HeartbeatMessage::kAlive);
-    if (udf_->options_.heartbeat_ms > 0 && !heartbeat_->revoked()) {
+    if (!heartbeat_->revoked()) {
       (void)CallCoordinator(udf_->coordinator_host_, udf_->coordinator_port_,
                             FrameType::kAbortQuery,
                             EncodeStatus(transfer_status), FrameType::kAck);

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/string_util.h"
 #include "sql/engine.h"
 #include "sql/table_udf.h"
 
@@ -16,42 +15,37 @@ namespace sqlink {
 struct StreamSinkOptions {
   size_t send_buffer_bytes = 4096;  ///< Paper experiments use 4 KB.
   bool spill_enabled = true;        ///< Spill to local disk when a consumer lags.
-  bool resilient = false;           ///< §6: serve reconnecting/replacement readers.
   /// How long a sender waits for an ML worker to (re)connect before giving
   /// up. Short values keep failure tests fast.
   int reconnect_timeout_ms = 30000;
-  /// Sink lease renewal interval; <= 0 disables heartbeats — the
-  /// coordinator then cannot detect a dead SQL worker.
-  int heartbeat_ms = static_cast<int>(EnvInt64("SQLINK_HEARTBEAT_MS", 0));
 
   /// Parses the optional trailing UDF arguments (buffer_bytes, spill 0/1,
-  /// resilient 0/1, reconnect_timeout_ms, heartbeat_ms); more arguments
-  /// than these are InvalidArgument.
+  /// reconnect_timeout_ms); more arguments than these are InvalidArgument.
   static Result<StreamSinkOptions> FromArgs(const std::vector<Value>& args,
                                             size_t first);
 };
 
 /// The parallel table UDF that exports a query's rows to the ML system
 /// (§3): each SQL worker opens a data port, registers with the coordinator
-/// (step 1), waits for its k ML workers to dial in (step 7), and streams
-/// its partition round-robin across them through bounded send buffers with
-/// optional disk spill (step 8). Emits one summary row per SQL worker.
+/// (step 1), which answers with k and the lease interval, waits for its k
+/// ML workers to dial in (step 7), and streams its partition round-robin
+/// across them through bounded send buffers with optional disk spill
+/// (step 8). Emits one summary row per SQL worker.
 ///
 /// SQL:
 ///   SELECT * FROM TABLE(sql_stream_sink((<query>),
 ///       '<coordinator_host>', <coordinator_port>, '<ml_command>'
-///       [, <buffer_bytes>, <spill 0/1>, <resilient 0/1>,
-///          <reconnect_timeout_ms>, <heartbeat_ms>]))
+///       [, <buffer_bytes>, <spill 0/1>, <reconnect_timeout_ms>]))
 ///
 /// Every data frame carries a per-channel sequence number and stays in the
 /// channel's frame log until the reader's cumulative ack trims it (§6).
 /// That ack is also the channel's only flow control: a sender keeps at most
 /// the reader's window (OpenChannelMessage::window_bytes) of data bytes
 /// sent and unacked, plus one frame, and waits on the channel for the next
-/// ack past it. In resilient mode a sender whose connection drops waits for a
-/// reconnecting — or coordinator-appointed replacement — reader, answers
-/// its HELLO with the resume point, and replays only the unacked suffix:
-/// at-least-once delivery, exactly-once apply.
+/// ack past it. A sender whose connection drops waits for a reconnecting —
+/// or coordinator-appointed replacement — reader, answers its HELLO with
+/// the resume point, and replays only the unacked suffix: at-least-once
+/// delivery, exactly-once apply.
 class SqlStreamSinkUdf final : public TableUdf {
  public:
   SqlStreamSinkUdf() = default;

@@ -6,7 +6,6 @@
 #include "common/status_macros.h"
 #include "common/trace.h"
 #include "stream/coordinator.h"
-#include "stream/heartbeat.h"
 
 namespace sqlink {
 
@@ -19,9 +18,7 @@ std::string StreamingTransfer::BuildSinkSql(const std::string& query_sql,
          coordinator_host + "', " + std::to_string(coordinator_port) + ", '" +
          command + "', " + std::to_string(sink.send_buffer_bytes) + ", " +
          (sink.spill_enabled ? "1" : "0") + ", " +
-         (sink.resilient ? "1" : "0") + ", " +
-         std::to_string(sink.reconnect_timeout_ms) + ", " +
-         std::to_string(sink.heartbeat_ms) + "))";
+         std::to_string(sink.reconnect_timeout_ms) + "))";
 }
 
 Result<StreamTransferResult> StreamingTransfer::Run(
@@ -45,15 +42,9 @@ Result<StreamTransferResult> StreamingTransfer::Run(
 
   StreamCoordinator::Options coordinator_options;
   coordinator_options.splits_per_worker = options.splits_per_worker;
-  // Liveness tracking follows the heartbeat knob: the lease TTL is a fixed
-  // multiple of the participants' renewal interval (see DESIGN.md §8).
-  const int heartbeat_ms =
-      std::max(options.sink.heartbeat_ms, options.reader.heartbeat_ms);
-  coordinator_options.heartbeat_timeout_ms =
-      heartbeat_ms > 0 ? heartbeat_ms * HeartbeatSender::kLeaseIntervals : 0;
+  coordinator_options.heartbeat_ms = std::max(0, options.heartbeat_ms);
   coordinator_options.max_split_reassignments = options.max_split_reassignments;
-  int coordinator_port = 0;  // Set below; captured by reference is unsafe,
-                             // so capture a pointer to a stable location.
+  // Set once the coordinator listens; the launcher reads it later.
   auto port_holder = std::make_shared<int>(0);
   coordinator_options.ml_launcher =
       [engine, port_holder, reader_options = options.reader,
@@ -70,11 +61,10 @@ Result<StreamTransferResult> StreamingTransfer::Run(
   ASSIGN_OR_RETURN(std::unique_ptr<StreamCoordinator> coordinator,
                    StreamCoordinator::Start(std::move(coordinator_options)));
   *port_holder = coordinator->port();
-  coordinator_port = coordinator->port();
 
-  const std::string sink_sql = BuildSinkSql(
-      query_sql, coordinator->host(), coordinator_port, options.command,
-      options.sink);
+  const std::string sink_sql =
+      BuildSinkSql(query_sql, coordinator->host(), coordinator->port(),
+                   options.command, options.sink);
 
   // A cancellation must also abort THIS transfer's coordinator: the abort
   // broadcast drains readers and releases splits/replay state promptly,

@@ -3,6 +3,7 @@
 
 #include <string>
 
+#include "common/string_util.h"
 #include "ml/job.h"
 #include "sql/engine.h"
 #include "stream/sql_stream_input_format.h"
@@ -15,6 +16,10 @@ struct StreamTransferOptions {
   int splits_per_worker = 1;
   StreamSinkOptions sink;
   StreamReaderOptions reader;
+  /// §8 lease renewal interval of every sink and reader. The coordinator
+  /// derives the lease TTL from it and hands it to both sides; <= 0
+  /// disables liveness tracking and split reassignment.
+  int heartbeat_ms = static_cast<int>(EnvInt64("SQLINK_HEARTBEAT_MS", 0));
   /// §6: how many times one split may be handed to a replacement reader
   /// before the coordinator aborts the query.
   int max_split_reassignments = 3;

@@ -191,6 +191,42 @@ namespace {
 /// Marker byte so a typed-status payload is distinguishable from the legacy
 /// free-text error payloads still emitted by older call sites.
 constexpr uint8_t kStatusPayloadTag = 0xF5;
+
+/// A signed varint in [lo, hi]; DataLoss outside it.
+Result<int> GetIntIn(Decoder* decoder, int64_t lo, int64_t hi) {
+  ASSIGN_OR_RETURN(int64_t value, decoder->GetVarint64Signed());
+  if (value < lo || value > hi) {
+    return Status::DataLoss(std::to_string(value) + " outside [" +
+                            std::to_string(lo) + ", " + std::to_string(hi) +
+                            "]");
+  }
+  return static_cast<int>(value);
+}
+
+/// One StreamSplitInfo, as kSplits lists it and kSplitGrant hands it out.
+void EncodeSplit(const StreamSplitInfo& split, std::string* out) {
+  PutVarint64Signed(out, split.split_id);
+  PutVarint64Signed(out, split.sql_worker);
+  PutLengthPrefixed(out, split.host);
+  PutVarint64Signed(out, split.port);
+  PutVarint64Signed(out, split.epoch);
+  PutVarint64(out, split.sink_key);
+}
+
+Result<StreamSplitInfo> DecodeSplit(Decoder* decoder) {
+  StreamSplitInfo split;
+  ASSIGN_OR_RETURN(int64_t id, decoder->GetVarint64Signed());
+  split.split_id = static_cast<int>(id);
+  ASSIGN_OR_RETURN(int64_t worker, decoder->GetVarint64Signed());
+  split.sql_worker = static_cast<int>(worker);
+  ASSIGN_OR_RETURN(std::string_view host, decoder->GetLengthPrefixed());
+  split.host = std::string(host);
+  ASSIGN_OR_RETURN(int64_t port, decoder->GetVarint64Signed());
+  split.port = static_cast<int>(port);
+  ASSIGN_OR_RETURN(split.epoch, decoder->GetVarint64Signed());
+  ASSIGN_OR_RETURN(split.sink_key, decoder->GetVarint64());
+  return split;
+}
 }  // namespace
 
 std::string EncodeStatus(const Status& status) {
@@ -275,18 +311,29 @@ Result<RegisterSqlMessage> RegisterSqlMessage::Decode(
   return msg;
 }
 
+std::string RegisterAckMessage::Encode() const {
+  std::string out;
+  PutVarint64Signed(&out, splits_per_worker);
+  PutVarint64Signed(&out, heartbeat_ms);
+  return out;
+}
+
+Result<RegisterAckMessage> RegisterAckMessage::Decode(
+    std::string_view payload) {
+  Decoder decoder(payload);
+  RegisterAckMessage msg;
+  // k sizes the sink's sender threads and frame logs.
+  ASSIGN_OR_RETURN(msg.splits_per_worker, GetIntIn(&decoder, 1, 1024));
+  ASSIGN_OR_RETURN(msg.heartbeat_ms, GetIntIn(&decoder, 0, INT32_MAX));
+  return msg;
+}
+
 std::string SplitsMessage::Encode() const {
   std::string out;
   EncodeSchema(*schema, &out);
   PutVarint64(&out, splits.size());
-  for (const StreamSplitInfo& split : splits) {
-    PutVarint64Signed(&out, split.split_id);
-    PutVarint64Signed(&out, split.sql_worker);
-    PutLengthPrefixed(&out, split.host);
-    PutVarint64Signed(&out, split.port);
-    PutVarint64Signed(&out, split.epoch);
-    PutVarint64(&out, split.sink_key);
-  }
+  for (const StreamSplitInfo& split : splits) EncodeSplit(split, &out);
+  PutVarint64Signed(&out, heartbeat_ms);
   return out;
 }
 
@@ -296,19 +343,10 @@ Result<SplitsMessage> SplitsMessage::Decode(std::string_view payload) {
   ASSIGN_OR_RETURN(msg.schema, DecodeSchema(&decoder));
   ASSIGN_OR_RETURN(uint64_t count, decoder.GetVarint64());
   for (uint64_t i = 0; i < count; ++i) {
-    StreamSplitInfo split;
-    ASSIGN_OR_RETURN(int64_t id, decoder.GetVarint64Signed());
-    split.split_id = static_cast<int>(id);
-    ASSIGN_OR_RETURN(int64_t worker, decoder.GetVarint64Signed());
-    split.sql_worker = static_cast<int>(worker);
-    ASSIGN_OR_RETURN(std::string_view host, decoder.GetLengthPrefixed());
-    split.host = std::string(host);
-    ASSIGN_OR_RETURN(int64_t port, decoder.GetVarint64Signed());
-    split.port = static_cast<int>(port);
-    ASSIGN_OR_RETURN(split.epoch, decoder.GetVarint64Signed());
-    ASSIGN_OR_RETURN(split.sink_key, decoder.GetVarint64());
+    ASSIGN_OR_RETURN(StreamSplitInfo split, DecodeSplit(&decoder));
     msg.splits.push_back(std::move(split));
   }
+  ASSIGN_OR_RETURN(msg.heartbeat_ms, GetIntIn(&decoder, 0, INT32_MAX));
   return msg;
 }
 
@@ -421,14 +459,7 @@ Result<ResumeMessage> ResumeMessage::Decode(std::string_view payload) {
 std::string SplitGrantMessage::Encode() const {
   std::string out;
   out.push_back(granted ? 1 : 0);
-  if (granted) {
-    PutVarint64Signed(&out, split.split_id);
-    PutVarint64Signed(&out, split.sql_worker);
-    PutLengthPrefixed(&out, split.host);
-    PutVarint64Signed(&out, split.port);
-    PutVarint64Signed(&out, split.epoch);
-    PutVarint64(&out, split.sink_key);
-  }
+  if (granted) EncodeSplit(split, &out);
   return out;
 }
 
@@ -438,16 +469,7 @@ Result<SplitGrantMessage> SplitGrantMessage::Decode(std::string_view payload) {
   ASSIGN_OR_RETURN(uint8_t granted, decoder.GetByte());
   msg.granted = granted != 0;
   if (msg.granted) {
-    ASSIGN_OR_RETURN(int64_t id, decoder.GetVarint64Signed());
-    msg.split.split_id = static_cast<int>(id);
-    ASSIGN_OR_RETURN(int64_t worker, decoder.GetVarint64Signed());
-    msg.split.sql_worker = static_cast<int>(worker);
-    ASSIGN_OR_RETURN(std::string_view host, decoder.GetLengthPrefixed());
-    msg.split.host = std::string(host);
-    ASSIGN_OR_RETURN(int64_t port, decoder.GetVarint64Signed());
-    msg.split.port = static_cast<int>(port);
-    ASSIGN_OR_RETURN(msg.split.epoch, decoder.GetVarint64Signed());
-    ASSIGN_OR_RETURN(msg.split.sink_key, decoder.GetVarint64());
+    ASSIGN_OR_RETURN(msg.split, DecodeSplit(&decoder));
   }
   return msg;
 }

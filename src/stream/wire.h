@@ -186,6 +186,18 @@ struct RegisterSqlMessage {
   static Result<RegisterSqlMessage> Decode(std::string_view payload);
 };
 
+/// The coordinator's kAck reply to a registration. Sender j of SQL worker
+/// w serves split w·k + j, and every sink and reader renews its lease each
+/// `heartbeat_ms` (0: no leases); the ML side learns the interval from
+/// kSplits.
+struct RegisterAckMessage {
+  int splits_per_worker = 1;  ///< k in m = n·k.
+  int heartbeat_ms = 0;
+
+  std::string Encode() const;
+  static Result<RegisterAckMessage> Decode(std::string_view payload);
+};
+
 /// One InputSplit descriptor handed to the ML job (paper step 3).
 struct StreamSplitInfo {
   int split_id = 0;
@@ -204,6 +216,9 @@ struct StreamSplitInfo {
 struct SplitsMessage {
   SchemaPtr schema;
   std::vector<StreamSplitInfo> splits;
+  /// The readers' lease renewal interval; 0 disables leases and split
+  /// reassignment.
+  int heartbeat_ms = 0;
 
   std::string Encode() const;
   static Result<SplitsMessage> Decode(std::string_view payload);

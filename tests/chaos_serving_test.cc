@@ -115,16 +115,13 @@ TEST_F(ChaosServingTest, ConcurrentPipelinesSurviveReaderKillAndCancel) {
         return;
       }
       StreamTransferOptions options;
-      options.sink.resilient = true;
       options.sink.spill_enabled = true;
       options.sink.send_buffer_bytes = 256;
       // Generous lease (TTL = heartbeat * kLeaseIntervals): 8 pipelines'
       // heartbeat threads share the machine — and under TSan everything is
       // several times slower — so a tight lease reaps healthy workers.
       // Liveness detection of the killed reader is not what's under test.
-      options.sink.heartbeat_ms = 500;
-      options.reader.heartbeat_ms = 500;
-      options.reader.recovery_enabled = true;
+      options.heartbeat_ms = 500;
       options.query.tenant = tenant;
       options.query.spill_budget = (*ticket)->spill_budget();
       if (p == kPipelines - 1) {

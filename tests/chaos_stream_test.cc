@@ -83,7 +83,6 @@ class ChaosStreamTest : public ::testing::Test {
 
 TEST_F(ChaosStreamTest, ConnectFailureIsRetried) {
   StreamTransferOptions options;
-  options.reader.recovery_enabled = true;
   // The first two dials of every reader fail; the backoff-paced retries
   // must land the connection before max_reconnects is exhausted.
   ScopedFailpoint fault("stream.reader.connect", "error(2)");
@@ -94,9 +93,7 @@ TEST_F(ChaosStreamTest, ConnectFailureIsRetried) {
 
 TEST_F(ChaosStreamTest, MidFrameDisconnectRecovers) {
   StreamTransferOptions options;
-  options.sink.resilient = true;  // Retained log enables the §6 replay.
   options.sink.send_buffer_bytes = 256;  // Many data frames.
-  options.reader.recovery_enabled = true;
   // The 4th data frame is cut in half and the socket dropped: the receiver
   // sees a mid-message disconnect, reports the failure, reconnects, and the
   // sink replays the retained log (the reader skips what it already got).
@@ -165,11 +162,9 @@ TEST_F(ChaosStreamTest, SpillMetricsAccountForEveryFrame) {
 TEST_F(ChaosStreamTest, ReplayResumesAmongSpilledFrames) {
   MetricsRegistry::Global().Reset();
   StreamTransferOptions options;
-  options.sink.resilient = true;
   options.sink.spill_enabled = true;
   options.sink.send_buffer_bytes = 128;  // Unsent frames spill at append.
   options.reader.consume_delay_micros_per_frame = 500;  // Slow consumer.
-  options.reader.recovery_enabled = true;
   // Each reader dials late, so every sink has appended its whole split
   // before its first send: all but each log's first frame are spilled at
   // append. Split 1's slow reader then drops its channel after 100 rows,
@@ -195,11 +190,8 @@ TEST_F(ChaosStreamTest, ReplayResumesAmongSpilledFrames) {
 TEST_F(ChaosStreamTest, KilledReaderSplitIsReassigned) {
   MetricsRegistry::Global().Reset();
   StreamTransferOptions options;
-  options.sink.resilient = true;
   options.sink.send_buffer_bytes = 256;  // Many frames per split.
-  options.sink.heartbeat_ms = 20;
-  options.reader.heartbeat_ms = 20;  // Enables split reassignment.
-  options.reader.recovery_enabled = true;
+  options.heartbeat_ms = 20;  // Enables split reassignment.
   // One of the four readers dies outright after 100 delivered rows — no
   // local reconnect. Its released lease must hand the split to a
   // replacement reader, which resumes from the sink's replay window with
@@ -217,11 +209,8 @@ TEST_F(ChaosStreamTest, KilledReaderSplitIsReassigned) {
 TEST_F(ChaosStreamTest, KilledReaderHoldingUnackedFramesIsReassigned) {
   MetricsRegistry::Global().Reset();
   StreamTransferOptions options;
-  options.sink.resilient = true;
   options.sink.send_buffer_bytes = 256;  // About 20 rows per frame.
-  options.sink.heartbeat_ms = 20;
-  options.reader.heartbeat_ms = 20;
-  options.reader.recovery_enabled = true;
+  options.heartbeat_ms = 20;
   // Paced readers: each sender runs ahead, so frames wait in the inbox and
   // a reader commits frame after frame owing its ack (the inbox never
   // drains and the frames stay far below 1/16 of the window).
@@ -274,11 +263,8 @@ TEST_F(ChaosStreamTest, CancelBeforeTheSplitFetchEndsTheTransferPromptly) {
 TEST_F(ChaosStreamTest, DelayedHeartbeatReassignsTheSplit) {
   MetricsRegistry::Global().Reset();
   StreamTransferOptions options;
-  options.sink.resilient = true;
   options.sink.send_buffer_bytes = 256;
-  options.sink.heartbeat_ms = 10;
-  options.reader.heartbeat_ms = 10;  // Lease TTL = 30 ms.
-  options.reader.recovery_enabled = true;
+  options.heartbeat_ms = 10;  // Lease TTL = 30 ms.
   // Pace consumption (~20 ms per frame) so every split is still mid-stream
   // while the lease drama plays out.
   options.reader.consume_delay_micros_per_frame = 20000;
@@ -298,13 +284,10 @@ TEST_F(ChaosStreamTest, DelayedHeartbeatReassignsTheSplit) {
 
 TEST_F(ChaosStreamTest, ExhaustedReassignmentAbortsWithTypedStatus) {
   StreamTransferOptions options;
-  options.sink.resilient = true;
   options.sink.spill_enabled = true;
   options.sink.send_buffer_bytes = 128;  // Dead reader ⇒ spill builds up.
   options.sink.reconnect_timeout_ms = 5000;
-  options.sink.heartbeat_ms = 20;
-  options.reader.heartbeat_ms = 20;
-  options.reader.recovery_enabled = true;
+  options.heartbeat_ms = 20;
   options.max_split_reassignments = 1;
   // Split 1's reader dies after 10 rows — and so does its replacement. The
   // second release exhausts the budget: the coordinator broadcasts an
@@ -333,9 +316,7 @@ TEST_F(ChaosStreamTest, MuxConnKilledMidTransferRecovers) {
   MuxConnPool::Global().ResetForTest();
   StreamTransferOptions options;
   options.splits_per_worker = 2;  // 8 channels over 4 shared connections.
-  options.sink.resilient = true;  // Retained log enables the §6 replay.
   options.sink.send_buffer_bytes = 256;
-  options.reader.recovery_enabled = true;
   ScopedFailpoint fault("net.mux.recv", "after(40):close(1)");
   ASSERT_TRUE(fault.status().ok()) << fault.status();
   ExpectCompleteTransfer(options);
@@ -357,11 +338,12 @@ TEST_F(ChaosStreamTest, SlowConsumerDelayCompletes) {
 }
 
 TEST_F(ChaosStreamTest, FailedSenderReportsItsErrorNotTheCancelledLog) {
-  // A sender whose channel fails cancels its frame log, so the producer's
-  // next Append sees only "frame log cancelled". The sink must report the
-  // sender's own network error: a Cancelled status would mask it. Spill
-  // off and 256-byte frames keep the producer appending (400k rows) when
-  // the 4th data frame fails, and the transfer is not resilient.
+  // A sender that fails cancels its frame log, so the producer's next
+  // Append sees only "frame log cancelled". The sink must report the
+  // sender's own status: a Cancelled status would mask it. Spill off and
+  // 256-byte frames keep the producer appending (400k rows) when the 4th
+  // data frame fails. Its reader gives up at once (max_reconnects = 0), so
+  // the sender's reconnect wait ends with the runner's abort.
   auto schema = Schema::Make({{"id", DataType::kInt64},
                               {"feature", DataType::kDouble}});
   auto table = engine_->MakeTable("many_points", schema);
@@ -373,12 +355,15 @@ TEST_F(ChaosStreamTest, FailedSenderReportsItsErrorNotTheCancelledLog) {
   StreamTransferOptions options;
   options.sink.spill_enabled = false;
   options.sink.send_buffer_bytes = 256;
+  options.reader.max_reconnects = 0;
   ScopedFailpoint fault("stream.wire.send_data", "after(3):error(1)");
   ASSERT_TRUE(fault.status().ok()) << fault.status();
   auto result = StreamingTransfer::Run(engine_.get(),
                                        "SELECT * FROM many_points", options);
-  ASSERT_FALSE(result.ok()) << "a data frame failed on a plain transfer";
-  EXPECT_TRUE(result.status().IsNetworkError()) << result.status();
+  ASSERT_FALSE(result.ok()) << "a split was lost and the transfer succeeded";
+  EXPECT_TRUE(result.status().IsAborted()) << result.status();
+  EXPECT_NE(result.status().message().find("unrecovered"), std::string::npos)
+      << result.status();
   EXPECT_EQ(fault.fires(), 1);
   EXPECT_EQ(CountSpillFiles(temp_->path()), 0);
 }

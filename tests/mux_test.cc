@@ -284,6 +284,7 @@ class SinkWithTestReaders {
 
   Cancellation& cancel() { return cancel_; }
   MuxConn* conn() { return conn_.get(); }
+  const std::vector<StreamSplitInfo>& splits() const { return splits_; }
 
  private:
   ScopedTempDir temp_{"mux_sink_window"};
@@ -463,7 +464,6 @@ TEST(MuxTest, ReconnectResumesPastAppliedFramesWhoseAcksWereLost) {
   const int64_t stalls_before =
       MetricsRegistry::Global().Get("net.mux.window_stalls");
   StreamSinkOptions options;
-  options.resilient = true;
   options.reconnect_timeout_ms = 10000;
   SinkWithTestReaders sink;
   ASSERT_NO_FATAL_FAILURE(sink.Start(/*splits=*/1, /*rows=*/2000, options));
@@ -486,6 +486,30 @@ TEST(MuxTest, ReconnectResumesPastAppliedFramesWhoseAcksWereLost) {
   ASSERT_TRUE(second != nullptr);
   EXPECT_EQ(resumed, applied);
   EXPECT_EQ(rows + sink.DrainAndAck(second.get()), 2000u);
+  const Status status = sink.Finish();
+  EXPECT_TRUE(status.ok()) << status;
+}
+
+TEST(MuxTest, ChannelForASplitOfAnotherWorkerIsShutDown) {
+  SinkWithTestReaders sink;
+  ASSERT_NO_FATAL_FAILURE(sink.Start(/*splits=*/2, /*rows=*/400));
+  // The one worker serves splits 0 and 1. A HELLO naming split 2 gets its
+  // channel shut down; routed by split id mod k, it was served split 0.
+  OpenChannelMessage msg;
+  msg.sink_key = sink.splits()[0].sink_key;
+  msg.window_bytes = 1 << 20;
+  msg.hello.split_id = 2;
+  auto stray = sink.conn()->OpenChannel(msg);
+  ASSERT_TRUE(stray.ok()) << stray.status();
+  Frame frame;
+  const Status refused = RecvWithin(stray->get(), &frame);
+  EXPECT_TRUE(refused.IsUnavailable())
+      << refused << ", frame type " << static_cast<int>(frame.type);
+  // The worker's own splits still stream in full.
+  auto zero = sink.Open(0, 1 << 20);
+  auto one = sink.Open(1, 1 << 20);
+  ASSERT_TRUE(zero != nullptr && one != nullptr);
+  EXPECT_EQ(sink.DrainAndAck(zero.get()) + sink.DrainAndAck(one.get()), 400u);
   const Status status = sink.Finish();
   EXPECT_TRUE(status.ok()) << status;
 }

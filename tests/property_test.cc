@@ -333,9 +333,14 @@ std::vector<WireMessageCase> WireMessageCases() {
   add("RegisterSqlMessage", reg.Encode(), [](std::string_view bytes) {
     return RegisterSqlMessage::Decode(bytes).status();
   });
+  add("RegisterAckMessage", RegisterAckMessage{2, 200}.Encode(),
+      [](std::string_view bytes) {
+        return RegisterAckMessage::Decode(bytes).status();
+      });
   SplitsMessage splits;
   splits.schema = schema;
   splits.splits = {split, split};
+  splits.heartbeat_ms = 200;
   add("SplitsMessage", splits.Encode(), [](std::string_view bytes) {
     return SplitsMessage::Decode(bytes).status();
   });

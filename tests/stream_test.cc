@@ -208,14 +208,29 @@ TEST(WireTest, ControlMessagesRoundTrip) {
   EXPECT_EQ(reg2->command, reg.command);
   EXPECT_EQ(*reg2->schema, *reg.schema);
 
+  auto ack = RegisterAckMessage::Decode(RegisterAckMessage{2, 200}.Encode());
+  ASSERT_TRUE(ack.ok()) << ack.status();
+  EXPECT_EQ(ack->splits_per_worker, 2);
+  EXPECT_EQ(ack->heartbeat_ms, 200);
+  // k sizes the sink's senders: zero or an absurd fan-in is refused.
+  EXPECT_TRUE(RegisterAckMessage::Decode(RegisterAckMessage{0, 0}.Encode())
+                  .status()
+                  .IsDataLoss());
+  EXPECT_TRUE(
+      RegisterAckMessage::Decode(RegisterAckMessage{1 << 20, 0}.Encode())
+          .status()
+          .IsDataLoss());
+
   SplitsMessage splits;
   splits.schema = reg.schema;
   splits.splits = {{0, 0, "node0", 1111}, {1, 0, "node0", 1111},
                    {2, 1, "node1", 2222}};
+  splits.heartbeat_ms = 20;
   auto splits2 = SplitsMessage::Decode(splits.Encode());
   ASSERT_TRUE(splits2.ok());
   ASSERT_EQ(splits2->splits.size(), 3u);
   EXPECT_EQ(splits2->splits[2].host, "node1");
+  EXPECT_EQ(splits2->heartbeat_ms, 20);
 
   HelloMessage hello{7, 41};
   auto hello2 = HelloMessage::Decode(hello.Encode());
@@ -742,24 +757,12 @@ TEST_F(StreamingTransferTest, IngestAndCoordinatorCountersTrackTheTransfer) {
             std::string::npos);
 }
 
-TEST_F(StreamingTransferTest, ResilientModeDeliversSameData) {
-  StreamTransferOptions options;
-  options.sink.resilient = true;
-  auto result =
-      StreamingTransfer::Run(engine_.get(), "SELECT * FROM points", options);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->dataset.TotalRows(), 1000u);
-}
-
 TEST_F(StreamingTransferTest, RecoversFromInjectedFailure) {
-  StreamTransferOptions options;
-  options.sink.resilient = true;  // SQL side retains a replayable log.
-  options.reader.recovery_enabled = true;
   // Split 1's reader drops its connection once, after 50 delivered rows.
   ScopedFailpoint fault("stream.reader.row.split1", "after(49):error(1)");
   ASSERT_TRUE(fault.status().ok()) << fault.status();
   auto result =
-      StreamingTransfer::Run(engine_.get(), "SELECT * FROM points", options);
+      StreamingTransfer::Run(engine_.get(), "SELECT * FROM points");
   ASSERT_TRUE(result.ok()) << result.status();
   // Despite the mid-stream failure, exactly-once delivery holds.
   EXPECT_EQ(result->dataset.TotalRows(), 1000u);
@@ -779,12 +782,11 @@ TEST_F(StreamingTransferTest, RecoversFromInjectedFailure) {
 }
 
 TEST_F(StreamingTransferTest, RecoversWithMultipleSplitsPerWorker) {
-  // k = 2 and a failure on a non-first split of a worker: the slot routing
-  // (split_id mod k) must deliver the reconnect to the right sender.
+  // k = 2 and a failure on a non-first split of a worker: the routing
+  // (sender split_id - worker_id·k) must deliver the reconnect to the
+  // right sender.
   StreamTransferOptions options;
   options.splits_per_worker = 2;
-  options.sink.resilient = true;
-  options.reader.recovery_enabled = true;
   // Split 5 = worker 2, slot 1: fails once after 30 delivered rows.
   ScopedFailpoint fault("stream.reader.row.split5", "after(29):error(1)");
   ASSERT_TRUE(fault.status().ok()) << fault.status();
@@ -803,23 +805,33 @@ TEST_F(StreamingTransferTest, RecoversWithMultipleSplitsPerWorker) {
 
 TEST_F(StreamingTransferTest, ReaderGivesUpAfterMaxReconnects) {
   StreamTransferOptions options;
-  options.sink.resilient = true;
   options.sink.reconnect_timeout_ms = 300;  // Keep the failing run fast.
-  options.reader.recovery_enabled = true;
-  options.reader.max_reconnects = 0;  // Recovery enabled but exhausted.
+  options.reader.max_reconnects = 0;  // Gives up at the first failure.
   ScopedFailpoint fault("stream.reader.row.split0", "after(9):error(1)");
   auto result =
       StreamingTransfer::Run(engine_.get(), "SELECT * FROM points", options);
   EXPECT_FALSE(result.ok());
 }
 
-TEST_F(StreamingTransferTest, FailureWithoutRecoveryFailsThePipeline) {
-  StreamTransferOptions options;
-  options.reader.recovery_enabled = false;
+/// Recovery is no mode: a transfer with default options survives a dropped
+/// reader connection inside its first frame and applies every row once.
+TEST_F(StreamingTransferTest, DefaultTransferRecoversFromADroppedConnection) {
+  const int64_t reconnects = engine_->metrics()->Get("stream.reconnects");
   ScopedFailpoint fault("stream.reader.row.split0", "after(9):error(1)");
-  auto result =
-      StreamingTransfer::Run(engine_.get(), "SELECT * FROM points", options);
-  EXPECT_FALSE(result.ok());
+  ASSERT_TRUE(fault.status().ok()) << fault.status();
+  auto result = StreamingTransfer::Run(engine_.get(), "SELECT * FROM points");
+  ASSERT_TRUE(result.ok()) << result.status();
+  std::set<int64_t> ids;
+  for (const auto& partition : result->dataset.partitions) {
+    for (const Row& row : partition) {
+      EXPECT_TRUE(ids.insert(row[0].int64_value()).second)
+          << "duplicate row " << row[0].int64_value();
+    }
+  }
+  EXPECT_EQ(ids.size(), 1000u);
+  EXPECT_EQ(result->dataset.TotalRows(), 1000u);
+  EXPECT_EQ(fault.fires(), 1);
+  EXPECT_GE(engine_->metrics()->Get("stream.reconnects") - reconnects, 1);
 }
 
 TEST_F(StreamingTransferTest, BadQuerySurfacesSqlError) {
@@ -843,13 +855,13 @@ TEST_F(StreamingTransferTest, SinkSqlRendersRoundTrippableQuery) {
 }
 
 TEST_F(StreamingTransferTest, SinkRejectsArgumentsItDoesNotParse) {
-  // The query, host, port and command, then five optional arguments: a
-  // tenth or eleventh (an old replay window, say) is an error at planning,
-  // not an argument silently ignored.
+  // The query, host, port and command, then three optional arguments: an
+  // eighth or ninth (a retired heartbeat interval, say) is an error at
+  // planning, not an argument silently ignored.
   ASSERT_TRUE(RegisterStreamSinkUdf(engine_.get()).ok());
   std::string sql =
       "SELECT * FROM TABLE(sql_stream_sink((SELECT * FROM points), "
-      "'localhost', 9999, 'svm', 4096, 1, 0, 1000, 0";
+      "'localhost', 9999, 'svm', 4096, 1, 1000";
   ASSERT_TRUE(engine_->Plan(sql + "))").ok());
   for (int extra = 1; extra <= 2; ++extra) {
     sql += ", 1048576";
@@ -971,7 +983,8 @@ Result<MatchMessage> Rematch(int port, int split_id) {
 
 /// One split's reader against a sink partition the test plays: the
 /// process-wide mux listener hands the test the channel the reader opens.
-/// The default reader_ has heartbeats and recovery off, so it dials the
+/// The default reader_ fetched no splits, so it holds no lease, and it
+/// gives up at its first failure (max_reconnects = 0): it dials the
 /// coordinator (port 1, where nothing listens) only for its best-effort
 /// completion report, which fails fast.
 class StreamReaderTest : public ::testing::Test {
@@ -988,7 +1001,7 @@ class StreamReaderTest : public ::testing::Test {
           opened->cv.notify_all();
         });
     StreamReaderOptions options;
-    options.heartbeat_ms = 0;
+    options.max_reconnects = 0;
     reader_ = MakeReader(/*coordinator_port=*/1, options);
     ASSERT_NE(reader_, nullptr);
   }
@@ -1160,8 +1173,6 @@ TEST_F(StreamReaderTest, RematchAgainstAStoppingCoordinatorEndsRecovery) {
   StreamCoordinator::Options options;
   options.ml_launcher = [&](const std::string&) {
     StreamReaderOptions reader_options;
-    reader_options.heartbeat_ms = 0;
-    reader_options.recovery_enabled = true;
     reader_options.max_reconnects = 3;
     std::unique_ptr<ml::RecordReader> reader =
         MakeReader(port.load(), reader_options);
@@ -1360,6 +1371,25 @@ TEST(CoordinatorTest, UnknownSplitRejected) {
   EXPECT_TRUE(no_request.status().IsInvalidArgument()) << no_request.status();
 }
 
+/// Split ids are worker_id·k + j, so a registration must name a worker in
+/// [0, num_workers): the coordinator refuses any other as InvalidArgument
+/// and registers nothing.
+TEST(CoordinatorTest, RegistrationOutsideTheWorkerRangeIsRefused) {
+  StreamCoordinator::Options options;
+  auto coordinator = StreamCoordinator::Start(std::move(options));
+  ASSERT_TRUE(coordinator.ok());
+  const int port = (*coordinator)->port();
+  for (const auto& [worker_id, num_workers] :
+       std::vector<std::pair<int, int>>{{0, 0}, {-1, 2}, {2, 2}}) {
+    auto refused = RegisterSqlWorker(port, worker_id, num_workers, 7777);
+    EXPECT_TRUE(refused.status().IsInvalidArgument())
+        << worker_id << " of " << num_workers << ": " << refused.status();
+  }
+  EXPECT_EQ((*coordinator)->registered_sql_workers(), 0);
+  auto registered = RegisterSqlWorker(port, 1, 2, 7777);
+  EXPECT_TRUE(registered.ok()) << registered.status();
+}
+
 /// The drop failpoints close the connection with the request unanswered,
 /// before its handler runs: the caller sees a transient NetworkError, and
 /// its retry is answered.
@@ -1440,7 +1470,7 @@ TEST_F(StreamingTransferTest, RefusedRegistrationFailsTheSinksAtOnce) {
   ASSERT_TRUE(coordinator.ok());
   // A worker of a 2-worker transfer registers first, so the engine's four
   // sinks each register with an inconsistent worker count.
-  auto ack = RegisterSqlWorker((*coordinator)->port(), 7, 2, 1);
+  auto ack = RegisterSqlWorker((*coordinator)->port(), 1, 2, 1);
   ASSERT_TRUE(ack.ok()) << ack.status();
   ASSERT_TRUE(RegisterStreamSinkUdf(engine_.get()).ok());
   const std::string sql = StreamingTransfer::BuildSinkSql(
@@ -1457,16 +1487,13 @@ TEST_F(StreamingTransferTest, RefusedRegistrationFailsTheSinksAtOnce) {
 }
 
 /// The ML side gives up on a split it cannot recover and aborts the
-/// transfer; the split's resilient sink, waiting for a reconnect, learns of
-/// the abort from its split-status poll and ends at once. Before, the sink
-/// waited out its 30 s reconnect timeout and reported only
-/// "timed out waiting for ML worker".
+/// transfer; the split's sink, waiting for a reconnect, learns of the abort
+/// from its split-status poll and ends at once. Before, the sink waited out
+/// its 30 s reconnect timeout and reported only "timed out waiting for ML
+/// worker".
 TEST_F(StreamingTransferTest, ResilientTransferEndsWhenTheReaderGivesUp) {
   StreamTransferOptions options;
-  options.sink.resilient = true;
-  options.sink.heartbeat_ms = 0;
-  options.reader.heartbeat_ms = 0;
-  options.reader.recovery_enabled = true;
+  options.heartbeat_ms = 0;
   options.reader.max_reconnects = 0;
   ScopedFailpoint fault("stream.reader.row.split0", "after(9):error(1)");
   ASSERT_TRUE(fault.status().ok()) << fault.status();
@@ -1481,6 +1508,31 @@ TEST_F(StreamingTransferTest, ResilientTransferEndsWhenTheReaderGivesUp) {
   EXPECT_NE(result.status().message().find("injected connection failure"),
             std::string::npos)
       << result.status();
+  EXPECT_LT(elapsed_ms, 5000);
+}
+
+/// No reader ever connects. Each sender knows its split (worker_id·k + j)
+/// from registration, so it polls the split's status from its first wait
+/// and ends with the runner's abort. Before, a sender polled only once a
+/// reader's HELLO named its split: it waited out its 30 s reconnect timeout
+/// and failed with "timed out waiting for ML worker".
+TEST_F(StreamingTransferTest, ReadersThatNeverConnectAbortTheTransfer) {
+  StreamTransferOptions options;
+  options.heartbeat_ms = 0;
+  ScopedFailpoint fault("stream.reader.connect", "error");
+  ASSERT_TRUE(fault.status().ok()) << fault.status();
+  const auto start = std::chrono::steady_clock::now();
+  auto result =
+      StreamingTransfer::Run(engine_.get(), "SELECT * FROM points", options);
+  const auto elapsed_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsAborted()) << result.status();
+  EXPECT_NE(result.status().message().find("unrecovered"), std::string::npos)
+      << result.status();
+  EXPECT_GT(fault.fires(), 0);
   EXPECT_LT(elapsed_ms, 5000);
 }
 
