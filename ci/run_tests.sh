@@ -172,8 +172,10 @@ echo "    ops endpoint smoke passed (port ${OPS_PORT})"
 # Serving concurrency smoke: one long-lived `sql_shell --serve` process,
 # eight parallel `sql_shell --connect` clients each running a real query
 # over the wire. Every client must print the exact COUNT(*), proving the
-# server stays correct under concurrent admission. The server stops
-# cleanly on "quit".
+# server stays correct under concurrent admission. An idle connection
+# (fd 7) that never sends its submit frame is held open while the clients
+# run and through "quit": it must neither hold up their answers nor keep
+# the server from stopping cleanly.
 serving_smoke() {
   echo "==> [${BUILD_DIR}] serving concurrency smoke"
   local serve_log fifo port
@@ -195,6 +197,7 @@ serving_smoke() {
     echo "sql_shell --serve never reported its port:"; cat "${serve_log}"
     exec 9>&-; kill "${serve_pid}" 2>/dev/null || true; exit 1
   fi
+  exec 7<>"/dev/tcp/127.0.0.1/${port}"
   local client_pids=() client_logs=() i
   for i in $(seq 1 8); do
     local log; log="$(mktemp)"
@@ -216,6 +219,7 @@ serving_smoke() {
   echo quit >&9
   exec 9>&-
   wait "${serve_pid}" || failed=1
+  exec 7>&-
   rm -f "${serve_log}" "${fifo}"
   if [[ "${failed}" -ne 0 ]]; then
     echo "serving concurrency smoke FAILED"; exit 1

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -167,6 +168,17 @@ Result<FailpointSpec> FailpointRegistry::ParseSpec(const std::string& text) {
   return spec;
 }
 
+uint64_t FailpointRegistry::FilterBits(std::string_view name) {
+  const uint64_t hash = std::hash<std::string_view>{}(name);
+  return (uint64_t{1} << (hash & 63)) | (uint64_t{1} << ((hash >> 6) & 63));
+}
+
+void FailpointRegistry::RebuildFilterLocked() {
+  uint64_t filter = 0;
+  for (const auto& [name, entry] : entries_) filter |= FilterBits(name);
+  armed_filter_.store(filter, std::memory_order_release);
+}
+
 Status FailpointRegistry::Configure(const std::string& name,
                                     const FailpointSpec& spec) {
   if (name.empty()) {
@@ -180,14 +192,19 @@ Status FailpointRegistry::Configure(const std::string& name,
     if (it != entries_.end()) {
       entries_.erase(it);
       if (was_armed) active_count_.fetch_add(-1, std::memory_order_relaxed);
+      RebuildFilterLocked();
     }
     return Status::OK();
   }
   Entry entry;
   entry.spec = spec;
   entry.rng = Random(spec.seed);
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  entry.hits_metric = metrics.GetCounter("failpoint." + name + ".hits");
+  entry.fired_metric = metrics.GetCounter("failpoint." + name + ".fired");
   entries_[name] = std::move(entry);
   if (!was_armed) active_count_.fetch_add(1, std::memory_order_relaxed);
+  RebuildFilterLocked();
   return Status::OK();
 }
 
@@ -221,6 +238,7 @@ void FailpointRegistry::Clear(const std::string& name) {
     active_count_.fetch_add(-1, std::memory_order_relaxed);
   }
   entries_.erase(it);
+  RebuildFilterLocked();
 }
 
 void FailpointRegistry::ClearAll() {
@@ -231,6 +249,7 @@ void FailpointRegistry::ClearAll() {
   }
   entries_.clear();
   active_count_.fetch_add(-armed, std::memory_order_relaxed);
+  RebuildFilterLocked();
 }
 
 int64_t FailpointRegistry::Hits(const std::string& name) const {
@@ -246,9 +265,12 @@ int64_t FailpointRegistry::Fires(const std::string& name) const {
 }
 
 FailpointOutcome FailpointRegistry::Evaluate(std::string_view name) {
+  const uint64_t bits = FilterBits(name);
+  if ((armed_filter_.load(std::memory_order_acquire) & bits) != bits) {
+    return FailpointOutcome::kNone;
+  }
   int delay_ms = 0;
   FailpointOutcome outcome = FailpointOutcome::kNone;
-  bool fired = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(name);
@@ -258,6 +280,7 @@ FailpointOutcome FailpointRegistry::Evaluate(std::string_view name) {
     }
     Entry& entry = it->second;
     ++entry.hits;
+    entry.hits_metric->Increment();
     const FailpointSpec& spec = entry.spec;
     const int64_t eligible = entry.hits - spec.skip_hits;
     const bool triggers =
@@ -266,7 +289,7 @@ FailpointOutcome FailpointRegistry::Evaluate(std::string_view name) {
         (spec.probability >= 1.0 || entry.rng.Bernoulli(spec.probability));
     if (triggers) {
       ++entry.fires;
-      fired = true;
+      entry.fired_metric->Increment();
       switch (spec.action) {
         case FailpointSpec::Action::kError:
           outcome = FailpointOutcome::kError;
@@ -281,12 +304,6 @@ FailpointOutcome FailpointRegistry::Evaluate(std::string_view name) {
           break;
       }
     }
-  }
-  MetricsRegistry& metrics = MetricsRegistry::Global();
-  metrics.GetCounter("failpoint." + std::string(name) + ".hits")->Increment();
-  if (fired) {
-    metrics.GetCounter("failpoint." + std::string(name) + ".fired")
-        ->Increment();
   }
   if (delay_ms > 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));

@@ -13,6 +13,8 @@
 
 namespace sqlink {
 
+class Counter;  // common/metrics.h
+
 /// What an armed failpoint tells its call site to do. Delay actions sleep
 /// inside Evaluate() and report kNone, so call sites only ever branch on
 /// error-shaped outcomes.
@@ -49,7 +51,9 @@ struct FailpointSpec {
 /// injection in the codebase goes through (LevelDB/RocksDB-style failpoint
 /// discipline). Call sites evaluate a point via SQLINK_FAILPOINT("name");
 /// tests and the FAILPOINTS env var arm points by name. An unarmed registry
-/// costs one relaxed atomic load per evaluation.
+/// costs one relaxed atomic load per evaluation; while some point is armed,
+/// a name that is not costs a hash and a second atomic load, and only an
+/// armed name takes the registry mutex.
 ///
 /// Determinism: each armed point draws from its own seeded RNG in hit order,
 /// so for a fixed seed the schedule of firings (by hit index) is
@@ -99,14 +103,25 @@ class FailpointRegistry {
     Random rng{0};
     int64_t hits = 0;
     int64_t fires = 0;
+    Counter* hits_metric = nullptr;   ///< "failpoint.<name>.hits"
+    Counter* fired_metric = nullptr;  ///< "failpoint.<name>.fired"
   };
 
   FailpointRegistry();
+
+  /// Two bits picked by a hash of `name`: the armed-name filter holds the
+  /// union of every armed name's bits.
+  static uint64_t FilterBits(std::string_view name);
+  /// Rebuilds armed_filter_ from entries_. Caller holds mu_.
+  void RebuildFilterLocked();
 
   static std::atomic<int64_t> active_count_;
 
   mutable std::mutex mu_;
   std::map<std::string, Entry, std::less<>> entries_;
+  /// A probe whose FilterBits are not all set here names no armed point
+  /// and returns without taking mu_. Rebuilt under mu_ on every change.
+  std::atomic<uint64_t> armed_filter_{0};
 };
 
 /// Evaluates the failpoint `name` (string or string_view expression). The

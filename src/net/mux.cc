@@ -41,10 +41,9 @@ struct MuxMetrics {
 
 /// The data-plane frame types a kChannelData frame may wrap.
 bool IsChannelFrameType(FrameType type) {
-  return type == FrameType::kResume || type == FrameType::kSchema ||
-         type == FrameType::kData || type == FrameType::kEnd ||
-         type == FrameType::kError || type == FrameType::kDataAck ||
-         type == FrameType::kAck;
+  return type == FrameType::kResume || type == FrameType::kData ||
+         type == FrameType::kEnd || type == FrameType::kError ||
+         type == FrameType::kDataAck || type == FrameType::kAck;
 }
 
 Status ChannelClosedByPeer(const Status& close_status) {

@@ -23,7 +23,7 @@ class MuxConn;
 
 /// One logical sink→reader transfer stream, multiplexed onto a shared
 /// connection. The sink's sender and the reader speak the §6 frame protocol
-/// (kResume/kSchema/kData/kEnd + kDataAck/kAck) through it: frames travel
+/// (kResume/kData/kEnd + kDataAck/kAck) through it: frames travel
 /// wrapped in kChannelData with a one-byte inner-type prefix. The channel
 /// has no flow control of its own: the sink's sender bounds its unacked
 /// data frames by the reader's window (OpenChannelMessage::window_bytes)

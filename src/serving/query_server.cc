@@ -1,9 +1,5 @@
 #include "serving/query_server.h"
 
-#include <poll.h>
-#include <sys/eventfd.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <thread>
 #include <utility>
@@ -22,90 +18,8 @@ namespace sqlink {
 
 namespace {
 
-/// Longest a submit wait or a query's watcher blocks in poll(2) before it
-/// rechecks the stop flag, its deadline and the cancel failpoint.
-constexpr int kWatchPollMs = 10;
-
-/// Blocks until one of `fds` is readable (or hung up) or kWatchPollMs pass.
-/// Negative fds are ignored.
-void WaitReadable(::pollfd* fds, nfds_t count) {
-  for (nfds_t i = 0; i < count; ++i) fds[i].events = POLLIN;
-  (void)::poll(fds, count, kWatchPollMs);
-}
-
-/// An eventfd that wakes a query's watcher out of WaitReadable when the
-/// query ends. fd() is -1 when the kernel refused one; the watcher then
-/// wakes on its poll timeout alone.
-class WakeEvent {
- public:
-  WakeEvent() : fd_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {}
-  ~WakeEvent() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  WakeEvent(const WakeEvent&) = delete;
-  WakeEvent& operator=(const WakeEvent&) = delete;
-
-  int fd() const { return fd_; }
-  void Signal() const {
-    const uint64_t one = 1;
-    if (fd_ >= 0 && ::write(fd_, &one, sizeof(one)) < 0) {
-      // The watcher still wakes on its next poll timeout.
-    }
-  }
-
- private:
-  const int fd_;
-};
-
-/// Largest request frame payload the server buffers. The longest SQL in the
-/// tree is under 1 KB; a header announcing more is refused as soon as it is
-/// in, instead of buffering what the peer sends until the announced length
-/// (up to 4 GiB) arrives.
-constexpr uint32_t kMaxRequestFrameBytes = 1 << 20;
-
-/// InvalidArgument once the header of the frame starting at `cursor` in
-/// `buffer` is in and announces more than kMaxRequestFrameBytes.
-Status CheckRequestFrameLength(std::string_view buffer, size_t cursor) {
-  if (buffer.size() - cursor < kFrameHeaderBytes) return Status::OK();
-  Decoder decoder(buffer.substr(cursor));
-  ASSIGN_OR_RETURN(uint32_t length, decoder.GetFixed32());
-  if (length <= kMaxRequestFrameBytes) return Status::OK();
-  return Status::InvalidArgument(
-      "request frame of " + std::to_string(length) + " bytes exceeds " +
-      std::to_string(kMaxRequestFrameBytes) + " bytes");
-}
-
-/// Receives one frame, waiting in poll(2) for bytes at most kWatchPollMs at
-/// a time, so the wait can be interrupted by server shutdown (RecvFrame
-/// would block in recv(2) with no way to wake it short of killing the
-/// socket). `timeout_ms <= 0` = wait forever.
-Result<Frame> RecvFramePolling(TcpSocket* socket,
-                               const std::atomic<bool>& stop,
-                               int64_t timeout_ms) {
-  std::string buffer;
-  Frame frame;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  for (;;) {
-    size_t cursor = 0;
-    ASSIGN_OR_RETURN(bool complete, ExtractFrame(buffer, &cursor, &frame));
-    if (complete) return frame;
-    RETURN_IF_ERROR(CheckRequestFrameLength(buffer, cursor));
-    if (stop.load(std::memory_order_acquire)) {
-      return Status::Cancelled("server shutting down");
-    }
-    if (timeout_ms > 0 && std::chrono::steady_clock::now() >= deadline) {
-      return Status::Unavailable("timed out waiting for request frame");
-    }
-    bool eof = false;
-    ASSIGN_OR_RETURN(size_t n, socket->TryRecv(64 * 1024, &buffer, &eof));
-    if (n == 0) {
-      if (eof) return Status::NetworkError("connection closed");
-      ::pollfd pfd{socket->fd(), 0, 0};
-      WaitReadable(&pfd, 1);
-    }
-  }
-}
+/// Longest a connection waits for its submit frame.
+constexpr std::chrono::seconds kSubmitTimeout{30};
 
 }  // namespace
 
@@ -176,12 +90,19 @@ void QueryServer::Stop() {
   listener_.Close();
   admission_.Close();
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::unordered_map<std::thread::id, std::thread> workers;
+  decltype(workers_) workers;
   {
     std::lock_guard<std::mutex> lock(workers_mu_);
     workers.swap(workers_);
   }
-  for (auto& [id, worker] : workers) worker.join();
+  // A connection waiting for its submit frame and a running query's
+  // watcher both block in a receive on their socket. Shutting the read side
+  // down wakes them: the first returns, the second cancels its query, whose
+  // reply still goes out on the write side.
+  for (auto& [id, worker] : workers) {
+    if (auto socket = worker.second.lock()) socket->ShutdownRead();
+  }
+  for (auto& [id, worker] : workers) worker.first.join();
 }
 
 void QueryServer::AcceptLoop() {
@@ -189,11 +110,12 @@ void QueryServer::AcceptLoop() {
     Result<TcpSocket> socket = listener_.Accept();
     if (!socket.ok()) return;  // Listener closed: shutting down.
     auto shared = std::make_shared<TcpSocket>(std::move(*socket));
+    std::weak_ptr<TcpSocket> weak = shared;
     std::lock_guard<std::mutex> lock(workers_mu_);
     if (stopping_.load(std::memory_order_acquire)) return;
     for (const std::thread::id& id : finished_) {
       auto it = workers_.find(id);
-      it->second.join();
+      it->second.first.join();
       workers_.erase(it);
     }
     finished_.clear();
@@ -205,7 +127,7 @@ void QueryServer::AcceptLoop() {
       finished_.push_back(std::this_thread::get_id());
     });
     const std::thread::id id = worker.get_id();
-    workers_.emplace(id, std::move(worker));
+    workers_.emplace(id, std::make_pair(std::move(worker), std::move(weak)));
   }
 }
 
@@ -217,8 +139,8 @@ void QueryServer::HandleConnection(std::shared_ptr<TcpSocket> socket) {
     (void)SendFrame(socket.get(), FrameType::kError, EncodeStatus(status));
   };
 
-  Result<Frame> frame =
-      RecvFramePolling(socket.get(), stopping_, /*timeout_ms=*/30000);
+  socket->SetRecvDeadline(std::chrono::steady_clock::now() + kSubmitTimeout);
+  Result<Frame> frame = RecvFrame(socket.get(), kMaxRequestFrameBytes);
   if (!frame.ok()) {
     // An oversized request is answered; a peer that never sent one is not.
     if (frame.status().IsInvalidArgument()) reply_error(frame.status());
@@ -243,58 +165,43 @@ void QueryServer::HandleConnection(std::shared_ptr<TcpSocket> socket) {
 
   // All cancellation sources funnel here: client disconnect, kCancelQuery,
   // deadline, the serving.cancel_query failpoint, and server shutdown. The
-  // watcher blocks in poll(2) on the socket and on `query_done`, which is
-  // signalled when the query ends, so the join below waits out no sleep.
+  // watcher blocks in one frame read, which ends only on the client's
+  // bytes, the query's deadline (the socket's receive deadline) or a
+  // shutdown of the socket's read side: below when the query ends, or in
+  // Stop().
   Cancellation cancellation;
   const int64_t deadline_ms = submit->deadline_ms > 0
                                   ? submit->deadline_ms
                                   : options_.default_deadline_ms;
-  std::atomic<bool> watcher_stop{false};
-  const WakeEvent query_done;
+  socket->SetRecvDeadline(
+      deadline_ms > 0 ? std::chrono::steady_clock::now() +
+                            std::chrono::milliseconds(deadline_ms)
+                      : std::chrono::steady_clock::time_point::max());
+  std::atomic<bool> query_done{false};
   std::thread watcher([&] {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(deadline_ms);
-    std::string buffer;
-    Frame inbound;
-    while (!watcher_stop.load(std::memory_order_acquire)) {
-      if (SQLINK_FAILPOINT("serving.cancel_query") != FailpointOutcome::kNone) {
-        cancellation.Cancel(
-            Status::Cancelled("failpoint: injected query cancellation"));
-        return;
-      }
-      if (stopping_.load(std::memory_order_acquire)) {
-        cancellation.Cancel(Status::Cancelled("server shutting down"));
-        return;
-      }
-      if (deadline_ms > 0 && std::chrono::steady_clock::now() >= deadline) {
-        cancellation.Cancel(Status::Cancelled(
-            "query deadline exceeded (" + std::to_string(deadline_ms) +
-            " ms)"));
-        return;
-      }
-      bool eof = false;
-      Result<size_t> n = socket->TryRecv(4096, &buffer, &eof);
-      if (!n.ok() || eof) {
-        cancellation.Cancel(Status::Cancelled("client disconnected"));
-        return;
-      }
-      size_t cursor = 0;
-      for (;;) {
-        Result<bool> complete = ExtractFrame(buffer, &cursor, &inbound);
-        if (!complete.ok() || !*complete) break;
-        if (inbound.type == FrameType::kCancelQuery) {
-          cancellation.Cancel(Status::Cancelled("cancelled by client"));
-          return;
-        }
-      }
-      if (Status bounded = CheckRequestFrameLength(buffer, cursor);
-          !bounded.ok()) {
-        cancellation.Cancel(std::move(bounded));
-        return;
-      }
-      buffer.erase(0, cursor);
-      ::pollfd fds[2] = {{socket->fd(), 0, 0}, {query_done.fd(), 0, 0}};
-      WaitReadable(fds, 2);
+    if (SQLINK_FAILPOINT("serving.cancel_query") != FailpointOutcome::kNone) {
+      cancellation.Cancel(
+          Status::Cancelled("failpoint: injected query cancellation"));
+      return;
+    }
+    Result<Frame> inbound = RecvFrame(socket.get(), kMaxRequestFrameBytes);
+    while (inbound.ok() && inbound->type != FrameType::kCancelQuery) {
+      inbound = RecvFrame(socket.get(), kMaxRequestFrameBytes);
+    }
+    if (query_done.load(std::memory_order_acquire)) return;
+    const Status& status = inbound.status();
+    if (status.ok()) {
+      cancellation.Cancel(Status::Cancelled("cancelled by client"));
+    } else if (stopping_.load(std::memory_order_acquire)) {
+      cancellation.Cancel(Status::Cancelled("server shutting down"));
+    } else if (status.IsUnavailable()) {
+      cancellation.Cancel(Status::Cancelled(
+          "query deadline exceeded (" + std::to_string(deadline_ms) + " ms)"));
+    } else if (status.IsNetworkError()) {
+      cancellation.Cancel(Status::Cancelled("client disconnected"));
+    } else {
+      // An oversized header (InvalidArgument) or an undecodable one.
+      cancellation.Cancel(status);
     }
   });
 
@@ -307,8 +214,8 @@ void QueryServer::HandleConnection(std::shared_ptr<TcpSocket> socket) {
       engine_->ExecuteSql(submit->sql, "result", query_options);
   const int64_t elapsed_micros = timer.ElapsedMicros();
 
-  watcher_stop.store(true, std::memory_order_release);
-  query_done.Signal();
+  query_done.store(true, std::memory_order_release);
+  socket->ShutdownRead();
   watcher.join();
   // Release the admission slot before the (possibly slow) result send: the
   // engine is done with the memory, so a queued query can start now.

@@ -8,6 +8,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -49,7 +50,9 @@ struct QueryResultMessage {
 /// Cancellation sources, all funneled into one Cancellation object per
 /// query: the client disconnecting mid-query, an explicit kCancelQuery
 /// frame, the per-query deadline (request deadline_ms, falling back to
-/// SQLINK_QUERY_DEADLINE_MS), and the `serving.cancel_query` failpoint.
+/// SQLINK_QUERY_DEADLINE_MS), the `serving.cancel_query` failpoint
+/// (evaluated once, as the query starts) and Stop(). Every wait is one
+/// blocking frame read on the connection's socket.
 class QueryServer {
  public:
   struct Options {
@@ -88,10 +91,13 @@ class QueryServer {
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
   std::mutex workers_mu_;
-  /// Connection threads not yet joined, by id. Each thread adds its id to
+  /// Connection threads not yet joined, by id, each with its socket, which
+  /// Stop() shuts down to wake the thread. Each thread adds its id to
   /// finished_ as it returns; the accept loop joins those before it starts
   /// the next connection, so only live connections hold a thread stack.
-  std::unordered_map<std::thread::id, std::thread> workers_;
+  std::unordered_map<std::thread::id,
+                     std::pair<std::thread, std::weak_ptr<TcpSocket>>>
+      workers_;
   std::vector<std::thread::id> finished_;
 };
 

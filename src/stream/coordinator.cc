@@ -243,8 +243,17 @@ void StreamCoordinator::HandleConnection(TcpSocket* socket) {
       MetricsRegistry::Global().GetGauge("coordinator.heartbeat_conns");
   bool counted_heartbeat_conn = false;
   for (;;) {
-    Result<Frame> request = RecvFrame(socket);
-    if (!request.ok()) break;  // Peer closed (or Stop shut us down).
+    Result<Frame> request = RecvFrame(socket, kMaxRequestFrameBytes);
+    if (!request.ok()) {
+      // An oversized request is answered before any of its payload is read;
+      // the connection is then mid-frame, so it ends either way. Any other
+      // failure is a peer that closed, or Stop shutting us down.
+      if (request.status().IsInvalidArgument()) {
+        (void)SendFrame(socket, FrameType::kError,
+                        EncodeStatus(request.status()));
+      }
+      break;
+    }
     const Route* route = &kNoRequest;
     for (const Route& candidate : kRoutes) {
       if (candidate.type == request->type) route = &candidate;

@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
@@ -12,12 +13,17 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 #include "common/failpoint.h"
+#include "common/status_macros.h"
 
 namespace sqlink {
 
 namespace {
+
+constexpr std::chrono::steady_clock::time_point kNoDeadline =
+    std::chrono::steady_clock::time_point::max();
 
 /// RecvExactly's first buffer size, which fits every data frame at the
 /// default 4 KB send buffer in one resize. Longer messages double the
@@ -58,80 +64,21 @@ TcpSocket::~TcpSocket() { Close(); }
 TcpSocket& TcpSocket::operator=(TcpSocket&& other) noexcept {
   if (this != &other) {
     Close();
-    fd_ = other.fd_;
-    other.fd_ = -1;
+    fd_ = std::exchange(other.fd_, -1);
+    recv_deadline_ = other.recv_deadline_;
   }
   return *this;
 }
 
 Status TcpSocket::SendAll(std::string_view data) {
-  if (!valid()) return Status::NetworkError("send on closed socket");
-  switch (SQLINK_FAILPOINT("stream.socket.send")) {
-    case FailpointOutcome::kNone:
-      break;
-    case FailpointOutcome::kError:
-      return Status::NetworkError("failpoint: injected send error");
-    case FailpointOutcome::kClose:
-      Close();
-      return Status::NetworkError("failpoint: send socket closed");
-  }
-  IgnoreSigpipeOnce();
-  size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n =
-        ::send(fd_, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return PeerError("send");
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return Status::OK();
+  iovec iov{const_cast<char*>(data.data()), data.size()};
+  return SendAllIov(&iov, 1);
 }
 
 Status TcpSocket::SendAllV(std::string_view a, std::string_view b) {
-  if (!valid()) return Status::NetworkError("send on closed socket");
-  switch (SQLINK_FAILPOINT("stream.socket.send")) {
-    case FailpointOutcome::kNone:
-      break;
-    case FailpointOutcome::kError:
-      return Status::NetworkError("failpoint: injected send error");
-    case FailpointOutcome::kClose:
-      Close();
-      return Status::NetworkError("failpoint: send socket closed");
-  }
-  IgnoreSigpipeOnce();
-  iovec iov[2];
-  iov[0].iov_base = const_cast<char*>(a.data());
-  iov[0].iov_len = a.size();
-  iov[1].iov_base = const_cast<char*>(b.data());
-  iov[1].iov_len = b.size();
-  size_t first = 0;
-  while (first < 2) {
-    if (iov[first].iov_len == 0) {
-      ++first;
-      continue;
-    }
-    msghdr msg{};
-    msg.msg_iov = &iov[first];
-    msg.msg_iovlen = 2 - first;
-    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return PeerError("send");
-    }
-    size_t advanced = static_cast<size_t>(n);
-    while (first < 2 && advanced >= iov[first].iov_len) {
-      advanced -= iov[first].iov_len;
-      iov[first].iov_len = 0;
-      ++first;
-    }
-    if (first < 2 && advanced > 0) {
-      iov[first].iov_base = static_cast<char*>(iov[first].iov_base) + advanced;
-      iov[first].iov_len -= advanced;
-    }
-  }
-  return Status::OK();
+  iovec iov[2] = {{const_cast<char*>(a.data()), a.size()},
+                  {const_cast<char*>(b.data()), b.size()}};
+  return SendAllIov(iov, 2);
 }
 
 Status TcpSocket::SendAllIov(::iovec* iov, size_t count) {
@@ -194,10 +141,12 @@ Status TcpSocket::RecvExactly(size_t n, std::string* out) {
     if (received == out->size()) {
       out->resize(std::min(n, 2 * out->size()));
     }
+    if (recv_deadline_ != kNoDeadline) RETURN_IF_ERROR(ArmRecvTimeout());
     const ssize_t got =
         ::recv(fd_, out->data() + received, out->size() - received, 0);
     if (got < 0) {
-      if (errno == EINTR) continue;
+      // EAGAIN: SO_RCVTIMEO ran out; the next pass reports the deadline.
+      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
       return PeerError("recv");
     }
     if (got == 0) {
@@ -234,8 +183,34 @@ Result<size_t> TcpSocket::TryRecv(size_t max, std::string* out, bool* eof) {
   }
 }
 
+void TcpSocket::SetRecvDeadline(std::chrono::steady_clock::time_point deadline) {
+  if (deadline == kNoDeadline && recv_deadline_ != kNoDeadline) {
+    const timeval forever{};  // A zero timeout: recv(2) blocks forever.
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &forever, sizeof(forever));
+  }
+  recv_deadline_ = deadline;
+}
+
+Status TcpSocket::ArmRecvTimeout() {
+  const auto left = recv_deadline_ - std::chrono::steady_clock::now();
+  if (left <= std::chrono::steady_clock::duration::zero()) {
+    return Status::Unavailable("receive deadline passed");
+  }
+  // A zero timeval means "no timeout", so wait at least 1 us.
+  const int64_t micros = std::max<int64_t>(
+      1, std::chrono::duration_cast<std::chrono::microseconds>(left).count());
+  const timeval timeout{static_cast<time_t>(micros / 1000000),
+                        static_cast<suseconds_t>(micros % 1000000)};
+  ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  return Status::OK();
+}
+
 void TcpSocket::ShutdownBoth() {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
+void TcpSocket::ShutdownRead() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RD);
 }
 
 void TcpSocket::Close() {

@@ -2,8 +2,10 @@
 #define SQLINK_STREAM_SOCKET_H_
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "common/result.h"
 
@@ -20,7 +22,7 @@ class TcpSocket {
   explicit TcpSocket(int fd) : fd_(fd) {}
   ~TcpSocket();
 
-  TcpSocket(TcpSocket&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
+  TcpSocket(TcpSocket&& other) noexcept { *this = std::move(other); }
   TcpSocket& operator=(TcpSocket&& other) noexcept;
   TcpSocket(const TcpSocket&) = delete;
   TcpSocket& operator=(const TcpSocket&) = delete;
@@ -28,24 +30,31 @@ class TcpSocket {
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
 
-  /// Sends the entire buffer (loops over partial writes and EINTR; SIGPIPE
-  /// is suppressed so a dead peer surfaces as a Status, not a signal).
+  /// Sends the entire buffer: SendAllIov of one buffer.
   Status SendAll(std::string_view data);
 
-  /// Scatter-gather send of two buffers back-to-back (frame header +
-  /// payload) via sendmsg, avoiding the concatenation copy. Same partial
-  /// write/EINTR/failpoint semantics as SendAll.
+  /// Sends two buffers back-to-back (frame header + payload) without
+  /// concatenating them: SendAllIov of two buffers.
   Status SendAllV(std::string_view a, std::string_view b);
 
-  /// General scatter-gather send of `count` buffers via sendmsg. The mux
-  /// write coalescer batches frames from many channels into one call.
-  /// `iov` is consumed (entries are advanced over partial writes).
+  /// General scatter-gather send of `count` buffers via sendmsg, looping
+  /// over partial writes and EINTR; SIGPIPE is suppressed so a dead peer
+  /// surfaces as a Status, not a signal. The mux write coalescer batches
+  /// frames from many channels into one call. `iov` is consumed (entries
+  /// are advanced over partial writes).
   Status SendAllIov(::iovec* iov, size_t count);
 
   /// Receives exactly `n` bytes into `*out` (resized). The buffer grows as
   /// bytes arrive, never to `n` up front. A clean remote close before any
-  /// byte yields kNetworkError with message "closed".
+  /// byte yields kNetworkError with message "closed"; a passed receive
+  /// deadline yields kUnavailable.
   Status RecvExactly(size_t n, std::string* out);
+
+  /// Absolute deadline for every later RecvExactly on this socket: each
+  /// blocking recv(2) waits only for what is left of it, so a peer that
+  /// trickles bytes cannot stretch it. time_point::max() (the default)
+  /// waits forever.
+  void SetRecvDeadline(std::chrono::steady_clock::time_point deadline);
 
   /// Non-blocking receive of up to `max` bytes appended to `*out`. Returns
   /// the byte count: 0 when nothing is pending. A clean remote close sets
@@ -59,10 +68,21 @@ class TcpSocket {
   /// valid until Close).
   void ShutdownBoth();
 
+  /// Shuts down the read side only: a thread blocked in RecvExactly on this
+  /// socket wakes as if the peer had closed, and sends still go out. Safe
+  /// to call from another thread, like ShutdownBoth.
+  void ShutdownRead();
+
   void Close();
 
  private:
+  /// Points SO_RCVTIMEO at what is left of the receive deadline;
+  /// kUnavailable once it has passed.
+  Status ArmRecvTimeout();
+
   int fd_ = -1;
+  std::chrono::steady_clock::time_point recv_deadline_ =
+      std::chrono::steady_clock::time_point::max();
 };
 
 /// Listening TCP socket bound to 127.0.0.1 (the simulated cluster runs on

@@ -242,17 +242,10 @@ class StreamRecordReader final : public ml::RecordReader {
                               std::to_string(last_applied_seq_));
     }
 
-    Frame schema_frame;
-    RETURN_IF_ERROR(channel_->Recv(&schema_frame));
-    if (schema_frame.type != FrameType::kSchema) {
-      return Status::NetworkError("expected schema frame");
-    }
-    Decoder schema_decoder(schema_frame.payload);
-    ASSIGN_OR_RETURN(schema_, DecodeSchema(&schema_decoder));
     // The per-connection span parents to the *sender's* span carried in the
-    // schema frame header: the SQL worker's trace continues on the ML side.
+    // resume frame header: the SQL worker's trace continues on the ML side.
     CloseStreamSpan(/*error=*/false);
-    stream_span_.emplace("reader.stream", schema_frame.trace);
+    stream_span_.emplace("reader.stream", resume_frame.trace);
     stream_span_->AddAttribute("split", split_.split_id);
     stream_span_->AddAttribute("restart", restart ? 1 : 0);
     stream_span_->AddAttribute("resume_seq",
@@ -488,7 +481,6 @@ class StreamRecordReader final : public ml::RecordReader {
   bool connected_ = false;
   bool ever_connected_ = false;
   bool done_ = false;
-  SchemaPtr schema_;               // Decoded from the kSchema frame.
   Frame frame_;                    // Receive scratch reused across frames.
   std::vector<Row> batch_;         // Staged kData frame.
   size_t batch_index_ = 0;         // Next staged row to deliver.

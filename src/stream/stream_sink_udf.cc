@@ -476,10 +476,6 @@ void SqlStreamSinkUdf::Partition::RunSender(int j) {
     resume_msg.resume_rows = resume_rows;
     RETURN_IF_ERROR(channel->Send(FrameType::kResume, resume_msg.Encode(), 0));
 
-    std::string schema_payload;
-    EncodeSchema(*udf_->input_schema_, &schema_payload);
-    RETURN_IF_ERROR(channel->Send(FrameType::kSchema, schema_payload, 0));
-
     // A frame stays in the log until acked, so one that dies on the
     // wire is sent again from the next connection's resume point. While
     // the bytes in flight fill the reader's window, wait on the channel

@@ -98,7 +98,21 @@ void EncodeFrameHeader(char* out, FrameType type, uint32_t payload_len,
   EncodeFixed32(out + 29, channel);
 }
 
-Status RecvFrameInto(TcpSocket* socket, Frame* frame, std::string* scratch) {
+Result<uint32_t> DecodeFrameHeader(std::string_view header, Frame* frame) {
+  Decoder decoder(header);
+  ASSIGN_OR_RETURN(uint32_t length, decoder.GetFixed32());
+  ASSIGN_OR_RETURN(uint8_t type, decoder.GetByte());
+  RETURN_IF_ERROR(CheckFrameType(type));
+  frame->type = static_cast<FrameType>(type);
+  ASSIGN_OR_RETURN(frame->trace.trace_id, decoder.GetFixed64());
+  ASSIGN_OR_RETURN(frame->trace.span_id, decoder.GetFixed64());
+  ASSIGN_OR_RETURN(frame->seq, decoder.GetFixed64());
+  ASSIGN_OR_RETURN(frame->channel, decoder.GetFixed32());
+  return length;
+}
+
+Status RecvFrameInto(TcpSocket* socket, Frame* frame, std::string* scratch,
+                     uint32_t max_payload_bytes) {
   switch (SQLINK_FAILPOINT("stream.wire.recv_frame")) {
     case FailpointOutcome::kNone:
       break;
@@ -111,15 +125,12 @@ Status RecvFrameInto(TcpSocket* socket, Frame* frame, std::string* scratch) {
   const WireMetrics& metrics = WireMetrics::Get();
   Stopwatch timer;
   RETURN_IF_ERROR(socket->RecvExactly(kFrameHeaderBytes, scratch));
-  Decoder decoder(*scratch);
-  ASSIGN_OR_RETURN(uint32_t length, decoder.GetFixed32());
-  ASSIGN_OR_RETURN(uint8_t type, decoder.GetByte());
-  RETURN_IF_ERROR(CheckFrameType(type));
-  frame->type = static_cast<FrameType>(type);
-  ASSIGN_OR_RETURN(frame->trace.trace_id, decoder.GetFixed64());
-  ASSIGN_OR_RETURN(frame->trace.span_id, decoder.GetFixed64());
-  ASSIGN_OR_RETURN(frame->seq, decoder.GetFixed64());
-  ASSIGN_OR_RETURN(frame->channel, decoder.GetFixed32());
+  ASSIGN_OR_RETURN(uint32_t length, DecodeFrameHeader(*scratch, frame));
+  if (length > max_payload_bytes) {
+    return Status::InvalidArgument(
+        "frame of " + std::to_string(length) + " bytes exceeds " +
+        std::to_string(max_payload_bytes) + " bytes");
+  }
   frame->payload.clear();
   if (length > 0) {
     RETURN_IF_ERROR(socket->RecvExactly(length, &frame->payload));
@@ -131,33 +142,11 @@ Status RecvFrameInto(TcpSocket* socket, Frame* frame, std::string* scratch) {
   return Status::OK();
 }
 
-Result<Frame> RecvFrame(TcpSocket* socket) {
+Result<Frame> RecvFrame(TcpSocket* socket, uint32_t max_payload_bytes) {
   Frame frame;
   std::string scratch;
-  RETURN_IF_ERROR(RecvFrameInto(socket, &frame, &scratch));
+  RETURN_IF_ERROR(RecvFrameInto(socket, &frame, &scratch, max_payload_bytes));
   return frame;
-}
-
-Result<bool> ExtractFrame(std::string_view buffer, size_t* cursor,
-                          Frame* frame) {
-  if (*cursor > buffer.size()) {
-    return Status::Internal("frame cursor past end of buffer");
-  }
-  const std::string_view rest = buffer.substr(*cursor);
-  if (rest.size() < kFrameHeaderBytes) return false;
-  Decoder decoder(rest);
-  ASSIGN_OR_RETURN(uint32_t length, decoder.GetFixed32());
-  ASSIGN_OR_RETURN(uint8_t type, decoder.GetByte());
-  RETURN_IF_ERROR(CheckFrameType(type));
-  if (rest.size() < kFrameHeaderBytes + length) return false;
-  frame->type = static_cast<FrameType>(type);
-  ASSIGN_OR_RETURN(frame->trace.trace_id, decoder.GetFixed64());
-  ASSIGN_OR_RETURN(frame->trace.span_id, decoder.GetFixed64());
-  ASSIGN_OR_RETURN(frame->seq, decoder.GetFixed64());
-  ASSIGN_OR_RETURN(frame->channel, decoder.GetFixed32());
-  frame->payload.assign(rest.data() + kFrameHeaderBytes, length);
-  *cursor += kFrameHeaderBytes + length;
-  return true;
 }
 
 std::string FrameBufferPool::Acquire() {

@@ -19,10 +19,9 @@ namespace sqlink {
 /// SQL-worker → ML-worker sockets.
 enum class FrameType : uint8_t {
   // Data plane.
-  kSchema = 1,  ///< First frame on a data socket: the row schema.
-  kData = 2,    ///< A row-batch payload (table/row_codec.h).
-  kEnd = 3,     ///< Sender finished; payload = total row count (varint).
-  kError = 4,   ///< Sender failed; payload = message.
+  kData = 2,   ///< A row-batch payload (table/row_codec.h).
+  kEnd = 3,    ///< Sender finished; payload = total row count (varint).
+  kError = 4,  ///< Sender failed; payload = message.
 
   // Control plane (coordinator).
   kRegisterSql = 10,
@@ -41,6 +40,7 @@ enum class FrameType : uint8_t {
   kResume = 23,         ///< Sink → reader: replay start point after HELLO.
   kAbortQuery = 24,     ///< Broadcast abort; payload = encoded Status.
 
+  // 1 (kSchema, the per-channel row schema; readers learn it from kSplits),
   // 13 (kRegisterMl), 17 (kShutdown), 25, 26 and 33 (kChannelWindow, the
   // mux's per-frame credit grant) are retired: a peer built while they were
   // in use may still send them, so they must never be reused.
@@ -54,7 +54,7 @@ enum class FrameType : uint8_t {
 
   // Mux plane (src/net): many logical transfer channels share one
   // sink→reader socket. On a mux socket these are the ONLY frame types;
-  // data-plane frames (kResume/kSchema/kData/kEnd/kError/kDataAck/kAck)
+  // data-plane frames (kResume/kData/kEnd/kError/kDataAck/kAck)
   // travel wrapped inside kChannelData with a one-byte inner type prefix, so
   // the per-channel seq/ack machinery is untouched by multiplexing.
   kOpenChannel = 30,    ///< Reader → sink: payload = OpenChannelMessage.
@@ -71,11 +71,11 @@ enum class FrameType : uint8_t {
                       ///< or kError carrying the query's abort.
 };
 
-/// True when a header's type byte names a FrameType above: 1–4, 10–12,
+/// True when a header's type byte names a FrameType above: 2–4, 10–12,
 /// 14–16, 18–24, 27–32 and 34. Decoders reject any other byte as DataLoss,
 /// so it never reaches a handler's default branch as a retryable error.
 constexpr bool IsKnownFrameType(uint8_t type) {
-  return (type >= 1 && type <= 4) ||
+  return (type >= 2 && type <= 4) ||
          (type >= 10 && type <= 24 && type != 13 && type != 17) ||
          (type >= 27 && type <= 32) || type == 34;
 }
@@ -105,16 +105,36 @@ Status SendFrame(TcpSocket* socket, FrameType type, std::string_view payload);
 /// another thread).
 Status SendFrame(TcpSocket* socket, FrameType type, std::string_view payload,
                  const TraceContext& trace);
-Result<Frame> RecvFrame(TcpSocket* socket);
+
+/// Largest payload a server reads in a request frame (the query server's
+/// submit and cancel frames, the coordinator's control requests). Requests
+/// carry a query's SQL or a control message, far below this; a header
+/// announcing more is refused as soon as it is in, instead of waiting for
+/// (and buffering) up to 4 GiB the peer may never send.
+inline constexpr uint32_t kMaxRequestFrameBytes = 1 << 20;
+
+/// Receives one frame. A header announcing more than `max_payload_bytes` is
+/// InvalidArgument before any of its payload is read; the connection is then
+/// mid-frame, so the caller answers or drops it but reads no further frame.
+Result<Frame> RecvFrame(TcpSocket* socket,
+                        uint32_t max_payload_bytes = UINT32_MAX);
 
 /// Allocation-free variant for receive loops: decodes the header into
 /// `*scratch` (reused across calls) and the payload into `frame->payload`
 /// (whose capacity is likewise reused). `frame` keeps its buffers on error.
-Status RecvFrameInto(TcpSocket* socket, Frame* frame, std::string* scratch);
+Status RecvFrameInto(TcpSocket* socket, Frame* frame, std::string* scratch,
+                     uint32_t max_payload_bytes = UINT32_MAX);
 
 /// Size in bytes of the fixed frame header
 /// (len + type + trace_id + span_id + seq + channel).
 inline constexpr size_t kFrameHeaderBytes = 4 + 1 + 8 + 8 + 8 + 4;
+
+/// Decodes the kFrameHeaderBytes header at the front of `header` into
+/// `*frame` (everything but the payload) and returns the payload length it
+/// announces. DataLoss for a short header or a type byte that
+/// IsKnownFrameType rejects. The one header decoder: RecvFrameInto and
+/// therefore every socket, the mux's included, read headers through it.
+Result<uint32_t> DecodeFrameHeader(std::string_view header, Frame* frame);
 
 /// Writes the fixed frame header into `out` (at least kFrameHeaderBytes).
 /// Shared by SendFrame and the mux write coalescer, which builds headers
@@ -122,15 +142,6 @@ inline constexpr size_t kFrameHeaderBytes = 4 + 1 + 8 + 8 + 8 + 4;
 void EncodeFrameHeader(char* out, FrameType type, uint32_t payload_len,
                        uint64_t seq, uint32_t channel,
                        const TraceContext& trace);
-
-/// Parses one complete frame starting at `*cursor` within `buffer` (bytes
-/// gathered out-of-band, e.g. with TcpSocket::TryRecv) and advances the
-/// cursor past it, without erasing the consumed prefix — callers drain every
-/// buffered frame, then compact once. Returns false when more bytes are
-/// needed. The payload is assigned into `frame->payload` reusing its
-/// capacity.
-Result<bool> ExtractFrame(std::string_view buffer, size_t* cursor,
-                          Frame* frame);
 
 /// Bounded pool of reusable frame/payload buffers. The sink acquires one
 /// per frame and its frame log releases it once the frame is acked or
@@ -163,7 +174,8 @@ std::string EncodeStatus(const Status& status);
 /// foreign peers) degrade to kNetworkError with the text as message.
 Status DecodeStatusPayload(std::string_view payload);
 
-/// Schema serialization for the kSchema frame and control messages.
+/// Schema serialization for control messages (registration, kSplits) and
+/// query results.
 void EncodeSchema(const Schema& schema, std::string* out);
 Result<SchemaPtr> DecodeSchema(Decoder* decoder);
 

@@ -208,8 +208,6 @@ class SinkWithTestReaders {
     auto resume = ResumeMessage::Decode(frame.payload);
     EXPECT_TRUE(resume.ok()) << resume.status();
     if (resumed != nullptr && resume.ok()) *resumed = resume->resume_seq;
-    EXPECT_TRUE(RecvWithin(channel->get(), &frame).ok());
-    EXPECT_EQ(frame.type, FrameType::kSchema);
     return *channel;
   }
 

@@ -391,7 +391,8 @@ std::vector<WireMessageCase> WireMessageCases() {
     return QueryResultMessage::Decode(bytes).status();
   });
   // A whole data frame, header included: a damaged type byte, length or
-  // payload must fail ExtractFrame or the row decoder, never crash them.
+  // payload must fail the header decoder or the row decoder, never crash
+  // them.
   std::string frame_bytes(kFrameHeaderBytes, '\0');
   const std::string frame_payload = RowCodec::EncodeRows(rows);
   EncodeFrameHeader(frame_bytes.data(), FrameType::kData,
@@ -399,16 +400,15 @@ std::vector<WireMessageCase> WireMessageCases() {
                     /*channel=*/3, TraceContext{});
   frame_bytes += frame_payload;
   add("data frame", frame_bytes, [](std::string_view bytes) -> Status {
-    size_t cursor = 0;
     Frame frame;
-    ASSIGN_OR_RETURN(bool complete, ExtractFrame(bytes, &cursor, &frame));
-    if (!complete || cursor != bytes.size()) {
+    ASSIGN_OR_RETURN(uint32_t length, DecodeFrameHeader(bytes, &frame));
+    if (bytes.size() != kFrameHeaderBytes + length) {
       return Status::DataLoss("frame does not span the buffer");
     }
     if (frame.type != FrameType::kData) {
       return Status::DataLoss("frame type changed");
     }
-    return RowCodec::DecodeRows(frame.payload).status();
+    return RowCodec::DecodeRows(bytes.substr(kFrameHeaderBytes)).status();
   });
   // Status payloads never fail to decode: a damaged one degrades to a
   // NetworkError carrying the raw bytes.

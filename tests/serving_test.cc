@@ -715,6 +715,39 @@ TEST_F(QueryServerTest, DisconnectCancelsQueryAndFreesSlot) {
   EXPECT_EQ(QueryRegistry::Global().active_count(), 0u);
 }
 
+// Stop() wakes every connection thread at once: one still waiting for a
+// submit frame that never comes, and a running query's watcher, whose query
+// is cancelled "server shutting down" and still answered. The idle
+// connection would otherwise hold Stop() for its whole 30 s submit wait.
+TEST_F(QueryServerTest, StopWakesIdleConnectionsAndCancelsRunningQueries) {
+  auto server = StartServer();
+  ASSERT_NE(server, nullptr);
+  ScopedFailpoint pace("sql.exec.batch", "delay(20)");
+  ASSERT_TRUE(pace.status().ok());
+  auto idle = TcpConnect("127.0.0.1", server->port());
+  ASSERT_TRUE(idle.ok()) << idle.status();
+  auto client = QueryClient::Connect("127.0.0.1", server->port());
+  ASSERT_TRUE(client.ok()) << client.status();
+  ASSERT_TRUE(client->Submit("SELECT id FROM points").ok());
+  Stopwatch admitted;
+  while (server->admission()->active() == 0 &&
+         admitted.ElapsedMicros() < 5 * 1000 * 1000) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server->admission()->active(), 1);
+
+  Stopwatch stop;
+  server->Stop();
+  EXPECT_LT(stop.ElapsedMicros(), 1000 * 1000);
+  auto response = client->Await();
+  ASSERT_FALSE(response.ok());
+  EXPECT_TRUE(response.status().IsCancelled()) << response.status();
+  EXPECT_NE(response.status().ToString().find("server shutting down"),
+            std::string::npos)
+      << response.status();
+  EXPECT_EQ(server->admission()->active(), 0);
+}
+
 /// A frame header announcing a 1 GiB payload, and nothing after it.
 std::string OversizedHeader(FrameType type) {
   std::string header(kFrameHeaderBytes, '\0');

@@ -83,6 +83,66 @@ TEST(SocketTest, RecvOnClosedPeerReportsClosed) {
   EXPECT_TRUE(status.IsNetworkError());
 }
 
+/// A receive deadline is absolute: a peer that trickles a 33-byte header
+/// one byte every 20 ms (660 ms in all) cannot stretch a 100 ms deadline,
+/// however many partial reads it feeds.
+TEST(SocketTest, RecvDeadlineHoldsAcrossPartialReads) {
+  auto listener = TcpListener::Listen(0);
+  ASSERT_TRUE(listener.ok());
+  std::atomic<bool> done{false};
+  std::thread peer([&] {
+    auto conn = TcpConnect("localhost", listener->port());
+    ASSERT_TRUE(conn.ok());
+    char header[kFrameHeaderBytes];
+    EncodeFrameHeader(header, FrameType::kEnd, /*payload_len=*/0, /*seq=*/1,
+                      /*channel=*/0, TraceContext{});
+    for (size_t i = 0; i < sizeof(header) && !done.load(); ++i) {
+      if (!conn->SendAll(std::string_view(header + i, 1)).ok()) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  });
+  auto conn = listener->Accept();
+  ASSERT_TRUE(conn.ok());
+  const auto start = std::chrono::steady_clock::now();
+  conn->SetRecvDeadline(start + std::chrono::milliseconds(100));
+  std::string header;
+  const Status status = conn->RecvExactly(kFrameHeaderBytes, &header);
+  const auto elapsed_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  done = true;
+  peer.join();
+  EXPECT_TRUE(status.IsUnavailable()) << status;
+  EXPECT_GE(elapsed_ms, 100);
+  EXPECT_LT(elapsed_ms, 200);
+}
+
+/// ShutdownRead wakes a thread blocked in RecvFrame at once, as a peer's
+/// close would, and the socket still sends.
+TEST(SocketTest, ShutdownReadWakesABlockedReceiveAndKeepsSending) {
+  auto listener = TcpListener::Listen(0);
+  ASSERT_TRUE(listener.ok());
+  auto client = TcpConnect("localhost", listener->port());
+  ASSERT_TRUE(client.ok());
+  auto conn = listener->Accept();
+  ASSERT_TRUE(conn.ok());
+  Status recv_status = Status::OK();
+  std::thread reader([&] { recv_status = RecvFrame(&*conn).status(); });
+  // Let the reader block in recv(2); the peer never sends.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto start = std::chrono::steady_clock::now();
+  conn->ShutdownRead();
+  reader.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  EXPECT_TRUE(recv_status.IsNetworkError()) << recv_status;
+  ASSERT_TRUE(SendFrame(&*conn, FrameType::kEnd, "sent after").ok());
+  auto frame = RecvFrame(&*client);
+  ASSERT_TRUE(frame.ok()) << frame.status();
+  EXPECT_EQ(frame->type, FrameType::kEnd);
+  EXPECT_EQ(frame->payload, "sent after");
+}
+
 TEST(WireTest, FrameRoundTrip) {
   auto listener = TcpListener::Listen(0);
   ASSERT_TRUE(listener.ok());
@@ -130,10 +190,11 @@ TEST(WireTest, HugeFrameLengthDoesNotAllocateAhead) {
   EXPECT_LT(frame.payload.capacity(), size_t{4} << 20);
 }
 
-/// A type byte that names no FrameType is DataLoss in both header decoders:
-/// 0, the retired 13, 17, 25, 26 and 33, and everything past the last type.
+/// A type byte that names no FrameType is DataLoss in the header decoder,
+/// alone and behind RecvFrameInto: 0, the retired 1, 13, 17, 25, 26 and 33,
+/// and everything past the last type.
 TEST(WireTest, UnknownFrameTypeIsDataLoss) {
-  const std::vector<uint8_t> unknown = {0, 13, 17, 25, 26, 33, 35, 255};
+  const std::vector<uint8_t> unknown = {0, 1, 13, 17, 25, 26, 33, 35, 255};
   auto header = [](uint8_t type) {
     char bytes[kFrameHeaderBytes];
     EncodeFrameHeader(bytes, static_cast<FrameType>(type), /*payload_len=*/0,
@@ -141,11 +202,10 @@ TEST(WireTest, UnknownFrameTypeIsDataLoss) {
     return std::string(bytes, sizeof(bytes));
   };
   for (uint8_t type : unknown) {
-    size_t cursor = 0;
     Frame frame;
-    const Result<bool> extracted = ExtractFrame(header(type), &cursor, &frame);
-    EXPECT_TRUE(extracted.status().IsDataLoss())
-        << "type " << int{type} << ": " << extracted.status();
+    const Result<uint32_t> decoded = DecodeFrameHeader(header(type), &frame);
+    EXPECT_TRUE(decoded.status().IsDataLoss())
+        << "type " << int{type} << ": " << decoded.status();
   }
 
   auto listener = TcpListener::Listen(0);
@@ -907,7 +967,7 @@ TEST_F(StreamingTransferTest, OneTraceCoversSinkCoordinatorReaderAndIngest) {
   }
 
   // Cross-wire link: each reader.stream span's parent is the sink-side span
-  // that sent the schema frame (a span of the same trace, recorded on the
+  // that sent the resume frame (a span of the same trace, recorded on the
   // SQL-worker thread).
   const SpanRecord* reader_stream = find("reader.stream");
   bool parent_found = false;
@@ -1033,8 +1093,8 @@ class StreamReaderTest : public ::testing::Test {
   }
 
   /// The sink's side of the reader's channel after a valid handshake
-  /// (kResume at 0, then `schema`); null if the reader opened none in 10 s.
-  std::shared_ptr<MuxChannel> AcceptWithHandshake(const Schema& schema) {
+  /// (kResume at 0); null if the reader opened none in 10 s.
+  std::shared_ptr<MuxChannel> AcceptWithHandshake() {
     std::shared_ptr<MuxChannel> channel;
     {
       std::unique_lock<std::mutex> lock(opened_->mu);
@@ -1043,11 +1103,8 @@ class StreamReaderTest : public ::testing::Test {
       channel = opened_->channel;
     }
     if (channel == nullptr) return nullptr;
-    std::string encoded;
-    EncodeSchema(schema, &encoded);
     EXPECT_TRUE(
         channel->Send(FrameType::kResume, ResumeMessage{}.Encode(), 0).ok());
-    EXPECT_TRUE(channel->Send(FrameType::kSchema, encoded, 0).ok());
     return channel;
   }
 
@@ -1067,8 +1124,7 @@ TEST_F(StreamReaderTest, HugeFrameRowCountIsDataLoss) {
   // count (2^40) no payload could back. The reader must fail the split
   // with DataLoss before sizing its staging vector.
   std::thread sink([this] {
-    std::shared_ptr<MuxChannel> channel =
-        AcceptWithHandshake(*Schema::Make({{"id", DataType::kInt64}}));
+    std::shared_ptr<MuxChannel> channel = AcceptWithHandshake();
     if (channel == nullptr) return;
     std::string hostile;
     PutVarint64(&hostile, uint64_t{1} << 40);
@@ -1097,8 +1153,7 @@ TEST_F(StreamReaderTest, AcksOnlyWhenItsInboxDrainsOrAWindowSixteenthIsOwed) {
   std::vector<uint64_t> acked;  // The sink thread's until it is joined.
   bool final_ack = false;
   std::thread sink([&] {
-    std::shared_ptr<MuxChannel> channel = AcceptWithHandshake(*Schema::Make(
-        {{"id", DataType::kInt64}, {"pad", DataType::kString}}));
+    std::shared_ptr<MuxChannel> channel = AcceptWithHandshake();
     if (channel == nullptr) {
       all_sent.set_value();
       return;
@@ -1191,8 +1246,7 @@ TEST_F(StreamReaderTest, RematchAgainstAStoppingCoordinatorEndsRecovery) {
   ASSERT_TRUE(coordinator.ok()) << coordinator.status();
   port = (*coordinator)->port();
   RegisterOneSqlWorker(port);
-  std::shared_ptr<MuxChannel> channel =
-      AcceptWithHandshake(*Schema::Make({{"x", DataType::kInt64}}));
+  std::shared_ptr<MuxChannel> channel = AcceptWithHandshake();
   ASSERT_NE(channel, nullptr);
   {
     std::unique_lock<std::mutex> lock(mu);
@@ -1424,6 +1478,36 @@ TEST(CoordinatorTest, DropFailpointsLeaveTheRequestUnanswered) {
     auto retried = Rematch(port, 0);
     EXPECT_TRUE(retried.ok()) << retried.status();
   }
+}
+
+/// A request header announcing more than kMaxRequestFrameBytes is answered
+/// with InvalidArgument before any of its payload is read, and the
+/// coordinator keeps serving. One that waited for the announced gigabyte
+/// never answered.
+TEST(CoordinatorTest, OversizedRequestHeaderIsRefusedPromptly) {
+  StreamCoordinator::Options options;
+  auto coordinator = StreamCoordinator::Start(std::move(options));
+  ASSERT_TRUE(coordinator.ok());
+  const int port = (*coordinator)->port();
+  auto socket = TcpConnect("localhost", port);
+  ASSERT_TRUE(socket.ok()) << socket.status();
+  char header[kFrameHeaderBytes];
+  EncodeFrameHeader(header, FrameType::kRegisterSql, uint32_t{1} << 30,
+                    /*seq=*/0, /*channel=*/0, TraceContext{});
+  const auto start = std::chrono::steady_clock::now();
+  // Fail, rather than hang, if no answer comes.
+  socket->SetRecvDeadline(start + std::chrono::seconds(5));
+  ASSERT_TRUE(socket->SendAll(std::string_view(header, sizeof(header))).ok());
+  auto reply = RecvFrame(&*socket);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  ASSERT_EQ(reply->type, FrameType::kError);
+  const Status status = DecodeStatusPayload(reply->payload);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status;
+
+  auto registered = RegisterSqlWorker(port, 0, 1, 7777);
+  EXPECT_TRUE(registered.ok()) << registered.status();
+  EXPECT_EQ((*coordinator)->registered_sql_workers(), 1);
 }
 
 /// Lines of /proc/self/maps: one per memory mapping of this process.
