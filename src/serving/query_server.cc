@@ -100,9 +100,9 @@ void QueryServer::Stop() {
   // down wakes them: the first returns, the second cancels its query, whose
   // reply still goes out on the write side.
   for (auto& [id, worker] : workers) {
-    if (auto socket = worker.second.lock()) socket->ShutdownRead();
+    if (auto socket = worker.socket.lock()) socket->ShutdownRead();
   }
-  for (auto& [id, worker] : workers) worker.first.join();
+  for (auto& [id, worker] : workers) worker.thread.join();
 }
 
 void QueryServer::AcceptLoop() {
@@ -115,7 +115,7 @@ void QueryServer::AcceptLoop() {
     if (stopping_.load(std::memory_order_acquire)) return;
     for (const std::thread::id& id : finished_) {
       auto it = workers_.find(id);
-      it->second.first.join();
+      it->second.thread.join();
       workers_.erase(it);
     }
     finished_.clear();
@@ -127,7 +127,7 @@ void QueryServer::AcceptLoop() {
       finished_.push_back(std::this_thread::get_id());
     });
     const std::thread::id id = worker.get_id();
-    workers_.emplace(id, std::make_pair(std::move(worker), std::move(weak)));
+    workers_.emplace(id, Worker{std::move(worker), std::move(weak)});
   }
 }
 

@@ -8,7 +8,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -91,13 +90,16 @@ class QueryServer {
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
   std::mutex workers_mu_;
-  /// Connection threads not yet joined, by id, each with its socket, which
-  /// Stop() shuts down to wake the thread. Each thread adds its id to
+  /// A connection thread and its socket, which Stop() shuts down to wake
+  /// the thread.
+  struct Worker {
+    std::thread thread;
+    std::weak_ptr<TcpSocket> socket;
+  };
+  /// Connection threads not yet joined, by id. Each thread adds its id to
   /// finished_ as it returns; the accept loop joins those before it starts
   /// the next connection, so only live connections hold a thread stack.
-  std::unordered_map<std::thread::id,
-                     std::pair<std::thread, std::weak_ptr<TcpSocket>>>
-      workers_;
+  std::unordered_map<std::thread::id, Worker> workers_;
   std::vector<std::thread::id> finished_;
 };
 
